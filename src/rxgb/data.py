@@ -387,27 +387,33 @@ def save_features(path: Path | str, features: np.ndarray, labels: np.ndarray) ->
 
 
 def load_features(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
-    """Read an RXGBFEAT file back to (float32 [rows, cols], int64 labels)."""
-    data = Path(path).read_bytes()
-    if len(data) < _FEATURES_HEADER.size:
-        raise ValueError(f"{path}: truncated header ({len(data)} bytes)")
-    magic, version, rows, cols = _FEATURES_HEADER.unpack_from(data)
-    if magic != FEATURES_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != FEATURES_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    expected = _FEATURES_HEADER.size + rows * cols * 4 + rows
-    if len(data) != expected:
-        raise ValueError(
-            f"{path}: byte length {len(data)} != expected {expected} for "
-            f"{rows}x{cols}"
-        )
-    off = _FEATURES_HEADER.size
-    feats = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=off)
-    feats = feats.reshape(rows, cols).copy()
-    labels = np.frombuffer(
-        data, dtype=np.uint8, count=rows, offset=off + rows * cols * 4
-    ).astype(np.int64)
+    """Read an RXGBFEAT file back to (float32 [rows, cols], int64 labels).
+
+    The feature block is read straight into its array, with no copy of the
+    whole file in between.
+    """
+    with open(path, "rb") as f:
+        head = f.read(_FEATURES_HEADER.size)
+        if len(head) < _FEATURES_HEADER.size:
+            raise ValueError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, version, rows, cols = _FEATURES_HEADER.unpack(head)
+        if magic != FEATURES_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        if version != FEATURES_VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        size = os.fstat(f.fileno()).st_size
+        expected = _FEATURES_HEADER.size + rows * cols * 4 + rows
+        if size != expected:
+            raise ValueError(
+                f"{path}: byte length {size} != expected {expected} for "
+                f"{rows}x{cols}"
+            )
+        feats = np.fromfile(f, dtype="<f4", count=rows * cols)
+        labels = np.fromfile(f, dtype=np.uint8, count=rows)
+    if feats.size != rows * cols or labels.size != rows:
+        raise ValueError(f"{path}: file shrank while being read")
+    feats = feats.reshape(rows, cols)
+    labels = labels.astype(np.int64)
     if feats.size and not np.isfinite(feats).all():
         raise ValueError(f"{path}: non-finite feature values")
     return feats, labels

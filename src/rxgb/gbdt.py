@@ -16,9 +16,21 @@ at predict time). A split must strictly improve (gain > 0) and leave both
 children with Hessian mass >= min_child_weight. Ties break toward the lowest
 feature index, then the lowest threshold.
 
+Split search follows XGBoost's exact greedy algorithm on a pre-sorted column
+block (Chen & Guestrin, arXiv 1603.02754): train_ensemble sorts every feature
+column once into (value, row id) entries, the stable argsort, since the
+feature matrix is the same for every tree; a split partitions each column's
+sorted entries stably into the two children by one per-row side mask. Node
+rows stay in increasing row order, so a child's block is exactly the stable
+argsort of the child's rows: the prefix sums, gains, ties and thresholds, and
+so the model bytes, are those of sorting every node afresh. Node totals are
+plain (pairwise) sums of the node's rows in row order, not the last prefix
+sums. One scan scores a node's block in feature blocks of about 64k
+candidates.
+
 Features are handled in float32, the canonical precision of persisted feature
 matrices; thresholds and leaf weights are float64. Everything is deterministic:
-stable sorts, fixed scan order, first-occurrence argmax.
+stable sorts, fixed scan order, first-occurrence maximum.
 """
 
 from __future__ import annotations
@@ -160,11 +172,90 @@ def _midpoint(a: float, b: float) -> float:
     return t
 
 
+# Candidates (features x node rows) scored per block of the scan: each float64
+# temporary of a block is 512 KiB, so a block's working set stays in L2.
+_BLOCK = 1 << 16
+_ROW = 0xFFFFFFFF        # low 32 bits of a column-block entry: the row id
+
+
+def _column_block(x: np.ndarray) -> np.ndarray:
+    """Every column of x [m, F] (no NaN) sorted once, as one int64 [F, m].
+
+    Entry (f, j) packs the j-th smallest value of column f with its row id r
+    as key * 2**32 + r, where key is the value's float32 bit pattern as a
+    signed integer, negated for negative values so that integer order is
+    value order (-0.0 and +0.0 share key 0). The entries of a column are
+    distinct, so sorting them gives the stable argsort of the column, and
+    equal keys mean equal values.
+    """
+    m, nf = x.shape
+    if m > _ROW + 1:
+        raise ValueError(f"at most 2**32 rows fit a column block, got {m}")
+    keys = np.empty((nf, m), dtype=np.int64)
+    np.copyto(keys, x.T.view(np.int32))
+    neg = keys < 0
+    np.add(keys, 2**31, out=keys, where=neg)        # the magnitude bits
+    np.negative(keys, out=keys, where=neg)
+    keys <<= 32
+    keys |= np.arange(m)
+    keys.sort(axis=1)
+    return keys
+
+
+def _scan(keys: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
+          gt: float, ht: float, cfg: GBDTConfig) -> Split | None:
+    """Best split of one node from its column block keys [F, m] (see
+    _column_block; row ids index x, g and h).
+
+    gt, ht are the node's gradient and Hessian totals. Features are scored in
+    blocks of about _BLOCK candidates; a block's first maximum replaces the
+    running best only when strictly greater, so the result is the first
+    maximum in feature-major order. Candidates whose gain is not > 0 (NaN
+    included) are invalid.
+    """
+    nf, m = keys.shape
+    if m < 2:
+        return None
+    lam = cfg.reg_lambda
+    mcw = cfg.min_child_weight
+    parent = gt * gt / (ht + lam)
+    step = max(1, _BLOCK // m)
+    best_gain, best = 0.0, None
+    for f0 in range(0, nf, step):
+        bkeys = keys[f0:f0 + step]
+        rows = bkeys & _ROW
+        gl = np.cumsum(g[rows], axis=1)[:, :-1]
+        hl = np.cumsum(h[rows], axis=1)[:, :-1]
+        gr = gt - gl
+        hr = ht - hl
+        with np.errstate(invalid="ignore"):      # 0/0 when lambda = 0
+            gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
+        vkeys = bkeys >> 32
+        valid = (gains > 0.0) & (vkeys[:, 1:] != vkeys[:, :-1])
+        valid &= hl >= mcw
+        valid &= hr >= mcw
+        gains[~valid] = 0.0
+        i = int(np.argmax(gains))
+        if gains.flat[i] > best_gain:
+            best_gain = float(gains.flat[i])
+            best = (f0 + i // (m - 1), i % (m - 1))
+    if best is None:
+        return None
+    f, i = best
+    lo, hi = keys[f, i:i + 2] & _ROW
+    thr = _midpoint(float(x[lo, f]), float(x[hi, f]))
+    return Split(feature=f, threshold=thr, gain=best_gain)
+
+
 def best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> Split | None:
     """Exact-greedy best split over all features of one node.
 
+    Sorts the node's columns into a column block and runs the same scan as
+    tree growth, so it returns exactly the split grow_tree makes at a node
+    holding these rows.
+
     Args:
-        x: [m, F] node feature rows (float32 canonical).
+        x: [m, F] node feature rows (float32 canonical, no NaN).
         g, h: [m] gradient / Hessian for this node's samples and class.
         cfg: hyperparameters (reg_lambda, gamma, min_child_weight).
 
@@ -175,44 +266,72 @@ def best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> 
     x = np.asarray(x, dtype=np.float32)
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    m, nf = x.shape
-    if m < 2:
-        return None
-    lam = cfg.reg_lambda
-    gt = g.sum()
-    ht = h.sum()
-    parent = gt * gt / (ht + lam)
-
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    gl = np.cumsum(g[order], axis=0)[:-1]
-    hl = np.cumsum(h[order], axis=0)[:-1]
-    gr = gt - gl
-    hr = ht - hl
-    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
-    valid = (xs[1:] != xs[:-1]) & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
-    gains = np.where(valid, gains, -np.inf)
-
-    # row-major over [F, m-1]: first max = lowest feature, then lowest threshold
-    flat = np.ascontiguousarray(gains.T).reshape(-1)
-    idx = int(np.argmax(flat))
-    best_gain = float(flat[idx])
-    if not best_gain > 0.0:
-        return None
-    f, i = divmod(idx, m - 1)
-    thr = _midpoint(float(xs[i, f]), float(xs[i + 1, f]))
-    return Split(feature=f, threshold=thr, gain=best_gain)
+    return _scan(_column_block(x), x, g, h, g.sum(), h.sum(), cfg)
 
 
-def _leaf(g_sum: float, h_sum: float, cfg: GBDTConfig) -> TreeNode:
-    w = -cfg.learning_rate * g_sum / (h_sum + cfg.reg_lambda)
-    return TreeNode(is_leaf=True, weight=float(w))
+def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
+          cfg: GBDTConfig) -> tuple[TreeNode, np.ndarray]:
+    """Grow one tree from x's column block; returns (tree, [m] leaf weights).
+
+    A split routes the node's rows by x <= threshold into one side mask and
+    partitions every column of the node's block stably by it, so each child's
+    block is the parent's sorted order restricted to the child's rows. Node
+    rows are kept in increasing row order and node totals are their sums in
+    that order.
+
+    Below the root, which is only read, a node's block is a span of one half
+    of a two-half buffer and its children's blocks are cut into the same span
+    of the other half. Nodes waiting on the stack hold disjoint spans, and a
+    span is overwritten only after its node is split, so growth allocates
+    nothing of block size beyond the buffer; the partition runs in the scan's
+    feature blocks, which bounds its temporaries too.
+    """
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    h = np.ascontiguousarray(h, dtype=np.float64)
+    nf, n = block.shape
+    weights = np.empty(n)
+    side = np.zeros(n, dtype=bool)
+    buf = np.empty((2, nf * n), dtype=block.dtype)
+    root = TreeNode(is_leaf=True)
+    stack = [(root, np.arange(n), block, 0, 0)]
+    while stack:
+        node, idx, keys, start, depth = stack.pop()
+        gs = float(g[idx].sum())
+        hs = float(h[idx].sum())
+        sp = None
+        if depth < cfg.max_depth and idx.size >= 2:
+            sp = _scan(keys, x, g, h, gs, hs, cfg)
+        if sp is None:
+            node.weight = float(-cfg.learning_rate * gs / (hs + cfg.reg_lambda))
+            weights[idx] = node.weight
+            continue
+        go_left = x[idx, sp.feature] <= sp.threshold
+        side[idx] = go_left
+        m, ml = idx.size, int(go_left.sum())
+        half, cut = buf[(depth + 1) % 2], start + nf * ml
+        left = half[start:cut].reshape(nf, ml)
+        right = half[cut:start + nf * m].reshape(nf, m - ml)
+        step = max(1, _BLOCK // m)
+        for f0 in range(0, nf, step):
+            rows = slice(f0, f0 + step)
+            part = keys[rows].ravel()
+            sel = side[part & _ROW]
+            np.compress(sel, part, out=left[rows].ravel())
+            np.compress(~sel, part, out=right[rows].ravel())
+        node.is_leaf, node.feature, node.threshold = False, sp.feature, sp.threshold
+        node.left, node.right = TreeNode(is_leaf=True), TreeNode(is_leaf=True)
+        stack.append((node.right, idx[~go_left], right, cut, depth + 1))
+        stack.append((node.left, idx[go_left], left, start, depth + 1))
+    return root, weights
 
 
 def grow_tree(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> TreeNode:
-    """Grow one regression tree by recursive exact-greedy partitioning.
+    """Grow one regression tree by exact-greedy partitioning.
 
-    Depth is counted in split levels: max_depth = 0 yields a single leaf.
+    Sorts x's columns once into a column block and partitions it down the
+    tree (see _grow); every node's split is the one best_split returns for
+    that node's rows. Depth is counted in split levels: max_depth = 0 yields
+    a single leaf.
     """
     x = np.asarray(x, dtype=np.float32)
     g = np.asarray(g, dtype=np.float64)
@@ -221,25 +340,7 @@ def grow_tree(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> T
         raise ValueError(f"features must be 2-d [m, F], got ndim={x.ndim}")
     if not (np.isfinite(x).all() and np.isfinite(g).all() and np.isfinite(h).all()):
         raise ValueError("training features and grad/hess must be finite")
-
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        gs = float(g[idx].sum())
-        hs = float(h[idx].sum())
-        if depth >= cfg.max_depth or idx.size < 2:
-            return _leaf(gs, hs, cfg)
-        sp = best_split(x[idx], g[idx], h[idx], cfg)
-        if sp is None:
-            return _leaf(gs, hs, cfg)
-        go_left = x[idx, sp.feature] <= sp.threshold
-        node = TreeNode(
-            is_leaf=False, feature=sp.feature, threshold=sp.threshold,
-            default_direction="left",
-            left=build(idx[go_left], depth + 1),
-            right=build(idx[~go_left], depth + 1),
-        )
-        return node
-
-    return build(np.arange(x.shape[0]), 0)
+    return _grow(x, _column_block(x), g, h, cfg)[0]
 
 
 def _tree_predict(node: TreeNode, x32: np.ndarray) -> np.ndarray:
@@ -268,8 +369,10 @@ def train_ensemble(
 ) -> TreeEnsemble:
     """Boost cfg.total_tree_budget trees, one per class in class order.
 
-    Gradients and Hessians are computed once per round from the margins at
-    round start; margins accumulate each new tree's predictions.
+    The feature columns are sorted once for all trees. Gradients and Hessians
+    are computed once per round from the margins at round start; margins
+    accumulate each new tree's leaf weights, recorded per row as growth makes
+    the leaves (the same values as routing the rows through the tree).
     """
     x = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels)
@@ -284,6 +387,7 @@ def train_ensemble(
         raise ValueError("training features must be finite")
 
     ens = TreeEnsemble(config=cfg, n_features=x.shape[1])
+    block = _column_block(x)
     margins = np.tile(ens.base_score, (n, 1))
     built = 0
     budget = cfg.total_tree_budget
@@ -292,8 +396,8 @@ def train_ensemble(
         for k in range(cfg.n_classes):
             if built >= budget:
                 break
-            tree = grow_tree(x, g[:, k], h[:, k], cfg)
-            margins[:, k] += _tree_predict(tree, x)
+            tree, weights = _grow(x, block, g[:, k], h[:, k], cfg)
+            margins[:, k] += weights
             ens.trees.append((k, tree))
             built += 1
     return ens

@@ -53,3 +53,65 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def argsort_best_split(x, g, h, cfg):
+    """Exact-greedy split by a fresh stable argsort of every column of the
+    node, scored as one [m-1, F] array; returns (feature, threshold) or None.
+
+    The per-node-sort formulation the presorted column block must reproduce
+    to the byte: same cumsums, same gain arithmetic, first maximum in
+    feature-major order. With reg_lambda = 0 every h must be > 0: a 0/0
+    gain would make np.argmax return NaN.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    m, nf = x.shape
+    if m < 2:
+        return None
+    lam = cfg.reg_lambda
+    gt = g.sum()
+    ht = h.sum()
+    parent = gt * gt / (ht + lam)
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    gl = np.cumsum(g[order], axis=0)[:-1]
+    hl = np.cumsum(h[order], axis=0)[:-1]
+    gr = gt - gl
+    hr = ht - hl
+    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
+    valid = (xs[1:] != xs[:-1]) & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+    gains = np.where(valid, gains, -np.inf)
+    flat = np.ascontiguousarray(gains.T).reshape(-1)
+    idx = int(np.argmax(flat))
+    if not flat[idx] > 0.0:
+        return None
+    f, i = divmod(idx, m - 1)
+    a, b = float(xs[i, f]), float(xs[i + 1, f])
+    t = (a + b) / 2.0
+    if not t < b:
+        t = a
+    return f, t
+
+
+def argsort_grow_tree(x, g, h, cfg):
+    """Recursive growth on argsort_best_split, as an rxgb.gbdt.TreeNode."""
+    from rxgb.gbdt import TreeNode
+
+    x = np.asarray(x, dtype=np.float32)
+
+    def build(idx, depth):
+        gs, hs = float(g[idx].sum()), float(h[idx].sum())
+        sp = None
+        if depth < cfg.max_depth and idx.size >= 2:
+            sp = argsort_best_split(x[idx], g[idx], h[idx], cfg)
+        if sp is None:
+            w = -cfg.learning_rate * gs / (hs + cfg.reg_lambda)
+            return TreeNode(is_leaf=True, weight=float(w))
+        f, t = sp
+        go_left = x[idx, f] <= t
+        return TreeNode(
+            is_leaf=False, feature=f, threshold=t, default_direction="left",
+            left=build(idx[go_left], depth + 1), right=build(idx[~go_left], depth + 1),
+        )
+
+    return build(np.arange(x.shape[0]), 0)

@@ -9,6 +9,7 @@ against per-row tracer routing.
 
 import numpy as np
 import pytest
+from oracles import argsort_grow_tree
 
 from rxgb import gbdt
 from rxgb.gbdt import (
@@ -239,6 +240,62 @@ def test_best_split_matches_brute_force_on_random_datasets():
                 ) - cfg.gamma
                 assert alt == pytest.approx(want.gain, abs=1e-9)
     assert checked_none > 5  # the sweep must exercise the no-split branch
+
+
+def test_best_split_nan_candidate_does_not_veto_valid_splits():
+    # with lambda = 0 the first prefix has HL = GL = 0 and scores 0/0 = NaN;
+    # NaN candidates are invalid, like every other non-positive gain
+    x = np.arange(6, dtype=np.float32).reshape(6, 1)
+    g = np.array([0.0, 0.0, -1.0, -1.0, 1.0, 1.0])
+    h = np.array([0.0, 0.0, 0.25, 0.25, 0.25, 0.25])
+    cfg = GBDTConfig(n_classes=2, reg_lambda=0.0, min_child_weight=0.0)
+    with np.errstate(invalid="ignore"):
+        assert brute_best_split(x, g, h, cfg) == Split(feature=0, threshold=3.5, gain=8.0)
+    assert best_split(x, g, h, cfg) == Split(feature=0, threshold=3.5, gain=8.0)
+
+
+def _tie_heavy(rng, n, base_features, copies, k):
+    """Class-conditional features in {-1, 0, 1, 2} repeated `copies` times
+    side by side, rows drawn with replacement (duplicate rows), zeros signed
+    at random (-0.0 == 0.0, so they tie)."""
+    proto = rng.integers(0, 4, size=(n // 3, base_features))
+    labels = rng.integers(0, k, size=n // 3)
+    proto[:, : k] = np.minimum(proto[:, : k] + (labels[:, None] == np.arange(k)), 3)
+    rows = rng.integers(0, n // 3, size=n)
+    x = np.tile(proto[rows] - 1, (1, copies)).astype(np.float32)
+    x[x == 0] *= rng.choice(np.float32([-1, 1]), size=int((x == 0).sum()))
+    return x, labels[rows]
+
+
+@pytest.mark.parametrize("k, depth, gamma, mcw, lam", [
+    (2, 6, 0.0, 1.0, 1.0),
+    (3, 4, 0.05, 0.5, 1.0),
+    (4, 5, 0.0, 0.0, 0.3),
+    (5, 3, 0.02, 2.0, 1.0),
+    (3, 6, 0.0, 0.1, 0.0),
+])
+def test_model_bytes_equal_per_node_argsort_reference(k, depth, gamma, mcw, lam):
+    """train_ensemble's model text equals, byte for byte, a run that argsorts
+    every node's columns afresh (tests/oracles.py). Identical column copies
+    make exact gain ties, and the root scan spans several feature blocks, so
+    the ties cross block boundaries; lambda = 0 makes splits of pure nodes
+    score 0 up to rounding, so decisions follow the last bits of the sums."""
+    rng = np.random.default_rng(100 + k + depth)
+    x, y = _tie_heavy(rng, 2400, 8, 6, k)
+    assert x.shape[1] > gbdt._BLOCK // x.shape[0]      # root scan spans blocks
+    cfg = GBDTConfig(
+        n_classes=k, max_trees=2 * k, max_depth=depth, gamma=gamma,
+        min_child_weight=mcw, reg_lambda=lam, learning_rate=0.5,
+    )
+    want = TreeEnsemble(config=cfg, n_features=x.shape[1])
+    margins = np.tile(want.base_score, (len(y), 1))
+    for _ in range(2):                  # max_trees = 2k: two rounds of k trees
+        g, h = softmax_grad_hess(margins, y)
+        for c in range(k):
+            tree = argsort_grow_tree(x, g[:, c], h[:, c], cfg)
+            margins[:, c] += gbdt._tree_predict(tree, x)
+            want.trees.append((c, tree))
+    assert serialize(train_ensemble(x, y, cfg)) == serialize(want)
 
 
 def test_threshold_clamps_when_midpoint_rounds_to_right_value():
