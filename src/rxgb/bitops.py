@@ -109,6 +109,13 @@ def xnor_dot(a: BitPlane, b: BitPlane) -> int:
     return 2 * pop - a.n_bits
 
 
+def _alpha(w_latent: np.ndarray, weight_scaling: bool) -> np.ndarray:
+    """Per-output-channel scale [Co]: mean(|w_latent[co]|), or ones."""
+    if weight_scaling:
+        return np.abs(w_latent).mean(axis=(1, 2, 3))
+    return np.ones(w_latent.shape[0])
+
+
 def binarize_weights(
     w_latent: np.ndarray, weight_scaling: bool = True
 ) -> tuple[BitPlane, np.ndarray]:
@@ -126,11 +133,7 @@ def binarize_weights(
     if w_latent.ndim != 4:
         raise ValueError(f"latent weights must be 4-d, got ndim={w_latent.ndim}")
     w_latent = np.asarray(w_latent, dtype=np.float64)
-    if weight_scaling:
-        alpha = np.abs(w_latent).mean(axis=(1, 2, 3))
-    else:
-        alpha = np.ones(w_latent.shape[0])
-    return pack(w_latent), alpha
+    return pack(w_latent), _alpha(w_latent, weight_scaling)
 
 
 def effective_weights(
@@ -139,10 +142,7 @@ def effective_weights(
     """Real-arithmetic twin of binarize_weights: alpha[co] * sign(w_latent)."""
     w_latent = np.asarray(w_latent, dtype=np.float64)
     sgn = np.where(w_latent >= 0, 1.0, -1.0)
-    if not weight_scaling:
-        return sgn
-    alpha = np.abs(w_latent).mean(axis=(1, 2, 3))
-    return sgn * alpha[:, None, None, None]
+    return sgn * _alpha(w_latent, weight_scaling)[:, None, None, None]
 
 
 def ste_mask(w_latent: np.ndarray) -> np.ndarray:

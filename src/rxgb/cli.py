@@ -10,6 +10,11 @@ Subcommands cover the full two-stage workflow::
     rxgb cost --spec reference [--diff reference-nofc]   cost report / delta
     rxgb pipeline --out DIR              all stages with one seed
 
+The train, extract and boost stages are one function each; every subcommand
+loads its inputs and calls one, and ``pipeline`` calls them in turn, so its
+artifacts are the manual sequence's by construction. Both heads are scored on
+test features extracted once (the FC head via ``network.fc_logits``).
+
 Configuration is a flat key=value namespace (see DEFAULTS). Values come
 from ``--config FILE`` and are overridden by ``--<key> <value>`` flags, e.g.
 ``--train.epochs 1 --data.subset 512``. Unknown keys are rejected, and every
@@ -183,42 +188,34 @@ def _out_dir(args, cfg) -> str:
     return out
 
 
-def _cache_dir(cfg):
-    from . import data
-
-    return cfg["data.dir"] or data.default_cache_dir()
-
-
 def _load_split(cfg, split: str):
     from . import data
 
-    ds = data.load_dataset(split, cache_dir=_cache_dir(cfg))
+    ds = data.load_dataset(split, cache_dir=cfg["data.dir"] or None)
     limit = cfg["data.subset"] if split == "train" else cfg["data.test_subset"]
     if limit:
         ds = data.subset(ds, limit)
     return ds
 
 
-def _build_spec(cfg, include_fc: bool = True):
+_SPEC_NAMES = ("reference", "reference-nofc")
+
+
+def _build_spec(cfg, name: str = "reference"):
     from . import netspec
 
+    if name not in _SPEC_NAMES:
+        raise ConfigError(f"unknown spec {name!r}; choose from {_SPEC_NAMES}")
     return netspec.reference_spec(width_mult=cfg["net.width_mult"],
-                                  include_fc=include_fc)
+                                  include_fc=(name == "reference"))
 
 
 def _gbdt_config(cfg, compliance: bool):
     from . import gbdt
 
-    config = gbdt.GBDTConfig(
-        n_classes=10,
-        max_trees=cfg["gbdt.max_trees"],
-        max_depth=cfg["gbdt.max_depth"],
-        learning_rate=cfg["gbdt.learning_rate"],
-        reg_lambda=cfg["gbdt.reg_lambda"],
-        gamma=cfg["gbdt.gamma"],
-        min_child_weight=cfg["gbdt.min_child_weight"],
-        budget_mode=cfg["gbdt.budget_mode"],
-    )
+    config = gbdt.GBDTConfig(n_classes=10, **{   # gbdt.<field> = value
+        key[5:]: value for key, value in cfg.items() if key.startswith("gbdt.")
+    })
     if compliance:
         if config.total_tree_budget > COMPLIANCE_MAX_TREES:
             raise ConfigError(
@@ -233,47 +230,13 @@ def _gbdt_config(cfg, compliance: bool):
     return config
 
 
-def _confusion_matrix(pred, labels, k: int = 10):
-    import numpy as np
-
-    cm = np.zeros((k, k), dtype=np.int64)
-    np.add.at(cm, (labels, pred), 1)
-    return cm
+# --- stages: every subcommand, pipeline included, composes these -----------
 
 
-def _print_eval(name: str, pred, labels) -> float:
-    import numpy as np
+def _stage_train(cfg, out: str):
+    """Stage 1: train backbone + FC head; write metrics.tsv and the checkpoint."""
+    from . import data, network
 
-    top1 = float((pred == labels).mean())
-    print(f"{name} top-1 accuracy: {top1:.4f} ({int((pred == labels).sum())}"
-          f"/{len(labels)})")
-    cm = _confusion_matrix(pred, labels)
-    print("confusion matrix (rows = true, cols = predicted):")
-    width = max(len(str(cm.max())), 3)
-    header = "     " + " ".join(f"{c:>{width}}" for c in range(cm.shape[1]))
-    print(header)
-    for row in range(cm.shape[0]):
-        cells = " ".join(f"{v:>{width}}" for v in cm[row])
-        print(f"  {row:>2} {cells}")
-    return top1
-
-
-# --- subcommands -------------------------------------------------------------
-
-
-def cmd_fetch_data(args, cfg) -> int:
-    from . import data
-
-    paths = data.fetch(cache_dir=_cache_dir(cfg))
-    for name in sorted(paths):
-        print(f"verified {name} -> {paths[name]}")
-    return 0
-
-
-def cmd_train(args, cfg) -> int:
-    from . import data, netspec, network
-
-    out = _out_dir(args, cfg)
     full = _load_split(cfg, "train")
     train_ds, val_ds = data.split_train_val(full, cfg["data.val_count"])
     spec = _build_spec(cfg)
@@ -307,31 +270,27 @@ def cmd_train(args, cfg) -> int:
     print(f"best epoch {result.best_epoch} "
           f"(val top-1 {result.best_val_top1:.4f}) -> {ckpt_path}")
     print(f"metrics -> {metrics_path}")
-    return 0
+    return result.model
 
 
-def cmd_extract(args, cfg) -> int:
+def _stage_extract(cfg, model, split: str, out: str):
+    """Pooled features of one split -> features-<split>.rxgbfeat; returns them."""
     from . import data, network
 
-    out = _out_dir(args, cfg)
-    model = network.load_checkpoint(args.checkpoint)
-    for split in ("train", "test"):
-        ds = _load_split(cfg, split)
-        feats, labels = network.extract_features(
-            model, ds, batch_size=cfg["train.batch_size"]
-        )
-        path = os.path.join(out, f"features-{split}.rxgbfeat")
-        data.save_features(path, feats, labels)
-        print(f"{split}: {feats.shape[0]} x {feats.shape[1]} features -> {path}")
-    return 0
+    feats, labels = network.extract_features(
+        model, _load_split(cfg, split), batch_size=cfg["train.batch_size"]
+    )
+    path = os.path.join(out, f"features-{split}.rxgbfeat")
+    data.save_features(path, feats, labels)
+    print(f"{split}: {feats.shape[0]} x {feats.shape[1]} features -> {path}")
+    return feats, labels
 
 
-def cmd_train_gbdt(args, cfg) -> int:
+def _stage_boost(config, features_path: str, out: str):
+    """Stage 2: boost the tree head on a feature file -> gbdt-model.txt."""
     from . import data, gbdt
 
-    config = _gbdt_config(cfg, args.compliance)       # refuse before compute
-    out = _out_dir(args, cfg)
-    feats, labels = data.load_features(args.features)
+    feats, labels = data.load_features(features_path)
     print(f"training tree head on {feats.shape[0]} x {feats.shape[1]} features "
           f"({config.total_tree_budget} trees, depth <= {config.max_depth})")
     ens = gbdt.train_ensemble(feats, labels, config)
@@ -342,59 +301,88 @@ def cmd_train_gbdt(args, cfg) -> int:
     with open(path, "w", encoding="utf-8") as f:
         f.write(gbdt.serialize(ens))
     print(f"{len(ens.trees)} trees -> {path}")
-    return 0
+    return ens
 
 
-def cmd_eval(args, cfg) -> int:
+def _eval_head(cfg, head: str, model, ens, feats, labels) -> float:
+    """Print one head's top-1 and confusion matrix on extracted features."""
     import numpy as np
 
     from . import gbdt, network
 
-    model = network.load_checkpoint(args.checkpoint)
-    ds = _load_split(cfg, "test")
-    if args.head == "fc":
-        logits, _ = _batched_logits(model, ds, cfg["train.batch_size"])
+    if head == "fc":
+        logits = network.fc_logits(model, feats, cfg["train.batch_size"])
         pred = np.argmax(logits, axis=1)
-        _print_eval("fc head", pred, ds.labels)
     else:
+        pred = gbdt.predict_class(ens, feats)
+    hits = int((pred == labels).sum())
+    top1 = hits / len(labels)
+    print(f"{head} head top-1 accuracy: {top1:.4f} ({hits}/{len(labels)})")
+    cm = np.zeros((10, 10), dtype=np.int64)
+    np.add.at(cm, (labels, pred), 1)
+    print("confusion matrix (rows = true, cols = predicted):")
+    width = max(len(str(cm.max())), 3)
+    print("     " + " ".join(f"{c:>{width}}" for c in range(cm.shape[1])))
+    for row in range(cm.shape[0]):
+        cells = " ".join(f"{v:>{width}}" for v in cm[row])
+        print(f"  {row:>2} {cells}")
+    return top1
+
+
+# --- subcommands -------------------------------------------------------------
+
+
+def cmd_fetch_data(args, cfg) -> int:
+    from . import data
+
+    paths = data.fetch(cache_dir=cfg["data.dir"] or None)
+    for name in sorted(paths):
+        print(f"verified {name} -> {paths[name]}")
+    return 0
+
+
+def cmd_train(args, cfg) -> int:
+    _stage_train(cfg, _out_dir(args, cfg))
+    return 0
+
+
+def cmd_extract(args, cfg) -> int:
+    from . import network
+
+    out = _out_dir(args, cfg)
+    model = network.load_checkpoint(args.checkpoint)
+    for split in ("train", "test"):
+        _stage_extract(cfg, model, split, out)
+    return 0
+
+
+def cmd_train_gbdt(args, cfg) -> int:
+    config = _gbdt_config(cfg, args.compliance)       # refuse before compute
+    _stage_boost(config, args.features, _out_dir(args, cfg))
+    return 0
+
+
+def cmd_eval(args, cfg) -> int:
+    from . import gbdt, network
+
+    ens = None
+    if args.head == "gbdt":
         if not args.model:
             raise ConfigError("eval --head gbdt requires --model FILE")
         with open(args.model, encoding="utf-8") as f:
             ens = gbdt.deserialize(f.read())
-        feats, labels = network.extract_features(
-            model, ds, batch_size=cfg["train.batch_size"]
-        )
-        pred = gbdt.predict_class(ens, feats)
-        _print_eval("gbdt head", pred, labels)
+    model = network.load_checkpoint(args.checkpoint)
+    feats, labels = network.extract_features(
+        model, _load_split(cfg, "test"), batch_size=cfg["train.batch_size"]
+    )
+    _eval_head(cfg, args.head, model, ens, feats, labels)
     return 0
-
-
-def _batched_logits(model, ds, batch_size):
-    import numpy as np
-
-    from . import data, network
-
-    chunks = [network.forward(model, xb, training=False)[0]
-              for xb, _ in data.batches(ds, batch_size, shuffle=False)]
-    return np.concatenate(chunks), None
-
-
-_SPEC_NAMES = ("reference", "reference-nofc")
-
-
-def _named_spec(name: str, cfg):
-    from . import netspec
-
-    if name not in _SPEC_NAMES:
-        raise ConfigError(f"unknown spec {name!r}; choose from {_SPEC_NAMES}")
-    return netspec.reference_spec(width_mult=cfg["net.width_mult"],
-                                  include_fc=(name == "reference"))
 
 
 def cmd_cost(args, cfg) -> int:
     from . import costmodel
 
-    spec_a = _named_spec(args.spec, cfg)
+    spec_a = _build_spec(cfg, args.spec)
     report_a = costmodel.cost_report(spec_a)
     with_budget = cfg["net.width_mult"] == 1.0
     tree_head = costmodel.gbdt_cost(_gbdt_config(cfg, compliance=False))
@@ -409,7 +397,7 @@ def cmd_cost(args, cfg) -> int:
         ))
     if not args.diff:
         return 0
-    spec_b = _named_spec(args.diff, cfg)
+    spec_b = _build_spec(cfg, args.diff)
     report_b = costmodel.cost_report(spec_b)
     if args.machine:
         print(costmodel.render_machine(report_b), end="")
@@ -429,73 +417,17 @@ def cmd_cost(args, cfg) -> int:
 
 
 def cmd_pipeline(args, cfg) -> int:
-    import numpy as np
-
-    from . import data, gbdt, netspec, network
-
     config = _gbdt_config(cfg, args.compliance)       # refuse before compute
     out = _out_dir(args, cfg)
     started = time.perf_counter()
-
-    full = _load_split(cfg, "train")
-    test_ds = _load_split(cfg, "test")
-    train_ds, val_ds = data.split_train_val(full, cfg["data.val_count"])
-
-    # stage 1: backbone + FC head
-    spec = _build_spec(cfg)
-    model = network.build_network(
-        spec, seed=cfg["seed"], weight_scaling=cfg["binary.weight_scaling"]
-    )
-    hp = network.StageOneConfig(
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        learning_rate=cfg["train.lr"],
-        momentum=cfg["train.momentum"],
-        weight_decay=cfg["train.weight_decay"],
-        seed=cfg["seed"],
-        augment=cfg["train.augment"],
-    )
-    print(f"stage 1: {len(train_ds)} train / {len(val_ds)} val, "
-          f"{hp.epochs} epochs")
-    result = network.train_stage1(model, train_ds, val_ds, hp)
-    for m in result.metrics:
-        print(f"epoch {m.epoch:3d}  loss {m.train_loss:.4f}  "
-              f"val top-1 {m.val_top1:.4f}  {m.wall_seconds:.1f}s")
-    if result.aborted:
-        raise RuntimeError(f"training aborted: {result.abort_reason}")
-    best = result.model
-    network.save_checkpoint(best, os.path.join(out, "checkpoint.ckpt"))
-    with open(os.path.join(out, "metrics.tsv"), "w", encoding="utf-8") as f:
-        f.write("epoch\ttrain_loss\tval_top1\twall_seconds\tlearning_rate\n")
-        for m in result.metrics:
-            f.write(f"{m.epoch}\t{m.train_loss:.6f}\t{m.val_top1:.4f}\t"
-                    f"{m.wall_seconds:.2f}\t{m.learning_rate:.6g}\n")
-
-    # stage 2: frozen features -> boosted trees
-    feats, labels = network.extract_features(best, full,
-                                             batch_size=cfg["train.batch_size"])
-    test_feats, test_labels = network.extract_features(
-        best, test_ds, batch_size=cfg["train.batch_size"])
-    data.save_features(os.path.join(out, "features-train.rxgbfeat"),
-                       feats, labels)
-    data.save_features(os.path.join(out, "features-test.rxgbfeat"),
-                       test_feats, test_labels)
-    print(f"stage 2: boosting {config.total_tree_budget} trees "
-          f"on {feats.shape[0]} x {feats.shape[1]} features")
-    feats32, _ = data.load_features(os.path.join(out, "features-train.rxgbfeat"))
-    ens = gbdt.train_ensemble(feats32, labels, config)
-    with open(os.path.join(out, "gbdt-model.txt"), "w", encoding="utf-8") as f:
-        f.write(gbdt.serialize(ens))
-
-    # evaluation: both heads on the test split
-    fc_logits, _ = _batched_logits(best, test_ds, cfg["train.batch_size"])
-    fc_top1 = _print_eval("fc head", np.argmax(fc_logits, axis=1), test_labels)
-    gbdt_top1 = _print_eval(
-        "gbdt head", gbdt.predict_class(ens, test_feats), test_labels
-    )
-    wall = time.perf_counter() - started
-    print(f"pipeline complete in {wall:.1f}s: fc {fc_top1:.4f}, "
-          f"hybrid {gbdt_top1:.4f} -> {out}")
+    model = _stage_train(cfg, out)
+    _stage_extract(cfg, model, "train", out)
+    test_feats, test_labels = _stage_extract(cfg, model, "test", out)
+    ens = _stage_boost(config, os.path.join(out, "features-train.rxgbfeat"), out)
+    fc_top1 = _eval_head(cfg, "fc", model, None, test_feats, test_labels)
+    gbdt_top1 = _eval_head(cfg, "gbdt", model, ens, test_feats, test_labels)
+    print(f"pipeline complete in {time.perf_counter() - started:.1f}s: "
+          f"fc {fc_top1:.4f}, hybrid {gbdt_top1:.4f} -> {out}")
     return 0
 
 

@@ -11,10 +11,12 @@ and a leaf outputs -eta * G / (H + lambda) (shrinkage folded into the leaf).
 
 Candidate thresholds are midpoints between consecutive distinct sorted feature
 values, clamped to the left value when float rounding would land the midpoint
-on the right value (keeps the training partition identical to `x <= t` routing
-at predict time). A split must strictly improve (gain > 0) and leave both
-children with Hessian mass >= min_child_weight. Ties break toward the lowest
-feature index, then the lowest threshold.
+on the right value. Rows are routed by `x <= t` in float64, in growth and at
+predict time alike: a float32 comparison would round a midpoint between
+adjacent float32 values up to the right value and route that row left, a
+partition other than the one scored. A split must strictly improve (gain > 0)
+and leave both children with Hessian mass >= min_child_weight. Ties break
+toward the lowest feature index, then the lowest threshold.
 
 Split search follows XGBoost's exact greedy algorithm on a pre-sorted column
 block (Chen & Guestrin, arXiv 1603.02754): train_ensemble sorts every feature
@@ -305,7 +307,7 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
             node.weight = float(-cfg.learning_rate * gs / (hs + cfg.reg_lambda))
             weights[idx] = node.weight
             continue
-        go_left = x[idx, sp.feature] <= sp.threshold
+        go_left = x[idx, sp.feature] <= np.float64(sp.threshold)
         side[idx] = go_left
         m, ml = idx.size, int(go_left.sum())
         half, cut = buf[(depth + 1) % 2], start + nf * ml
@@ -356,7 +358,7 @@ def _tree_predict(node: TreeNode, x32: np.ndarray) -> np.ndarray:
             out[idx] = nd.weight
             continue
         col = x32[idx, nd.feature]
-        go_left = col <= nd.threshold
+        go_left = col <= np.float64(nd.threshold)
         if nd.default_direction == "left":
             go_left |= np.isnan(col)
         stack.append((nd.left, idx[go_left]))

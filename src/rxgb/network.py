@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bitops, gbdt, netspec, tensor_ops
+from . import bitops, data, gbdt, netspec, tensor_ops
 from .tensor_ops import ConvGeometry
 
 _STEM_GEOM = ConvGeometry((3, 3), stride=2, padding=1)
@@ -506,16 +506,10 @@ class TrainResult:
 def evaluate(model: ModelState, ds, batch_size: int = 256) -> float:
     """Top-1 accuracy over a dataset, computed in inference mode."""
     correct = 0
-    for xb, yb in _iter_eval(ds, batch_size):
+    for xb, yb in data.batches(ds, batch_size, shuffle=False):
         logits, _ = forward(model, xb, training=False)
         correct += int((np.argmax(logits, axis=1) == yb).sum())
     return correct / len(ds)
-
-
-def _iter_eval(ds, batch_size):
-    from . import data
-
-    yield from data.batches(ds, batch_size, shuffle=False)
 
 
 def train_stage1(model: ModelState, train_ds, val_ds,
@@ -527,8 +521,6 @@ def train_stage1(model: ModelState, train_ds, val_ds,
     aborts immediately — before the poisoned step is applied — and returns
     the best snapshot seen so far with ``aborted`` set and a diagnostic.
     """
-    from . import data
-
     keys = model.learnable_keys()
     decay_mask = [k in _DECAYED_PARAMS for k in keys]
     latent_keys = [k for k in keys if k.endswith(".w_latent")]
@@ -595,13 +587,27 @@ def extract_features(model: ModelState, ds, batch_size: int = 256):
     """
     chunks = []
     labels = []
-    for xb, yb in _iter_eval(ds, batch_size):
+    for xb, yb in data.batches(ds, batch_size, shuffle=False):
         chunks.append(features_forward(model, xb))
         labels.append(yb)
     d = model.spec.feature_dim
     if not chunks:
         return np.zeros((0, d)), np.zeros(0, dtype=np.int64)
     return np.concatenate(chunks), np.concatenate(labels)
+
+
+def fc_logits(model: ModelState, feats: np.ndarray, batch_size: int = 256):
+    """FC-head logits [N, K] of the pooled features [N, D] of extract_features.
+
+    Applies the head once per ``batch_size`` rows, the batches the features
+    were extracted in, so the logits equal :func:`forward`'s byte for byte: a
+    single product over all rows may round differently in BLAS.
+    """
+    if not model.spec.has_fc_head():
+        raise ValueError("plan has no fc_head; use a tree head on its features")
+    w = model.params[f"{model.spec.layers[-1].name}.w"]
+    return np.concatenate([tensor_ops.linear_forward(feats[s:s + batch_size], w)
+                           for s in range(0, len(feats), batch_size)])
 
 
 def infer_hybrid(model: ModelState, ens: gbdt.TreeEnsemble, x: np.ndarray):

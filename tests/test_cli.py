@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from rxgb import cli
+from rxgb import cli, netspec, network
 
 
 def write_synthetic_cache(cache, n_train=64, n_test=16, seed=0):
@@ -269,6 +269,20 @@ def test_eval_gbdt_requires_model_flag(tmp_path, cache_dir, capsys):
                    "--checkpoint", str(manual / "checkpoint.ckpt"), *base])
     assert rc == 2
     assert "requires --model" in capsys.readouterr().err
+
+
+def test_eval_fc_without_fc_head_is_one_invalid_value_line(tmp_path, cache_dir,
+                                                           capsys):
+    spec = netspec.reference_spec(width_mult=0.125, include_fc=False)
+    ckpt = tmp_path / "nofc.ckpt"
+    network.save_checkpoint(network.build_network(spec, seed=0), ckpt)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--head", "fc", "--checkpoint", str(ckpt),
+                   "--data.dir", str(cache_dir), *SMOKE_ARGS])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("RXGB-ERROR invalid-value:")
+    assert err.count("\n") == 1                          # single line
 
 
 def test_fetch_data_verifies_existing_cache(tmp_path, capsys):

@@ -317,6 +317,30 @@ def test_threshold_clamps_when_midpoint_rounds_to_right_value():
     assert (x[:, 0] <= sp.threshold).tolist() == [True, False]
 
 
+
+def test_split_between_adjacent_float32_values_routes_rows_as_scored():
+    # fa has an odd float32 mantissa, so the float64 midpoint of fa and fb
+    # rounds up to fb in float32: growth and prediction must compare in
+    # float64 to send the fb row right, as the split was scored
+    fa = np.nextafter(np.float32(1.0), np.float32(2.0), dtype=np.float32)
+    fb = np.nextafter(fa, np.float32(2.0), dtype=np.float32)
+    x = np.array([[fa], [fb]], dtype=np.float32)
+    g, h = np.array([-1.0, 1.0]), np.ones(2)
+    cfg = GBDTConfig(n_classes=2, min_child_weight=0.0)
+    sp = best_split(x, g, h, cfg)
+    assert float(fa) < sp.threshold < float(fb)
+    assert np.float32(sp.threshold) == fb
+    tree = grow_tree(x, g, h, cfg)
+    assert tree.node_counts() == (1, 2)
+    assert tree.threshold == sp.threshold
+    assert tree.left.weight > 0 > tree.right.weight
+    stump = TreeNode(is_leaf=False, feature=0, threshold=sp.threshold,
+                     left=TreeNode(is_leaf=True, weight=-1.0),
+                     right=TreeNode(is_leaf=True, weight=1.0))
+    assert gbdt._tree_predict(stump, x).tolist() == [-1.0, 1.0]
+    ens = train_ensemble(x, np.array([0, 1]), cfg)
+    assert predict_class(ens, x).tolist() == [0, 1]
+
 def _gain_of(x, g, h, feature, threshold, cfg):
     mask = x[:, feature] <= threshold
     gl, hl = g[mask].sum(), h[mask].sum()

@@ -374,6 +374,36 @@ def test_head_factorization_logits_equal_features_times_fc():
                                rtol=0, atol=1e-10)
 
 
+
+def wide_head_spec():
+    """128 pooled features and 10 classes on 8x8 input: FC products as wide
+    as the desk runs', behind a backbone cheap enough for 1000 images."""
+    return netspec.NetworkSpec(
+        layers=(
+            netspec.LayerSpec(netspec.FIRST_CONV, "stem", 1, 64, 2),
+            netspec.LayerSpec(netspec.REDUCTION, "block1", 64, 128, 2),
+            netspec.LayerSpec(netspec.GLOBAL_POOL, "pool", 128, 128),
+            netspec.LayerSpec(netspec.FC_HEAD, "fc", 128, 10),
+        ),
+        input_shape=(1, 8, 8), feature_dim=128, class_count=10,
+    )
+
+
+def test_fc_logits_of_extracted_features_equal_forward_byte_for_byte():
+    # one [1000, 128] x [128, 10] product can round differently in BLAS from
+    # 128-row ones, so the head must be applied per extraction batch
+    model = network.build_network(wide_head_spec(), seed=31)
+    randomize_params(model, 32)
+    rng = np.random.default_rng(33)
+    ds = data.Dataset(images=rng.normal(size=(1000, 1, 8, 8)),
+                      labels=rng.integers(0, 10, size=1000), split="test")
+    feats, _ = network.extract_features(model, ds, batch_size=128)
+    want = np.concatenate([network.forward(model, xb)[0]
+                           for xb, _ in data.batches(ds, 128, shuffle=False)])
+    got = network.fc_logits(model, feats, batch_size=128)
+    assert got.shape == (1000, 10)
+    assert got.tobytes() == want.tobytes()
+
 # --- finite differences on the smooth tail ------------------------------------
 #
 # Parameters between the last binarization and the loss have true gradients
