@@ -5,9 +5,10 @@ A {-1,+1} dot product can be computed entirely in bit arithmetic:
     dot(a, b) = 2 * popcount(XNOR(bits(a), bits(b))) - n
 
 This script packs a small activation tensor and a latent weight tensor to
-one bit per value, runs the packed convolution, and checks it against the
-plain floating-point convolution of the same +/-1 tensors. It then prints
-what the unified cost metric (OPs = BOPs/64 + FLOPs) says about the trade.
+one bit per value, runs the packed convolution, and checks it byte for byte
+against the exact int8 sign convolution the network trains with, scaled by
+alpha. It then prints what the unified cost metric (OPs = BOPs/64 + FLOPs)
+says about the trade.
 """
 
 import argparse
@@ -41,17 +42,19 @@ def main():
     geom = tensor_ops.ConvGeometry(kernel=(3, 3), stride=1, padding=1)
     y_bits = bitops.binary_conv2d(bitops.pack(x_sign), bits, alpha, geom)
 
-    # reference: ordinary float conv over the same +/-1 values
-    w_eff = bitops.effective_weights(latent)
-    y_real = tensor_ops.conv2d_forward(x_sign, w_eff, geom, pad_value=-1.0)
+    # reference: the int8 sign conv (exact integer sums) times alpha
+    w_sign, _ = bitops.sign_weights(latent)
+    ints = tensor_ops.conv2d_forward(x_sign.astype(np.int8), w_sign, geom,
+                                     pad_value=-1)
+    y_sign = ints * alpha[None, :, None, None]
 
     print(f"packed output {y_bits.shape}, "
-          f"max |packed - float| = {np.abs(y_bits - y_real).max():.3e}")
-    assert np.allclose(y_bits, y_real, atol=1e-9)
+          f"equal to the int8 sign conv times alpha byte for byte: "
+          f"{np.array_equal(y_bits, y_sign)}")
+    assert np.array_equal(y_bits, y_sign)
 
     # the raw accumulations are integers in [-k, k], k = taps per output
     k = 8 * 3 * 3
-    ints = y_bits / alpha[None, :, None, None]
     print(f"integer accumulations span [{ints.min():.0f}, {ints.max():.0f}] "
           f"of +/-{k} possible")
 

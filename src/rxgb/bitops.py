@@ -136,13 +136,27 @@ def binarize_weights(
     return pack(w_latent), _alpha(w_latent, weight_scaling)
 
 
+def _sign(x: np.ndarray) -> np.ndarray:
+    """sign(x) with sign(0) = +1, as an int8 {-1,+1} array."""
+    s = (x >= 0).view(np.int8) * np.int8(2)    # a tenth of np.where's time
+    s -= 1
+    return s
+
+
+def sign_weights(
+    w_latent: np.ndarray, weight_scaling: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer twin of binarize_weights: (int8 sign(w_latent), alpha [Co])."""
+    w_latent = np.asarray(w_latent, dtype=np.float64)
+    return _sign(w_latent), _alpha(w_latent, weight_scaling)
+
+
 def effective_weights(
     w_latent: np.ndarray, weight_scaling: bool = True
 ) -> np.ndarray:
     """Real-arithmetic twin of binarize_weights: alpha[co] * sign(w_latent)."""
-    w_latent = np.asarray(w_latent, dtype=np.float64)
-    sgn = np.where(w_latent >= 0, 1.0, -1.0)
-    return sgn * _alpha(w_latent, weight_scaling)[:, None, None, None]
+    sgn, alpha = sign_weights(w_latent, weight_scaling)
+    return sgn * alpha[:, None, None, None]
 
 
 def ste_mask(w_latent: np.ndarray) -> np.ndarray:
@@ -203,24 +217,27 @@ def binary_conv2d(x_bits: BitPlane, w_bits: BitPlane, alpha: np.ndarray, geom) -
 def rsign_forward(x: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, dict]:
     """Per-channel shifted sign: y = sign(x - shift[c]), sign(0) = +1.
 
-    Returns (y, cache); y is {-1,+1} float64 of x's shape.
+    Returns (y, cache); y is the {-1,+1} int8 plane of x's shape, the exact
+    integer operand of a binary conv.
     """
     x = np.asarray(x, dtype=np.float64)
     c = x.shape[1]
     if shift.shape != (c,):
         raise ValueError(f"shift shape {shift.shape} != ({c},)")
     u = x - shift[None, :, None, None]
-    y = np.where(u >= 0, 1.0, -1.0)
-    return y, {"u": u}
+    return _sign(u), {"u": u}
 
 
 def _approxsign_dydu(u: np.ndarray) -> np.ndarray:
-    d = np.zeros_like(u)
-    neg = (u >= -1.0) & (u < 0.0)
-    pos = (u >= 0.0) & (u < 1.0)
-    d[neg] = 2.0 + 2.0 * u[neg]
-    d[pos] = 2.0 - 2.0 * u[pos]
-    return d
+    """Surrogate derivative max(2 - 2|u|, 0); NaN maps to 0 through fmax.
+
+    Equal to the piecewise 2 + 2u on [-1, 0), 2 - 2u on [0, 1), else 0 to
+    the byte: 2u and 2|u| are exact, and 2 + (-2|u|) is 2 - 2|u|.
+    """
+    d = np.abs(u)
+    d *= -2.0
+    d += 2.0
+    return np.fmax(d, 0.0, out=d)
 
 
 def rsign_backward(grad_y: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -229,8 +246,8 @@ def rsign_backward(grad_y: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndar
     grad_x routes through the approxsign derivative; grad_shift[c] is the
     negated channel sum of grad_x (chain through u = x - shift).
     """
-    u = cache["u"]
-    grad_x = np.asarray(grad_y, dtype=np.float64) * _approxsign_dydu(u)
+    grad_x = _approxsign_dydu(cache["u"])
+    grad_x *= grad_y
     grad_shift = -grad_x.sum(axis=(0, 2, 3))
     return grad_x, grad_shift
 

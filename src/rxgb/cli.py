@@ -29,8 +29,9 @@ with exit code 2 for configuration/usage errors and 1 for everything else.
 Compliance mode (default on) refuses tree heads beyond the deployable
 envelope — more than 20 trees in total or depth over 10 — before any
 compute; ``--no-compliance`` unlocks exploration. ``--threads N`` caps BLAS
-worker threads; outputs are independent of N because every matrix product is
-reduced in fixed-width contraction blocks (see ``tensor_ops``).
+worker threads; outputs are independent of N because binary-conv products
+are exact integer sums and every real matrix product is reduced in
+fixed-width contraction blocks (see ``tensor_ops``).
 """
 
 from __future__ import annotations
@@ -181,9 +182,12 @@ def _setup_threads(argv: list[str]) -> None:
 
 
 def _out_dir(args, cfg) -> str:
+    from . import data
+
     out = args.out or time.strftime(f"runs/%Y%m%d-%H%M%S-seed{cfg['seed']}")
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.txt"), "w", encoding="utf-8") as f:
+    with data.atomic_open(os.path.join(out, "config.txt"), "w",
+                          encoding="utf-8") as f:
         f.write(render_config(cfg))
     return out
 
@@ -256,7 +260,7 @@ def _stage_train(cfg, out: str):
           f"{hp.epochs} epochs")
     result = network.train_stage1(model, train_ds, val_ds, hp)
     metrics_path = os.path.join(out, "metrics.tsv")
-    with open(metrics_path, "w", encoding="utf-8") as f:
+    with data.atomic_open(metrics_path, "w", encoding="utf-8") as f:
         f.write("epoch\ttrain_loss\tval_top1\twall_seconds\tlearning_rate\n")
         for m in result.metrics:
             f.write(f"{m.epoch}\t{m.train_loss:.6f}\t{m.val_top1:.4f}\t"
@@ -298,7 +302,7 @@ def _stage_boost(config, features_path: str, out: str):
         label = "initial" if rnd == 0 else f"round {rnd:2d}"
         print(f"{label}  train log-loss {loss:.6f}")
     path = os.path.join(out, "gbdt-model.txt")
-    with open(path, "w", encoding="utf-8") as f:
+    with data.atomic_open(path, "w", encoding="utf-8") as f:
         f.write(gbdt.serialize(ens))
     print(f"{len(ens.trees)} trees -> {path}")
     return ens

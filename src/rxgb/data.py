@@ -21,6 +21,7 @@ float32 little-endian values, then one u8 label per row.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
 import json
@@ -88,6 +89,24 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override).expanduser()
     return Path("~/.cache/rxgb/fashion-mnist").expanduser()
+
+
+@contextlib.contextmanager
+def atomic_open(path: Path | str, mode: str = "wb", encoding: str | None = None):
+    """Open a temporary file beside ``path`` for writing; it replaces ``path``
+    (``os.replace``) when the block completes and is removed if it raises.
+
+    Readers therefore see the previous file or the complete new one, never a
+    truncated artifact from a writer that failed or was killed mid-write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=encoding) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # --- IDX parsing ---------------------------------------------------------------
@@ -181,7 +200,8 @@ def _read_lock(cache_dir: Path) -> dict:
 
 
 def _write_lock(cache_dir: Path, digests: dict) -> None:
-    _lockfile(cache_dir).write_text(json.dumps(digests, indent=2, sort_keys=True))
+    with atomic_open(_lockfile(cache_dir), "w", encoding="utf-8") as f:
+        f.write(json.dumps(digests, indent=2, sort_keys=True))
 
 
 def _verify(name: str, data: bytes, cache_dir: Path) -> None:
@@ -253,9 +273,8 @@ def fetch(
                 raise ValueError(f"{name}: bad gzip stream: {e}") from e
             parse_idx(data)  # reject malformed files before caching them
             _verify(name, data, cache)
-            tmp = cache / (name + ".tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, target)
+            with atomic_open(target) as f:
+                f.write(data)
             out[name] = target
         finally:
             marker.unlink(missing_ok=True)
@@ -383,7 +402,8 @@ def save_features(path: Path | str, features: np.ndarray, labels: np.ndarray) ->
     body = features.astype("<f4", copy=False).tobytes() + labels.astype(
         np.uint8
     ).tobytes()
-    Path(path).write_bytes(header + body)
+    with atomic_open(path) as f:
+        f.write(header + body)
 
 
 def load_features(path: Path | str) -> tuple[np.ndarray, np.ndarray]:

@@ -23,11 +23,15 @@ Block wiring (all convs bias-free, BN after every conv):
   Stride-2 blocks with odd spatial extent zero-pad the input on the
   bottom/right edge first; the pad ring flows through the whole block.
 
-Binary convolutions train with real arithmetic on the effective weights
-alpha * sign(latent); gradients reach the latents through the
-straight-through clip mask with alpha held constant, and latents are
-clipped to [-1, 1] after every optimizer step. Sign activations route
-gradients through the piecewise-quadratic surrogate in ``bitops``.
+Binary convolutions run forward as exact integer products of the int8
+sign planes (activations from RSign, sign(latent) for the weights), scaled
+by the per-channel alpha once at the end, so the forward equals the
+XNOR-popcount ``bitops.binary_conv2d`` to the byte. The backward pass trains
+with real arithmetic on the effective weights alpha * sign(latent);
+gradients reach the latents through the straight-through clip mask with
+alpha held constant, and latents are clipped to [-1, 1] after every
+optimizer step. Sign activations route gradients through the
+piecewise-quadratic surrogate in ``bitops``.
 """
 
 from __future__ import annotations
@@ -168,14 +172,16 @@ def build_network(
 
 
 def _binconv_forward(x_sign, latent, geom, scaling):
-    w_eff = bitops.effective_weights(latent, weight_scaling=scaling)
-    y = tensor_ops.conv2d_forward(x_sign, w_eff, geom, pad_value=-1.0)
-    return y, {"x": x_sign, "w_eff": w_eff, "latent": latent, "geom": geom}
+    w_sign, alpha = bitops.sign_weights(latent, weight_scaling=scaling)
+    y = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
+    cache = {"x": x_sign, "latent": latent, "geom": geom, "scaling": scaling}
+    return y * alpha[None, :, None, None], cache
 
 
 def _binconv_backward(grad_y, cache):
+    w_eff = bitops.effective_weights(cache["latent"], cache["scaling"])
     gx, gw = tensor_ops.conv2d_backward(
-        grad_y, cache["x"], cache["w_eff"], cache["geom"], pad_value=-1.0
+        grad_y, cache["x"], w_eff, cache["geom"], pad_value=-1.0
     )
     g_latent = gw * bitops.ste_mask(cache["latent"])
     return gx, g_latent
@@ -754,7 +760,7 @@ def parse_checkpoint(blob: bytes) -> ModelState:
 
 
 def save_checkpoint(model: ModelState, path) -> None:
-    with open(path, "wb") as f:
+    with data.atomic_open(path) as f:
         f.write(checkpoint_bytes(model))
 
 

@@ -2,22 +2,31 @@
 
 All arrays are numpy ndarrays. Training math runs in float64; inference may
 feed float32 inputs but every op promotes to float64 internally so results are
-identical either way.
+identical either way. The one exception is a convolution whose input and
+filters both have an integer dtype (the int8 {-1,+1} planes of a binary
+conv): it returns the exact integer sums, in float32.
 
 Layout is NCHW for activations and [Co, Ci, kh, kw] for conv weights.
 Convolution output extent is floor((H + 2*pad - kh) / stride) + 1 per axis.
 
-Determinism: every matrix product (conv forward, both conv backward products,
-the fully connected layer) goes through :func:`_matmul`, which splits the
-contraction axis into fixed K_BLOCK-wide blocks, computes each block as one
-BLAS product and sums the partial products left to right. The summation order
-is therefore fixed by the shapes alone, so results are bit-identical across
-runs and BLAS thread counts. This rests on one assumption: a BLAS product
-whose contraction is at most K_BLOCK long does not depend on the thread count.
-That was measured on OpenBLAS 0.3.31 (1, 2 and 4 threads), but BLAS does not
-promise it; a single product over a longer contraction does differ there
-(K = 784 at 1 vs 2 threads). Everything else is elementwise or a fixed-order
-numpy reduction.
+Determinism: products of real values (conv forward on float operands, both
+conv backward products, the fully connected layer) go through
+:func:`_matmul`, which splits the contraction axis into fixed K_BLOCK-wide
+blocks, computes each block as one BLAS product and sums the partial products
+left to right. The summation order is therefore fixed by the shapes alone, so
+results are bit-identical across runs and BLAS thread counts. This rests on
+one assumption: a BLAS product whose contraction is at most K_BLOCK long does
+not depend on the thread count. That was measured on OpenBLAS 0.3.31 (1, 2
+and 4 threads), but BLAS does not promise it; a single product over a longer
+contraction does differ there (K = 784 at 1 vs 2 threads).
+
+Products of +/-1 values need no such assumption. A convolution of integer
+operands is one plain float32 product whose every partial sum is an integer
+below 2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign planes), so it is
+exact in any summation order and at any thread count by arithmetic; the
+conv refuses operands whose sums could reach 2**24 (the XNOR identity of
+XNOR-Net, Rastegari et al., arXiv 1603.05279). Everything else is
+elementwise or a fixed-order numpy reduction.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ import numpy as np
 
 # Width of the contraction blocks summed in a fixed order by _matmul.
 K_BLOCK = 128
+# Integers below this magnitude are exact in float32 (24-bit significand).
+EXACT_F32 = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -133,6 +144,31 @@ def _weight_matrix(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, co)
 
 
+def _abs_max(a: np.ndarray) -> int:
+    """max |a| as a Python int, so the int8 value -128 does not wrap."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _sign_product(
+    x: np.ndarray, w: np.ndarray, geom: ConvGeometry, pad_value: float
+) -> np.ndarray:
+    """cols @ W of integer operands as one float32 product, exact because
+    no partial sum can exceed K * max|x| * max|w| < 2**24 in magnitude."""
+    pad = int(pad_value)
+    if pad != pad_value:
+        raise ValueError(f"integer operands need an integer pad_value, got {pad_value}")
+    k = w[0].size
+    x_max = max(_abs_max(x), abs(pad) if geom.padding else 0)
+    w_max = _abs_max(w)
+    if k * x_max * w_max >= EXACT_F32:
+        raise ValueError(
+            f"integer conv sums reach K*max|x|*max|w| = {k}*{x_max}*{w_max} "
+            f"= {k * x_max * w_max}, not exact in float32 (limit 2**24)"
+        )
+    cols = _im2col(_pad_input(x, geom.padding, pad), geom).astype(np.float32)
+    return cols @ _weight_matrix(w).astype(np.float32)
+
+
 def conv2d_forward(
     x: np.ndarray,
     w: np.ndarray,
@@ -149,16 +185,20 @@ def conv2d_forward(
             binarized planes).
 
     Returns:
-        Output [N, Co, H', W'] in float64.
+        Output [N, Co, H', W']. When x and w both have an integer dtype (the
+        int8 sign planes of a binary conv) it is float32 holding the exact
+        integer sums, and pad_value must be an integer; ValueError if the sums
+        could reach 2**24. Otherwise it is float64 from :func:`_matmul`.
     """
     _check_conv_shapes(x, w, geom)
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
-    xp = _pad_input(x, geom.padding, pad_value)
-    cols = _im2col(xp, geom)
-    y = _matmul(cols, _weight_matrix(w))                  # [N*OH*OW, Co]
+    if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
+        y = _sign_product(x, w, geom, pad_value)
+    else:
+        xp = _pad_input(np.asarray(x, dtype=np.float64), geom.padding, pad_value)
+        y = _matmul(_im2col(xp, geom),
+                    _weight_matrix(np.asarray(w, dtype=np.float64)))
     return y.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
@@ -176,7 +216,9 @@ def conv2d_backward(
         x, w, geom, pad_value: exactly as passed to the forward call.
 
     Returns:
-        (grad_x [N, Ci, H, W], grad_w [Co, Ci, kh, kw]).
+        (grad_x [N, Ci, H, W], grad_w [Co, Ci, kh, kw]). grad_x is an NCHW
+        view of NHWC memory: col2im adds the taps into an [N, Hp, Wp, Ci]
+        buffer, in the layout the products emit, with no per-tap transpose.
 
     The padding ring receives gradient too, but it is discarded: pad cells
     are constants, not inputs.
@@ -203,15 +245,13 @@ def conv2d_backward(
 
     gcols = _matmul(gy, _weight_matrix(w).T)              # [N*OH*OW, kh*kw*Ci]
     gcols = gcols.reshape(n, oh, ow, kh, kw, ci)
-    gxp = np.zeros_like(xp)
+    gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci))
     for i in range(kh):                                   # scatter-add col2im
         for j in range(kw):
-            gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += (
-                gcols[:, :, :, i, j, :].transpose(0, 3, 1, 2)
-            )
+            gxp[:, i:i + s * oh:s, j:j + s * ow:s, :] += gcols[:, :, :, i, j, :]
     if p:
-        gxp = gxp[:, :, p:-p, p:-p]
-    return gxp, np.ascontiguousarray(gw)
+        gxp = gxp[:, p:-p, p:-p, :]
+    return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw)
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -115,3 +115,47 @@ def argsort_grow_tree(x, g, h, cfg):
         )
 
     return build(np.arange(x.shape[0]), 0)
+
+
+def nchw_conv2d_backward(grad_y, x, w, geom, pad_value=0.0):
+    """conv2d_backward with the col2im scatter done in NCHW, one transposed
+    tap at a time.
+
+    The layout the NHWC scatter replaced. It runs the same products through
+    the library's im2col and fixed-block matmul, so the two must agree to the
+    byte: every input cell receives the same adds in the same tap order.
+    """
+    from rxgb.tensor_ops import _im2col, _matmul, _pad_input, _weight_matrix
+
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    n, ci, h, wd = x.shape
+    co = w.shape[0]
+    kh, kw = geom.kernel
+    s, p = geom.stride, geom.padding
+    oh, ow = geom.out_extent(h, wd)
+    gy = np.ascontiguousarray(np.transpose(grad_y, (0, 2, 3, 1))).reshape(-1, co)
+    xp = _pad_input(x, p, pad_value)
+    cols = _im2col(xp, geom)
+    gw = _matmul(gy.T, cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+    gcols = _matmul(gy, _weight_matrix(w).T).reshape(n, oh, ow, kh, kw, ci)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += (
+                gcols[:, :, :, i, j, :].transpose(0, 3, 1, 2)
+            )
+    if p:
+        gxp = gxp[:, :, p:-p, p:-p]
+    return gxp, np.ascontiguousarray(gw)
+
+
+def piecewise_approxsign_dydu(u):
+    """Surrogate derivative by masks: 2 + 2u on [-1, 0), 2 - 2u on [0, 1),
+    0 elsewhere and at NaN."""
+    d = np.zeros_like(u)
+    neg = (u >= -1.0) & (u < 0.0)
+    pos = (u >= 0.0) & (u < 1.0)
+    d[neg] = 2.0 + 2.0 * u[neg]
+    d[pos] = 2.0 - 2.0 * u[pos]
+    return d

@@ -5,6 +5,7 @@ import pytest
 
 from rxgb.bitops import (
     BitPlane,
+    _approxsign_dydu,
     binarize_weights,
     binary_conv2d,
     effective_weights,
@@ -19,7 +20,7 @@ from rxgb.bitops import (
 )
 from rxgb.tensor_ops import ConvGeometry, conv2d_forward
 
-from oracles import fd_grad, naive_conv2d, rel_err
+from oracles import fd_grad, naive_conv2d, piecewise_approxsign_dydu, rel_err
 
 
 def approxsign(u):
@@ -141,6 +142,22 @@ def test_rsign_forward_hand_cases():
     y, _ = rsign_forward(x, shift)
     assert np.array_equal(y[0, 0, 0], [1.0, -1.0])   # x == shift -> +1
     assert np.array_equal(y[0, 1, 0], [-1.0, -1.0])
+
+
+def test_rsign_forward_emits_int8_signs():
+    y, _ = rsign_forward(np.array([[[[0.0, -0.0, 2.0, -1e-300, np.nan]]]]), np.zeros(1))
+    assert y.dtype == np.int8 and y.ravel().tolist() == [1, 1, 1, -1, -1]
+
+
+def test_surrogate_derivative_equals_piecewise_reference_byte_for_byte():
+    kinks = (-1.0, 0.0, 1.0)
+    grid = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 5e-324, -5e-324,
+            1e308, -1e308, np.inf, -np.inf, np.nan]
+    grid += [np.nextafter(k, d) for k in kinks for d in (-np.inf, np.inf)]
+    u = np.concatenate([grid, np.random.default_rng(6).uniform(-3, 3, 4000)])
+    with np.errstate(over="ignore"):                   # -2 * 1e308 -> -inf -> 0
+        got = _approxsign_dydu(u)
+    assert got.tobytes() == piecewise_approxsign_dydu(u).tobytes()
 
 
 def test_rsign_backward_matches_surrogate_fd():

@@ -1,6 +1,7 @@
 """Tests for data acquisition, IDX parsing, batching, and feature files."""
 
 import gzip
+import os
 import struct
 import urllib.error
 
@@ -11,6 +12,7 @@ from rxgb import data
 from rxgb.data import (
     Dataset,
     IdxError,
+    atomic_open,
     batches,
     decode_images,
     decode_labels,
@@ -268,6 +270,21 @@ def test_augment_batch_shapes_and_values(tmp_path):
     # deterministic under a fixed generator state
     out2 = data.augment_batch(imgs, np.random.default_rng(5))
     assert np.array_equal(out, out2)
+
+
+def test_atomic_open_keeps_previous_file_when_the_writer_raises(tmp_path):
+    path = tmp_path / "gbdt-model.txt"
+    path.write_text("previous model\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        with atomic_open(path, "w", encoding="utf-8") as f:
+            f.write("half of the new mod")
+            raise RuntimeError("serializer failed")
+    assert path.read_text(encoding="utf-8") == "previous model\n"
+    assert os.listdir(tmp_path) == ["gbdt-model.txt"]
+    with atomic_open(path) as f:
+        f.write(b"new model\n")
+    assert path.read_bytes() == b"new model\n"
+    assert os.listdir(tmp_path) == ["gbdt-model.txt"]
 
 
 def test_feature_roundtrip(tmp_path):

@@ -1,9 +1,15 @@
 """Backbone tests: wiring oracles, gradients, training loop, serialization."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rxgb import costmodel, data, gbdt, netspec, network
+from rxgb import bitops, costmodel, data, gbdt, netspec, network, tensor_ops
 from oracles import naive_conv2d
 
 
@@ -599,6 +605,89 @@ def test_infer_hybrid_rejects_width_mismatch():
         network.infer_hybrid(model, ens, np.zeros((2, 1, 8, 8)))
 
 
+# --- exact sign products ---------------------------------------------------------
+
+
+def test_binary_conv_forward_equals_bit_path_byte_for_byte():
+    rng = np.random.default_rng(160)
+    # (N, Ci, Co, H=W, k, stride, pad): K = 9 * 512 = 4608, stride 2, 1x1
+    for n, ci, co, hw, k, stride, pad in [(2, 512, 8, 3, 3, 1, 1),
+                                          (2, 16, 8, 7, 3, 2, 1),
+                                          (2, 64, 16, 5, 1, 1, 0)]:
+        geom = tensor_ops.ConvGeometry((k, k), stride, pad)
+        a, _ = bitops.rsign_forward(rng.standard_normal((n, ci, hw, hw)),
+                                    rng.normal(size=ci) * 0.1)
+        latent = rng.uniform(-1.0, 1.0, (co, ci, k, k))
+        for scaling in (True, False):
+            y, _ = network._binconv_forward(a, latent, geom, scaling)
+            bits, alpha = bitops.binarize_weights(latent, weight_scaling=scaling)
+            want = bitops.binary_conv2d(bitops.pack(a), bits, alpha, geom)
+            assert y.dtype == want.dtype == np.float64
+            assert np.ascontiguousarray(y).tobytes() == want.tobytes(), (
+                f"Ci={ci} k{k} s{stride} scaling={scaling}")
+
+
+# (N, Ci, Co, H=W, k, stride, pad) of int8 sign convs, up to K = 9 * 512.
+_SIGN_SWEEP = [
+    (16, 32, 32, 14, 3, 1, 1),
+    (16, 64, 64, 7, 3, 2, 1),
+    (16, 128, 128, 4, 3, 1, 1),
+    (8, 512, 512, 2, 3, 1, 1),
+    (16, 512, 512, 2, 1, 1, 0),
+]
+
+_SIGN_SWEEP_SCRIPT = r"""
+import hashlib, json, sys
+import numpy as np
+from rxgb import netspec, network, tensor_ops as T
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+def signs(shape):
+    return np.where(rng.standard_normal(shape) >= 0, 1, -1).astype(np.int8)
+
+rng = np.random.default_rng(0)
+rows = []
+for n, ci, co, hw, k, s, p in json.loads(sys.argv[1]):
+    y = T.conv2d_forward(signs((n, ci, hw, hw)), signs((co, ci, k, k)),
+                         T.ConvGeometry((k, k), s, p), pad_value=-1)
+    rows.append(("sign conv", f"N={n} Ci={ci} Co={co} {hw}x{hw} k{k} s{s} p{p}",
+                 digest(y)))
+model = network.build_network(netspec.reference_spec(0.5), seed=0)
+x = rng.standard_normal((8, 1, 28, 28))
+for b in (1, 8):
+    rows.append(("features_forward", f"batch {b}",
+                 digest(network.features_forward(model, x[:b]))))
+print(json.dumps(rows))
+"""
+
+
+def _sign_sweep_digests(threads: int) -> list:
+    env = os.environ.copy()
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    src = str(Path(network.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIGN_SWEEP_SCRIPT, json.dumps(_SIGN_SWEEP)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return [tuple(r) for r in json.loads(proc.stdout)]
+
+
+def test_sign_convs_and_features_byte_identical_across_thread_counts():
+    # Fresh interpreters, because BLAS reads its thread count when numpy loads.
+    base = _sign_sweep_digests(1)
+    assert len(base) == len(_SIGN_SWEEP) + 2
+    for threads in (2, 4):
+        pairs = zip(base, _sign_sweep_digests(threads), strict=True)
+        for (op, case, want), (_, _, got) in pairs:
+            assert got == want, f"{op} at {case} differs between 1 and {threads} threads"
+
+
 # --- checkpoint + deployment ----------------------------------------------------
 
 
@@ -620,6 +709,22 @@ def test_checkpoint_roundtrip_is_byte_identical():
     np.testing.assert_array_equal(
         network.forward(loaded, x)[0], network.forward(trained, x)[0]
     )
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    model = network.build_network(tiny_spec(), seed=142)
+    path = tmp_path / "checkpoint.ckpt"
+    network.save_checkpoint(model, path)
+    before = path.read_bytes()
+
+    def failing(model):
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(network, "checkpoint_bytes", failing)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        network.save_checkpoint(model, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["checkpoint.ckpt"]
 
 
 def test_checkpoint_rejects_malformed_blobs():

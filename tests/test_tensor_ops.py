@@ -26,7 +26,7 @@ from rxgb.tensor_ops import (
     softmax_cross_entropy,
 )
 
-from oracles import fd_grad, naive_conv2d, rel_err
+from oracles import fd_grad, naive_conv2d, nchw_conv2d_backward, rel_err
 
 
 def random_conv_case(rng):
@@ -110,6 +110,50 @@ def test_conv_backward_respects_pad_value_path():
     )
     assert rel_err(gw1, fw) <= 1e-6
     assert not np.array_equal(gw0, gw1)
+
+
+# (Ci = Co, H = W, stride) of the 3x3 convs of the width-0.5 plan, plus odd
+# extents at stride 2.
+_DESK_3X3 = [(32, 14, 1), (32, 14, 2), (64, 7, 1), (64, 7, 2), (64, 8, 2),
+             (128, 4, 1), (128, 4, 2), (256, 2, 1), (512, 2, 1), (16, 5, 2)]
+
+
+def test_conv_backward_equals_nchw_scatter_reference_byte_for_byte():
+    rng = np.random.default_rng(14)
+    for c, hw, stride in _DESK_3X3:
+        geom = ConvGeometry((3, 3), stride, 1)
+        x = rng.standard_normal((3, c, hw, hw))
+        w = rng.standard_normal((c, c, 3, 3))
+        oh, ow = geom.out_extent(hw, hw)
+        gy = rng.standard_normal((3, c, oh, ow))
+        for pad_value in (-1.0, 0.0):
+            gx, gw = conv2d_backward(gy, x, w, geom, pad_value=pad_value)
+            rx, rw = nchw_conv2d_backward(gy, x, w, geom, pad_value=pad_value)
+            case = f"c={c} {hw}x{hw} s{stride} pad {pad_value}"
+            assert gx.shape == rx.shape and gw.shape == rw.shape, case
+            assert np.ascontiguousarray(gx).tobytes() == rx.tobytes(), case
+            assert gw.tobytes() == rw.tobytes(), case
+
+
+def test_integer_conv_is_exact_and_guards_float32_range():
+    geom = ConvGeometry((1, 1))
+    # K * 127 * 127 is 16,774,160 at K = 1040, below 2**24; K = 1041 is not.
+    x = np.full((1, 1040, 1, 1), 127, dtype=np.int8)
+    y = conv2d_forward(x, np.full((1, 1040, 1, 1), 127, dtype=np.int8), geom)
+    assert y.dtype == np.float32 and y[0, 0, 0, 0] == 1040 * 127 * 127
+    big = np.full((1, 1041, 1, 1), 127, dtype=np.int8)
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        conv2d_forward(big, big, geom)
+    # |-128| is read in a wider type: 1024 * 128 * 128 is exactly 2**24.
+    neg = np.full((1, 1024, 1, 1), -128, dtype=np.int8)
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        conv2d_forward(neg, neg, geom)
+    # The pad value counts toward max|x|: 1x1 taps of 3 pad cells reach 3.
+    ones = np.ones((1, 1, 1, 1), dtype=np.int8)
+    padded = conv2d_forward(ones, ones, ConvGeometry((1, 1), 1, 1), pad_value=3)
+    assert padded[0, 0].tolist() == [[3, 3, 3], [3, 1, 3], [3, 3, 3]]
+    with pytest.raises(ValueError, match="integer pad_value"):
+        conv2d_forward(ones, ones, ConvGeometry((1, 1), 1, 1), pad_value=-0.5)
 
 
 def test_batchnorm_forward_manual():
