@@ -60,9 +60,9 @@ def main():
         print(f"epoch {m.epoch:3d}  loss {m.train_loss:.3f}  "
               f"val top-1 {m.val_top1:.2f}  lr {m.learning_rate:.4f}")
     print(f"best epoch {result.best_epoch}, val top-1 {result.best_val_top1:.2f}")
-    best = result.model
-
     # --- stage 2: freeze, pool, boost ---------------------------------------
+    # binarize and lay out the weights once; every call below serves from it
+    best = network.freeze(result.model)
     feats, labels = network.extract_features(best, train)
     print(f"\nfrozen features: {feats.shape[0]} x {feats.shape[1]} "
           f"(pooled, before any head)")

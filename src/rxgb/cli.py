@@ -12,8 +12,10 @@ Subcommands cover the full two-stage workflow::
 
 The train, extract and boost stages are one function each; every subcommand
 loads its inputs and calls one, and ``pipeline`` calls them in turn, so its
-artifacts are the manual sequence's by construction. Both heads are scored on
-test features extracted once (the FC head via ``network.fc_logits``).
+artifacts are the manual sequence's by construction. ``pipeline`` freezes the
+trained backbone once (``network.freeze``) and extracts both splits from that
+plan; both heads are scored on the test features extracted once (the FC head
+via ``network.fc_logits``).
 
 Configuration is a flat key=value namespace (see DEFAULTS). Values come
 from ``--config FILE`` and are overridden by ``--<key> <value>`` flags, e.g.
@@ -421,15 +423,17 @@ def cmd_cost(args, cfg) -> int:
 
 
 def cmd_pipeline(args, cfg) -> int:
+    from . import network
+
     config = _gbdt_config(cfg, args.compliance)       # refuse before compute
     out = _out_dir(args, cfg)
     started = time.perf_counter()
-    model = _stage_train(cfg, out)
-    _stage_extract(cfg, model, "train", out)
-    test_feats, test_labels = _stage_extract(cfg, model, "test", out)
+    plan = network.freeze(_stage_train(cfg, out))     # one freeze serves the rest
+    _stage_extract(cfg, plan, "train", out)
+    test_feats, test_labels = _stage_extract(cfg, plan, "test", out)
     ens = _stage_boost(config, os.path.join(out, "features-train.rxgbfeat"), out)
-    fc_top1 = _eval_head(cfg, "fc", model, None, test_feats, test_labels)
-    gbdt_top1 = _eval_head(cfg, "gbdt", model, ens, test_feats, test_labels)
+    fc_top1 = _eval_head(cfg, "fc", plan, None, test_feats, test_labels)
+    gbdt_top1 = _eval_head(cfg, "gbdt", plan, ens, test_feats, test_labels)
     print(f"pipeline complete in {time.perf_counter() - started:.1f}s: "
           f"fc {fc_top1:.4f}, hybrid {gbdt_top1:.4f} -> {out}")
     return 0

@@ -32,14 +32,28 @@ gradients reach the latents through the straight-through clip mask with
 alpha held constant, and latents are clipped to [-1, 1] after every
 optimizer step. Sign activations route gradients through the
 piecewise-quadratic surrogate in ``bitops``.
+
+One block wiring serves two executors. Training runs the float64 graph on
+the live params and caches what the backward reads. Inference
+(``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
+``evaluate`` and ``forward(..., training=False)``) runs from a frozen
+:class:`InferencePlan` (:func:`freeze`): the +-1 weights already binarized
+and laid out as float32 gemm matrices with their alpha, and copies of the
+reals. It computes the same bytes in the same per-element order and caches
+nothing. A checkpoint loaded by ``load_checkpoint`` is read-only and keeps
+the plan it first builds, so requests pay no weight preparation; writing
+into it raises, and ``copy()`` gives a writable state to train. A writable
+state is frozen once per inference call.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -66,6 +80,10 @@ class ModelState:
     ``params`` maps hierarchical names (e.g. ``block3.conv3x3.w_latent``) to
     float64 arrays and includes the BN running statistics; ``velocities``
     carries momentum buffers for exactly the learnable subset.
+
+    A state whose param arrays are all read-only (every loaded checkpoint)
+    is immutable: it keeps the InferencePlan it first builds. A writable
+    state is frozen afresh by every inference call.
     """
 
     spec: netspec.NetworkSpec
@@ -75,9 +93,13 @@ class ModelState:
     epoch: int = 0
     weight_scaling: bool = True
 
+    # (plan, the param arrays it froze), kept while they are all read-only
+    _frozen: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+
     def learnable_keys(self) -> list[str]:
         """Parameter names updated by SGD, in creation order."""
-        return [k for k in self.params if not k.endswith(("run_mean", "run_var"))]
+        return [k for k in self.params if _is_learnable(k)]
 
     def copy(self) -> "ModelState":
         return ModelState(
@@ -95,17 +117,52 @@ def _kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _add_bn(params: dict, prefix: str, c: int) -> None:
-    params[f"{prefix}.gamma"] = np.ones(c)
-    params[f"{prefix}.beta"] = np.zeros(c)
-    params[f"{prefix}.run_mean"] = np.zeros(c)
-    params[f"{prefix}.run_var"] = np.ones(c)
+def _bn_layout(prefix: str, c: int):
+    yield f"{prefix}.gamma", (c,), 0, 1.0
+    yield f"{prefix}.beta", (c,), 0, 0.0
+    yield f"{prefix}.run_mean", (c,), 0, 0.0
+    yield f"{prefix}.run_var", (c,), 0, 1.0
 
 
-def _add_rprelu(params: dict, prefix: str, c: int) -> None:
-    params[f"{prefix}.beta"] = np.full(c, 0.25)
-    params[f"{prefix}.gamma"] = np.zeros(c)
-    params[f"{prefix}.zeta"] = np.zeros(c)
+def _rprelu_layout(prefix: str, c: int):
+    yield f"{prefix}.beta", (c,), 0, 0.25
+    yield f"{prefix}.gamma", (c,), 0, 0.0
+    yield f"{prefix}.zeta", (c,), 0, 0.0
+
+
+def _param_layout(spec: netspec.NetworkSpec):
+    """(name, shape, fan_in, fill) of every parameter of ``spec``, in creation
+    order: fan_in > 0 draws Kaiming-uniform values, otherwise the constant
+    fill. Computed from the spec alone, without allocating anything."""
+    for layer in spec.layers:
+        ci, co, name = layer.in_channels, layer.out_channels, layer.name
+        if layer.kind == netspec.FIRST_CONV:
+            yield f"{name}.conv.w", (co, ci, 3, 3), ci * 9, 0.0
+            yield from _bn_layout(f"{name}.bn", co)
+        elif layer.kind in (netspec.NORMAL, netspec.REDUCTION):
+            convs = (("conv1x1",) if layer.kind == netspec.NORMAL
+                     else ("conv1x1_a", "conv1x1_b"))
+            yield f"{name}.rsign_conv3x3.shift", (ci,), 0, 0.0
+            yield f"{name}.conv3x3.w_latent", (ci, ci, 3, 3), ci * 9, 0.0
+            yield from _bn_layout(f"{name}.bn_conv3x3", ci)
+            yield from _rprelu_layout(f"{name}.rprelu_conv3x3", ci)
+            yield f"{name}.rsign_conv1x1.shift", (ci,), 0, 0.0
+            for conv in convs:
+                yield f"{name}.{conv}.w_latent", (ci, ci, 1, 1), ci, 0.0
+            if layer.kind == netspec.NORMAL:
+                yield from _bn_layout(f"{name}.bn_conv1x1", ci)
+                yield from _rprelu_layout(f"{name}.rprelu_conv1x1", ci)
+            else:
+                for conv in convs:
+                    yield from _bn_layout(f"{name}.bn_{conv}", ci)
+                yield from _rprelu_layout(f"{name}.rprelu_out", co)
+        elif layer.kind == netspec.FC_HEAD:
+            yield f"{name}.w", (ci, co), ci, 0.0
+        # global_pool has no parameters
+
+
+def _is_learnable(name: str) -> bool:
+    return not name.endswith(("run_mean", "run_var"))
 
 
 def build_network(
@@ -120,47 +177,9 @@ def build_network(
     """
     netspec.shape_chain(spec)  # validates the plan before allocating
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for layer in spec.layers:
-        ci, co, name = layer.in_channels, layer.out_channels, layer.name
-        if layer.kind == netspec.FIRST_CONV:
-            params[f"{name}.conv.w"] = _kaiming_uniform(
-                rng, (co, ci, 3, 3), ci * 9
-            )
-            _add_bn(params, f"{name}.bn", co)
-        elif layer.kind == netspec.NORMAL:
-            params[f"{name}.rsign_conv3x3.shift"] = np.zeros(ci)
-            params[f"{name}.conv3x3.w_latent"] = _kaiming_uniform(
-                rng, (ci, ci, 3, 3), ci * 9
-            )
-            _add_bn(params, f"{name}.bn_conv3x3", ci)
-            _add_rprelu(params, f"{name}.rprelu_conv3x3", ci)
-            params[f"{name}.rsign_conv1x1.shift"] = np.zeros(ci)
-            params[f"{name}.conv1x1.w_latent"] = _kaiming_uniform(
-                rng, (ci, ci, 1, 1), ci
-            )
-            _add_bn(params, f"{name}.bn_conv1x1", ci)
-            _add_rprelu(params, f"{name}.rprelu_conv1x1", ci)
-        elif layer.kind == netspec.REDUCTION:
-            params[f"{name}.rsign_conv3x3.shift"] = np.zeros(ci)
-            params[f"{name}.conv3x3.w_latent"] = _kaiming_uniform(
-                rng, (ci, ci, 3, 3), ci * 9
-            )
-            _add_bn(params, f"{name}.bn_conv3x3", ci)
-            _add_rprelu(params, f"{name}.rprelu_conv3x3", ci)
-            params[f"{name}.rsign_conv1x1.shift"] = np.zeros(ci)
-            params[f"{name}.conv1x1_a.w_latent"] = _kaiming_uniform(
-                rng, (ci, ci, 1, 1), ci
-            )
-            params[f"{name}.conv1x1_b.w_latent"] = _kaiming_uniform(
-                rng, (ci, ci, 1, 1), ci
-            )
-            _add_bn(params, f"{name}.bn_conv1x1_a", ci)
-            _add_bn(params, f"{name}.bn_conv1x1_b", ci)
-            _add_rprelu(params, f"{name}.rprelu_out", co)
-        elif layer.kind == netspec.FC_HEAD:
-            params[f"{name}.w"] = _kaiming_uniform(rng, (ci, co), ci)
-        # global_pool has no parameters
+    params = {name: (_kaiming_uniform(rng, shape, fan_in) if fan_in
+                     else np.full(shape, fill))
+              for name, shape, fan_in, fill in _param_layout(spec)}
     model = ModelState(spec=spec, params=params, velocities={}, seed=seed,
                        weight_scaling=weight_scaling)
     model.velocities = {k: np.zeros_like(params[k])
@@ -168,7 +187,163 @@ def build_network(
     return model
 
 
-# --- forward / backward ----------------------------------------------------
+# --- block wiring, shared by training and inference --------------------------
+#
+# The per-layer forwards run on an executor ``ops``: a training _Tape (float64
+# ops on the live params, caching what backward reads) or an InferencePlan
+# (frozen weights, no caches). Each op is named by its parameter prefix.
+
+
+def _stem_forward(ops, name, x):
+    return ops.bn(f"{name}.bn", ops.conv(f"{name}.conv", x, _STEM_GEOM))
+
+
+def _normal_forward(ops, name, x):
+    a1 = ops.rsign(f"{name}.rsign_conv3x3", x)
+    b1 = ops.bn(f"{name}.bn_conv3x3", ops.binconv(f"{name}.conv3x3", a1, _GEOM_3X3))
+    d1 = ops.rprelu(f"{name}.rprelu_conv3x3", b1 + x)
+    a2 = ops.rsign(f"{name}.rsign_conv1x1", d1)
+    b2 = ops.bn(f"{name}.bn_conv1x1", ops.binconv(f"{name}.conv1x1", a2, _GEOM_1X1))
+    return ops.rprelu(f"{name}.rprelu_conv1x1", b2 + d1)
+
+
+def _reduction_forward(ops, name, x, stride):
+    _, _, h, w = x.shape
+    if stride == 2 and (h % 2 or w % 2):
+        x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)))
+    a1 = ops.rsign(f"{name}.rsign_conv3x3", x)
+    geom = _GEOM_3X3_S2 if stride == 2 else _GEOM_3X3
+    b1 = ops.bn(f"{name}.bn_conv3x3", ops.binconv(f"{name}.conv3x3", a1, geom))
+    shortcut = tensor_ops.avgpool_2x2(x) if stride == 2 else x
+    d1 = ops.rprelu(f"{name}.rprelu_conv3x3", b1 + shortcut)
+    a2 = ops.rsign(f"{name}.rsign_conv1x1", d1)
+    ba = ops.bn(f"{name}.bn_conv1x1_a",
+                ops.binconv(f"{name}.conv1x1_a", a2, _GEOM_1X1))
+    bb = ops.bn(f"{name}.bn_conv1x1_b",
+                ops.binconv(f"{name}.conv1x1_b", a2, _GEOM_1X1))
+    cat = np.concatenate([ba + d1, bb + d1], axis=1)
+    return ops.rprelu(f"{name}.rprelu_out", cat)
+
+
+def _run(ops, spec: netspec.NetworkSpec, x: np.ndarray):
+    """Forward pass on executor ``ops``: returns (head_output, features)."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 4 or h.shape[1:] != spec.input_shape:
+        raise ValueError(
+            f"input shape {h.shape} incompatible with [N, "
+            f"{', '.join(str(d) for d in spec.input_shape)}]"
+        )
+    feats = None
+    for layer in spec.layers:
+        ops.keep(f"{layer.name}.in_shape", h.shape)
+        if layer.kind == netspec.FIRST_CONV:
+            h = _stem_forward(ops, layer.name, h)
+        elif layer.kind == netspec.NORMAL:
+            h = _normal_forward(ops, layer.name, h)
+        elif layer.kind == netspec.REDUCTION:
+            h = _reduction_forward(ops, layer.name, h, layer.stride)
+        elif layer.kind == netspec.GLOBAL_POOL:
+            h = feats = tensor_ops.avgpool_global(h)
+        else:                                            # fc_head
+            h = ops.linear(layer.name, h)
+    return h, feats
+
+
+# --- inference: the frozen plan -------------------------------------------------
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class InferencePlan:
+    """A backbone frozen for inference, as it is deployed.
+
+    ``signs`` maps each binary conv's prefix to its +-1 weights as a float32
+    [kh*kw*Ci, Co] matrix in im2col order (``tensor_ops.sign_matrix``) and
+    its per-channel alpha; ``reals`` holds copies of every other parameter
+    plus each BN's ``inv_std`` = 1/sqrt(run_var + BN_EPS). All arrays are
+    read-only. As an executor of the block wiring it runs the inference-mode
+    ops in the training graph's per-element order and caches nothing.
+    """
+
+    spec: netspec.NetworkSpec
+    weight_scaling: bool
+    signs: MappingProxyType
+    reals: MappingProxyType
+
+    def keep(self, key, value):
+        pass
+
+    def conv(self, prefix, x, geom):
+        return tensor_ops.conv2d_forward(x, self.reals[f"{prefix}.w"], geom)
+
+    def rsign(self, prefix, x):
+        return bitops.rsign(x, self.reals[f"{prefix}.shift"])
+
+    def binconv(self, prefix, x, geom):
+        w_mat, alpha = self.signs[prefix]
+        y = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=-1)
+        return y * alpha[None, :, None, None]
+
+    def bn(self, prefix, x):
+        r = self.reals
+        return tensor_ops.batchnorm_inference(
+            x, r[f"{prefix}.run_mean"], r[f"{prefix}.inv_std"],
+            r[f"{prefix}.gamma"], r[f"{prefix}.beta"])
+
+    def rprelu(self, prefix, x):
+        return bitops.rprelu(x, *(self.reals[f"{prefix}.{k}"] for k in _RPRELU_KEYS))
+
+    def linear(self, prefix, x):
+        return tensor_ops.linear_forward(x, self.reals[f"{prefix}.w"])
+
+
+def freeze(model: ModelState) -> InferencePlan:
+    """Binarize and lay out a backbone's weights once, for inference.
+
+    The plan computes exactly what the inference-mode training graph would
+    (same bytes), without re-deriving sign(latent) and alpha per call. It
+    copies what it keeps, so later writes to ``model`` do not reach it.
+    """
+    signs, reals = {}, {}
+    for key, arr in model.params.items():
+        if key.endswith(".w_latent"):
+            w_sign, alpha = bitops.sign_weights(arr, model.weight_scaling)
+            signs[key[:-len(".w_latent")]] = (
+                _read_only(tensor_ops.sign_matrix(w_sign)), _read_only(alpha))
+        else:
+            reals[key] = _read_only(np.array(arr, dtype=np.float64))
+            if key.endswith(".run_var"):       # as batchnorm_forward computes it
+                reals[key[:-len("run_var")] + "inv_std"] = _read_only(
+                    1.0 / np.sqrt(reals[key] + tensor_ops.BN_EPS))
+    return InferencePlan(spec=model.spec, weight_scaling=model.weight_scaling,
+                         signs=MappingProxyType(signs),
+                         reals=MappingProxyType(reals))
+
+
+def _plan_of(model) -> InferencePlan:
+    """The plan to serve ``model`` from: itself if it is one, the plan a
+    read-only state keeps, else a fresh freeze (kept if all is read-only)."""
+    if isinstance(model, InferencePlan):
+        return model
+    arrays = tuple(model.params.values())
+    read_only = not any(a.flags.writeable for a in arrays)
+    if read_only and model._frozen is not None:
+        plan, frozen = model._frozen
+        if (plan.spec is model.spec and plan.weight_scaling == model.weight_scaling
+                and len(frozen) == len(arrays)
+                and all(a is b for a, b in zip(frozen, arrays))):
+            return plan
+    plan = freeze(model)
+    if read_only:
+        model._frozen = (plan, arrays)
+    return plan
+
+
+# --- training: the tape and the backward ---------------------------------------
 
 
 def _binconv_forward(x_sign, latent, geom, scaling):
@@ -178,245 +353,149 @@ def _binconv_forward(x_sign, latent, geom, scaling):
     return y * alpha[None, :, None, None], cache
 
 
-def _binconv_backward(grad_y, cache):
+def _binconv_backward(caches, prefix, grad_y, grads):
+    cache = caches[prefix]
     w_eff = bitops.effective_weights(cache["latent"], cache["scaling"])
     gx, gw = tensor_ops.conv2d_backward(
         grad_y, cache["x"], w_eff, cache["geom"], pad_value=-1.0
     )
-    g_latent = gw * bitops.ste_mask(cache["latent"])
-    return gx, g_latent
-
-
-def _bn_forward(params, prefix, x, training):
-    return tensor_ops.batchnorm_forward(
-        x,
-        params[f"{prefix}.gamma"],
-        params[f"{prefix}.beta"],
-        params[f"{prefix}.run_mean"],
-        params[f"{prefix}.run_var"],
-        training=training,
-    )
-
-
-def _rprelu_forward(params, prefix, x):
-    return bitops.rprelu_forward(
-        x,
-        params[f"{prefix}.beta"],
-        params[f"{prefix}.gamma"],
-        params[f"{prefix}.zeta"],
-    )
-
-
-def _stem_forward(params, name, x, training):
-    z = tensor_ops.conv2d_forward(x, params[f"{name}.conv.w"], _STEM_GEOM)
-    y, bn_cache = _bn_forward(params, f"{name}.bn", z, training)
-    return y, {"x": x, "bn": bn_cache}
-
-
-def _stem_backward(params, name, cache, grad_y, grads):
-    gz, dgamma, dbeta = tensor_ops.batchnorm_backward(grad_y, cache["bn"])
-    grads[f"{name}.bn.gamma"] = dgamma
-    grads[f"{name}.bn.beta"] = dbeta
-    gx, gw = tensor_ops.conv2d_backward(
-        gz, cache["x"], params[f"{name}.conv.w"], _STEM_GEOM
-    )
-    grads[f"{name}.conv.w"] = gw
+    grads[f"{prefix}.w_latent"] = gw * bitops.ste_mask(cache["latent"])
     return gx
 
 
-def _normal_forward(params, name, x, training, scaling):
-    cache = {}
-    a1, cache["rs1"] = bitops.rsign_forward(
-        x, params[f"{name}.rsign_conv3x3.shift"]
-    )
-    z1, cache["cv1"] = _binconv_forward(
-        a1, params[f"{name}.conv3x3.w_latent"], _GEOM_3X3, scaling
-    )
-    b1, cache["bn1"] = _bn_forward(params, f"{name}.bn_conv3x3", z1, training)
-    d1, cache["rp1"] = _rprelu_forward(params, f"{name}.rprelu_conv3x3", b1 + x)
-    a2, cache["rs2"] = bitops.rsign_forward(
-        d1, params[f"{name}.rsign_conv1x1.shift"]
-    )
-    z2, cache["cv2"] = _binconv_forward(
-        a2, params[f"{name}.conv1x1.w_latent"], _GEOM_1X1, scaling
-    )
-    b2, cache["bn2"] = _bn_forward(params, f"{name}.bn_conv1x1", z2, training)
-    e, cache["rp2"] = _rprelu_forward(params, f"{name}.rprelu_conv1x1", b2 + d1)
-    return e, cache
+class _Tape:
+    """Training executor: float64 ops on the live params with batch-statistic
+    BN, keeping each op's cache in ``caches`` under its parameter prefix."""
+
+    def __init__(self, model: ModelState):
+        self.params = model.params
+        self.scaling = model.weight_scaling
+        self.caches: dict[str, object] = {}
+
+    def keep(self, key, value):
+        self.caches[key] = value
+
+    def conv(self, prefix, x, geom):
+        self.caches[prefix] = x
+        return tensor_ops.conv2d_forward(x, self.params[f"{prefix}.w"], geom)
+
+    def rsign(self, prefix, x):
+        y, self.caches[prefix] = bitops.rsign_forward(
+            x, self.params[f"{prefix}.shift"])
+        return y
+
+    def binconv(self, prefix, x, geom):
+        y, self.caches[prefix] = _binconv_forward(
+            x, self.params[f"{prefix}.w_latent"], geom, self.scaling)
+        return y
+
+    def bn(self, prefix, x):
+        y, self.caches[prefix] = tensor_ops.batchnorm_forward(
+            x, *(self.params[f"{prefix}.{k}"] for k in _BN_KEYS), training=True)
+        return y
+
+    def rprelu(self, prefix, x):
+        y, self.caches[prefix] = bitops.rprelu_forward(
+            x, *(self.params[f"{prefix}.{k}"] for k in _RPRELU_KEYS))
+        return y
+
+    def linear(self, prefix, x):
+        self.caches[prefix] = x
+        return tensor_ops.linear_forward(x, self.params[f"{prefix}.w"])
 
 
-def _normal_backward(params, name, cache, grad_y, grads):
-    g_c2, gb, gg, gz = bitops.rprelu_backward(grad_y, cache["rp2"])
-    grads[f"{name}.rprelu_conv1x1.beta"] = gb
-    grads[f"{name}.rprelu_conv1x1.gamma"] = gg
-    grads[f"{name}.rprelu_conv1x1.zeta"] = gz
+def _bn_backward(caches, prefix, grad_y, grads):
+    gx, grads[f"{prefix}.gamma"], grads[f"{prefix}.beta"] = (
+        tensor_ops.batchnorm_backward(grad_y, caches[prefix]))
+    return gx
+
+
+def _rprelu_backward(caches, prefix, grad_y, grads):
+    gx, *g = bitops.rprelu_backward(grad_y, caches[prefix])
+    for k, gk in zip(_RPRELU_KEYS, g):
+        grads[f"{prefix}.{k}"] = gk
+    return gx
+
+
+def _rsign_backward(caches, prefix, grad_y, grads):
+    gx, grads[f"{prefix}.shift"] = bitops.rsign_backward(grad_y, caches[prefix])
+    return gx
+
+
+def _stem_backward(params, name, caches, grad_y, grads):
+    gz = _bn_backward(caches, f"{name}.bn", grad_y, grads)
+    gx, grads[f"{name}.conv.w"] = tensor_ops.conv2d_backward(
+        gz, caches[f"{name}.conv"], params[f"{name}.conv.w"], _STEM_GEOM
+    )
+    return gx
+
+
+def _normal_backward(params, name, caches, grad_y, grads):
+    g_c2 = _rprelu_backward(caches, f"{name}.rprelu_conv1x1", grad_y, grads)
     g_d1 = g_c2.copy()                                   # shortcut branch
-    g_z2, dgamma, dbeta = tensor_ops.batchnorm_backward(g_c2, cache["bn2"])
-    grads[f"{name}.bn_conv1x1.gamma"] = dgamma
-    grads[f"{name}.bn_conv1x1.beta"] = dbeta
-    g_a2, grads[f"{name}.conv1x1.w_latent"] = _binconv_backward(
-        g_z2, cache["cv2"]
-    )
-    g_d1_rs, grads[f"{name}.rsign_conv1x1.shift"] = bitops.rsign_backward(
-        g_a2, cache["rs2"]
-    )
-    g_d1 += g_d1_rs
+    g_z2 = _bn_backward(caches, f"{name}.bn_conv1x1", g_c2, grads)
+    g_a2 = _binconv_backward(caches, f"{name}.conv1x1", g_z2, grads)
+    g_d1 += _rsign_backward(caches, f"{name}.rsign_conv1x1", g_a2, grads)
 
-    g_c1, gb, gg, gz = bitops.rprelu_backward(g_d1, cache["rp1"])
-    grads[f"{name}.rprelu_conv3x3.beta"] = gb
-    grads[f"{name}.rprelu_conv3x3.gamma"] = gg
-    grads[f"{name}.rprelu_conv3x3.zeta"] = gz
+    g_c1 = _rprelu_backward(caches, f"{name}.rprelu_conv3x3", g_d1, grads)
     g_x = g_c1.copy()                                    # shortcut branch
-    g_z1, dgamma, dbeta = tensor_ops.batchnorm_backward(g_c1, cache["bn1"])
-    grads[f"{name}.bn_conv3x3.gamma"] = dgamma
-    grads[f"{name}.bn_conv3x3.beta"] = dbeta
-    g_a1, grads[f"{name}.conv3x3.w_latent"] = _binconv_backward(
-        g_z1, cache["cv1"]
-    )
-    g_x_rs, grads[f"{name}.rsign_conv3x3.shift"] = bitops.rsign_backward(
-        g_a1, cache["rs1"]
-    )
-    g_x += g_x_rs
+    g_z1 = _bn_backward(caches, f"{name}.bn_conv3x3", g_c1, grads)
+    g_a1 = _binconv_backward(caches, f"{name}.conv3x3", g_z1, grads)
+    g_x += _rsign_backward(caches, f"{name}.rsign_conv3x3", g_a1, grads)
     return g_x
 
 
-def _reduction_forward(params, name, x, stride, training, scaling):
-    cache = {"in_shape": x.shape, "stride": stride}
-    n, c, h, w = x.shape
-    if stride == 2 and (h % 2 or w % 2):
-        x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)))
-    cache["padded_shape"] = x.shape
-
-    a1, cache["rs1"] = bitops.rsign_forward(
-        x, params[f"{name}.rsign_conv3x3.shift"]
-    )
-    geom = _GEOM_3X3_S2 if stride == 2 else _GEOM_3X3
-    z1, cache["cv1"] = _binconv_forward(
-        a1, params[f"{name}.conv3x3.w_latent"], geom, scaling
-    )
-    b1, cache["bn1"] = _bn_forward(params, f"{name}.bn_conv3x3", z1, training)
-    shortcut = tensor_ops.avgpool_2x2(x) if stride == 2 else x
-    d1, cache["rp1"] = _rprelu_forward(
-        params, f"{name}.rprelu_conv3x3", b1 + shortcut
-    )
-    a2, cache["rs2"] = bitops.rsign_forward(
-        d1, params[f"{name}.rsign_conv1x1.shift"]
-    )
-    za, cache["cva"] = _binconv_forward(
-        a2, params[f"{name}.conv1x1_a.w_latent"], _GEOM_1X1, scaling
-    )
-    ba, cache["bna"] = _bn_forward(params, f"{name}.bn_conv1x1_a", za, training)
-    zb, cache["cvb"] = _binconv_forward(
-        a2, params[f"{name}.conv1x1_b.w_latent"], _GEOM_1X1, scaling
-    )
-    bb, cache["bnb"] = _bn_forward(params, f"{name}.bn_conv1x1_b", zb, training)
-    cat = np.concatenate([ba + d1, bb + d1], axis=1)
-    e, cache["rp2"] = _rprelu_forward(params, f"{name}.rprelu_out", cat)
-    return e, cache
-
-
-def _reduction_backward(params, name, cache, grad_y, grads):
-    g_cat, gb, gg, gz = bitops.rprelu_backward(grad_y, cache["rp2"])
-    grads[f"{name}.rprelu_out.beta"] = gb
-    grads[f"{name}.rprelu_out.gamma"] = gg
-    grads[f"{name}.rprelu_out.zeta"] = gz
+def _reduction_backward(params, name, caches, grad_y, grads, stride):
+    g_cat = _rprelu_backward(caches, f"{name}.rprelu_out", grad_y, grads)
     c = g_cat.shape[1] // 2
     g_ca, g_cb = g_cat[:, :c], g_cat[:, c:]
     g_d1 = g_ca + g_cb                                   # branch shortcuts
 
-    g_za, dgamma, dbeta = tensor_ops.batchnorm_backward(g_ca, cache["bna"])
-    grads[f"{name}.bn_conv1x1_a.gamma"] = dgamma
-    grads[f"{name}.bn_conv1x1_a.beta"] = dbeta
-    g_a2, grads[f"{name}.conv1x1_a.w_latent"] = _binconv_backward(
-        g_za, cache["cva"]
-    )
-    g_zb, dgamma, dbeta = tensor_ops.batchnorm_backward(g_cb, cache["bnb"])
-    grads[f"{name}.bn_conv1x1_b.gamma"] = dgamma
-    grads[f"{name}.bn_conv1x1_b.beta"] = dbeta
-    g_a2_b, grads[f"{name}.conv1x1_b.w_latent"] = _binconv_backward(
-        g_zb, cache["cvb"]
-    )
-    g_a2 += g_a2_b
-    g_d1_rs, grads[f"{name}.rsign_conv1x1.shift"] = bitops.rsign_backward(
-        g_a2, cache["rs2"]
-    )
-    g_d1 += g_d1_rs
+    g_za = _bn_backward(caches, f"{name}.bn_conv1x1_a", g_ca, grads)
+    g_a2 = _binconv_backward(caches, f"{name}.conv1x1_a", g_za, grads)
+    g_zb = _bn_backward(caches, f"{name}.bn_conv1x1_b", g_cb, grads)
+    g_a2 += _binconv_backward(caches, f"{name}.conv1x1_b", g_zb, grads)
+    g_d1 += _rsign_backward(caches, f"{name}.rsign_conv1x1", g_a2, grads)
 
-    g_c1, gb, gg, gz = bitops.rprelu_backward(g_d1, cache["rp1"])
-    grads[f"{name}.rprelu_conv3x3.beta"] = gb
-    grads[f"{name}.rprelu_conv3x3.gamma"] = gg
-    grads[f"{name}.rprelu_conv3x3.zeta"] = gz
-    stride = cache["stride"]
+    g_c1 = _rprelu_backward(caches, f"{name}.rprelu_conv3x3", g_d1, grads)
+    padded_shape = caches[f"{name}.rsign_conv3x3"]["u"].shape
     if stride == 2:
-        g_xp = tensor_ops.avgpool_2x2_backward(g_c1, cache["padded_shape"])
+        g_xp = tensor_ops.avgpool_2x2_backward(g_c1, padded_shape)
     else:
         g_xp = g_c1.copy()
-    g_z1, dgamma, dbeta = tensor_ops.batchnorm_backward(g_c1, cache["bn1"])
-    grads[f"{name}.bn_conv3x3.gamma"] = dgamma
-    grads[f"{name}.bn_conv3x3.beta"] = dbeta
-    g_a1, grads[f"{name}.conv3x3.w_latent"] = _binconv_backward(
-        g_z1, cache["cv1"]
-    )
-    g_x_rs, grads[f"{name}.rsign_conv3x3.shift"] = bitops.rsign_backward(
-        g_a1, cache["rs1"]
-    )
-    g_xp += g_x_rs
-    _, _, h, w = cache["in_shape"]
+    g_z1 = _bn_backward(caches, f"{name}.bn_conv3x3", g_c1, grads)
+    g_a1 = _binconv_backward(caches, f"{name}.conv3x3", g_z1, grads)
+    g_xp += _rsign_backward(caches, f"{name}.rsign_conv3x3", g_a1, grads)
+    _, _, h, w = caches[f"{name}.in_shape"]
     return g_xp[:, :, :h, :w]
 
 
-def _run(model: ModelState, x: np.ndarray, training: bool):
-    """Shared forward pass: returns (head_output, features, caches)."""
-    spec = model.spec
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4 or x.shape[1:] != spec.input_shape:
-        raise ValueError(
-            f"input shape {x.shape} incompatible with [N, "
-            f"{', '.join(str(d) for d in spec.input_shape)}]"
-        )
-    h = x
-    feats = None
-    caches = []
-    for layer in spec.layers:
-        if layer.kind == netspec.FIRST_CONV:
-            h, cache = _stem_forward(model.params, layer.name, h, training)
-        elif layer.kind == netspec.NORMAL:
-            h, cache = _normal_forward(
-                model.params, layer.name, h, training, model.weight_scaling
-            )
-        elif layer.kind == netspec.REDUCTION:
-            h, cache = _reduction_forward(
-                model.params, layer.name, h, layer.stride, training,
-                model.weight_scaling,
-            )
-        elif layer.kind == netspec.GLOBAL_POOL:
-            cache = {"in_shape": h.shape}
-            h = tensor_ops.avgpool_global(h)
-            feats = h
-        else:                                            # fc_head
-            cache = {"feats": h}
-            h = tensor_ops.linear_forward(h, model.params[f"{layer.name}.w"])
-        caches.append((layer, cache))
-    return h, feats, caches
-
-
-def forward(model: ModelState, x: np.ndarray, training: bool = False):
+def forward(model, x: np.ndarray, training: bool = False):
     """Class logits [N, K]; requires a plan with an FC head.
 
-    Returns (logits, caches); pass the caches to :func:`backward`. Training
-    mode uses batch statistics in BN (and updates the running estimates),
-    inference mode uses the stored running statistics and is therefore
-    batch-invariant.
+    Returns (logits, caches). Training mode runs the float64 training graph:
+    BN uses batch statistics (and updates the running estimates in place)
+    and the caches feed :func:`backward`. Inference mode runs the frozen
+    plan (see :func:`freeze`; ``model`` may be an InferencePlan), uses the
+    stored running statistics, is batch-invariant, and returns caches None.
     """
     if not model.spec.has_fc_head():
         raise ValueError("plan has no fc_head; use features_forward")
-    logits, _, caches = _run(model, x, training)
-    return logits, caches
+    if not training:
+        return _run(_plan_of(model), model.spec, x)[0], None
+    tape = _Tape(model)
+    logits, _ = _run(tape, model.spec, x)
+    return logits, tape.caches
 
 
-def features_forward(model: ModelState, x: np.ndarray) -> np.ndarray:
-    """Pooled feature vectors [N, feature_dim] in inference mode."""
-    _, feats, _ = _run(model, x, training=False)
+def features_forward(model, x: np.ndarray) -> np.ndarray:
+    """Pooled feature vectors [N, feature_dim] in inference mode.
+
+    ``model`` is a ModelState or an InferencePlan; either way the features
+    come from the frozen plan (see :func:`freeze`).
+    """
+    plan = _plan_of(model)
+    _, feats = _run(plan, plan.spec, x)
     if feats is None:
         raise ValueError("plan has no global_pool layer")
     return feats
@@ -427,7 +506,7 @@ def backward(model: ModelState, caches, grad_out: np.ndarray):
 
     Args:
         model: the state used for the forward pass.
-        caches: second element of the :func:`forward` return.
+        caches: second element of a training-mode :func:`forward` return.
         grad_out: [N, K] gradient at the head output.
 
     Returns:
@@ -435,19 +514,21 @@ def backward(model: ModelState, caches, grad_out: np.ndarray):
     """
     grads: dict[str, np.ndarray] = {}
     g = np.asarray(grad_out, dtype=np.float64)
-    for layer, cache in reversed(caches):
+    for layer in reversed(model.spec.layers):
+        name = layer.name
         if layer.kind == netspec.FC_HEAD:
-            g, grads[f"{layer.name}.w"] = tensor_ops.linear_backward(
-                g, cache["feats"], model.params[f"{layer.name}.w"]
+            g, grads[f"{name}.w"] = tensor_ops.linear_backward(
+                g, caches[name], model.params[f"{name}.w"]
             )
         elif layer.kind == netspec.GLOBAL_POOL:
-            g = tensor_ops.avgpool_global_backward(g, cache["in_shape"])
+            g = tensor_ops.avgpool_global_backward(g, caches[f"{name}.in_shape"])
         elif layer.kind == netspec.REDUCTION:
-            g = _reduction_backward(model.params, layer.name, cache, g, grads)
+            g = _reduction_backward(model.params, name, caches, g, grads,
+                                    layer.stride)
         elif layer.kind == netspec.NORMAL:
-            g = _normal_backward(model.params, layer.name, cache, g, grads)
+            g = _normal_backward(model.params, name, caches, g, grads)
         else:
-            g = _stem_backward(model.params, layer.name, cache, g, grads)
+            g = _stem_backward(model.params, name, caches, g, grads)
     return grads
 
 
@@ -509,11 +590,12 @@ class TrainResult:
     abort_reason: str = ""
 
 
-def evaluate(model: ModelState, ds, batch_size: int = 256) -> float:
-    """Top-1 accuracy over a dataset, computed in inference mode."""
+def evaluate(model, ds, batch_size: int = 256) -> float:
+    """Top-1 accuracy over a dataset, computed in inference mode from one plan."""
+    plan = _plan_of(model)
     correct = 0
     for xb, yb in data.batches(ds, batch_size, shuffle=False):
-        logits, _ = forward(model, xb, training=False)
+        logits, _ = forward(plan, xb, training=False)
         correct += int((np.argmax(logits, axis=1) == yb).sum())
     return correct / len(ds)
 
@@ -586,15 +668,18 @@ def train_stage1(model: ModelState, train_ds, val_ds,
 # --- stage-2 interface -------------------------------------------------------
 
 
-def extract_features(model: ModelState, ds, batch_size: int = 256):
+def extract_features(model, ds, batch_size: int = 256):
     """Pooled features for a whole dataset in inference mode.
 
-    Returns (features [N, D] float64, labels [N] int64) in dataset order.
+    ``model`` is a ModelState or an InferencePlan; a writable state is
+    frozen once for the whole dataset. Returns (features [N, D] float64,
+    labels [N] int64) in dataset order.
     """
+    plan = _plan_of(model)
     chunks = []
     labels = []
     for xb, yb in data.batches(ds, batch_size, shuffle=False):
-        chunks.append(features_forward(model, xb))
+        chunks.append(features_forward(plan, xb))
         labels.append(yb)
     d = model.spec.feature_dim
     if not chunks:
@@ -602,7 +687,7 @@ def extract_features(model: ModelState, ds, batch_size: int = 256):
     return np.concatenate(chunks), np.concatenate(labels)
 
 
-def fc_logits(model: ModelState, feats: np.ndarray, batch_size: int = 256):
+def fc_logits(model, feats: np.ndarray, batch_size: int = 256):
     """FC-head logits [N, K] of the pooled features [N, D] of extract_features.
 
     Applies the head once per ``batch_size`` rows, the batches the features
@@ -611,16 +696,17 @@ def fc_logits(model: ModelState, feats: np.ndarray, batch_size: int = 256):
     """
     if not model.spec.has_fc_head():
         raise ValueError("plan has no fc_head; use a tree head on its features")
-    w = model.params[f"{model.spec.layers[-1].name}.w"]
+    w = _plan_of(model).reals[f"{model.spec.layers[-1].name}.w"]
     return np.concatenate([tensor_ops.linear_forward(feats[s:s + batch_size], w)
                            for s in range(0, len(feats), batch_size)])
 
 
-def infer_hybrid(model: ModelState, ens: gbdt.TreeEnsemble, x: np.ndarray):
+def infer_hybrid(model, ens: gbdt.TreeEnsemble, x: np.ndarray):
     """End-to-end prediction: binary CNN features routed through the tree head.
 
     Args:
-        model: trained backbone (the FC head, if present, is ignored).
+        model: trained backbone, a ModelState or an InferencePlan (the FC
+            head, if present, is ignored).
         ens: boosted-tree head trained on this backbone's features.
         x: image batch [N, C, H, W].
 
@@ -694,69 +780,106 @@ def checkpoint_bytes(model: ModelState) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    def __init__(self, view: memoryview):
+        self.view = view
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def _advance(self, n: int) -> int:
+        if self.pos + n > len(self.view):
             raise CheckpointError(
                 f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"{len(self.blob) - self.pos} remain"
+                f"{len(self.view) - self.pos} remain"
             )
-        b = self.blob[self.pos:self.pos + n]
         self.pos += n
-        return b
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        at = self._advance(n)
+        return bytes(self.view[at:at + n])
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def float64s(self, shape: tuple, nbytes: int) -> np.ndarray:
+        """A read-only array viewing the next nbytes, no copy."""
+        at = self._advance(nbytes)
+        return np.frombuffer(self.view, dtype="<f8", count=nbytes // 8,
+                             offset=at).reshape(shape)
+
+
+def _record_layout(spec: netspec.NetworkSpec) -> dict[str, tuple]:
+    """{record name: shape} of a checkpoint of ``spec``: every parameter
+    under ``p:`` and a velocity under ``v:`` for each learnable one."""
+    out = {}
+    for name, shape, _, _ in _param_layout(spec):
+        out[f"p:{name}"] = shape
+        if _is_learnable(name):
+            out[f"v:{name}"] = shape
+    return out
+
 
 def parse_checkpoint(blob: bytes) -> ModelState:
-    """Inverse of :func:`checkpoint_bytes`; raises CheckpointError."""
-    r = _Reader(blob)
+    """Inverse of :func:`checkpoint_bytes`; raises CheckpointError.
+
+    The records must be exactly those ``build_network(spec)`` creates: the
+    same names, shapes and dtype (float64). The arrays are read-only views
+    of ``blob``, a read-only bytes-like object (a writable buffer is copied
+    first), so the returned state is immutable: ``copy()`` it to train.
+    """
+    view = memoryview(blob).cast("B")
+    if not view.readonly:
+        view = memoryview(bytes(view))
+    r = _Reader(view)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic; expected {CHECKPOINT_MAGIC!r}")
     version, scaling, seed, epoch = r.unpack("<IBQI")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if scaling not in (0, 1):
+        raise CheckpointError(f"weight_scaling flag {scaling} is not 0 or 1")
     (spec_len,) = r.unpack("<I")
     try:
         spec = netspec.spec_from_dict(json.loads(r.take(spec_len)))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointError(f"bad plan JSON: {e}") from e
+        layout = _record_layout(spec)
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
+        raise CheckpointError(f"bad plan: {e}") from e
     (n_records,) = r.unpack("<I")
-    params: dict[str, np.ndarray] = {}
-    velocities: dict[str, np.ndarray] = {}
+    if n_records != len(layout):
+        raise CheckpointError(
+            f"{n_records} records; the plan has {len(layout)}")
+    records = {}
     for _ in range(n_records):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        raw = r.take(name_len)
+        try:
+            name = raw.decode()
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"record name {raw!r} is not UTF-8") from e
+        want = layout.pop(name, None)
+        if want is None:
+            raise CheckpointError(f"record {name!r} is not in the plan or repeats")
         (dt_len,) = r.unpack("<B")
-        dt = np.dtype(r.take(dt_len).decode())
+        dt = r.take(dt_len)
+        if dt != b"<f8":
+            raise CheckpointError(f"record {name!r}: dtype {dt!r}, expected b'<f8'")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
+        if shape != want:
+            raise CheckpointError(f"record {name!r}: shape {shape} != {want}")
         (nbytes,) = r.unpack("<Q")
-        want = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        if nbytes != want:
+        if nbytes != 8 * int(np.prod(shape, dtype=np.int64)):
             raise CheckpointError(
-                f"record {name!r}: payload {nbytes} bytes != shape "
-                f"{shape} x {dt.itemsize}"
+                f"record {name!r}: payload {nbytes} bytes != shape {shape} x 8"
             )
-        arr = np.frombuffer(r.take(nbytes), dtype=dt).reshape(shape).copy()
-        if name.startswith("p:"):
-            params[name[2:]] = arr
-        elif name.startswith("v:"):
-            velocities[name[2:]] = arr
-        else:
-            raise CheckpointError(f"unknown record namespace in {name!r}")
-    if r.pos != len(blob):
-        raise CheckpointError(f"{len(blob) - r.pos} trailing bytes")
-    model = ModelState(spec=spec, params=params, velocities=velocities,
-                       seed=seed, epoch=epoch, weight_scaling=bool(scaling))
-    missing = [k for k in model.learnable_keys() if k not in velocities]
-    if missing:
-        raise CheckpointError(f"missing velocity records for {missing[:3]}")
-    return model
+        records[name] = r.float64s(shape, nbytes)
+    if r.pos != len(view):
+        raise CheckpointError(f"{len(view) - r.pos} trailing bytes")
+    return ModelState(
+        spec=spec,
+        params={k[2:]: v for k, v in records.items() if k.startswith("p:")},
+        velocities={k[2:]: v for k, v in records.items() if k.startswith("v:")},
+        seed=seed, epoch=epoch, weight_scaling=bool(scaling),
+    )
 
 
 def save_checkpoint(model: ModelState, path) -> None:
@@ -765,8 +888,19 @@ def save_checkpoint(model: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
+    """Read a checkpoint file into an immutable state (see parse_checkpoint).
+
+    The file is read into one numpy buffer, which the records then view:
+    numpy's large allocations fault in cheaply (huge pages where the kernel
+    allows), a fresh ``bytes`` of the file's size does not.
+    """
     with open(path, "rb") as f:
-        return parse_checkpoint(f.read())
+        buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        buf = buf[:f.readinto(buf)]
+        buf.flags.writeable = False
+        if f.read(1):
+            raise CheckpointError(f"{path} grew while it was read")
+    return parse_checkpoint(buf)
 
 
 # --- deployment export -------------------------------------------------------

@@ -21,10 +21,11 @@ and 4 threads), but BLAS does not promise it; a single product over a longer
 contraction does differ there (K = 784 at 1 vs 2 threads).
 
 Products of +/-1 values need no such assumption. A convolution of integer
-operands is one plain float32 product whose every partial sum is an integer
-below 2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign planes), so it is
-exact in any summation order and at any thread count by arithmetic; the
-conv refuses operands whose sums could reach 2**24 (the XNOR identity of
+operands (:func:`sign_conv2d`, on filters laid out once by :func:`sign_matrix`)
+is one plain float32 product whose every partial sum is an integer below
+2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign planes), so it is exact
+in any summation order and at any thread count by arithmetic; the conv
+refuses operands whose sums could reach 2**24 (the XNOR identity of
 XNOR-Net, Rastegari et al., arXiv 1603.05279). Everything else is
 elementwise or a fixed-order numpy reduction.
 """
@@ -39,6 +40,8 @@ import numpy as np
 K_BLOCK = 128
 # Integers below this magnitude are exact in float32 (24-bit significand).
 EXACT_F32 = 1 << 24
+# Variance floor of batch normalization: x_hat = (x - mean) / sqrt(var + BN_EPS).
+BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -149,24 +152,59 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _sign_product(
-    x: np.ndarray, w: np.ndarray, geom: ConvGeometry, pad_value: float
+def sign_matrix(w: np.ndarray) -> np.ndarray:
+    """Integer filters [Co, Ci, kh, kw] as the float32 [kh*kw*Ci, Co] matrix
+    :func:`sign_conv2d` multiplies by, in the im2col reduction order."""
+    return _weight_matrix(w).astype(np.float32)
+
+
+def sign_conv2d(
+    x: np.ndarray,
+    w_mat: np.ndarray,
+    geom: ConvGeometry,
+    pad_value: float = -1,
+    w_max: int = 1,
 ) -> np.ndarray:
-    """cols @ W of integer operands as one float32 product, exact because
-    no partial sum can exceed K * max|x| * max|w| < 2**24 in magnitude."""
+    """Cross-correlation of integer operands as one exact float32 product.
+
+    Args:
+        x: integer input [N, Ci, H, W] (the int8 sign planes of a binary conv).
+        w_mat: integer-valued float32 filters [kh*kw*Ci, Co] from
+            :func:`sign_matrix`.
+        geom: stride/padding/kernel description.
+        pad_value: integer value of the padding ring.
+        w_max: bound on |w_mat|; 1 for sign filters.
+
+    Returns:
+        Output [N, Co, H', W'] float32 holding the exact integer sums, an
+        NCHW view of NHWC memory.
+
+    Raises:
+        ValueError: on a non-integer input or pad_value, or when a partial sum
+            could reach 2**24 (K * max|x| * w_max), where float32 stops being
+            exact.
+    """
+    if x.ndim != 4 or not np.issubdtype(x.dtype, np.integer):
+        raise ValueError(f"sign conv input must be 4-d integer NCHW, got "
+                         f"{x.dtype} ndim={x.ndim}")
+    n, ci, h, wd = x.shape
+    kh, kw = geom.kernel
+    k = kh * kw * ci
+    if w_mat.ndim != 2 or w_mat.shape[0] != k:
+        raise ValueError(f"filter matrix {w_mat.shape} != [{k}, Co] for Ci={ci} "
+                         f"and kernel {geom.kernel}")
+    oh, ow = geom.out_extent(h, wd)
     pad = int(pad_value)
     if pad != pad_value:
         raise ValueError(f"integer operands need an integer pad_value, got {pad_value}")
-    k = w[0].size
     x_max = max(_abs_max(x), abs(pad) if geom.padding else 0)
-    w_max = _abs_max(w)
     if k * x_max * w_max >= EXACT_F32:
         raise ValueError(
             f"integer conv sums reach K*max|x|*max|w| = {k}*{x_max}*{w_max} "
             f"= {k * x_max * w_max}, not exact in float32 (limit 2**24)"
         )
     cols = _im2col(_pad_input(x, geom.padding, pad), geom).astype(np.float32)
-    return cols @ _weight_matrix(w).astype(np.float32)
+    return (cols @ w_mat).reshape(n, oh, ow, w_mat.shape[1]).transpose(0, 3, 1, 2)
 
 
 def conv2d_forward(
@@ -187,18 +225,17 @@ def conv2d_forward(
     Returns:
         Output [N, Co, H', W']. When x and w both have an integer dtype (the
         int8 sign planes of a binary conv) it is float32 holding the exact
-        integer sums, and pad_value must be an integer; ValueError if the sums
-        could reach 2**24. Otherwise it is float64 from :func:`_matmul`.
+        integer sums from :func:`sign_conv2d`, and pad_value must be an
+        integer; ValueError if the sums could reach 2**24. Otherwise it is
+        float64 from :func:`_matmul`.
     """
     _check_conv_shapes(x, w, geom)
+    if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
+        return sign_conv2d(x, sign_matrix(w), geom, pad_value, _abs_max(w))
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
-    if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
-        y = _sign_product(x, w, geom, pad_value)
-    else:
-        xp = _pad_input(np.asarray(x, dtype=np.float64), geom.padding, pad_value)
-        y = _matmul(_im2col(xp, geom),
-                    _weight_matrix(np.asarray(w, dtype=np.float64)))
+    xp = _pad_input(np.asarray(x, dtype=np.float64), geom.padding, pad_value)
+    y = _matmul(_im2col(xp, geom), _weight_matrix(np.asarray(w, dtype=np.float64)))
     return y.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
@@ -280,7 +317,7 @@ def batchnorm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     momentum: float = 0.1,
-    eps: float = 1e-5,
+    eps: float = BN_EPS,
     training: bool = True,
 ) -> tuple[np.ndarray, dict]:
     """Per-channel batch normalization over (N, H, W).
@@ -321,6 +358,19 @@ def batchnorm_forward(
     cache = {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m,
              "training": training}
     return y, cache
+
+
+def batchnorm_inference(
+    x: np.ndarray,
+    mean: np.ndarray,
+    inv_std: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+) -> np.ndarray:
+    """Inference-mode batchnorm_forward with 1/sqrt(running_var + BN_EPS)
+    given as inv_std: the same per-element ops in the same order, no cache."""
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
 
 
 def batchnorm_backward(

@@ -159,3 +159,67 @@ def piecewise_approxsign_dydu(u):
     d[neg] = 2.0 + 2.0 * u[neg]
     d[pos] = 2.0 - 2.0 * u[pos]
     return d
+
+
+def training_graph_forward(model, x):
+    """(head output, pooled features) of the training graph in inference mode.
+
+    The forward the frozen plan replaced: every binary conv re-derives
+    sign(latent) and alpha from the latents and runs the integer conv on 4-d
+    filters, and every op runs in its training form with the running BN
+    statistics, its cache discarded. The plan must agree with it to the byte.
+    """
+    from rxgb import bitops, netspec, tensor_ops as T
+
+    p = model.params
+    g3, g3s2 = T.ConvGeometry((3, 3), 1, 1), T.ConvGeometry((3, 3), 2, 1)
+    g1 = T.ConvGeometry((1, 1), 1, 0)
+
+    def bn(prefix, z):
+        return T.batchnorm_forward(z, p[f"{prefix}.gamma"], p[f"{prefix}.beta"],
+                                   p[f"{prefix}.run_mean"], p[f"{prefix}.run_var"],
+                                   training=False)[0]
+
+    def rprelu(prefix, z):
+        return bitops.rprelu_forward(z, p[f"{prefix}.beta"], p[f"{prefix}.gamma"],
+                                     p[f"{prefix}.zeta"])[0]
+
+    def rsign(prefix, z):
+        return bitops.rsign_forward(z, p[f"{prefix}.shift"])[0]
+
+    def binconv(prefix, a, geom):
+        w_sign, alpha = bitops.sign_weights(p[f"{prefix}.w_latent"],
+                                            weight_scaling=model.weight_scaling)
+        y = T.conv2d_forward(a, w_sign, geom, pad_value=-1)
+        return y * alpha[None, :, None, None]
+
+    h = np.asarray(x, dtype=np.float64)
+    feats = None
+    for layer in model.spec.layers:
+        n = layer.name
+        if layer.kind == netspec.FIRST_CONV:
+            h = bn(f"{n}.bn", T.conv2d_forward(h, p[f"{n}.conv.w"], g3s2))
+        elif layer.kind == netspec.NORMAL:
+            b1 = bn(f"{n}.bn_conv3x3",
+                    binconv(f"{n}.conv3x3", rsign(f"{n}.rsign_conv3x3", h), g3))
+            d1 = rprelu(f"{n}.rprelu_conv3x3", b1 + h)
+            b2 = bn(f"{n}.bn_conv1x1",
+                    binconv(f"{n}.conv1x1", rsign(f"{n}.rsign_conv1x1", d1), g1))
+            h = rprelu(f"{n}.rprelu_conv1x1", b2 + d1)
+        elif layer.kind == netspec.REDUCTION:
+            s = layer.stride
+            _, _, hh, ww = h.shape
+            if s == 2 and (hh % 2 or ww % 2):
+                h = np.pad(h, ((0, 0), (0, 0), (0, hh % 2), (0, ww % 2)))
+            a1 = rsign(f"{n}.rsign_conv3x3", h)
+            b1 = bn(f"{n}.bn_conv3x3", binconv(f"{n}.conv3x3", a1, g3s2 if s == 2 else g3))
+            d1 = rprelu(f"{n}.rprelu_conv3x3", b1 + (T.avgpool_2x2(h) if s == 2 else h))
+            a2 = rsign(f"{n}.rsign_conv1x1", d1)
+            ba = bn(f"{n}.bn_conv1x1_a", binconv(f"{n}.conv1x1_a", a2, g1))
+            bb = bn(f"{n}.bn_conv1x1_b", binconv(f"{n}.conv1x1_b", a2, g1))
+            h = rprelu(f"{n}.rprelu_out", np.concatenate([ba + d1, bb + d1], axis=1))
+        elif layer.kind == netspec.GLOBAL_POOL:
+            h = feats = T.avgpool_global(h)
+        else:
+            h = T.linear_forward(h, p[f"{n}.w"])
+    return h, feats

@@ -260,6 +260,42 @@ def test_missing_artifact_error_line(tmp_path, capsys):
     assert err.startswith("RXGB-ERROR missing-artifact:")
 
 
+def _checkpoint_mutants(blob):
+    """One mutant per way a checkpoint used to escape CheckpointError."""
+    name = b"p:block1.conv3x3.w_latent"
+    mutants = {
+        "non-UTF-8 record name": blob.replace(name, b"p:\xff" + name[3:], 1),
+        "garbled dtype": blob.replace(b"<f8", b"<x8", 1),
+        "unknown layer kind": blob.replace(b'"binary_block_normal"',
+                                           b'"binary_block_xormal"', 1),
+        "spec dict missing its layers": blob.replace(b'"layers":', b'"layerz":', 1),
+        "record not in the plan": blob.replace(name, name[:-1] + b"x", 1),
+        "record of the wrong shape": blob.replace(
+            name + b"\x03<f8\x04" + struct.pack("<4I", 8, 8, 3, 3),
+            name + b"\x03<f8\x04" + struct.pack("<4I", 8, 4, 6, 3), 1),
+    }
+    assert all(m != blob and len(m) == len(blob) for m in mutants.values())
+    return mutants
+
+
+def test_checkpoint_mutants_print_one_checkpoint_format_line(tmp_path, cache_dir,
+                                                             capsys):
+    spec = netspec.reference_spec(width_mult=0.125)
+    blob = network.checkpoint_bytes(network.build_network(spec, seed=0))
+    for kind, mutant in _checkpoint_mutants(blob).items():
+        path = tmp_path / "mutant.ckpt"
+        path.write_bytes(mutant)
+        capsys.readouterr()
+        rc = cli.main(["extract", "--checkpoint", str(path),
+                       "--out", str(tmp_path / "o"), "--data.dir", str(cache_dir),
+                       *SMOKE_ARGS])
+        err = capsys.readouterr().err
+        assert rc == 1, kind
+        assert err.startswith("RXGB-ERROR checkpoint-format:"), (kind, err)
+        assert err.count("\n") == 1, (kind, err)
+        assert not list((tmp_path / "o").glob("*.rxgbfeat")), kind
+
+
 def test_eval_gbdt_requires_model_flag(tmp_path, cache_dir, capsys):
     manual = tmp_path / "m"
     base = ["--data.dir", str(cache_dir), *SMOKE_ARGS]

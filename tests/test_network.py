@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rxgb import bitops, costmodel, data, gbdt, netspec, network, tensor_ops
-from oracles import naive_conv2d
+from oracles import naive_conv2d, training_graph_forward
 
 
 def tiny_spec(with_fc=True, feature_dim=16, classes=4):
@@ -688,6 +688,163 @@ def test_sign_convs_and_features_byte_identical_across_thread_counts():
             assert got == want, f"{op} at {case} differs between 1 and {threads} threads"
 
 
+# --- frozen inference plan -------------------------------------------------------
+
+
+def plan_spec():
+    """6x6 input: the stride-2 reduction sees an odd 3x3 grid and pads it,
+    then a stride-1 reduction keeps the 2x2 grid; FC head on top."""
+    return netspec.NetworkSpec(
+        layers=(
+            netspec.LayerSpec(netspec.FIRST_CONV, "stem", 1, 4, 2),
+            netspec.LayerSpec(netspec.NORMAL, "block1", 4, 4, 1),
+            netspec.LayerSpec(netspec.REDUCTION, "block2", 4, 8, 2),
+            netspec.LayerSpec(netspec.REDUCTION, "block3", 8, 16, 1),
+            netspec.LayerSpec(netspec.GLOBAL_POOL, "pool", 16, 16),
+            netspec.LayerSpec(netspec.FC_HEAD, "fc", 16, 3),
+        ),
+        input_shape=(1, 6, 6), feature_dim=16, class_count=3,
+    )
+
+
+@pytest.mark.parametrize("scaling", [True, False])
+def test_plan_equals_training_graph_oracle_byte_for_byte(scaling):
+    model = network.build_network(plan_spec(), seed=171, weight_scaling=scaling)
+    randomize_params(model, 172)                         # BN and RPReLU reals too
+    plan = network.freeze(model)
+    x = np.random.default_rng(173).normal(size=(67, 1, 6, 6))
+    for b in (1, 3, 67):
+        want_logits, want_feats = training_graph_forward(model, x[:b])
+        for src in (model, plan):
+            feats = network.features_forward(src, x[:b])
+            assert feats.tobytes() == want_feats.tobytes(), f"batch {b}"
+            logits, caches = network.forward(src, x[:b])
+            assert logits.tobytes() == want_logits.tobytes(), f"batch {b}"
+            assert caches is None
+
+
+def test_plan_is_read_only_and_leaves_the_model_writable():
+    model = network.build_network(plan_spec(), seed=174)
+    plan = network.freeze(model)
+    w_mat, alpha = plan.signs["block1.conv3x3"]
+    assert w_mat.dtype == np.float32 and w_mat.shape == (9 * 4, 4)
+    assert set(np.unique(w_mat)) <= {-1.0, 1.0}
+    arrays = [w_mat, alpha, *plan.reals.values()]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(TypeError):
+        plan.reals["stem.conv.w"] = np.zeros((4, 1, 3, 3))
+    assert all(a.flags.writeable for a in model.params.values())
+
+
+def test_infer_hybrid_on_loaded_checkpoint_equals_the_saved_model(tmp_path):
+    ds = separable_dataset(40, seed=175)
+    model = network.build_network(tiny_spec(), seed=176)
+    randomize_params(model, 177)
+    feats, labels = network.extract_features(model, ds, batch_size=16)
+    ens = gbdt.train_ensemble(feats, labels,
+                              gbdt.GBDTConfig(n_classes=4, max_trees=8, max_depth=3))
+    path = tmp_path / "m.ckpt"
+    network.save_checkpoint(model, path)
+    loaded = network.load_checkpoint(path)
+    for b in (1, 40):
+        got = network.infer_hybrid(loaded, ens, ds.images[:b])
+        want = network.infer_hybrid(model, ens, ds.images[:b])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def _count_calls(monkeypatch, module, attr):
+    calls = []
+    fn = getattr(module, attr)
+
+    def counted(*a, **k):
+        calls.append(1)
+        return fn(*a, **k)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_loaded_checkpoint_keeps_one_plan_and_requests_prepare_no_weights(
+        tmp_path, monkeypatch):
+    model = network.build_network(tiny_spec(), seed=178)
+    network.save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = network.load_checkpoint(tmp_path / "m.ckpt")
+    freezes = _count_calls(monkeypatch, network, "freeze")
+    x = np.random.default_rng(179).normal(size=(2, 1, 8, 8))
+    first = network.features_forward(loaded, x)
+    signs = _count_calls(monkeypatch, bitops, "sign_weights")
+    for _ in range(3):
+        assert network.features_forward(loaded, x).tobytes() == first.tobytes()
+        network.forward(loaded, x)
+    assert len(freezes) == 1 and signs == []
+
+
+def test_a_writable_model_is_frozen_once_per_inference_call(monkeypatch):
+    ds = separable_dataset(10, seed=180)
+    model = network.build_network(tiny_spec(), seed=181)
+    freezes = _count_calls(monkeypatch, network, "freeze")
+    network.extract_features(model, ds, batch_size=3)    # four batches
+    assert len(freezes) == 1
+    network.evaluate(model, ds, batch_size=3)
+    assert len(freezes) == 2
+
+
+def test_writing_into_a_loaded_checkpoint_raises(tmp_path):
+    network.save_checkpoint(network.build_network(tiny_spec(), seed=182),
+                            tmp_path / "m.ckpt")
+    loaded = network.load_checkpoint(tmp_path / "m.ckpt")
+    network.features_forward(loaded, np.zeros((1, 1, 8, 8)))
+    for key in ("block1.conv3x3.w_latent", "block2.bn_conv3x3.run_mean"):
+        with pytest.raises(ValueError):
+            loaded.params[key][...] = 0.0
+        with pytest.raises(ValueError):
+            loaded.params[key].flags.writeable = True
+    with pytest.raises(ValueError):
+        network.train_stage1(loaded, separable_dataset(8, seed=183),
+                             separable_dataset(8, seed=184),
+                             network.StageOneConfig(epochs=1, batch_size=8))
+
+
+def test_replaced_or_edited_params_reach_the_next_features(tmp_path):
+    x = np.random.default_rng(185).normal(size=(4, 1, 8, 8))
+    network.save_checkpoint(network.build_network(tiny_spec(), seed=186),
+                            tmp_path / "m.ckpt")
+    loaded = network.load_checkpoint(tmp_path / "m.ckpt")
+    before = network.features_forward(loaded, x)
+    key = "block1.conv3x3.w_latent"
+    original = loaded.params[key]
+    for shift, read_only in ((1, False), (2, True)):     # filters rotated by Co
+        rotated = np.roll(original, shift, axis=0)
+        rotated.flags.writeable = not read_only
+        loaded.params[key] = rotated
+        got = network.features_forward(loaded, x)
+        assert got.tobytes() == training_graph_forward(loaded, x)[1].tobytes()
+        assert got.tobytes() != before.tobytes()
+        before = got
+
+    model = network.build_network(tiny_spec(), seed=187)
+    before = network.features_forward(model, x)
+    model.params["block2.bn_conv1x1_a.run_mean"] += 1.0
+    model.params["block1.conv3x3.w_latent"] *= -1.0
+    got = network.features_forward(model, x)
+    assert got.tobytes() == training_graph_forward(model, x)[1].tobytes()
+    assert got.tobytes() != before.tobytes()
+
+
+def test_copy_of_a_loaded_checkpoint_trains(tmp_path):
+    ds = separable_dataset(16, seed=188)
+    network.save_checkpoint(network.build_network(tiny_spec(), seed=189),
+                            tmp_path / "m.ckpt")
+    loaded = network.load_checkpoint(tmp_path / "m.ckpt")
+    blob = network.checkpoint_bytes(loaded)
+    hp = network.StageOneConfig(epochs=2, batch_size=8, learning_rate=0.03, seed=190)
+    result = network.train_stage1(loaded.copy(), ds, ds, hp)
+    assert not result.aborted and len(result.metrics) == 2
+    assert network.checkpoint_bytes(result.model) != blob
+    assert network.checkpoint_bytes(loaded) == blob
+
+
 # --- checkpoint + deployment ----------------------------------------------------
 
 
@@ -741,6 +898,32 @@ def test_checkpoint_rejects_malformed_blobs():
     for bad in cases:
         with pytest.raises(network.CheckpointError):
             network.parse_checkpoint(bad)
+
+
+def test_checkpoint_mutants_fail_closed_or_serve_features():
+    # seeded fuzz: truncations and 1-4 random byte writes; each mutant either
+    # raises CheckpointError or parses into a state whose plan serves features
+    model = network.build_network(tiny_spec(), seed=143)
+    blob = network.checkpoint_bytes(model)
+    rng = np.random.default_rng(144)
+    x = np.zeros((1, 1, 8, 8))
+    parsed = 0
+    for i in range(300):
+        if i % 2:
+            bad = blob[:int(rng.integers(0, len(blob)))]
+        else:
+            arr = bytearray(blob)
+            for pos in rng.integers(0, len(blob), size=int(rng.integers(1, 5))):
+                arr[pos] = int(rng.integers(0, 256))
+            bad = bytes(arr)
+        try:
+            loaded = network.parse_checkpoint(bad)
+        except network.CheckpointError:
+            continue
+        parsed += 1
+        with np.errstate(all="ignore"):                  # a written payload byte
+            assert network.features_forward(loaded, x).shape == (1, 16)
+    assert parsed > 0
 
 
 def test_deployed_payload_layout_and_cost_model_agreement():

@@ -156,6 +156,38 @@ def test_integer_conv_is_exact_and_guards_float32_range():
         conv2d_forward(ones, ones, ConvGeometry((1, 1), 1, 1), pad_value=-0.5)
 
 
+def test_sign_conv2d_on_prepared_filters_equals_the_4d_conv_and_keeps_the_guard():
+    rng = np.random.default_rng(6)
+    x = np.where(rng.standard_normal((2, 5, 7, 7)) >= 0, 1, -1).astype(np.int8)
+    w = np.where(rng.standard_normal((3, 5, 3, 3)) >= 0, 1, -1).astype(np.int8)
+    geom = ConvGeometry((3, 3), 2, 1)
+    w_mat = tensor_ops.sign_matrix(w)
+    assert w_mat.dtype == np.float32 and w_mat.shape == (45, 3)
+    got = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=-1)
+    want = conv2d_forward(x, w, geom, pad_value=-1)
+    assert got.tobytes() == want.tobytes()
+    # the guard reads the prepared filters' bound: K = 1041 at 127 * 127 fails
+    big = np.full((1, 1041, 1, 1), 127, dtype=np.int8)
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        tensor_ops.sign_conv2d(big, tensor_ops.sign_matrix(big), ConvGeometry((1, 1)),
+                               w_max=127)
+    with pytest.raises(ValueError, match="filter matrix"):
+        tensor_ops.sign_conv2d(x, w_mat[1:], geom)
+    with pytest.raises(ValueError, match="integer"):
+        tensor_ops.sign_conv2d(x.astype(np.float64), w_mat, geom)
+
+
+def test_batchnorm_inference_equals_batchnorm_forward_byte_for_byte():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((4, 3, 5, 5))
+    gamma, beta, mean = rng.standard_normal((3, 3))
+    var = rng.uniform(0.1, 2.0, 3)
+    want, _ = batchnorm_forward(x, gamma, beta, mean, var, training=False)
+    inv_std = 1.0 / np.sqrt(var + tensor_ops.BN_EPS)
+    got = tensor_ops.batchnorm_inference(x, mean, inv_std, gamma, beta)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_batchnorm_forward_manual():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 3, 2, 2))
