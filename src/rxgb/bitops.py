@@ -214,29 +214,17 @@ def binary_conv2d(x_bits: BitPlane, w_bits: BitPlane, alpha: np.ndarray, geom) -
     return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
 
 
-def _shifted(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    c = x.shape[1]
-    if shift.shape != (c,):
-        raise ValueError(f"shift shape {shift.shape} != ({c},)")
-    return x - shift[None, :, None, None]
-
-
-def rsign(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per-channel shifted sign sign(x - shift[c]) as an int8 {-1,+1} plane.
-
-    The inference form of :func:`rsign_forward`: the same plane, no cache.
-    """
-    return _sign(_shifted(x, shift))
-
-
 def rsign_forward(x: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, dict]:
     """Per-channel shifted sign: y = sign(x - shift[c]), sign(0) = +1.
 
     Returns (y, cache); y is the {-1,+1} int8 plane of x's shape, the exact
     integer operand of a binary conv.
     """
-    u = _shifted(x, shift)
+    x = np.asarray(x, dtype=np.float64)
+    c = x.shape[1]
+    if shift.shape != (c,):
+        raise ValueError(f"shift shape {shift.shape} != ({c},)")
+    u = x - shift[None, :, None, None]
     return _sign(u), {"u": u}
 
 
@@ -264,7 +252,13 @@ def rsign_backward(grad_y: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndar
     return grad_x, grad_shift
 
 
-def _rprelu(x, beta, gamma, zeta):
+def rprelu_forward(
+    x: np.ndarray, beta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray
+) -> tuple[np.ndarray, dict]:
+    """Shifted PReLU: y = f(x - gamma[c]) + zeta[c], f(u) = u if u >= 0 else beta[c]*u.
+
+    The kink at u = 0 takes the positive branch. Returns (y, cache).
+    """
     x = np.asarray(x, dtype=np.float64)
     c = x.shape[1]
     for name, arr in (("beta", beta), ("gamma", gamma), ("zeta", zeta)):
@@ -273,24 +267,6 @@ def _rprelu(x, beta, gamma, zeta):
     u = x - gamma[None, :, None, None]
     pos = u >= 0
     y = np.where(pos, u, beta[None, :, None, None] * u) + zeta[None, :, None, None]
-    return y, u, pos
-
-
-def rprelu(
-    x: np.ndarray, beta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray
-) -> np.ndarray:
-    """The inference form of :func:`rprelu_forward`: the same y, no cache."""
-    return _rprelu(x, beta, gamma, zeta)[0]
-
-
-def rprelu_forward(
-    x: np.ndarray, beta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    """Shifted PReLU: y = f(x - gamma[c]) + zeta[c], f(u) = u if u >= 0 else beta[c]*u.
-
-    The kink at u = 0 takes the positive branch. Returns (y, cache).
-    """
-    y, u, pos = _rprelu(x, beta, gamma, zeta)
     return y, {"u": u, "pos": pos, "beta": beta}
 
 

@@ -263,10 +263,9 @@ class InferencePlan:
 
     ``signs`` maps each binary conv's prefix to its +-1 weights as a float32
     [kh*kw*Ci, Co] matrix in im2col order (``tensor_ops.sign_matrix``) and
-    its per-channel alpha; ``reals`` holds copies of every other parameter
-    plus each BN's ``inv_std`` = 1/sqrt(run_var + BN_EPS). All arrays are
-    read-only. As an executor of the block wiring it runs the inference-mode
-    ops in the training graph's per-element order and caches nothing.
+    its per-channel alpha; ``reals`` holds copies of every other parameter.
+    All arrays are read-only. As an executor of the block wiring it runs the
+    inference-mode ops of the training graph and keeps none of their caches.
     """
 
     spec: netspec.NetworkSpec
@@ -281,7 +280,7 @@ class InferencePlan:
         return tensor_ops.conv2d_forward(x, self.reals[f"{prefix}.w"], geom)
 
     def rsign(self, prefix, x):
-        return bitops.rsign(x, self.reals[f"{prefix}.shift"])
+        return bitops.rsign_forward(x, self.reals[f"{prefix}.shift"])[0]
 
     def binconv(self, prefix, x, geom):
         w_mat, alpha = self.signs[prefix]
@@ -289,13 +288,12 @@ class InferencePlan:
         return y * alpha[None, :, None, None]
 
     def bn(self, prefix, x):
-        r = self.reals
-        return tensor_ops.batchnorm_inference(
-            x, r[f"{prefix}.run_mean"], r[f"{prefix}.inv_std"],
-            r[f"{prefix}.gamma"], r[f"{prefix}.beta"])
+        return tensor_ops.batchnorm_forward(
+            x, *(self.reals[f"{prefix}.{k}"] for k in _BN_KEYS), training=False)[0]
 
     def rprelu(self, prefix, x):
-        return bitops.rprelu(x, *(self.reals[f"{prefix}.{k}"] for k in _RPRELU_KEYS))
+        return bitops.rprelu_forward(
+            x, *(self.reals[f"{prefix}.{k}"] for k in _RPRELU_KEYS))[0]
 
     def linear(self, prefix, x):
         return tensor_ops.linear_forward(x, self.reals[f"{prefix}.w"])
@@ -316,9 +314,6 @@ def freeze(model: ModelState) -> InferencePlan:
                 _read_only(tensor_ops.sign_matrix(w_sign)), _read_only(alpha))
         else:
             reals[key] = _read_only(np.array(arr, dtype=np.float64))
-            if key.endswith(".run_var"):       # as batchnorm_forward computes it
-                reals[key[:-len("run_var")] + "inv_std"] = _read_only(
-                    1.0 / np.sqrt(reals[key] + tensor_ops.BN_EPS))
     return InferencePlan(spec=model.spec, weight_scaling=model.weight_scaling,
                          signs=MappingProxyType(signs),
                          reals=MappingProxyType(reals))

@@ -40,8 +40,6 @@ import numpy as np
 K_BLOCK = 128
 # Integers below this magnitude are exact in float32 (24-bit significand).
 EXACT_F32 = 1 << 24
-# Variance floor of batch normalization: x_hat = (x - mean) / sqrt(var + BN_EPS).
-BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -184,6 +182,13 @@ def sign_conv2d(
             could reach 2**24 (K * max|x| * w_max), where float32 stops being
             exact.
     """
+    return _sign_conv2d(x, w_mat, geom, pad_value, w_max)
+
+
+def _sign_conv2d(x, w_mat, geom, pad_value, w_max):
+    # conv2d_forward lays out its filters and calls this directly, not the
+    # public sign_matrix / sign_conv2d, so a traced binary conv keeps its
+    # layout and gemm in the conv2d_forward span.
     if x.ndim != 4 or not np.issubdtype(x.dtype, np.integer):
         raise ValueError(f"sign conv input must be 4-d integer NCHW, got "
                          f"{x.dtype} ndim={x.ndim}")
@@ -231,7 +236,8 @@ def conv2d_forward(
     """
     _check_conv_shapes(x, w, geom)
     if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
-        return sign_conv2d(x, sign_matrix(w), geom, pad_value, _abs_max(w))
+        return _sign_conv2d(x, _weight_matrix(w).astype(np.float32), geom,
+                            pad_value, _abs_max(w))
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
     xp = _pad_input(np.asarray(x, dtype=np.float64), geom.padding, pad_value)
@@ -317,7 +323,7 @@ def batchnorm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     momentum: float = 0.1,
-    eps: float = BN_EPS,
+    eps: float = 1e-5,
     training: bool = True,
 ) -> tuple[np.ndarray, dict]:
     """Per-channel batch normalization over (N, H, W).
@@ -358,19 +364,6 @@ def batchnorm_forward(
     cache = {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m,
              "training": training}
     return y, cache
-
-
-def batchnorm_inference(
-    x: np.ndarray,
-    mean: np.ndarray,
-    inv_std: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-) -> np.ndarray:
-    """Inference-mode batchnorm_forward with 1/sqrt(running_var + BN_EPS)
-    given as inv_std: the same per-element ops in the same order, no cache."""
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    return gamma[None, :, None, None] * xhat + beta[None, :, None, None]
 
 
 def batchnorm_backward(
