@@ -29,7 +29,7 @@ def quadrant_blobs(n, rng):
 
 def tiny_plan():
     layers = (
-        netspec.LayerSpec(netspec.FIRST_CONV, "stem", 1, 8, stride=1),
+        netspec.LayerSpec(netspec.FIRST_CONV, "stem", 1, 8, stride=2),
         netspec.LayerSpec(netspec.NORMAL, "block1", 8, 8),
         netspec.LayerSpec(netspec.REDUCTION, "block2", 8, 16, stride=2),
         netspec.LayerSpec(netspec.GLOBAL_POOL, "pool", 16, 16),

@@ -1,8 +1,8 @@
 """Declarative network description and shape-chain validation.
 
-A NetworkSpec is an ordered list of LayerSpecs: one fp32 stem conv (with its
-BatchNorm), a run of binary blocks, a global average pool, and an optional FC
-head. Binary blocks come in two shapes:
+A NetworkSpec is an ordered list of LayerSpecs: one fp32 3x3 stride-2 stem
+conv (with its BatchNorm), a run of binary blocks, a global average pool, and
+an optional FC head. Binary blocks come in two shapes:
 
 * normal: RSign -> 3x3 binary conv -> BN -> +identity -> RPReLU -> RSign ->
   1x1 binary conv -> BN -> +shortcut -> RPReLU; channels preserved.
@@ -96,6 +96,8 @@ def resolve_layer(layer: LayerSpec, in_shape: tuple) -> ShapeStep:
             raise ValueError(
                 f"in_channels {layer.in_channels} != input channels {c}"
             )
+        if layer.stride != 2:
+            raise ValueError(f"the stem conv runs stride 2, got {layer.stride}")
         oh, ow = _stem_out(h, w)
         if oh < 1 or ow < 1:
             raise ValueError("input too small for the stem conv")

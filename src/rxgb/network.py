@@ -75,11 +75,11 @@ _DECAYED_PARAMS = ("stem.conv.w", "fc.w")
 
 @dataclass
 class ModelState:
-    """All mutable state of a backbone: parameters, optimizer, position.
+    """A backbone's parameters and position; no optimizer state.
 
     ``params`` maps hierarchical names (e.g. ``block3.conv3x3.w_latent``) to
-    float64 arrays and includes the BN running statistics; ``velocities``
-    carries momentum buffers for exactly the learnable subset.
+    float64 arrays and includes the BN running statistics. Momentum buffers
+    belong to :func:`train_stage1`, not to the model.
 
     A state whose param arrays are all read-only (every loaded checkpoint)
     is immutable: it keeps the InferencePlan it first builds. A writable
@@ -88,7 +88,6 @@ class ModelState:
 
     spec: netspec.NetworkSpec
     params: dict[str, np.ndarray]
-    velocities: dict[str, np.ndarray]
     seed: int = 0
     epoch: int = 0
     weight_scaling: bool = True
@@ -105,7 +104,6 @@ class ModelState:
         return ModelState(
             spec=self.spec,
             params={k: v.copy() for k, v in self.params.items()},
-            velocities={k: v.copy() for k, v in self.velocities.items()},
             seed=self.seed,
             epoch=self.epoch,
             weight_scaling=self.weight_scaling,
@@ -180,11 +178,8 @@ def build_network(
     params = {name: (_kaiming_uniform(rng, shape, fan_in) if fan_in
                      else np.full(shape, fill))
               for name, shape, fan_in, fill in _param_layout(spec)}
-    model = ModelState(spec=spec, params=params, velocities={}, seed=seed,
-                       weight_scaling=weight_scaling)
-    model.velocities = {k: np.zeros_like(params[k])
-                        for k in model.learnable_keys()}
-    return model
+    return ModelState(spec=spec, params=params, seed=seed,
+                      weight_scaling=weight_scaling)
 
 
 # --- block wiring, shared by training and inference --------------------------
@@ -599,7 +594,9 @@ def train_stage1(model: ModelState, train_ds, val_ds,
                  hp: StageOneConfig) -> TrainResult:
     """SGD with momentum over epochs of shuffled minibatches.
 
-    Tracks validation top-1 after every epoch and returns the state snapshot of
+    The momentum buffers are local to the call: they start at zero and are
+    dropped on return, so a checkpoint is not a resume point. Tracks
+    validation top-1 after every epoch and returns the state snapshot of
     the best epoch (ties keep the earlier one). A non-finite training loss
     aborts immediately — before the poisoned step is applied — and returns
     the best snapshot seen so far with ``aborted`` set and a diagnostic.
@@ -607,6 +604,7 @@ def train_stage1(model: ModelState, train_ds, val_ds,
     keys = model.learnable_keys()
     decay_mask = [k in _DECAYED_PARAMS for k in keys]
     latent_keys = [k for k in keys if k.endswith(".w_latent")]
+    velocities = [np.zeros_like(model.params[k]) for k in keys]
     best = model.copy()
     result = TrainResult(model=best)
     for epoch in range(hp.epochs):
@@ -633,7 +631,7 @@ def train_stage1(model: ModelState, train_ds, val_ds,
             tensor_ops.sgd_step(
                 [model.params[k] for k in keys],
                 [grads[k] for k in keys],
-                [model.velocities[k] for k in keys],
+                velocities,
                 lr=lr,
                 momentum=hp.momentum,
                 weight_decay=hp.weight_decay,
@@ -728,7 +726,7 @@ def infer_hybrid(model, ens: gbdt.TreeEnsemble, x: np.ndarray):
 # --- checkpoint format -------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"RXGBCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -736,14 +734,13 @@ class CheckpointError(ValueError):
 
 
 def checkpoint_bytes(model: ModelState) -> bytes:
-    """Serialize the full model state deterministically.
+    """Serialize the model's parameters deterministically (format v2).
 
     Layout (little-endian): magic, u32 version, u8 weight_scaling, u64 seed,
-    u32 epoch, u32 plan length + plan JSON, u32 record count, then records
-    sorted by name: u16 name length, name, u8 dtype length, numpy dtype
-    string, u8 ndim, u32 per-dim extents, u64 payload bytes, raw C-order
-    little-endian payload. Parameters are stored under ``p:`` names and
-    momentum buffers under ``v:``.
+    u32 epoch, u32 plan length + plan JSON, u32 record count, then one record
+    per parameter, sorted by name: u16 name length, name, u8 dtype length,
+    numpy dtype string, u8 ndim, u32 per-dim extents, u64 payload bytes, raw
+    C-order little-endian payload. No optimizer state is stored.
     """
     spec_json = json.dumps(
         netspec.spec_to_dict(model.spec), sort_keys=True, separators=(",", ":")
@@ -755,11 +752,10 @@ def checkpoint_bytes(model: ModelState) -> bytes:
         struct.pack("<I", len(spec_json)),
         spec_json,
     ]
-    records = {f"p:{k}": v for k, v in model.params.items()}
-    records.update({f"v:{k}": v for k, v in model.velocities.items()})
-    out.append(struct.pack("<I", len(records)))
-    for name in sorted(records):
-        arr = np.ascontiguousarray(records[name])
+    params = model.params
+    out.append(struct.pack("<I", len(params)))
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name])
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         dt = le.dtype.str.encode()
         payload = le.tobytes()
@@ -802,24 +798,15 @@ class _Reader:
                              offset=at).reshape(shape)
 
 
-def _record_layout(spec: netspec.NetworkSpec) -> dict[str, tuple]:
-    """{record name: shape} of a checkpoint of ``spec``: every parameter
-    under ``p:`` and a velocity under ``v:`` for each learnable one."""
-    out = {}
-    for name, shape, _, _ in _param_layout(spec):
-        out[f"p:{name}"] = shape
-        if _is_learnable(name):
-            out[f"v:{name}"] = shape
-    return out
-
-
 def parse_checkpoint(blob: bytes) -> ModelState:
-    """Inverse of :func:`checkpoint_bytes`; raises CheckpointError.
+    """Inverse of :func:`checkpoint_bytes` (format v2); raises CheckpointError.
 
-    The records must be exactly those ``build_network(spec)`` creates: the
-    same names, shapes and dtype (float64). The arrays are read-only views
-    of ``blob``, a read-only bytes-like object (a writable buffer is copied
-    first), so the returned state is immutable: ``copy()`` it to train.
+    The records must be exactly the parameters ``build_network(spec)``
+    creates: the same names, shapes and dtype (float64). Any other version,
+    v1 files with their momentum records included, is rejected. The arrays
+    are read-only views of ``blob``, a read-only bytes-like object (a
+    writable buffer is copied first), so the returned state is immutable:
+    ``copy()`` it to train.
     """
     view = memoryview(blob).cast("B")
     if not view.readonly:
@@ -835,14 +822,14 @@ def parse_checkpoint(blob: bytes) -> ModelState:
     (spec_len,) = r.unpack("<I")
     try:
         spec = netspec.spec_from_dict(json.loads(r.take(spec_len)))
-        layout = _record_layout(spec)
+        layout = {name: shape for name, shape, _, _ in _param_layout(spec)}
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
         raise CheckpointError(f"bad plan: {e}") from e
     (n_records,) = r.unpack("<I")
     if n_records != len(layout):
         raise CheckpointError(
             f"{n_records} records; the plan has {len(layout)}")
-    records = {}
+    params = {}
     for _ in range(n_records):
         (name_len,) = r.unpack("<H")
         raw = r.take(name_len)
@@ -866,15 +853,11 @@ def parse_checkpoint(blob: bytes) -> ModelState:
             raise CheckpointError(
                 f"record {name!r}: payload {nbytes} bytes != shape {shape} x 8"
             )
-        records[name] = r.float64s(shape, nbytes)
+        params[name] = r.float64s(shape, nbytes)
     if r.pos != len(view):
         raise CheckpointError(f"{len(view) - r.pos} trailing bytes")
-    return ModelState(
-        spec=spec,
-        params={k[2:]: v for k, v in records.items() if k.startswith("p:")},
-        velocities={k[2:]: v for k, v in records.items() if k.startswith("v:")},
-        seed=seed, epoch=epoch, weight_scaling=bool(scaling),
-    )
+    return ModelState(spec=spec, params=params, seed=seed, epoch=epoch,
+                      weight_scaling=bool(scaling))
 
 
 def save_checkpoint(model: ModelState, path) -> None:
@@ -901,64 +884,30 @@ def load_checkpoint(path) -> ModelState:
 # --- deployment export -------------------------------------------------------
 
 
-def _payload_walk(model: ModelState):
-    """Yield ("bits", latent) and ("f32", array) items in deployment order."""
-    p = model.params
-    for layer in model.spec.layers:
-        name, kind = layer.name, layer.kind
-        if kind == netspec.FIRST_CONV:
-            yield "f32", p[f"{name}.conv.w"]
-            for k in _BN_KEYS:
-                yield "f32", p[f"{name}.bn.{k}"]
-        elif kind in (netspec.NORMAL, netspec.REDUCTION):
-            convs = (["conv1x1"] if kind == netspec.NORMAL
-                     else ["conv1x1_a", "conv1x1_b"])
-            tail_rp = "rprelu_conv1x1" if kind == netspec.NORMAL else "rprelu_out"
-            yield "f32", p[f"{name}.rsign_conv3x3.shift"]
-            yield "bits", p[f"{name}.conv3x3.w_latent"]
-            for k in _BN_KEYS:
-                yield "f32", p[f"{name}.bn_conv3x3.{k}"]
-            for k in _RPRELU_KEYS:
-                yield "f32", p[f"{name}.rprelu_conv3x3.{k}"]
-            yield "f32", p[f"{name}.rsign_conv1x1.shift"]
-            for conv in convs:
-                yield "bits", p[f"{name}.{conv}.w_latent"]
-            for conv in convs:
-                bn = f"bn_{conv}"
-                for k in _BN_KEYS:
-                    yield "f32", p[f"{name}.{bn}.{k}"]
-            for k in _RPRELU_KEYS:
-                yield "f32", p[f"{name}.{tail_rp}.{k}"]
-        elif kind == netspec.FC_HEAD:
-            yield "f32", p[f"{name}.w"]
-
-
 def deployed_payload(model: ModelState) -> bytes:
     """Pack the deployable parameters: 1 bit per binary weight, 32 per real.
 
     Layout: first every binary conv's sign bits (1 where the latent is
     >= 0) in layer order, each filter bank flattened [Co, Ci, kh, kw]
     row-major, the whole bit stream packed LSB-first and padded to a byte
-    boundary; then, per layer in order, the real-valued tensors as float32
-    little-endian — each binary conv contributes its per-channel alpha
-    immediately after its sign bits' position in the walk.
+    boundary; then the real-valued tensors as float32 little-endian in
+    ``_param_layout`` order, each binary conv's per-channel alpha standing
+    where its latent stands in that order.
 
     For plans whose binary-weight count is a multiple of 8 (all standard
     widths), the byte length equals the cost model's total_param_bits / 8.
     """
     bit_chunks = []
     f32_chunks = []
-    for kind, arr in _payload_walk(model):
-        if kind == "bits":
-            bit_chunks.append((arr.reshape(-1) >= 0).astype(np.uint8))
-            _, alpha = bitops.binarize_weights(
-                arr, weight_scaling=model.weight_scaling
-            )
+    for name, _, _, _ in _param_layout(model.spec):
+        arr = model.params[name]
+        if name.endswith(".w_latent"):
+            w_sign, alpha = bitops.sign_weights(arr, model.weight_scaling)
+            bit_chunks.append(w_sign.reshape(-1) > 0)
             f32_chunks.append(alpha.astype("<f4"))
         else:
             f32_chunks.append(np.ascontiguousarray(arr, dtype="<f4"))
-    bits = (np.concatenate(bit_chunks) if bit_chunks
-            else np.zeros(0, dtype=np.uint8))
+    bits = np.concatenate(bit_chunks) if bit_chunks else np.zeros(0, dtype=bool)
     packed = np.packbits(bits, bitorder="little")
     reals = (np.concatenate([c.reshape(-1) for c in f32_chunks])
              if f32_chunks else np.zeros(0, dtype="<f4"))

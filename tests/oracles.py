@@ -223,3 +223,59 @@ def training_graph_forward(model, x):
         else:
             h = T.linear_forward(h, p[f"{n}.w"])
     return h, feats
+
+
+def _payload_walk(model):
+    """Yield ("bits", latent) and ("f32", array) items in deployment order,
+    spelled out kind by kind."""
+    from rxgb import netspec
+
+    bn_keys = ("gamma", "beta", "run_mean", "run_var")
+    rprelu_keys = ("beta", "gamma", "zeta")
+    p = model.params
+    for layer in model.spec.layers:
+        name, kind = layer.name, layer.kind
+        if kind == netspec.FIRST_CONV:
+            yield "f32", p[f"{name}.conv.w"]
+            for k in bn_keys:
+                yield "f32", p[f"{name}.bn.{k}"]
+        elif kind in (netspec.NORMAL, netspec.REDUCTION):
+            convs = (["conv1x1"] if kind == netspec.NORMAL
+                     else ["conv1x1_a", "conv1x1_b"])
+            tail_rp = "rprelu_conv1x1" if kind == netspec.NORMAL else "rprelu_out"
+            yield "f32", p[f"{name}.rsign_conv3x3.shift"]
+            yield "bits", p[f"{name}.conv3x3.w_latent"]
+            for k in bn_keys:
+                yield "f32", p[f"{name}.bn_conv3x3.{k}"]
+            for k in rprelu_keys:
+                yield "f32", p[f"{name}.rprelu_conv3x3.{k}"]
+            yield "f32", p[f"{name}.rsign_conv1x1.shift"]
+            for conv in convs:
+                yield "bits", p[f"{name}.{conv}.w_latent"]
+            for conv in convs:
+                for k in bn_keys:
+                    yield "f32", p[f"{name}.bn_{conv}.{k}"]
+            for k in rprelu_keys:
+                yield "f32", p[f"{name}.{tail_rp}.{k}"]
+        elif kind == netspec.FC_HEAD:
+            yield "f32", p[f"{name}.w"]
+
+
+def deployed_payload(model):
+    """The deployment payload as first written: every binary conv's sign bits
+    (1 where the latent is >= 0) packed LSB-first, then the reals as float32
+    in walk order, each binary conv's alpha at its sign bits' position."""
+    from rxgb import bitops
+
+    bit_chunks, f32_chunks = [], []
+    for kind, arr in _payload_walk(model):
+        if kind == "bits":
+            bit_chunks.append((arr.reshape(-1) >= 0).astype(np.uint8))
+            _, alpha = bitops.binarize_weights(
+                arr, weight_scaling=model.weight_scaling)
+            f32_chunks.append(alpha.astype("<f4"))
+        else:
+            f32_chunks.append(np.ascontiguousarray(arr, dtype="<f4"))
+    packed = np.packbits(np.concatenate(bit_chunks), bitorder="little")
+    reals = np.concatenate([c.reshape(-1) for c in f32_chunks])
+    return packed.tobytes() + reals.tobytes()

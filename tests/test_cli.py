@@ -262,9 +262,10 @@ def test_missing_artifact_error_line(tmp_path, capsys):
 
 def _checkpoint_mutants(blob):
     """One mutant per way a checkpoint used to escape CheckpointError."""
-    name = b"p:block1.conv3x3.w_latent"
+    name = b"block1.conv3x3.w_latent"
     mutants = {
-        "non-UTF-8 record name": blob.replace(name, b"p:\xff" + name[3:], 1),
+        "format version 1": blob[:8] + struct.pack("<I", 1) + blob[12:],
+        "non-UTF-8 record name": blob.replace(name, b"\xff" + name[1:], 1),
         "garbled dtype": blob.replace(b"<f8", b"<x8", 1),
         "unknown layer kind": blob.replace(b'"binary_block_normal"',
                                            b'"binary_block_xormal"', 1),

@@ -13,6 +13,7 @@ from rxgb import costmodel as cm
 from rxgb.gbdt import GBDTConfig, TreeEnsemble, TreeNode
 from rxgb.netspec import (
     FC_HEAD,
+    FIRST_CONV,
     LayerSpec,
     NetworkSpec,
     reference_spec,
@@ -198,6 +199,10 @@ def test_shape_chain_validation_errors_name_layer_index():
     # missing stem
     with pytest.raises(ValueError, match="layer 0"):
         shape_chain(NetworkSpec(layers=spec.layers[1:]))
+    # a stem declared at stride 1: the stem conv only runs stride 2
+    stem = LayerSpec(FIRST_CONV, "stem", 1, 64, stride=1)
+    with pytest.raises(ValueError, match=r"layer 0 \(stem\): .*stride 2, got 1"):
+        shape_chain(NetworkSpec(layers=(stem,) + spec.layers[1:]))
 
 
 def test_gbdt_cost_config_worst_case():

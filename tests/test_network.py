@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from rxgb import bitops, costmodel, data, gbdt, netspec, network, tensor_ops
+from oracles import deployed_payload as oracle_payload
 from oracles import naive_conv2d, training_graph_forward
 
 
@@ -300,7 +302,6 @@ def test_build_initial_values_and_shapes():
     # Kaiming-uniform fan-in bound
     assert np.abs(p["block1.conv3x3.w_latent"]).max() <= np.sqrt(6.0 / 72)
     assert np.abs(p["fc.w"]).max() <= np.sqrt(6.0 / 16)
-    assert set(model.velocities) == set(model.learnable_keys())
     assert not any(k.endswith(("run_mean", "run_var"))
                    for k in model.learnable_keys())
 
@@ -860,8 +861,14 @@ def test_checkpoint_roundtrip_is_byte_identical():
     assert loaded.seed == trained.seed and loaded.epoch == trained.epoch
     for key in trained.params:
         assert np.array_equal(loaded.params[key], trained.params[key])
-    for key in trained.velocities:
-        assert np.array_equal(loaded.velocities[key], trained.velocities[key])
+    # v2 holds the parameters and nothing else: fixed header, then per
+    # parameter its record header and 8 bytes per value
+    spec_json = json.dumps(netspec.spec_to_dict(trained.spec), sort_keys=True,
+                           separators=(",", ":"))
+    header = 8 + struct.calcsize("<IBQI") + 4 + len(spec_json) + 4
+    records = sum(2 + len(k) + 1 + len("<f8") + 1 + 4 * v.ndim + 8 + 8 * v.size
+                  for k, v in trained.params.items())
+    assert len(blob) == header + records
     x = np.random.default_rng(134).normal(size=(3, 1, 8, 8))
     np.testing.assert_array_equal(
         network.forward(loaded, x)[0], network.forward(trained, x)[0]
@@ -951,6 +958,18 @@ def test_deployed_payload_layout_and_cost_model_agreement():
     headless = network.build_network(tiny_spec(with_fc=False), seed=151)
     report2 = costmodel.cost_report(tiny_spec(with_fc=False))
     assert len(network.deployed_payload(headless)) == report2.total_param_bits // 8
+
+
+@pytest.mark.parametrize("scaling", [True, False])
+def test_deployed_payload_equals_the_kind_by_kind_oracle(scaling):
+    specs = (tiny_spec(), tiny_spec(with_fc=False),
+             netspec.reference_spec(width_mult=0.25))
+    for i, spec in enumerate(specs):
+        model = network.build_network(spec, seed=153 + i, weight_scaling=scaling)
+        randomize_params(model, 156 + i)
+        payload = network.deployed_payload(model)
+        assert payload == oracle_payload(model), spec.layers[-1].name
+        assert len(payload) == costmodel.cost_report(spec).total_param_bits // 8
 
 
 def test_reference_plan_payload_matches_cost_model():
