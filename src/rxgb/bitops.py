@@ -257,7 +257,10 @@ def rprelu_forward(
 ) -> tuple[np.ndarray, dict]:
     """Shifted PReLU: y = f(x - gamma[c]) + zeta[c], f(u) = u if u >= 0 else beta[c]*u.
 
-    The kink at u = 0 takes the positive branch. Returns (y, cache).
+    The kink at u = 0 takes the positive branch. f is computed branch-free
+    as max(0, u) + beta*min(0, u): one term is a zero, so f(u) is the
+    selected branch to the byte (numpy returns the second operand on a tie of
+    zeros, so u = -0 gives -0 as the branch form does). Returns (y, cache).
     """
     x = np.asarray(x, dtype=np.float64)
     c = x.shape[1]
@@ -265,20 +268,26 @@ def rprelu_forward(
         if arr.shape != (c,):
             raise ValueError(f"{name} shape {arr.shape} != ({c},)")
     u = x - gamma[None, :, None, None]
-    pos = u >= 0
-    y = np.where(pos, u, beta[None, :, None, None] * u) + zeta[None, :, None, None]
-    return y, {"u": u, "pos": pos, "beta": beta}
+    y = np.maximum(0.0, u)
+    y += beta[None, :, None, None] * np.minimum(0.0, u)
+    y += zeta[None, :, None, None]
+    return y, {"u": u, "pos": u >= 0, "beta": beta}
 
 
 def rprelu_backward(
     grad_y: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of rprelu: (grad_x, grad_beta, grad_gamma, grad_zeta)."""
+    """Gradients of rprelu: (grad_x, grad_beta, grad_gamma, grad_zeta).
+
+    The slope (1 where u >= 0, else beta) is built from the 0/1 masks, and
+    d f / d beta is min(u, 0), +0 on the positive branch.
+    """
     u, pos, beta = cache["u"], cache["pos"], cache["beta"]
     g = np.asarray(grad_y, dtype=np.float64)
-    slope = np.where(pos, 1.0, beta[None, :, None, None])
+    slope = np.multiply(~pos, beta[None, :, None, None])
+    slope += pos
     grad_x = g * slope
     grad_gamma = -grad_x.sum(axis=(0, 2, 3))
-    grad_beta = (g * np.where(pos, 0.0, u)).sum(axis=(0, 2, 3))
+    grad_beta = (g * np.minimum(u, 0.0)).sum(axis=(0, 2, 3))
     grad_zeta = g.sum(axis=(0, 2, 3))
     return grad_x, grad_beta, grad_gamma, grad_zeta

@@ -21,7 +21,8 @@ Configuration is a flat key=value namespace (see DEFAULTS). Values come
 from ``--config FILE`` and are overridden by ``--<key> <value>`` flags, e.g.
 ``--train.epochs 1 --data.subset 512``. Unknown keys are rejected, and every
 command that writes artifacts echoes the fully resolved configuration to
-``<out>/config.txt``.
+``<out>/config.txt``. It does so only once its inputs are loaded and
+validated, so a command that fails on its inputs writes nothing.
 
 Failures print a single machine-parsable line to stderr::
 
@@ -184,6 +185,8 @@ def _setup_threads(argv: list[str]) -> None:
 
 
 def _out_dir(args, cfg) -> str:
+    """Create the artifact directory and write config.txt into it; called
+    after the command's inputs are loaded and validated."""
     from . import data
 
     out = args.out or time.strftime(f"runs/%Y%m%d-%H%M%S-seed{cfg['seed']}")
@@ -239,11 +242,11 @@ def _gbdt_config(cfg, compliance: bool):
 # --- stages: every subcommand, pipeline included, composes these -----------
 
 
-def _stage_train(cfg, out: str):
-    """Stage 1: train backbone + FC head; write metrics.tsv and the checkpoint."""
+def _train_inputs(cfg, full):
+    """Stage 1's validated inputs from the loaded train split ``full``:
+    (train split, validation split, fresh model, hyperparameters)."""
     from . import data, network
 
-    full = _load_split(cfg, "train")
     train_ds, val_ds = data.split_train_val(full, cfg["data.val_count"])
     spec = _build_spec(cfg)
     model = network.build_network(
@@ -258,6 +261,15 @@ def _stage_train(cfg, out: str):
         seed=cfg["seed"],
         augment=cfg["train.augment"],
     )
+    return train_ds, val_ds, model, hp
+
+
+def _stage_train(inputs, out: str):
+    """Stage 1: train backbone + FC head on ``_train_inputs``; write
+    metrics.tsv and the checkpoint."""
+    from . import data, network
+
+    train_ds, val_ds, model, hp = inputs
     print(f"training {len(train_ds)} samples, validating {len(val_ds)}, "
           f"{hp.epochs} epochs")
     result = network.train_stage1(model, train_ds, val_ds, hp)
@@ -279,24 +291,25 @@ def _stage_train(cfg, out: str):
     return result.model
 
 
-def _stage_extract(cfg, model, split: str, out: str):
-    """Pooled features of one split -> features-<split>.rxgbfeat; returns them."""
+def _stage_extract(cfg, model, ds, out: str):
+    """Pooled features of one loaded split -> features-<split>.rxgbfeat;
+    returns them."""
     from . import data, network
 
     feats, labels = network.extract_features(
-        model, _load_split(cfg, split), batch_size=cfg["train.batch_size"]
+        model, ds, batch_size=cfg["train.batch_size"]
     )
-    path = os.path.join(out, f"features-{split}.rxgbfeat")
+    path = os.path.join(out, f"features-{ds.split}.rxgbfeat")
     data.save_features(path, feats, labels)
-    print(f"{split}: {feats.shape[0]} x {feats.shape[1]} features -> {path}")
+    print(f"{ds.split}: {feats.shape[0]} x {feats.shape[1]} features -> {path}")
     return feats, labels
 
 
-def _stage_boost(config, features_path: str, out: str):
-    """Stage 2: boost the tree head on a feature file -> gbdt-model.txt."""
+def _stage_boost(config, feats, labels, out: str):
+    """Stage 2: boost the tree head on features read from a feature file
+    -> gbdt-model.txt."""
     from . import data, gbdt
 
-    feats, labels = data.load_features(features_path)
     print(f"training tree head on {feats.shape[0]} x {feats.shape[1]} features "
           f"({config.total_tree_budget} trees, depth <= {config.max_depth})")
     ens = gbdt.train_ensemble(feats, labels, config)
@@ -348,23 +361,28 @@ def cmd_fetch_data(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    _stage_train(cfg, _out_dir(args, cfg))
+    inputs = _train_inputs(cfg, _load_split(cfg, "train"))
+    _stage_train(inputs, _out_dir(args, cfg))
     return 0
 
 
 def cmd_extract(args, cfg) -> int:
     from . import network
 
-    out = _out_dir(args, cfg)
     model = network.load_checkpoint(args.checkpoint)
-    for split in ("train", "test"):
-        _stage_extract(cfg, model, split, out)
+    splits = [_load_split(cfg, split) for split in ("train", "test")]
+    out = _out_dir(args, cfg)
+    for ds in splits:
+        _stage_extract(cfg, model, ds, out)
     return 0
 
 
 def cmd_train_gbdt(args, cfg) -> int:
+    from . import data
+
     config = _gbdt_config(cfg, args.compliance)       # refuse before compute
-    _stage_boost(config, args.features, _out_dir(args, cfg))
+    feats, labels = data.load_features(args.features)
+    _stage_boost(config, feats, labels, _out_dir(args, cfg))
     return 0
 
 
@@ -423,15 +441,19 @@ def cmd_cost(args, cfg) -> int:
 
 
 def cmd_pipeline(args, cfg) -> int:
-    from . import network
+    from . import data, network
 
     config = _gbdt_config(cfg, args.compliance)       # refuse before compute
-    out = _out_dir(args, cfg)
     started = time.perf_counter()
-    plan = network.freeze(_stage_train(cfg, out))     # one freeze serves the rest
-    _stage_extract(cfg, plan, "train", out)
-    test_feats, test_labels = _stage_extract(cfg, plan, "test", out)
-    ens = _stage_boost(config, os.path.join(out, "features-train.rxgbfeat"), out)
+    train, test = (_load_split(cfg, split) for split in ("train", "test"))
+    inputs = _train_inputs(cfg, train)
+    out = _out_dir(args, cfg)
+    plan = network.freeze(_stage_train(inputs, out))  # one freeze serves the rest
+    _stage_extract(cfg, plan, train, out)
+    test_feats, test_labels = _stage_extract(cfg, plan, test, out)
+    # boost on the features as written (float32), as train-gbdt reads them
+    feats, labels = data.load_features(os.path.join(out, "features-train.rxgbfeat"))
+    ens = _stage_boost(config, feats, labels, out)
     fc_top1 = _eval_head(cfg, "fc", plan, None, test_feats, test_labels)
     gbdt_top1 = _eval_head(cfg, "gbdt", plan, ens, test_feats, test_labels)
     print(f"pipeline complete in {time.perf_counter() - started:.1f}s: "

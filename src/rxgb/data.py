@@ -16,7 +16,7 @@ any later drift. Writes are serialized per target file with an exclusive
 
 Feature matrices persist in a binary container: 8-byte magic "RXGBFEAT",
 u32 version, u64 rows, u64 cols (header ints little-endian), row-major
-float32 little-endian values, then one u8 label per row.
+float32 little-endian values, then one u8 label per row, in [0, 10).
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ _FEATURES_HEADER = struct.Struct("<8sIQQ")
 
 
 class IdxError(ValueError):
-    """Malformed IDX bytes; message includes the offending byte offset."""
+    """Malformed IDX or RXGBFEAT bytes; the message names the file or the
+    offending byte offset."""
 
 
 @dataclass(frozen=True)
@@ -172,12 +173,16 @@ def decode_labels(idx: IdxFile) -> np.ndarray:
     """IDX labels -> int64 [N]; rejects values outside [0, 10)."""
     if idx.magic != LABELS_MAGIC:
         raise IdxError(f"not a labels file: magic 0x{idx.magic:08x}")
-    raw = np.frombuffer(idx.payload, dtype=np.uint8)
+    return _class_ids(np.frombuffer(idx.payload, dtype=np.uint8), 8)
+
+
+def _class_ids(raw: np.ndarray, offset: int) -> np.ndarray:
+    """u8 labels stored from byte ``offset`` on -> int64, all in [0, 10)."""
     bad = np.nonzero(raw > 9)[0]
     if bad.size:
         i = int(bad[0])
         raise IdxError(
-            f"label {int(raw[i])} out of range [0, 10) at byte offset {8 + i}"
+            f"label {int(raw[i])} out of range [0, 10) at byte offset {offset + i}"
         )
     return raw.astype(np.int64)
 
@@ -410,30 +415,30 @@ def load_features(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
     """Read an RXGBFEAT file back to (float32 [rows, cols], int64 labels).
 
     The feature block is read straight into its array, with no copy of the
-    whole file in between.
+    whole file in between. Malformed bytes (short or long file, bad magic or
+    version, non-finite values, labels outside [0, 10)) raise IdxError.
     """
     with open(path, "rb") as f:
         head = f.read(_FEATURES_HEADER.size)
         if len(head) < _FEATURES_HEADER.size:
-            raise ValueError(f"{path}: truncated header ({len(head)} bytes)")
+            raise IdxError(f"{path}: truncated header ({len(head)} bytes)")
         magic, version, rows, cols = _FEATURES_HEADER.unpack(head)
         if magic != FEATURES_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
+            raise IdxError(f"{path}: bad magic {magic!r}")
         if version != FEATURES_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
+            raise IdxError(f"{path}: unsupported version {version}")
         size = os.fstat(f.fileno()).st_size
         expected = _FEATURES_HEADER.size + rows * cols * 4 + rows
         if size != expected:
-            raise ValueError(
+            raise IdxError(
                 f"{path}: byte length {size} != expected {expected} for "
                 f"{rows}x{cols}"
             )
         feats = np.fromfile(f, dtype="<f4", count=rows * cols)
         labels = np.fromfile(f, dtype=np.uint8, count=rows)
     if feats.size != rows * cols or labels.size != rows:
-        raise ValueError(f"{path}: file shrank while being read")
+        raise IdxError(f"{path}: file shrank while being read")
     feats = feats.reshape(rows, cols)
-    labels = labels.astype(np.int64)
     if feats.size and not np.isfinite(feats).all():
-        raise ValueError(f"{path}: non-finite feature values")
-    return feats, labels
+        raise IdxError(f"{path}: non-finite feature values")
+    return feats, _class_ids(labels, _FEATURES_HEADER.size + rows * cols * 4)

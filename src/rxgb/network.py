@@ -27,10 +27,13 @@ Binary convolutions run forward as exact integer products of the int8
 sign planes (activations from RSign, sign(latent) for the weights), scaled
 by the per-channel alpha once at the end, so the forward equals the
 XNOR-popcount ``bitops.binary_conv2d`` to the byte. The backward pass trains
-with real arithmetic on the effective weights alpha * sign(latent);
-gradients reach the latents through the straight-through clip mask with
-alpha held constant, and latents are clipped to [-1, 1] after every
-optimizer step. Sign activations route gradients through the
+with real arithmetic on the effective weights alpha * sign(latent): it keeps
+the forward's int8 sign planes and alpha, and ``tensor_ops.conv2d_backward``
+builds float64 from them block by block, in products whose row chunks and
+column subsets equal the dense product's (a measured property of the BLAS,
+see ``tensor_ops``). Gradients reach the latents through the
+straight-through clip mask with alpha held constant, and latents are
+clipped to [-1, 1] after every optimizer step. Sign activations route gradients through the
 piecewise-quadratic surrogate in ``bitops``.
 
 One block wiring serves two executors. Training runs the float64 graph on
@@ -339,16 +342,16 @@ def _plan_of(model) -> InferencePlan:
 def _binconv_forward(x_sign, latent, geom, scaling):
     w_sign, alpha = bitops.sign_weights(latent, weight_scaling=scaling)
     y = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
-    cache = {"x": x_sign, "latent": latent, "geom": geom, "scaling": scaling}
+    cache = {"x": x_sign, "w": w_sign, "alpha": alpha, "latent": latent,
+             "geom": geom}
     return y * alpha[None, :, None, None], cache
 
 
 def _binconv_backward(caches, prefix, grad_y, grads):
     cache = caches[prefix]
-    w_eff = bitops.effective_weights(cache["latent"], cache["scaling"])
     gx, gw = tensor_ops.conv2d_backward(
-        grad_y, cache["x"], w_eff, cache["geom"], pad_value=-1.0
-    )
+        grad_y, cache["x"], cache["w"], cache["geom"], pad_value=-1,
+        alpha=cache["alpha"])
     grads[f"{prefix}.w_latent"] = gw * bitops.ste_mask(cache["latent"])
     return gx
 

@@ -20,6 +20,15 @@ not depend on the thread count. That was measured on OpenBLAS 0.3.31 (1, 2
 and 4 threads), but BLAS does not promise it; a single product over a longer
 contraction does differ there (K = 784 at 1 vs 2 threads).
 
+The conv backward rests on a second assumption, measured on the same build
+and just as unpromised: an element of a product does not depend on which
+other rows or columns are computed with it. :func:`conv2d_backward` computes
+grad_x one chunk of whole images at a time, and on grids where the pad ring
+dominates per output position over the filter columns of the taps that read
+the input; both equal the rows and columns of the one dense product byte for
+byte. A binary conv's backward takes the forward's int8 sign planes, which
+reach float64 exactly, one K_BLOCK block at a time.
+
 Products of +/-1 values need no such assumption. A convolution of integer
 operands (:func:`sign_conv2d`, on filters laid out once by :func:`sign_matrix`)
 is one plain float32 product whose every partial sum is an integer below
@@ -40,6 +49,9 @@ import numpy as np
 K_BLOCK = 128
 # Integers below this magnitude are exact in float32 (24-bit significand).
 EXACT_F32 = 1 << 24
+# Rows of one grad_x product chunk in conv2d_backward: bounds the float64
+# product alive at once. The bytes of grad_x do not depend on it.
+_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -125,16 +137,24 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product, and the partial products are added left to right, so the
     summation order depends only on K and not on how BLAS blocks or threads
     a long reduction. When K <= K_BLOCK this is exactly ``a @ b``.
+
+    b may have an integer dtype (the int8 im2col of a binary conv): each row
+    block is converted to float64 just before its product, exactly, so the
+    result equals the product of the float64 b and b is never built whole.
     """
     k = a.shape[1]
     if b.shape[0] != k:
         raise ValueError(f"contraction mismatch: {a.shape} @ {b.shape}")
+
+    def rows(k0):
+        return b[k0:k0 + K_BLOCK].astype(np.float64, copy=False)
+
     if k <= K_BLOCK:
-        return a @ b
-    out = a[:, :K_BLOCK] @ b[:K_BLOCK]
+        return a @ rows(0)
+    out = a[:, :K_BLOCK] @ rows(0)
     part = np.empty_like(out)
     for k0 in range(K_BLOCK, k, K_BLOCK):
-        np.matmul(a[:, k0:k0 + K_BLOCK], b[k0:k0 + K_BLOCK], out=part)
+        np.matmul(a[:, k0:k0 + K_BLOCK], rows(k0), out=part)
         out += part
     return out
 
@@ -251,24 +271,43 @@ def conv2d_backward(
     w: np.ndarray,
     geom: ConvGeometry,
     pad_value: float = 0.0,
+    alpha: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of conv2d_forward w.r.t. input and weights.
 
     Args:
         grad_y: upstream gradient [N, Co, H', W'].
         x, w, geom, pad_value: exactly as passed to the forward call.
+        alpha: optional per-output-channel scale [Co]; the filters are then
+            ``alpha[co] * w``. A binary conv passes its forward's int8 sign
+            planes as x and w with its alpha: the patch matrix stays int8 and
+            reaches float64 one K_BLOCK row block at a time inside
+            :func:`_matmul`, and the filter matrix is built from the signs.
 
     Returns:
-        (grad_x [N, Ci, H, W], grad_w [Co, Ci, kh, kw]). grad_x is an NCHW
-        view of NHWC memory: col2im adds the taps into an [N, Hp, Wp, Ci]
-        buffer, in the layout the products emit, with no per-tap transpose.
+        (grad_x [N, Ci, H, W], grad_w [Co, Ci, kh, kw]), grad_w w.r.t. the
+        (scaled) filters. grad_x is an NCHW view of NHWC memory: col2im adds
+        the taps into an [N, Hp, Wp, Ci] buffer, in the layout the products
+        emit, with no per-tap transpose.
 
-    The padding ring receives gradient too, but it is discarded: pad cells
-    are constants, not inputs.
+    The padding ring receives no gradient: pad cells are constants, not
+    inputs. grad_x is computed one chunk of whole images at a time; where
+    more than half of the (output, tap) pairs read the pad ring (a 3x3 conv
+    on a 2x2 grid), it is computed per output position over the taps that
+    read the input only. Either way each input cell receives the same adds in
+    the same (tap row, tap column) order as one dense product, so the bytes
+    do not depend on the path (see the module docstring for what BLAS must
+    do for that to hold).
     """
     _check_conv_shapes(x, w, geom)
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    if np.issubdtype(x.dtype, np.integer):
+        info = np.iinfo(x.dtype)
+        if pad_value != int(pad_value) or not info.min <= pad_value <= info.max:
+            raise ValueError(f"an {x.dtype} input needs a pad_value of that "
+                             f"dtype, got {pad_value}")
+        pad_value = int(pad_value)
+    else:
+        x = np.asarray(x, dtype=np.float64)
     grad_y = np.asarray(grad_y, dtype=np.float64)
     n, ci, h, wd = x.shape
     co = w.shape[0]
@@ -279,22 +318,71 @@ def conv2d_backward(
         raise ValueError(
             f"grad_y shape {grad_y.shape} != expected {(n, co, oh, ow)}"
         )
+    if alpha is not None and np.shape(alpha) != (co,):
+        raise ValueError(f"alpha shape {np.shape(alpha)} != ({co},)")
 
     gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 1)).reshape(-1, co)
-
     xp = _pad_input(x, p, pad_value)
-    cols = _im2col(xp, geom)
-    gw = _matmul(gy.T, cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+    gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci)
 
-    gcols = _matmul(gy, _weight_matrix(w).T)              # [N*OH*OW, kh*kw*Ci]
-    gcols = gcols.reshape(n, oh, ow, kh, kw, ci)
+    w_mat = _weight_matrix(w)                             # [kh*kw*Ci, Co]
+    w_mat = (w_mat.astype(np.float64) if alpha is None
+             else w_mat * np.asarray(alpha, dtype=np.float64))
     gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci))
-    for i in range(kh):                                   # scatter-add col2im
-        for j in range(kw):
-            gxp[:, i:i + s * oh:s, j:j + s * ow:s, :] += gcols[:, :, :, i, j, :]
+    rows = _interior_taps(oh, kh, s, p, h)
+    cols = _interior_taps(ow, kw, s, p, wd)
+    if 2 * sum(map(len, rows)) * sum(map(len, cols)) < oh * ow * kh * kw:
+        _col2im_interior(gxp, gy.reshape(n, oh, ow, co), w_mat, geom, rows, cols)
+    else:
+        _col2im_dense(gxp, gy, w_mat, geom, oh, ow)
     if p:
         gxp = gxp[:, p:-p, p:-p, :]
-    return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw)
+    return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
+
+
+def _interior_taps(out: int, k: int, s: int, p: int, extent: int) -> list:
+    """Per output index along one axis, the range of kernel taps that read
+    the input rather than the pad ring."""
+    return [range(max(0, p - o * s), min(k, extent + p - o * s)) for o in range(out)]
+
+
+def _col2im_dense(gxp, gy, w_mat, geom, oh, ow):
+    """Add gy @ w_mat.T into gxp [N, Hp, Wp, Ci], one chunk of whole images at
+    a time, each tap as a strided slice in (i, j) order."""
+    kh, kw = geom.kernel
+    s = geom.stride
+    n, ci = gxp.shape[0], gxp.shape[3]
+    per_image = oh * ow
+    step = max(1, _CHUNK_ROWS // per_image)
+    for n0 in range(0, n, step):
+        gcols = _matmul(gy[n0 * per_image:(n0 + step) * per_image], w_mat.T)
+        gcols = gcols.reshape(-1, oh, ow, kh, kw, ci)
+        dst = gxp[n0:n0 + step]
+        for i in range(kh):
+            for j in range(kw):
+                dst[:, i:i + s * oh:s, j:j + s * ow:s, :] += gcols[:, :, :, i, j, :]
+
+
+def _col2im_interior(gxp, gy, w_mat, geom, rows, cols):
+    """col2im of the taps that read the input (``_interior_taps`` ranges):
+    per output position and tap row, one product over that row's interior
+    tap columns, added in the dense path's (i, j) order. gy is
+    [N, OH, OW, Co]."""
+    kh, kw = geom.kernel
+    s = geom.stride
+    ci = gxp.shape[3]
+    parts = {}
+    for a, ti in enumerate(rows):
+        for b, tj in enumerate(cols):
+            for i in ti if tj else ():
+                w_rows = w_mat[(i * kw + tj.start) * ci:(i * kw + tj.stop) * ci]
+                parts[a, b, i] = _matmul(gy[:, a, b, :], w_rows.T).reshape(-1, len(tj), ci)
+    for i in range(kh):
+        for j in range(kw):
+            for a, ti in enumerate(rows):
+                for b, tj in enumerate(cols):
+                    if i in ti and j in tj:
+                        gxp[:, a * s + i, b * s + j, :] += parts[a, b, i][:, j - tj.start, :]
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -350,17 +438,21 @@ def batchnorm_forward(
         if x.shape[0] == 0:
             raise ValueError("batchnorm requires a non-empty batch in training mode")
         mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))                      # biased, matches backward
+        xhat = x - mean[None, :, None, None]
+        y = np.multiply(xhat, xhat)                      # squares; y's buffer
+        var = y.sum(axis=(0, 2, 3)) / m                  # biased, as np.var
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean
+        xhat = x - running_mean[None, :, None, None]
         var = running_var
+        y = np.empty_like(xhat)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    np.multiply(xhat, gamma[None, :, None, None], out=y)
+    y += beta[None, :, None, None]
     cache = {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m,
              "training": training}
     return y, cache
@@ -369,21 +461,31 @@ def batchnorm_forward(
 def batchnorm_backward(
     grad_y: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of batchnorm_forward (training mode) w.r.t. x, gamma, beta."""
+    """Gradients of batchnorm_forward (training mode) w.r.t. x, gamma, beta.
+
+    Works in two buffers: one made by a ufunc of grad_y and xhat, as the
+    summed products are, so each channel sum adds in the same order; and
+    grad_y * gamma, which becomes dx in grad_y's memory layout.
+    """
     xhat = cache["xhat"]
     gamma = cache["gamma"]
     inv_std = cache["inv_std"]
     m = cache["m"]
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    dgamma = np.sum(grad_y * xhat, axis=(0, 2, 3))
+    buf = np.multiply(grad_y, xhat)
+    dgamma = buf.sum(axis=(0, 2, 3))
     dbeta = np.sum(grad_y, axis=(0, 2, 3))
     if not cache["training"]:
         dx = grad_y * (gamma * inv_std)[None, :, None, None]
         return dx, dgamma, dbeta
     dxhat = grad_y * gamma[None, :, None, None]
-    s1 = np.sum(dxhat, axis=(0, 2, 3))[None, :, None, None]
-    s2 = np.sum(dxhat * xhat, axis=(0, 2, 3))[None, :, None, None]
-    dx = (inv_std[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
+    s1 = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
+    s2 = np.multiply(dxhat, xhat, out=buf).sum(axis=(0, 2, 3))[None, :, None, None]
+    dx = dxhat                                           # m * dxhat - s1 - xhat * s2
+    dx *= m
+    dx -= s1
+    dx -= np.multiply(xhat, s2, out=buf)
+    dx *= inv_std[None, :, None, None] / m
     return dx, dgamma, dbeta
 
 

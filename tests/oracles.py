@@ -279,3 +279,107 @@ def deployed_payload(model):
     packed = np.packbits(np.concatenate(bit_chunks), bitorder="little")
     reals = np.concatenate([c.reshape(-1) for c in f32_chunks])
     return packed.tobytes() + reals.tobytes()
+
+
+# --- the training ops as first written, for byte-equality checks ---------------
+
+
+def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
+    """conv2d_backward on float64 operands with one dense grad_x product.
+
+    The form the int8 operands, image chunks and pad-aware products replaced:
+    x and the filters alpha[co] * w become float64 whole, grad_x is one
+    [N*OH*OW, kh*kw*Ci] product scattered tap by tap. It runs the library's
+    fixed-block matmul, so the two must agree to the byte.
+    """
+    from rxgb.tensor_ops import _im2col, _matmul, _pad_input, _weight_matrix
+
+    if alpha is not None:
+        w = w * alpha[:, None, None, None]
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    grad_y = np.asarray(grad_y, dtype=np.float64)
+    n, ci, h, wd = x.shape
+    co = w.shape[0]
+    kh, kw = geom.kernel
+    s, p = geom.stride, geom.padding
+    oh, ow = geom.out_extent(h, wd)
+    gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 1)).reshape(-1, co)
+    xp = _pad_input(x, p, pad_value)
+    gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+    gcols = _matmul(gy, _weight_matrix(w).T).reshape(n, oh, ow, kh, kw, ci)
+    gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci))
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i:i + s * oh:s, j:j + s * ow:s, :] += gcols[:, :, :, i, j, :]
+    if p:
+        gxp = gxp[:, p:-p, p:-p, :]
+    return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw)
+
+
+def where_rprelu_forward(x, beta, gamma, zeta):
+    """RPReLU selecting its branch with np.where on the sign mask of u."""
+    x = np.asarray(x, dtype=np.float64)
+    u = x - gamma[None, :, None, None]
+    pos = u >= 0
+    y = np.where(pos, u, beta[None, :, None, None] * u) + zeta[None, :, None, None]
+    return y, {"u": u, "pos": pos, "beta": beta}
+
+
+def where_rprelu_backward(grad_y, cache):
+    u, pos, beta = cache["u"], cache["pos"], cache["beta"]
+    g = np.asarray(grad_y, dtype=np.float64)
+    slope = np.where(pos, 1.0, beta[None, :, None, None])
+    grad_x = g * slope
+    grad_gamma = -grad_x.sum(axis=(0, 2, 3))
+    grad_beta = (g * np.where(pos, 0.0, u)).sum(axis=(0, 2, 3))
+    grad_zeta = g.sum(axis=(0, 2, 3))
+    return grad_x, grad_beta, grad_gamma, grad_zeta
+
+
+def var_batchnorm_forward(x, gamma, beta, running_mean, running_var,
+                          momentum=0.1, eps=1e-5, training=True):
+    """Batch norm with the batch variance from np.var and fresh temporaries."""
+    x = np.asarray(x, dtype=np.float64)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    if training:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    return y, {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m,
+               "training": training}
+
+
+def temporaries_batchnorm_backward(grad_y, cache):
+    """Batch-norm backward as one expression per gradient."""
+    xhat, gamma, inv_std, m = cache["xhat"], cache["gamma"], cache["inv_std"], cache["m"]
+    grad_y = np.asarray(grad_y, dtype=np.float64)
+    dgamma = np.sum(grad_y * xhat, axis=(0, 2, 3))
+    dbeta = np.sum(grad_y, axis=(0, 2, 3))
+    if not cache["training"]:
+        return grad_y * (gamma * inv_std)[None, :, None, None], dgamma, dbeta
+    dxhat = grad_y * gamma[None, :, None, None]
+    s1 = np.sum(dxhat, axis=(0, 2, 3))[None, :, None, None]
+    s2 = np.sum(dxhat * xhat, axis=(0, 2, 3))[None, :, None, None]
+    dx = (inv_std[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
+    return dx, dgamma, dbeta
+
+
+# (module name, attribute, oracle) of every training op the oracles above stand
+# in for; patch all of them together, since each forward's cache feeds its own
+# backward.
+TRAINING_OP_ORACLES = (
+    ("tensor_ops", "conv2d_backward", dense_conv2d_backward),
+    ("tensor_ops", "batchnorm_forward", var_batchnorm_forward),
+    ("tensor_ops", "batchnorm_backward", temporaries_batchnorm_backward),
+    ("bitops", "rprelu_forward", where_rprelu_forward),
+    ("bitops", "rprelu_backward", where_rprelu_backward),
+)

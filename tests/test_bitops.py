@@ -20,7 +20,14 @@ from rxgb.bitops import (
 )
 from rxgb.tensor_ops import ConvGeometry, conv2d_forward
 
-from oracles import fd_grad, naive_conv2d, piecewise_approxsign_dydu, rel_err
+from oracles import (
+    fd_grad,
+    naive_conv2d,
+    piecewise_approxsign_dydu,
+    rel_err,
+    where_rprelu_backward,
+    where_rprelu_forward,
+)
 
 
 def approxsign(u):
@@ -224,3 +231,40 @@ def test_rprelu_backward_finite_difference():
         assert rel_err(gb, fd_grad(lambda v: run(x, v, gamma, zeta), beta.copy())) <= 1e-6
         assert rel_err(gg, fd_grad(lambda v: run(x, beta, v, zeta), gamma.copy())) <= 1e-4
         assert rel_err(gz, fd_grad(lambda v: run(x, beta, gamma, v), zeta.copy())) <= 1e-6
+
+
+def _nhwc(a):
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def test_rprelu_equals_the_where_form_byte_for_byte():
+    # Signed zeros and the kink (x == gamma), both layouts of x and grad_y,
+    # and planes below and above the size at which numpy reuses temporaries
+    # in place (256 KiB).
+    rng = np.random.default_rng(29)
+    for shape in ((3, 8, 5, 5), (64, 32, 14, 14)):
+        c = shape[1]
+        beta = rng.uniform(0.05, 0.5, c)
+        gamma = np.round(rng.standard_normal(c), 1)
+        gamma[0] = 0.0
+        zeta = rng.standard_normal(c)
+        zeta[0] = 0.0                                    # u = -0 meets zeta = +0
+        raw = rng.standard_normal(shape)
+        raw[:, :, 0, 0] = gamma[None, :]                 # u = +0, the kink
+        raw[:, 0, 1, 1] = -0.0                           # u = -0 - 0 = -0
+        raw[:, 0, 2, 2] = 0.0
+        for x_layout in (np.ascontiguousarray, _nhwc):
+            x = x_layout(raw)
+            y, cache = rprelu_forward(x, beta, gamma, zeta)
+            ry, rcache = where_rprelu_forward(x, beta, gamma, zeta)
+            case = (shape, x_layout.__name__)
+            assert y.tobytes(order="A") == ry.tobytes(order="A"), case
+            assert y.strides == ry.strides, case
+            for g_layout in (np.ascontiguousarray, _nhwc):
+                gy = g_layout(rng.standard_normal(shape))
+                gy[:, :, 3, 3] = 0.0
+                got = rprelu_backward(gy, cache)
+                want = where_rprelu_backward(gy, rcache)
+                assert got[0].strides == want[0].strides, case
+                for a, b in zip(got, want):
+                    assert a.tobytes(order="A") == b.tobytes(order="A"), case

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from rxgb import cli, netspec, network
+from rxgb import cli, data, netspec, network
 
 
 def write_synthetic_cache(cache, n_train=64, n_test=16, seed=0):
@@ -329,3 +329,68 @@ def test_fetch_data_verifies_existing_cache(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("verified") == 4
     assert (cache / "digests.lock").exists()
+
+
+# --- failed commands leave no output ----------------------------------------------
+
+
+def test_failed_extract_creates_no_dir_and_keeps_an_existing_config(
+        tmp_path, cache_dir, capsys):
+    spec = netspec.reference_spec(width_mult=0.125)
+    blob = network.checkpoint_bytes(network.build_network(spec, seed=0))
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:])
+    base = ["extract", "--checkpoint", str(v1), "--data.dir", str(cache_dir),
+            *SMOKE_ARGS]
+
+    fresh = tmp_path / "fresh"
+    assert cli.main([*base, "--out", str(fresh)]) == 1
+    assert capsys.readouterr().err.startswith("RXGB-ERROR checkpoint-format:")
+    assert not fresh.exists()
+
+    run = tmp_path / "run"                     # an earlier command's run dir
+    run.mkdir()
+    (run / "config.txt").write_bytes(b"seed = 5\n")
+    assert cli.main([*base, "--out", str(run), "--seed", "6"]) == 1
+    assert capsys.readouterr().err.startswith("RXGB-ERROR checkpoint-format:")
+    assert (run / "config.txt").read_bytes() == b"seed = 5\n"
+    assert sorted(p.name for p in run.iterdir()) == ["config.txt"]
+
+
+def _feature_mutants(blob, rng, count):
+    """Seeded mutants of a feature file: half truncations, half 1-4 random
+    byte writes."""
+    for k in range(count):
+        if k % 2 == 0:
+            yield blob[:int(rng.integers(0, len(blob)))]
+        else:
+            m = bytearray(blob)
+            for _ in range(int(rng.integers(1, 5))):
+                m[int(rng.integers(0, len(m)))] = int(rng.integers(0, 256))
+            yield bytes(m)
+
+
+def test_feature_file_mutants_print_one_data_format_line(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "f.rxgbfeat"
+    data.save_features(path, rng.standard_normal((40, 6)).astype(np.float32),
+                       np.arange(40) % 10)
+    blob = path.read_bytes()
+    outcomes = {"ok": 0, "data-format": 0}
+    for k, mutant in enumerate(_feature_mutants(blob, rng, 80)):
+        path.write_bytes(mutant)
+        out = tmp_path / f"o{k}"
+        capsys.readouterr()
+        rc = cli.main(["train-gbdt", "--features", str(path), "--out", str(out),
+                       "--gbdt.max_trees", "2", "--gbdt.max_depth", "2"])
+        err = capsys.readouterr().err
+        if rc == 0:
+            outcomes["ok"] += 1
+            assert (out / "gbdt-model.txt").exists(), k
+            continue
+        assert rc == 1, (k, err)
+        assert err.startswith("RXGB-ERROR data-format:"), (k, err)
+        assert err.count("\n") == 1, (k, err)
+        assert not out.exists(), k
+        outcomes["data-format"] += 1
+    assert outcomes["data-format"] >= 40, outcomes      # every truncation at least

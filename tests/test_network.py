@@ -12,7 +12,7 @@ import pytest
 
 from rxgb import bitops, costmodel, data, gbdt, netspec, network, tensor_ops
 from oracles import deployed_payload as oracle_payload
-from oracles import naive_conv2d, training_graph_forward
+from oracles import TRAINING_OP_ORACLES, naive_conv2d, training_graph_forward
 
 
 def tiny_spec(with_fc=True, feature_dim=16, classes=4):
@@ -466,6 +466,34 @@ def separable_dataset(n, seed, classes=4):
         images[i, 0, r:r + 4, c:c + 4] += 1.0
     return data.Dataset(images=images, labels=labels.astype(np.int64),
                         split="train")
+
+
+def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch):
+    # Same-seed stage-1 training with the float64 dense conv backward, the
+    # np.where RPReLU and the temporaries batch norm patched in (tests/oracles)
+    # against the library ops, alpha on and off. Width 0.25 on 28x28 keeps
+    # the 2x2 grids (pad-aware grad_x) and convs of 256 channels.
+    rng = np.random.default_rng(41)
+    ds = data.Dataset(images=rng.standard_normal((48, 1, 28, 28)),
+                      labels=np.arange(48) % 10, split="train")
+    train, val = data.split_train_val(ds, 16)
+    spec = netspec.reference_spec(width_mult=0.25)
+    hp = network.StageOneConfig(epochs=1, batch_size=16, seed=42)
+    modules = {"tensor_ops": tensor_ops, "bitops": bitops}
+
+    def trained(scaling):
+        model = network.build_network(spec, seed=43, weight_scaling=scaling)
+        result = network.train_stage1(model, train, val, hp)
+        assert not result.aborted
+        return network.checkpoint_bytes(model)
+
+    for scaling in (True, False):
+        got = trained(scaling)
+        with monkeypatch.context() as m:
+            for module, attr, oracle in TRAINING_OP_ORACLES:
+                m.setattr(modules[module], attr, oracle)
+            want = trained(scaling)
+        assert got == want, scaling
 
 
 def test_overfits_small_separable_sample():

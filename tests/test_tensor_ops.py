@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rxgb import tensor_ops
+from rxgb import bitops, tensor_ops
 from rxgb.tensor_ops import (
     K_BLOCK,
     ConvGeometry,
@@ -26,7 +26,15 @@ from rxgb.tensor_ops import (
     softmax_cross_entropy,
 )
 
-from oracles import fd_grad, naive_conv2d, nchw_conv2d_backward, rel_err
+from oracles import (
+    dense_conv2d_backward,
+    fd_grad,
+    naive_conv2d,
+    nchw_conv2d_backward,
+    rel_err,
+    temporaries_batchnorm_backward,
+    var_batchnorm_forward,
+)
 
 
 def random_conv_case(rng):
@@ -135,6 +143,59 @@ def test_conv_backward_equals_nchw_scatter_reference_byte_for_byte():
             assert gw.tobytes() == rw.tobytes(), case
 
 
+# (N, C, H=W, k, stride) of binary convs: the desk 3x3s above (the 2x2 grids at
+# stride 1 take the pad-aware path; 256 and 512 channels are Co > 128), 1x1s,
+# and a batch whose grad_x product spans two image chunks.
+_BINARY_CASES = ([(3, c, hw, 3, s) for c, hw, s in _DESK_3X3]
+                 + [(3, 32, 14, 1, 1), (3, 512, 2, 1, 1), (3, 16, 7, 1, 2),
+                    (16, 32, 14, 3, 1)])
+
+
+def _sign_plane(rng, shape):
+    return np.where(rng.standard_normal(shape) >= 0, 1, -1).astype(np.int8)
+
+
+def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte(monkeypatch):
+    # The forward's int8 operands and alpha against the float64 effective
+    # weights alpha * sign(latent) through one dense grad_x product.
+    interior = []
+    col2im_interior = tensor_ops._col2im_interior
+
+    def spy(*args):
+        interior.append(case)
+        return col2im_interior(*args)
+
+    monkeypatch.setattr(tensor_ops, "_col2im_interior", spy)
+    rng = np.random.default_rng(15)
+    for n, c, hw, k, stride in _BINARY_CASES:
+        geom = ConvGeometry((k, k), stride, k // 2)
+        x = _sign_plane(rng, (n, c, hw, hw))
+        latent = rng.uniform(-1.0, 1.0, (c, c, k, k))
+        oh, ow = geom.out_extent(hw, hw)
+        gy = rng.standard_normal((n, c, oh, ow))
+        for scaling in (True, False):
+            case = (n, c, hw, k, stride, scaling)
+            w_sign, alpha = bitops.sign_weights(latent, scaling)
+            gx, gw = conv2d_backward(gy, x, w_sign, geom, pad_value=-1, alpha=alpha)
+            rx, rw = dense_conv2d_backward(
+                gy, x, bitops.effective_weights(latent, scaling), geom, pad_value=-1.0)
+            assert gx.tobytes(order="A") == rx.tobytes(order="A"), case
+            assert gx.strides == rx.strides and gw.tobytes() == rw.tobytes(), case
+    # the pad-aware products ran exactly where most (output, tap) pairs read
+    # the pad ring: 3x3 stride 1 on 2x2 grids
+    assert sorted({c[:5] for c in interior}) == [(3, 256, 2, 3, 1), (3, 512, 2, 3, 1)]
+
+
+def test_binary_conv_backward_rejects_a_pad_value_outside_the_input_dtype():
+    geom = ConvGeometry((3, 3), 1, 1)
+    x = np.ones((1, 2, 4, 4), dtype=np.int8)
+    w = np.ones((2, 2, 3, 3), dtype=np.int8)
+    gy = np.ones((1, 2, 4, 4))
+    for bad in (0.5, 300):
+        with pytest.raises(ValueError, match="pad_value"):
+            conv2d_backward(gy, x, w, geom, pad_value=bad)
+
+
 def test_integer_conv_is_exact_and_guards_float32_range():
     geom = ConvGeometry((1, 1))
     # K * 127 * 127 is 16,774,160 at K = 1040, below 2**24; K = 1041 is not.
@@ -234,6 +295,41 @@ def test_batchnorm_backward_finite_difference():
         assert rel_err(dx, fd_grad(lambda v: run(v, gamma, beta), x.copy())) <= 1e-4
         assert rel_err(dgamma, fd_grad(lambda v: run(x, v, beta), gamma.copy())) <= 1e-6
         assert rel_err(dbeta, fd_grad(lambda v: run(x, gamma, v), beta.copy())) <= 1e-6
+
+
+def _nhwc(a):
+    """The same values in NHWC memory, viewed as NCHW (a conv's output layout)."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def test_batchnorm_equals_the_temporaries_form_byte_for_byte():
+    # Both layouts of x and grad_y, and planes below and above the size at
+    # which numpy reuses temporaries in place (256 KiB).
+    rng = np.random.default_rng(23)
+    for shape in ((3, 8, 5, 5), (64, 32, 14, 14)):
+        c = shape[1]
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+        for x_layout in (np.ascontiguousarray, _nhwc):
+            x = x_layout(rng.standard_normal(shape) * 3.0 + 1.0)
+            for training in (True, False):
+                stats = (rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
+                new_stats = tuple(a.copy() for a in stats)
+                y, cache = batchnorm_forward(x, gamma, beta, *new_stats,
+                                             training=training)
+                ry, rcache = var_batchnorm_forward(x, gamma, beta, *stats,
+                                                   training=training)
+                case = (shape, x_layout.__name__, training)
+                assert y.tobytes(order="A") == ry.tobytes(order="A"), case
+                assert y.strides == ry.strides, case
+                for a, b in zip(new_stats, stats):
+                    assert a.tobytes() == b.tobytes(), case
+                for g_layout in (np.ascontiguousarray, _nhwc):
+                    gy = g_layout(rng.standard_normal(shape))
+                    got = batchnorm_backward(gy, cache)
+                    want = temporaries_batchnorm_backward(gy, rcache)
+                    for a, b in zip(got, want):
+                        assert (np.ascontiguousarray(a).tobytes()
+                                == np.ascontiguousarray(b).tobytes()), case
 
 
 def test_pools_forward_and_backward():
@@ -356,6 +452,15 @@ _CONV_SWEEP = [
     (8, 1, 8, 28, 3, 1, 1),
     (2, 128, 128, 4, 3, 1, 1),
 ]
+# (N, Ci = Co, H=W, k, stride) of binary convs on int8 operands: a grad_x
+# product of two image chunks, the pad-aware 2x2 products with Co > 128,
+# stride 2, and a 1x1.
+_BINARY_SWEEP = [
+    (16, 32, 14, 3, 1),
+    (16, 256, 2, 3, 1),
+    (16, 64, 7, 3, 2),
+    (16, 512, 2, 1, 1),
+]
 # (N, D, K) of the FC head.
 _FC_SWEEP = [(16, 128, 10), (128, 512, 10), (200, 256, 10)]
 
@@ -379,6 +484,16 @@ for n, ci, co, hw, k, s, p in json.loads(sys.argv[1]):
     rows += [("conv2d_forward y", case, digest(y)),
              ("conv2d_backward grad_x", case, digest(gx)),
              ("conv2d_backward grad_w", case, digest(gw))]
+for n, c, hw, k, s in json.loads(sys.argv[3]):
+    geom = T.ConvGeometry((k, k), s, k // 2)
+    x = np.where(rng.standard_normal((n, c, hw, hw)) >= 0, 1, -1).astype(np.int8)
+    w = np.where(rng.standard_normal((c, c, k, k)) >= 0, 1, -1).astype(np.int8)
+    oh, ow = geom.out_extent(hw, hw)
+    gx, gw = T.conv2d_backward(rng.standard_normal((n, c, oh, ow)), x, w, geom,
+                               pad_value=-1, alpha=rng.uniform(0.1, 1.0, c))
+    case = f"N={n} C={c} {hw}x{hw} k{k} s{s} int8"
+    rows += [("conv2d_backward grad_x", case, digest(gx)),
+             ("conv2d_backward grad_w", case, digest(gw))]
 for n, d, k in json.loads(sys.argv[2]):
     x = rng.standard_normal((n, d))
     w = rng.standard_normal((d, k))
@@ -401,7 +516,7 @@ def _sweep_digests(threads: int) -> list:
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-c", _SWEEP_SCRIPT,
-         json.dumps(_CONV_SWEEP), json.dumps(_FC_SWEEP)],
+         json.dumps(_CONV_SWEEP), json.dumps(_FC_SWEEP), json.dumps(_BINARY_SWEEP)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -411,7 +526,7 @@ def _sweep_digests(threads: int) -> list:
 def test_products_byte_identical_across_thread_counts():
     # Fresh interpreters, because BLAS reads its thread count when numpy loads.
     base = _sweep_digests(1)
-    assert len(base) == 3 * (len(_CONV_SWEEP) + len(_FC_SWEEP))
+    assert len(base) == 3 * (len(_CONV_SWEEP) + len(_FC_SWEEP)) + 2 * len(_BINARY_SWEEP)
     for threads in (2, 4):
         pairs = zip(base, _sweep_digests(threads), strict=True)
         for (op, case, want), (_, _, got) in pairs:
