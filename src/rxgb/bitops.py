@@ -259,8 +259,12 @@ def rprelu_forward(
 
     The kink at u = 0 takes the positive branch. f is computed branch-free
     as max(0, u) + beta*min(0, u): one term is a zero, so f(u) is the
-    selected branch to the byte (numpy returns the second operand on a tie of
-    zeros, so u = -0 gives -0 as the branch form does). Returns (y, cache).
+    selected branch to the byte. For u = -0 that rests on maximum and minimum
+    returning their second operand on a tie of zeros, so that f(-0) = -0 as
+    the branch form gives. numpy does not promise this; it was measured in
+    numpy 2.4's x86 SIMD loops (its scalar loop returns the first operand,
+    and NEON orders -0 < +0), and tests/test_bitops.py checks it with
+    zeta = -0. Returns (y, cache).
     """
     x = np.asarray(x, dtype=np.float64)
     c = x.shape[1]

@@ -30,8 +30,8 @@ XNOR-popcount ``bitops.binary_conv2d`` to the byte. The backward pass trains
 with real arithmetic on the effective weights alpha * sign(latent): it keeps
 the forward's int8 sign planes and alpha, and ``tensor_ops.conv2d_backward``
 builds float64 from them block by block, in products whose row chunks and
-column subsets equal the dense product's (a measured property of the BLAS,
-see ``tensor_ops``). Gradients reach the latents through the
+column subsets equal the dense product's (a measured property of the BLAS
+that holds only for large enough parts, which ``tensor_ops`` guards). Gradients reach the latents through the
 straight-through clip mask with alpha held constant, and latents are
 clipped to [-1, 1] after every optimizer step. Sign activations route gradients through the
 piecewise-quadratic surrogate in ``bitops``.

@@ -21,13 +21,23 @@ and 4 threads), but BLAS does not promise it; a single product over a longer
 contraction does differ there (K = 784 at 1 vs 2 threads).
 
 The conv backward rests on a second assumption, measured on the same build
-and just as unpromised: an element of a product does not depend on which
-other rows or columns are computed with it. :func:`conv2d_backward` computes
-grad_x one chunk of whole images at a time, and on grids where the pad ring
-dominates per output position over the filter columns of the taps that read
-the input; both equal the rows and columns of the one dense product byte for
-byte. A binary conv's backward takes the forward's int8 sign planes, which
-reach float64 exactly, one K_BLOCK block at a time.
+(AVX-512 kernels) and just as unpromised: an element of a product does not
+depend on which other rows or columns are computed with it, as long as the
+product stays on the regular gemm kernel. Three kinds of product leave it
+there and sum in another order: numpy sends a product of one row or one
+column to gemv; OpenBLAS sends one of at most 1200 rows x columns (over a
+contraction of at least 32) to its small-matrix kernel; and with a column
+count of 4 mod 8 above 192, row chunks differ from the whole. So
+:func:`conv2d_backward` splits grad_x into smaller products (chunks of at
+least _CHUNK_ROWS / 2 rows or the whole batch, and on grids where the pad
+ring dominates one product per output position over the taps that read the
+input) only when Ci is a multiple of 32 and, per output position, the batch
+has at least _SPLIT_MIN_IMAGES images. Every part is then a regular gemm;
+the result was measured equal to the dense product byte for byte for every
+binary conv of the width-0.25 and width-0.5 networks on 28x28 images at
+every batch size from 1 to 130. A
+binary conv's backward takes the forward's int8 sign planes, which reach
+float64 exactly, one K_BLOCK block at a time.
 
 Products of +/-1 values need no such assumption. A convolution of integer
 operands (:func:`sign_conv2d`, on filters laid out once by :func:`sign_matrix`)
@@ -50,8 +60,13 @@ K_BLOCK = 128
 # Integers below this magnitude are exact in float32 (24-bit significand).
 EXACT_F32 = 1 << 24
 # Rows of one grad_x product chunk in conv2d_backward: bounds the float64
-# product alive at once. The bytes of grad_x do not depend on it.
+# product alive at once. The last chunk takes the remainder, so every chunk
+# has at least half as many rows (see the module docstring).
 _CHUNK_ROWS = 2048
+# Fewest images (the rows of each product) for which conv2d_backward makes
+# one grad_x product per output position: with Ci >= 32 columns, far from a
+# one-row gemv and from the small-matrix kernel's 1200 rows x columns.
+_SPLIT_MIN_IMAGES = 128
 
 
 @dataclass(frozen=True)
@@ -291,13 +306,14 @@ def conv2d_backward(
         emit, with no per-tap transpose.
 
     The padding ring receives no gradient: pad cells are constants, not
-    inputs. grad_x is computed one chunk of whole images at a time; where
-    more than half of the (output, tap) pairs read the pad ring (a 3x3 conv
-    on a 2x2 grid), it is computed per output position over the taps that
-    read the input only. Either way each input cell receives the same adds in
-    the same (tap row, tap column) order as one dense product, so the bytes
-    do not depend on the path (see the module docstring for what BLAS must
-    do for that to hold).
+    inputs. When Ci is a multiple of 32, grad_x is computed one chunk of
+    whole images at a time; where in addition more than half of the (output,
+    tap) pairs read the pad ring (a 3x3 conv on a 2x2 grid) and the batch
+    has at least _SPLIT_MIN_IMAGES images, it is computed per output position
+    over the taps that read the input only. Otherwise it is one dense
+    product. Each input cell receives the same adds in the same (tap row, tap
+    column) order on every path, so the bytes do not depend on the path (see
+    the module docstring for what BLAS must do for that to hold).
     """
     _check_conv_shapes(x, w, geom)
     if np.issubdtype(x.dtype, np.integer):
@@ -331,10 +347,12 @@ def conv2d_backward(
     gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci))
     rows = _interior_taps(oh, kh, s, p, h)
     cols = _interior_taps(ow, kw, s, p, wd)
-    if 2 * sum(map(len, rows)) * sum(map(len, cols)) < oh * ow * kh * kw:
+    split = ci % 32 == 0                                 # see the module docstring
+    if (split and n >= _SPLIT_MIN_IMAGES
+            and 2 * sum(map(len, rows)) * sum(map(len, cols)) < oh * ow * kh * kw):
         _col2im_interior(gxp, gy.reshape(n, oh, ow, co), w_mat, geom, rows, cols)
     else:
-        _col2im_dense(gxp, gy, w_mat, geom, oh, ow)
+        _col2im_dense(gxp, gy, w_mat, geom, oh, ow, split)
     if p:
         gxp = gxp[:, p:-p, p:-p, :]
     return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
@@ -346,18 +364,20 @@ def _interior_taps(out: int, k: int, s: int, p: int, extent: int) -> list:
     return [range(max(0, p - o * s), min(k, extent + p - o * s)) for o in range(out)]
 
 
-def _col2im_dense(gxp, gy, w_mat, geom, oh, ow):
-    """Add gy @ w_mat.T into gxp [N, Hp, Wp, Ci], one chunk of whole images at
-    a time, each tap as a strided slice in (i, j) order."""
+def _col2im_dense(gxp, gy, w_mat, geom, oh, ow, chunked):
+    """Add gy @ w_mat.T into gxp [N, Hp, Wp, Ci], each tap as a strided slice
+    in (i, j) order; when chunked, one chunk of whole images at a time, the
+    last chunk taking the remainder, else as one product."""
     kh, kw = geom.kernel
     s = geom.stride
     n, ci = gxp.shape[0], gxp.shape[3]
     per_image = oh * ow
-    step = max(1, _CHUNK_ROWS // per_image)
-    for n0 in range(0, n, step):
-        gcols = _matmul(gy[n0 * per_image:(n0 + step) * per_image], w_mat.T)
+    step = max(1, _CHUNK_ROWS // per_image if chunked else n)
+    starts = range(0, max(n - step, 0) + 1, step)
+    for n0, n1 in zip(starts, [*starts[1:], n]):
+        gcols = _matmul(gy[n0 * per_image:n1 * per_image], w_mat.T)
         gcols = gcols.reshape(-1, oh, ow, kh, kw, ci)
-        dst = gxp[n0:n0 + step]
+        dst = gxp[n0:n1]
         for i in range(kh):
             for j in range(kw):
                 dst[:, i:i + s * oh:s, j:j + s * ow:s, :] += gcols[:, :, :, i, j, :]

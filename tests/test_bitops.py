@@ -240,18 +240,23 @@ def _nhwc(a):
 def test_rprelu_equals_the_where_form_byte_for_byte():
     # Signed zeros and the kink (x == gamma), both layouts of x and grad_y,
     # and planes below and above the size at which numpy reuses temporaries
-    # in place (256 KiB).
+    # in place (256 KiB). The branch-free form gives u = -0 its sign only
+    # because numpy's maximum and minimum return the second operand on a tie
+    # of zeros, which numpy does not promise: zeta = -0 (channel 1) catches a
+    # build where the tie goes the other way. (grad_beta cannot show it:
+    # numpy's sums start from +0, so no channel sum is -0.)
     rng = np.random.default_rng(29)
     for shape in ((3, 8, 5, 5), (64, 32, 14, 14)):
         c = shape[1]
         beta = rng.uniform(0.05, 0.5, c)
         gamma = np.round(rng.standard_normal(c), 1)
-        gamma[0] = 0.0
+        gamma[:2] = 0.0
         zeta = rng.standard_normal(c)
         zeta[0] = 0.0                                    # u = -0 meets zeta = +0
+        zeta[1] = -0.0                                   # u = -0 meets zeta = -0
         raw = rng.standard_normal(shape)
         raw[:, :, 0, 0] = gamma[None, :]                 # u = +0, the kink
-        raw[:, 0, 1, 1] = -0.0                           # u = -0 - 0 = -0
+        raw[:, :2, 1, 1] = -0.0                          # u = -0 - 0 = -0
         raw[:, 0, 2, 2] = 0.0
         for x_layout in (np.ascontiguousarray, _nhwc):
             x = x_layout(raw)

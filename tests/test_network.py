@@ -472,13 +472,15 @@ def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch)
     # Same-seed stage-1 training with the float64 dense conv backward, the
     # np.where RPReLU and the temporaries batch norm patched in (tests/oracles)
     # against the library ops, alpha on and off. Width 0.25 on 28x28 keeps
-    # the 2x2 grids (pad-aware grad_x) and convs of 256 channels.
+    # the 2x2 grids and convs of 256 channels; 129 training images make a
+    # batch of 128 (pad-aware grad_x on the 2x2 grids) and a final batch of
+    # one image (one dense product).
     rng = np.random.default_rng(41)
-    ds = data.Dataset(images=rng.standard_normal((48, 1, 28, 28)),
-                      labels=np.arange(48) % 10, split="train")
+    ds = data.Dataset(images=rng.standard_normal((145, 1, 28, 28)),
+                      labels=np.arange(145) % 10, split="train")
     train, val = data.split_train_val(ds, 16)
     spec = netspec.reference_spec(width_mult=0.25)
-    hp = network.StageOneConfig(epochs=1, batch_size=16, seed=42)
+    hp = network.StageOneConfig(epochs=1, batch_size=128, seed=42)
     modules = {"tensor_ops": tensor_ops, "bitops": bitops}
 
     def trained(scaling):

@@ -143,12 +143,17 @@ def test_conv_backward_equals_nchw_scatter_reference_byte_for_byte():
             assert gw.tobytes() == rw.tobytes(), case
 
 
-# (N, C, H=W, k, stride) of binary convs: the desk 3x3s above (the 2x2 grids at
-# stride 1 take the pad-aware path; 256 and 512 channels are Co > 128), 1x1s,
-# and a batch whose grad_x product spans two image chunks.
+# (N, C, H=W, k, stride) of binary convs: the desk 3x3s above (256 and 512
+# channels are Co > 128); batches of one and two images on 2x2 grids, whose
+# per-position products would be a gemv or small enough for OpenBLAS's
+# small-matrix kernel; 1x1s; a batch whose grad_x product spans two image
+# chunks; the pad-aware products of a 2x2 grid at N = 128; and a 2x2 grid at
+# N = 128 whose 48 channels keep one dense product.
 _BINARY_CASES = ([(3, c, hw, 3, s) for c, hw, s in _DESK_3X3]
-                 + [(3, 32, 14, 1, 1), (3, 512, 2, 1, 1), (3, 16, 7, 1, 2),
-                    (16, 32, 14, 3, 1)])
+                 + [(1, 256, 2, 3, 1), (1, 512, 2, 3, 1), (2, 256, 2, 3, 1),
+                    (1, 32, 3, 3, 2), (3, 32, 14, 1, 1), (3, 512, 2, 1, 1),
+                    (3, 16, 7, 1, 2), (21, 32, 14, 3, 1), (128, 256, 2, 3, 1),
+                    (128, 48, 2, 3, 1)])
 
 
 def _sign_plane(rng, shape):
@@ -182,8 +187,9 @@ def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte(monkey
             assert gx.tobytes(order="A") == rx.tobytes(order="A"), case
             assert gx.strides == rx.strides and gw.tobytes() == rw.tobytes(), case
     # the pad-aware products ran exactly where most (output, tap) pairs read
-    # the pad ring: 3x3 stride 1 on 2x2 grids
-    assert sorted({c[:5] for c in interior}) == [(3, 256, 2, 3, 1), (3, 512, 2, 3, 1)]
+    # the pad ring (3x3 stride 1 on a 2x2 grid), Ci is a multiple of 32 and
+    # the batch has at least 128 images
+    assert sorted({c[:5] for c in interior}) == [(128, 256, 2, 3, 1)]
 
 
 def test_binary_conv_backward_rejects_a_pad_value_outside_the_input_dtype():
@@ -453,11 +459,12 @@ _CONV_SWEEP = [
     (2, 128, 128, 4, 3, 1, 1),
 ]
 # (N, Ci = Co, H=W, k, stride) of binary convs on int8 operands: a grad_x
-# product of two image chunks, the pad-aware 2x2 products with Co > 128,
-# stride 2, and a 1x1.
+# product of two image chunks, the pad-aware 2x2 products with Co > 128, the
+# dense product of a one-image 2x2 batch, stride 2, and a 1x1.
 _BINARY_SWEEP = [
-    (16, 32, 14, 3, 1),
-    (16, 256, 2, 3, 1),
+    (21, 32, 14, 3, 1),
+    (128, 256, 2, 3, 1),
+    (1, 256, 2, 3, 1),
     (16, 64, 7, 3, 2),
     (16, 512, 2, 1, 1),
 ]

@@ -1,21 +1,22 @@
 """Alternating parent/change runs of perfbench, summarised as a BENCH_*.json.
 
-    python3 tools/bench_pairs.py REV [--workloads train,boost,infer,pipeline]
-        [--pairs 10] [--seconds 30] [--seed0 1000] [--out BENCH_x.json]
+    python3 tools/bench_pairs.py REV [--seed0 1000] [--out BENCH_x.json]
         [--claim WORKLOAD:METRIC] [--what TEXT]
 
 The parent side is ``git archive REV`` unpacked into a temporary directory;
 the change side is a snapshot of the working tree (tracked and untracked,
 not ignored, files) taken at start, so edits made while it runs are not
-measured. Each pair runs ``perfbench/run.py --workload W --seed S --seconds N
---trace 0`` once per side, one run at a time, with the same seed; the side
-that runs first alternates, parent first on the first pair. Per metric the
-JSON holds each side's median and quartiles (inclusive linear interpolation),
-every run, and ``change_wins``: the pairs where the change is better in the
-direction ``BENCHMARK.json`` gives. Each (workload, metric) is printed with
-its verdict against the ``BENCHMARK.json`` bound. ``--claim`` adds a
-``claim_result``: the change must win at least 9/10 of the pairs and its
-median must beat the parent's by more than the parent's quartile distance.
+measured. Every workload of ``BENCHMARK.json`` runs 10 pairs; each pair runs
+``perfbench/run.py --workload W --seed S --seconds N --trace 0``, N being
+``BENCHMARK.json``'s ``run_seconds``, once per side, one run at a time, with
+the same seed; the side that runs first alternates, parent first on the first
+pair. Per metric the JSON holds each side's median and quartiles (inclusive
+linear interpolation), every run, and ``change_wins``: the pairs where the
+change is better in the direction ``BENCHMARK.json`` gives. Each (workload,
+metric) is printed with its verdict against the ``BENCHMARK.json`` bound.
+``--claim`` adds a ``claim_result``: the change must win at least 9/10 of the
+pairs and its median must beat the parent's by more than the parent's
+quartile distance.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("train", "boost", "infer", "pipeline")
+# Pairs per workload: the fewest a claim of 9 wins in 10 can rest on.
+PAIRS = 10
 
 
 def git(*args, **kw) -> subprocess.CompletedProcess:
@@ -125,10 +127,6 @@ def claim_result(m: dict, direction: str) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev", help="parent revision, e.g. HEAD or a commit id")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--seed0", type=int, default=1000,
                     help="seed of the first pair; pair i uses seed0 + i")
     ap.add_argument("--out", default=None, help="output JSON path")
@@ -139,8 +137,8 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = [w for w in args.workloads.split(",") if w]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     rev = git("rev-parse", "--short", args.rev).stdout.decode().strip()
     head = git("rev-parse", "--short", "HEAD").stdout.decode().strip()
     dirty = bool(git("status", "--porcelain").stdout.strip())
@@ -172,7 +170,7 @@ def main(argv=None) -> int:
         }
         for wl in workloads:
             runs, seeds, first = {"parent": [], "change": []}, [], []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed0 + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
