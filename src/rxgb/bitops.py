@@ -275,7 +275,7 @@ def rprelu_forward(
     y = np.maximum(0.0, u)
     y += beta[None, :, None, None] * np.minimum(0.0, u)
     y += zeta[None, :, None, None]
-    return y, {"u": u, "pos": u >= 0, "beta": beta}
+    return y, {"u": u, "beta": beta}
 
 
 def rprelu_backward(
@@ -283,10 +283,11 @@ def rprelu_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of rprelu: (grad_x, grad_beta, grad_gamma, grad_zeta).
 
-    The slope (1 where u >= 0, else beta) is built from the 0/1 masks, and
-    d f / d beta is min(u, 0), +0 on the positive branch.
+    The slope (1 where u >= 0, else beta) is built from the 0/1 masks of
+    the cached u, and d f / d beta is min(u, 0), +0 on the positive branch.
     """
-    u, pos, beta = cache["u"], cache["pos"], cache["beta"]
+    u, beta = cache["u"], cache["beta"]
+    pos = u >= 0
     g = np.asarray(grad_y, dtype=np.float64)
     slope = np.multiply(~pos, beta[None, :, None, None])
     slope += pos

@@ -118,7 +118,7 @@ def resolve_config(config_path: str | None, overrides: dict) -> dict:
         try:
             with open(config_path, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file: {e}") from e
         values.update(parse_config_text(text, source=config_path))
     for key, raw in overrides.items():

@@ -303,7 +303,11 @@ def gbdt_cost(head: TreeEnsemble | GBDTConfig) -> TreeHeadCost:
 
     An ensemble is costed from its real trees: one compare per level on the
     deepest path of each tree, exact node counts. A bare config is costed at
-    its worst case: every budgeted tree full at max_depth.
+    its worst case: every budgeted tree full at max_depth. That case is
+    costed for depths up to 63 only: a full tree deeper than that has more
+    than 2**63 leaves, which no index can address and no training set can
+    fill, and 2**d of a vast d would not finish. A deeper config raises
+    ValueError before any count is computed.
     """
     if isinstance(head, TreeEnsemble):
         compares = 0
@@ -318,6 +322,9 @@ def gbdt_cost(head: TreeEnsemble | GBDTConfig) -> TreeHeadCost:
     if isinstance(head, GBDTConfig):
         n = head.total_tree_budget
         d = head.max_depth
+        if d > 63:
+            raise ValueError(f"max_depth {d} is past the deepest costed tree, 63 "
+                             f"(a full tree has 2**max_depth leaves)")
         return TreeHeadCost(n * d, n * (2**d - 1), n * 2**d)
     raise TypeError(f"expected TreeEnsemble or GBDTConfig, got {type(head).__name__}")
 

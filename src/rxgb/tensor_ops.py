@@ -8,6 +8,9 @@ conv): it returns the exact integer sums, in float32.
 
 Layout is NCHW for activations and [Co, Ci, kh, kw] for conv weights.
 Convolution output extent is floor((H + 2*pad - kh) / stride) + 1 per axis.
+Inside a conv the padded input is NHWC ([N, Hp, Wp, Ci], :func:`_pad_input`),
+so every im2col copy reads contiguous runs of Ci values, and the outputs are
+NCHW views of the NHWC memory the products emit.
 
 Determinism: products of real values (conv forward on float operands, both
 conv backward products, the fully connected layer) go through
@@ -41,12 +44,22 @@ float64 exactly, one K_BLOCK block at a time.
 
 Products of +/-1 values need no such assumption. A convolution of integer
 operands (:func:`sign_conv2d`, on filters laid out once by :func:`sign_matrix`)
-is one plain float32 product whose every partial sum is an integer below
+is a plain float32 product whose every partial sum is an integer below
 2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign planes), so it is exact
-in any summation order and at any thread count by arithmetic; the conv
-refuses operands whose sums could reach 2**24 (the XNOR identity of
-XNOR-Net, Rastegari et al., arXiv 1603.05279). Everything else is
-elementwise or a fixed-order numpy reduction.
+in any summation order, in any split into smaller products and at any
+thread count by arithmetic; the conv refuses operands whose sums could reach
+2**24 (the XNOR identity of XNOR-Net, Rastegari et al., arXiv 1603.05279).
+The forward splits its product twice on that ground alone, with none of the
+BLAS assumptions above: it makes and multiplies the patch matrix one chunk
+of about _CHUNK_ROWS rows at a time, and where the pad ring dominates and
+the batch has at least _SPLIT_MIN_IMAGES images it makes one product per
+output position and tap row over the taps that read the input, adding the
+ring as pad_value times the ring taps' filter sums. That threshold is the
+backward's; measured on one thread (OpenBLAS 0.3.31, 2-core x86_64 host),
+the per-position products took 1.05-1.3x the dense product's time below
+16 images, about 0.95x at 16, 0.63-0.86x at 32-64 and 0.46-0.59x at
+128-256 (256 and 512 channels). Everything else is elementwise or a fixed-order numpy
+reduction.
 """
 
 from __future__ import annotations
@@ -61,7 +74,8 @@ K_BLOCK = 128
 EXACT_F32 = 1 << 24
 # Rows of one grad_x product chunk in conv2d_backward: bounds the float64
 # product alive at once. The last chunk takes the remainder, so every chunk
-# has at least half as many rows (see the module docstring).
+# has at least half as many rows (see the module docstring). The sign conv
+# makes its patch matrix in chunks of about as many rows.
 _CHUNK_ROWS = 2048
 # Fewest images (the rows of each product) for which conv2d_backward makes
 # one grad_x product per output position: with Ci >= 32 columns, far from a
@@ -120,28 +134,31 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> None
         )
 
 
-def _pad_input(x: np.ndarray, pad: int, pad_value: float) -> np.ndarray:
-    if pad == 0:
-        return x
-    return np.pad(
-        x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-        mode="constant", constant_values=pad_value,
-    )
+def _pad_input(x: np.ndarray, pad: int, pad_value: float, dtype) -> np.ndarray:
+    """x [N, Ci, H, W] as a new [N, H + 2*pad, W + 2*pad, Ci] array of dtype
+    whose ring of width pad holds pad_value."""
+    n, ci, h, w = x.shape
+    xp = np.empty((n, h + 2 * pad, w + 2 * pad, ci), dtype)
+    xp[:, :pad] = xp[:, h + pad:] = pad_value
+    xp[:, :, :pad] = xp[:, :, w + pad:] = pad_value
+    xp[:, pad:h + pad, pad:w + pad] = x.transpose(0, 2, 3, 1)
+    return xp
 
 
 def _im2col(xp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Patch matrix [N*OH*OW, kh*kw*Ci] from a padded input.
+    """Patch matrix [N*OH*OW, kh*kw*Ci] from a padded NHWC input.
 
     The reduction axis is ordered (kh, kw, ci): kernel-major, then input
-    channel, matching _weight_matrix. Thread invariance does not come from
-    this layout but from _matmul's fixed K_BLOCK-wide blocks.
+    channel, matching _weight_matrix, so each tap copies a contiguous run of
+    Ci values. Thread invariance does not come from this layout but from
+    _matmul's fixed K_BLOCK-wide blocks.
     """
     kh, kw = geom.kernel
     s = geom.stride
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s, :, :]                      # [N, Ci, OH, OW, kh, kw]
-    n, ci, oh, ow = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 4, 5, 1)               # [N, OH, OW, kh, kw, Ci]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, ::s, ::s]                               # [N, OH, OW, Ci, kh, kw]
+    n, oh, ow, ci = win.shape[:4]
+    cols = win.transpose(0, 1, 2, 4, 5, 3)               # [N, OH, OW, kh, kw, Ci]
     return np.ascontiguousarray(cols).reshape(n * oh * ow, kh * kw * ci)
 
 
@@ -243,8 +260,45 @@ def _sign_conv2d(x, w_mat, geom, pad_value, w_max):
             f"integer conv sums reach K*max|x|*max|w| = {k}*{x_max}*{w_max} "
             f"= {k * x_max * w_max}, not exact in float32 (limit 2**24)"
         )
-    cols = _im2col(_pad_input(x, geom.padding, pad), geom).astype(np.float32)
-    return (cols @ w_mat).reshape(n, oh, ow, w_mat.shape[1]).transpose(0, 3, 1, 2)
+    xp = _pad_input(x, geom.padding, pad, np.float32)
+    taps = n >= _SPLIT_MIN_IMAGES and _interior_taps(geom, h, wd)
+    if taps:
+        return _sign_conv_interior(xp, w_mat, geom, pad, *taps).transpose(0, 3, 1, 2)
+    co = w_mat.shape[1]
+    y = np.empty((n, oh, ow, co), np.float32)
+    # A 1x1 stride-1 patch matrix is xp itself; any other is made and
+    # multiplied one chunk of about _CHUNK_ROWS rows at a time, so it is
+    # written to memory that is still in cache.
+    step = n if (kh, kw, geom.stride) == (1, 1, 1) else max(1, _CHUNK_ROWS // (oh * ow))
+    for n0 in range(0, n, step):
+        np.matmul(_im2col(xp[n0:n0 + step], geom), w_mat,
+                  out=y[n0:n0 + step].reshape(-1, co))
+    return y.transpose(0, 3, 1, 2)
+
+
+def _sign_conv_interior(xp, w_mat, geom, pad_value, rows, cols):
+    """The sign conv over the taps that read the input (``_interior_taps``
+    ranges): per output position and tap row, one product over that row's
+    interior tap columns, read in place from xp [N, Hp, Wp, Ci], plus
+    pad_value times the filter sums of the position's ring taps. Every
+    partial sum is an integer below 2**24, so the result equals the dense
+    product to the byte. Returns [N, OH, OW, Co]."""
+    kh, kw = geom.kernel
+    s = geom.stride
+    n, ci, co = xp.shape[0], xp.shape[3], w_mat.shape[1]
+    tap_sums = w_mat.reshape(kh, kw, ci, co).sum(axis=2)    # [kh, kw, Co]
+    all_taps = tap_sums.sum(axis=(0, 1))
+    y = np.zeros((n, len(rows), len(cols), co), np.float32)
+    for a, ti in enumerate(rows):
+        for b, tj in enumerate(cols):
+            out = y[:, a, b]
+            for i in ti if tj else ():
+                patch = xp[:, a * s + i, b * s + tj.start:b * s + tj.stop].reshape(n, -1)
+                out += patch @ w_mat[(i * kw + tj.start) * ci:(i * kw + tj.stop) * ci]
+            if pad_value:
+                interior = tap_sums[ti.start:ti.stop, tj.start:tj.stop].sum(axis=(0, 1))
+                out += pad_value * (all_taps - interior)
+    return y
 
 
 def conv2d_forward(
@@ -275,7 +329,7 @@ def conv2d_forward(
                             pad_value, _abs_max(w))
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
-    xp = _pad_input(np.asarray(x, dtype=np.float64), geom.padding, pad_value)
+    xp = _pad_input(x, geom.padding, pad_value, np.float64)
     y = _matmul(_im2col(xp, geom), _weight_matrix(np.asarray(w, dtype=np.float64)))
     return y.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
@@ -328,7 +382,7 @@ def conv2d_backward(
     n, ci, h, wd = x.shape
     co = w.shape[0]
     kh, kw = geom.kernel
-    s, p = geom.stride, geom.padding
+    p = geom.padding
     oh, ow = geom.out_extent(h, wd)
     if grad_y.shape != (n, co, oh, ow):
         raise ValueError(
@@ -338,19 +392,17 @@ def conv2d_backward(
         raise ValueError(f"alpha shape {np.shape(alpha)} != ({co},)")
 
     gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 1)).reshape(-1, co)
-    xp = _pad_input(x, p, pad_value)
+    xp = _pad_input(x, p, pad_value, x.dtype)
     gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci)
 
     w_mat = _weight_matrix(w)                             # [kh*kw*Ci, Co]
     w_mat = (w_mat.astype(np.float64) if alpha is None
              else w_mat * np.asarray(alpha, dtype=np.float64))
-    gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci))
-    rows = _interior_taps(oh, kh, s, p, h)
-    cols = _interior_taps(ow, kw, s, p, wd)
+    gxp = np.zeros(xp.shape)
     split = ci % 32 == 0                                 # see the module docstring
-    if (split and n >= _SPLIT_MIN_IMAGES
-            and 2 * sum(map(len, rows)) * sum(map(len, cols)) < oh * ow * kh * kw):
-        _col2im_interior(gxp, gy.reshape(n, oh, ow, co), w_mat, geom, rows, cols)
+    taps = split and n >= _SPLIT_MIN_IMAGES and _interior_taps(geom, h, wd)
+    if taps:
+        _col2im_interior(gxp, gy.reshape(n, oh, ow, co), w_mat, geom, *taps)
     else:
         _col2im_dense(gxp, gy, w_mat, geom, oh, ow, split)
     if p:
@@ -358,10 +410,18 @@ def conv2d_backward(
     return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
 
 
-def _interior_taps(out: int, k: int, s: int, p: int, extent: int) -> list:
-    """Per output index along one axis, the range of kernel taps that read
-    the input rather than the pad ring."""
-    return [range(max(0, p - o * s), min(k, extent + p - o * s)) for o in range(out)]
+def _interior_taps(geom: ConvGeometry, h: int, w: int):
+    """Per output row and per output column, the range of kernel taps that
+    read the input rather than the pad ring, as (rows, cols); None unless
+    more than half of the (output, tap) pairs read the ring (a 3x3 conv on a
+    2x2 grid)."""
+    (kh, kw), s, p = geom.kernel, geom.stride, geom.padding
+    oh, ow = geom.out_extent(h, w)
+    rows, cols = ([range(max(0, p - o * s), min(k, e + p - o * s)) for o in range(out)]
+                  for out, k, e in ((oh, kh, h), (ow, kw, w)))
+    if 2 * sum(map(len, rows)) * sum(map(len, cols)) < oh * ow * kh * kw:
+        return rows, cols
+    return None
 
 
 def _col2im_dense(gxp, gy, w_mat, geom, oh, ow, chunked):

@@ -117,15 +117,30 @@ def argsort_grow_tree(x, g, h, cfg):
     return build(np.arange(x.shape[0]), 0)
 
 
+def nchw_im2col(x, geom, pad_value=0.0):
+    """(padded input, patch matrix [N*OH*OW, kh*kw*Ci]) as first written: the
+    ring added in NCHW by np.pad, then one gather of every window, transposed
+    to the (kh, kw, ci) reduction order."""
+    kh, kw = geom.kernel
+    s, p = geom.stride, geom.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::s, ::s]                            # [N, Ci, OH, OW, kh, kw]
+    n, ci, oh, ow = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 4, 5, 1))
+    return xp, cols.reshape(n * oh * ow, kh * kw * ci)
+
+
 def nchw_conv2d_backward(grad_y, x, w, geom, pad_value=0.0):
     """conv2d_backward with the col2im scatter done in NCHW, one transposed
     tap at a time.
 
-    The layout the NHWC scatter replaced. It runs the same products through
-    the library's im2col and fixed-block matmul, so the two must agree to the
-    byte: every input cell receives the same adds in the same tap order.
+    The layout the NHWC scatter replaced. It runs the same products, on the
+    NCHW patch matrix and the library's fixed-block matmul, so the two must
+    agree to the byte: every input cell receives the same adds in the same
+    tap order.
     """
-    from rxgb.tensor_ops import _im2col, _matmul, _pad_input, _weight_matrix
+    from rxgb.tensor_ops import _matmul, _weight_matrix
 
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -135,8 +150,7 @@ def nchw_conv2d_backward(grad_y, x, w, geom, pad_value=0.0):
     s, p = geom.stride, geom.padding
     oh, ow = geom.out_extent(h, wd)
     gy = np.ascontiguousarray(np.transpose(grad_y, (0, 2, 3, 1))).reshape(-1, co)
-    xp = _pad_input(x, p, pad_value)
-    cols = _im2col(xp, geom)
+    xp, cols = nchw_im2col(x, geom, pad_value)
     gw = _matmul(gy.T, cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
     gcols = _matmul(gy, _weight_matrix(w).T).reshape(n, oh, ow, kh, kw, ci)
     gxp = np.zeros_like(xp)
@@ -292,7 +306,7 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     [N*OH*OW, kh*kw*Ci] product scattered tap by tap. It runs the library's
     fixed-block matmul, so the two must agree to the byte.
     """
-    from rxgb.tensor_ops import _im2col, _matmul, _pad_input, _weight_matrix
+    from rxgb.tensor_ops import _matmul, _weight_matrix
 
     if alpha is not None:
         w = w * alpha[:, None, None, None]
@@ -305,8 +319,8 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     s, p = geom.stride, geom.padding
     oh, ow = geom.out_extent(h, wd)
     gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 1)).reshape(-1, co)
-    xp = _pad_input(x, p, pad_value)
-    gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+    xp, cols = nchw_im2col(x, geom, pad_value)
+    gw = _matmul(gy.T, cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
     gcols = _matmul(gy, _weight_matrix(w).T).reshape(n, oh, ow, kh, kw, ci)
     gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci))
     for i in range(kh):
@@ -315,6 +329,16 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     if p:
         gxp = gxp[:, p:-p, p:-p, :]
     return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw)
+
+
+def dense_sign_conv2d(x, w_mat, geom, pad_value=-1):
+    """sign_conv2d as one float32 product over the whole patch matrix, pad
+    ring included: the form the interior-tap products replaced. Its sums are
+    exact integers, so the two must agree to the byte, strides included."""
+    n, _, h, wd = x.shape
+    oh, ow = geom.out_extent(h, wd)
+    cols = nchw_im2col(x, geom, int(pad_value))[1].astype(np.float32)
+    return (cols @ w_mat).reshape(n, oh, ow, w_mat.shape[1]).transpose(0, 3, 1, 2)
 
 
 def where_rprelu_forward(x, beta, gamma, zeta):

@@ -130,6 +130,28 @@ def test_cost_rejects_unknown_spec(capsys):
     assert err.count("\n") == 1                          # single line
 
 
+def test_cost_rejects_a_depth_past_the_costed_bound(capsys):
+    # 64 is the first depth past gbdt_cost's bound; a vast depth is never run
+    # here, as 2**depth of it would exhaust CPU and memory.
+    assert cli.main(["cost", "--gbdt.max_depth", "63"]) == 0
+    capsys.readouterr()
+    assert cli.main(["cost", "--gbdt.max_depth", "64"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("RXGB-ERROR invalid-value: max_depth 64")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_config_file_is_one_config_line(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_bytes(b"seed = 1\n\xff\xfe\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("RXGB-ERROR config: cannot read config file")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # --- pipeline and stage commands -------------------------------------------------
 
 

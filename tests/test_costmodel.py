@@ -211,6 +211,9 @@ def test_gbdt_cost_config_worst_case():
     assert c.internal_nodes == 20 * (2**10 - 1)
     assert c.leaves == 20 * 2**10
     assert c.param_bits == c.internal_nodes * 50 + c.leaves * 34
+    assert cm.gbdt_cost(GBDTConfig(max_trees=1, max_depth=63)).leaves == 2**63
+    with pytest.raises(ValueError, match="max_depth 64 is past"):
+        cm.gbdt_cost(GBDTConfig(max_trees=1, max_depth=64))
 
 
 def test_gbdt_cost_ensemble_exact():

@@ -658,12 +658,14 @@ def test_binary_conv_forward_equals_bit_path_byte_for_byte():
                 f"Ci={ci} k{k} s{stride} scaling={scaling}")
 
 
-# (N, Ci, Co, H=W, k, stride, pad) of int8 sign convs, up to K = 9 * 512.
+# (N, Ci, Co, H=W, k, stride, pad) of int8 sign convs, up to K = 9 * 512; the
+# 2x2 grid at N = 128 takes the interior-tap products.
 _SIGN_SWEEP = [
     (16, 32, 32, 14, 3, 1, 1),
     (16, 64, 64, 7, 3, 2, 1),
     (16, 128, 128, 4, 3, 1, 1),
     (8, 512, 512, 2, 3, 1, 1),
+    (128, 256, 256, 2, 3, 1, 1),
     (16, 512, 512, 2, 1, 1, 0),
 ]
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rxgb import bitops, tensor_ops
+from rxgb import bitops, netspec, tensor_ops
 from rxgb.tensor_ops import (
+    _SPLIT_MIN_IMAGES,
     K_BLOCK,
     ConvGeometry,
     _matmul,
@@ -28,6 +29,7 @@ from rxgb.tensor_ops import (
 
 from oracles import (
     dense_conv2d_backward,
+    dense_sign_conv2d,
     fd_grad,
     naive_conv2d,
     nchw_conv2d_backward,
@@ -242,6 +244,75 @@ def test_sign_conv2d_on_prepared_filters_equals_the_4d_conv_and_keeps_the_guard(
         tensor_ops.sign_conv2d(x, w_mat[1:], geom)
     with pytest.raises(ValueError, match="integer"):
         tensor_ops.sign_conv2d(x.astype(np.float64), w_mat, geom)
+
+
+def _two_by_two_binary_convs():
+    """(Ci, Co, H=W, k, stride) of every binary conv with a 2x2 output grid
+    in the width-0.25 and width-0.5 nets: each such block's 3x3 and 1x1."""
+    shapes = set()
+    for width in (0.25, 0.5):
+        for step in netspec.shape_chain(netspec.reference_spec(width)):
+            kind, stride = step.layer.kind, step.layer.stride
+            if kind in (netspec.NORMAL, netspec.REDUCTION) and step.out_shape[1:] == (2, 2):
+                ci, hw = step.padded[:2]
+                shapes |= {(ci, ci, hw, 3, stride), (ci, ci, 2, 1, 1)}
+    return sorted(shapes)
+
+
+def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
+    # The interior-tap products against one product over the whole patch
+    # matrix, pad ring included, at batches either side of the threshold.
+    interior = []
+    sign_conv_interior = tensor_ops._sign_conv_interior
+
+    def spy(*args):
+        interior.append(case)
+        return sign_conv_interior(*args)
+
+    monkeypatch.setattr(tensor_ops, "_sign_conv_interior", spy)
+    rng = np.random.default_rng(16)
+    shapes = _two_by_two_binary_convs()
+    assert len(shapes) == 9
+    for ci, co, hw, k, stride in shapes:
+        geom = ConvGeometry((k, k), stride, k // 2)
+        w_mat = tensor_ops.sign_matrix(_sign_plane(rng, (co, ci, k, k)))
+        for n in (_SPLIT_MIN_IMAGES - 1, _SPLIT_MIN_IMAGES, 256):
+            x = _sign_plane(rng, (n, ci, hw, hw))
+            for pad in (-1, 0):
+                case = (n, ci, hw, k, stride, pad)
+                got = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=pad)
+                want = dense_sign_conv2d(x, w_mat, geom, pad)
+                assert got.strides == want.strides, case
+                assert got.tobytes(order="A") == want.tobytes(order="A"), case
+    assert sorted({c[:5] for c in interior}) == sorted(
+        (n, c, 2, 3, 1) for c in (128, 256, 512) for n in (_SPLIT_MIN_IMAGES, 256))
+    # The dense product made one patch-matrix chunk at a time: 45 images are
+    # 5 chunks on a 14x14 output grid (the last a remainder), 2 on 7x7.
+    for c, hw, stride in _DESK_3X3:
+        for k in (3, 1):
+            geom = ConvGeometry((k, k), stride, k // 2)
+            w_mat = tensor_ops.sign_matrix(_sign_plane(rng, (c, c, k, k)))
+            x = _sign_plane(rng, (45, c, hw, hw))
+            case = (45, c, hw, k, stride)
+            got = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=-1)
+            want = dense_sign_conv2d(x, w_mat, geom, -1)
+            assert got.strides == want.strides, case
+            assert got.tobytes(order="A") == want.tobytes(order="A"), case
+    # Integer operands whose sums come within 1% of the 2**24 guard:
+    # K * 127 * 114 = 16,678,656 at K = 9 * 128, the ring's cells included.
+    geom = ConvGeometry((3, 3), 1, 1)
+    x = rng.choice(np.array([127, 125, -127], np.int8), (_SPLIT_MIN_IMAGES, 128, 2, 2),
+                   p=[0.8, 0.1, 0.1])
+    w = rng.choice(np.array([114, 113, -114], np.int8), (128, 128, 3, 3), p=[0.8, 0.1, 0.1])
+    for pad in (127, -127, 0):
+        interior.clear()
+        case = ("near the guard", pad)
+        got = tensor_ops.sign_conv2d(x, tensor_ops.sign_matrix(w), geom, pad, w_max=114)
+        want = dense_sign_conv2d(x, tensor_ops.sign_matrix(w), geom, pad)
+        assert interior and got.tobytes(order="A") == want.tobytes(order="A"), case
+        assert pad != 127 or want.max() > 0.5 * tensor_ops.EXACT_F32, case
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        tensor_ops.sign_conv2d(x, tensor_ops.sign_matrix(w), geom, pad, w_max=115)
 
 
 def test_batchnorm_forward_manual():
