@@ -37,6 +37,7 @@ stable sorts, fixed scan order, first-occurrence maximum.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -502,22 +503,7 @@ class FormatError(ValueError):
 
 class _Tokens:
     def __init__(self, text: str):
-        self.toks: list[str] = []
-        cur = []
-        for ch in text:
-            if ch in "()":
-                if cur:
-                    self.toks.append("".join(cur))
-                    cur = []
-                self.toks.append(ch)
-            elif ch.isspace():
-                if cur:
-                    self.toks.append("".join(cur))
-                    cur = []
-            else:
-                cur.append(ch)
-        if cur:
-            self.toks.append("".join(cur))
+        self.toks: list[str] = re.findall(r"[()]|[^()\s]+", text)
         self.pos = 0
 
     def next(self) -> str:
@@ -550,7 +536,7 @@ def _parse_float(s: str, what: str) -> float:
         raise FormatError(f"bad {what} value {s!r}") from e
 
 
-def _parse_node(toks: _Tokens) -> TreeNode:
+def _parse_node(toks: _Tokens, n_features: int) -> TreeNode:
     toks.expect("(")
     kind = toks.next()
     if kind == "leaf":
@@ -563,12 +549,15 @@ def _parse_node(toks: _Tokens) -> TreeNode:
             feature = int(f)
         except ValueError as e:
             raise FormatError(f"bad feature index {f!r}") from e
+        if feature < 0 or n_features and feature >= n_features:
+            raise FormatError(f"feature index {feature} out of range for "
+                              f"n_features={n_features}")
         thr = _parse_float(_take_kv(toks, "t"), "threshold")
         d = _take_kv(toks, "d")
         if d not in ("left", "right"):
             raise FormatError(f"bad default direction {d!r}")
-        left = _parse_node(toks)
-        right = _parse_node(toks)
+        left = _parse_node(toks, n_features)
+        right = _parse_node(toks, n_features)
         toks.expect(")")
         return TreeNode(
             is_leaf=False, feature=feature, threshold=thr,
@@ -647,7 +636,10 @@ def deserialize(text: str) -> TreeEnsemble:
             raise FormatError(f"bad tree class {cls!r}") from e
         if not 0 <= k < cfg.n_classes:
             raise FormatError(f"tree class {k} out of range [0, {cfg.n_classes})")
-        node = _parse_node(toks)
+        try:
+            node = _parse_node(toks, n_features)
+        except RecursionError as e:
+            raise FormatError(f"tree record {j} nests too deep to parse") from e
         toks.expect(")")
         if not toks.done():
             raise FormatError(f"trailing tokens after tree record {j}")

@@ -37,7 +37,9 @@ clipped to [-1, 1] after every optimizer step. Sign activations route gradients 
 piecewise-quadratic surrogate in ``bitops``.
 
 One block wiring serves two executors. Training runs the float64 graph on
-the live params and caches what the backward reads. Inference
+the live params; each op records its backward on a tape, a closure over its
+cache that runs once and is then freed, and the backward reads layer shapes
+(the pad crop, the pool's padded grid) from ``netspec.shape_chain``. Inference
 (``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
 ``evaluate`` and ``forward(..., training=False)``) runs from a frozen
 :class:`InferencePlan` (:func:`freeze`): the +-1 weights already binarized
@@ -188,7 +190,7 @@ def build_network(
 # --- block wiring, shared by training and inference --------------------------
 #
 # The per-layer forwards run on an executor ``ops``: a training _Tape (float64
-# ops on the live params, caching what backward reads) or an InferencePlan
+# ops on the live params, each recording its backward) or an InferencePlan
 # (frozen weights, no caches). Each op is named by its parameter prefix.
 
 
@@ -233,7 +235,6 @@ def _run(ops, spec: netspec.NetworkSpec, x: np.ndarray):
         )
     feats = None
     for layer in spec.layers:
-        ops.keep(f"{layer.name}.in_shape", h.shape)
         if layer.kind == netspec.FIRST_CONV:
             h = _stem_forward(ops, layer.name, h)
         elif layer.kind == netspec.NORMAL:
@@ -270,9 +271,6 @@ class InferencePlan:
     weight_scaling: bool
     signs: MappingProxyType
     reals: MappingProxyType
-
-    def keep(self, key, value):
-        pass
 
     def conv(self, prefix, x, geom):
         return tensor_ops.conv2d_forward(x, self.reals[f"{prefix}.w"], geom)
@@ -339,146 +337,132 @@ def _plan_of(model) -> InferencePlan:
 # --- training: the tape and the backward ---------------------------------------
 
 
-def _binconv_forward(x_sign, latent, geom, scaling):
-    w_sign, alpha = bitops.sign_weights(latent, weight_scaling=scaling)
-    y = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
-    cache = {"x": x_sign, "w": w_sign, "alpha": alpha, "latent": latent,
-             "geom": geom}
-    return y * alpha[None, :, None, None], cache
-
-
-def _binconv_backward(caches, prefix, grad_y, grads):
-    cache = caches[prefix]
-    gx, gw = tensor_ops.conv2d_backward(
-        grad_y, cache["x"], cache["w"], cache["geom"], pad_value=-1,
-        alpha=cache["alpha"])
-    grads[f"{prefix}.w_latent"] = gw * bitops.ste_mask(cache["latent"])
-    return gx
-
-
 class _Tape:
     """Training executor: float64 ops on the live params with batch-statistic
-    BN, keeping each op's cache in ``caches`` under its parameter prefix."""
+    BN. Each op records, under its parameter prefix, its backward: a closure
+    over its cache, returning the input gradient and the gradients of the
+    parameters it names. :meth:`back` runs each recorded backward once."""
 
-    def __init__(self, model: ModelState):
-        self.params = model.params
-        self.scaling = model.weight_scaling
-        self.caches: dict[str, object] = {}
+    def __init__(self, params: dict, scaling: bool):
+        self.params = params
+        self.scaling = scaling
+        self.ops: dict[str, tuple] = {}
+        self.grads: dict[str, np.ndarray] = {}
 
-    def keep(self, key, value):
-        self.caches[key] = value
+    def back(self, prefix, grad_y):
+        """Run and drop the backward recorded under ``prefix``, filing its
+        parameter gradients in ``grads``; returns the input gradient."""
+        keys, op_backward = self.ops.pop(prefix)
+        grad_x, *grads = op_backward(grad_y)
+        for key, g in zip(keys, grads):
+            self.grads[f"{prefix}.{key}"] = g
+        return grad_x
 
     def conv(self, prefix, x, geom):
-        self.caches[prefix] = x
-        return tensor_ops.conv2d_forward(x, self.params[f"{prefix}.w"], geom)
+        w = self.params[f"{prefix}.w"]
+        self.ops[prefix] = (("w",), lambda g: tensor_ops.conv2d_backward(g, x, w, geom))
+        return tensor_ops.conv2d_forward(x, w, geom)
 
     def rsign(self, prefix, x):
-        y, self.caches[prefix] = bitops.rsign_forward(
-            x, self.params[f"{prefix}.shift"])
+        y, cache = bitops.rsign_forward(x, self.params[f"{prefix}.shift"])
+        self.ops[prefix] = (("shift",), lambda g: bitops.rsign_backward(g, cache))
         return y
 
-    def binconv(self, prefix, x, geom):
-        y, self.caches[prefix] = _binconv_forward(
-            x, self.params[f"{prefix}.w_latent"], geom, self.scaling)
-        return y
+    def binconv(self, prefix, x_sign, geom):
+        latent = self.params[f"{prefix}.w_latent"]
+        w_sign, alpha = bitops.sign_weights(latent, weight_scaling=self.scaling)
+
+        def op_backward(g):
+            gx, gw = tensor_ops.conv2d_backward(g, x_sign, w_sign, geom, pad_value=-1,
+                                                alpha=alpha)
+            return gx, gw * bitops.ste_mask(latent)
+
+        self.ops[prefix] = (("w_latent",), op_backward)
+        y = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
+        return y * alpha[None, :, None, None]
 
     def bn(self, prefix, x):
-        y, self.caches[prefix] = tensor_ops.batchnorm_forward(
+        y, cache = tensor_ops.batchnorm_forward(
             x, *(self.params[f"{prefix}.{k}"] for k in _BN_KEYS), training=True)
+        self.ops[prefix] = (("gamma", "beta"),
+                            lambda g: tensor_ops.batchnorm_backward(g, cache))
         return y
 
     def rprelu(self, prefix, x):
-        y, self.caches[prefix] = bitops.rprelu_forward(
+        y, cache = bitops.rprelu_forward(
             x, *(self.params[f"{prefix}.{k}"] for k in _RPRELU_KEYS))
+        self.ops[prefix] = (_RPRELU_KEYS, lambda g: bitops.rprelu_backward(g, cache))
         return y
 
     def linear(self, prefix, x):
-        self.caches[prefix] = x
-        return tensor_ops.linear_forward(x, self.params[f"{prefix}.w"])
+        w = self.params[f"{prefix}.w"]
+        self.ops[prefix] = (("w",), lambda g: tensor_ops.linear_backward(g, x, w))
+        return tensor_ops.linear_forward(x, w)
 
 
-def _bn_backward(caches, prefix, grad_y, grads):
-    gx, grads[f"{prefix}.gamma"], grads[f"{prefix}.beta"] = (
-        tensor_ops.batchnorm_backward(grad_y, caches[prefix]))
-    return gx
+# The block backwards keep the signature (tape, name, step, grad_y) and are
+# called as module globals: perfbench marks them by name and argument position.
 
 
-def _rprelu_backward(caches, prefix, grad_y, grads):
-    gx, *g = bitops.rprelu_backward(grad_y, caches[prefix])
-    for k, gk in zip(_RPRELU_KEYS, g):
-        grads[f"{prefix}.{k}"] = gk
-    return gx
+def _stem_backward(tape, name, step, grad_y):
+    return tape.back(f"{name}.conv", tape.back(f"{name}.bn", grad_y))
 
 
-def _rsign_backward(caches, prefix, grad_y, grads):
-    gx, grads[f"{prefix}.shift"] = bitops.rsign_backward(grad_y, caches[prefix])
-    return gx
-
-
-def _stem_backward(params, name, caches, grad_y, grads):
-    gz = _bn_backward(caches, f"{name}.bn", grad_y, grads)
-    gx, grads[f"{name}.conv.w"] = tensor_ops.conv2d_backward(
-        gz, caches[f"{name}.conv"], params[f"{name}.conv.w"], _STEM_GEOM
-    )
-    return gx
-
-
-def _normal_backward(params, name, caches, grad_y, grads):
-    g_c2 = _rprelu_backward(caches, f"{name}.rprelu_conv1x1", grad_y, grads)
+def _normal_backward(tape, name, step, grad_y):
+    g_c2 = tape.back(f"{name}.rprelu_conv1x1", grad_y)
     g_d1 = g_c2.copy()                                   # shortcut branch
-    g_z2 = _bn_backward(caches, f"{name}.bn_conv1x1", g_c2, grads)
-    g_a2 = _binconv_backward(caches, f"{name}.conv1x1", g_z2, grads)
-    g_d1 += _rsign_backward(caches, f"{name}.rsign_conv1x1", g_a2, grads)
+    g_z2 = tape.back(f"{name}.bn_conv1x1", g_c2)
+    g_a2 = tape.back(f"{name}.conv1x1", g_z2)
+    g_d1 += tape.back(f"{name}.rsign_conv1x1", g_a2)
 
-    g_c1 = _rprelu_backward(caches, f"{name}.rprelu_conv3x3", g_d1, grads)
+    g_c1 = tape.back(f"{name}.rprelu_conv3x3", g_d1)
     g_x = g_c1.copy()                                    # shortcut branch
-    g_z1 = _bn_backward(caches, f"{name}.bn_conv3x3", g_c1, grads)
-    g_a1 = _binconv_backward(caches, f"{name}.conv3x3", g_z1, grads)
-    g_x += _rsign_backward(caches, f"{name}.rsign_conv3x3", g_a1, grads)
+    g_z1 = tape.back(f"{name}.bn_conv3x3", g_c1)
+    g_a1 = tape.back(f"{name}.conv3x3", g_z1)
+    g_x += tape.back(f"{name}.rsign_conv3x3", g_a1)
     return g_x
 
 
-def _reduction_backward(params, name, caches, grad_y, grads, stride):
-    g_cat = _rprelu_backward(caches, f"{name}.rprelu_out", grad_y, grads)
+def _reduction_backward(tape, name, step, grad_y):
+    g_cat = tape.back(f"{name}.rprelu_out", grad_y)
     c = g_cat.shape[1] // 2
     g_ca, g_cb = g_cat[:, :c], g_cat[:, c:]
     g_d1 = g_ca + g_cb                                   # branch shortcuts
 
-    g_za = _bn_backward(caches, f"{name}.bn_conv1x1_a", g_ca, grads)
-    g_a2 = _binconv_backward(caches, f"{name}.conv1x1_a", g_za, grads)
-    g_zb = _bn_backward(caches, f"{name}.bn_conv1x1_b", g_cb, grads)
-    g_a2 += _binconv_backward(caches, f"{name}.conv1x1_b", g_zb, grads)
-    g_d1 += _rsign_backward(caches, f"{name}.rsign_conv1x1", g_a2, grads)
+    g_za = tape.back(f"{name}.bn_conv1x1_a", g_ca)
+    g_a2 = tape.back(f"{name}.conv1x1_a", g_za)
+    g_zb = tape.back(f"{name}.bn_conv1x1_b", g_cb)
+    g_a2 += tape.back(f"{name}.conv1x1_b", g_zb)
+    g_d1 += tape.back(f"{name}.rsign_conv1x1", g_a2)
 
-    g_c1 = _rprelu_backward(caches, f"{name}.rprelu_conv3x3", g_d1, grads)
-    padded_shape = caches[f"{name}.rsign_conv3x3"]["u"].shape
-    if stride == 2:
-        g_xp = tensor_ops.avgpool_2x2_backward(g_c1, padded_shape)
+    g_c1 = tape.back(f"{name}.rprelu_conv3x3", g_d1)
+    if step.layer.stride == 2:
+        g_xp = tensor_ops.avgpool_2x2_backward(g_c1, (len(g_c1), *step.padded))
     else:
         g_xp = g_c1.copy()
-    g_z1 = _bn_backward(caches, f"{name}.bn_conv3x3", g_c1, grads)
-    g_a1 = _binconv_backward(caches, f"{name}.conv3x3", g_z1, grads)
-    g_xp += _rsign_backward(caches, f"{name}.rsign_conv3x3", g_a1, grads)
-    _, _, h, w = caches[f"{name}.in_shape"]
+    g_z1 = tape.back(f"{name}.bn_conv3x3", g_c1)
+    g_a1 = tape.back(f"{name}.conv3x3", g_z1)
+    g_xp += tape.back(f"{name}.rsign_conv3x3", g_a1)
+    _, h, w = step.in_shape                              # crop the pad ring
     return g_xp[:, :, :h, :w]
 
 
 def forward(model, x: np.ndarray, training: bool = False):
     """Class logits [N, K]; requires a plan with an FC head.
 
-    Returns (logits, caches). Training mode runs the float64 training graph:
+    Returns (logits, tape). Training mode runs the float64 training graph:
     BN uses batch statistics (and updates the running estimates in place)
-    and the caches feed :func:`backward`. Inference mode runs the frozen
-    plan (see :func:`freeze`; ``model`` may be an InferencePlan), uses the
-    stored running statistics, is batch-invariant, and returns caches None.
+    and every op records its backward on the tape, which :func:`backward`
+    consumes. Inference mode runs the frozen plan (see :func:`freeze`;
+    ``model`` may be an InferencePlan), uses the stored running statistics,
+    is batch-invariant, and returns tape None.
     """
     if not model.spec.has_fc_head():
         raise ValueError("plan has no fc_head; use features_forward")
     if not training:
         return _run(_plan_of(model), model.spec, x)[0], None
-    tape = _Tape(model)
-    logits, _ = _run(tape, model.spec, x)
-    return logits, tape.caches
+    tape = _Tape(model.params, model.weight_scaling)
+    return _run(tape, model.spec, x)[0], tape
 
 
 def features_forward(model, x: np.ndarray) -> np.ndarray:
@@ -488,48 +472,44 @@ def features_forward(model, x: np.ndarray) -> np.ndarray:
     come from the frozen plan (see :func:`freeze`).
     """
     plan = _plan_of(model)
-    _, feats = _run(plan, plan.spec, x)
-    if feats is None:
-        raise ValueError("plan has no global_pool layer")
-    return feats
+    return _run(plan, plan.spec, x)[1]
 
 
-def backward(model: ModelState, caches, grad_out: np.ndarray):
+def backward(model: ModelState, tape: _Tape, grad_out: np.ndarray):
     """Chain gradients from d(loss)/d(logits) back to every learnable param.
+
+    Walks ``netspec.shape_chain(model.spec)`` in reverse and runs each op
+    backward recorded on ``tape`` once, freeing its cache as it goes.
 
     Args:
         model: the state used for the forward pass.
-        caches: second element of a training-mode :func:`forward` return.
+        tape: second element of a training-mode :func:`forward` return.
         grad_out: [N, K] gradient at the head output.
 
     Returns:
         dict keyed exactly like ``model.learnable_keys()``.
     """
-    grads: dict[str, np.ndarray] = {}
     g = np.asarray(grad_out, dtype=np.float64)
-    for layer in reversed(model.spec.layers):
-        name = layer.name
+    for step in reversed(netspec.shape_chain(model.spec)):
+        layer = step.layer
         if layer.kind == netspec.FC_HEAD:
-            g, grads[f"{name}.w"] = tensor_ops.linear_backward(
-                g, caches[name], model.params[f"{name}.w"]
-            )
+            g = tape.back(layer.name, g)
         elif layer.kind == netspec.GLOBAL_POOL:
-            g = tensor_ops.avgpool_global_backward(g, caches[f"{name}.in_shape"])
+            g = tensor_ops.avgpool_global_backward(g, (len(g), *step.in_shape))
         elif layer.kind == netspec.REDUCTION:
-            g = _reduction_backward(model.params, name, caches, g, grads,
-                                    layer.stride)
+            g = _reduction_backward(tape, layer.name, step, g)
         elif layer.kind == netspec.NORMAL:
-            g = _normal_backward(model.params, name, caches, g, grads)
+            g = _normal_backward(tape, layer.name, step, g)
         else:
-            g = _stem_backward(model.params, name, caches, g, grads)
-    return grads
+            g = _stem_backward(tape, layer.name, step, g)
+    return tape.grads
 
 
 def loss_and_grads(model: ModelState, x: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy of a batch plus gradients for every learnable param."""
-    logits, caches = forward(model, x, training=True)
+    logits, tape = forward(model, x, training=True)
     loss, grad_logits = tensor_ops.softmax_cross_entropy(logits, labels)
-    return loss, backward(model, caches, grad_logits)
+    return loss, backward(model, tape, grad_logits)
 
 
 # --- training --------------------------------------------------------------

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from rxgb import cli, data, netspec, network
+from rxgb import cli, data, gbdt, netspec, network
 
 
 def write_synthetic_cache(cache, n_train=64, n_test=16, seed=0):
@@ -328,6 +328,31 @@ def test_eval_gbdt_requires_model_flag(tmp_path, cache_dir, capsys):
                    "--checkpoint", str(manual / "checkpoint.ckpt"), *base])
     assert rc == 2
     assert "requires --model" in capsys.readouterr().err
+
+
+def _deep_tree(depth):
+    return "(split f=0 t=0.5 d=left " * depth + "(leaf w=1)" + " (leaf w=0))" * depth
+
+
+@pytest.mark.parametrize("tree", ["(split f=-1 t=0.5 d=left (leaf w=1) (leaf w=0))",
+                                  "(split f=99 t=0.5 d=left (leaf w=1) (leaf w=0))",
+                                  _deep_tree(3000)],
+                         ids=["negative-feature", "feature-past-n_features",
+                              "nested-3000-deep"])
+def test_eval_gbdt_malformed_tree_is_one_model_format_line(tmp_path, capsys, tree):
+    ens = gbdt.TreeEnsemble(config=gbdt.GBDTConfig(n_classes=2, max_trees=2),
+                            n_features=4)
+    text = gbdt.serialize(ens).replace("trees=0\n", f"trees=1\n(tree class=0 {tree})\n")
+    model = tmp_path / "gbdt-model.txt"
+    model.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    # the model is parsed first, so the checkpoint need not exist
+    rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
+                   "--checkpoint", str(tmp_path / "absent.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("RXGB-ERROR model-format:"), err[:200]
+    assert err.count("\n") == 1
 
 
 def test_eval_fc_without_fc_head_is_one_invalid_value_line(tmp_path, cache_dir,

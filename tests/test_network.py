@@ -45,6 +45,22 @@ def oracle_spec():
     )
 
 
+def plan_spec():
+    """6x6 input: the stride-2 reduction sees an odd 3x3 grid and pads it,
+    then a stride-1 reduction keeps the 2x2 grid; FC head on top."""
+    return netspec.NetworkSpec(
+        layers=(
+            netspec.LayerSpec(netspec.FIRST_CONV, "stem", 1, 4, 2),
+            netspec.LayerSpec(netspec.NORMAL, "block1", 4, 4, 1),
+            netspec.LayerSpec(netspec.REDUCTION, "block2", 4, 8, 2),
+            netspec.LayerSpec(netspec.REDUCTION, "block3", 8, 16, 1),
+            netspec.LayerSpec(netspec.GLOBAL_POOL, "pool", 16, 16),
+            netspec.LayerSpec(netspec.FC_HEAD, "fc", 16, 3),
+        ),
+        input_shape=(1, 6, 6), feature_dim=16, class_count=3,
+    )
+
+
 def randomize_params(model, seed):
     """Overwrite every parameter with random values so no term is degenerate."""
     rng = np.random.default_rng(seed)
@@ -57,8 +73,9 @@ def randomize_params(model, seed):
 
 # --- straight-line oracle ----------------------------------------------------
 #
-# A literal re-implementation of the exact tiny plan in oracle_spec(), written
-# without any rxgb forward/backward code: explicit-loop convolutions, textbook
+# A literal re-implementation of the exact tiny plans in oracle_spec() and
+# plan_spec() (which adds a stride-1 reduction), written without any rxgb
+# forward/backward code: explicit-loop convolutions, textbook
 # batchnorm gradients, and the surrogate/STE rules stated in the docstrings.
 
 
@@ -146,7 +163,8 @@ def _o_eff(latent):
 
 
 def oracle_tiny_net(params, x, labels):
-    """Forward + backward of the oracle_spec() plan, fully straight-line."""
+    """Forward + backward of the oracle_spec() or plan_spec() plan, fully
+    straight-line; plan_spec()'s block3 runs when its params are present."""
     p = params
     g = {}
 
@@ -196,8 +214,32 @@ def oracle_tiny_net(params, x, labels):
                               p["block2.rprelu_out.gamma"],
                               p["block2.rprelu_out.zeta"])
 
+    # block3 (plan_spec() only; reduction 8->16, stride 1): identity shortcut
+    has_block3 = "block3.conv3x3.w_latent" in p
+    if has_block3:
+        a5, u_rs5 = _o_rsign_fwd(e2, p["block3.rsign_conv3x3.shift"])
+        w5_eff = _o_eff(p["block3.conv3x3.w_latent"])
+        z5 = naive_conv2d(a5, w5_eff, stride=1, padding=1, pad_value=-1.0)
+        b5, bn5c = _o_bn_fwd(z5, p["block3.bn_conv3x3.gamma"], p["block3.bn_conv3x3.beta"])
+        d5, u_rp5 = _o_rprelu_fwd(b5 + e2, p["block3.rprelu_conv3x3.beta"],
+                                  p["block3.rprelu_conv3x3.gamma"],
+                                  p["block3.rprelu_conv3x3.zeta"])
+        a6, u_rs6 = _o_rsign_fwd(d5, p["block3.rsign_conv1x1.shift"])
+        wc_eff = _o_eff(p["block3.conv1x1_a.w_latent"])
+        wd_eff = _o_eff(p["block3.conv1x1_b.w_latent"])
+        zc = naive_conv2d(a6, wc_eff, stride=1, padding=0, pad_value=-1.0)
+        zd = naive_conv2d(a6, wd_eff, stride=1, padding=0, pad_value=-1.0)
+        bc, bncc = _o_bn_fwd(zc, p["block3.bn_conv1x1_a.gamma"], p["block3.bn_conv1x1_a.beta"])
+        bd, bndc = _o_bn_fwd(zd, p["block3.bn_conv1x1_b.gamma"], p["block3.bn_conv1x1_b.beta"])
+        cat3 = np.concatenate([bc + d5, bd + d5], axis=1)
+        top, u_rp6 = _o_rprelu_fwd(cat3, p["block3.rprelu_out.beta"],
+                                   p["block3.rprelu_out.gamma"],
+                                   p["block3.rprelu_out.zeta"])
+    else:
+        top = e2
+
     # pool + fc + cross-entropy
-    feats = e2.mean(axis=(2, 3))
+    feats = top.mean(axis=(2, 3))
     logits = feats @ p["fc.w"]
     zmax = logits - logits.max(axis=1, keepdims=True)
     probs = np.exp(zmax) / np.exp(zmax).sum(axis=1, keepdims=True)
@@ -209,8 +251,35 @@ def oracle_tiny_net(params, x, labels):
     glog /= nb
     g["fc.w"] = feats.T @ glog
     gfeats = glog @ p["fc.w"].T
-    ge2 = np.broadcast_to(gfeats[:, :, None, None] / (e2.shape[2] * e2.shape[3]),
-                          e2.shape).copy()
+    gtop = np.broadcast_to(gfeats[:, :, None, None] / (top.shape[2] * top.shape[3]),
+                           top.shape).copy()
+
+    # block3 backward
+    if has_block3:
+        gcat3, g["block3.rprelu_out.beta"], g["block3.rprelu_out.gamma"], \
+            g["block3.rprelu_out.zeta"] = _o_rprelu_bwd(gtop, u_rp6,
+                                                        p["block3.rprelu_out.beta"])
+        gcc, gcd = gcat3[:, :8], gcat3[:, 8:]
+        gd5 = gcc + gcd
+        gzc, g["block3.bn_conv1x1_a.gamma"], g["block3.bn_conv1x1_a.beta"] = _o_bn_bwd(gcc, bncc)
+        gzd, g["block3.bn_conv1x1_b.gamma"], g["block3.bn_conv1x1_b.beta"] = _o_bn_bwd(gcd, bndc)
+        ga6c, gwc = _o_conv_bwd(gzc, a6, wc_eff, 1, 0, pad_value=-1.0)
+        ga6d, gwd = _o_conv_bwd(gzd, a6, wd_eff, 1, 0, pad_value=-1.0)
+        g["block3.conv1x1_a.w_latent"] = gwc * (np.abs(p["block3.conv1x1_a.w_latent"]) <= 1)
+        g["block3.conv1x1_b.w_latent"] = gwd * (np.abs(p["block3.conv1x1_b.w_latent"]) <= 1)
+        gd5_rs, g["block3.rsign_conv1x1.shift"] = _o_rsign_bwd(ga6c + ga6d, u_rs6)
+        gd5 = gd5 + gd5_rs
+        gc5, g["block3.rprelu_conv3x3.beta"], g["block3.rprelu_conv3x3.gamma"], \
+            g["block3.rprelu_conv3x3.zeta"] = _o_rprelu_bwd(gd5, u_rp5,
+                                                            p["block3.rprelu_conv3x3.beta"])
+        ge2 = gc5.copy()                                          # identity shortcut
+        gz5, g["block3.bn_conv3x3.gamma"], g["block3.bn_conv3x3.beta"] = _o_bn_bwd(gc5, bn5c)
+        ga5, gw5 = _o_conv_bwd(gz5, a5, w5_eff, 1, 1, pad_value=-1.0)
+        g["block3.conv3x3.w_latent"] = gw5 * (np.abs(p["block3.conv3x3.w_latent"]) <= 1)
+        ga5_rs, g["block3.rsign_conv3x3.shift"] = _o_rsign_bwd(ga5, u_rs5)
+        ge2 = ge2 + ga5_rs
+    else:
+        ge2 = gtop
 
     # block2 backward
     gcat, g["block2.rprelu_out.beta"], g["block2.rprelu_out.gamma"], \
@@ -261,24 +330,28 @@ def oracle_tiny_net(params, x, labels):
 
 
 def test_forward_backward_match_straight_line_oracle():
-    model = network.build_network(oracle_spec(), seed=11)
-    randomize_params(model, 12)
-    x = np.random.default_rng(13).normal(size=(3, 1, 6, 6))
-    labels = np.array([0, 1, 2])
-    frozen = {k: v.copy() for k, v in model.params.items()}
+    # plan_spec() adds a stride-1 reduction (identity shortcut) to oracle_spec()
+    for spec in (oracle_spec(), plan_spec()):
+        model = network.build_network(spec, seed=11)
+        randomize_params(model, 12)
+        x = np.random.default_rng(13).normal(size=(3, 1, 6, 6))
+        labels = np.array([0, 1, 2])
+        frozen = {k: v.copy() for k, v in model.params.items()}
 
-    want_logits, want_loss, want_grads = oracle_tiny_net(frozen, x, labels)
-    got_loss, got_grads = network.loss_and_grads(model, x, labels)
-    got_logits, _ = network.forward(model, x, training=True)
+        want_logits, want_loss, want_grads = oracle_tiny_net(frozen, x, labels)
+        got_loss, got_grads = network.loss_and_grads(model, x, labels)
+        got_logits, tape = network.forward(model, x, training=True)
+        network.backward(model, tape, np.ones_like(got_logits))
+        assert not tape.ops                  # every op backward ran, and only once
 
-    np.testing.assert_allclose(got_logits, want_logits, rtol=1e-10, atol=1e-12)
-    assert abs(got_loss - want_loss) < 1e-10
-    assert sorted(got_grads) == sorted(want_grads)
-    for key in want_grads:
-        np.testing.assert_allclose(
-            got_grads[key], want_grads[key], rtol=1e-9, atol=1e-12,
-            err_msg=f"gradient mismatch for {key}",
-        )
+        np.testing.assert_allclose(got_logits, want_logits, rtol=1e-10, atol=1e-12)
+        assert abs(got_loss - want_loss) < 1e-10
+        assert sorted(got_grads) == sorted(want_grads) == sorted(model.learnable_keys())
+        for key in want_grads:
+            np.testing.assert_allclose(
+                got_grads[key], want_grads[key], rtol=1e-9, atol=1e-12,
+                err_msg=f"gradient mismatch for {key} ({len(spec.layers)}-layer plan)",
+            )
 
 
 # --- construction ------------------------------------------------------------
@@ -650,7 +723,7 @@ def test_binary_conv_forward_equals_bit_path_byte_for_byte():
                                     rng.normal(size=ci) * 0.1)
         latent = rng.uniform(-1.0, 1.0, (co, ci, k, k))
         for scaling in (True, False):
-            y, _ = network._binconv_forward(a, latent, geom, scaling)
+            y = network._Tape({"c.w_latent": latent}, scaling).binconv("c", a, geom)
             bits, alpha = bitops.binarize_weights(latent, weight_scaling=scaling)
             want = bitops.binary_conv2d(bitops.pack(a), bits, alpha, geom)
             assert y.dtype == want.dtype == np.float64
@@ -722,22 +795,6 @@ def test_sign_convs_and_features_byte_identical_across_thread_counts():
 
 
 # --- frozen inference plan -------------------------------------------------------
-
-
-def plan_spec():
-    """6x6 input: the stride-2 reduction sees an odd 3x3 grid and pads it,
-    then a stride-1 reduction keeps the 2x2 grid; FC head on top."""
-    return netspec.NetworkSpec(
-        layers=(
-            netspec.LayerSpec(netspec.FIRST_CONV, "stem", 1, 4, 2),
-            netspec.LayerSpec(netspec.NORMAL, "block1", 4, 4, 1),
-            netspec.LayerSpec(netspec.REDUCTION, "block2", 4, 8, 2),
-            netspec.LayerSpec(netspec.REDUCTION, "block3", 8, 16, 1),
-            netspec.LayerSpec(netspec.GLOBAL_POOL, "pool", 16, 16),
-            netspec.LayerSpec(netspec.FC_HEAD, "fc", 16, 3),
-        ),
-        input_shape=(1, 6, 6), feature_dim=16, class_count=3,
-    )
 
 
 @pytest.mark.parametrize("scaling", [True, False])
