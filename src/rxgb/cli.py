@@ -393,8 +393,12 @@ def cmd_eval(args, cfg) -> int:
     if args.head == "gbdt":
         if not args.model:
             raise ConfigError("eval --head gbdt requires --model FILE")
-        with open(args.model, encoding="utf-8") as f:
-            ens = gbdt.deserialize(f.read())
+        try:
+            with open(args.model, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as e:
+            raise gbdt.FormatError(f"model file is not UTF-8 text: {e}") from e
+        ens = gbdt.deserialize(text)
     model = network.load_checkpoint(args.checkpoint)
     feats, labels = network.extract_features(
         model, _load_split(cfg, "test"), batch_size=cfg["train.batch_size"]

@@ -28,7 +28,10 @@ argsort of the child's rows: the prefix sums, gains, ties and thresholds, and
 so the model bytes, are those of sorting every node afresh. Node totals are
 plain (pairwise) sums of the node's rows in row order, not the last prefix
 sums. One scan scores a node's block in feature blocks of about 64k
-candidates.
+candidates; g and h travel through it as one complex128 g + 1j*h per row,
+so a block takes one gather and one prefix sum. That is exact: complex
+addition adds the real and the imaginary parts as two independent float64
+additions, so each part's prefix sums are those of g and of h alone.
 
 Features are handled in float32, the canonical precision of persisted feature
 matrices; thresholds and leaf weights are float64. Everything is deterministic:
@@ -187,34 +190,56 @@ def _column_block(x: np.ndarray) -> np.ndarray:
     Entry (f, j) packs the j-th smallest value of column f with its row id r
     as key * 2**32 + r, where key is the value's float32 bit pattern as a
     signed integer, negated for negative values so that integer order is
-    value order (-0.0 and +0.0 share key 0). The entries of a column are
-    distinct, so sorting them gives the stable argsort of the column, and
-    equal keys mean equal values.
+    value order (-0.0 and +0.0 share key 0). The key comes from the
+    sign-extended bits k by integer ops alone: s = k >> 63 is -1 for a
+    negative value and 0 otherwise, k & 0x7FFFFFFF is the magnitude bits,
+    and (magnitude ^ s) - s negates them exactly where s = -1. The ops run in
+    feature slices of about _BLOCK entries, so the only temporary is one
+    slice's s. The entries of a column are distinct, so sorting them gives
+    the stable argsort of the column, and equal keys mean equal values.
     """
     m, nf = x.shape
     if m > _ROW + 1:
         raise ValueError(f"at most 2**32 rows fit a column block, got {m}")
     keys = np.empty((nf, m), dtype=np.int64)
-    np.copyto(keys, x.T.view(np.int32))
-    neg = keys < 0
-    np.add(keys, 2**31, out=keys, where=neg)        # the magnitude bits
-    np.negative(keys, out=keys, where=neg)
-    keys <<= 32
-    keys |= np.arange(m)
+    bits = x.T.view(np.int32)
+    rows = np.arange(m)
+    step = max(1, _BLOCK // max(m, 1))
+    for f0 in range(0, nf, step):
+        k = keys[f0:f0 + step]
+        np.copyto(k, bits[f0:f0 + step])
+        s = k >> 63
+        k &= 0x7FFFFFFF
+        k ^= s
+        k -= s
+        k <<= 32
+        k |= rows
     keys.sort(axis=1)
     return keys
 
 
-def _scan(keys: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
+def _pack(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """g + 1j*h as one complex128 per row, both parts copied bit for bit
+    (the product 1j*h would turn h = -0.0 into +0.0)."""
+    gh = np.empty(g.shape, dtype=np.complex128)
+    gh.real, gh.imag = g, h
+    return gh
+
+
+def _scan(keys: np.ndarray, x: np.ndarray, gh: np.ndarray,
           gt: float, ht: float, cfg: GBDTConfig) -> Split | None:
     """Best split of one node from its column block keys [F, m] (see
-    _column_block; row ids index x, g and h).
+    _column_block; row ids index x and gh, the rows' g + 1j*h from _pack).
 
     gt, ht are the node's gradient and Hessian totals. Features are scored in
-    blocks of about _BLOCK candidates; a block's first maximum replaces the
-    running best only when strictly greater, so the result is the first
-    maximum in feature-major order. Candidates whose gain is not > 0 (NaN
-    included) are invalid.
+    blocks of about _BLOCK candidates. A block gathers each entry's g and h
+    as one complex128 and prefix-sums them in one cumsum: complex addition
+    is two independent float64 additions and the cumsum adds left to right,
+    so the real and imaginary parts are the float64 cumsums of g and h bit
+    for bit, at half the gathers and prefix-sum passes. A block's first
+    maximum replaces the running best only when strictly greater, so the
+    result is the first maximum in feature-major order. Candidates whose
+    gain is not > 0 (NaN included) are invalid.
     """
     nf, m = keys.shape
     if m < 2:
@@ -226,18 +251,20 @@ def _scan(keys: np.ndarray, x: np.ndarray, g: np.ndarray, h: np.ndarray,
     best_gain, best = 0.0, None
     for f0 in range(0, nf, step):
         bkeys = keys[f0:f0 + step]
-        rows = bkeys & _ROW
-        gl = np.cumsum(g[rows], axis=1)[:, :-1]
-        hl = np.cumsum(h[rows], axis=1)[:, :-1]
+        c = gh[bkeys & _ROW]
+        np.cumsum(c, axis=1, out=c)
+        gl, hl = c.real[:, :-1], c.imag[:, :-1]
         gr = gt - gl
         hr = ht - hl
         with np.errstate(invalid="ignore"):      # 0/0 when lambda = 0
-            gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
+            gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+        if cfg.gamma:                            # x - 0.0 is x for every double
+            gains -= cfg.gamma
         vkeys = bkeys >> 32
         valid = (gains > 0.0) & (vkeys[:, 1:] != vkeys[:, :-1])
         valid &= hl >= mcw
         valid &= hr >= mcw
-        gains[~valid] = 0.0
+        np.copyto(gains, 0.0, where=~valid)
         i = int(np.argmax(gains))
         if gains.flat[i] > best_gain:
             best_gain = float(gains.flat[i])
@@ -269,7 +296,7 @@ def best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> 
     x = np.asarray(x, dtype=np.float32)
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    return _scan(_column_block(x), x, g, h, g.sum(), h.sum(), cfg)
+    return _scan(_column_block(x), x, _pack(g, h), g.sum(), h.sum(), cfg)
 
 
 def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
@@ -280,17 +307,20 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
     partitions every column of the node's block stably by it, so each child's
     block is the parent's sorted order restricted to the child's rows. Node
     rows are kept in increasing row order and node totals are their sums in
-    that order.
+    that order. The scans read g and h packed once per tree (see _pack).
 
     Below the root, which is only read, a node's block is a span of one half
     of a two-half buffer and its children's blocks are cut into the same span
     of the other half. Nodes waiting on the stack hold disjoint spans, and a
     span is overwritten only after its node is split, so growth allocates
     nothing of block size beyond the buffer; the partition runs in the scan's
-    feature blocks, which bounds its temporaries too.
+    feature blocks, which bounds its temporaries too. A split at the last
+    level (depth + 1 == max_depth) makes two leaves, whose blocks are never
+    read, so it partitions nothing.
     """
     g = np.ascontiguousarray(g, dtype=np.float64)
     h = np.ascontiguousarray(h, dtype=np.float64)
+    gh = _pack(g, h)
     nf, n = block.shape
     weights = np.empty(n)
     side = np.zeros(n, dtype=bool)
@@ -303,24 +333,25 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
         hs = float(h[idx].sum())
         sp = None
         if depth < cfg.max_depth and idx.size >= 2:
-            sp = _scan(keys, x, g, h, gs, hs, cfg)
+            sp = _scan(keys, x, gh, gs, hs, cfg)
         if sp is None:
             node.weight = float(-cfg.learning_rate * gs / (hs + cfg.reg_lambda))
             weights[idx] = node.weight
             continue
         go_left = x[idx, sp.feature] <= np.float64(sp.threshold)
-        side[idx] = go_left
         m, ml = idx.size, int(go_left.sum())
         half, cut = buf[(depth + 1) % 2], start + nf * ml
         left = half[start:cut].reshape(nf, ml)
         right = half[cut:start + nf * m].reshape(nf, m - ml)
-        step = max(1, _BLOCK // m)
-        for f0 in range(0, nf, step):
-            rows = slice(f0, f0 + step)
-            part = keys[rows].ravel()
-            sel = side[part & _ROW]
-            np.compress(sel, part, out=left[rows].ravel())
-            np.compress(~sel, part, out=right[rows].ravel())
+        if depth + 1 < cfg.max_depth:
+            side[idx] = go_left
+            step = max(1, _BLOCK // m)
+            for f0 in range(0, nf, step):
+                rows = slice(f0, f0 + step)
+                part = keys[rows].ravel()
+                sel = side[part & _ROW]
+                np.compress(sel, part, out=left[rows].ravel())
+                np.compress(~sel, part, out=right[rows].ravel())
         node.is_leaf, node.feature, node.threshold = False, sp.feature, sp.threshold
         node.left, node.right = TreeNode(is_leaf=True), TreeNode(is_leaf=True)
         stack.append((node.right, idx[~go_left], right, cut, depth + 1))

@@ -136,12 +136,20 @@ def _check_conv_shapes(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> None
 
 def _pad_input(x: np.ndarray, pad: int, pad_value: float, dtype) -> np.ndarray:
     """x [N, Ci, H, W] as a new [N, H + 2*pad, W + 2*pad, Ci] array of dtype
-    whose ring of width pad holds pad_value."""
+    whose ring of width pad holds pad_value.
+
+    A cast (the int8 signs into float32) transposes in x's dtype first and
+    then casts contiguously, which is faster than casting through the
+    strided transposed view; without a cast x is assigned directly.
+    """
     n, ci, h, w = x.shape
     xp = np.empty((n, h + 2 * pad, w + 2 * pad, ci), dtype)
     xp[:, :pad] = xp[:, h + pad:] = pad_value
     xp[:, :, :pad] = xp[:, :, w + pad:] = pad_value
-    xp[:, pad:h + pad, pad:w + pad] = x.transpose(0, 2, 3, 1)
+    nhwc = x.transpose(0, 2, 3, 1)
+    if x.dtype != dtype:
+        nhwc = np.ascontiguousarray(nhwc)
+    xp[:, pad:h + pad, pad:w + pad] = nhwc
     return xp
 
 

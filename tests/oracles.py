@@ -93,6 +93,23 @@ def argsort_best_split(x, g, h, cfg):
     return f, t
 
 
+def where_column_block(x):
+    """rxgb.gbdt._column_block with the sign handled by masked ufuncs: add
+    2**31 to the negative sign-extended bits (their magnitude) and negate
+    them where the value is negative. The form the integer key transform
+    replaced; the two must give equal keys."""
+    m, nf = x.shape
+    keys = np.empty((nf, m), dtype=np.int64)
+    np.copyto(keys, np.asarray(x, dtype=np.float32).T.view(np.int32))
+    neg = keys < 0
+    np.add(keys, 2**31, out=keys, where=neg)
+    np.negative(keys, out=keys, where=neg)
+    keys <<= 32
+    keys |= np.arange(m)
+    keys.sort(axis=1)
+    return keys
+
+
 def argsort_grow_tree(x, g, h, cfg):
     """Recursive growth on argsort_best_split, as an rxgb.gbdt.TreeNode."""
     from rxgb.gbdt import TreeNode

@@ -355,6 +355,18 @@ def test_eval_gbdt_malformed_tree_is_one_model_format_line(tmp_path, capsys, tre
     assert err.count("\n") == 1
 
 
+def test_eval_gbdt_non_utf8_model_is_one_model_format_line(tmp_path, capsys):
+    model = tmp_path / "gbdt-model.txt"
+    model.write_bytes(b"RXGB-GBDT v1\n\xff\xfe\n")
+    capsys.readouterr()
+    rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
+                   "--checkpoint", str(tmp_path / "absent.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("RXGB-ERROR model-format:"), err[:200]
+    assert err.count("\n") == 1
+
+
 def test_eval_fc_without_fc_head_is_one_invalid_value_line(tmp_path, cache_dir,
                                                            capsys):
     spec = netspec.reference_spec(width_mult=0.125, include_fc=False)

@@ -9,7 +9,7 @@ against per-row tracer routing.
 
 import numpy as np
 import pytest
-from oracles import argsort_grow_tree
+from oracles import argsort_grow_tree, where_column_block
 
 from rxgb import gbdt
 from rxgb.gbdt import (
@@ -295,7 +295,29 @@ def test_model_bytes_equal_per_node_argsort_reference(k, depth, gamma, mcw, lam)
             tree = argsort_grow_tree(x, g[:, c], h[:, c], cfg)
             margins[:, c] += gbdt._tree_predict(tree, x)
             want.trees.append((c, tree))
+    # the last split level takes no partition: some tree must reach it
+    assert max(t.depth() for _, t in want.trees) == depth
     assert serialize(train_ensemble(x, y, cfg)) == serialize(want)
+
+
+def test_column_block_keys_equal_the_masked_ufunc_reference():
+    """The integer key transform gives the masked-ufunc keys on a matrix of
+    several feature slices holding both zeros, both signs of the smallest
+    subnormal, FLT_MIN, FLT_MAX and 1, ties included."""
+    fi = np.finfo(np.float32)
+    special = np.float32([0.0, 1e-45, fi.tiny, fi.max, 1.0])
+    special = np.concatenate([special, -special])
+    rng = np.random.default_rng(7)
+    m = 300
+    nf = 3 * (gbdt._BLOCK // m) + 5                     # four feature slices
+    x = rng.standard_normal((m, nf)).astype(np.float32)
+    pick = rng.random((m, nf)) < 0.5
+    x[pick] = rng.choice(special, size=int(pick.sum()))
+    x[:, :len(special)] = np.resize(special, (m, len(special)))
+    keys = gbdt._column_block(x)
+    assert np.array_equal(keys, where_column_block(x))
+    vals = np.take_along_axis(x.T, keys & gbdt._ROW, axis=1)
+    assert np.array_equal((keys >> 32) == 0, vals == 0)  # -0.0 and +0.0: key 0
 
 
 def test_threshold_clamps_when_midpoint_rounds_to_right_value():
