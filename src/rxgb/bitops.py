@@ -253,7 +253,8 @@ def rsign_backward(grad_y: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndar
 
 
 def rprelu_forward(
-    x: np.ndarray, beta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray
+    x: np.ndarray, beta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Shifted PReLU: y = f(x - gamma[c]) + zeta[c], f(u) = u if u >= 0 else beta[c]*u.
 
@@ -264,16 +265,20 @@ def rprelu_forward(
     the branch form gives. numpy does not promise this; it was measured in
     numpy 2.4's x86 SIMD loops (its scalar loop returns the first operand,
     and NEON orders -0 < +0), and tests/test_bitops.py checks it with
-    zeta = -0. Returns (y, cache).
+    zeta = -0. ``out``, if given, is a float64 array of x's shape that
+    receives u (the cache's ``u``); pass x itself to consume it. y is a
+    fresh array either way, in x's memory order. Returns (y, cache).
     """
     x = np.asarray(x, dtype=np.float64)
     c = x.shape[1]
     for name, arr in (("beta", beta), ("gamma", gamma), ("zeta", zeta)):
         if arr.shape != (c,):
             raise ValueError(f"{name} shape {arr.shape} != ({c},)")
-    u = x - gamma[None, :, None, None]
+    u = np.subtract(x, gamma[None, :, None, None], out=out)
+    t = np.minimum(0.0, u)
+    t *= beta[None, :, None, None]
     y = np.maximum(0.0, u)
-    y += beta[None, :, None, None] * np.minimum(0.0, u)
+    y += t
     y += zeta[None, :, None, None]
     return y, {"u": u, "beta": beta}
 

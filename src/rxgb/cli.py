@@ -70,6 +70,7 @@ DEFAULTS: dict[str, tuple] = {
 
 COMPLIANCE_MAX_TREES = 20
 COMPLIANCE_MAX_DEPTH = 10
+_CLASSES = 10                        # labels lie in [0, 10) (see data)
 
 
 class ConfigError(ValueError):
@@ -222,7 +223,7 @@ def _build_spec(cfg, name: str = "reference"):
 def _gbdt_config(cfg, compliance: bool):
     from . import gbdt
 
-    config = gbdt.GBDTConfig(n_classes=10, **{   # gbdt.<field> = value
+    config = gbdt.GBDTConfig(n_classes=_CLASSES, **{   # gbdt.<field> = value
         key[5:]: value for key, value in cfg.items() if key.startswith("gbdt.")
     })
     if compliance:
@@ -337,7 +338,7 @@ def _eval_head(cfg, head: str, model, ens, feats, labels) -> float:
     hits = int((pred == labels).sum())
     top1 = hits / len(labels)
     print(f"{head} head top-1 accuracy: {top1:.4f} ({hits}/{len(labels)})")
-    cm = np.zeros((10, 10), dtype=np.int64)
+    cm = np.zeros((_CLASSES, _CLASSES), dtype=np.int64)
     np.add.at(cm, (labels, pred), 1)
     print("confusion matrix (rows = true, cols = predicted):")
     width = max(len(str(cm.max())), 3)
@@ -400,6 +401,8 @@ def cmd_eval(args, cfg) -> int:
             raise gbdt.FormatError(f"model file is not UTF-8 text: {e}") from e
         ens = gbdt.deserialize(text)
     model = network.load_checkpoint(args.checkpoint)
+    if ens is not None:
+        gbdt.check_fits(ens, model.spec.feature_dim, _CLASSES)
     feats, labels = network.extract_features(
         model, _load_split(cfg, "test"), batch_size=cfg["train.batch_size"]
     )

@@ -685,3 +685,24 @@ def deserialize(text: str) -> TreeEnsemble:
         base_score=base,
         n_features=n_features or None,
     )
+
+
+def check_fits(ens: TreeEnsemble, n_features: int, n_classes: int) -> None:
+    """Raise FormatError unless ``ens`` scores rows of ``n_features`` features
+    into ``n_classes`` classes: its class count and recorded feature count
+    must equal them, and with no feature count recorded every split must read
+    a column below ``n_features``."""
+    if ens.config.n_classes != n_classes:
+        raise FormatError(f"model has {ens.config.n_classes} classes, the data {n_classes}")
+    if ens.n_features is not None:
+        if ens.n_features != n_features:
+            raise FormatError(f"model n_features {ens.n_features} != feature width "
+                              f"{n_features}")
+        return
+    stack = [tree for _, tree in ens.trees]
+    while stack:
+        nd = stack.pop()
+        if not nd.is_leaf:
+            if nd.feature >= n_features:
+                raise FormatError(f"split on feature {nd.feature} of {n_features}")
+            stack += (nd.left, nd.right)

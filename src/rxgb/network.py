@@ -48,7 +48,11 @@ reals. It computes the same bytes in the same per-element order and caches
 nothing. A checkpoint loaded by ``load_checkpoint`` is read-only and keeps
 the plan it first builds, so requests pay no weight preparation; writing
 into it raises, and ``copy()`` gives a writable state to train. A writable
-state is frozen once per inference call.
+state is frozen once per inference call. In both executors batch norm and
+RPReLU compute in the conv output or block sum they are given, which nothing
+else reads. That keeps the bytes: a fresh ufunc result takes its input's
+memory order, so the in-place result holds the same values in the same
+layout, and every later reduction adds in the same order.
 """
 
 from __future__ import annotations
@@ -264,7 +268,8 @@ class InferencePlan:
     [kh*kw*Ci, Co] matrix in im2col order (``tensor_ops.sign_matrix``) and
     its per-channel alpha; ``reals`` holds copies of every other parameter.
     All arrays are read-only. As an executor of the block wiring it runs the
-    inference-mode ops of the training graph and keeps none of their caches.
+    inference-mode ops of the training graph and keeps none of their caches;
+    bn and rprelu consume the conv output or block sum they are given.
     """
 
     spec: netspec.NetworkSpec
@@ -285,11 +290,12 @@ class InferencePlan:
 
     def bn(self, prefix, x):
         return tensor_ops.batchnorm_forward(
-            x, *(self.reals[f"{prefix}.{k}"] for k in _BN_KEYS), training=False)[0]
+            x, *(self.reals[f"{prefix}.{k}"] for k in _BN_KEYS), training=False,
+            out=x)[0]
 
     def rprelu(self, prefix, x):
         return bitops.rprelu_forward(
-            x, *(self.reals[f"{prefix}.{k}"] for k in _RPRELU_KEYS))[0]
+            x, *(self.reals[f"{prefix}.{k}"] for k in _RPRELU_KEYS), out=x)[0]
 
     def linear(self, prefix, x):
         return tensor_ops.linear_forward(x, self.reals[f"{prefix}.w"])
@@ -341,7 +347,9 @@ class _Tape:
     """Training executor: float64 ops on the live params with batch-statistic
     BN. Each op records, under its parameter prefix, its backward: a closure
     over its cache, returning the input gradient and the gradients of the
-    parameters it names. :meth:`back` runs each recorded backward once."""
+    parameters it names. :meth:`back` runs each recorded backward once. bn
+    and rprelu consume the conv output or block sum they are given: it
+    becomes the cached xhat or u."""
 
     def __init__(self, params: dict, scaling: bool):
         self.params = params
@@ -383,14 +391,15 @@ class _Tape:
 
     def bn(self, prefix, x):
         y, cache = tensor_ops.batchnorm_forward(
-            x, *(self.params[f"{prefix}.{k}"] for k in _BN_KEYS), training=True)
+            x, *(self.params[f"{prefix}.{k}"] for k in _BN_KEYS), training=True,
+            out=x)
         self.ops[prefix] = (("gamma", "beta"),
                             lambda g: tensor_ops.batchnorm_backward(g, cache))
         return y
 
     def rprelu(self, prefix, x):
         y, cache = bitops.rprelu_forward(
-            x, *(self.params[f"{prefix}.{k}"] for k in _RPRELU_KEYS))
+            x, *(self.params[f"{prefix}.{k}"] for k in _RPRELU_KEYS), out=x)
         self.ops[prefix] = (_RPRELU_KEYS, lambda g: bitops.rprelu_backward(g, cache))
         return y
 

@@ -501,6 +501,7 @@ def batchnorm_forward(
     momentum: float = 0.1,
     eps: float = 1e-5,
     training: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Per-channel batch normalization over (N, H, W).
 
@@ -509,6 +510,11 @@ def batchnorm_forward(
         running <- (1 - momentum) * running + momentum * batch.
     In inference mode normalizes with the running statistics, making the op
     batch-invariant.
+
+    ``out``, if given, is a float64 array of x's shape that receives the
+    normalized x (the cache's ``xhat``); pass x itself to consume it. With
+    out=x the values and the layout equal the fresh array's, since a fresh
+    ufunc result takes x's memory order.
 
     Returns:
         (y, cache) where cache feeds batchnorm_backward.
@@ -526,7 +532,7 @@ def batchnorm_forward(
         if x.shape[0] == 0:
             raise ValueError("batchnorm requires a non-empty batch in training mode")
         mean = x.mean(axis=(0, 2, 3))
-        xhat = x - mean[None, :, None, None]
+        xhat = np.subtract(x, mean[None, :, None, None], out=out)
         y = np.multiply(xhat, xhat)                      # squares; y's buffer
         var = y.sum(axis=(0, 2, 3)) / m                  # biased, as np.var
         running_mean *= 1.0 - momentum
@@ -534,7 +540,7 @@ def batchnorm_forward(
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        xhat = x - running_mean[None, :, None, None]
+        xhat = np.subtract(x, running_mean[None, :, None, None], out=out)
         var = running_var
         y = np.empty_like(xhat)
     inv_std = 1.0 / np.sqrt(var + eps)

@@ -358,8 +358,9 @@ def dense_sign_conv2d(x, w_mat, geom, pad_value=-1):
     return (cols @ w_mat).reshape(n, oh, ow, w_mat.shape[1]).transpose(0, 3, 1, 2)
 
 
-def where_rprelu_forward(x, beta, gamma, zeta):
-    """RPReLU selecting its branch with np.where on the sign mask of u."""
+def where_rprelu_forward(x, beta, gamma, zeta, out=None):
+    """RPReLU selecting its branch with np.where on the sign mask of u, in
+    fresh temporaries: ``out`` is accepted and ignored."""
     x = np.asarray(x, dtype=np.float64)
     u = x - gamma[None, :, None, None]
     pos = u >= 0
@@ -379,8 +380,9 @@ def where_rprelu_backward(grad_y, cache):
 
 
 def var_batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                          momentum=0.1, eps=1e-5, training=True):
-    """Batch norm with the batch variance from np.var and fresh temporaries."""
+                          momentum=0.1, eps=1e-5, training=True, out=None):
+    """Batch norm with the batch variance from np.var and fresh temporaries:
+    ``out`` is accepted and ignored."""
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     if training:

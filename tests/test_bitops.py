@@ -1,5 +1,7 @@
 """Binary-compute checks: packing, XNOR dots, binary conv, surrogate grads."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -239,12 +241,14 @@ def _nhwc(a):
 
 def test_rprelu_equals_the_where_form_byte_for_byte():
     # Signed zeros and the kink (x == gamma), both layouts of x and grad_y,
-    # and planes below and above the size at which numpy reuses temporaries
-    # in place (256 KiB). The branch-free form gives u = -0 its sign only
-    # because numpy's maximum and minimum return the second operand on a tie
-    # of zeros, which numpy does not promise: zeta = -0 (channel 1) catches a
-    # build where the tie goes the other way. (grad_beta cannot show it:
-    # numpy's sums start from +0, so no channel sum is -0.)
+    # planes below and above the size at which numpy reuses temporaries in
+    # place (256 KiB), and both forms of the call: a fresh u, and out=x on a
+    # copy of x in its layout, consumed as u. The branch-free form gives
+    # u = -0 its sign only because numpy's maximum and minimum return the
+    # second operand on a tie of zeros, which numpy does not promise:
+    # zeta = -0 (channel 1) catches a build where the tie goes the other way.
+    # (grad_beta cannot show it: numpy's sums start from +0, so no channel sum
+    # is -0.)
     rng = np.random.default_rng(29)
     for shape in ((3, 8, 5, 5), (64, 32, 14, 14)):
         c = shape[1]
@@ -258,13 +262,18 @@ def test_rprelu_equals_the_where_form_byte_for_byte():
         raw[:, :, 0, 0] = gamma[None, :]                 # u = +0, the kink
         raw[:, :2, 1, 1] = -0.0                          # u = -0 - 0 = -0
         raw[:, 0, 2, 2] = 0.0
-        for x_layout in (np.ascontiguousarray, _nhwc):
+        for x_layout, consume in itertools.product((np.ascontiguousarray, _nhwc),
+                                                   (False, True)):
             x = x_layout(raw)
-            y, cache = rprelu_forward(x, beta, gamma, zeta)
+            xin = x.copy(order="K")
+            y, cache = rprelu_forward(xin, beta, gamma, zeta,
+                                      out=xin if consume else None)
             ry, rcache = where_rprelu_forward(x, beta, gamma, zeta)
-            case = (shape, x_layout.__name__)
-            assert y.tobytes(order="A") == ry.tobytes(order="A"), case
-            assert y.strides == ry.strides, case
+            case = (shape, x_layout.__name__, consume)
+            assert (cache["u"] is xin) == consume, case
+            for a, b in ((y, ry), (cache["u"], rcache["u"])):
+                assert a.tobytes(order="A") == b.tobytes(order="A"), case
+                assert a.strides == b.strides, case
             for g_layout in (np.ascontiguousarray, _nhwc):
                 gy = g_layout(rng.standard_normal(shape))
                 gy[:, :, 3, 3] = 0.0

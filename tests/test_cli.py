@@ -453,3 +453,84 @@ def test_feature_file_mutants_print_one_data_format_line(tmp_path, capsys):
         assert not out.exists(), k
         outcomes["data-format"] += 1
     assert outcomes["data-format"] >= 40, outcomes      # every truncation at least
+
+
+def _model_mutants(blob, rng, count):
+    """Seeded mutants of a model file: a third truncations, a third 1-4 random
+    byte writes, a third 1-4 digits rewritten as digits, so most still parse
+    and carry other numbers."""
+    digits = [i for i, b in enumerate(blob) if 0x30 <= b <= 0x39]
+    for k in range(count):
+        if k % 3 == 0:
+            yield blob[:int(rng.integers(0, len(blob)))]
+            continue
+        m = bytearray(blob)
+        for _ in range(int(rng.integers(1, 5))):
+            if k % 3 == 1:
+                m[int(rng.integers(0, len(m)))] = int(rng.integers(0, 256))
+            else:
+                i = digits[int(rng.integers(0, len(digits)))]
+                m[i] = 0x30 + int(rng.integers(0, 10))
+        yield bytes(m)
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A width-0.125 backbone checkpoint and a 10-class, 10-tree model for
+    its 128 features."""
+    root = tmp_path_factory.mktemp("eval")
+    spec = netspec.reference_spec(width_mult=0.125, include_fc=False)
+    ckpt = root / "b.ckpt"
+    network.save_checkpoint(network.build_network(spec, seed=0), ckpt)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((40, spec.feature_dim)).astype(np.float32)
+    ens = gbdt.train_ensemble(x, np.arange(40) % 10,
+                              gbdt.GBDTConfig(n_classes=10, max_trees=10, max_depth=2))
+    return ckpt, gbdt.serialize(ens)
+
+
+def _eval_gbdt(model, ckpt, cache_dir, capsys):
+    capsys.readouterr()
+    rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
+                   "--checkpoint", str(ckpt), "--data.dir", str(cache_dir)])
+    return rc, capsys.readouterr().err
+
+
+def test_model_mutants_print_one_model_format_line(tmp_path, cache_dir, eval_inputs,
+                                                   capsys):
+    ckpt, text = eval_inputs
+    rng = np.random.default_rng(10)
+    model = tmp_path / "gbdt-model.txt"
+    outcomes = {"ok": 0, "model-format": 0}
+    for k, mutant in enumerate(_model_mutants(text.encode(), rng, 300)):
+        model.write_bytes(mutant)
+        rc, err = _eval_gbdt(model, ckpt, cache_dir, capsys)
+        if rc == 0:
+            outcomes["ok"] += 1
+            continue
+        assert rc == 1, (k, err)
+        assert err.startswith("RXGB-ERROR model-format:"), (k, err)
+        assert err.count("\n") == 1, (k, err)
+        outcomes["model-format"] += 1
+    assert outcomes["model-format"] >= 100, outcomes     # every truncation at least
+    assert outcomes["ok"] >= 30, outcomes
+
+
+@pytest.mark.parametrize("edits", [
+    [("n_features=128", "n_features=129")],              # wider than the features
+    [("n_features=128", "n_features=0"),                 # unrecorded, and splits
+     ("(split f=", "(split f=500")],                     # on columns >= 128
+    [("n_classes=10", "n_classes=11"),                   # a class the data lacks,
+     ("\nn_features=", " 9.0\nn_features=")],            # which wins every row
+])
+def test_eval_gbdt_model_that_does_not_fit_is_one_model_format_line(
+        tmp_path, cache_dir, eval_inputs, capsys, edits):
+    ckpt, text = eval_inputs
+    for old, new in edits:
+        text = text.replace(old, new)
+    model = tmp_path / "gbdt-model.txt"
+    model.write_text(text, encoding="utf-8")
+    rc, err = _eval_gbdt(model, ckpt, cache_dir, capsys)
+    assert rc == 1
+    assert err.startswith("RXGB-ERROR model-format:"), err[:200]
+    assert err.count("\n") == 1

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -824,6 +825,40 @@ def test_plan_is_read_only_and_leaves_the_model_writable():
     with pytest.raises(TypeError):
         plan.reals["stem.conv.w"] = np.zeros((4, 1, 3, 3))
     assert all(a.flags.writeable for a in model.params.values())
+
+
+def test_forwards_write_no_caller_array():
+    # bn and rprelu compute in the arrays they are given: conv outputs and
+    # block sums of the forward's own, never the input or the plan's reals.
+    model = network.build_network(plan_spec(), seed=179)
+    randomize_params(model, 180)
+    plan = network.freeze(model)
+    reals = {key: a.tobytes() for key, a in plan.reals.items()}
+    x = np.random.default_rng(181).normal(size=(5, 1, 6, 6))
+    assert np.asarray(x, dtype=np.float64) is x          # the forwards get x itself
+    before = x.tobytes()
+    network.features_forward(plan, x)
+    assert x.tobytes() == before
+    network.forward(model, x, training=True)
+    assert x.tobytes() == before
+    assert not any(a.flags.writeable for a in plan.reals.values())
+    assert {key: a.tobytes() for key, a in plan.reals.items()} == reals
+
+
+def test_b64_features_forward_allocates_at_most_25_mib():
+    # Peak traced allocation of one width-0.5 batch-64 request on a frozen
+    # plan: 28.4 MiB when bn and rprelu made fresh arrays, 22.3 MiB since they
+    # compute in the conv output and block sum they are given.
+    spec = netspec.reference_spec(width_mult=0.5)
+    plan = network.freeze(network.build_network(spec, seed=182))
+    x = np.random.default_rng(183).standard_normal((64, *spec.input_shape))
+    tracemalloc.start()
+    try:
+        network.features_forward(plan, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2**20, peak / 2**20
 
 
 def test_infer_hybrid_on_loaded_checkpoint_equals_the_saved_model(tmp_path):

@@ -1,5 +1,6 @@
 """Tensor-op checks against loop oracles and finite differences."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -380,33 +381,37 @@ def _nhwc(a):
 
 
 def test_batchnorm_equals_the_temporaries_form_byte_for_byte():
-    # Both layouts of x and grad_y, and planes below and above the size at
-    # which numpy reuses temporaries in place (256 KiB).
+    # Both layouts of x and grad_y, planes below and above the size at which
+    # numpy reuses temporaries in place (256 KiB), and both forms of the call:
+    # a fresh xhat, and out=x on a copy of x in its layout, consumed as xhat.
     rng = np.random.default_rng(23)
     for shape in ((3, 8, 5, 5), (64, 32, 14, 14)):
         c = shape[1]
         gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
-        for x_layout in (np.ascontiguousarray, _nhwc):
+        for x_layout, training, consume in itertools.product(
+                (np.ascontiguousarray, _nhwc), (True, False), (False, True)):
             x = x_layout(rng.standard_normal(shape) * 3.0 + 1.0)
-            for training in (True, False):
-                stats = (rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
-                new_stats = tuple(a.copy() for a in stats)
-                y, cache = batchnorm_forward(x, gamma, beta, *new_stats,
-                                             training=training)
-                ry, rcache = var_batchnorm_forward(x, gamma, beta, *stats,
-                                                   training=training)
-                case = (shape, x_layout.__name__, training)
-                assert y.tobytes(order="A") == ry.tobytes(order="A"), case
-                assert y.strides == ry.strides, case
-                for a, b in zip(new_stats, stats):
-                    assert a.tobytes() == b.tobytes(), case
-                for g_layout in (np.ascontiguousarray, _nhwc):
-                    gy = g_layout(rng.standard_normal(shape))
-                    got = batchnorm_backward(gy, cache)
-                    want = temporaries_batchnorm_backward(gy, rcache)
-                    for a, b in zip(got, want):
-                        assert (np.ascontiguousarray(a).tobytes()
-                                == np.ascontiguousarray(b).tobytes()), case
+            stats = (rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
+            new_stats = tuple(a.copy() for a in stats)
+            xin = x.copy(order="K")
+            y, cache = batchnorm_forward(xin, gamma, beta, *new_stats,
+                                         training=training, out=xin if consume else None)
+            ry, rcache = var_batchnorm_forward(x, gamma, beta, *stats,
+                                               training=training)
+            case = (shape, x_layout.__name__, training, consume)
+            assert (cache["xhat"] is xin) == consume, case
+            for a, b in ((y, ry), (cache["xhat"], rcache["xhat"])):
+                assert a.tobytes(order="A") == b.tobytes(order="A"), case
+                assert a.strides == b.strides, case
+            for a, b in zip(new_stats, stats):
+                assert a.tobytes() == b.tobytes(), case
+            for g_layout in (np.ascontiguousarray, _nhwc):
+                gy = g_layout(rng.standard_normal(shape))
+                got = batchnorm_backward(gy, cache)
+                want = temporaries_batchnorm_backward(gy, rcache)
+                for a, b in zip(got, want):
+                    assert (np.ascontiguousarray(a).tobytes()
+                            == np.ascontiguousarray(b).tobytes()), case
 
 
 def test_pools_forward_and_backward():
