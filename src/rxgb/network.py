@@ -214,7 +214,8 @@ def _normal_forward(ops, name, x):
 def _reduction_forward(ops, name, x, stride):
     _, _, h, w = x.shape
     if stride == 2 and (h % 2 or w % 2):
-        x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)))
+        x = np.pad(x.transpose(0, 2, 3, 1),
+                   ((0, 0), (0, h % 2), (0, w % 2), (0, 0))).transpose(0, 3, 1, 2)
     a1 = ops.rsign(f"{name}.rsign_conv3x3", x)
     geom = _GEOM_3X3_S2 if stride == 2 else _GEOM_3X3
     b1 = ops.bn(f"{name}.bn_conv3x3", ops.binconv(f"{name}.conv3x3", a1, geom))
@@ -225,7 +226,10 @@ def _reduction_forward(ops, name, x, stride):
                 ops.binconv(f"{name}.conv1x1_a", a2, _GEOM_1X1))
     bb = ops.bn(f"{name}.bn_conv1x1_b",
                 ops.binconv(f"{name}.conv1x1_b", a2, _GEOM_1X1))
-    cat = np.concatenate([ba + d1, bb + d1], axis=1)
+    n, c, oh, ow = d1.shape
+    cat = np.empty((n, oh, ow, 2 * c)).transpose(0, 3, 1, 2)
+    np.add(ba, d1, out=cat[:, :c])
+    np.add(bb, d1, out=cat[:, c:])
     return ops.rprelu(f"{name}.rprelu_out", cat)
 
 
@@ -419,13 +423,13 @@ def _stem_backward(tape, name, step, grad_y):
 
 def _normal_backward(tape, name, step, grad_y):
     g_c2 = tape.back(f"{name}.rprelu_conv1x1", grad_y)
-    g_d1 = g_c2.copy()                                   # shortcut branch
+    g_d1 = g_c2.copy(order="K")                          # shortcut branch
     g_z2 = tape.back(f"{name}.bn_conv1x1", g_c2)
     g_a2 = tape.back(f"{name}.conv1x1", g_z2)
     g_d1 += tape.back(f"{name}.rsign_conv1x1", g_a2)
 
     g_c1 = tape.back(f"{name}.rprelu_conv3x3", g_d1)
-    g_x = g_c1.copy()                                    # shortcut branch
+    g_x = g_c1.copy(order="K")                           # shortcut branch
     g_z1 = tape.back(f"{name}.bn_conv3x3", g_c1)
     g_a1 = tape.back(f"{name}.conv3x3", g_z1)
     g_x += tape.back(f"{name}.rsign_conv3x3", g_a1)
@@ -448,7 +452,7 @@ def _reduction_backward(tape, name, step, grad_y):
     if step.layer.stride == 2:
         g_xp = tensor_ops.avgpool_2x2_backward(g_c1, (len(g_c1), *step.padded))
     else:
-        g_xp = g_c1.copy()
+        g_xp = g_c1.copy(order="K")
     g_z1 = tape.back(f"{name}.bn_conv3x3", g_c1)
     g_a1 = tape.back(f"{name}.conv3x3", g_z1)
     g_xp += tape.back(f"{name}.rsign_conv3x3", g_a1)

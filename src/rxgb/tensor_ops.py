@@ -584,33 +584,49 @@ def batchnorm_backward(
 
 
 def avgpool_global(x: np.ndarray) -> np.ndarray:
-    """Spatial mean: [N, C, H, W] -> [N, C]."""
+    """Spatial mean: [N, C, H, W] -> [N, C]; each channel's sum adds the
+    (h, w) cells in x's memory order (row by row in NHWC memory)."""
     if x.ndim != 4:
         raise ValueError(f"global pool input must be 4-d NCHW, got ndim={x.ndim}")
     return np.asarray(x, dtype=np.float64).mean(axis=(2, 3))
 
 
 def avgpool_global_backward(grad_y: np.ndarray, in_shape: tuple) -> np.ndarray:
+    """Gradient of avgpool_global: grad_y [N, C] / (H * W) spread over every
+    cell, as an [N, C, H, W] view of NHWC memory."""
     n, c, h, w = in_shape
     g = np.asarray(grad_y, dtype=np.float64) / (h * w)
-    return np.broadcast_to(g[:, :, None, None], in_shape).copy()
+    return np.broadcast_to(g[:, None, None, :], (n, h, w, c)).copy().transpose(0, 3, 1, 2)
 
 
 def avgpool_2x2(x: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 mean pool; H and W must be even."""
+    """Non-overlapping 2x2 mean pool; H and W must be even.
+
+    Each window [[x00, x01], [x10, x11]] is summed as (x00 + x01) + (x10 + x11)
+    on the four strided quarter views of x and then divided by 4, so the bytes
+    do not depend on x's layout; the result takes x's memory order (NHWC in,
+    NHWC out).
+    """
     if x.ndim != 4:
         raise ValueError(f"2x2 pool input must be 4-d NCHW, got ndim={x.ndim}")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"2x2 pool needs even spatial extent, got {(h, w)}")
     x = np.asarray(x, dtype=np.float64)
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    y = np.add(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+    y += np.add(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
+    y /= 4
+    return y
 
 
 def avgpool_2x2_backward(grad_y: np.ndarray, in_shape: tuple) -> np.ndarray:
+    """Gradient of avgpool_2x2: each grad_y / 4 copied to its window's four
+    cells, as an [N, C, H, W] view of NHWC memory."""
     n, c, h, w = in_shape
     g = np.asarray(grad_y, dtype=np.float64) / 4.0
-    return np.repeat(np.repeat(g, 2, axis=2), 2, axis=3)
+    gx = np.empty((n, h // 2, 2, w // 2, 2, c))
+    gx[...] = g.transpose(0, 2, 3, 1)[:, :, None, :, None, :]
+    return gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
 def softmax_cross_entropy(

@@ -426,3 +426,28 @@ TRAINING_OP_ORACLES = (
     ("bitops", "rprelu_forward", where_rprelu_forward),
     ("bitops", "rprelu_backward", where_rprelu_backward),
 )
+
+
+def written_order_avgpool_2x2(x):
+    """2x2 mean pool of a C-order copy of x: each window [[x00, x01], [x10, x11]]
+    summed as (x00 + x01) + (x10 + x11), then divided by 4."""
+    n, c, h, w = x.shape
+    v = np.ascontiguousarray(x, dtype=np.float64).reshape(n, c, h // 2, 2, w // 2, 2)
+    return ((v[:, :, :, 0, :, 0] + v[:, :, :, 0, :, 1])
+            + (v[:, :, :, 1, :, 0] + v[:, :, :, 1, :, 1])) / 4
+
+
+def is_nhwc_memory(a):
+    """Whether a 4-d [N, C, H, W] array lies in NHWC memory: its NHWC
+    transpose is C-contiguous or a slice (of channels, or a spatial crop) of
+    a C-contiguous array, so channels are innermost at unit stride. Axes of
+    extent 1 carry no order and are skipped."""
+    t = a.transpose(0, 2, 3, 1)
+    if t.shape[3] > 1 and t.strides[3] != a.itemsize:
+        return False
+    inner = a.itemsize
+    for n, s in reversed([d for d in zip(t.shape, t.strides) if d[0] > 1]):
+        if s < inner:
+            return False
+        inner = s * n
+    return True

@@ -14,6 +14,7 @@ import pytest
 from rxgb import bitops, costmodel, data, gbdt, netspec, network, tensor_ops
 from oracles import deployed_payload as oracle_payload
 from oracles import TRAINING_OP_ORACLES, naive_conv2d, training_graph_forward
+from oracles import is_nhwc_memory
 
 
 def tiny_spec(with_fc=True, feature_dim=16, classes=4):
@@ -570,6 +571,67 @@ def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch)
                 m.setattr(modules[module], attr, oracle)
             want = trained(scaling)
         assert got == want, scaling
+
+
+# Every function through which an activation or a gradient of the block wiring
+# passes, by module: the layout test records the 4-d batch arrays each one
+# receives and returns (caches included).
+_LAYOUT_OPS = {
+    tensor_ops: ("conv2d_forward", "sign_conv2d", "conv2d_backward",
+                 "batchnorm_forward", "batchnorm_backward", "avgpool_2x2",
+                 "avgpool_2x2_backward", "avgpool_global", "avgpool_global_backward"),
+    bitops: ("rsign_forward", "rsign_backward", "rprelu_forward", "rprelu_backward"),
+}
+
+
+def _record_batch_arrays(monkeypatch, n):
+    """Patch every _LAYOUT_OPS function and _Tape.back to record the 4-d
+    arrays with n rows they receive or return; returns {name: [arrays]}."""
+    seen = {}
+
+    def batch_arrays(obj):
+        if isinstance(obj, np.ndarray):
+            return [obj] if obj.ndim == 4 and len(obj) == n else []
+        items = obj.values() if isinstance(obj, dict) else obj
+        if isinstance(obj, (tuple, list, dict)):
+            return [a for item in items for a in batch_arrays(item)]
+        return []
+
+    def wrap(name, fn):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.setdefault(name, []).extend(
+                batch_arrays([args, kwargs, out]))
+            return out
+        return recorded
+
+    for module, names in _LAYOUT_OPS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
+    monkeypatch.setattr(network._Tape, "back", wrap("back", network._Tape.back))
+    return seen
+
+
+def test_block_wiring_keeps_activations_and_gradients_in_nhwc_memory(monkeypatch):
+    # One width-0.25 training step and one plan forward on 28x28 images: block4
+    # is a stride-2 reduction on an odd 7x7 grid, so the pad, the 2x2 pool, the
+    # channel concat and the crop of the pad ring are all on the path. The
+    # input image (one channel) is NHWC and NCHW at once.
+    spec = netspec.reference_spec(width_mult=0.25)
+    model = network.build_network(spec, seed=45)
+    n = 3                                                # no channel count of the net
+    x = np.random.default_rng(46).standard_normal((n, *spec.input_shape))
+    seen = _record_batch_arrays(monkeypatch, n)
+    network.loss_and_grads(model, x, np.arange(n))
+    train_calls = {name: len(arrays) for name, arrays in seen.items()}
+    network.features_forward(model, x)
+    want = {name for names in _LAYOUT_OPS.values() for name in names} | {"back"}
+    assert set(seen) == want
+    assert set(train_calls) == want - {"sign_conv2d"}
+    assert len(seen["sign_conv2d"]) > 0
+    for name, arrays in seen.items():
+        for a in arrays:
+            assert is_nhwc_memory(a), (name, a.shape, a.strides)
 
 
 def test_overfits_small_separable_sample():

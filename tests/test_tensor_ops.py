@@ -32,11 +32,13 @@ from oracles import (
     dense_conv2d_backward,
     dense_sign_conv2d,
     fd_grad,
+    is_nhwc_memory,
     naive_conv2d,
     nchw_conv2d_backward,
     rel_err,
     temporaries_batchnorm_backward,
     var_batchnorm_forward,
+    written_order_avgpool_2x2,
 )
 
 
@@ -440,6 +442,43 @@ def test_pools_forward_and_backward():
 
     with pytest.raises(ValueError, match="even"):
         avgpool_2x2(np.zeros((1, 1, 3, 4)))
+
+
+def test_avgpool_2x2_adds_in_the_written_order_on_every_layout():
+    # NCHW, NHWC, a channel slice of NHWC and a plane of 64 KiB (numpy's
+    # reduction buffer size), with magnitudes far apart so that another
+    # order would round differently. On NCHW input the written order is also
+    # the one the reshape-mean form took; on NHWC input that form differed.
+    rng = np.random.default_rng(19)
+    for shape in ((2, 6, 4, 6), (8, 16, 16, 8)):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        n, c, h, w = shape
+        want = written_order_avgpool_2x2(x)
+        assert want.tobytes() == x.reshape(n, c, h // 2, 2, w // 2, 2).mean(
+            axis=(3, 5)).tobytes()
+        wide = _nhwc(np.concatenate([x, x], axis=1))
+        for name, a in (("nchw", x), ("nhwc", _nhwc(x)), ("channel slice", wide[:, c:])):
+            got = avgpool_2x2(a)
+            assert got.tobytes(order="C") == want.tobytes(), (shape, name)
+            assert is_nhwc_memory(got) == (name != "nchw"), (shape, name)
+
+
+def test_pool_backwards_keep_their_values_in_nhwc_memory():
+    # The repeat form of the 2x2 backward and the broadcast form of the global
+    # one, from NCHW and NHWC upstream gradients alike.
+    rng = np.random.default_rng(29)
+    shape = (3, 5, 6, 4)
+    for layout in (np.ascontiguousarray, _nhwc):
+        g2 = layout(rng.standard_normal((3, 5, 3, 2)))
+        got = avgpool_2x2_backward(g2, shape)
+        want = np.repeat(np.repeat(g2 / 4.0, 2, axis=2), 2, axis=3)
+        assert got.shape == shape and is_nhwc_memory(got)
+        assert got.tobytes(order="C") == want.tobytes(order="C")
+    g = rng.standard_normal((3, 5))
+    got = avgpool_global_backward(g, shape)
+    want = np.broadcast_to((g / 24)[:, :, None, None], shape)
+    assert got.shape == shape and is_nhwc_memory(got)
+    assert got.tobytes(order="C") == want.tobytes(order="C")
 
 
 def test_softmax_cross_entropy_value_grad_and_validation():
