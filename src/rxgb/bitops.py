@@ -283,6 +283,13 @@ def rprelu_forward(
     return y, {"u": u, "beta": beta}
 
 
+def _product_out(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An empty array of the dtype and memory order of a fresh ``a * b``:
+    numpy's iterator allocates ufunc outputs this way (in a and b's layout
+    when they share one, else in C order)."""
+    return np.nditer([a, b, None], flags=["zerosize_ok"]).operands[2]
+
+
 def rprelu_backward(
     grad_y: np.ndarray, cache: dict
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -290,13 +297,18 @@ def rprelu_backward(
 
     The slope (1 where u >= 0, else beta) is built from the 0/1 masks of
     the cached u, and d f / d beta is min(u, 0), +0 on the positive branch.
+    grad_x is computed in the slope's buffer, laid out as a fresh product of
+    grad_y and u would be, so its channel sums add in the fresh product's
+    order. The beta term is a product with a temporary, which numpy computes
+    in the temporary's buffer from 256 KiB up (every plane of a batch-128
+    step).
     """
     u, beta = cache["u"], cache["beta"]
     pos = u >= 0
     g = np.asarray(grad_y, dtype=np.float64)
-    slope = np.multiply(~pos, beta[None, :, None, None])
+    slope = np.multiply(~pos, beta[None, :, None, None], out=_product_out(g, u))
     slope += pos
-    grad_x = g * slope
+    grad_x = np.multiply(g, slope, out=slope)
     grad_gamma = -grad_x.sum(axis=(0, 2, 3))
     grad_beta = (g * np.minimum(u, 0.0)).sum(axis=(0, 2, 3))
     grad_zeta = g.sum(axis=(0, 2, 3))

@@ -353,7 +353,8 @@ class _Tape:
     over its cache, returning the input gradient and the gradients of the
     parameters it names. :meth:`back` runs each recorded backward once. bn
     and rprelu consume the conv output or block sum they are given: it
-    becomes the cached xhat or u."""
+    becomes the cached xhat or u. bn's backward likewise consumes the
+    gradient it is given, which the block backwards read for nothing else."""
 
     def __init__(self, params: dict, scaling: bool):
         self.params = params
@@ -398,7 +399,7 @@ class _Tape:
             x, *(self.params[f"{prefix}.{k}"] for k in _BN_KEYS), training=True,
             out=x)
         self.ops[prefix] = (("gamma", "beta"),
-                            lambda g: tensor_ops.batchnorm_backward(g, cache))
+                            lambda g: tensor_ops.batchnorm_backward(g, cache, out=g))
         return y
 
     def rprelu(self, prefix, x):

@@ -553,13 +553,16 @@ def batchnorm_forward(
 
 
 def batchnorm_backward(
-    grad_y: np.ndarray, cache: dict
+    grad_y: np.ndarray, cache: dict, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of batchnorm_forward (training mode) w.r.t. x, gamma, beta.
 
     Works in two buffers: one made by a ufunc of grad_y and xhat, as the
     summed products are, so each channel sum adds in the same order; and
-    grad_y * gamma, which becomes dx in grad_y's memory layout.
+    grad_y * gamma, which becomes dx. ``out``, if given, is a float64 array
+    of grad_y's shape that receives grad_y * gamma and so dx; pass grad_y
+    itself to consume it (it is read in full before it is written). With
+    grad_y and xhat in one layout the bytes equal the fresh array's.
     """
     xhat = cache["xhat"]
     gamma = cache["gamma"]
@@ -570,9 +573,9 @@ def batchnorm_backward(
     dgamma = buf.sum(axis=(0, 2, 3))
     dbeta = np.sum(grad_y, axis=(0, 2, 3))
     if not cache["training"]:
-        dx = grad_y * (gamma * inv_std)[None, :, None, None]
+        dx = np.multiply(grad_y, (gamma * inv_std)[None, :, None, None], out=out)
         return dx, dgamma, dbeta
-    dxhat = grad_y * gamma[None, :, None, None]
+    dxhat = np.multiply(grad_y, gamma[None, :, None, None], out=out)
     s1 = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
     s2 = np.multiply(dxhat, xhat, out=buf).sum(axis=(0, 2, 3))[None, :, None, None]
     dx = dxhat                                           # m * dxhat - s1 - xhat * s2

@@ -401,8 +401,9 @@ def var_batchnorm_forward(x, gamma, beta, running_mean, running_var,
                "training": training}
 
 
-def temporaries_batchnorm_backward(grad_y, cache):
-    """Batch-norm backward as one expression per gradient."""
+def temporaries_batchnorm_backward(grad_y, cache, out=None):
+    """Batch-norm backward as one expression per gradient; ``out`` is
+    accepted, for the library's signature, and left unwritten."""
     xhat, gamma, inv_std, m = cache["xhat"], cache["gamma"], cache["inv_std"], cache["m"]
     grad_y = np.asarray(grad_y, dtype=np.float64)
     dgamma = np.sum(grad_y * xhat, axis=(0, 2, 3))

@@ -411,9 +411,13 @@ def test_batchnorm_equals_the_temporaries_form_byte_for_byte():
                 gy = g_layout(rng.standard_normal(shape))
                 got = batchnorm_backward(gy, cache)
                 want = temporaries_batchnorm_backward(gy, rcache)
-                for a, b in zip(got, want):
+                gin = gy.copy(order="K")
+                consumed = batchnorm_backward(gin, cache, out=gin)
+                assert consumed[0] is gin, case
+                for a, b, d in zip(got, want, consumed):
                     assert (np.ascontiguousarray(a).tobytes()
-                            == np.ascontiguousarray(b).tobytes()), case
+                            == np.ascontiguousarray(b).tobytes()
+                            == np.ascontiguousarray(d).tobytes()), case
 
 
 def test_pools_forward_and_backward():
