@@ -216,16 +216,24 @@ def _build_spec(cfg, name: str = "reference"):
 
     if name not in _SPEC_NAMES:
         raise ConfigError(f"unknown spec {name!r}; choose from {_SPEC_NAMES}")
-    return netspec.reference_spec(width_mult=cfg["net.width_mult"],
-                                  include_fc=(name == "reference"))
+    try:
+        spec = netspec.reference_spec(width_mult=cfg["net.width_mult"],
+                                      include_fc=(name == "reference"))
+        netspec.shape_chain(spec)
+    except ValueError as e:
+        raise ConfigError(f"net.width_mult = {cfg['net.width_mult']}: {e}") from e
+    return spec
 
 
 def _gbdt_config(cfg, compliance: bool):
     from . import gbdt
 
-    config = gbdt.GBDTConfig(n_classes=_CLASSES, **{   # gbdt.<field> = value
-        key[5:]: value for key, value in cfg.items() if key.startswith("gbdt.")
-    })
+    try:
+        config = gbdt.GBDTConfig(n_classes=_CLASSES, **{   # gbdt.<field> = value
+            key[5:]: value for key, value in cfg.items() if key.startswith("gbdt.")
+        })
+    except ValueError as e:
+        raise ConfigError(f"bad gbdt config: {e}") from e
     if compliance:
         if config.total_tree_budget > COMPLIANCE_MAX_TREES:
             raise ConfigError(

@@ -40,6 +40,7 @@ stable sorts, fixed scan order, first-occurrence maximum.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -77,6 +78,10 @@ class GBDTConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_weight < 0:
             raise ValueError("reg_lambda, gamma and min_child_weight must be >= 0")
+        for name in ("learning_rate", "reg_lambda", "gamma", "min_child_weight",
+                     "base_score"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.budget_mode not in ("total_trees", "rounds"):
             raise ValueError(
                 f"budget_mode must be 'total_trees' or 'rounds', got "
@@ -439,7 +444,11 @@ def train_ensemble(
 
 def predict_margins(ens: TreeEnsemble, x: np.ndarray) -> np.ndarray:
     """Raw class margins [N, K]; input is cast to float32 (the canonical
-    persisted feature precision) before routing."""
+    persisted feature precision) before routing.
+
+    Raises ValueError unless x's width fits: it must equal the recorded
+    n_features, or with none recorded exceed every split's feature index.
+    """
     x32 = np.asarray(x, dtype=np.float32)
     if x32.ndim != 2:
         raise ValueError(f"features must be 2-d [N, F], got ndim={x32.ndim}")
@@ -447,6 +456,8 @@ def predict_margins(ens: TreeEnsemble, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature width {x32.shape[1]} != ensemble n_features {ens.n_features}"
         )
+    if ens.n_features is None and (top := _max_split_feature(ens)) >= x32.shape[1]:
+        raise ValueError(f"a split reads feature {top} of {x32.shape[1]}")
     n = x32.shape[0]
     margins = np.tile(ens.base_score, (n, 1))
     for k, tree in ens.trees:
@@ -561,10 +572,14 @@ def _take_kv(toks: _Tokens, key: str) -> str:
 
 
 def _parse_float(s: str, what: str) -> float:
+    """A finite float; nan and inf are refused like any malformed value."""
     try:
-        return float(s)
+        v = float(s)
     except ValueError as e:
         raise FormatError(f"bad {what} value {s!r}") from e
+    if not math.isfinite(v):
+        raise FormatError(f"non-finite {what} value {s!r}")
+    return v
 
 
 def _parse_node(toks: _Tokens, n_features: int) -> TreeNode:
@@ -698,11 +713,17 @@ def check_fits(ens: TreeEnsemble, n_features: int, n_classes: int) -> None:
         if ens.n_features != n_features:
             raise FormatError(f"model n_features {ens.n_features} != feature width "
                               f"{n_features}")
-        return
+    elif (top := _max_split_feature(ens)) >= n_features:
+        raise FormatError(f"split on feature {top} of {n_features}")
+
+
+def _max_split_feature(ens: TreeEnsemble) -> int:
+    """The largest feature index any split of ``ens`` reads; -1 if none."""
+    top = -1
     stack = [tree for _, tree in ens.trees]
     while stack:
         nd = stack.pop()
         if not nd.is_leaf:
-            if nd.feature >= n_features:
-                raise FormatError(f"split on feature {nd.feature} of {n_features}")
+            top = max(top, nd.feature)
             stack += (nd.left, nd.right)
+    return top

@@ -25,6 +25,7 @@ budgets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 FIRST_CONV = "first_conv_fp32"
@@ -193,6 +194,8 @@ def shape_chain(spec: NetworkSpec) -> list[ShapeStep]:
 
 
 def _scaled(c: int, width_mult: float) -> int:
+    if not math.isfinite(width_mult):
+        raise ValueError(f"width_mult must be finite, got {width_mult}")
     s = int(round(c * width_mult))
     if s < 1:
         raise ValueError(f"width_mult {width_mult} collapses a {c}-wide layer")

@@ -452,3 +452,16 @@ def is_nhwc_memory(a):
             return False
         inner = s * n
     return True
+
+
+# (case, regex, replacement): edits of a serialized gbdt model that each put
+# one non-finite value into a real field, applied to the first match.
+NON_FINITE_MODEL_EDITS = (
+    ("learning_rate", r"(?m)^learning_rate=.*$", "learning_rate=nan"),
+    ("reg_lambda", r"(?m)^reg_lambda=.*$", "reg_lambda=inf"),
+    ("gamma", r"(?m)^gamma=.*$", "gamma=nan"),
+    ("min_child_weight", r"(?m)^min_child_weight=.*$", "min_child_weight=nan"),
+    ("base_score", r"(?m)^base_scores=\S+", "base_scores=-inf"),
+    ("threshold", r" t=\S+", " t=inf"),
+    ("leaf", r"\(leaf w=[^)]*\)", "(leaf w=nan)"),
+)

@@ -1,9 +1,11 @@
 """CLI tests: config resolution, subcommands, determinism, error lines."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
+from oracles import NON_FINITE_MODEL_EDITS
 
 from rxgb import cli, data, gbdt, netspec, network
 
@@ -150,6 +152,66 @@ def test_non_utf8_config_file_is_one_config_line(tmp_path, capsys):
     assert err.startswith("RXGB-ERROR config: cannot read config file")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def _config_mutants(blob, rng, count):
+    """Seeded mutants of a config file: half truncations, half 1-4 random
+    byte writes; every fourth write rewrites digits as digits instead, so
+    that numbers change and still parse."""
+    digits = [i for i, b in enumerate(blob) if 0x30 <= b <= 0x39]
+    for k in range(count):
+        if k % 2 == 0:
+            yield blob[:int(rng.integers(0, len(blob)))]
+            continue
+        m = bytearray(blob)
+        for _ in range(int(rng.integers(1, 5))):
+            if k % 4 == 1:
+                m[int(rng.integers(0, len(m)))] = int(rng.integers(0, 256))
+            else:
+                m[digits[int(rng.integers(0, len(digits)))]] = 0x30 + int(rng.integers(0, 10))
+        yield bytes(m)
+
+
+def test_config_mutants_through_cost_print_one_config_line(tmp_path, capsys):
+    # A rendered config, truncated or overwritten: each mutant runs, or fails
+    # as one config line. The one other outcome is a tree depth past the
+    # costed bound, which the cost model refuses as invalid-value (see
+    # test_cost_rejects_a_depth_past_the_costed_bound).
+    blob = cli.render_config(cli.resolve_config(None, {})).encode()
+    config = tmp_path / "config.txt"
+    outcomes = {"ok": 0, "config": 0, "depth": 0}
+    for k, mutant in enumerate(_config_mutants(blob, np.random.default_rng(11), 300)):
+        config.write_bytes(mutant)
+        capsys.readouterr()
+        rc = cli.main(["cost", "--config", str(config)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == "", (k, mutant, err)
+            outcomes["ok"] += 1
+            continue
+        assert err.count("\n") == 1, (k, mutant, err)
+        if err.startswith("RXGB-ERROR invalid-value: max_depth"):
+            assert rc == 1 and "past the deepest costed tree" in err, (k, mutant, err)
+            outcomes["depth"] += 1
+            continue
+        assert rc == 2 and err.startswith("RXGB-ERROR config:"), (k, mutant, err)
+        outcomes["config"] += 1
+    assert outcomes["config"] >= 150 and outcomes["ok"] >= 30, outcomes
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("net.width_mult", "inf"), ("net.width_mult", "1e400"), ("net.width_mult", "nan"),
+    ("net.width_mult", "0"), ("net.width_mult", "2.8"),
+    ("gbdt.learning_rate", "nan"), ("gbdt.reg_lambda", "-1"),
+    ("gbdt.budget_mode", "total_tr"),
+])
+def test_config_values_that_build_no_model_are_one_config_line(capsys, flag, value):
+    # 2.8 rounds block4's channels to 358 -> 717, which is not a doubling;
+    # inf used to escape as an internal OverflowError.
+    assert cli.main(["cost", f"--{flag}", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("RXGB-ERROR config:"), err
+    assert err.count("\n") == 1
 
 
 # --- pipeline and stage commands -------------------------------------------------
@@ -347,6 +409,26 @@ def test_eval_gbdt_malformed_tree_is_one_model_format_line(tmp_path, capsys, tre
     model.write_text(text, encoding="utf-8")
     capsys.readouterr()
     # the model is parsed first, so the checkpoint need not exist
+    rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
+                   "--checkpoint", str(tmp_path / "absent.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("RXGB-ERROR model-format:"), err[:200]
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case, pattern, repl", NON_FINITE_MODEL_EDITS,
+                         ids=[e[0] for e in NON_FINITE_MODEL_EDITS])
+def test_eval_gbdt_non_finite_model_value_is_one_model_format_line(
+        tmp_path, capsys, case, pattern, repl):
+    x = np.random.default_rng(14).normal(size=(20, 4)).astype(np.float32)
+    ens = gbdt.train_ensemble(x, np.arange(20) % 2,
+                              gbdt.GBDTConfig(n_classes=2, max_trees=2, max_depth=2))
+    text, n = re.subn(pattern, repl, gbdt.serialize(ens), count=1)
+    assert n == 1
+    model = tmp_path / "gbdt-model.txt"
+    model.write_text(text, encoding="utf-8")
+    capsys.readouterr()
     rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
                    "--checkpoint", str(tmp_path / "absent.ckpt")])
     err = capsys.readouterr().err

@@ -7,9 +7,11 @@ Hessians against finite differences of the summed log-loss; prediction
 against per-row tracer routing.
 """
 
+import re
+
 import numpy as np
 import pytest
-from oracles import argsort_grow_tree, where_column_block
+from oracles import NON_FINITE_MODEL_EDITS, argsort_grow_tree, where_column_block
 
 from rxgb import gbdt
 from rxgb.gbdt import (
@@ -620,6 +622,42 @@ def test_deserialize_rejects_malformed_text():
         deserialize(good.replace("(split", "(cleave", 1))
     with pytest.raises(FormatError, match="out of range"):
         deserialize(good.replace("(tree class=0", "(tree class=9", 1))
+
+
+@pytest.mark.parametrize("case, pattern, repl", NON_FINITE_MODEL_EDITS,
+                         ids=[e[0] for e in NON_FINITE_MODEL_EDITS])
+def test_deserialize_rejects_non_finite_values(case, pattern, repl):
+    x = np.random.default_rng(12).normal(size=(20, 3)).astype(np.float32)
+    y = np.random.default_rng(13).integers(0, 2, size=20)
+    good = serialize(train_ensemble(x, y, GBDTConfig(n_classes=2, max_trees=2, max_depth=2)))
+    bad, n = re.subn(pattern, repl, good, count=1)
+    assert n == 1 and bad != good
+    with pytest.raises(FormatError, match="finite"):
+        deserialize(bad)
+
+
+def test_config_rejects_non_finite_reals():
+    for name in ("learning_rate", "reg_lambda", "gamma", "min_child_weight",
+                 "base_score"):
+        for v in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GBDTConfig(**{name: v})
+
+
+def test_predict_rejects_a_split_past_the_width_without_a_recorded_one():
+    # No n_features recorded (a model file may say 0): a split on column 5
+    # scores rows of 6 features and refuses rows of 5 with ValueError.
+    split = TreeNode(is_leaf=False, feature=5, threshold=0.0,
+                     left=TreeNode(is_leaf=True, weight=1.0),
+                     right=TreeNode(is_leaf=True, weight=-1.0))
+    ens = TreeEnsemble(config=GBDTConfig(n_classes=2), trees=[(1, split)])
+    assert ens.n_features is None
+    x = np.zeros((3, 6), dtype=np.float32)
+    assert predict_margins(ens, x)[:, 1].tolist() == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="feature 5 of 5"):
+        predict_margins(ens, x[:, :5])
+    with pytest.raises(FormatError, match="feature 5 of 5"):
+        gbdt.check_fits(ens, 5, 2)
 
 
 def test_config_validation():
