@@ -53,6 +53,11 @@ RPReLU compute in the conv output or block sum they are given, which nothing
 else reads. That keeps the bytes: a fresh ufunc result takes its input's
 memory order, so the in-place result holds the same values in the same
 layout, and every later reduction adds in the same order.
+
+Every activation and gradient of the block wiring, in both executors, lies in
+NHWC memory (see ``tensor_ops``): the reduction block pads and concatenates
+channels on NHWC views and the shortcut gradients are copied in their own
+order, so no elementwise op mixes layouts.
 """
 
 from __future__ import annotations

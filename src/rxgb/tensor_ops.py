@@ -1,4 +1,4 @@
-"""Dense NCHW tensor ops: convolution, batch norm, pooling, loss, SGD.
+"""Dense tensor ops: convolution, batch norm, pooling, loss, SGD.
 
 All arrays are numpy ndarrays. Training math runs in float64; inference may
 feed float32 inputs but every op promotes to float64 internally so results are
@@ -6,11 +6,21 @@ identical either way. The one exception is a convolution whose input and
 filters both have an integer dtype (the int8 {-1,+1} planes of a binary
 conv): it returns the exact integer sums, in float32.
 
-Layout is NCHW for activations and [Co, Ci, kh, kw] for conv weights.
+Activations are indexed [N, C, H, W] and lie in NHWC memory: an NCHW view
+whose ``transpose(0, 2, 3, 1)`` is C-contiguous, or a channel slice or
+spatial crop of one. The conv products emit that memory, and every op here
+keeps it: an elementwise result takes its operands' memory order, and the
+pools and conv backward write NHWC. Conv weights are [Co, Ci, kh, kw].
 Convolution output extent is floor((H + 2*pad - kh) / stride) + 1 per axis.
 Inside a conv the padded input is NHWC ([N, Hp, Wp, Ci], :func:`_pad_input`),
-so every im2col copy reads contiguous runs of Ci values, and the outputs are
-NCHW views of the NHWC memory the products emit.
+so every im2col copy reads contiguous runs of Ci values.
+
+A numpy sum over (N, H, W) adds in memory order, so the layout fixes the
+order of every per-channel sum: on NHWC memory each channel adds its
+(n, h, w) rows one after another, in row order (batch-norm statistics and
+gradients here, the RPReLU and RSign parameter gradients in ``bitops``, the
+global pool's mean). The 2x2 pool adds each window in one written order on
+any layout (:func:`avgpool_2x2`).
 
 Determinism: products of real values (conv forward on float operands, both
 conv backward products, the fully connected layer) go through
@@ -138,9 +148,11 @@ def _pad_input(x: np.ndarray, pad: int, pad_value: float, dtype) -> np.ndarray:
     """x [N, Ci, H, W] as a new [N, H + 2*pad, W + 2*pad, Ci] array of dtype
     whose ring of width pad holds pad_value.
 
-    A cast (the int8 signs into float32) transposes in x's dtype first and
-    then casts contiguously, which is faster than casting through the
-    strided transposed view; without a cast x is assigned directly.
+    On NHWC memory (every activation of the block wiring) the NHWC view of
+    x is contiguous and is copied in once, cast on the way where dtype
+    differs (the int8 signs into float32). Other input is transposed in x's
+    dtype first and then cast contiguously, which is faster than casting
+    through the strided transposed view.
     """
     n, ci, h, w = x.shape
     xp = np.empty((n, h + 2 * pad, w + 2 * pad, ci), dtype)
@@ -559,10 +571,10 @@ def batchnorm_backward(
 
     Works in two buffers: one made by a ufunc of grad_y and xhat, as the
     summed products are, so each channel sum adds in the same order; and
-    grad_y * gamma, which becomes dx. ``out``, if given, is a float64 array
-    of grad_y's shape that receives grad_y * gamma and so dx; pass grad_y
-    itself to consume it (it is read in full before it is written). With
-    grad_y and xhat in one layout the bytes equal the fresh array's.
+    grad_y * gamma, which becomes dx in grad_y's memory layout. ``out``, if
+    given, is a float64 array of grad_y's shape that receives that product
+    and so dx; pass grad_y itself to consume it (it is read in full before
+    it is written), with the same bytes as a fresh dx.
     """
     xhat = cache["xhat"]
     gamma = cache["gamma"]
@@ -599,7 +611,8 @@ def avgpool_global_backward(grad_y: np.ndarray, in_shape: tuple) -> np.ndarray:
     cell, as an [N, C, H, W] view of NHWC memory."""
     n, c, h, w = in_shape
     g = np.asarray(grad_y, dtype=np.float64) / (h * w)
-    return np.broadcast_to(g[:, None, None, :], (n, h, w, c)).copy().transpose(0, 3, 1, 2)
+    gx = np.broadcast_to(g[:, None, None, :], (n, h, w, c)).copy()
+    return gx.transpose(0, 3, 1, 2)
 
 
 def avgpool_2x2(x: np.ndarray) -> np.ndarray:
