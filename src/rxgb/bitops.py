@@ -1,4 +1,4 @@
-"""1-bit compute: bit-packed planes, XNOR-popcount dots, binary conv,
+"""1-bit compute: bit-packed planes, the XNOR-popcount binary conv,
 weight binarization, and the shifted sign / shifted PReLU activations.
 
 Encoding: a bit value of 1 means +1 and 0 means -1; sign(0) is +1 everywhere.
@@ -100,15 +100,6 @@ def unpack(plane: BitPlane) -> np.ndarray:
     return (bits.astype(np.float64) * 2.0 - 1.0).reshape(plane.shape)
 
 
-def xnor_dot(a: BitPlane, b: BitPlane) -> int:
-    """Exact integer dot product of two packed {-1,+1} vectors."""
-    if a.n_bits != b.n_bits:
-        raise ValueError(f"length mismatch: {a.n_bits} vs {b.n_bits} bits")
-    xnor = ~(a.words ^ b.words) & a.payload_mask
-    pop = int(np.bitwise_count(xnor).sum())
-    return 2 * pop - a.n_bits
-
-
 def _alpha(w_latent: np.ndarray, weight_scaling: bool) -> np.ndarray:
     """Per-output-channel scale [Co]: mean(|w_latent[co]|), or ones."""
     if weight_scaling:
@@ -149,14 +140,6 @@ def sign_weights(
     """Integer twin of binarize_weights: (int8 sign(w_latent), alpha [Co])."""
     w_latent = np.asarray(w_latent, dtype=np.float64)
     return _sign(w_latent), _alpha(w_latent, weight_scaling)
-
-
-def effective_weights(
-    w_latent: np.ndarray, weight_scaling: bool = True
-) -> np.ndarray:
-    """Real-arithmetic twin of binarize_weights: alpha[co] * sign(w_latent)."""
-    sgn, alpha = sign_weights(w_latent, weight_scaling)
-    return sgn * alpha[:, None, None, None]
 
 
 def ste_mask(w_latent: np.ndarray) -> np.ndarray:

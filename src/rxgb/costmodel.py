@@ -36,7 +36,6 @@ from .netspec import (
     GLOBAL_POOL,
     NORMAL,
     REDUCTION,
-    LayerSpec,
     NetworkSpec,
     ShapeStep,
 )
@@ -203,20 +202,6 @@ def primitive_rows(step: ShapeStep) -> list[CostRow]:
     return rows
 
 
-def layer_cost(layer: LayerSpec, in_shape: tuple) -> CostRow:
-    """One aggregated row for a layer applied at in_shape."""
-    step = netspec.resolve_layer(layer, in_shape)
-    rows = primitive_rows(step)
-    return CostRow(
-        name=layer.name,
-        bops=sum(r.bops for r in rows),
-        flops=sum(r.flops for r in rows),
-        param_bits=sum(r.param_bits for r in rows),
-        elementwise=all(r.elementwise for r in rows),
-        binary_weight_bits=sum(r.binary_weight_bits for r in rows),
-    )
-
-
 # --- report -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -251,10 +236,6 @@ class CostReport:
 def ops_from_totals(bops: float, flops: float) -> float:
     """OPs = BOPs/64 + FLOPs, unrounded."""
     return bops / 64 + flops
-
-
-def total_ops(report: CostReport) -> float:
-    return ops_from_totals(report.total_bops, report.total_flops)
 
 
 def cost_report(spec: NetworkSpec) -> CostReport:

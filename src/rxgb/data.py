@@ -312,11 +312,12 @@ def load_dataset(split: str, cache_dir: Path | str | None = None) -> Dataset:
     images = decode_images(parse_idx(img_path.read_bytes()))
     labels = decode_labels(parse_idx(lbl_path.read_bytes()))
     if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"image count {images.shape[0]} != label count {labels.shape[0]}"
+        raise IdxError(
+            f"{img_path}: image count {images.shape[0]} != label count "
+            f"{labels.shape[0]} in {lbl_path}"
         )
     if images.shape[2:] != (28, 28):
-        raise ValueError(f"expected 28x28 images, got {images.shape[2:]}")
+        raise IdxError(f"{img_path}: expected 28x28 images, got {images.shape[2:]}")
     return Dataset(images=images, labels=labels, split=split)
 
 

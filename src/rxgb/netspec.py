@@ -230,16 +230,6 @@ def reference_spec(width_mult: float = 1.0, include_fc: bool = True) -> NetworkS
     )
 
 
-def strip_fc(spec: NetworkSpec) -> NetworkSpec:
-    """The same network without its FC head (deployed hybrid form)."""
-    if not spec.has_fc_head():
-        return spec
-    return NetworkSpec(
-        layers=spec.layers[:-1], input_shape=spec.input_shape,
-        feature_dim=spec.feature_dim, class_count=spec.class_count,
-    )
-
-
 def spec_to_dict(spec: NetworkSpec) -> dict:
     """Plain-dict form for embedding in checkpoints and config files."""
     return {

@@ -33,24 +33,18 @@ not depend on the thread count. That was measured on OpenBLAS 0.3.31 (1, 2
 and 4 threads), but BLAS does not promise it; a single product over a longer
 contraction does differ there (K = 784 at 1 vs 2 threads).
 
-The conv backward rests on a second assumption, measured on the same build
-(AVX-512 kernels) and just as unpromised: an element of a product does not
-depend on which other rows or columns are computed with it, as long as the
-product stays on the regular gemm kernel. Three kinds of product leave it
-there and sum in another order: numpy sends a product of one row or one
-column to gemv; OpenBLAS sends one of at most 1200 rows x columns (over a
-contraction of at least 32) to its small-matrix kernel; and with a column
-count of 4 mod 8 above 192, row chunks differ from the whole. So
-:func:`conv2d_backward` splits grad_x into smaller products (chunks of at
-least _CHUNK_ROWS / 2 rows or the whole batch, and on grids where the pad
-ring dominates one product per output position over the taps that read the
-input) only when Ci is a multiple of 32 and, per output position, the batch
-has at least _SPLIT_MIN_IMAGES images. Every part is then a regular gemm;
-the result was measured equal to the dense product byte for byte for every
-binary conv of the width-0.25 and width-0.5 networks on 28x28 images at
-every batch size from 1 to 130. A
-binary conv's backward takes the forward's int8 sign planes, which reach
-float64 exactly, one K_BLOCK block at a time.
+The conv backward computes grad_x one chunk of whole images at a time
+(:data:`_CHUNK_ROWS` over the output grid), which bounds the float64 product
+alive at once. The chunk boundaries follow from the shapes alone and each
+chunk is one :func:`_matmul`, so grad_x's thread invariance rests on the
+K_BLOCK assumption alone. On OpenBLAS 0.3.31 (AVX-512 kernels) the chunks
+also equal one whole-batch product to the byte, because its regular gemm
+kernel computes an element independently of the rows computed with it; the
+tests check that, and nothing relies on it. Another BLAS, or a
+column count of 4 mod 8 above 192, may round the row chunks differently from
+a single product, and the result stays deterministic all the same. A binary
+conv's backward takes the forward's int8 sign planes, which reach float64
+exactly, one K_BLOCK block at a time.
 
 Products of +/-1 values need no such assumption. A convolution of integer
 operands (:func:`sign_conv2d`, on filters laid out once by :func:`sign_matrix`)
@@ -64,12 +58,12 @@ BLAS assumptions above: it makes and multiplies the patch matrix one chunk
 of about _CHUNK_ROWS rows at a time, and where the pad ring dominates and
 the batch has at least _SPLIT_MIN_IMAGES images it makes one product per
 output position and tap row over the taps that read the input, adding the
-ring as pad_value times the ring taps' filter sums. That threshold is the
-backward's; measured on one thread (OpenBLAS 0.3.31, 2-core x86_64 host),
-the per-position products took 1.05-1.3x the dense product's time below
-16 images, about 0.95x at 16, 0.63-0.86x at 32-64 and 0.46-0.59x at
-128-256 (256 and 512 channels). Everything else is elementwise or a fixed-order numpy
-reduction.
+ring as pad_value times the ring taps' filter sums. The threshold comes
+from timings on one thread (OpenBLAS 0.3.31, 2-core x86_64 host): the
+per-position products took 1.05-1.3x the dense product's time below 16
+images, about 0.95x at 16, 0.63-0.86x at 32-64 and 0.46-0.59x at 128-256
+(256 and 512 channels). Everything else is elementwise or a fixed-order
+numpy reduction.
 """
 
 from __future__ import annotations
@@ -83,13 +77,11 @@ K_BLOCK = 128
 # Integers below this magnitude are exact in float32 (24-bit significand).
 EXACT_F32 = 1 << 24
 # Rows of one grad_x product chunk in conv2d_backward: bounds the float64
-# product alive at once. The last chunk takes the remainder, so every chunk
-# has at least half as many rows (see the module docstring). The sign conv
-# makes its patch matrix in chunks of about as many rows.
+# product alive at once. The sign conv makes its patch matrix in chunks of
+# about as many rows.
 _CHUNK_ROWS = 2048
-# Fewest images (the rows of each product) for which conv2d_backward makes
-# one grad_x product per output position: with Ci >= 32 columns, far from a
-# one-row gemv and from the small-matrix kernel's 1200 rows x columns.
+# Fewest images for which the sign conv makes one product per output
+# position and tap row (see the module docstring for the timings).
 _SPLIT_MIN_IMAGES = 128
 
 
@@ -380,14 +372,11 @@ def conv2d_backward(
         emit, with no per-tap transpose.
 
     The padding ring receives no gradient: pad cells are constants, not
-    inputs. When Ci is a multiple of 32, grad_x is computed one chunk of
-    whole images at a time; where in addition more than half of the (output,
-    tap) pairs read the pad ring (a 3x3 conv on a 2x2 grid) and the batch
-    has at least _SPLIT_MIN_IMAGES images, it is computed per output position
-    over the taps that read the input only. Otherwise it is one dense
-    product. Each input cell receives the same adds in the same (tap row, tap
-    column) order on every path, so the bytes do not depend on the path (see
-    the module docstring for what BLAS must do for that to hold).
+    inputs. grad_x is computed one chunk of whole images at a time, each
+    chunk one :func:`_matmul` whose taps are added in (tap row, tap column)
+    order. The chunk size depends on the shapes alone, so grad_x is the same
+    at any BLAS thread count under the K_BLOCK assumption alone (see the
+    module docstring).
     """
     _check_conv_shapes(x, w, geom)
     if np.issubdtype(x.dtype, np.integer):
@@ -411,7 +400,12 @@ def conv2d_backward(
     if alpha is not None and np.shape(alpha) != (co,):
         raise ValueError(f"alpha shape {np.shape(alpha)} != ({co},)")
 
-    gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 1)).reshape(-1, co)
+    # A view of NHWC memory, channel slices included, reaches BLAS uncopied;
+    # a column-major view (NCHW memory of one image) is copied to row-major,
+    # the layout the one-product form multiplies.
+    gy = grad_y.transpose(0, 2, 3, 1).reshape(-1, co)
+    if gy.strides[1] != gy.itemsize:
+        gy = np.ascontiguousarray(gy)
     xp = _pad_input(x, p, pad_value, x.dtype)
     gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci)
 
@@ -419,12 +413,7 @@ def conv2d_backward(
     w_mat = (w_mat.astype(np.float64) if alpha is None
              else w_mat * np.asarray(alpha, dtype=np.float64))
     gxp = np.zeros(xp.shape)
-    split = ci % 32 == 0                                 # see the module docstring
-    taps = split and n >= _SPLIT_MIN_IMAGES and _interior_taps(geom, h, wd)
-    if taps:
-        _col2im_interior(gxp, gy.reshape(n, oh, ow, co), w_mat, geom, *taps)
-    else:
-        _col2im_dense(gxp, gy, w_mat, geom, oh, ow, split)
+    _col2im(gxp, gy, w_mat, geom, oh, ow)
     if p:
         gxp = gxp[:, p:-p, p:-p, :]
     return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
@@ -444,15 +433,15 @@ def _interior_taps(geom: ConvGeometry, h: int, w: int):
     return None
 
 
-def _col2im_dense(gxp, gy, w_mat, geom, oh, ow, chunked):
+def _col2im(gxp, gy, w_mat, geom, oh, ow):
     """Add gy @ w_mat.T into gxp [N, Hp, Wp, Ci], each tap as a strided slice
-    in (i, j) order; when chunked, one chunk of whole images at a time, the
-    last chunk taking the remainder, else as one product."""
+    in (i, j) order, one chunk of _CHUNK_ROWS // (oh * ow) whole images at a
+    time, the last chunk taking the remainder."""
     kh, kw = geom.kernel
     s = geom.stride
     n, ci = gxp.shape[0], gxp.shape[3]
     per_image = oh * ow
-    step = max(1, _CHUNK_ROWS // per_image if chunked else n)
+    step = max(1, _CHUNK_ROWS // per_image)
     starts = range(0, max(n - step, 0) + 1, step)
     for n0, n1 in zip(starts, [*starts[1:], n]):
         gcols = _matmul(gy[n0 * per_image:n1 * per_image], w_mat.T)
@@ -461,28 +450,6 @@ def _col2im_dense(gxp, gy, w_mat, geom, oh, ow, chunked):
         for i in range(kh):
             for j in range(kw):
                 dst[:, i:i + s * oh:s, j:j + s * ow:s, :] += gcols[:, :, :, i, j, :]
-
-
-def _col2im_interior(gxp, gy, w_mat, geom, rows, cols):
-    """col2im of the taps that read the input (``_interior_taps`` ranges):
-    per output position and tap row, one product over that row's interior
-    tap columns, added in the dense path's (i, j) order. gy is
-    [N, OH, OW, Co]."""
-    kh, kw = geom.kernel
-    s = geom.stride
-    ci = gxp.shape[3]
-    parts = {}
-    for a, ti in enumerate(rows):
-        for b, tj in enumerate(cols):
-            for i in ti if tj else ():
-                w_rows = w_mat[(i * kw + tj.start) * ci:(i * kw + tj.stop) * ci]
-                parts[a, b, i] = _matmul(gy[:, a, b, :], w_rows.T).reshape(-1, len(tj), ci)
-    for i in range(kh):
-        for j in range(kw):
-            for a, ti in enumerate(rows):
-                for b, tj in enumerate(cols):
-                    if i in ti and j in tj:
-                        gxp[:, a * s + i, b * s + j, :] += parts[a, b, i][:, j - tj.start, :]
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:

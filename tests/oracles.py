@@ -315,10 +315,19 @@ def deployed_payload(model):
 # --- the training ops as first written, for byte-equality checks ---------------
 
 
+def effective_weights(w_latent, weight_scaling=True):
+    """alpha[co] * sign(w_latent) in float64: the real filters a binary conv
+    stands for, as the training path once multiplied them."""
+    from rxgb import bitops
+
+    sgn, alpha = bitops.sign_weights(w_latent, weight_scaling)
+    return sgn * alpha[:, None, None, None]
+
+
 def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     """conv2d_backward on float64 operands with one dense grad_x product.
 
-    The form the int8 operands, image chunks and pad-aware products replaced:
+    The form the int8 operands and image chunks replaced:
     x and the filters alpha[co] * w become float64 whole, grad_x is one
     [N*OH*OW, kh*kw*Ci] product scattered tap by tap. It runs the library's
     fixed-block matmul, so the two must agree to the byte.

@@ -1,4 +1,4 @@
-"""Binary-compute checks: packing, XNOR dots, binary conv, surrogate grads."""
+"""Binary-compute checks: packing, binary conv, surrogate grads."""
 
 import itertools
 
@@ -10,19 +10,19 @@ from rxgb.bitops import (
     _approxsign_dydu,
     binarize_weights,
     binary_conv2d,
-    effective_weights,
     pack,
     rprelu_backward,
     rprelu_forward,
     rsign_backward,
     rsign_forward,
+    sign_weights,
     ste_mask,
     unpack,
-    xnor_dot,
 )
 from rxgb.tensor_ops import ConvGeometry, conv2d_forward
 
 from oracles import (
+    effective_weights,
     fd_grad,
     naive_conv2d,
     piecewise_approxsign_dydu,
@@ -71,15 +71,18 @@ def test_bitplane_validation():
         BitPlane(words=np.zeros(1, dtype=np.uint64), n_bits=4, shape=(5,))
 
 
-def test_xnor_dot_equals_integer_dot():
+def test_binary_conv_of_one_pixel_equals_integer_dot():
+    # A 1x1 conv of one pixel is one XNOR-popcount dot over Ci bits: lengths
+    # either side of the 64-bit word boundaries check the payload mask.
     rng = np.random.default_rng(1)
+    geom = ConvGeometry((1, 1))
     for n in [1, 2, 63, 64, 65, 127, 128, 129, 300, 1000]:
         for _ in range(20):
             a = rng.choice([-1.0, 1.0], n)
             b = rng.choice([-1.0, 1.0], n)
-            assert xnor_dot(pack(a), pack(b)) == int(np.dot(a, b))
-    with pytest.raises(ValueError, match="length mismatch"):
-        xnor_dot(pack(np.ones(3)), pack(np.ones(4)))
+            y = binary_conv2d(pack(a.reshape(1, n, 1, 1)), pack(b.reshape(1, n, 1, 1)),
+                              np.ones(1), geom)
+            assert y[0, 0, 0, 0] == int(np.dot(a, b))
 
 
 def test_binarize_weights_alpha_oracle():
@@ -93,9 +96,11 @@ def test_binarize_weights_alpha_oracle():
     _, alpha_off = binarize_weights(w, weight_scaling=False)
     assert np.array_equal(alpha_off, np.ones(4))
 
-    eff = effective_weights(w)
-    assert np.array_equal(eff, unpack(bits) * alpha[:, None, None, None])
-    assert np.array_equal(effective_weights(w, False), unpack(bits))
+    # the int8 twin the training path runs
+    for scaling, want in ((True, alpha), (False, alpha_off)):
+        sgn, a = sign_weights(w, scaling)
+        assert sgn.dtype == np.int8 and np.array_equal(sgn, unpack(bits))
+        assert np.array_equal(a, want)
 
 
 def test_ste_mask():

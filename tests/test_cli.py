@@ -537,6 +537,62 @@ def test_feature_file_mutants_print_one_data_format_line(tmp_path, capsys):
     assert outcomes["data-format"] >= 40, outcomes      # every truncation at least
 
 
+def _idx_mutants(blob, rng, count, header):
+    """Seeded mutants of an IDX file: a third truncations, a third 1-4 random
+    byte writes anywhere, a third 1-4 within the ``header`` first bytes."""
+    for k in range(count):
+        if k % 3 == 0:
+            yield blob[:int(rng.integers(0, len(blob)))]
+            continue
+        m = bytearray(blob)
+        span = len(m) if k % 3 == 1 else header
+        for _ in range(int(rng.integers(1, 5))):
+            m[int(rng.integers(0, span))] = int(rng.integers(0, 256))
+        yield bytes(m)
+
+
+def test_idx_mutants_through_extract_print_one_data_format_line(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    write_synthetic_cache(cache, n_train=12, n_test=6)
+    ckpt = tmp_path / "b.ckpt"
+    network.save_checkpoint(network.build_network(
+        netspec.reference_spec(width_mult=0.125, include_fc=False), seed=0), ckpt)
+    rng = np.random.default_rng(10)
+    images = (cache / "train-images-idx3-ubyte").read_bytes()
+    # files that parse but make no dataset: 56x14 images, one image too few
+    mutants = [("train-images-idx3-ubyte",
+                images[:8] + struct.pack(">II", 56, 14) + images[16:]),
+               ("train-images-idx3-ubyte",
+                images[:4] + struct.pack(">I", 11) + images[8:-28 * 28])]
+    for name, header, count in (("train-images-idx3-ubyte", 16, 60),
+                                ("train-labels-idx1-ubyte", 8, 60),
+                                ("t10k-images-idx3-ubyte", 16, 60),
+                                ("t10k-labels-idx1-ubyte", 8, 60)):
+        blob = (cache / name).read_bytes()
+        mutants += [(name, m) for m in _idx_mutants(blob, rng, count, header)]
+    outcomes = {"ok": 0, "data-format": 0}
+    for k, (name, mutant) in enumerate(mutants):
+        original = (cache / name).read_bytes()
+        (cache / name).write_bytes(mutant)
+        out = tmp_path / f"o{k}"
+        capsys.readouterr()
+        rc = cli.main(["extract", "--checkpoint", str(ckpt), "--data.dir", str(cache),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        (cache / name).write_bytes(original)
+        if rc == 0:
+            outcomes["ok"] += 1
+            assert (out / "features-test.rxgbfeat").exists(), (k, name)
+            continue
+        assert rc == 1, (k, name, err)
+        assert err.startswith("RXGB-ERROR data-format:"), (k, name, err)
+        assert err.count("\n") == 1, (k, name, err)
+        assert not out.exists(), (k, name)
+        outcomes["data-format"] += 1
+    assert outcomes["data-format"] >= 2 + 4 * 20, outcomes  # every truncation at least
+    assert outcomes["ok"] > 0, outcomes
+
+
 def _model_mutants(blob, rng, count):
     """Seeded mutants of a model file: a third truncations, a third 1-4 random
     byte writes, a third 1-4 digits rewritten as digits, so most still parse

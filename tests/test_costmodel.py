@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rxgb import costmodel as cm
+from rxgb import netspec
 from rxgb.gbdt import GBDTConfig, TreeEnsemble, TreeNode
 from rxgb.netspec import (
     FC_HEAD,
@@ -18,7 +19,6 @@ from rxgb.netspec import (
     NetworkSpec,
     reference_spec,
     shape_chain,
-    strip_fc,
 )
 
 
@@ -74,10 +74,11 @@ REFERENCE_BLOCK_BOPS = {
 
 
 def test_reference_per_block_bops_match_hand_table():
-    spec = reference_spec()
-    for step in shape_chain(spec):
-        row = cm.layer_cost(step.layer, step.in_shape)
-        assert row.bops == REFERENCE_BLOCK_BOPS[step.layer.name], step.layer.name
+    # the report's rows summed by layer, each row named "<layer>.<primitive>"
+    bops = dict.fromkeys(REFERENCE_BLOCK_BOPS, 0)
+    for row in cm.cost_report(reference_spec()).rows:
+        bops[row.name.split(".", 1)[0]] += row.bops
+    assert bops == REFERENCE_BLOCK_BOPS
 
 
 def test_reference_totals_exact():
@@ -96,7 +97,6 @@ def test_reference_totals_exact():
     assert r.total_param_bits == sum(row.param_bits for row in r.rows)
     # OPs recomputable from totals via the formula exactly
     assert r.ops == r.total_bops / 64 + r.total_flops
-    assert cm.total_ops(r) == r.ops
     # packed payload needs whole bytes for the binary plane
     assert r.binary_param_bits % 8 == 0
     assert (r.total_param_bits - r.binary_param_bits) % 32 == 0
@@ -104,7 +104,7 @@ def test_reference_totals_exact():
 
 def test_reference_lands_within_budget_bands():
     with_fc = cm.cost_report(reference_spec())
-    cnn = cm.cost_report(strip_fc(reference_spec()))
+    cnn = cm.cost_report(reference_spec(include_fc=False))
     assert abs(with_fc.total_bops - 1.38e8) / 1.38e8 <= 0.15
     assert abs(cnn.headline_flops - 0.13e6) / 0.13e6 <= 0.15
     assert abs(cnn.param_megabytes - 3.87) / 3.87 <= 0.15
@@ -117,7 +117,7 @@ def test_reference_lands_within_budget_bands():
 def test_fc_removal_deltas_exact():
     for mult, feat in ((1.0, 1024), (0.5, 512)):
         a = cm.cost_report(reference_spec(width_mult=mult))
-        b = cm.cost_report(strip_fc(reference_spec(width_mult=mult)))
+        b = cm.cost_report(reference_spec(width_mult=mult, include_fc=False))
         d = cm.diff_reports(a, b)
         assert d.delta_headline_flops == -feat * 10
         assert d.delta_flops == -feat * 10
@@ -128,7 +128,7 @@ def test_fc_removal_deltas_exact():
 
 def test_fc_removal_budget_reconciliation():
     a = cm.cost_report(reference_spec())
-    b = cm.cost_report(strip_fc(reference_spec()))
+    b = cm.cost_report(reference_spec(include_fc=False))
     d = cm.diff_reports(a, b)
     assert round(-d.delta_param_megabytes, 2) == 0.04
     rec = cm.fc_removal_vs_budget(d)
@@ -167,21 +167,10 @@ def test_width_halving_quarters_bops():
     assert reference_spec(width_mult=0.5).feature_dim == 512
 
 
-def test_layer_cost_aggregates_primitive_rows():
-    spec = reference_spec()
-    for step in shape_chain(spec):
-        rows = cm.primitive_rows(step)
-        agg = cm.layer_cost(step.layer, step.in_shape)
-        assert agg.bops == sum(r.bops for r in rows)
-        assert agg.flops == sum(r.flops for r in rows)
-        assert agg.param_bits == sum(r.param_bits for r in rows)
-        assert agg.binary_weight_bits == sum(r.binary_weight_bits for r in rows)
-
-
-def test_layer_cost_rejects_invalid_shapes():
+def test_resolve_layer_rejects_invalid_shapes():
     fc = LayerSpec(FC_HEAD, "fc", 1024, 10)
     with pytest.raises(ValueError, match="fc input shape"):
-        cm.layer_cost(fc, (512,))
+        netspec.resolve_layer(fc, (512,))
 
 
 def test_shape_chain_validation_errors_name_layer_index():

@@ -138,6 +138,15 @@ def test_load_dataset_from_cache(tmp_path):
         load_dataset("dev", cache_dir=tmp_path)
     with pytest.raises(FileNotFoundError, match="fetch-data"):
         load_dataset("train", cache_dir=tmp_path / "nowhere")
+    # Files that parse but do not make a dataset are malformed data too.
+    images = tmp_path / "train-images-idx3-ubyte"
+    blob = images.read_bytes()
+    images.write_bytes(blob[:8] + struct.pack(">II", 56, 14) + blob[16:])
+    with pytest.raises(IdxError, match=r"expected 28x28 images, got \(56, 14\)"):
+        load_dataset("train", cache_dir=tmp_path)
+    images.write_bytes(blob[:4] + struct.pack(">I", 5) + blob[8:-28 * 28])
+    with pytest.raises(IdxError, match="image count 5 != label count 6"):
+        load_dataset("train", cache_dir=tmp_path)
 
 
 def test_fetch_uses_cache_without_network(tmp_path, monkeypatch):
