@@ -60,11 +60,6 @@ class BitPlane:
         if int(np.prod(self.shape)) != self.n_bits:
             raise ValueError(f"shape {self.shape} does not hold {self.n_bits} bits")
 
-    @property
-    def payload_mask(self) -> np.ndarray:
-        """Per-word mask with ones at payload bit positions."""
-        return _payload_mask(self.n_bits, len(self.words))
-
 
 def _payload_mask(n_bits: int, n_words: int) -> np.ndarray:
     mask = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)

@@ -256,19 +256,21 @@ def _train_inputs(cfg, full):
     (train split, validation split, fresh model, hyperparameters)."""
     from . import data, network
 
+    try:
+        hp = network.StageOneConfig(
+            epochs=cfg["train.epochs"],
+            batch_size=cfg["train.batch_size"],
+            learning_rate=cfg["train.lr"],
+            momentum=cfg["train.momentum"],
+            weight_decay=cfg["train.weight_decay"],
+            seed=cfg["seed"],
+            augment=cfg["train.augment"],
+        )
+    except ValueError as e:
+        raise ConfigError(f"bad train config: {e}") from e
     train_ds, val_ds = data.split_train_val(full, cfg["data.val_count"])
-    spec = _build_spec(cfg)
     model = network.build_network(
-        spec, seed=cfg["seed"], weight_scaling=cfg["binary.weight_scaling"]
-    )
-    hp = network.StageOneConfig(
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        learning_rate=cfg["train.lr"],
-        momentum=cfg["train.momentum"],
-        weight_decay=cfg["train.weight_decay"],
-        seed=cfg["seed"],
-        augment=cfg["train.augment"],
+        _build_spec(cfg), seed=cfg["seed"], weight_scaling=cfg["binary.weight_scaling"]
     )
     return train_ds, val_ds, model, hp
 

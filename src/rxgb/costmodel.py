@@ -30,15 +30,7 @@ from dataclasses import dataclass
 
 from . import netspec
 from .gbdt import GBDTConfig, TreeEnsemble
-from .netspec import (
-    FC_HEAD,
-    FIRST_CONV,
-    GLOBAL_POOL,
-    NORMAL,
-    REDUCTION,
-    NetworkSpec,
-    ShapeStep,
-)
+from .netspec import NetworkSpec, ShapeStep
 
 MEGABYTE = 1 << 20
 
@@ -114,92 +106,37 @@ def pool_cost(c, h, w) -> int:
 
 # --- layer expansion ----------------------------------------------------------
 
+# the elementwise column's primitives: (FLOPs, param_bits) of C channels at H x W
+_ELEMENTWISE = {
+    netspec.BATCH_NORM: bn_cost,
+    netspec.RSIGN: rsign_cost,
+    netspec.RPRELU: rprelu_cost,
+    netspec.SHORTCUT_POOL: lambda c, h, w: (pool_cost(c, h, w), 0),
+}
+
+
+def _row(op: netspec.Op) -> CostRow:
+    ci, co, k, (h, w) = op.in_channels, op.out_channels, op.kernel, op.hw
+    if op.kind == netspec.BINARY_CONV:
+        bops, bits = binary_conv_cost(co, ci, k, k, h, w)
+        return CostRow(op.prefix, bops=bops, param_bits=bits,
+                       binary_weight_bits=co * ci * k * k)
+    if op.kind in _ELEMENTWISE:
+        flops, bits = _ELEMENTWISE[op.kind](co, h, w)
+        return CostRow(op.prefix, flops=flops, param_bits=bits, elementwise=True)
+    if op.kind == netspec.STEM_CONV:
+        flops, bits = fp32_conv_cost(co, ci, k, k, h, w)
+    elif op.kind == netspec.FC_HEAD:
+        flops, bits = fc_cost(ci, co)
+    else:  # the global pool
+        flops, bits = pool_cost(co, h, w), 0
+    return CostRow(op.prefix, flops=flops, param_bits=bits)
+
+
 def primitive_rows(step: ShapeStep) -> list[CostRow]:
-    """Expand one resolved layer into its primitive accounting rows."""
-    layer = step.layer
-    name = layer.name
-    rows: list[CostRow] = []
-    if layer.kind == FIRST_CONV:
-        _, h, w = step.in_shape
-        co, oh, ow = step.out_shape
-        flops, bits = fp32_conv_cost(co, layer.in_channels, 3, 3, oh, ow)
-        rows.append(CostRow(f"{name}.conv", flops=flops, param_bits=bits))
-        bnf, bnb = bn_cost(co, oh, ow)
-        rows.append(CostRow(f"{name}.bn", flops=bnf, param_bits=bnb, elementwise=True))
-    elif layer.kind == NORMAL:
-        c, h, w = step.in_shape
-        for conv_name, (kh, kw) in (("conv3x3", (3, 3)), ("conv1x1", (1, 1))):
-            sf, sb = rsign_cost(c, h, w)
-            rows.append(CostRow(
-                f"{name}.rsign_{conv_name}", flops=sf, param_bits=sb,
-                elementwise=True,
-            ))
-            bops, bits = binary_conv_cost(c, c, kh, kw, h, w)
-            rows.append(CostRow(
-                f"{name}.{conv_name}", bops=bops, param_bits=bits,
-                binary_weight_bits=c * c * kh * kw,
-            ))
-            bnf, bnb = bn_cost(c, h, w)
-            rows.append(CostRow(
-                f"{name}.bn_{conv_name}", flops=bnf, param_bits=bnb,
-                elementwise=True,
-            ))
-            pf, pb = rprelu_cost(c, h, w)
-            rows.append(CostRow(
-                f"{name}.rprelu_{conv_name}", flops=pf, param_bits=pb,
-                elementwise=True,
-            ))
-    elif layer.kind == REDUCTION:
-        c, ph, pw = step.padded
-        co, oh, ow = step.out_shape
-        sf, sb = rsign_cost(c, ph, pw)
-        rows.append(CostRow(
-            f"{name}.rsign_conv3x3", flops=sf, param_bits=sb, elementwise=True
-        ))
-        bops, bits = binary_conv_cost(c, c, 3, 3, oh, ow)
-        rows.append(CostRow(
-            f"{name}.conv3x3", bops=bops, param_bits=bits,
-            binary_weight_bits=c * c * 9,
-        ))
-        bnf, bnb = bn_cost(c, oh, ow)
-        rows.append(CostRow(
-            f"{name}.bn_conv3x3", flops=bnf, param_bits=bnb, elementwise=True
-        ))
-        if layer.stride == 2:
-            rows.append(CostRow(
-                f"{name}.pool_shortcut", flops=pool_cost(c, ph, pw),
-                elementwise=True,
-            ))
-        pf, pb = rprelu_cost(c, oh, ow)
-        rows.append(CostRow(
-            f"{name}.rprelu_conv3x3", flops=pf, param_bits=pb, elementwise=True
-        ))
-        sf, sb = rsign_cost(c, oh, ow)
-        rows.append(CostRow(
-            f"{name}.rsign_conv1x1", flops=sf, param_bits=sb, elementwise=True
-        ))
-        for branch in ("a", "b"):
-            bops, bits = binary_conv_cost(c, c, 1, 1, oh, ow)
-            rows.append(CostRow(
-                f"{name}.conv1x1_{branch}", bops=bops, param_bits=bits,
-                binary_weight_bits=c * c,
-            ))
-            bnf, bnb = bn_cost(c, oh, ow)
-            rows.append(CostRow(
-                f"{name}.bn_conv1x1_{branch}", flops=bnf, param_bits=bnb,
-                elementwise=True,
-            ))
-        pf, pb = rprelu_cost(co, oh, ow)
-        rows.append(CostRow(
-            f"{name}.rprelu_out", flops=pf, param_bits=pb, elementwise=True
-        ))
-    elif layer.kind == GLOBAL_POOL:
-        c, h, w = step.in_shape
-        rows.append(CostRow(f"{name}.global", flops=pool_cost(c, h, w)))
-    elif layer.kind == FC_HEAD:
-        flops, bits = fc_cost(layer.in_channels, layer.out_channels)
-        rows.append(CostRow(name, flops=flops, param_bits=bits))
-    return rows
+    """One accounting row per primitive of a resolved layer, named by the
+    primitive's parameter prefix (see ``netspec.layer_ops``)."""
+    return [_row(op) for op in netspec.layer_ops(step)]
 
 
 # --- report -------------------------------------------------------------------
@@ -314,20 +251,12 @@ def gbdt_cost(head: TreeEnsemble | GBDTConfig) -> TreeHeadCost:
 
 @dataclass(frozen=True)
 class CostDiff:
-    """Deltas going from report a to report b (b - a) with raw percentages.
-
-    Percentages are relative to a's totals and None when the corresponding
-    a-total is zero.
-    """
+    """Deltas going from report a to report b (b - a)."""
 
     delta_bops: int
     delta_flops: int
     delta_headline_flops: int
     delta_param_bits: int
-    pct_bops: float | None
-    pct_flops: float | None
-    pct_headline_flops: float | None
-    pct_param_bits: float | None
 
     @property
     def delta_param_bytes(self) -> float:
@@ -338,10 +267,6 @@ class CostDiff:
         return self.delta_param_bits / (8 * MEGABYTE)
 
 
-def _pct(delta: float, base: float) -> float | None:
-    return None if base == 0 else 100.0 * delta / base
-
-
 def diff_reports(a: CostReport, b: CostReport) -> CostDiff:
     """Column deltas (b - a); e.g. b = a without its FC head."""
     return CostDiff(
@@ -349,14 +274,6 @@ def diff_reports(a: CostReport, b: CostReport) -> CostDiff:
         delta_flops=b.total_flops - a.total_flops,
         delta_headline_flops=b.headline_flops - a.headline_flops,
         delta_param_bits=b.total_param_bits - a.total_param_bits,
-        pct_bops=_pct(b.total_bops - a.total_bops, a.total_bops),
-        pct_flops=_pct(b.total_flops - a.total_flops, a.total_flops),
-        pct_headline_flops=_pct(
-            b.headline_flops - a.headline_flops, a.headline_flops
-        ),
-        pct_param_bits=_pct(
-            b.total_param_bits - a.total_param_bits, a.total_param_bits
-        ),
     )
 
 

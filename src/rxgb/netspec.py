@@ -21,6 +21,11 @@ blocks N64, R64->128, N128, R128->256 (7x7 padded to 8x8), N256, R256->512,
 N512, W512->1024 (stride-1 reduction), N1024, N1024, global pool to 1024
 features, FC 1024->10. `width_mult` scales every channel count for smaller
 budgets.
+
+`layer_ops` expands a resolved layer into its primitives (convs, BN, RSign,
+RPReLU, pools, FC), each named by its parameter prefix. It is the one block
+inventory: the network's parameter layout (hence its checkpoints and deployed
+payload) and the cost model's rows are both read from it.
 """
 
 from __future__ import annotations
@@ -35,6 +40,15 @@ GLOBAL_POOL = "global_pool"
 FC_HEAD = "fc_head"
 
 _KINDS = (FIRST_CONV, NORMAL, REDUCTION, GLOBAL_POOL, FC_HEAD)
+
+# primitive kinds of layer_ops; the global pool and FC head layers are one
+# primitive each, of their own layer kind
+STEM_CONV = "stem_conv"
+BINARY_CONV = "binary_conv"
+BATCH_NORM = "batch_norm"
+RSIGN = "rsign"
+RPRELU = "rprelu"
+SHORTCUT_POOL = "shortcut_pool"
 
 
 @dataclass(frozen=True)
@@ -191,6 +205,60 @@ def shape_chain(spec: NetworkSpec) -> list[ShapeStep]:
     if not seen_pool:
         raise ValueError("network must contain a global_pool layer")
     return steps
+
+
+@dataclass(frozen=True)
+class Op:
+    """One primitive of a resolved layer.
+
+    ``prefix`` names its parameters (``{prefix}.{suffix}``) and its cost row.
+    ``hw`` is the (H, W) extent it is costed at: the output grid of a conv
+    and of the elementwise ops after it, the pooled input grid of a pool,
+    (1, 1) for the FC head. BN, RSign, RPReLU and the pools have
+    in_channels == out_channels and kernel 1.
+    """
+
+    prefix: str
+    kind: str
+    in_channels: int
+    out_channels: int
+    kernel: int
+    hw: tuple[int, int]
+
+
+def layer_ops(step: ShapeStep) -> list[Op]:
+    """The primitives of one resolved layer, in parameter creation order."""
+    layer, name = step.layer, step.layer.name
+    if layer.kind == FIRST_CONV:
+        co, oh, ow = step.out_shape
+        return [Op(f"{name}.conv", STEM_CONV, layer.in_channels, co, 3, (oh, ow)),
+                Op(f"{name}.bn", BATCH_NORM, co, co, 1, (oh, ow))]
+    if layer.kind == GLOBAL_POOL:
+        c, h, w = step.in_shape
+        return [Op(f"{name}.global", GLOBAL_POOL, c, c, 1, (h, w))]
+    if layer.kind == FC_HEAD:
+        return [Op(name, FC_HEAD, layer.in_channels, layer.out_channels, 1, (1, 1))]
+    c, ph, pw = step.padded
+    co, oh, ow = step.out_shape
+
+    def chan(suffix, kind, hw=(oh, ow), width=c):
+        return Op(f"{name}.{suffix}", kind, width, width, 1, hw)
+
+    def conv(suffix, k):
+        return Op(f"{name}.{suffix}", BINARY_CONV, c, c, k, (oh, ow))
+
+    ops = [chan("rsign_conv3x3", RSIGN, (ph, pw)), conv("conv3x3", 3),
+           chan("bn_conv3x3", BATCH_NORM)]
+    if layer.kind == NORMAL:
+        return ops + [chan("rprelu_conv3x3", RPRELU), chan("rsign_conv1x1", RSIGN),
+                      conv("conv1x1", 1), chan("bn_conv1x1", BATCH_NORM),
+                      chan("rprelu_conv1x1", RPRELU)]
+    if layer.stride == 2:
+        ops.append(chan("pool_shortcut", SHORTCUT_POOL, (ph, pw)))
+    return ops + [chan("rprelu_conv3x3", RPRELU), chan("rsign_conv1x1", RSIGN),
+                  conv("conv1x1_a", 1), conv("conv1x1_b", 1),
+                  chan("bn_conv1x1_a", BATCH_NORM), chan("bn_conv1x1_b", BATCH_NORM),
+                  chan("rprelu_out", RPRELU, width=co)]
 
 
 def _scaled(c: int, width_mult: float) -> int:

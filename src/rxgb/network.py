@@ -3,6 +3,10 @@
 The network follows the plan described by a ``netspec.NetworkSpec``: a real
 3x3 stride-2 stem, a stack of binary blocks, a global average pool, and an
 optional fully connected head used only while training the feature extractor.
+The block inventory lives in ``netspec.layer_ops``: ``_param_layout`` maps
+each layer's primitives through ``_PARAMS`` to the parameter names, shapes and
+initial values that build the model, validate checkpoints and order the
+deployed payload, and the cost model reads the same primitives.
 
 Block wiring (all convs bias-free, BN after every conv):
 
@@ -78,8 +82,16 @@ _GEOM_3X3 = ConvGeometry((3, 3), stride=1, padding=1)
 _GEOM_3X3_S2 = ConvGeometry((3, 3), stride=2, padding=1)
 _GEOM_1X1 = ConvGeometry((1, 1), stride=1, padding=0)
 
-_BN_KEYS = ("gamma", "beta", "run_mean", "run_var")
-_RPRELU_KEYS = ("beta", "gamma", "zeta")
+# {suffix: fill} of the parameters of each primitive kind of netspec.layer_ops,
+# in creation order; a None fill draws Kaiming-uniform values
+_PARAMS = {
+    netspec.STEM_CONV: {"w": None},
+    netspec.BINARY_CONV: {"w_latent": None},
+    netspec.BATCH_NORM: {"gamma": 1.0, "beta": 0.0, "run_mean": 0.0, "run_var": 1.0},
+    netspec.RSIGN: {"shift": 0.0},
+    netspec.RPRELU: {"beta": 0.25, "gamma": 0.0, "zeta": 0.0},
+    netspec.FC_HEAD: {"w": None},
+}
 _DECAYED_PARAMS = ("stem.conv.w", "fc.w")
 
 
@@ -128,48 +140,22 @@ def _kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int):
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _bn_layout(prefix: str, c: int):
-    yield f"{prefix}.gamma", (c,), 0, 1.0
-    yield f"{prefix}.beta", (c,), 0, 0.0
-    yield f"{prefix}.run_mean", (c,), 0, 0.0
-    yield f"{prefix}.run_var", (c,), 0, 1.0
-
-
-def _rprelu_layout(prefix: str, c: int):
-    yield f"{prefix}.beta", (c,), 0, 0.25
-    yield f"{prefix}.gamma", (c,), 0, 0.0
-    yield f"{prefix}.zeta", (c,), 0, 0.0
-
-
 def _param_layout(spec: netspec.NetworkSpec):
     """(name, shape, fan_in, fill) of every parameter of ``spec``, in creation
     order: fan_in > 0 draws Kaiming-uniform values, otherwise the constant
-    fill. Computed from the spec alone, without allocating anything."""
-    for layer in spec.layers:
-        ci, co, name = layer.in_channels, layer.out_channels, layer.name
-        if layer.kind == netspec.FIRST_CONV:
-            yield f"{name}.conv.w", (co, ci, 3, 3), ci * 9, 0.0
-            yield from _bn_layout(f"{name}.bn", co)
-        elif layer.kind in (netspec.NORMAL, netspec.REDUCTION):
-            convs = (("conv1x1",) if layer.kind == netspec.NORMAL
-                     else ("conv1x1_a", "conv1x1_b"))
-            yield f"{name}.rsign_conv3x3.shift", (ci,), 0, 0.0
-            yield f"{name}.conv3x3.w_latent", (ci, ci, 3, 3), ci * 9, 0.0
-            yield from _bn_layout(f"{name}.bn_conv3x3", ci)
-            yield from _rprelu_layout(f"{name}.rprelu_conv3x3", ci)
-            yield f"{name}.rsign_conv1x1.shift", (ci,), 0, 0.0
-            for conv in convs:
-                yield f"{name}.{conv}.w_latent", (ci, ci, 1, 1), ci, 0.0
-            if layer.kind == netspec.NORMAL:
-                yield from _bn_layout(f"{name}.bn_conv1x1", ci)
-                yield from _rprelu_layout(f"{name}.rprelu_conv1x1", ci)
-            else:
-                for conv in convs:
-                    yield from _bn_layout(f"{name}.bn_{conv}", ci)
-                yield from _rprelu_layout(f"{name}.rprelu_out", co)
-        elif layer.kind == netspec.FC_HEAD:
-            yield f"{name}.w", (ci, co), ci, 0.0
-        # global_pool has no parameters
+    fill. Computed from the spec alone, without allocating anything; the plan
+    is validated (``netspec.shape_chain``) before the first name is yielded."""
+    for step in netspec.shape_chain(spec):
+        for op in netspec.layer_ops(step):
+            ci, co, k = op.in_channels, op.out_channels, op.kernel
+            for suffix, fill in _PARAMS.get(op.kind, {}).items():
+                name = f"{op.prefix}.{suffix}"
+                if fill is not None:
+                    yield name, (co,), 0, fill
+                elif op.kind == netspec.FC_HEAD:
+                    yield name, (ci, co), ci, 0.0
+                else:
+                    yield name, (co, ci, k, k), ci * k * k, 0.0
 
 
 def _is_learnable(name: str) -> bool:
@@ -186,7 +172,6 @@ def build_network(
     stream consumed in layer order; RSign shifts start at 0, RPReLU at
     (beta, gamma, zeta) = (0.25, 0, 0), and BN at identity.
     """
-    netspec.shape_chain(spec)  # validates the plan before allocating
     rng = np.random.default_rng(seed)
     params = {name: (_kaiming_uniform(rng, shape, fan_in) if fan_in
                      else np.full(shape, fill))
@@ -298,12 +283,13 @@ class InferencePlan:
 
     def bn(self, prefix, x):
         return tensor_ops.batchnorm_forward(
-            x, *(self.reals[f"{prefix}.{k}"] for k in _BN_KEYS), training=False,
-            out=x)[0]
+            x, *(self.reals[f"{prefix}.{k}"] for k in _PARAMS[netspec.BATCH_NORM]),
+            training=False, out=x)[0]
 
     def rprelu(self, prefix, x):
         return bitops.rprelu_forward(
-            x, *(self.reals[f"{prefix}.{k}"] for k in _RPRELU_KEYS), out=x)[0]
+            x, *(self.reals[f"{prefix}.{k}"] for k in _PARAMS[netspec.RPRELU]),
+            out=x)[0]
 
     def linear(self, prefix, x):
         return tensor_ops.linear_forward(x, self.reals[f"{prefix}.w"])
@@ -400,16 +386,17 @@ class _Tape:
 
     def bn(self, prefix, x):
         y, cache = tensor_ops.batchnorm_forward(
-            x, *(self.params[f"{prefix}.{k}"] for k in _BN_KEYS), training=True,
-            out=x)
+            x, *(self.params[f"{prefix}.{k}"] for k in _PARAMS[netspec.BATCH_NORM]),
+            training=True, out=x)
         self.ops[prefix] = (("gamma", "beta"),
                             lambda g: tensor_ops.batchnorm_backward(g, cache, out=g))
         return y
 
     def rprelu(self, prefix, x):
+        keys = _PARAMS[netspec.RPRELU]
         y, cache = bitops.rprelu_forward(
-            x, *(self.params[f"{prefix}.{k}"] for k in _RPRELU_KEYS), out=x)
-        self.ops[prefix] = (_RPRELU_KEYS, lambda g: bitops.rprelu_backward(g, cache))
+            x, *(self.params[f"{prefix}.{k}"] for k in keys), out=x)
+        self.ops[prefix] = (keys, lambda g: bitops.rprelu_backward(g, cache))
         return y
 
     def linear(self, prefix, x):
@@ -552,6 +539,9 @@ class StageOneConfig:
     augment: bool = False
 
     def __post_init__(self):
+        for key in ("learning_rate", "momentum", "weight_decay"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -283,6 +283,23 @@ def test_pipeline_equals_manual_command_sequence(tmp_path, cache_dir, capsys):
         assert (pipe / name).read_bytes() == (manual / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("train.lr", "nan"), ("train.lr", "inf"), ("train.momentum", "nan"),
+    ("train.weight_decay", "inf"), ("train.batch_size", "0"), ("train.epochs", "0"),
+])
+def test_train_settings_that_build_no_trainer_are_one_config_line(
+        tmp_path, cache_dir, capsys, flag, value):
+    # non-finite lr, momentum and weight decay used to run one SGD step and
+    # abort with a runtime error, leaving an out dir behind
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--out", str(out), "--data.dir", str(cache_dir),
+                   *SMOKE_ARGS, f"--{flag}", value])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("RXGB-ERROR config:"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_gbdt_reports_round_losses(tmp_path, cache_dir, capsys):
     out = tmp_path / "gb"
     manual = tmp_path / "m"

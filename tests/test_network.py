@@ -1158,6 +1158,31 @@ def test_deployed_payload_equals_the_kind_by_kind_oracle(scaling):
         assert len(payload) == costmodel.cost_report(spec).total_param_bits // 8
 
 
+@pytest.mark.parametrize("spec", [
+    netspec.reference_spec(1.0), netspec.reference_spec(0.5),
+    netspec.reference_spec(0.25), netspec.reference_spec(1.0, include_fc=False),
+    tiny_spec(),
+], ids=["w1.0", "w0.5", "w0.25", "w1.0-nofc", "tiny"])
+def test_each_cost_row_counts_the_parameters_under_its_prefix(spec):
+    rows = costmodel.cost_report(spec).rows
+    owned = {r.name: [] for r in rows}
+    for name, shape, _, _ in network._param_layout(spec):
+        owners = [r.name for r in rows if name.startswith(f"{r.name}.")]
+        assert len(owners) == 1, (name, owners)
+        owned[owners[0]].append((name, shape))
+    for r in rows:
+        if r.name.endswith((".global", ".pool_shortcut")):
+            assert owned[r.name] == [] and r.param_bits == 0, r.name
+        latent = [(shape[0], int(np.prod(shape)))
+                  for name, shape in owned[r.name] if name.endswith(".w_latent")]
+        reals = [int(np.prod(shape))
+                 for name, shape in owned[r.name] if not name.endswith(".w_latent")]
+        # 1 bit per latent weight, 32 per alpha channel, 32 per other entry
+        assert r.param_bits == sum(n + 32 * co for co, n in latent) + 32 * sum(reals), \
+            r.name
+        assert r.binary_weight_bits == sum(n for _, n in latent), r.name
+
+
 def test_reference_plan_payload_matches_cost_model():
     spec = netspec.reference_spec()
     model = network.build_network(spec, seed=0)
