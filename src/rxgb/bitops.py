@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor_ops import _channel_sums
+
 WORD_BITS = 64
 
 
@@ -226,7 +228,7 @@ def rsign_backward(grad_y: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndar
     """
     grad_x = _approxsign_dydu(cache["u"])
     grad_x *= grad_y
-    grad_shift = -grad_x.sum(axis=(0, 2, 3))
+    grad_shift = -_channel_sums(grad_x)
     return grad_x, grad_shift
 
 
@@ -276,10 +278,10 @@ def rprelu_backward(
     The slope (1 where u >= 0, else beta) is built from the 0/1 masks of
     the cached u, and d f / d beta is min(u, 0), +0 on the positive branch.
     grad_x is computed in the slope's buffer, laid out as a fresh product of
-    grad_y and u would be, so its channel sums add in the fresh product's
-    order. The beta term is a product with a temporary, which numpy computes
-    in the temporary's buffer from 256 KiB up (every plane of a batch-128
-    step).
+    grad_y and u would be. The beta term is a product with a temporary,
+    which numpy computes in the temporary's buffer from 256 KiB up (every
+    plane of a batch-128 step). The three parameter gradients are
+    ``tensor_ops._channel_sums``, whose order does not depend on layout.
     """
     u, beta = cache["u"], cache["beta"]
     pos = u >= 0
@@ -287,7 +289,7 @@ def rprelu_backward(
     slope = np.multiply(~pos, beta[None, :, None, None], out=_product_out(g, u))
     slope += pos
     grad_x = np.multiply(g, slope, out=slope)
-    grad_gamma = -grad_x.sum(axis=(0, 2, 3))
-    grad_beta = (g * np.minimum(u, 0.0)).sum(axis=(0, 2, 3))
-    grad_zeta = g.sum(axis=(0, 2, 3))
+    grad_gamma = -_channel_sums(grad_x)
+    grad_beta = _channel_sums(g * np.minimum(u, 0.0))
+    grad_zeta = _channel_sums(g)
     return grad_x, grad_beta, grad_gamma, grad_zeta

@@ -40,6 +40,7 @@ fixed-width contraction blocks (see ``tensor_ops``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -334,8 +335,9 @@ def _stage_boost(config, feats, labels, out: str):
     return ens
 
 
-def _eval_head(cfg, head: str, model, ens, feats, labels) -> float:
-    """Print one head's top-1 and confusion matrix on extracted features."""
+def _eval_head(cfg, head: str, model, ens, feats, labels):
+    """Print one head's top-1 and confusion matrix on extracted features;
+    returns (top-1, the boolean array of images it classifies right)."""
     import numpy as np
 
     from . import gbdt, network
@@ -345,7 +347,8 @@ def _eval_head(cfg, head: str, model, ens, feats, labels) -> float:
         pred = np.argmax(logits, axis=1)
     else:
         pred = gbdt.predict_class(ens, feats)
-    hits = int((pred == labels).sum())
+    right = pred == labels
+    hits = int(right.sum())
     top1 = hits / len(labels)
     print(f"{head} head top-1 accuracy: {top1:.4f} ({hits}/{len(labels)})")
     cm = np.zeros((_CLASSES, _CLASSES), dtype=np.int64)
@@ -356,7 +359,16 @@ def _eval_head(cfg, head: str, model, ens, feats, labels) -> float:
     for row in range(cm.shape[0]):
         cells = " ".join(f"{v:>{width}}" for v in cm[row])
         print(f"  {row:>2} {cells}")
-    return top1
+    return top1, right
+
+
+def _mcnemar_p(fc_only: int, hybrid_only: int) -> float:
+    """Exact two-sided McNemar p-value of two classifiers scored on one test
+    set: twice the binomial(n, 1/2) tail at the rarer of the n discordant
+    images, capped at 1 (McNemar, Psychometrika 12, 1947)."""
+    n = fc_only + hybrid_only
+    tail = sum(math.comb(n, k) for k in range(min(fc_only, hybrid_only) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -471,8 +483,14 @@ def cmd_pipeline(args, cfg) -> int:
     # boost on the features as written (float32), as train-gbdt reads them
     feats, labels = data.load_features(os.path.join(out, "features-train.rxgbfeat"))
     ens = _stage_boost(config, feats, labels, out)
-    fc_top1 = _eval_head(cfg, "fc", plan, None, test_feats, test_labels)
-    gbdt_top1 = _eval_head(cfg, "gbdt", plan, ens, test_feats, test_labels)
+    fc_top1, fc_right = _eval_head(cfg, "fc", plan, None, test_feats, test_labels)
+    gbdt_top1, gbdt_right = _eval_head(cfg, "gbdt", plan, ens, test_feats, test_labels)
+    fc_only = int((fc_right & ~gbdt_right).sum())
+    hybrid_only = int((gbdt_right & ~fc_right).sum())
+    print(f"paired heads on {len(test_labels)} test images: "
+          f"both right {int((fc_right & gbdt_right).sum())}, fc only {fc_only}, "
+          f"hybrid only {hybrid_only}, neither {int((~fc_right & ~gbdt_right).sum())}")
+    print(f"exact McNemar p (two-sided): {_mcnemar_p(fc_only, hybrid_only):.3g}")
     print(f"pipeline complete in {time.perf_counter() - started:.1f}s: "
           f"fc {fc_top1:.4f}, hybrid {gbdt_top1:.4f} -> {out}")
     return 0

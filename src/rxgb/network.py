@@ -33,8 +33,10 @@ by the per-channel alpha once at the end, so the forward equals the
 XNOR-popcount ``bitops.binary_conv2d`` to the byte. The backward pass trains
 with real arithmetic on the effective weights alpha * sign(latent): it keeps
 the forward's int8 sign planes and alpha, and ``tensor_ops.conv2d_backward``
-builds float64 from them block by block, one chunk of whole images at a time
-whose size follows from the shapes alone. Gradients reach the latents
+builds float64 from them block by block, over the taps that read the input
+on the 2x2 grids of a full batch (the forward's rule) and otherwise one
+chunk of whole images at a time whose size follows from the shapes alone.
+Gradients reach the latents
 through the straight-through clip mask with alpha held constant, and latents
 are clipped to [-1, 1] after every optimizer step. Sign activations route
 gradients through the piecewise-quadratic surrogate in ``bitops``.

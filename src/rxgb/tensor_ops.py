@@ -15,12 +15,14 @@ Convolution output extent is floor((H + 2*pad - kh) / stride) + 1 per axis.
 Inside a conv the padded input is NHWC ([N, Hp, Wp, Ci], :func:`_pad_input`),
 so every im2col copy reads contiguous runs of Ci values.
 
-A numpy sum over (N, H, W) adds in memory order, so the layout fixes the
-order of every per-channel sum: on NHWC memory each channel adds its
-(n, h, w) rows one after another, in row order (batch-norm statistics and
-gradients here, the RPReLU and RSign parameter gradients in ``bitops``, the
-global pool's mean). The 2x2 pool adds each window in one written order on
-any layout (:func:`avgpool_2x2`).
+Every per-channel sum over (N, H, W) (batch-norm statistics and gradients
+here, the RPReLU and RSign parameter gradients in ``bitops``) goes through
+:func:`_channel_sums`: the [N*H*W, C] rows in K_BLOCK-row blocks, each block
+added row by row, then the block sums in order, so the order follows from
+the shape alone on any layout, and a sum of M rows carries the rounding of
+about K_BLOCK + M / K_BLOCK adds, not M. The global pool's mean adds the
+(h, w) cells in memory order; the 2x2 pool adds each window in one written
+order on any layout (:func:`avgpool_2x2`).
 
 Determinism: products of real values (conv forward on float operands, both
 conv backward products, the fully connected layer) go through
@@ -33,18 +35,28 @@ not depend on the thread count. That was measured on OpenBLAS 0.3.31 (1, 2
 and 4 threads), but BLAS does not promise it; a single product over a longer
 contraction does differ there (K = 784 at 1 vs 2 threads).
 
-The conv backward computes grad_x one chunk of whole images at a time
-(:data:`_CHUNK_ROWS` over the output grid), which bounds the float64 product
-alive at once. The chunk boundaries follow from the shapes alone and each
-chunk is one :func:`_matmul`, so grad_x's thread invariance rests on the
-K_BLOCK assumption alone. On OpenBLAS 0.3.31 (AVX-512 kernels) the chunks
-also equal one whole-batch product to the byte, because its regular gemm
-kernel computes an element independently of the rows computed with it; the
-tests check that, and nothing relies on it. Another BLAS, or a
-column count of 4 mod 8 above 192, may round the row chunks differently from
-a single product, and the result stays deterministic all the same. A binary
-conv's backward takes the forward's int8 sign planes, which reach float64
-exactly, one K_BLOCK block at a time.
+The conv backward follows the forward's rule (:func:`_interior_taps`): on a
+batch of at least _SPLIT_MIN_IMAGES images where most (output, tap) pairs
+read the pad ring (a 3x3 conv on a 2x2 grid), it makes both products per
+output position and tap row over the taps that read the input, and adds the
+ring to grad_w as pad_value times grad_y summed over images. Each of those
+products is one :func:`_matmul` (grad_x's contracts over Co, grad_w's over
+the batch) and the adds run in a fixed (position, tap row) order, so the
+result is thread-invariant under the K_BLOCK assumption alone; its bytes
+differ from the dense form's, which adds the taps in another order. Every
+other conv takes the dense form: grad_w is one product over the whole patch
+matrix, and grad_x one chunk of whole images at a time (:data:`_CHUNK_ROWS`
+over the output grid), which bounds the float64 product alive at once. The
+chunk boundaries follow from the shapes alone and each chunk is one
+:func:`_matmul`, so grad_x's thread invariance rests on the K_BLOCK
+assumption alone. On OpenBLAS 0.3.31 (AVX-512 kernels) the chunks also
+equal one whole-batch product to the byte, because its regular gemm kernel
+computes an element independently of the rows computed with it; the tests
+check that, and nothing relies on it. Another BLAS, or a column count of 4
+mod 8 above 192, may round the row chunks differently from a single
+product, and the result stays deterministic all the same. A binary conv's
+backward takes the forward's int8 sign planes, which reach float64 exactly,
+one K_BLOCK block at a time.
 
 Products of +/-1 values need no such assumption. A convolution of integer
 operands (:func:`sign_conv2d`, on filters laid out once by :func:`sign_matrix`)
@@ -203,6 +215,20 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _channel_sums(x: np.ndarray) -> np.ndarray:
+    """Per-channel sums of x [N, C, H, W] over (N, H, W), in an order fixed by
+    the shape alone: the [N*H*W, C] rows of x's NHWC view (copied unless x
+    is NHWC memory) in K_BLOCK-row blocks, each block summed row by row, then
+    the block sums added left to right, the remainder block last."""
+    c = x.shape[1]
+    rows = x.transpose(0, 2, 3, 1).reshape(-1, c)
+    full = len(rows) - len(rows) % K_BLOCK
+    total = rows[:full].reshape(-1, K_BLOCK, c).sum(axis=1).sum(axis=0)
+    if full < len(rows):
+        total += rows[full:].sum(axis=0)
+    return total
+
+
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
     """Weights as [kh*kw*Ci, Co], matching the im2col reduction layout."""
     co = w.shape[0]
@@ -273,7 +299,7 @@ def _sign_conv2d(x, w_mat, geom, pad_value, w_max):
             f"= {k * x_max * w_max}, not exact in float32 (limit 2**24)"
         )
     xp = _pad_input(x, geom.padding, pad, np.float32)
-    taps = n >= _SPLIT_MIN_IMAGES and _interior_taps(geom, h, wd)
+    taps = _interior_taps(geom, n, h, wd)
     if taps:
         return _sign_conv_interior(xp, w_mat, geom, pad, *taps).transpose(0, 3, 1, 2)
     co = w_mat.shape[1]
@@ -367,16 +393,17 @@ def conv2d_backward(
 
     Returns:
         (grad_x [N, Ci, H, W], grad_w [Co, Ci, kh, kw]), grad_w w.r.t. the
-        (scaled) filters. grad_x is an NCHW view of NHWC memory: col2im adds
-        the taps into an [N, Hp, Wp, Ci] buffer, in the layout the products
-        emit, with no per-tap transpose.
+        (scaled) filters. grad_x is an NCHW view of NHWC memory, the layout
+        the products emit, with no per-tap transpose.
 
     The padding ring receives no gradient: pad cells are constants, not
-    inputs. grad_x is computed one chunk of whole images at a time, each
-    chunk one :func:`_matmul` whose taps are added in (tap row, tap column)
-    order. The chunk size depends on the shapes alone, so grad_x is the same
-    at any BLAS thread count under the K_BLOCK assumption alone (see the
-    module docstring).
+    inputs. Where the forward's rule holds (:func:`_interior_taps`) both
+    products run over the taps that read the input
+    (:func:`_conv_backward_interior`), into an unpadded buffer. Elsewhere
+    grad_w is one product over the patch matrix and grad_x is made one chunk
+    of whole images at a time (:func:`_col2im`). Both forms are the same at
+    any BLAS thread count under the K_BLOCK assumption alone, and they add
+    in different orders, so their bytes differ (see the module docstring).
     """
     _check_conv_shapes(x, w, geom)
     if np.issubdtype(x.dtype, np.integer):
@@ -401,29 +428,37 @@ def conv2d_backward(
         raise ValueError(f"alpha shape {np.shape(alpha)} != ({co},)")
 
     # A view of NHWC memory, channel slices included, reaches BLAS uncopied;
-    # a column-major view (NCHW memory of one image) is copied to row-major,
-    # the layout the one-product form multiplies.
-    gy = grad_y.transpose(0, 2, 3, 1).reshape(-1, co)
-    if gy.strides[1] != gy.itemsize:
+    # other memory (NCHW, or one image's column-major NCHW) is copied to
+    # NHWC, the layout both forms multiply.
+    gy = grad_y.transpose(0, 2, 3, 1)                     # [N, OH, OW, Co]
+    if gy.strides[3] != gy.itemsize:
         gy = np.ascontiguousarray(gy)
-    xp = _pad_input(x, p, pad_value, x.dtype)
-    gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci)
-
     w_mat = _weight_matrix(w)                             # [kh*kw*Ci, Co]
     w_mat = (w_mat.astype(np.float64) if alpha is None
              else w_mat * np.asarray(alpha, dtype=np.float64))
-    gxp = np.zeros(xp.shape)
-    _col2im(gxp, gy, w_mat, geom, oh, ow)
-    if p:
-        gxp = gxp[:, p:-p, p:-p, :]
-    return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
+    taps = _interior_taps(geom, n, h, wd)
+    if taps:
+        gx, gw = _conv_backward_interior(gy, x.transpose(0, 2, 3, 1), w_mat, geom,
+                                         pad_value, *taps)
+    else:
+        gy = gy.reshape(-1, co)
+        xp = _pad_input(x, p, pad_value, x.dtype)
+        gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci)
+        gx = np.zeros(xp.shape)
+        _col2im(gx, gy, w_mat, geom, oh, ow)
+        if p:
+            gx = gx[:, p:-p, p:-p, :]
+    return gx.transpose(0, 3, 1, 2), np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
 
 
-def _interior_taps(geom: ConvGeometry, h: int, w: int):
-    """Per output row and per output column, the range of kernel taps that
-    read the input rather than the pad ring, as (rows, cols); None unless
-    more than half of the (output, tap) pairs read the ring (a 3x3 conv on a
-    2x2 grid)."""
+def _interior_taps(geom: ConvGeometry, n: int, h: int, w: int):
+    """The rule both conv directions follow: per output row and per output
+    column, the range of kernel taps that read the input rather than the pad
+    ring, as (rows, cols); None unless the batch has at least
+    _SPLIT_MIN_IMAGES images and more than half of the (output, tap) pairs
+    read the ring (a 3x3 conv on a 2x2 grid)."""
+    if n < _SPLIT_MIN_IMAGES:
+        return None
     (kh, kw), s, p = geom.kernel, geom.stride, geom.padding
     oh, ow = geom.out_extent(h, w)
     rows, cols = ([range(max(0, p - o * s), min(k, e + p - o * s)) for o in range(out)]
@@ -431,6 +466,45 @@ def _interior_taps(geom: ConvGeometry, h: int, w: int):
     if 2 * sum(map(len, rows)) * sum(map(len, cols)) < oh * ow * kh * kw:
         return rows, cols
     return None
+
+
+def _conv_backward_interior(gy, x, w_mat, geom, pad_value, rows, cols):
+    """Both conv backward products over the taps that read the input
+    (``_interior_taps`` ranges), from gy [N, OH, OW, Co], the NHWC input x
+    [N, H, W, Ci] (int8 or float64, read in place) and w_mat [kh*kw*Ci, Co].
+
+    Per output position (a, b), in row-major order, and per interior tap row
+    i: grad_x adds gy[:, a, b] @ w_rows.T into the input cells the row reads,
+    and grad_w adds gy[:, a, b].T @ x_patch into the row's taps. Each product
+    is one :func:`_matmul`. Then every tap gets pad_value times the sum over
+    the positions where it reads the ring, in row-major order, of the
+    position's gy summed over images (in image order). Returns
+    (grad_x [N, H, W, Ci], grad_w [Co, kh, kw, Ci]).
+    """
+    kh, kw = geom.kernel
+    s, p = geom.stride, geom.padding
+    n, h, wd, ci = x.shape
+    co = w_mat.shape[1]
+    gx = np.zeros((n, h, wd, ci))
+    gw = np.zeros((co, kh, kw, ci))
+    ring = np.zeros((co, kh, kw))
+    g_sums = gy.sum(axis=0)                               # [OH, OW, Co]
+    for a, ti in enumerate(rows):
+        for b, tj in enumerate(cols):
+            g = gy[:, a, b]                               # [N, Co]
+            c0, c1 = b * s + tj.start - p, b * s + tj.stop - p
+            for i in ti if tj else ():
+                r = a * s + i - p
+                w_rows = w_mat[(i * kw + tj.start) * ci:(i * kw + tj.stop) * ci]
+                gx[:, r, c0:c1] += _matmul(g, w_rows.T).reshape(n, -1, ci)
+                gw[:, i, tj.start:tj.stop] += _matmul(
+                    g.T, x[:, r, c0:c1].reshape(n, -1)).reshape(co, -1, ci)
+            reads_ring = np.ones((kh, kw), bool)
+            reads_ring[ti.start:ti.stop, tj.start:tj.stop] = False
+            ring[:, reads_ring] += g_sums[a, b, :, None]
+    if pad_value:
+        gw += pad_value * ring[..., None]
+    return gx, gw
 
 
 def _col2im(gxp, gy, w_mat, geom, oh, ow):
@@ -510,10 +584,10 @@ def batchnorm_forward(
     if training:
         if x.shape[0] == 0:
             raise ValueError("batchnorm requires a non-empty batch in training mode")
-        mean = x.mean(axis=(0, 2, 3))
+        mean = _channel_sums(x) / m
         xhat = np.subtract(x, mean[None, :, None, None], out=out)
         y = np.multiply(xhat, xhat)                      # squares; y's buffer
-        var = y.sum(axis=(0, 2, 3)) / m                  # biased, as np.var
+        var = _channel_sums(y) / m                       # biased
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -536,9 +610,10 @@ def batchnorm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of batchnorm_forward (training mode) w.r.t. x, gamma, beta.
 
-    Works in two buffers: one made by a ufunc of grad_y and xhat, as the
-    summed products are, so each channel sum adds in the same order; and
-    grad_y * gamma, which becomes dx in grad_y's memory layout. ``out``, if
+    Works in two buffers: one made by a ufunc of grad_y and xhat, which
+    holds the summed products; and grad_y * gamma, which becomes dx in
+    grad_y's memory layout. Channel sums go through :func:`_channel_sums`,
+    whose order does not depend on either layout. ``out``, if
     given, is a float64 array of grad_y's shape that receives that product
     and so dx; pass grad_y itself to consume it (it is read in full before
     it is written), with the same bytes as a fresh dx.
@@ -549,14 +624,14 @@ def batchnorm_backward(
     m = cache["m"]
     grad_y = np.asarray(grad_y, dtype=np.float64)
     buf = np.multiply(grad_y, xhat)
-    dgamma = buf.sum(axis=(0, 2, 3))
-    dbeta = np.sum(grad_y, axis=(0, 2, 3))
+    dgamma = _channel_sums(buf)
+    dbeta = _channel_sums(grad_y)
     if not cache["training"]:
         dx = np.multiply(grad_y, (gamma * inv_std)[None, :, None, None], out=out)
         return dx, dgamma, dbeta
     dxhat = np.multiply(grad_y, gamma[None, :, None, None], out=out)
-    s1 = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-    s2 = np.multiply(dxhat, xhat, out=buf).sum(axis=(0, 2, 3))[None, :, None, None]
+    s1 = _channel_sums(dxhat)[None, :, None, None]
+    s2 = _channel_sums(np.multiply(dxhat, xhat, out=buf))[None, :, None, None]
     dx = dxhat                                           # m * dxhat - s1 - xhat * s2
     dx *= m
     dx -= s1

@@ -357,6 +357,82 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     return gxp.transpose(0, 3, 1, 2), np.ascontiguousarray(gw)
 
 
+def _reads_ring_mostly(n, h, wd, geom, min_images=128):
+    """Whether conv2d_backward takes its interior-tap form: a batch of at
+    least 128 images on which more than half of the (output, tap) pairs read
+    the pad ring, counted pair by pair."""
+    kh, kw = geom.kernel
+    s, p = geom.stride, geom.padding
+    oh, ow = geom.out_extent(h, wd)
+    ring = sum(not (0 <= a * s + i - p < h and 0 <= b * s + j - p < wd)
+               for a in range(oh) for b in range(ow)
+               for i in range(kh) for j in range(kw))
+    return n >= min_images and 2 * ring > oh * ow * kh * kw
+
+
+def interior_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
+    """conv2d_backward's interior-tap form on float64 operands, tap by tap.
+
+    For each output position (a, b) in row-major order and each tap row i
+    with taps j0..j1 that read the input: one fixed-block matmul of
+    grad_y[:, :, a, b] by those taps' filters, added tap by tap into the
+    input cells they read, and one of grad_y[:, :, a, b].T by those cells,
+    added tap by tap into the taps' weight gradient. Each tap that reads
+    the ring at (a, b) collects grad_y[:, :, a, b] summed over images in
+    image order; the weight gradient then gets pad_value times that. The
+    products have the library's shapes and layouts, so the two must agree
+    to the byte. grad_x is returned as an NCHW view of NHWC memory.
+    """
+    from rxgb.tensor_ops import _matmul
+
+    if alpha is not None:
+        w = w * alpha[:, None, None, None]
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    n, ci, h, wd = x.shape
+    co = w.shape[0]
+    kh, kw = geom.kernel
+    s, p = geom.stride, geom.padding
+    oh, ow = geom.out_extent(h, wd)
+    gy = np.ascontiguousarray(np.asarray(grad_y, dtype=np.float64).transpose(0, 2, 3, 1))
+    gx = np.zeros((n, h, wd, ci))
+    gw = np.zeros((co, ci, kh, kw))
+    ring = np.zeros((co, kh, kw))
+    for a in range(oh):
+        for b in range(ow):
+            g = gy[:, a, b]                               # [N, Co]
+            g_sum = np.zeros(co)
+            for image in range(n):
+                g_sum += g[image]
+            for i in range(kh):
+                r = a * s + i - p
+                taps = [j for j in range(kw) if 0 <= r < h and 0 <= b * s + j - p < wd]
+                for j in range(kw):
+                    if j not in taps:
+                        ring[:, i, j] += g_sum
+                if not taps:
+                    continue
+                w_rows = np.concatenate([w[:, :, i, j].T for j in taps])
+                x_rows = np.concatenate([x[:, :, r, b * s + j - p] for j in taps], axis=1)
+                gcols = _matmul(g, w_rows.T)
+                wcols = _matmul(g.T, x_rows)
+                for t, j in enumerate(taps):
+                    gx[:, r, b * s + j - p, :] += gcols[:, t * ci:(t + 1) * ci]
+                    gw[:, :, i, j] += wcols[:, t * ci:(t + 1) * ci]
+    if pad_value:
+        gw += pad_value * ring[:, None]
+    return gx.transpose(0, 3, 1, 2), gw
+
+
+def reference_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
+    """interior_conv2d_backward where the library takes its interior-tap form,
+    dense_conv2d_backward everywhere else."""
+    n, _, h, wd = x.shape
+    form = (interior_conv2d_backward if _reads_ring_mostly(n, h, wd, geom)
+            else dense_conv2d_backward)
+    return form(grad_y, x, w, geom, pad_value, alpha)
+
+
 def dense_sign_conv2d(x, w_mat, geom, pad_value=-1):
     """sign_conv2d as one float32 product over the whole patch matrix, pad
     ring included: the form the interior-tap products replaced. Its sums are
@@ -365,6 +441,27 @@ def dense_sign_conv2d(x, w_mat, geom, pad_value=-1):
     oh, ow = geom.out_extent(h, wd)
     cols = nchw_im2col(x, geom, int(pad_value))[1].astype(np.float32)
     return (cols @ w_mat).reshape(n, oh, ow, w_mat.shape[1]).transpose(0, 3, 1, 2)
+
+
+def blocked_channel_sums(x, block=128):
+    """Per-channel sums of x [N, C, H, W] over (N, H, W) in the library's
+    order, spelled out: the rows of x's NHWC view, ``block`` at a time, each
+    block's rows added one by one from +0, then the block sums added one by
+    one from +0, the remainder block last. The remainder is padded with +0
+    rows, which leave its sum unchanged: a sum begun at +0 is never -0."""
+    c = x.shape[1]
+    rows = np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1).reshape(-1, c)
+    blocks = -(-len(rows) // block)
+    padded = np.zeros((blocks * block, c))
+    padded[:len(rows)] = rows
+    padded = padded.reshape(blocks, block, c)
+    block_sums = np.zeros((blocks, c))
+    for r in range(block):
+        block_sums += padded[:, r]
+    total = np.zeros(c)
+    for block_sum in block_sums:
+        total += block_sum
+    return total
 
 
 def where_rprelu_forward(x, beta, gamma, zeta, out=None):
@@ -382,21 +479,22 @@ def where_rprelu_backward(grad_y, cache):
     g = np.asarray(grad_y, dtype=np.float64)
     slope = np.where(pos, 1.0, beta[None, :, None, None])
     grad_x = g * slope
-    grad_gamma = -grad_x.sum(axis=(0, 2, 3))
-    grad_beta = (g * np.where(pos, 0.0, u)).sum(axis=(0, 2, 3))
-    grad_zeta = g.sum(axis=(0, 2, 3))
+    grad_gamma = -blocked_channel_sums(grad_x)
+    grad_beta = blocked_channel_sums(g * np.where(pos, 0.0, u))
+    grad_zeta = blocked_channel_sums(g)
     return grad_x, grad_beta, grad_gamma, grad_zeta
 
 
-def var_batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                          momentum=0.1, eps=1e-5, training=True, out=None):
-    """Batch norm with the batch variance from np.var and fresh temporaries:
-    ``out`` is accepted and ignored."""
+def temporaries_batchnorm_forward(x, gamma, beta, running_mean, running_var,
+                                  momentum=0.1, eps=1e-5, training=True, out=None):
+    """Batch norm with the batch mean and biased variance from
+    blocked_channel_sums, in fresh temporaries: ``out`` is accepted and
+    ignored."""
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     if training:
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        mean = blocked_channel_sums(x) / m
+        var = blocked_channel_sums((x - mean[None, :, None, None]) ** 2) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -415,13 +513,13 @@ def temporaries_batchnorm_backward(grad_y, cache, out=None):
     accepted, for the library's signature, and left unwritten."""
     xhat, gamma, inv_std, m = cache["xhat"], cache["gamma"], cache["inv_std"], cache["m"]
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    dgamma = np.sum(grad_y * xhat, axis=(0, 2, 3))
-    dbeta = np.sum(grad_y, axis=(0, 2, 3))
+    dgamma = blocked_channel_sums(grad_y * xhat)
+    dbeta = blocked_channel_sums(grad_y)
     if not cache["training"]:
         return grad_y * (gamma * inv_std)[None, :, None, None], dgamma, dbeta
     dxhat = grad_y * gamma[None, :, None, None]
-    s1 = np.sum(dxhat, axis=(0, 2, 3))[None, :, None, None]
-    s2 = np.sum(dxhat * xhat, axis=(0, 2, 3))[None, :, None, None]
+    s1 = blocked_channel_sums(dxhat)[None, :, None, None]
+    s2 = blocked_channel_sums(dxhat * xhat)[None, :, None, None]
     dx = (inv_std[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
     return dx, dgamma, dbeta
 
@@ -430,8 +528,8 @@ def temporaries_batchnorm_backward(grad_y, cache, out=None):
 # in for; patch all of them together, since each forward's cache feeds its own
 # backward.
 TRAINING_OP_ORACLES = (
-    ("tensor_ops", "conv2d_backward", dense_conv2d_backward),
-    ("tensor_ops", "batchnorm_forward", var_batchnorm_forward),
+    ("tensor_ops", "conv2d_backward", reference_conv2d_backward),
+    ("tensor_ops", "batchnorm_forward", temporaries_batchnorm_forward),
     ("tensor_ops", "batchnorm_backward", temporaries_batchnorm_backward),
     ("bitops", "rprelu_forward", where_rprelu_forward),
     ("bitops", "rprelu_backward", where_rprelu_backward),

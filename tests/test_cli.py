@@ -249,6 +249,35 @@ def test_pipeline_smoke_writes_all_artifacts(tmp_path, cache_dir, capsys):
     assert "train.epochs = 1" in config
 
 
+def test_pipeline_prints_the_paired_table_of_its_two_heads(tmp_path, cache_dir, capsys):
+    out = tmp_path / "run"
+    assert run_pipeline(cache_dir, out) == 0
+    text = capsys.readouterr().out
+    m = re.search(r"paired heads on (\d+) test images: both right (\d+), fc only (\d+), "
+                  r"hybrid only (\d+), neither (\d+)\nexact McNemar p \(two-sided\): (\S+)\n",
+                  text)
+    assert m, text
+    total, both, fc_only, hybrid_only, neither = map(int, m.groups()[:5])
+    assert both + fc_only + hybrid_only + neither == total
+    fc, hybrid = (float(v) for v in re.search(
+        r"pipeline complete in [\d.]+s: fc ([\d.]+), hybrid ([\d.]+)", text).groups())
+    assert f"{(both + fc_only) / total:.4f}" == f"{fc:.4f}"
+    assert f"{(both + hybrid_only) / total:.4f}" == f"{hybrid:.4f}"
+    assert m.group(6) == f"{cli._mcnemar_p(fc_only, hybrid_only):.3g}"
+
+
+def test_mcnemar_p_matches_hand_computed_tails():
+    assert cli._mcnemar_p(0, 0) == 1.0
+    assert cli._mcnemar_p(3, 3) == 1.0                   # tail 42/64 doubled, capped
+    assert cli._mcnemar_p(1, 0) == 1.0                   # 2 * 1/2
+    assert cli._mcnemar_p(0, 5) == 2 / 32
+    # 32 against 4: 2 * (1 + 36 + 630 + 7140 + 58905) / 2**36
+    assert cli._mcnemar_p(32, 4) == 2 * 66712 / 2 ** 36
+    assert abs(cli._mcnemar_p(4, 32) - 1.9415e-6) < 1e-9
+    # 183 against 145 (the one-epoch desk run): p ~ 0.041
+    assert 0.040 < cli._mcnemar_p(183, 145) < 0.042
+
+
 def test_pipeline_is_deterministic(tmp_path, cache_dir):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_pipeline(cache_dir, a) == 0

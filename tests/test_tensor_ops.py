@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,18 +30,21 @@ from rxgb.tensor_ops import (
 )
 
 from oracles import (
+    blocked_channel_sums,
     dense_conv2d_backward,
     dense_sign_conv2d,
     effective_weights,
     fd_grad,
+    interior_conv2d_backward,
     is_nhwc_memory,
     naive_conv2d,
     nchw_conv2d_backward,
     rel_err,
     temporaries_batchnorm_backward,
-    var_batchnorm_forward,
+    temporaries_batchnorm_forward,
     written_order_avgpool_2x2,
 )
+from test_acceptance import FD_TOL
 
 
 def random_conv_case(rng):
@@ -152,21 +156,34 @@ def test_conv_backward_equals_nchw_scatter_reference_byte_for_byte():
 # (N, C, H=W, k, stride) of binary convs: the desk 3x3s above (256 and 512
 # channels are Co > 128); batches of one and two images on 2x2 grids; 1x1s;
 # batches whose grad_x products span two image chunks, at 32 channels and at
-# width 0.25's block 1 (16 channels); and 2x2 grids at N = 128.
+# width 0.25's block 1 (16 channels); and 2x2 grids at N = 127 and N = 128,
+# either side of the interior-tap rule.
 _BINARY_CASES = ([(3, c, hw, 3, s) for c, hw, s in _DESK_3X3]
                  + [(1, 256, 2, 3, 1), (1, 512, 2, 3, 1), (2, 256, 2, 3, 1),
                     (1, 32, 3, 3, 2), (3, 32, 14, 1, 1), (3, 512, 2, 1, 1),
                     (3, 16, 7, 1, 2), (21, 32, 14, 3, 1), (21, 16, 14, 3, 1),
-                    (128, 256, 2, 3, 1), (128, 48, 2, 3, 1)])
+                    (_SPLIT_MIN_IMAGES - 1, 48, 2, 3, 1),
+                    (_SPLIT_MIN_IMAGES, 256, 2, 3, 1), (_SPLIT_MIN_IMAGES, 48, 2, 3, 1)])
 
 
 def _sign_plane(rng, shape):
     return np.where(rng.standard_normal(shape) >= 0, 1, -1).astype(np.int8)
 
 
-def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte():
+def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte(monkeypatch):
     # The forward's int8 operands and alpha against the float64 effective
-    # weights alpha * sign(latent) through one dense grad_x product.
+    # weights alpha * sign(latent) through one dense grad_x product; where
+    # the backward takes the forward's interior-tap rule (3x3 on a 2x2 grid,
+    # at least _SPLIT_MIN_IMAGES images), through the interior-tap oracle
+    # instead, and within 1e-12 of the dense form.
+    interior = []
+    conv_backward_interior = tensor_ops._conv_backward_interior
+
+    def spy(*args):
+        interior.append(case[:5])
+        return conv_backward_interior(*args)
+
+    monkeypatch.setattr(tensor_ops, "_conv_backward_interior", spy)
     rng = np.random.default_rng(15)
     for n, c, hw, k, stride in _BINARY_CASES:
         geom = ConvGeometry((k, k), stride, k // 2)
@@ -178,10 +195,47 @@ def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte():
             case = (n, c, hw, k, stride, scaling)
             w_sign, alpha = bitops.sign_weights(latent, scaling)
             gx, gw = conv2d_backward(gy, x, w_sign, geom, pad_value=-1, alpha=alpha)
-            rx, rw = dense_conv2d_backward(
-                gy, x, effective_weights(latent, scaling), geom, pad_value=-1.0)
+            w_eff = effective_weights(latent, scaling)
+            rx, rw = dense_conv2d_backward(gy, x, w_eff, geom, pad_value=-1.0)
+            if n >= _SPLIT_MIN_IMAGES and (hw, k, stride) == (2, 3, 1):
+                for a, b in ((gx, rx), (gw, rw)):
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), case
+                assert is_nhwc_memory(gx), case
+                rx, rw = interior_conv2d_backward(gy, x, w_eff, geom, pad_value=-1.0)
             assert gx.tobytes(order="A") == rx.tobytes(order="A"), case
             assert gx.strides == rx.strides and gw.tobytes() == rw.tobytes(), case
+    assert sorted(set(interior)) == [(_SPLIT_MIN_IMAGES, c, 2, 3, 1) for c in (48, 256)]
+
+
+def test_interior_tap_conv_backward_matches_directional_finite_differences(monkeypatch):
+    # Criterion 5 at the interior-tap form, which its cases (N <= 2) never
+    # reach: <grad_x, v> and <grad_w, u> against central differences of the
+    # forward along random directions, float64 operands, 3x3 on a 2x2 grid.
+    interior = []
+    conv_backward_interior = tensor_ops._conv_backward_interior
+
+    def spy(*args):
+        interior.append(args[4])
+        return conv_backward_interior(*args)
+
+    monkeypatch.setattr(tensor_ops, "_conv_backward_interior", spy)
+    rng = np.random.default_rng(51)
+    geom = ConvGeometry((3, 3), 1, 1)
+    x = rng.standard_normal((_SPLIT_MIN_IMAGES, 3, 2, 2))
+    w = rng.standard_normal((4, 3, 3, 3))
+    r = rng.standard_normal((_SPLIT_MIN_IMAGES, 4, 2, 2))
+    v, u = rng.standard_normal(x.shape), rng.standard_normal(w.shape)
+    h = 1e-5
+    for pad_value in (-1.0, 0.0):
+        def loss(xv, wv):
+            return float(np.sum(conv2d_forward(xv, wv, geom, pad_value=pad_value) * r))
+
+        gx, gw = conv2d_backward(r, x, w, geom, pad_value=pad_value)
+        assert interior[-1] == pad_value
+        fx = (loss(x + h * v, w) - loss(x - h * v, w)) / (2 * h)
+        fw = (loss(x, w + h * u) - loss(x, w - h * u)) / (2 * h)
+        assert rel_err(np.sum(gx * v), fx) <= FD_TOL, pad_value
+        assert rel_err(np.sum(gw * u), fw) <= FD_TOL, pad_value
 
 
 def test_binary_conv_backward_rejects_a_pad_value_outside_the_input_dtype():
@@ -385,7 +439,7 @@ def test_batchnorm_equals_the_temporaries_form_byte_for_byte():
             xin = x.copy(order="K")
             y, cache = batchnorm_forward(xin, gamma, beta, *new_stats,
                                          training=training, out=xin if consume else None)
-            ry, rcache = var_batchnorm_forward(x, gamma, beta, *stats,
+            ry, rcache = temporaries_batchnorm_forward(x, gamma, beta, *stats,
                                                training=training)
             case = (shape, x_layout.__name__, training, consume)
             assert (cache["xhat"] is xin) == consume, case
@@ -405,6 +459,31 @@ def test_batchnorm_equals_the_temporaries_form_byte_for_byte():
                     assert (np.ascontiguousarray(a).tobytes()
                             == np.ascontiguousarray(b).tobytes()
                             == np.ascontiguousarray(d).tobytes()), case
+
+
+def test_channel_sums_add_fixed_row_blocks_and_stay_near_the_exact_sum():
+    # The per-channel sum of batch norm, RSign and RPReLU against the oracle's
+    # loops, byte for byte, on NHWC memory, NCHW memory and a channel slice;
+    # and against math.fsum: within the recursive-summation bound of its two
+    # levels, (K_BLOCK + blocks) * 2**-53 * sum|x|, and closer on block 1's
+    # shape than adding the N*H*W rows one after another.
+    rng = np.random.default_rng(24)
+    for shape in ((128, 32, 14, 14), (1, 512, 2, 2), (3, 8, 5, 5), (129, 16, 1, 1)):
+        x = _nhwc(rng.standard_normal(shape) + 0.5)
+        want = blocked_channel_sums(x)
+        wide = _nhwc(np.concatenate([x, x], axis=1))[:, shape[1]:]
+        for layout in (x, np.ascontiguousarray(x), wide):
+            assert tensor_ops._channel_sums(layout).tobytes() == want.tobytes(), shape
+        rows = x.transpose(0, 2, 3, 1).reshape(-1, shape[1])
+        exact = np.array([math.fsum(col) for col in rows.T])
+        blocks = -(-len(rows) // K_BLOCK)
+        bound = (K_BLOCK + blocks) * 2.0 ** -53 * np.abs(rows).sum(axis=0)
+        assert np.all(np.abs(want - exact) <= bound), shape
+        if shape == (128, 32, 14, 14):
+            one_by_one = np.zeros(shape[1])
+            for row in rows:
+                one_by_one += row
+            assert np.max(np.abs(want - exact)) < np.max(np.abs(one_by_one - exact))
 
 
 def test_pools_forward_and_backward():
@@ -555,6 +634,7 @@ def test_matmul_blocks_match_plain_product():
 # (N, Ci, Co, H=W, k, stride, pad). The first case is block3 of the width-0.125
 # net at batch 16; its grad_w product has contraction N*OH*OW = 784, which a
 # single OpenBLAS 0.3.31 gemm sums differently at 1 and at 2 or 4 threads.
+# The last is the interior-tap backward on float64 operands.
 _CONV_SWEEP = [
     (16, 32, 32, 7, 3, 1, 1),
     (16, 64, 64, 7, 3, 1, 1),
@@ -563,13 +643,16 @@ _CONV_SWEEP = [
     (16, 16, 32, 14, 3, 2, 1),
     (8, 1, 8, 28, 3, 1, 1),
     (2, 128, 128, 4, 3, 1, 1),
+    (128, 64, 64, 2, 3, 1, 1),
 ]
 # (N, Ci = Co, H=W, k, stride) of binary convs on int8 operands: grad_x
 # products of two image chunks at 32 and 16 channels, 2x2 grids at N = 128
-# with Co > 128, a one-image 2x2 batch, stride 2, and a 1x1.
+# (the interior-tap form) with Co > 128 and at N = 127 (the dense form), a
+# one-image 2x2 batch, stride 2, and a 1x1.
 _BINARY_SWEEP = [
     (21, 32, 14, 3, 1),
     (21, 16, 14, 3, 1),
+    (127, 256, 2, 3, 1),
     (128, 256, 2, 3, 1),
     (128, 512, 2, 3, 1),
     (1, 256, 2, 3, 1),
