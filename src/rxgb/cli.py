@@ -12,10 +12,17 @@ Subcommands cover the full two-stage workflow::
 
 The train, extract and boost stages are one function each; every subcommand
 loads its inputs and calls one, and ``pipeline`` calls them in turn, so its
-artifacts are the manual sequence's by construction. ``pipeline`` freezes the
-trained backbone once (``network.freeze``) and extracts both splits from that
-plan; both heads are scored on the test features extracted once (the FC head
-via ``network.fc_logits``).
+artifacts are the manual sequence's by construction. The train stage freezes
+the trained backbone once (``network.freeze``) and saves that plan, the one
+``extract`` and ``eval`` load from ``checkpoint.ckpt``; ``pipeline`` extracts
+both splits from it and scores both heads on the test features extracted
+once (the FC head via ``network.fc_logits``).
+
+``checkpoint.ckpt`` is the deployed backbone: a header and then one sign bit
+per binary weight and a float32 per real (about 1.06 MB at width 0.5). It
+holds no latent magnitudes, so no command resumes training from it. The
+``best epoch`` line of ``train`` prints the sha256 of the best state's float64
+parameters, which shows training changes smaller than the float32 rounding.
 
 Configuration is a flat key=value namespace (see DEFAULTS). Values come
 from ``--config FILE`` and are overridden by ``--<key> <value>`` flags, e.g.
@@ -278,7 +285,7 @@ def _train_inputs(cfg, full):
 
 def _stage_train(inputs, out: str):
     """Stage 1: train backbone + FC head on ``_train_inputs``; write
-    metrics.tsv and the checkpoint."""
+    metrics.tsv and the checkpoint; returns the plan the checkpoint holds."""
     from . import data, network
 
     train_ds, val_ds, model, hp = inputs
@@ -296,11 +303,12 @@ def _stage_train(inputs, out: str):
     if result.aborted:
         raise RuntimeError(f"training aborted: {result.abort_reason}")
     ckpt_path = os.path.join(out, "checkpoint.ckpt")
-    network.save_checkpoint(result.model, ckpt_path)
-    print(f"best epoch {result.best_epoch} "
-          f"(val top-1 {result.best_val_top1:.4f}) -> {ckpt_path}")
+    plan = network.freeze(result.model)
+    network.save_checkpoint(plan, ckpt_path)
+    print(f"best epoch {result.best_epoch} (val top-1 {result.best_val_top1:.4f}, "
+          f"params sha256 {result.model.param_digest()}) -> {ckpt_path}")
     print(f"metrics -> {metrics_path}")
-    return result.model
+    return plan
 
 
 def _stage_extract(cfg, model, ds, out: str):
@@ -477,7 +485,7 @@ def cmd_pipeline(args, cfg) -> int:
     train, test = (_load_split(cfg, split) for split in ("train", "test"))
     inputs = _train_inputs(cfg, train)
     out = _out_dir(args, cfg)
-    plan = network.freeze(_stage_train(inputs, out))  # one freeze serves the rest
+    plan = _stage_train(inputs, out)                  # the saved plan serves the rest
     _stage_extract(cfg, plan, train, out)
     test_feats, test_labels = _stage_extract(cfg, plan, test, out)
     # boost on the features as written (float32), as train-gbdt reads them

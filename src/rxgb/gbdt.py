@@ -286,8 +286,8 @@ def best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> 
     """Exact-greedy best split over all features of one node.
 
     Sorts the node's columns into a column block and runs the same scan as
-    tree growth, so it returns exactly the split grow_tree makes at a node
-    holding these rows.
+    tree growth (_grow), so it returns exactly the split train_ensemble makes
+    at a node holding these rows.
 
     Args:
         x: [m, F] node feature rows (float32 canonical, no NaN).
@@ -362,24 +362,6 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
         stack.append((node.right, idx[~go_left], right, cut, depth + 1))
         stack.append((node.left, idx[go_left], left, start, depth + 1))
     return root, weights
-
-
-def grow_tree(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> TreeNode:
-    """Grow one regression tree by exact-greedy partitioning.
-
-    Sorts x's columns once into a column block and partitions it down the
-    tree (see _grow); every node's split is the one best_split returns for
-    that node's rows. Depth is counted in split levels: max_depth = 0 yields
-    a single leaf.
-    """
-    x = np.asarray(x, dtype=np.float32)
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be 2-d [m, F], got ndim={x.ndim}")
-    if not (np.isfinite(x).all() and np.isfinite(g).all() and np.isfinite(h).all()):
-        raise ValueError("training features and grad/hess must be finite")
-    return _grow(x, _column_block(x), g, h, cfg)[0]
 
 
 def _tree_predict(node: TreeNode, x32: np.ndarray) -> np.ndarray:

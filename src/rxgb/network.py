@@ -5,8 +5,8 @@ The network follows the plan described by a ``netspec.NetworkSpec``: a real
 optional fully connected head used only while training the feature extractor.
 The block inventory lives in ``netspec.layer_ops``: ``_param_layout`` maps
 each layer's primitives through ``_PARAMS`` to the parameter names, shapes and
-initial values that build the model, validate checkpoints and order the
-deployed payload, and the cost model reads the same primitives.
+initial values that build the model and order the deployed payload, and the
+cost model reads the same primitives.
 
 Block wiring (all convs bias-free, BN after every conv):
 
@@ -47,17 +47,26 @@ cache that runs once and is then freed, and the backward reads layer shapes
 (the pad crop, the pool's padded grid) from ``netspec.shape_chain``. Inference
 (``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
 ``evaluate`` and ``forward(..., training=False)``) runs from a frozen
-:class:`InferencePlan` (:func:`freeze`): the +-1 weights already binarized
-and laid out as float32 gemm matrices with their alpha, and copies of the
-reals. It computes the same bytes in the same per-element order and caches
-nothing. A checkpoint loaded by ``load_checkpoint`` is read-only and keeps
-the plan it first builds, so requests pay no weight preparation; writing
-into it raises, and ``copy()`` gives a writable state to train. A writable
-state is frozen once per inference call. In both executors batch norm and
-RPReLU compute in the conv output or block sum they are given, which nothing
-else reads. That keeps the bytes: a fresh ufunc result takes its input's
-memory order, so the in-place result holds the same values in the same
-layout, and every later reduction adds in the same order.
+:class:`InferencePlan`: the deployed model, +-1 weights laid out as float32
+gemm matrices with their alpha, and the reals rounded to float32 (held as
+float64 arrays, so every op keeps its dtype and order). It caches nothing. A
+ModelState is frozen once per inference call (:func:`freeze`).
+
+The backbone artifact is the deployed model and nothing more: a header
+(magic, format version, spec JSON) and then :func:`deployed_payload`, one sign
+bit per binary weight and a float32 per real, which is exactly the cost
+model's ``total_param_bits`` (about 1.06 MB at width 0.5 and 3.90 MB at 1.0,
+where the float64 parameters take 56.9 and 226.9 MB). :func:`freeze` and
+:func:`load_checkpoint` build the plan through one function from the same
+sign bits and float32 reals, so a frozen model and its saved file are the
+same plan. The trade-off: the artifact keeps no latent magnitudes, so no
+training resumes from it; training stays float64 in memory.
+
+In both executors batch norm and RPReLU compute in the conv output or block
+sum they are given, which nothing else reads. That keeps the bytes: a fresh
+ufunc result takes its input's memory order, so the in-place result holds the
+same values in the same layout, and every later reduction adds in the same
+order.
 
 Every activation and gradient of the block wiring, in both executors, lies in
 NHWC memory (see ``tensor_ops``): the reduction block pads and concatenates
@@ -67,8 +76,9 @@ order, so no elementwise op mixes layouts.
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -106,33 +116,30 @@ class ModelState:
 
     ``params`` maps hierarchical names (e.g. ``block3.conv3x3.w_latent``) to
     float64 arrays and includes the BN running statistics. Momentum buffers
-    belong to :func:`train_stage1`, not to the model.
-
-    A state whose param arrays are all read-only (every loaded checkpoint)
-    is immutable: it keeps the InferencePlan it first builds. A writable
-    state is frozen afresh by every inference call.
+    belong to :func:`train_stage1`, not to the model. Every inference call
+    freezes the state afresh (:func:`freeze`).
     """
 
     spec: netspec.NetworkSpec
     params: dict[str, np.ndarray]
-    seed: int = 0
-    epoch: int = 0
     weight_scaling: bool = True
-
-    # (plan, the param arrays it froze), kept while they are all read-only
-    _frozen: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
 
     def learnable_keys(self) -> list[str]:
         """Parameter names updated by SGD, in creation order."""
         return [k for k in self.params if _is_learnable(k)]
 
+    def param_digest(self) -> str:
+        """sha256 of the float64 parameters' raw bytes, sorted by name: shows
+        training changes below the float32 rounding of the artifact."""
+        h = hashlib.sha256()
+        for name in sorted(self.params):
+            h.update(np.ascontiguousarray(self.params[name], dtype="<f8").tobytes())
+        return h.hexdigest()
+
     def copy(self) -> "ModelState":
         return ModelState(
             spec=self.spec,
             params={k: v.copy() for k, v in self.params.items()},
-            seed=self.seed,
-            epoch=self.epoch,
             weight_scaling=self.weight_scaling,
         )
 
@@ -178,8 +185,7 @@ def build_network(
     params = {name: (_kaiming_uniform(rng, shape, fan_in) if fan_in
                      else np.full(shape, fill))
               for name, shape, fan_in, fill in _param_layout(spec)}
-    return ModelState(spec=spec, params=params, seed=seed,
-                      weight_scaling=weight_scaling)
+    return ModelState(spec=spec, params=params, weight_scaling=weight_scaling)
 
 
 # --- block wiring, shared by training and inference --------------------------
@@ -261,14 +267,14 @@ class InferencePlan:
 
     ``signs`` maps each binary conv's prefix to its +-1 weights as a float32
     [kh*kw*Ci, Co] matrix in im2col order (``tensor_ops.sign_matrix``) and
-    its per-channel alpha; ``reals`` holds copies of every other parameter.
-    All arrays are read-only. As an executor of the block wiring it runs the
-    inference-mode ops of the training graph and keeps none of their caches;
-    bn and rprelu consume the conv output or block sum they are given.
+    its per-channel alpha; ``reals`` holds every other parameter. Alpha and
+    the reals are float32 values in float64 arrays. All arrays are read-only.
+    As an executor of the block wiring it runs the inference-mode ops of the
+    training graph and keeps none of their caches; bn and rprelu consume the
+    conv output or block sum they are given.
     """
 
     spec: netspec.NetworkSpec
-    weight_scaling: bool
     signs: MappingProxyType
     reals: MappingProxyType
 
@@ -297,43 +303,52 @@ class InferencePlan:
         return tensor_ops.linear_forward(x, self.reals[f"{prefix}.w"])
 
 
-def freeze(model: ModelState) -> InferencePlan:
-    """Binarize and lay out a backbone's weights once, for inference.
-
-    The plan computes exactly what the inference-mode training graph would
-    (same bytes), without re-deriving sign(latent) and alpha per call. It
-    copies what it keeps, so later writes to ``model`` do not reach it.
-    """
-    signs, reals = {}, {}
-    for key, arr in model.params.items():
-        if key.endswith(".w_latent"):
-            w_sign, alpha = bitops.sign_weights(arr, model.weight_scaling)
-            signs[key[:-len(".w_latent")]] = (
-                _read_only(tensor_ops.sign_matrix(w_sign)), _read_only(alpha))
+def _plan(spec: netspec.NetworkSpec, signs: np.ndarray,
+          reals: np.ndarray) -> InferencePlan:
+    """The plan of ``spec`` from its deployed parameters, in payload order
+    (see :func:`deployed_payload`): ``signs`` the int8 +-1 filters of every
+    binary conv, flattened, and ``reals`` the float32 reals."""
+    plan_signs, plan_reals = {}, {}
+    i = j = 0                                  # read positions in signs, reals
+    for name, shape, _, _ in _param_layout(spec):
+        n = math.prod(shape)
+        if name.endswith(".w_latent"):
+            w_mat = tensor_ops.sign_matrix(signs[i:i + n].reshape(shape))
+            alpha = reals[j:j + shape[0]].astype(np.float64)
+            plan_signs[name[:-len(".w_latent")]] = (_read_only(w_mat), _read_only(alpha))
+            i, j = i + n, j + shape[0]
         else:
-            reals[key] = _read_only(np.array(arr, dtype=np.float64))
-    return InferencePlan(spec=model.spec, weight_scaling=model.weight_scaling,
-                         signs=MappingProxyType(signs),
-                         reals=MappingProxyType(reals))
+            plan_reals[name] = _read_only(reals[j:j + n].astype(np.float64).reshape(shape))
+            j += n
+    return InferencePlan(spec=spec, signs=MappingProxyType(plan_signs),
+                         reals=MappingProxyType(plan_reals))
+
+
+def freeze(model: ModelState) -> InferencePlan:
+    """The deployed model of a backbone, as a plan for inference.
+
+    Binarizes the latents once (sign(0) = +1, alpha per ``weight_scaling``)
+    and rounds alpha and every real to float32, as :func:`deployed_payload`
+    stores them, so the plan equals the one :func:`load_checkpoint` reads
+    back from the saved model. It copies what it keeps, so later writes to
+    ``model`` do not reach it.
+    """
+    signs, reals = [np.zeros(0, np.int8)], [np.zeros(0)]
+    for name, _, _, _ in _param_layout(model.spec):
+        arr = model.params[name]
+        if name.endswith(".w_latent"):
+            w_sign, alpha = bitops.sign_weights(arr, model.weight_scaling)
+            signs.append(w_sign.reshape(-1))
+            reals.append(alpha)
+        else:
+            reals.append(arr.reshape(-1))
+    return _plan(model.spec, np.concatenate(signs),
+                 np.concatenate(reals).astype(np.float32))
 
 
 def _plan_of(model) -> InferencePlan:
-    """The plan to serve ``model`` from: itself if it is one, the plan a
-    read-only state keeps, else a fresh freeze (kept if all is read-only)."""
-    if isinstance(model, InferencePlan):
-        return model
-    arrays = tuple(model.params.values())
-    read_only = not any(a.flags.writeable for a in arrays)
-    if read_only and model._frozen is not None:
-        plan, frozen = model._frozen
-        if (plan.spec is model.spec and plan.weight_scaling == model.weight_scaling
-                and len(frozen) == len(arrays)
-                and all(a is b for a, b in zip(frozen, arrays))):
-            return plan
-    plan = freeze(model)
-    if read_only:
-        model._frozen = (plan, arrays)
-    return plan
+    """The plan to serve ``model`` from: itself if it is one, else a freeze."""
+    return model if isinstance(model, InferencePlan) else freeze(model)
 
 
 # --- training: the tape and the backward ---------------------------------------
@@ -634,7 +649,6 @@ def train_stage1(model: ModelState, train_ds, val_ds,
                 np.clip(model.params[k], -1.0, 1.0, out=model.params[k])
             loss_sum += loss * len(yb)
             seen += len(yb)
-        model.epoch = epoch + 1
         val_top1 = evaluate(model, val_ds, batch_size=hp.batch_size)
         result.metrics.append(EpochMetrics(
             epoch=epoch,
@@ -716,192 +730,105 @@ def infer_hybrid(model, ens: gbdt.TreeEnsemble, x: np.ndarray):
     return np.argmax(margins, axis=1), scores
 
 
-# --- checkpoint format -------------------------------------------------------
+# --- the backbone artifact ----------------------------------------------------
 
 CHECKPOINT_MAGIC = b"RXGBCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_HEADER = struct.Struct("<II")                 # version, spec JSON length
 
 
 class CheckpointError(ValueError):
     """Malformed checkpoint bytes."""
 
 
-def checkpoint_bytes(model: ModelState) -> bytes:
-    """Serialize the model's parameters deterministically (format v2).
-
-    Layout (little-endian): magic, u32 version, u8 weight_scaling, u64 seed,
-    u32 epoch, u32 plan length + plan JSON, u32 record count, then one record
-    per parameter, sorted by name: u16 name length, name, u8 dtype length,
-    numpy dtype string, u8 ndim, u32 per-dim extents, u64 payload bytes, raw
-    C-order little-endian payload. No optimizer state is stored.
-    """
-    spec_json = json.dumps(
-        netspec.spec_to_dict(model.spec), sort_keys=True, separators=(",", ":")
-    ).encode()
-    out = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<IBQI", CHECKPOINT_VERSION, int(model.weight_scaling),
-                    model.seed, model.epoch),
-        struct.pack("<I", len(spec_json)),
-        spec_json,
-    ]
-    params = model.params
-    out.append(struct.pack("<I", len(params)))
-    for name in sorted(params):
-        arr = np.ascontiguousarray(params[name])
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        dt = le.dtype.str.encode()
-        payload = le.tobytes()
-        out.append(struct.pack("<H", len(name)))
-        out.append(name.encode())
-        out.append(struct.pack("<B", len(dt)))
-        out.append(dt)
-        out.append(struct.pack("<B", arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(struct.pack("<Q", len(payload)))
-        out.append(payload)
-    return b"".join(out)
-
-
-class _Reader:
-    def __init__(self, view: memoryview):
-        self.view = view
-        self.pos = 0
-
-    def _advance(self, n: int) -> int:
-        if self.pos + n > len(self.view):
-            raise CheckpointError(
-                f"truncated checkpoint: wanted {n} bytes at offset {self.pos}, "
-                f"{len(self.view) - self.pos} remain"
-            )
-        self.pos += n
-        return self.pos - n
-
-    def take(self, n: int) -> bytes:
-        at = self._advance(n)
-        return bytes(self.view[at:at + n])
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def float64s(self, shape: tuple, nbytes: int) -> np.ndarray:
-        """A read-only array viewing the next nbytes, no copy."""
-        at = self._advance(nbytes)
-        return np.frombuffer(self.view, dtype="<f8", count=nbytes // 8,
-                             offset=at).reshape(shape)
-
-
-def parse_checkpoint(blob: bytes) -> ModelState:
-    """Inverse of :func:`checkpoint_bytes` (format v2); raises CheckpointError.
-
-    The records must be exactly the parameters ``build_network(spec)``
-    creates: the same names, shapes and dtype (float64). Any other version,
-    v1 files with their momentum records included, is rejected. The arrays
-    are read-only views of ``blob``, a read-only bytes-like object (a
-    writable buffer is copied first), so the returned state is immutable:
-    ``copy()`` it to train.
-    """
-    view = memoryview(blob).cast("B")
-    if not view.readonly:
-        view = memoryview(bytes(view))
-    r = _Reader(view)
-    if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic; expected {CHECKPOINT_MAGIC!r}")
-    version, scaling, seed, epoch = r.unpack("<IBQI")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if scaling not in (0, 1):
-        raise CheckpointError(f"weight_scaling flag {scaling} is not 0 or 1")
-    (spec_len,) = r.unpack("<I")
-    try:
-        spec = netspec.spec_from_dict(json.loads(r.take(spec_len)))
-        layout = {name: shape for name, shape, _, _ in _param_layout(spec)}
-    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
-        raise CheckpointError(f"bad plan: {e}") from e
-    (n_records,) = r.unpack("<I")
-    if n_records != len(layout):
-        raise CheckpointError(
-            f"{n_records} records; the plan has {len(layout)}")
-    params = {}
-    for _ in range(n_records):
-        (name_len,) = r.unpack("<H")
-        raw = r.take(name_len)
-        try:
-            name = raw.decode()
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"record name {raw!r} is not UTF-8") from e
-        want = layout.pop(name, None)
-        if want is None:
-            raise CheckpointError(f"record {name!r} is not in the plan or repeats")
-        (dt_len,) = r.unpack("<B")
-        dt = r.take(dt_len)
-        if dt != b"<f8":
-            raise CheckpointError(f"record {name!r}: dtype {dt!r}, expected b'<f8'")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        if shape != want:
-            raise CheckpointError(f"record {name!r}: shape {shape} != {want}")
-        (nbytes,) = r.unpack("<Q")
-        if nbytes != 8 * int(np.prod(shape, dtype=np.int64)):
-            raise CheckpointError(
-                f"record {name!r}: payload {nbytes} bytes != shape {shape} x 8"
-            )
-        params[name] = r.float64s(shape, nbytes)
-    if r.pos != len(view):
-        raise CheckpointError(f"{len(view) - r.pos} trailing bytes")
-    return ModelState(spec=spec, params=params, seed=seed, epoch=epoch,
-                      weight_scaling=bool(scaling))
-
-
-def save_checkpoint(model: ModelState, path) -> None:
-    with data.atomic_open(path) as f:
-        f.write(checkpoint_bytes(model))
-
-
-def load_checkpoint(path) -> ModelState:
-    """Read a checkpoint file into an immutable state (see parse_checkpoint).
-
-    The file is read into one numpy buffer, which the records then view:
-    numpy's large allocations fault in cheaply (huge pages where the kernel
-    allows), a fresh ``bytes`` of the file's size does not.
-    """
-    with open(path, "rb") as f:
-        buf = np.empty(os.fstat(f.fileno()).st_size, dtype=np.uint8)
-        buf = buf[:f.readinto(buf)]
-        buf.flags.writeable = False
-        if f.read(1):
-            raise CheckpointError(f"{path} grew while it was read")
-    return parse_checkpoint(buf)
-
-
-# --- deployment export -------------------------------------------------------
-
-
-def deployed_payload(model: ModelState) -> bytes:
+def deployed_payload(model) -> bytes:
     """Pack the deployable parameters: 1 bit per binary weight, 32 per real.
 
-    Layout: first every binary conv's sign bits (1 where the latent is
-    >= 0) in layer order, each filter bank flattened [Co, Ci, kh, kw]
-    row-major, the whole bit stream packed LSB-first and padded to a byte
-    boundary; then the real-valued tensors as float32 little-endian in
-    ``_param_layout`` order, each binary conv's per-channel alpha standing
-    where its latent stands in that order.
+    Layout: first every binary conv's sign bits (1 for +1) in layer order,
+    each filter bank flattened [Co, Ci, kh, kw] row-major, the whole bit
+    stream packed LSB-first and padded to a byte boundary; then the
+    real-valued tensors as float32 little-endian in ``_param_layout`` order,
+    each binary conv's per-channel alpha standing where its latent stands in
+    that order. ``model`` is a ModelState (frozen first) or an InferencePlan.
 
     For plans whose binary-weight count is a multiple of 8 (all standard
     widths), the byte length equals the cost model's total_param_bits / 8.
     """
-    bit_chunks = []
-    f32_chunks = []
-    for name, _, _, _ in _param_layout(model.spec):
-        arr = model.params[name]
+    plan = _plan_of(model)
+    bits, reals = [np.zeros(0, bool)], [np.zeros(0)]
+    for name, shape, _, _ in _param_layout(plan.spec):
         if name.endswith(".w_latent"):
-            w_sign, alpha = bitops.sign_weights(arr, model.weight_scaling)
-            bit_chunks.append(w_sign.reshape(-1) > 0)
-            f32_chunks.append(alpha.astype("<f4"))
+            w_mat, alpha = plan.signs[name[:-len(".w_latent")]]
+            co, ci, kh, kw = shape                       # undo sign_matrix's order
+            bits.append(w_mat.reshape(kh, kw, ci, co).transpose(3, 2, 0, 1).ravel() > 0)
+            reals.append(alpha)
         else:
-            f32_chunks.append(np.ascontiguousarray(arr, dtype="<f4"))
-    bits = np.concatenate(bit_chunks) if bit_chunks else np.zeros(0, dtype=bool)
-    packed = np.packbits(bits, bitorder="little")
-    reals = (np.concatenate([c.reshape(-1) for c in f32_chunks])
-             if f32_chunks else np.zeros(0, dtype="<f4"))
-    return packed.tobytes() + reals.tobytes()
+            reals.append(plan.reals[name].ravel())
+    packed = np.packbits(np.concatenate(bits), bitorder="little")
+    return packed.tobytes() + np.concatenate(reals).astype("<f4").tobytes()
+
+
+def parse_checkpoint(blob: bytes) -> InferencePlan:
+    """Inverse of the bytes :func:`save_checkpoint` writes; raises CheckpointError.
+
+    The payload must be exactly as long as the spec's parameters need, with
+    zero padding bits, finite reals and non-negative BN running variances.
+    Any other format version, the float64 records of v2 included, is
+    rejected.
+    """
+    blob = bytes(blob)
+    head = len(CHECKPOINT_MAGIC) + _HEADER.size
+    if len(blob) < head:
+        raise CheckpointError(f"truncated checkpoint: {len(blob)} bytes, "
+                              f"the header alone takes {head}")
+    if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad magic; expected {CHECKPOINT_MAGIC!r}")
+    version, spec_len = _HEADER.unpack_from(blob, len(CHECKPOINT_MAGIC))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    if len(blob) < head + spec_len:
+        raise CheckpointError(f"truncated checkpoint: spec of {spec_len} bytes, "
+                              f"{len(blob) - head} remain")
+    try:
+        spec = netspec.spec_from_dict(json.loads(blob[head:head + spec_len]))
+        layout = [(name, shape) for name, shape, _, _ in _param_layout(spec)]
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
+        raise CheckpointError(f"bad plan: {e}") from e
+    n_bits = sum(math.prod(shape) for name, shape in layout
+                 if name.endswith(".w_latent"))
+    n_reals = sum(shape[0] if name.endswith(".w_latent") else math.prod(shape)
+                  for name, shape in layout)
+    payload = memoryview(blob)[head + spec_len:]
+    bit_bytes = -(-n_bits // 8)
+    if len(payload) != bit_bytes + 4 * n_reals:
+        raise CheckpointError(f"payload of {len(payload)} bytes; the plan has "
+                              f"{bit_bytes + 4 * n_reals}")
+    bits = np.unpackbits(np.frombuffer(payload, np.uint8, bit_bytes), bitorder="little")
+    if bits[n_bits:].any():
+        raise CheckpointError("nonzero padding bits after the sign bits")
+    reals = np.frombuffer(payload, "<f4", n_reals, offset=bit_bytes)
+    if not np.isfinite(reals).all():
+        raise CheckpointError("non-finite real in the payload")
+    plan = _plan(spec, bits[:n_bits].view(np.int8) * np.int8(2) - np.int8(1), reals)
+    for name, arr in plan.reals.items():
+        if name.endswith(".run_var") and (arr < 0).any():
+            raise CheckpointError(f"{name} holds a negative variance")
+    return plan
+
+
+def save_checkpoint(model, path) -> None:
+    """Write the backbone artifact of ``model`` (a ModelState or an
+    InferencePlan): magic, u32 version, u32 spec JSON length and the spec
+    JSON (little-endian), then :func:`deployed_payload`. Written atomically."""
+    spec_json = json.dumps(
+        netspec.spec_to_dict(model.spec), sort_keys=True, separators=(",", ":")
+    ).encode()
+    with data.atomic_open(path) as f:
+        f.write(CHECKPOINT_MAGIC + _HEADER.pack(CHECKPOINT_VERSION, len(spec_json))
+                + spec_json + deployed_payload(model))
+
+
+def load_checkpoint(path) -> InferencePlan:
+    """Read a backbone artifact into its plan (see parse_checkpoint)."""
+    with open(path, "rb") as f:
+        return parse_checkpoint(f.read())

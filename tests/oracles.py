@@ -198,11 +198,15 @@ def training_graph_forward(model, x):
     The forward the frozen plan replaced: every binary conv re-derives
     sign(latent) and alpha from the latents and runs the integer conv on 4-d
     filters, and every op runs in its training form with the running BN
-    statistics, its cache discarded. The plan must agree with it to the byte.
+    statistics, its cache discarded. Alpha and every real are rounded to
+    float32, as deployed. The plan must agree with it to the byte.
     """
     from rxgb import bitops, netspec, tensor_ops as T
 
-    p = model.params
+    def f32(a):
+        return np.asarray(a, dtype=np.float32).astype(np.float64)
+
+    p = {k: v if k.endswith(".w_latent") else f32(v) for k, v in model.params.items()}
     g3, g3s2 = T.ConvGeometry((3, 3), 1, 1), T.ConvGeometry((3, 3), 2, 1)
     g1 = T.ConvGeometry((1, 1), 1, 0)
 
@@ -222,7 +226,7 @@ def training_graph_forward(model, x):
         w_sign, alpha = bitops.sign_weights(p[f"{prefix}.w_latent"],
                                             weight_scaling=model.weight_scaling)
         y = T.conv2d_forward(a, w_sign, geom, pad_value=-1)
-        return y * alpha[None, :, None, None]
+        return y * f32(alpha)[None, :, None, None]
 
     h = np.asarray(x, dtype=np.float64)
     feats = None

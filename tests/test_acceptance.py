@@ -65,6 +65,16 @@ def run_cli(args, env_extra=None):
     return proc, wall, cpu
 
 
+def best_epoch_line(stdout):
+    """The stage-1 ``best epoch`` line up to its output path: the epoch, its
+    val top-1 and the sha256 of the best state's float64 parameters."""
+    import re
+
+    m = re.search(r"^best epoch .*params sha256 [0-9a-f]{64}\)", stdout, re.M)
+    assert m, f"no best epoch line in output:\n{stdout[-2000:]}"
+    return m.group(0)
+
+
 def parse_summary(stdout):
     """(fc_top1, hybrid_top1) from the pipeline's final summary line."""
     import re
@@ -414,7 +424,8 @@ def desk_runs(tmp_path_factory):
         )
         fc, hybrid = parse_summary(proc.stdout)
         runs.append({"out": out, "wall": wall, "cpu": cpu,
-                     "fc": fc, "hybrid": hybrid})
+                     "fc": fc, "hybrid": hybrid,
+                     "best": best_epoch_line(proc.stdout)})
     return runs
 
 
@@ -470,6 +481,7 @@ def test_criterion_10_desk_scale_pipeline(desk_runs):
         a = (desk_runs[0]["out"] / name).read_bytes()
         b = (desk_runs[1]["out"] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+    assert desk_runs[0]["best"] == desk_runs[1]["best"]
     r = desk_runs[0]
     report(10, "PASS", f"hybrid {r['hybrid']:.4f} (≥ 0.80) in "
                        f"{r['cpu'] / 60:.1f} CPU-min (≤ 30), runs byte-identical")
@@ -479,30 +491,38 @@ def test_criterion_10_desk_scale_pipeline(desk_runs):
 
 
 def test_criterion_11_artifacts_byte_identical_across_thread_counts(tmp_path):
-    cache = tmp_path / "cache"
-    write_synthetic_cache(cache, n_train=64, n_test=16)
-    args = [
-        "--data.dir", str(cache), "--net.width_mult", "0.125",
-        "--train.epochs", "2", "--train.batch_size", "16",
-        "--data.val_count", "16", "--gbdt.max_trees", "10",
-        "--gbdt.max_depth", "3",
-    ]
-    outs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}"
-        proc, _, _ = run_cli(
-            ["pipeline", "--out", str(out), "--threads", threads, *args],
-            env_extra={"OMP_NUM_THREADS": threads},
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outs.append(out)
-    for name in ("checkpoint.ckpt", "features-train.rxgbfeat",
-                 "features-test.rxgbfeat", "gbdt-model.txt"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (
-            f"{name} differs between 1-thread and 4-thread runs"
-        )
-    report(11, "PASS", "checkpoint, both feature files, and tree model "
-                       "byte-identical at 1 vs 4 threads")
+    # Batch 16 runs every conv on whole-image chunks; one batch of 128 runs
+    # the interior-tap forward and backward on the 2x2 grids of blocks 7-10.
+    configs = {
+        "b16": ((64, 16), ["--train.epochs", "2", "--train.batch_size", "16"]),
+        "b128": ((144, 16), ["--train.epochs", "1", "--train.batch_size", "128"]),
+    }
+    for name, ((n_train, n_test), train_args) in configs.items():
+        cache = tmp_path / f"cache-{name}"
+        write_synthetic_cache(cache, n_train=n_train, n_test=n_test)
+        args = [
+            "--data.dir", str(cache), "--net.width_mult", "0.125",
+            *train_args, "--data.val_count", "16", "--gbdt.max_trees", "10",
+            "--gbdt.max_depth", "3",
+        ]
+        outs, best = [], []
+        for threads in ("1", "4"):
+            out = tmp_path / f"{name}-t{threads}"
+            proc, _, _ = run_cli(
+                ["pipeline", "--out", str(out), "--threads", threads, *args],
+                env_extra={"OMP_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outs.append(out)
+            best.append(best_epoch_line(proc.stdout))
+        assert best[0] == best[1], f"{name}: {best[0]} vs {best[1]}"
+        for artifact in ("checkpoint.ckpt", "features-train.rxgbfeat",
+                         "features-test.rxgbfeat", "gbdt-model.txt"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), (
+                f"{name}: {artifact} differs between 1-thread and 4-thread runs"
+            )
+    report(11, "PASS", "at batch 16 and 128: checkpoint, both feature files, tree "
+                       "model and parameter digest identical at 1 vs 4 threads")
 
 
 # --- 12: serialization round-trips and IDX validation -------------------------------
@@ -518,12 +538,18 @@ def _idx_labels(values):
 
 
 def test_criterion_12_roundtrips_and_idx_validation():
-    # checkpoint round-trip
+    # checkpoint round-trip: artifact -> plan -> artifact
     rng = np.random.default_rng(12)
     model = network.build_network(tiny_spec(), seed=3)
     randomize_params(model, 12)
-    blob = network.checkpoint_bytes(model)
-    assert network.checkpoint_bytes(network.parse_checkpoint(blob)) == blob
+    p = Path("/tmp") / f"acc12-{os.getpid()}.ckpt"
+    try:
+        network.save_checkpoint(model, p)
+        first = p.read_bytes()
+        network.save_checkpoint(network.load_checkpoint(p), p)
+        assert p.read_bytes() == first
+    finally:
+        p.unlink(missing_ok=True)
 
     # feature-file round-trip
     feats = rng.normal(size=(17, 9)).astype(np.float32)

@@ -1,5 +1,6 @@
 """CLI tests: config resolution, subcommands, determinism, error lines."""
 
+import math
 import re
 import struct
 
@@ -390,30 +391,56 @@ def test_missing_artifact_error_line(tmp_path, capsys):
     assert err.startswith("RXGB-ERROR missing-artifact:")
 
 
-def _checkpoint_mutants(blob):
-    """One mutant per way a checkpoint used to escape CheckpointError."""
-    name = b"block1.conv3x3.w_latent"
+def _artifact(tmp_path, spec, seed=0):
+    """The checkpoint file bytes of a freshly built backbone."""
+    path = tmp_path / "artifact.ckpt"
+    network.save_checkpoint(network.build_network(spec, seed=seed), path)
+    return path.read_bytes()
+
+
+def _real_offset(blob, spec, name):
+    """Offset in a checkpoint of the first float32 of parameter ``name``: past
+    the header, the spec JSON and the sign bits, then the reals in layout
+    order, one alpha per output channel standing for each latent."""
+    layout = list(network._param_layout(spec))
+    bits = sum(math.prod(shape) for n, shape, _, _ in layout if n.endswith(".w_latent"))
+    at = 16 + struct.unpack_from("<I", blob, 12)[0] + -(-bits // 8)
+    for n, shape, _, _ in layout:
+        if n == name:
+            return at
+        at += 4 * (shape[0] if n.endswith(".w_latent") else math.prod(shape))
+    raise KeyError(name)
+
+
+def _checkpoint_mutants(blob, spec):
+    """One mutant per way a checkpoint can be malformed."""
+    var = _real_offset(blob, spec, "block1.bn_conv3x3.run_var")
+    stem = _real_offset(blob, spec, "stem.conv.w")
+
+    def real_at(at, value):
+        return blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+
     mutants = {
-        "format version 1": blob[:8] + struct.pack("<I", 1) + blob[12:],
-        "non-UTF-8 record name": blob.replace(name, b"\xff" + name[1:], 1),
-        "garbled dtype": blob.replace(b"<f8", b"<x8", 1),
+        "format version 2": blob[:8] + struct.pack("<I", 2) + blob[12:],
+        "non-UTF-8 spec": blob.replace(b'"layers"', b'"\xffayers"', 1),
         "unknown layer kind": blob.replace(b'"binary_block_normal"',
                                            b'"binary_block_xormal"', 1),
         "spec dict missing its layers": blob.replace(b'"layers":', b'"layerz":', 1),
-        "record not in the plan": blob.replace(name, name[:-1] + b"x", 1),
-        "record of the wrong shape": blob.replace(
-            name + b"\x03<f8\x04" + struct.pack("<4I", 8, 8, 3, 3),
-            name + b"\x03<f8\x04" + struct.pack("<4I", 8, 4, 6, 3), 1),
+        "spec length past the end": blob[:12] + struct.pack("<I", len(blob)) + blob[16:],
+        "truncated payload": blob[:-1],
+        "trailing bytes": blob + b"\x00",
+        "NaN running variance": real_at(var, float("nan")),
+        "negative running variance": real_at(var, -1.0),
+        "infinite stem weight": real_at(stem, float("inf")),
     }
-    assert all(m != blob and len(m) == len(blob) for m in mutants.values())
+    assert all(m != blob for m in mutants.values())
     return mutants
 
 
 def test_checkpoint_mutants_print_one_checkpoint_format_line(tmp_path, cache_dir,
                                                              capsys):
     spec = netspec.reference_spec(width_mult=0.125)
-    blob = network.checkpoint_bytes(network.build_network(spec, seed=0))
-    for kind, mutant in _checkpoint_mutants(blob).items():
+    for kind, mutant in _checkpoint_mutants(_artifact(tmp_path, spec), spec).items():
         path = tmp_path / "mutant.ckpt"
         path.write_bytes(mutant)
         capsys.readouterr()
@@ -424,7 +451,37 @@ def test_checkpoint_mutants_print_one_checkpoint_format_line(tmp_path, cache_dir
         assert rc == 1, kind
         assert err.startswith("RXGB-ERROR checkpoint-format:"), (kind, err)
         assert err.count("\n") == 1, (kind, err)
-        assert not list((tmp_path / "o").glob("*.rxgbfeat")), kind
+        assert not (tmp_path / "o").exists(), kind
+
+
+def test_seeded_checkpoint_mutants_through_extract_fail_closed(tmp_path, capsys):
+    # 200 truncations and 1-4 byte writes of a width-0.125 artifact, most of
+    # whose bytes are sign bits: each either extracts features or prints one
+    # checkpoint-format line and leaves no output dir
+    cache = tmp_path / "cache"
+    write_synthetic_cache(cache, n_train=12, n_test=6)
+    spec = netspec.reference_spec(width_mult=0.125, include_fc=False)
+    blob = _artifact(tmp_path, spec)
+    path = tmp_path / "mutant.ckpt"
+    outcomes = {"ok": 0, "checkpoint-format": 0}
+    for k, mutant in enumerate(_byte_mutants(blob, np.random.default_rng(17), 200)):
+        path.write_bytes(mutant)
+        out = tmp_path / f"o{k}"
+        capsys.readouterr()
+        rc = cli.main(["extract", "--checkpoint", str(path), "--data.dir", str(cache),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            outcomes["ok"] += 1
+            assert (out / "features-test.rxgbfeat").exists(), k
+            continue
+        assert rc == 1, (k, err)
+        assert err.startswith("RXGB-ERROR checkpoint-format:"), (k, err)
+        assert err.count("\n") == 1, (k, err)
+        assert not out.exists(), k
+        outcomes["checkpoint-format"] += 1
+    assert outcomes["checkpoint-format"] >= 100, outcomes  # every truncation at least
+    assert outcomes["ok"] > 0, outcomes
 
 
 def test_eval_gbdt_requires_model_flag(tmp_path, cache_dir, capsys):
@@ -523,11 +580,10 @@ def test_fetch_data_verifies_existing_cache(tmp_path, capsys):
 
 def test_failed_extract_creates_no_dir_and_keeps_an_existing_config(
         tmp_path, cache_dir, capsys):
-    spec = netspec.reference_spec(width_mult=0.125)
-    blob = network.checkpoint_bytes(network.build_network(spec, seed=0))
-    v1 = tmp_path / "v1.ckpt"
-    v1.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:])
-    base = ["extract", "--checkpoint", str(v1), "--data.dir", str(cache_dir),
+    blob = _artifact(tmp_path, netspec.reference_spec(width_mult=0.125))
+    v2 = tmp_path / "v2.ckpt"
+    v2.write_bytes(blob[:8] + struct.pack("<I", 2) + blob[12:])
+    base = ["extract", "--checkpoint", str(v2), "--data.dir", str(cache_dir),
             *SMOKE_ARGS]
 
     fresh = tmp_path / "fresh"
@@ -544,8 +600,8 @@ def test_failed_extract_creates_no_dir_and_keeps_an_existing_config(
     assert sorted(p.name for p in run.iterdir()) == ["config.txt"]
 
 
-def _feature_mutants(blob, rng, count):
-    """Seeded mutants of a feature file: half truncations, half 1-4 random
+def _byte_mutants(blob, rng, count):
+    """Seeded mutants of a file's bytes: half truncations, half 1-4 random
     byte writes."""
     for k in range(count):
         if k % 2 == 0:
@@ -564,7 +620,7 @@ def test_feature_file_mutants_print_one_data_format_line(tmp_path, capsys):
                        np.arange(40) % 10)
     blob = path.read_bytes()
     outcomes = {"ok": 0, "data-format": 0}
-    for k, mutant in enumerate(_feature_mutants(blob, rng, 80)):
+    for k, mutant in enumerate(_byte_mutants(blob, rng, 80)):
         path.write_bytes(mutant)
         out = tmp_path / f"o{k}"
         capsys.readouterr()

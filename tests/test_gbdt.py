@@ -22,7 +22,6 @@ from rxgb.gbdt import (
     TreeNode,
     best_split,
     deserialize,
-    grow_tree,
     predict_class,
     predict_margins,
     serialize,
@@ -35,6 +34,11 @@ def _loss(margins, labels):
     z = margins - margins.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return -logp[np.arange(len(labels)), labels].sum()
+
+
+def grow_tree(x, g, h, cfg):
+    """One tree grown as train_ensemble grows each: _grow on x's column block."""
+    return gbdt._grow(x, gbdt._column_block(x), g, h, cfg)[0]
 
 
 def brute_best_split(x, g, h, cfg):
@@ -437,9 +441,10 @@ def test_grow_tree_depth_zero_is_single_leaf_with_closed_form_weight():
 
 
 def test_grow_tree_rejects_nonfinite_inputs():
-    x = np.array([[0.0], [np.nan]], dtype=np.float32)
-    with pytest.raises(ValueError, match="finite"):
-        grow_tree(x, np.ones(2), np.ones(2), GBDTConfig(n_classes=2))
+    for bad in (np.nan, np.inf):
+        x = np.array([[0.0], [bad]], dtype=np.float32)
+        with pytest.raises(ValueError, match="finite"):
+            train_ensemble(x, np.array([0, 1]), GBDTConfig(n_classes=2))
 
 
 def test_predict_matches_per_row_tracer():

@@ -13,6 +13,7 @@ import pytest
 
 from rxgb import bitops, costmodel, data, gbdt, netspec, network, tensor_ops
 from oracles import deployed_payload as oracle_payload
+from test_cli import _real_offset
 from oracles import (TRAINING_OP_ORACLES, is_nhwc_memory, naive_conv2d,
                      training_graph_forward)
 
@@ -452,8 +453,8 @@ def test_head_factorization_logits_equal_features_times_fc():
     x = np.random.default_rng(7).normal(size=(5, 1, 8, 8))
     logits, _ = network.forward(model, x, training=False)
     feats = network.features_forward(model, x)
-    np.testing.assert_allclose(logits, feats @ model.params["fc.w"],
-                               rtol=0, atol=1e-10)
+    fc_w = network.freeze(model).reals["fc.w"]         # deployed: float32 values
+    np.testing.assert_allclose(logits, feats @ fc_w, rtol=0, atol=1e-10)
 
 
 
@@ -549,7 +550,9 @@ def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch)
     # against the library ops, alpha on and off. Width 0.25 on 28x28 keeps
     # the 2x2 grids and convs of 256 channels; 129 training images make a
     # batch of 128 (the interior-tap backward on the 2x2 grids) and a final
-    # batch of one image (one dense product).
+    # batch of one image (one dense product). The float64 parameters are
+    # compared by digest: the checkpoint's float32 reals would hide a change
+    # below float32 rounding.
     rng = np.random.default_rng(41)
     ds = data.Dataset(images=rng.standard_normal((145, 1, 28, 28)),
                       labels=np.arange(145) % 10, split="train")
@@ -562,7 +565,7 @@ def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch)
         model = network.build_network(spec, seed=43, weight_scaling=scaling)
         result = network.train_stage1(model, train, val, hp)
         assert not result.aborted
-        return network.checkpoint_bytes(model)
+        return model.param_digest()
 
     for scaling in (True, False):
         got = trained(scaling)
@@ -862,6 +865,7 @@ def test_sign_convs_and_features_byte_identical_across_thread_counts():
 
 @pytest.mark.parametrize("scaling", [True, False])
 def test_plan_equals_training_graph_oracle_byte_for_byte(scaling):
+    # the oracle rounds alpha and the reals to float32, as the plan holds them
     model = network.build_network(plan_spec(), seed=171, weight_scaling=scaling)
     randomize_params(model, 172)                         # BN and RPReLU reals too
     plan = network.freeze(model)
@@ -925,19 +929,24 @@ def test_b64_features_forward_allocates_at_most_25_mib():
 
 def test_infer_hybrid_on_loaded_checkpoint_equals_the_saved_model(tmp_path):
     ds = separable_dataset(40, seed=175)
-    model = network.build_network(tiny_spec(), seed=176)
-    randomize_params(model, 177)
-    feats, labels = network.extract_features(model, ds, batch_size=16)
-    ens = gbdt.train_ensemble(feats, labels,
-                              gbdt.GBDTConfig(n_classes=4, max_trees=8, max_depth=3))
-    path = tmp_path / "m.ckpt"
-    network.save_checkpoint(model, path)
-    loaded = network.load_checkpoint(path)
-    for b in (1, 40):
-        got = network.infer_hybrid(loaded, ens, ds.images[:b])
-        want = network.infer_hybrid(model, ens, ds.images[:b])
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+    for scaling in (True, False):
+        model = network.build_network(tiny_spec(), seed=176, weight_scaling=scaling)
+        randomize_params(model, 177)
+        feats, labels = network.extract_features(model, ds, batch_size=16)
+        ens = gbdt.train_ensemble(feats, labels, gbdt.GBDTConfig(
+            n_classes=4, max_trees=8, max_depth=3))
+        path = tmp_path / "m.ckpt"
+        network.save_checkpoint(model, path)
+        loaded = network.load_checkpoint(path)
+        assert isinstance(loaded, network.InferencePlan)
+        for b in (1, 40):
+            x = ds.images[:b]
+            assert (network.features_forward(loaded, x).tobytes()
+                    == network.features_forward(model, x).tobytes()), (scaling, b)
+            got = network.infer_hybrid(loaded, ens, x)
+            want = network.infer_hybrid(model, ens, x)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def _count_calls(monkeypatch, module, attr):
@@ -958,13 +967,13 @@ def test_loaded_checkpoint_keeps_one_plan_and_requests_prepare_no_weights(
     network.save_checkpoint(model, tmp_path / "m.ckpt")
     loaded = network.load_checkpoint(tmp_path / "m.ckpt")
     freezes = _count_calls(monkeypatch, network, "freeze")
+    signs = _count_calls(monkeypatch, bitops, "sign_weights")
     x = np.random.default_rng(179).normal(size=(2, 1, 8, 8))
     first = network.features_forward(loaded, x)
-    signs = _count_calls(monkeypatch, bitops, "sign_weights")
     for _ in range(3):
         assert network.features_forward(loaded, x).tobytes() == first.tobytes()
         network.forward(loaded, x)
-    assert len(freezes) == 1 and signs == []
+    assert freezes == [] and signs == []
 
 
 def test_a_writable_model_is_frozen_once_per_inference_call(monkeypatch):
@@ -977,36 +986,18 @@ def test_a_writable_model_is_frozen_once_per_inference_call(monkeypatch):
     assert len(freezes) == 2
 
 
-def test_writing_into_a_loaded_checkpoint_raises(tmp_path):
-    network.save_checkpoint(network.build_network(tiny_spec(), seed=182),
-                            tmp_path / "m.ckpt")
-    loaded = network.load_checkpoint(tmp_path / "m.ckpt")
-    network.features_forward(loaded, np.zeros((1, 1, 8, 8)))
-    for key in ("block1.conv3x3.w_latent", "block2.bn_conv3x3.run_mean"):
-        with pytest.raises(ValueError):
-            loaded.params[key][...] = 0.0
-        with pytest.raises(ValueError):
-            loaded.params[key].flags.writeable = True
-    with pytest.raises(ValueError):
-        network.train_stage1(loaded, separable_dataset(8, seed=183),
-                             separable_dataset(8, seed=184),
-                             network.StageOneConfig(epochs=1, batch_size=8))
-
-
-def test_replaced_or_edited_params_reach_the_next_features(tmp_path):
+def test_replaced_or_edited_params_reach_the_next_features():
     x = np.random.default_rng(185).normal(size=(4, 1, 8, 8))
-    network.save_checkpoint(network.build_network(tiny_spec(), seed=186),
-                            tmp_path / "m.ckpt")
-    loaded = network.load_checkpoint(tmp_path / "m.ckpt")
-    before = network.features_forward(loaded, x)
+    model = network.build_network(tiny_spec(), seed=186)
+    before = network.features_forward(model, x)
     key = "block1.conv3x3.w_latent"
-    original = loaded.params[key]
+    original = model.params[key]
     for shift, read_only in ((1, False), (2, True)):     # filters rotated by Co
         rotated = np.roll(original, shift, axis=0)
         rotated.flags.writeable = not read_only
-        loaded.params[key] = rotated
-        got = network.features_forward(loaded, x)
-        assert got.tobytes() == training_graph_forward(loaded, x)[1].tobytes()
+        model.params[key] = rotated
+        got = network.features_forward(model, x)
+        assert got.tobytes() == training_graph_forward(model, x)[1].tobytes()
         assert got.tobytes() != before.tobytes()
         before = got
 
@@ -1019,46 +1010,47 @@ def test_replaced_or_edited_params_reach_the_next_features(tmp_path):
     assert got.tobytes() != before.tobytes()
 
 
-def test_copy_of_a_loaded_checkpoint_trains(tmp_path):
-    ds = separable_dataset(16, seed=188)
-    network.save_checkpoint(network.build_network(tiny_spec(), seed=189),
-                            tmp_path / "m.ckpt")
-    loaded = network.load_checkpoint(tmp_path / "m.ckpt")
-    blob = network.checkpoint_bytes(loaded)
-    hp = network.StageOneConfig(epochs=2, batch_size=8, learning_rate=0.03, seed=190)
-    result = network.train_stage1(loaded.copy(), ds, ds, hp)
-    assert not result.aborted and len(result.metrics) == 2
-    assert network.checkpoint_bytes(result.model) != blob
-    assert network.checkpoint_bytes(loaded) == blob
-
-
 # --- checkpoint + deployment ----------------------------------------------------
 
 
-def test_checkpoint_roundtrip_is_byte_identical():
+def _artifact(tmp_path, model):
+    """The checkpoint file bytes of ``model``."""
+    path = tmp_path / "m.ckpt"
+    network.save_checkpoint(model, path)
+    return path.read_bytes()
+
+
+def _header_len(spec):
+    spec_json = json.dumps(netspec.spec_to_dict(spec), sort_keys=True,
+                           separators=(",", ":"))
+    return len(network.CHECKPOINT_MAGIC) + struct.calcsize("<II") + len(spec_json)
+
+
+def test_checkpoint_roundtrip_is_byte_identical(tmp_path):
     ds = separable_dataset(16, seed=131)
     model = network.build_network(tiny_spec(), seed=132)
     hp = network.StageOneConfig(epochs=2, batch_size=8, learning_rate=0.03, seed=133)
     trained = network.train_stage1(model, ds, ds, hp).model
-    blob = network.checkpoint_bytes(trained)
+    blob = _artifact(tmp_path, trained)
     loaded = network.parse_checkpoint(blob)
-    assert network.checkpoint_bytes(loaded) == blob
+    assert _artifact(tmp_path, loaded) == blob
     assert loaded.spec == trained.spec
-    assert loaded.seed == trained.seed and loaded.epoch == trained.epoch
-    for key in trained.params:
-        assert np.array_equal(loaded.params[key], trained.params[key])
-    # v2 holds the parameters and nothing else: fixed header, then per
-    # parameter its record header and 8 bytes per value
-    spec_json = json.dumps(netspec.spec_to_dict(trained.spec), sort_keys=True,
-                           separators=(",", ":"))
-    header = 8 + struct.calcsize("<IBQI") + 4 + len(spec_json) + 4
-    records = sum(2 + len(k) + 1 + len("<f8") + 1 + 4 * v.ndim + 8 + 8 * v.size
-                  for k, v in trained.params.items())
-    assert len(blob) == header + records
+    # v3 is the header (magic, version, spec JSON) and the deployed payload
+    assert blob[_header_len(trained.spec):] == network.deployed_payload(trained)
     x = np.random.default_rng(134).normal(size=(3, 1, 8, 8))
     np.testing.assert_array_equal(
         network.forward(loaded, x)[0], network.forward(trained, x)[0]
     )
+
+
+@pytest.mark.parametrize("width", [0.125, 0.5, 1.0])
+@pytest.mark.parametrize("include_fc", [True, False], ids=["fc", "nofc"])
+def test_artifact_is_the_header_and_the_cost_models_bits(tmp_path, width, include_fc):
+    spec = netspec.reference_spec(width, include_fc=include_fc)
+    blob = _artifact(tmp_path, network.build_network(spec, seed=0))
+    bits = costmodel.cost_report(spec).total_param_bits
+    assert bits % 8 == 0
+    assert len(blob) == _header_len(spec) + bits // 8
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -1070,34 +1062,42 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
     def failing(model):
         raise RuntimeError("serializer failed")
 
-    monkeypatch.setattr(network, "checkpoint_bytes", failing)
+    monkeypatch.setattr(network, "deployed_payload", failing)
     with pytest.raises(RuntimeError, match="serializer failed"):
         network.save_checkpoint(model, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["checkpoint.ckpt"]
 
 
-def test_checkpoint_rejects_malformed_blobs():
-    model = network.build_network(tiny_spec(), seed=141)
-    blob = network.checkpoint_bytes(model)
+def test_checkpoint_rejects_malformed_blobs(tmp_path):
+    spec = tiny_spec()
+    model = network.build_network(spec, seed=141)
+    blob = _artifact(tmp_path, model)
+    head = _header_len(spec)
+    var = _real_offset(blob, spec, "block2.bn_conv3x3.run_var")
+    assert struct.unpack_from("<f", blob, var)[0] == 1.0
     cases = [
         b"",
         b"NOTMAGIC" + blob[8:],
-        blob[:40],
+        blob[:14],
+        blob[:head - 1],
         blob[:-7],
         blob + b"x",
+        blob[:8] + (2).to_bytes(4, "little") + blob[12:],   # the float64 records
         blob[:8] + (99).to_bytes(4, "little") + blob[12:],
+        blob[:var] + struct.pack("<f", np.nan) + blob[var + 4:],
+        blob[:var] + struct.pack("<f", -0.5) + blob[var + 4:],
+        blob[:var] + struct.pack("<f", np.inf) + blob[var + 4:],
     ]
     for bad in cases:
         with pytest.raises(network.CheckpointError):
             network.parse_checkpoint(bad)
 
 
-def test_checkpoint_mutants_fail_closed_or_serve_features():
+def test_checkpoint_mutants_fail_closed_or_serve_features(tmp_path):
     # seeded fuzz: truncations and 1-4 random byte writes; each mutant either
-    # raises CheckpointError or parses into a state whose plan serves features
-    model = network.build_network(tiny_spec(), seed=143)
-    blob = network.checkpoint_bytes(model)
+    # raises CheckpointError or parses into a plan that serves features
+    blob = _artifact(tmp_path, network.build_network(tiny_spec(), seed=143))
     rng = np.random.default_rng(144)
     x = np.zeros((1, 1, 8, 8))
     parsed = 0

@@ -9,9 +9,14 @@ working tree, both as ``tools/bench_pairs.py`` makes them. Both run
 ``--data.val_count 127`` leaves 513 training images, so the last batch holds
 one image. Each side runs once per config of ``CONFIGS`` (width, alpha
 scaling, BLAS threads), one run at a time. Per config the script compares the
-sha256 of the four artifacts whose bytes are the contract (``ARTIFACTS``);
+sha256 of the four artifacts whose bytes are the contract (``ARTIFACTS``) and,
+as a fifth column, the sha256 of the best state's float64 parameters that the
+``best epoch`` line prints: the checkpoint holds float32 reals and sign bits,
+which cannot show a training change below float32 rounding. A revision from
+before that line wrote float64 checkpoints (format v2); for it the digest is
+taken from the checkpoint's parameters, read by that revision's own code.
 ``metrics.tsv`` holds wall seconds and is left out. It prints one row per
-config and exits 1 if any artifact differs.
+config and exits 1 if any column differs.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -36,6 +42,20 @@ CONFIGS = ((0.25, True, 1), (0.25, False, 1), (0.5, True, 1), (0.5, False, 1),
            (0.5, True, 2))
 ARTIFACTS = ("checkpoint.ckpt", "features-train.rxgbfeat", "features-test.rxgbfeat",
              "gbdt-model.txt")
+PARAMS = "params (float64)"
+_DIGEST = re.compile(r"^best epoch .*params sha256 ([0-9a-f]{64})", re.M)
+# the same digest from a format-v2 checkpoint, whose records hold the float64
+# parameters
+_V2_DIGEST = """
+import hashlib, sys
+import numpy as np
+from rxgb import network
+params = network.load_checkpoint(sys.argv[1]).params
+h = hashlib.sha256()
+for name in sorted(params):
+    h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+print(h.hexdigest())
+"""
 
 
 def write_data(dest: Path) -> None:
@@ -47,7 +67,8 @@ def write_data(dest: Path) -> None:
 
 
 def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
-    """sha256 of each of ARTIFACTS after one pipeline run in ``tree``."""
+    """sha256 of each of ARTIFACTS and of the parameters (PARAMS) after one
+    pipeline run in ``tree``."""
     width, alpha, threads = config
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -61,8 +82,16 @@ def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ARTIFACTS}
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ARTIFACTS}
+    m = _DIGEST.search(proc.stdout)
+    if m:
+        digests[PARAMS] = m.group(1)
+    else:
+        v2 = subprocess.run([sys.executable, "-c", _V2_DIGEST, str(out / ARTIFACTS[0])],
+                            cwd=tree, env=env, capture_output=True, text=True, check=True)
+        digests[PARAMS] = v2.stdout.strip()
+    return digests
 
 
 def main(argv=None) -> int:
@@ -79,13 +108,14 @@ def main(argv=None) -> int:
         export_rev(args.rev, trees["parent"])
         snapshot_worktree(trees["change"])
         write_data(tmp / "data")
+        columns = (*ARTIFACTS, PARAMS)
         print(f"{'width':>5} {'alpha':>5} {'threads':>7}  "
-              + "  ".join(f"{name:>23}" for name in ARTIFACTS))
+              + "  ".join(f"{name:>23}" for name in columns))
         for i, config in enumerate(CONFIGS):
             digests = {side: run_pipeline(tree, tmp / "data", tmp / f"{side}{i}", config)
                        for side, tree in trees.items()}
             cells = []
-            for name in ARTIFACTS:
+            for name in columns:
                 p, c = digests["parent"][name], digests["change"][name]
                 cells.append(f"same {p[:18]}" if p == c else "DIFFERS")
                 differ |= p != c
