@@ -255,12 +255,20 @@ def rprelu_forward(
         if arr.shape != (c,):
             raise ValueError(f"{name} shape {arr.shape} != ({c},)")
     u = np.subtract(x, gamma[None, :, None, None], out=out)
+    return _shifted_prelu(u, beta, zeta), {"u": u, "beta": beta}
+
+
+def _shifted_prelu(u: np.ndarray, beta: np.ndarray, zeta: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """f(u) + zeta[c], rprelu_forward's arithmetic on u = x - gamma[c], into
+    ``out`` (u itself computes in place; the frozen plan keeps no u) or a
+    fresh array in u's memory order."""
     t = np.minimum(0.0, u)
     t *= beta[None, :, None, None]
-    y = np.maximum(0.0, u)
+    y = np.maximum(0.0, u, out=out)
     y += t
     y += zeta[None, :, None, None]
-    return y, {"u": u, "beta": beta}
+    return y
 
 
 def _product_out(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -28,9 +28,10 @@ Block wiring (all convs bias-free, BN after every conv):
   bottom/right edge first; the pad ring flows through the whole block.
 
 Binary convolutions run forward as exact integer products of the int8
-sign planes (activations from RSign, sign(latent) for the weights), scaled
-by the per-channel alpha once at the end, so the forward equals the
-XNOR-popcount ``bitops.binary_conv2d`` to the byte. The backward pass trains
+sign planes (activations from RSign, sign(latent) for the weights), so the
+sums equal the XNOR-popcount ``bitops.binary_conv2d``'s to the byte. Training
+scales them by the per-channel alpha once at the end; the frozen plan folds
+alpha into the batch norm that follows. The backward pass trains
 with real arithmetic on the effective weights alpha * sign(latent): it keeps
 the forward's int8 sign planes and alpha, and ``tensor_ops.conv2d_backward``
 builds float64 from them block by block, over the taps that read the input
@@ -48,8 +49,15 @@ cache that runs once and is then freed, and the backward reads layer shapes
 (``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
 ``evaluate`` and ``forward(..., training=False)``) runs from a frozen
 :class:`InferencePlan`: the deployed model, +-1 weights laid out as float32
-gemm matrices with their alpha, and the reals rounded to float32 (held as
-float64 arrays, so every op keeps its dtype and order). It caches nothing. A
+gemm matrices, and alpha and the reals rounded to float32. The plan folds
+each batch norm's running statistics, gamma and beta, and the alpha of the
+conv before it, into one float64 scale and shift per channel (the usual
+deployment fold; Jacob et al., arXiv 1712.05877, section 3.2), so a binary
+conv's integer sums take one multiply and one add where training takes an
+alpha pass and four batch-norm passes, and RSign compares x >= shift without
+forming x - shift. The fold rounds differently from the training graph run
+with the running statistics: its features differ in the last bits of a
+float64 (about 1e-13 relative at most in the tests). It caches nothing. A
 ModelState is frozen once per inference call (:func:`freeze`).
 
 The backbone artifact is the deployed model and nothing more: a header
@@ -62,11 +70,12 @@ sign bits and float32 reals, so a frozen model and its saved file are the
 same plan. The trade-off: the artifact keeps no latent magnitudes, so no
 training resumes from it; training stays float64 in memory.
 
-In both executors batch norm and RPReLU compute in the conv output or block
-sum they are given, which nothing else reads. That keeps the bytes: a fresh
-ufunc result takes its input's memory order, so the in-place result holds the
-same values in the same layout, and every later reduction adds in the same
-order.
+In both executors the shortcut adds write into the batch norm's output, and
+batch norm (training's, and the plan's on the stem's float64 conv output)
+and RPReLU compute in the array they are given, which nothing else reads.
+That keeps the bytes: a fresh ufunc result takes its input's memory order,
+so the in-place result holds the same values in the same layout, and every
+later reduction adds in the same order.
 
 Every activation and gradient of the block wiring, in both executors, lies in
 NHWC memory (see ``tensor_ops``): the reduction block pads and concatenates
@@ -202,10 +211,10 @@ def _stem_forward(ops, name, x):
 def _normal_forward(ops, name, x):
     a1 = ops.rsign(f"{name}.rsign_conv3x3", x)
     b1 = ops.bn(f"{name}.bn_conv3x3", ops.binconv(f"{name}.conv3x3", a1, _GEOM_3X3))
-    d1 = ops.rprelu(f"{name}.rprelu_conv3x3", b1 + x)
+    d1 = ops.rprelu(f"{name}.rprelu_conv3x3", np.add(b1, x, out=b1))
     a2 = ops.rsign(f"{name}.rsign_conv1x1", d1)
     b2 = ops.bn(f"{name}.bn_conv1x1", ops.binconv(f"{name}.conv1x1", a2, _GEOM_1X1))
-    return ops.rprelu(f"{name}.rprelu_conv1x1", b2 + d1)
+    return ops.rprelu(f"{name}.rprelu_conv1x1", np.add(b2, d1, out=b2))
 
 
 def _reduction_forward(ops, name, x, stride):
@@ -217,7 +226,7 @@ def _reduction_forward(ops, name, x, stride):
     geom = _GEOM_3X3_S2 if stride == 2 else _GEOM_3X3
     b1 = ops.bn(f"{name}.bn_conv3x3", ops.binconv(f"{name}.conv3x3", a1, geom))
     shortcut = tensor_ops.avgpool_2x2(x) if stride == 2 else x
-    d1 = ops.rprelu(f"{name}.rprelu_conv3x3", b1 + shortcut)
+    d1 = ops.rprelu(f"{name}.rprelu_conv3x3", np.add(b1, shortcut, out=b1))
     a2 = ops.rsign(f"{name}.rsign_conv1x1", d1)
     ba = ops.bn(f"{name}.bn_conv1x1_a",
                 ops.binconv(f"{name}.conv1x1_a", a2, _GEOM_1X1))
@@ -268,36 +277,53 @@ class InferencePlan:
     ``signs`` maps each binary conv's prefix to its +-1 weights as a float32
     [kh*kw*Ci, Co] matrix in im2col order (``tensor_ops.sign_matrix``) and
     its per-channel alpha; ``reals`` holds every other parameter. Alpha and
-    the reals are float32 values in float64 arrays. All arrays are read-only.
-    As an executor of the block wiring it runs the inference-mode ops of the
-    training graph and keeps none of their caches; bn and rprelu consume the
-    conv output or block sum they are given.
+    the reals are float32 values in float64 arrays; together they are what
+    :func:`deployed_payload` stores. ``affine`` maps each batch norm's prefix
+    to the float64 (scale, shift) the plan computes with:
+
+        g = gamma / sqrt(run_var + eps)
+        scale = alpha * g            (alpha of the conv the BN follows; 1 at the stem)
+        shift = beta - run_mean * g
+
+    All arrays are read-only. As an executor of the block wiring it keeps no
+    caches: binconv returns the sign conv's exact integer sums, bn applies
+    sums * scale + shift, rsign compares x >= shift straight into the int8
+    sign plane, and bn (on the stem's float64 output) and rprelu compute in
+    the array they are given.
     """
 
     spec: netspec.NetworkSpec
     signs: MappingProxyType
     reals: MappingProxyType
+    affine: MappingProxyType
 
     def conv(self, prefix, x, geom):
         return tensor_ops.conv2d_forward(x, self.reals[f"{prefix}.w"], geom)
 
     def rsign(self, prefix, x):
-        return bitops.rsign_forward(x, self.reals[f"{prefix}.shift"])[0]
+        # x >= shift is (x - shift) >= 0 for every x and finite shift: the
+        # rounded difference of two doubles is zero only when they are equal
+        # and keeps its sign otherwise (gradual underflow), and NaN fails both.
+        shift = self.reals[f"{prefix}.shift"]
+        s = np.greater_equal(x, shift[None, :, None, None]).view(np.int8)
+        s *= 2
+        s -= 1
+        return s
 
     def binconv(self, prefix, x, geom):
-        w_mat, alpha = self.signs[prefix]
-        y = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=-1)
-        return y * alpha[None, :, None, None]
+        return tensor_ops.sign_conv2d(x, self.signs[prefix][0], geom, pad_value=-1)
 
     def bn(self, prefix, x):
-        return tensor_ops.batchnorm_forward(
-            x, *(self.reals[f"{prefix}.{k}"] for k in _PARAMS[netspec.BATCH_NORM]),
-            training=False, out=x)[0]
+        scale, shift = self.affine[prefix]
+        y = np.multiply(x, scale[None, :, None, None],
+                        out=x if x.dtype == np.float64 else None)
+        y += shift[None, :, None, None]
+        return y
 
     def rprelu(self, prefix, x):
-        return bitops.rprelu_forward(
-            x, *(self.reals[f"{prefix}.{k}"] for k in _PARAMS[netspec.RPRELU]),
-            out=x)[0]
+        beta, gamma, zeta = (self.reals[f"{prefix}.{k}"] for k in _PARAMS[netspec.RPRELU])
+        u = np.subtract(x, gamma[None, :, None, None], out=x)
+        return bitops._shifted_prelu(u, beta, zeta, out=u)
 
     def linear(self, prefix, x):
         return tensor_ops.linear_forward(x, self.reals[f"{prefix}.w"])
@@ -307,7 +333,9 @@ def _plan(spec: netspec.NetworkSpec, signs: np.ndarray,
           reals: np.ndarray) -> InferencePlan:
     """The plan of ``spec`` from its deployed parameters, in payload order
     (see :func:`deployed_payload`): ``signs`` the int8 +-1 filters of every
-    binary conv, flattened, and ``reals`` the float32 reals."""
+    binary conv, flattened, and ``reals`` the float32 reals. Folds each
+    batch norm and the alpha of its conv into ``affine``; raises ValueError
+    on a negative running variance, before the fold takes its square root."""
     plan_signs, plan_reals = {}, {}
     i = j = 0                                  # read positions in signs, reals
     for name, shape, _, _ in _param_layout(spec):
@@ -320,8 +348,21 @@ def _plan(spec: netspec.NetworkSpec, signs: np.ndarray,
         else:
             plan_reals[name] = _read_only(reals[j:j + n].astype(np.float64).reshape(shape))
             j += n
+    affine = {}
+    for name, var in plan_reals.items():
+        if not name.endswith(".run_var"):
+            continue
+        if (var < 0).any():
+            raise ValueError(f"{name} holds a negative variance")
+        bn = name[:-len(".run_var")]
+        conv = bn.replace(".bn_", ".", 1)      # block3.bn_conv1x1_a -> block3.conv1x1_a
+        alpha = plan_signs[conv][1] if conv in plan_signs else 1.0   # the stem's BN
+        g = plan_reals[f"{bn}.gamma"] / np.sqrt(var + tensor_ops.BN_EPS)
+        shift = plan_reals[f"{bn}.beta"] - plan_reals[f"{bn}.run_mean"] * g
+        affine[bn] = (_read_only(alpha * g), _read_only(shift))
     return InferencePlan(spec=spec, signs=MappingProxyType(plan_signs),
-                         reals=MappingProxyType(plan_reals))
+                         reals=MappingProxyType(plan_reals),
+                         affine=MappingProxyType(affine))
 
 
 def freeze(model: ModelState) -> InferencePlan:
@@ -331,7 +372,8 @@ def freeze(model: ModelState) -> InferencePlan:
     and rounds alpha and every real to float32, as :func:`deployed_payload`
     stores them, so the plan equals the one :func:`load_checkpoint` reads
     back from the saved model. It copies what it keeps, so later writes to
-    ``model`` do not reach it.
+    ``model`` do not reach it. Raises ValueError on a negative BN running
+    variance.
     """
     signs, reals = [np.zeros(0, np.int8)], [np.zeros(0)]
     for name, _, _, _ in _param_layout(model.spec):
@@ -404,7 +446,7 @@ class _Tape:
     def bn(self, prefix, x):
         y, cache = tensor_ops.batchnorm_forward(
             x, *(self.params[f"{prefix}.{k}"] for k in _PARAMS[netspec.BATCH_NORM]),
-            training=True, out=x)
+            out=x)
         self.ops[prefix] = (("gamma", "beta"),
                             lambda g: tensor_ops.batchnorm_backward(g, cache, out=g))
         return y
@@ -476,8 +518,9 @@ def forward(model, x: np.ndarray, training: bool = False):
     BN uses batch statistics (and updates the running estimates in place)
     and every op records its backward on the tape, which :func:`backward`
     consumes. Inference mode runs the frozen plan (see :func:`freeze`;
-    ``model`` may be an InferencePlan), uses the stored running statistics,
-    is batch-invariant, and returns tape None.
+    ``model`` may be an InferencePlan), whose batch norms apply the stored
+    running statistics folded into a scale and shift, is batch-invariant,
+    and returns tape None.
     """
     if not model.spec.has_fc_head():
         raise ValueError("plan has no fc_head; use features_forward")
@@ -809,11 +852,10 @@ def parse_checkpoint(blob: bytes) -> InferencePlan:
     reals = np.frombuffer(payload, "<f4", n_reals, offset=bit_bytes)
     if not np.isfinite(reals).all():
         raise CheckpointError("non-finite real in the payload")
-    plan = _plan(spec, bits[:n_bits].view(np.int8) * np.int8(2) - np.int8(1), reals)
-    for name, arr in plan.reals.items():
-        if name.endswith(".run_var") and (arr < 0).any():
-            raise CheckpointError(f"{name} holds a negative variance")
-    return plan
+    try:
+        return _plan(spec, bits[:n_bits].view(np.int8) * np.int8(2) - np.int8(1), reals)
+    except ValueError as e:                          # a negative running variance
+        raise CheckpointError(str(e)) from e
 
 
 def save_checkpoint(model, path) -> None:

@@ -1,10 +1,12 @@
 """Dense tensor ops: convolution, batch norm, pooling, loss, SGD.
 
-All arrays are numpy ndarrays. Training math runs in float64; inference may
-feed float32 inputs but every op promotes to float64 internally so results are
-identical either way. The one exception is a convolution whose input and
+All arrays are numpy ndarrays. Every op computes in float64 and promotes
+float32 input to it. The one exception is a convolution whose input and
 filters both have an integer dtype (the int8 {-1,+1} planes of a binary
-conv): it returns the exact integer sums, in float32.
+conv): it returns the exact integer sums, in float32. Batch norm here is the
+training op, on batch statistics; the frozen inference plan folds the
+running statistics into one scale and shift per channel itself
+(``network.InferencePlan``).
 
 Activations are indexed [N, C, H, W] and lie in NHWC memory: an NCHW view
 whose ``transpose(0, 2, 3, 1)`` is C-contiguous, or a channel slice or
@@ -95,6 +97,8 @@ _CHUNK_ROWS = 2048
 # Fewest images for which the sign conv makes one product per output
 # position and tap row (see the module docstring for the timings).
 _SPLIT_MIN_IMAGES = 128
+# Batch norm's variance offset, in training and in the frozen plan's fold.
+BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -552,17 +556,14 @@ def batchnorm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     momentum: float = 0.1,
-    eps: float = 1e-5,
-    training: bool = True,
+    eps: float = BN_EPS,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Per-channel batch normalization over (N, H, W).
-
-    In training mode normalizes with batch statistics and updates
-    running_mean / running_var in place:
+    """Per-channel batch normalization over (N, H, W) with batch statistics,
+    as training runs it; updates running_mean / running_var in place:
         running <- (1 - momentum) * running + momentum * batch.
-    In inference mode normalizes with the running statistics, making the op
-    batch-invariant.
+    Inference does not come here: the frozen plan folds the running
+    statistics into one scale and shift per channel (``network.InferencePlan``).
 
     ``out``, if given, is a float64 array of x's shape that receives the
     normalized x (the cache's ``xhat``); pass x itself to consume it. With
@@ -579,36 +580,30 @@ def batchnorm_forward(
         raise ValueError(
             f"gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}"
         )
+    if x.shape[0] == 0:
+        raise ValueError("batchnorm requires a non-empty batch")
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0] * x.shape[2] * x.shape[3]
-    if training:
-        if x.shape[0] == 0:
-            raise ValueError("batchnorm requires a non-empty batch in training mode")
-        mean = _channel_sums(x) / m
-        xhat = np.subtract(x, mean[None, :, None, None], out=out)
-        y = np.multiply(xhat, xhat)                      # squares; y's buffer
-        var = _channel_sums(y) / m                       # biased
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        xhat = np.subtract(x, running_mean[None, :, None, None], out=out)
-        var = running_var
-        y = np.empty_like(xhat)
+    mean = _channel_sums(x) / m
+    xhat = np.subtract(x, mean[None, :, None, None], out=out)
+    y = np.multiply(xhat, xhat)                          # squares; y's buffer
+    var = _channel_sums(y) / m                           # biased
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[None, :, None, None]
     np.multiply(xhat, gamma[None, :, None, None], out=y)
     y += beta[None, :, None, None]
-    cache = {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m,
-             "training": training}
+    cache = {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m}
     return y, cache
 
 
 def batchnorm_backward(
     grad_y: np.ndarray, cache: dict, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of batchnorm_forward (training mode) w.r.t. x, gamma, beta.
+    """Gradients of batchnorm_forward w.r.t. x, gamma, beta.
 
     Works in two buffers: one made by a ufunc of grad_y and xhat, which
     holds the summed products; and grad_y * gamma, which becomes dx in
@@ -626,9 +621,6 @@ def batchnorm_backward(
     buf = np.multiply(grad_y, xhat)
     dgamma = _channel_sums(buf)
     dbeta = _channel_sums(grad_y)
-    if not cache["training"]:
-        dx = np.multiply(grad_y, (gamma * inv_std)[None, :, None, None], out=out)
-        return dx, dgamma, dbeta
     dxhat = np.multiply(grad_y, gamma[None, :, None, None], out=out)
     s1 = _channel_sums(dxhat)[None, :, None, None]
     s2 = _channel_sums(np.multiply(dxhat, xhat, out=buf))[None, :, None, None]

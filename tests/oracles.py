@@ -192,28 +192,15 @@ def piecewise_approxsign_dydu(u):
     return d
 
 
-def training_graph_forward(model, x):
-    """(head output, pooled features) of the training graph in inference mode.
-
-    The forward the frozen plan replaced: every binary conv re-derives
-    sign(latent) and alpha from the latents and runs the integer conv on 4-d
-    filters, and every op runs in its training form with the running BN
-    statistics, its cache discarded. Alpha and every real are rounded to
-    float32, as deployed. The plan must agree with it to the byte.
-    """
+def _wired_forward(model, p, x, bn, binconv):
+    """(head output, pooled features) of the block wiring spelled out layer
+    by layer, with the caller's ``bn(prefix, z)`` and ``binconv(prefix, a,
+    geom)``; RSign, RPReLU, the stem conv and the FC head are the training
+    ops on the params ``p`` (see _f32_reals), their caches discarded."""
     from rxgb import bitops, netspec, tensor_ops as T
 
-    def f32(a):
-        return np.asarray(a, dtype=np.float32).astype(np.float64)
-
-    p = {k: v if k.endswith(".w_latent") else f32(v) for k, v in model.params.items()}
     g3, g3s2 = T.ConvGeometry((3, 3), 1, 1), T.ConvGeometry((3, 3), 2, 1)
     g1 = T.ConvGeometry((1, 1), 1, 0)
-
-    def bn(prefix, z):
-        return T.batchnorm_forward(z, p[f"{prefix}.gamma"], p[f"{prefix}.beta"],
-                                   p[f"{prefix}.run_mean"], p[f"{prefix}.run_var"],
-                                   training=False)[0]
 
     def rprelu(prefix, z):
         return bitops.rprelu_forward(z, p[f"{prefix}.beta"], p[f"{prefix}.gamma"],
@@ -221,12 +208,6 @@ def training_graph_forward(model, x):
 
     def rsign(prefix, z):
         return bitops.rsign_forward(z, p[f"{prefix}.shift"])[0]
-
-    def binconv(prefix, a, geom):
-        w_sign, alpha = bitops.sign_weights(p[f"{prefix}.w_latent"],
-                                            weight_scaling=model.weight_scaling)
-        y = T.conv2d_forward(a, w_sign, geom, pad_value=-1)
-        return y * f32(alpha)[None, :, None, None]
 
     h = np.asarray(x, dtype=np.float64)
     feats = None
@@ -258,6 +239,87 @@ def training_graph_forward(model, x):
         else:
             h = T.linear_forward(h, p[f"{n}.w"])
     return h, feats
+
+
+def _f32(a):
+    return np.asarray(a, dtype=np.float32).astype(np.float64)
+
+
+def _f32_reals(model):
+    """The params as deployed: every real rounded to float32, latents kept."""
+    return {k: v if k.endswith(".w_latent") else _f32(v) for k, v in model.params.items()}
+
+
+def _sign_weights(model, prefix):
+    """(int8 sign(latent), float32-rounded alpha) of a binary conv."""
+    from rxgb import bitops
+
+    w_sign, alpha = bitops.sign_weights(model.params[f"{prefix}.w_latent"],
+                                        weight_scaling=model.weight_scaling)
+    return w_sign, _f32(alpha)
+
+
+def training_graph_forward(model, x):
+    """(head output, pooled features) of the training graph in inference mode.
+
+    The forward the frozen plan replaced: every binary conv re-derives
+    sign(latent) and alpha from the latents, runs the integer conv on 4-d
+    filters and scales its sums by alpha; every batch norm normalizes with
+    the running statistics, ((z - run_mean) / sqrt(run_var + 1e-5)) * gamma
+    + beta, in the op order of the batch norm inference mode the library
+    had. Alpha and every real are rounded to float32, as deployed. The plan
+    folds alpha and batch norm, so it agrees with this to rounding only.
+    """
+    from rxgb import tensor_ops as T
+
+    p = _f32_reals(model)
+
+    def bn(prefix, z):
+        inv_std = 1.0 / np.sqrt(p[f"{prefix}.run_var"] + 1e-5)
+        xhat = z - p[f"{prefix}.run_mean"][None, :, None, None]
+        xhat *= inv_std[None, :, None, None]
+        y = xhat * p[f"{prefix}.gamma"][None, :, None, None]
+        y += p[f"{prefix}.beta"][None, :, None, None]
+        return y
+
+    def binconv(prefix, a, geom):
+        w_sign, alpha = _sign_weights(model, prefix)
+        return T.conv2d_forward(a, w_sign, geom, pad_value=-1) * alpha[None, :, None, None]
+
+    return _wired_forward(model, p, x, bn, binconv)
+
+
+def folded_plan_forward(model, x):
+    """(head output, pooled features) in the frozen plan's arithmetic.
+
+    Every binary conv yields its exact integer sums, and the batch norm after
+    it applies one float64 scale and shift per channel, computed here from
+    the float32-rounded reals:
+
+        g = gamma / sqrt(run_var + 1e-5)
+        scale = alpha * g        alpha of the conv the BN follows; 1 at the stem
+        shift = beta - run_mean * g
+        y = sums * scale + shift
+
+    RSign is sign(x - shift) and RPReLU the training op. The plan must agree
+    with it to the byte.
+    """
+    from rxgb import tensor_ops as T
+
+    p = _f32_reals(model)
+    alphas = {}
+
+    def bn(prefix, z):
+        g = p[f"{prefix}.gamma"] / np.sqrt(p[f"{prefix}.run_var"] + 1e-5)
+        scale = alphas.pop(prefix, 1.0) * g
+        shift = p[f"{prefix}.beta"] - p[f"{prefix}.run_mean"] * g
+        return z * scale[None, :, None, None] + shift[None, :, None, None]
+
+    def binconv(prefix, a, geom):
+        w_sign, alphas[prefix.replace(".", ".bn_", 1)] = _sign_weights(model, prefix)
+        return T.conv2d_forward(a, w_sign, geom, pad_value=-1)
+
+    return _wired_forward(model, p, x, bn, binconv)
 
 
 def _payload_walk(model):
@@ -490,26 +552,22 @@ def where_rprelu_backward(grad_y, cache):
 
 
 def temporaries_batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                                  momentum=0.1, eps=1e-5, training=True, out=None):
+                                  momentum=0.1, eps=1e-5, out=None):
     """Batch norm with the batch mean and biased variance from
     blocked_channel_sums, in fresh temporaries: ``out`` is accepted and
     ignored."""
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0] * x.shape[2] * x.shape[3]
-    if training:
-        mean = blocked_channel_sums(x) / m
-        var = blocked_channel_sums((x - mean[None, :, None, None]) ** 2) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mean, var = running_mean, running_var
+    mean = blocked_channel_sums(x) / m
+    var = blocked_channel_sums((x - mean[None, :, None, None]) ** 2) / m
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    return y, {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m,
-               "training": training}
+    return y, {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m}
 
 
 def temporaries_batchnorm_backward(grad_y, cache, out=None):
@@ -519,8 +577,6 @@ def temporaries_batchnorm_backward(grad_y, cache, out=None):
     grad_y = np.asarray(grad_y, dtype=np.float64)
     dgamma = blocked_channel_sums(grad_y * xhat)
     dbeta = blocked_channel_sums(grad_y)
-    if not cache["training"]:
-        return grad_y * (gamma * inv_std)[None, :, None, None], dgamma, dbeta
     dxhat = grad_y * gamma[None, :, None, None]
     s1 = blocked_channel_sums(dxhat)[None, :, None, None]
     s2 = blocked_channel_sums(dxhat * xhat)[None, :, None, None]

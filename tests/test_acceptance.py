@@ -211,12 +211,10 @@ def test_criterion_05_batchnorm_gradients_match_finite_differences():
         rm, rv = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
 
         def fwd(xx, gg, bb):
-            y, _ = tensor_ops.batchnorm_forward(
-                xx, gg, bb, rm.copy(), rv.copy(), training=True)
+            y, _ = tensor_ops.batchnorm_forward(xx, gg, bb, rm.copy(), rv.copy())
             return y
 
-        y, cache = tensor_ops.batchnorm_forward(
-            x, gamma, beta, rm.copy(), rv.copy(), training=True)
+        y, cache = tensor_ops.batchnorm_forward(x, gamma, beta, rm.copy(), rv.copy())
         p = rng.normal(size=y.shape)
         dx, dgamma, dbeta = tensor_ops.batchnorm_backward(p, cache)
         # h = 1e-4: normalization gradients nearly cancel across the batch,

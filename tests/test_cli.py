@@ -437,6 +437,11 @@ def _checkpoint_mutants(blob, spec):
     return mutants
 
 
+# Warnings are errors: a mutant must be refused before any arithmetic warns on
+# it (the plan folds sqrt(run_var + eps), so a negative variance is refused
+# first), and an error raised from a warning would not be a checkpoint-format
+# line.
+@pytest.mark.filterwarnings("error")
 def test_checkpoint_mutants_print_one_checkpoint_format_line(tmp_path, cache_dir,
                                                              capsys):
     spec = netspec.reference_spec(width_mult=0.125)

@@ -14,8 +14,8 @@ import pytest
 from rxgb import bitops, costmodel, data, gbdt, netspec, network, tensor_ops
 from oracles import deployed_payload as oracle_payload
 from test_cli import _real_offset
-from oracles import (TRAINING_OP_ORACLES, is_nhwc_memory, naive_conv2d,
-                     training_graph_forward)
+from oracles import (TRAINING_OP_ORACLES, folded_plan_forward, is_nhwc_memory,
+                     naive_conv2d, training_graph_forward)
 
 
 def tiny_spec(with_fc=True, feature_dim=16, classes=4):
@@ -864,14 +864,15 @@ def test_sign_convs_and_features_byte_identical_across_thread_counts():
 
 
 @pytest.mark.parametrize("scaling", [True, False])
-def test_plan_equals_training_graph_oracle_byte_for_byte(scaling):
-    # the oracle rounds alpha and the reals to float32, as the plan holds them
+def test_plan_equals_folded_plan_oracle_byte_for_byte(scaling):
+    # the oracle rounds alpha and the reals to float32, as the plan holds them,
+    # and folds them into each BN's scale and shift by its own formula
     model = network.build_network(plan_spec(), seed=171, weight_scaling=scaling)
     randomize_params(model, 172)                         # BN and RPReLU reals too
     plan = network.freeze(model)
     x = np.random.default_rng(173).normal(size=(67, 1, 6, 6))
     for b in (1, 3, 67):
-        want_logits, want_feats = training_graph_forward(model, x[:b])
+        want_logits, want_feats = folded_plan_forward(model, x[:b])
         for src in (model, plan):
             feats = network.features_forward(src, x[:b])
             assert feats.tobytes() == want_feats.tobytes(), f"batch {b}"
@@ -880,13 +881,59 @@ def test_plan_equals_training_graph_oracle_byte_for_byte(scaling):
             assert caches is None
 
 
+def test_plan_stays_within_rounding_of_the_training_graph():
+    # The fold turns ((sums * alpha - run_mean) / sqrt(run_var + eps)) * gamma
+    # + beta into sums * scale + shift: a few float64 roundings per batch norm
+    # in place of others, each within 2**-53 relative, carried through 10
+    # blocks. At width 0.5 with random BN statistics the largest difference
+    # is 2.4e-16 of the largest |value| (5e-14 of a feature's own |value| at
+    # most). The bound, 1e-12 of the largest |value|, leaves three orders of
+    # magnitude for that growth; an RSign flipped by the rounding would move
+    # a feature by O(1) and fail it.
+    spec = netspec.reference_spec(width_mult=0.5)
+    model = network.build_network(spec, seed=188)
+    randomize_params(model, 189)
+    x = np.random.default_rng(190).standard_normal((4, *spec.input_shape))
+    want_logits, want_feats = training_graph_forward(model, x)
+    logits, _ = network.forward(model, x)
+    feats = network.features_forward(model, x)
+    for got, want in ((feats, want_feats), (logits, want_logits)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_plan_rsign_compare_equals_the_sign_of_the_difference():
+    # The plan's RSign is x >= shift; bitops.rsign_forward takes the sign of
+    # x - shift. Finite float32 shifts (the plan's reals are float32 values)
+    # against +-0, subnormals, each shift and its adjacent doubles, +-1e308,
+    # +-inf and NaN.
+    spec = tiny_spec()
+    model = network.build_network(spec, seed=191)
+    f32 = np.finfo(np.float32)
+    shift = np.array([0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+                      1.0, -2.5, f32.max, -f32.max])
+    model.params["block1.rsign_conv3x3.shift"][:] = shift
+    plan = network.freeze(model)
+    assert plan.reals["block1.rsign_conv3x3.shift"].tobytes() == shift.tobytes()
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e308, -1e308,
+             np.inf, -np.inf, np.nan]
+    for s in shift:
+        edges += [s, np.nextafter(s, np.inf), np.nextafter(s, -np.inf)]
+    x = np.repeat(np.array(edges)[:, None], len(shift), axis=1)[:, :, None, None]
+    got = plan.rsign("block1.rsign_conv3x3", x)
+    want = bitops.rsign_forward(x, plan.reals["block1.rsign_conv3x3.shift"])[0]
+    assert got.dtype == want.dtype == np.int8
+    assert got.tobytes() == want.tobytes()
+
+
 def test_plan_is_read_only_and_leaves_the_model_writable():
     model = network.build_network(plan_spec(), seed=174)
     plan = network.freeze(model)
     w_mat, alpha = plan.signs["block1.conv3x3"]
     assert w_mat.dtype == np.float32 and w_mat.shape == (9 * 4, 4)
     assert set(np.unique(w_mat)) <= {-1.0, 1.0}
-    arrays = [w_mat, alpha, *plan.reals.values()]
+    arrays = [w_mat, alpha, *plan.reals.values(),
+              *(a for pair in plan.affine.values() for a in pair)]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(TypeError):
         plan.reals["stem.conv.w"] = np.zeros((4, 1, 3, 3))
@@ -913,8 +960,10 @@ def test_forwards_write_no_caller_array():
 
 def test_b64_features_forward_allocates_at_most_25_mib():
     # Peak traced allocation of one width-0.5 batch-64 request on a frozen
-    # plan: 28.4 MiB when bn and rprelu made fresh arrays, 22.3 MiB since they
-    # compute in the conv output and block sum they are given.
+    # plan: 28.4 MiB when bn and rprelu made fresh arrays, 22.3 MiB when they
+    # computed in the conv output and block sum they were given, 13.1 MiB
+    # since the plan folds alpha into bn and rprelu writes its result in
+    # place.
     spec = netspec.reference_spec(width_mult=0.5)
     plan = network.freeze(network.build_network(spec, seed=182))
     x = np.random.default_rng(183).standard_normal((64, *spec.input_shape))
@@ -997,7 +1046,7 @@ def test_replaced_or_edited_params_reach_the_next_features():
         rotated.flags.writeable = not read_only
         model.params[key] = rotated
         got = network.features_forward(model, x)
-        assert got.tobytes() == training_graph_forward(model, x)[1].tobytes()
+        assert got.tobytes() == folded_plan_forward(model, x)[1].tobytes()
         assert got.tobytes() != before.tobytes()
         before = got
 
@@ -1006,7 +1055,7 @@ def test_replaced_or_edited_params_reach_the_next_features():
     model.params["block2.bn_conv1x1_a.run_mean"] += 1.0
     model.params["block1.conv3x3.w_latent"] *= -1.0
     got = network.features_forward(model, x)
-    assert got.tobytes() == training_graph_forward(model, x)[1].tobytes()
+    assert got.tobytes() == folded_plan_forward(model, x)[1].tobytes()
     assert got.tobytes() != before.tobytes()
 
 

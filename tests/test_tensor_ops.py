@@ -376,18 +376,6 @@ def test_batchnorm_forward_manual():
     assert np.allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2, 3)))
 
 
-def test_batchnorm_inference_is_batch_invariant():
-    rng = np.random.default_rng(6)
-    gamma = rng.standard_normal(3)
-    beta = rng.standard_normal(3)
-    rm = rng.standard_normal(3)
-    rv = rng.uniform(0.5, 2.0, 3)
-    x = rng.standard_normal((5, 3, 4, 4))
-    y_full, _ = batchnorm_forward(x, gamma, beta, rm.copy(), rv.copy(), training=False)
-    y_one, _ = batchnorm_forward(x[2:3], gamma, beta, rm.copy(), rv.copy(), training=False)
-    assert np.array_equal(y_full[2:3], y_one)
-
-
 def test_batchnorm_rejects_empty_batch():
     with pytest.raises(ValueError, match="non-empty"):
         batchnorm_forward(
@@ -404,14 +392,10 @@ def test_batchnorm_backward_finite_difference():
         r = rng.standard_normal(x.shape)
 
         def run(xv, gv, bv):
-            y, _ = batchnorm_forward(
-                xv, gv, bv, np.zeros(2), np.ones(2), training=True
-            )
+            y, _ = batchnorm_forward(xv, gv, bv, np.zeros(2), np.ones(2))
             return float(np.sum(y * r))
 
-        _, cache = batchnorm_forward(
-            x, gamma, beta, np.zeros(2), np.ones(2), training=True
-        )
+        _, cache = batchnorm_forward(x, gamma, beta, np.zeros(2), np.ones(2))
         dx, dgamma, dbeta = batchnorm_backward(r, cache)
         assert rel_err(dx, fd_grad(lambda v: run(v, gamma, beta), x.copy())) <= 1e-4
         assert rel_err(dgamma, fd_grad(lambda v: run(x, v, beta), gamma.copy())) <= 1e-6
@@ -431,17 +415,16 @@ def test_batchnorm_equals_the_temporaries_form_byte_for_byte():
     for shape in ((3, 8, 5, 5), (64, 32, 14, 14)):
         c = shape[1]
         gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
-        for x_layout, training, consume in itertools.product(
-                (np.ascontiguousarray, _nhwc), (True, False), (False, True)):
+        for x_layout, consume in itertools.product(
+                (np.ascontiguousarray, _nhwc), (False, True)):
             x = x_layout(rng.standard_normal(shape) * 3.0 + 1.0)
             stats = (rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
             new_stats = tuple(a.copy() for a in stats)
             xin = x.copy(order="K")
             y, cache = batchnorm_forward(xin, gamma, beta, *new_stats,
-                                         training=training, out=xin if consume else None)
-            ry, rcache = temporaries_batchnorm_forward(x, gamma, beta, *stats,
-                                               training=training)
-            case = (shape, x_layout.__name__, training, consume)
+                                         out=xin if consume else None)
+            ry, rcache = temporaries_batchnorm_forward(x, gamma, beta, *stats)
+            case = (shape, x_layout.__name__, consume)
             assert (cache["xhat"] is xin) == consume, case
             for a, b in ((y, ry), (cache["xhat"], rcache["xhat"])):
                 assert a.tobytes(order="A") == b.tobytes(order="A"), case
