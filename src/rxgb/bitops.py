@@ -3,13 +3,20 @@ weight binarization, and the shifted sign / shifted PReLU activations.
 
 Encoding: a bit value of 1 means +1 and 0 means -1; sign(0) is +1 everywhere.
 Bits are packed LSB-first into little-endian uint64 words (word_bits = 64),
-row-major over the logical tensor. Padding bits past the payload are zero and
-are masked out of every popcount.
+row-major over the logical tensor or, for the conv, over each row of K
+values (:func:`pack_rows`). Padding bits past the payload are zero.
 
-The XNOR identity for n-length {-1,+1} vectors:
-    dot(a, b) = 2 * popcount(NOT(a XOR b) AND payload_mask) - n.
+The XNOR identity for K-length {-1,+1} vectors packed with zero pad bits:
+    dot(a, b) = K - 2 * popcount(a XOR b),
+since each mismatched position adds -1 instead of +1 and the pad bits of
+both operands XOR to zero (XNOR-Net, Rastegari et al., arXiv 1603.05279).
 
-Binary convolution accumulates exact integers via popcount and applies the
+There is one binary conv kernel, :func:`xnor_conv2d`, on packed patch and
+filter rows in im2col order. It gives exact integer sums as float32, the
+bytes of ``tensor_ops.sign_conv2d``. The frozen plan runs it for convs of at
+most ``tensor_ops._POPCOUNT_MAX_ROWS`` patch rows, where it reads 1 bit per
+weight instead of a float32 (``network.InferencePlan``).
+:func:`binary_conv2d` wraps it for BitPlane operands and applies the
 per-output-channel scale once at the end, so its output is bit-identical to
 the real-valued convolution of the unpacked operands whenever those integer
 sums are exactly representable (always, at these sizes).
@@ -31,9 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import _channel_sums
+from .tensor_ops import _channel_sums, _im2col, _pad_input, filter_rows
 
 WORD_BITS = 64
+# uint64 words XORed at once by xnor_conv2d (at least one patch row): keeps
+# its XOR words (512 KiB) and their counts in cache. Batch-1 features at
+# width 0.5 took 2.05 ms with 2**14 to 2**16 words and 2.14 ms with 2**17 to
+# 2**20 (one thread, 2-core x86_64 host).
+_CHUNK_WORDS = 1 << 16
 
 
 @dataclass
@@ -61,14 +73,6 @@ class BitPlane:
             )
         if int(np.prod(self.shape)) != self.n_bits:
             raise ValueError(f"shape {self.shape} does not hold {self.n_bits} bits")
-
-
-def _payload_mask(n_bits: int, n_words: int) -> np.ndarray:
-    mask = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    rem = n_bits % WORD_BITS
-    if rem:
-        mask[-1] = np.uint64((1 << rem) - 1)
-    return mask
 
 
 def _pack_bit_rows(bits: np.ndarray) -> np.ndarray:
@@ -144,6 +148,50 @@ def ste_mask(w_latent: np.ndarray) -> np.ndarray:
     return (np.abs(w_latent) <= 1.0).astype(np.float64)
 
 
+def pack_rows(signs: np.ndarray) -> np.ndarray:
+    """Integer {-1,+1} rows [R, K] as [R, ceil(K/64)] uint64 rows: bit 1 for
+    +1, LSB-first, the pad bits past K zero."""
+    return _pack_bit_rows((signs > 0).view(np.uint8))
+
+
+def xnor_conv2d(x: np.ndarray, w_rows: np.ndarray, geom) -> np.ndarray:
+    """Binary convolution on packed sign rows, by XNOR-popcount.
+
+    Args:
+        x: int8 {-1,+1} input [N, Ci, H, W]; the pad ring reads -1.
+        w_rows: [Co, ceil(K/64)] uint64 filter rows, :func:`pack_rows` of the
+            [Co, K] filters in im2col order (``tensor_ops.filter_rows``),
+            K = kh*kw*Ci.
+        geom: tensor_ops.ConvGeometry.
+
+    Returns:
+        [N, Co, H', W'] float32 holding the exact integer sums
+        K - 2 * popcount(x_row XOR w_row), an NCHW view of NHWC memory: the
+        bytes of ``tensor_ops.sign_conv2d`` on the same operands. The patch
+        rows are packed the same way, so the pad bits XOR to zero and need no
+        mask. Each word's popcount is at most 64 and each sum at most K, so
+        the per-row sums, taken as one float32 product with a vector of ones,
+        are exact.
+    """
+    n, ci, h, w = x.shape
+    kh, kw = geom.kernel
+    k = kh * kw * ci
+    oh, ow = geom.out_extent(h, w)
+    co, n_words = w_rows.shape
+    if n_words != -(-k // WORD_BITS):
+        raise ValueError(f"filter rows of {n_words} words do not hold K = {k} bits")
+    x_rows = pack_rows(_im2col(_pad_input(x, geom.padding, -1, np.int8), geom))
+    ones = np.ones(n_words, np.float32)
+    y = np.empty((len(x_rows), co), np.float32)
+    step = max(1, _CHUNK_WORDS // (co * n_words))
+    for lo in range(0, len(x_rows), step):
+        diff = np.bitwise_count(x_rows[lo:lo + step, None] ^ w_rows)   # [r, Co, words]
+        np.matmul(diff.astype(np.float32), ones, out=y[lo:lo + step])
+    y *= -2
+    y += k
+    return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+
+
 def binary_conv2d(x_bits: BitPlane, w_bits: BitPlane, alpha: np.ndarray, geom) -> np.ndarray:
     """Convolution over bit-packed operands via XNOR-popcount.
 
@@ -156,9 +204,9 @@ def binary_conv2d(x_bits: BitPlane, w_bits: BitPlane, alpha: np.ndarray, geom) -
 
     Returns:
         [N, Co, H', W'] float64, equal to alpha[co] times the exact integer
-        XNOR accumulation.
+        XNOR accumulation of :func:`xnor_conv2d`.
     """
-    n, ci, h, w = x_bits.shape
+    ci = x_bits.shape[1]
     co, ci2, kh, kw = w_bits.shape
     if ci != ci2:
         raise ValueError(f"input channels {ci} != weight input channels {ci2}")
@@ -166,32 +214,9 @@ def binary_conv2d(x_bits: BitPlane, w_bits: BitPlane, alpha: np.ndarray, geom) -
         raise ValueError(f"weight kernel {(kh, kw)} != geometry kernel {geom.kernel}")
     if alpha.shape != (co,):
         raise ValueError(f"alpha shape {alpha.shape} != ({co},)")
-    s, p = geom.stride, geom.padding
-    oh, ow = geom.out_extent(h, w)
-
-    x = unpack(x_bits)
-    xp = np.full((n, ci, h + 2 * p, w + 2 * p), -1.0)
-    xp[:, :, p:p + h, p:p + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s, :, :]
-    # (kh, kw, ci) reduction order, same blocking as the real conv path
-    cols = win.transpose(0, 2, 3, 4, 5, 1).reshape(n * oh * ow, kh * kw * ci)
-    patch_words = _pack_bit_rows((cols >= 0).astype(np.uint8))
-
-    wf = unpack(w_bits).transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)
-    filt_words = _pack_bit_rows((wf >= 0).astype(np.uint8))
-
-    k = kh * kw * ci
-    mask = _payload_mask(k, patch_words.shape[1])
-    dots = np.empty((patch_words.shape[0], co), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, co * patch_words.shape[1]))
-    for lo in range(0, patch_words.shape[0], chunk):
-        pw = patch_words[lo:lo + chunk]
-        xnor = ~(pw[:, None, :] ^ filt_words[None, :, :]) & mask
-        pop = np.bitwise_count(xnor).sum(axis=2, dtype=np.int64)
-        dots[lo:lo + chunk] = 2 * pop - k
-    y = dots.astype(np.float64) * np.asarray(alpha, dtype=np.float64)[None, :]
-    return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
+    w_rows = pack_rows(filter_rows(unpack(w_bits)))
+    y = xnor_conv2d(unpack(x_bits).astype(np.int8), w_rows, geom)
+    return y * np.asarray(alpha, dtype=np.float64)[None, :, None, None]
 
 
 def rsign_forward(x: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -27,11 +27,17 @@ Block wiring (all convs bias-free, BN after every conv):
   Stride-2 blocks with odd spatial extent zero-pad the input on the
   bottom/right edge first; the pad ring flows through the whole block.
 
-Binary convolutions run forward as exact integer products of the int8
-sign planes (activations from RSign, sign(latent) for the weights), so the
-sums equal the XNOR-popcount ``bitops.binary_conv2d``'s to the byte. Training
-scales them by the per-channel alpha once at the end; the frozen plan folds
-alpha into the batch norm that follows. The backward pass trains
+Binary convolutions run forward on the int8 sign planes (activations from
+RSign, sign(latent) for the weights) and give their exact integer sums.
+Training multiplies them as float32 products and scales them by the
+per-channel alpha once at the end. The frozen plan runs a conv of at most
+``tensor_ops._POPCOUNT_MAX_ROWS`` (16) patch rows, N * H' * W', as
+XNOR-popcount on packed sign rows (``bitops.xnor_conv2d``): at batch 1 that
+is every conv on a 4x4 or 2x2 grid, whose float32 +-1 matrices (28.3 MB at
+width 0.5) would otherwise be read whole for a few rows, against 0.88 MB of
+packed rows. Larger convs stay on the float32 product, which is faster once
+the rows amortise the matrix. Both give the same bytes. The plan folds alpha
+into the batch norm that follows. The backward pass trains
 with real arithmetic on the effective weights alpha * sign(latent): it keeps
 the forward's int8 sign planes and alpha, and ``tensor_ops.conv2d_backward``
 builds float64 from them block by block, over the taps that read the input
@@ -48,8 +54,9 @@ cache that runs once and is then freed, and the backward reads layer shapes
 (the pad crop, the pool's padded grid) from ``netspec.shape_chain``. Inference
 (``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
 ``evaluate`` and ``forward(..., training=False)``) runs from a frozen
-:class:`InferencePlan`: the deployed model, +-1 weights laid out as float32
-gemm matrices, and alpha and the reals rounded to float32. The plan folds
+:class:`InferencePlan`: the deployed model, +-1 weights laid out as packed
+sign rows and as float32 gemm matrices, and alpha and the reals rounded to
+float32. The plan folds
 each batch norm's running statistics, gamma and beta, and the alpha of the
 conv before it, into one float64 scale and shift per channel (the usual
 deployment fold; Jacob et al., arXiv 1712.05877, section 3.2), so a binary
@@ -276,10 +283,17 @@ class InferencePlan:
 
     ``signs`` maps each binary conv's prefix to its +-1 weights as a float32
     [kh*kw*Ci, Co] matrix in im2col order (``tensor_ops.sign_matrix``) and
-    its per-channel alpha; ``reals`` holds every other parameter. Alpha and
-    the reals are float32 values in float64 arrays; together they are what
-    :func:`deployed_payload` stores. ``affine`` maps each batch norm's prefix
-    to the float64 (scale, shift) the plan computes with:
+    its per-channel alpha; ``packed`` maps it to the same weights as
+    [Co, ceil(K/64)] uint64 sign rows (``bitops.pack_rows``, K = kh*kw*Ci,
+    pad bits zero). Both come from one int8 [Co, K] layout
+    (``tensor_ops.filter_rows``). binconv runs a conv of at most
+    ``tensor_ops._POPCOUNT_MAX_ROWS`` patch rows, N * H' * W', as
+    XNOR-popcount on the packed rows and any other as the float32 product;
+    the integer sums, and so the bytes, are the same. ``reals`` holds every
+    other parameter. Alpha and the reals are float32 values in float64
+    arrays; with the sign bits they are what :func:`deployed_payload` stores.
+    ``affine`` maps each batch norm's prefix to the float64 (scale, shift)
+    the plan computes with:
 
         g = gamma / sqrt(run_var + eps)
         scale = alpha * g            (alpha of the conv the BN follows; 1 at the stem)
@@ -294,6 +308,7 @@ class InferencePlan:
 
     spec: netspec.NetworkSpec
     signs: MappingProxyType
+    packed: MappingProxyType
     reals: MappingProxyType
     affine: MappingProxyType
 
@@ -311,6 +326,10 @@ class InferencePlan:
         return s
 
     def binconv(self, prefix, x, geom):
+        n, _, h, w = x.shape
+        oh, ow = geom.out_extent(h, w)
+        if n * oh * ow <= tensor_ops._POPCOUNT_MAX_ROWS:
+            return bitops.xnor_conv2d(x, self.packed[prefix], geom)
         return tensor_ops.sign_conv2d(x, self.signs[prefix][0], geom, pad_value=-1)
 
     def bn(self, prefix, x):
@@ -336,14 +355,17 @@ def _plan(spec: netspec.NetworkSpec, signs: np.ndarray,
     binary conv, flattened, and ``reals`` the float32 reals. Folds each
     batch norm and the alpha of its conv into ``affine``; raises ValueError
     on a negative running variance, before the fold takes its square root."""
-    plan_signs, plan_reals = {}, {}
+    plan_signs, packed, plan_reals = {}, {}, {}
     i = j = 0                                  # read positions in signs, reals
     for name, shape, _, _ in _param_layout(spec):
         n = math.prod(shape)
         if name.endswith(".w_latent"):
-            w_mat = tensor_ops.sign_matrix(signs[i:i + n].reshape(shape))
+            prefix = name[:-len(".w_latent")]
+            rows = tensor_ops.filter_rows(signs[i:i + n].reshape(shape))
             alpha = reals[j:j + shape[0]].astype(np.float64)
-            plan_signs[name[:-len(".w_latent")]] = (_read_only(w_mat), _read_only(alpha))
+            plan_signs[prefix] = (_read_only(tensor_ops.sign_matrix(rows)),
+                                  _read_only(alpha))
+            packed[prefix] = _read_only(bitops.pack_rows(rows))
             i, j = i + n, j + shape[0]
         else:
             plan_reals[name] = _read_only(reals[j:j + n].astype(np.float64).reshape(shape))
@@ -361,6 +383,7 @@ def _plan(spec: netspec.NetworkSpec, signs: np.ndarray,
         shift = plan_reals[f"{bn}.beta"] - plan_reals[f"{bn}.run_mean"] * g
         affine[bn] = (_read_only(alpha * g), _read_only(shift))
     return InferencePlan(spec=spec, signs=MappingProxyType(plan_signs),
+                         packed=MappingProxyType(packed),
                          reals=MappingProxyType(plan_reals),
                          affine=MappingProxyType(affine))
 
@@ -798,13 +821,15 @@ def deployed_payload(model) -> bytes:
     widths), the byte length equals the cost model's total_param_bits / 8.
     """
     plan = _plan_of(model)
-    bits, reals = [np.zeros(0, bool)], [np.zeros(0)]
+    bits, reals = [np.zeros(0, np.uint8)], [np.zeros(0)]
     for name, shape, _, _ in _param_layout(plan.spec):
         if name.endswith(".w_latent"):
-            w_mat, alpha = plan.signs[name[:-len(".w_latent")]]
-            co, ci, kh, kw = shape                       # undo sign_matrix's order
-            bits.append(w_mat.reshape(kh, kw, ci, co).transpose(3, 2, 0, 1).ravel() > 0)
-            reals.append(alpha)
+            prefix = name[:-len(".w_latent")]
+            co, ci, kh, kw = shape                       # undo filter_rows' order
+            rows = np.unpackbits(plan.packed[prefix].view(np.uint8), axis=1,
+                                 count=kh * kw * ci, bitorder="little")
+            bits.append(rows.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2).ravel())
+            reals.append(plan.signs[prefix][1])
         else:
             reals.append(plan.reals[name].ravel())
     packed = np.packbits(np.concatenate(bits), bitorder="little")

@@ -61,8 +61,8 @@ backward takes the forward's int8 sign planes, which reach float64 exactly,
 one K_BLOCK block at a time.
 
 Products of +/-1 values need no such assumption. A convolution of integer
-operands (:func:`sign_conv2d`, on filters laid out once by :func:`sign_matrix`)
-is a plain float32 product whose every partial sum is an integer below
+operands (:func:`sign_conv2d`, on filters laid out once by :func:`filter_rows`
+and :func:`sign_matrix`) is a plain float32 product whose every partial sum is an integer below
 2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign planes), so it is exact
 in any summation order, in any split into smaller products and at any
 thread count by arithmetic; the conv refuses operands whose sums could reach
@@ -76,8 +76,11 @@ ring as pad_value times the ring taps' filter sums. The threshold comes
 from timings on one thread (OpenBLAS 0.3.31, 2-core x86_64 host): the
 per-position products took 1.05-1.3x the dense product's time below 16
 images, about 0.95x at 16, 0.63-0.86x at 32-64 and 0.46-0.59x at 128-256
-(256 and 512 channels). Everything else is elementwise or a fixed-order
-numpy reduction.
+(256 and 512 channels). The frozen plan runs a conv of at most
+_POPCOUNT_MAX_ROWS patch rows as XNOR-popcount on packed sign rows instead
+(``bitops.xnor_conv2d``, from the same :func:`filter_rows`), with the same
+bytes: there the product would read a whole float32 matrix for a few rows.
+Everything else is elementwise or a fixed-order numpy reduction.
 """
 
 from __future__ import annotations
@@ -97,6 +100,16 @@ _CHUNK_ROWS = 2048
 # Fewest images for which the sign conv makes one product per output
 # position and tap row (see the module docstring for the timings).
 _SPLIT_MIN_IMAGES = 128
+# Most patch rows (N * OH * OW) for which the frozen plan runs a binary conv
+# as XNOR-popcount on packed sign rows (``bitops.xnor_conv2d``) rather than
+# as sign_conv2d's float32 product, whose ±1 matrices it then never reads.
+# Timings of features_forward at width 0.5 on one thread (OpenBLAS 0.3.31,
+# 2-core x86_64 host), median ms at batch 1 / 2 / 4, by threshold: none
+# 3.79 / 4.54 / 5.71, 8 rows 2.16 / 2.98 / 5.66, 16 rows 2.17 / 2.97 / 4.71,
+# 32 rows 2.18 / 3.05 / 4.77, 64 rows 2.23 / 3.17 / 5.08. Up to 16 rows (the
+# 4x4 grids of one image, the 2x2 grids of up to four) popcount wins; from
+# 32 the product does.
+_POPCOUNT_MAX_ROWS = 16
 # Batch norm's variance offset, in training and in the frozen plan's fold.
 BN_EPS = 1e-5
 
@@ -244,10 +257,22 @@ def _abs_max(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def sign_matrix(w: np.ndarray) -> np.ndarray:
-    """Integer filters [Co, Ci, kh, kw] as the float32 [kh*kw*Ci, Co] matrix
-    :func:`sign_conv2d` multiplies by, in the im2col reduction order."""
-    return _weight_matrix(w).astype(np.float32)
+def filter_rows(w: np.ndarray) -> np.ndarray:
+    """Filters [Co, Ci, kh, kw] as rows [Co, kh*kw*Ci] in the im2col reduction
+    order, in w's dtype: the one layout the frozen plan builds both its gemm
+    matrix (:func:`sign_matrix`) and its packed sign rows from."""
+    return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(w.shape[0], -1)
+
+
+def sign_matrix(rows: np.ndarray) -> np.ndarray:
+    """Integer filter rows [Co, K] (:func:`filter_rows`) as the float32
+    [K, Co] matrix :func:`sign_conv2d` multiplies by. Transposed 64 rows at
+    a time, which takes about half the time of one whole transpose."""
+    co, k = rows.shape
+    w_mat = np.empty((k, co), np.float32)
+    for c0 in range(0, co, 64):
+        w_mat[:, c0:c0 + 64] = rows[c0:c0 + 64].T
+    return w_mat
 
 
 def sign_conv2d(
@@ -311,7 +336,7 @@ def _sign_conv2d(x, w_mat, geom, pad_value, w_max):
     # A 1x1 stride-1 patch matrix is xp itself; any other is made and
     # multiplied one chunk of about _CHUNK_ROWS rows at a time, so it is
     # written to memory that is still in cache.
-    step = n if (kh, kw, geom.stride) == (1, 1, 1) else max(1, _CHUNK_ROWS // (oh * ow))
+    step = max(1, n if (kh, kw, geom.stride) == (1, 1, 1) else _CHUNK_ROWS // (oh * ow))
     for n0 in range(0, n, step):
         np.matmul(_im2col(xp[n0:n0 + step], geom), w_mat,
                   out=y[n0:n0 + step].reshape(-1, co))

@@ -11,6 +11,7 @@ from rxgb.bitops import (
     binarize_weights,
     binary_conv2d,
     pack,
+    pack_rows,
     rprelu_backward,
     rprelu_forward,
     rsign_backward,
@@ -18,10 +19,13 @@ from rxgb.bitops import (
     sign_weights,
     ste_mask,
     unpack,
+    xnor_conv2d,
 )
-from rxgb.tensor_ops import ConvGeometry, conv2d_forward
+from rxgb import netspec
+from rxgb.tensor_ops import _POPCOUNT_MAX_ROWS, ConvGeometry, conv2d_forward, filter_rows
 
 from oracles import (
+    dense_sign_conv2d,
     effective_weights,
     fd_grad,
     naive_conv2d,
@@ -146,6 +150,63 @@ def test_binary_conv_validation():
     wb2 = pack(np.ones((4, 2, 3, 3)))
     with pytest.raises(ValueError, match="alpha shape"):
         binary_conv2d(xb, wb2, np.ones(3), geom)
+
+
+def _net_binary_convs():
+    """(Ci, Co, k, stride) of every binary conv of the width-0.25 and 0.5
+    nets, and Ci = 4 and 100, whose K (36, 4, 900) is not a multiple of 64."""
+    shapes = {(4, 4, 3, 1), (4, 4, 3, 2), (4, 4, 1, 1), (100, 8, 3, 1)}
+    for width in (0.25, 0.5):
+        for step in netspec.shape_chain(netspec.reference_spec(width)):
+            for op in netspec.layer_ops(step):
+                if op.kind == netspec.BINARY_CONV:
+                    stride = step.layer.stride if op.kernel == 3 else 1
+                    shapes.add((op.in_channels, op.out_channels, op.kernel, stride))
+    return sorted(shapes)
+
+
+def test_xnor_conv_equals_the_dense_sign_product_byte_for_byte():
+    # Every binary conv shape of the nets on 1 to _POPCOUNT_MAX_ROWS + 1 patch
+    # rows (one image of 1 x W, odd W at stride 2, every cell next to the -1
+    # ring), then on one and two images of the extent the net gives it.
+    rng = np.random.default_rng(19)
+    shapes = _net_binary_convs()
+    assert len(shapes) == 20
+    extent = {}
+    for width in (0.25, 0.5):
+        for step in netspec.shape_chain(netspec.reference_spec(width)):
+            if step.layer.kind in (netspec.NORMAL, netspec.REDUCTION):
+                extent.setdefault(step.padded[0], step.padded[1])
+    for ci, co, k, stride in shapes:
+        geom = ConvGeometry((k, k), stride, k // 2)
+        w = np.where(rng.standard_normal((co, ci, k, k)) >= 0, 1, -1).astype(np.int8)
+        w_rows = pack_rows(filter_rows(w))
+        assert w_rows.shape == (co, -(-k * k * ci // 64))
+        w_mat = w.transpose(2, 3, 1, 0).reshape(-1, co).astype(np.float32)
+        inputs = [(1, 1, stride * (r - 1) + 1) for r in range(1, _POPCOUNT_MAX_ROWS + 2)]
+        if ci in extent:
+            inputs += [(n, extent[ci], extent[ci]) for n in (1, 2)]
+        for n, h, wd in inputs:
+            x = np.where(rng.standard_normal((n, h, wd, ci)) >= 0, 1, -1).astype(np.int8)
+            x = x.transpose(0, 3, 1, 2)                       # NHWC memory
+            case = (ci, co, k, stride, n, h, wd)
+            got = xnor_conv2d(x, w_rows, geom)
+            want = dense_sign_conv2d(x, w_mat, geom)
+            assert got.dtype == np.float32 and got.strides == want.strides, case
+            assert got.tobytes(order="A") == want.tobytes(order="A"), case
+    empty = xnor_conv2d(np.zeros((0, 4, 3, 3), np.int8), pack_rows(np.ones((5, 36))),
+                        ConvGeometry((3, 3), 1, 1))
+    assert empty.shape == (0, 5, 3, 3)
+    with pytest.raises(ValueError, match="words"):
+        xnor_conv2d(np.ones((1, 65, 1, 1), np.int8), pack_rows(np.ones((5, 64))),
+                    ConvGeometry((1, 1)))
+
+
+def test_pack_rows_sets_one_bit_per_plus_one_and_zero_pad_bits():
+    signs = np.array([[1, -1, 1] + [-1] * 62 + [1], [-1] * 66], np.int8)
+    words = pack_rows(signs)
+    assert words.dtype == np.uint64 and words.shape == (2, 2)
+    assert words[0].tolist() == [0b101, 0b10] and words[1].tolist() == [0, 0]
 
 
 def test_rsign_forward_hand_cases():

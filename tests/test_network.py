@@ -932,12 +932,61 @@ def test_plan_is_read_only_and_leaves_the_model_writable():
     w_mat, alpha = plan.signs["block1.conv3x3"]
     assert w_mat.dtype == np.float32 and w_mat.shape == (9 * 4, 4)
     assert set(np.unique(w_mat)) <= {-1.0, 1.0}
-    arrays = [w_mat, alpha, *plan.reals.values(),
+    w_rows = plan.packed["block1.conv3x3"]
+    assert w_rows.dtype == np.uint64 and w_rows.shape == (4, 1)
+    assert plan.packed.keys() == plan.signs.keys()
+    arrays = [w_mat, alpha, *plan.packed.values(), *plan.reals.values(),
               *(a for pair in plan.affine.values() for a in pair)]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(TypeError):
         plan.reals["stem.conv.w"] = np.zeros((4, 1, 3, 3))
     assert all(a.flags.writeable for a in model.params.values())
+
+
+def test_batch_one_features_equal_their_rows_of_a_batch_256_forward(monkeypatch):
+    # At batch 1 the binary convs of at most _POPCOUNT_MAX_ROWS patch rows
+    # (the 4x4 and 2x2 grids) run as XNOR-popcount on packed rows and the
+    # rest as dense float32 products; at batch 256 all are products, the
+    # 3x3 ones on 2x2 grids over interior taps. The features agree to the byte.
+    model = network.build_network(netspec.reference_spec(0.5, include_fc=False), seed=190)
+    randomize_params(model, 191)
+    plan = network.freeze(model)
+    grids = []
+    xnor_conv2d = bitops.xnor_conv2d
+
+    def spy(x, w_rows, geom):
+        y = xnor_conv2d(x, w_rows, geom)
+        grids.append(y.shape[2:])
+        return y
+
+    monkeypatch.setattr(bitops, "xnor_conv2d", spy)
+    interior = _count_calls(monkeypatch, tensor_ops, "_sign_conv_interior")
+    x = np.random.default_rng(192).normal(size=(256, 1, 28, 28))
+    whole = network.features_forward(plan, x)
+    assert grids == [] and len(interior) == 4
+    interior.clear()
+    for i in range(len(x)):
+        grids.clear()
+        row = network.features_forward(plan, x[i:i + 1])
+        assert row.tobytes() == whole[i:i + 1].tobytes(), i
+        assert sorted(grids) == [(2, 2)] * 12 + [(4, 4)] * 5, i
+    assert interior == []
+
+
+def test_an_empty_batch_gives_empty_features_and_classes():
+    spec = netspec.reference_spec(0.25)
+    model = network.build_network(spec, seed=193)
+    rng = np.random.default_rng(194)
+    ens = gbdt.train_ensemble(rng.normal(size=(20, spec.feature_dim)), np.arange(20) % 10,
+                              gbdt.GBDTConfig(n_classes=10, max_trees=2, max_depth=2))
+    x = np.zeros((0, 1, 28, 28))
+    for m in (model, network.freeze(model)):
+        assert network.features_forward(m, x).shape == (0, spec.feature_dim)
+        classes, scores = network.infer_hybrid(m, ens, x)
+        assert classes.shape == (0,) and scores.shape == (0, 10)
+        feats, labels = network.extract_features(
+            m, data.Dataset(images=x, labels=np.zeros(0, np.int64), split="test"))
+        assert feats.shape == (0, spec.feature_dim) and labels.shape == (0,)
 
 
 def test_forwards_write_no_caller_array():

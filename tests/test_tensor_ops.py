@@ -269,12 +269,16 @@ def test_integer_conv_is_exact_and_guards_float32_range():
         conv2d_forward(ones, ones, ConvGeometry((1, 1), 1, 1), pad_value=-0.5)
 
 
+def _sign_matrix(w):
+    return tensor_ops.sign_matrix(tensor_ops.filter_rows(w))
+
+
 def test_sign_conv2d_on_prepared_filters_equals_the_4d_conv_and_keeps_the_guard():
     rng = np.random.default_rng(6)
     x = np.where(rng.standard_normal((2, 5, 7, 7)) >= 0, 1, -1).astype(np.int8)
     w = np.where(rng.standard_normal((3, 5, 3, 3)) >= 0, 1, -1).astype(np.int8)
     geom = ConvGeometry((3, 3), 2, 1)
-    w_mat = tensor_ops.sign_matrix(w)
+    w_mat = _sign_matrix(w)
     assert w_mat.dtype == np.float32 and w_mat.shape == (45, 3)
     got = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=-1)
     want = conv2d_forward(x, w, geom, pad_value=-1)
@@ -282,8 +286,7 @@ def test_sign_conv2d_on_prepared_filters_equals_the_4d_conv_and_keeps_the_guard(
     # the guard reads the prepared filters' bound: K = 1041 at 127 * 127 fails
     big = np.full((1, 1041, 1, 1), 127, dtype=np.int8)
     with pytest.raises(ValueError, match=r"2\*\*24"):
-        tensor_ops.sign_conv2d(big, tensor_ops.sign_matrix(big), ConvGeometry((1, 1)),
-                               w_max=127)
+        tensor_ops.sign_conv2d(big, _sign_matrix(big), ConvGeometry((1, 1)), w_max=127)
     with pytest.raises(ValueError, match="filter matrix"):
         tensor_ops.sign_conv2d(x, w_mat[1:], geom)
     with pytest.raises(ValueError, match="integer"):
@@ -319,7 +322,7 @@ def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     assert len(shapes) == 9
     for ci, co, hw, k, stride in shapes:
         geom = ConvGeometry((k, k), stride, k // 2)
-        w_mat = tensor_ops.sign_matrix(_sign_plane(rng, (co, ci, k, k)))
+        w_mat = _sign_matrix(_sign_plane(rng, (co, ci, k, k)))
         for n in (_SPLIT_MIN_IMAGES - 1, _SPLIT_MIN_IMAGES, 256):
             x = _sign_plane(rng, (n, ci, hw, hw))
             for pad in (-1, 0):
@@ -335,7 +338,7 @@ def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     for c, hw, stride in _DESK_3X3:
         for k in (3, 1):
             geom = ConvGeometry((k, k), stride, k // 2)
-            w_mat = tensor_ops.sign_matrix(_sign_plane(rng, (c, c, k, k)))
+            w_mat = _sign_matrix(_sign_plane(rng, (c, c, k, k)))
             x = _sign_plane(rng, (45, c, hw, hw))
             case = (45, c, hw, k, stride)
             got = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=-1)
@@ -351,12 +354,26 @@ def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     for pad in (127, -127, 0):
         interior.clear()
         case = ("near the guard", pad)
-        got = tensor_ops.sign_conv2d(x, tensor_ops.sign_matrix(w), geom, pad, w_max=114)
-        want = dense_sign_conv2d(x, tensor_ops.sign_matrix(w), geom, pad)
+        got = tensor_ops.sign_conv2d(x, _sign_matrix(w), geom, pad, w_max=114)
+        want = dense_sign_conv2d(x, _sign_matrix(w), geom, pad)
         assert interior and got.tobytes(order="A") == want.tobytes(order="A"), case
         assert pad != 127 or want.max() > 0.5 * tensor_ops.EXACT_F32, case
     with pytest.raises(ValueError, match=r"2\*\*24"):
-        tensor_ops.sign_conv2d(x, tensor_ops.sign_matrix(w), geom, pad, w_max=115)
+        tensor_ops.sign_conv2d(x, _sign_matrix(w), geom, pad, w_max=115)
+
+
+def test_sign_convs_of_an_empty_batch_are_empty():
+    # conv2d_forward's integer branch (the training forward) and sign_conv2d
+    # (the plan's dense path), 1x1 stride 1 included, at N = 0
+    for k, stride in ((1, 1), (3, 1), (3, 2)):
+        geom = ConvGeometry((k, k), stride, k // 2)
+        x = np.zeros((0, 4, 5, 5), np.int8)
+        w = np.ones((3, 4, k, k), np.int8)
+        oh = (5 + 2 * (k // 2) - k) // stride + 1
+        y = conv2d_forward(x, w, geom, pad_value=-1)
+        assert y.dtype == np.float32 and y.shape == (0, 3, oh, oh)
+        y = tensor_ops.sign_conv2d(x, _sign_matrix(w), geom)
+        assert y.dtype == np.float32 and y.shape == (0, 3, oh, oh)
 
 
 def test_batchnorm_forward_manual():

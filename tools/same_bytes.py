@@ -15,8 +15,12 @@ as a fifth column, the sha256 of the best state's float64 parameters that the
 which cannot show a training change below float32 rounding. A revision from
 before that line wrote float64 checkpoints (format v2); for it the digest is
 taken from the checkpoint's parameters, read by that revision's own code.
-``metrics.tsv`` holds wall seconds and is left out. It prints one row per
-config and exits 1 if any column differs.
+A sixth column is the sha256 of the float64 features of the 160 test images,
+computed by each side's own code from its checkpoint, as one batch and then
+one image at a time: the feature files hold float32, which cannot show an
+inference change below float32 rounding, and the two batch sizes take
+different conv paths. ``metrics.tsv`` holds wall seconds and is left out. It
+prints one row per config and exits 1 if any column differs.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ CONFIGS = ((0.25, True, 1), (0.25, False, 1), (0.5, True, 1), (0.5, False, 1),
 ARTIFACTS = ("checkpoint.ckpt", "features-train.rxgbfeat", "features-test.rxgbfeat",
              "gbdt-model.txt")
 PARAMS = "params (float64)"
+FEATURES = "features (float64)"
 _DIGEST = re.compile(r"^best epoch .*params sha256 ([0-9a-f]{64})", re.M)
 # the same digest from a format-v2 checkpoint, whose records hold the float64
 # parameters
@@ -58,6 +63,23 @@ print(h.hexdigest())
 """
 
 
+# the FEATURES digest: the test images' float64 features from the saved
+# backbone, as one batch and then one image at a time
+_FEATURE_DIGEST = """
+import hashlib, sys
+import numpy as np
+from rxgb import data, network
+model = network.load_checkpoint(sys.argv[1])
+x = data.load_dataset("test", cache_dir=sys.argv[2]).images
+parts = [network.features_forward(model, x)]
+parts += [network.features_forward(model, x[i:i + 1]) for i in range(len(x))]
+h = hashlib.sha256()
+for part in parts:
+    h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+print(h.hexdigest())
+"""
+
+
 def write_data(dest: Path) -> None:
     dest.mkdir()
     for prefix, offset, n in (("train", 0, N_TRAIN), ("t10k", N_TRAIN, N_TEST)):
@@ -67,8 +89,8 @@ def write_data(dest: Path) -> None:
 
 
 def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
-    """sha256 of each of ARTIFACTS and of the parameters (PARAMS) after one
-    pipeline run in ``tree``."""
+    """sha256 of each of ARTIFACTS, of the parameters (PARAMS) and of the
+    float64 features (FEATURES) after one pipeline run in ``tree``."""
     width, alpha, threads = config
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -91,6 +113,10 @@ def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
         v2 = subprocess.run([sys.executable, "-c", _V2_DIGEST, str(out / ARTIFACTS[0])],
                             cwd=tree, env=env, capture_output=True, text=True, check=True)
         digests[PARAMS] = v2.stdout.strip()
+    feats = subprocess.run([sys.executable, "-c", _FEATURE_DIGEST, str(out / ARTIFACTS[0]),
+                            str(data_dir)], cwd=tree, env=env, capture_output=True,
+                           text=True, check=True)
+    digests[FEATURES] = feats.stdout.strip()
     return digests
 
 
@@ -108,7 +134,7 @@ def main(argv=None) -> int:
         export_rev(args.rev, trees["parent"])
         snapshot_worktree(trees["change"])
         write_data(tmp / "data")
-        columns = (*ARTIFACTS, PARAMS)
+        columns = (*ARTIFACTS, PARAMS, FEATURES)
         print(f"{'width':>5} {'alpha':>5} {'threads':>7}  "
               + "  ".join(f"{name:>23}" for name in columns))
         for i, config in enumerate(CONFIGS):
