@@ -1,14 +1,14 @@
 """XNOR-popcount convolution, step by step.
 
-A {-1,+1} dot product can be computed entirely in bit arithmetic:
+A {-1,+1} dot product of length K can be computed entirely in bit arithmetic:
 
-    dot(a, b) = 2 * popcount(XNOR(bits(a), bits(b))) - n
+    dot(a, b) = K - 2 * popcount(bits(a) XOR bits(b))
 
-This script packs a small activation tensor and a latent weight tensor to
-one bit per value, runs the packed convolution, and checks it byte for byte
-against the exact int8 sign convolution the network trains with, scaled by
-alpha. It then prints what the unified cost metric (OPs = BOPs/64 + FLOPs)
-says about the trade.
+This script packs a latent weight tensor's signs to one bit per value, runs
+the packed convolution the deployed network runs on small grids, and checks
+it byte for byte against the exact int8 sign convolution the network trains
+with, scaled by alpha. It then prints what the unified cost metric
+(OPs = BOPs/64 + FLOPs) says about the trade.
 """
 
 import argparse
@@ -24,28 +24,32 @@ def main():
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
 
-    # --- step 1: binarize -------------------------------------------------
+    # --- step 1: binarize and pack ----------------------------------------
     x = rng.normal(size=(1, 8, 14, 14))
-    x_sign = np.where(x >= 0, 1.0, -1.0)
+    x_sign = np.where(x >= 0, 1, -1).astype(np.int8)
     latent = rng.normal(size=(16, 8, 3, 3))
-    bits, alpha = bitops.binarize_weights(latent)
+    w_sign, alpha = bitops.sign_weights(latent)
+    w_rows = bitops.pack_rows(tensor_ops.filter_rows(w_sign))
+    geom = tensor_ops.ConvGeometry(kernel=(3, 3), stride=1, padding=1)
 
-    dense_bits = x_sign.size + latent.size
-    packed_words = bitops.pack(x_sign).words.size + bits.words.size
+    # each output position reads one patch row of k = 3*3*8 signs, packed
+    # the same way as a filter row
+    k = 8 * 3 * 3
+    oh, ow = geom.out_extent(14, 14)
+    n_rows = w_rows.shape[0] + oh * ow
+    packed_words = n_rows * w_rows.shape[1]
     print(f"activations {x_sign.shape}, weights {latent.shape}")
-    print(f"packed to {packed_words} uint64 words "
-          f"({dense_bits} values, {dense_bits / (64 * packed_words):.0%} full)")
+    print(f"{w_rows.shape[0]} filter rows and {oh * ow} patch rows of {k} signs "
+          f"packed to {packed_words} uint64 words "
+          f"({n_rows * k / (64 * packed_words):.0%} full)")
     print(f"per-channel scale alpha = mean|latent|, first three: "
           f"{np.round(alpha[:3], 4)}")
 
     # --- step 2: convolve in bit space ------------------------------------
-    geom = tensor_ops.ConvGeometry(kernel=(3, 3), stride=1, padding=1)
-    y_bits = bitops.binary_conv2d(bitops.pack(x_sign), bits, alpha, geom)
+    y_bits = bitops.xnor_conv2d(x_sign, w_rows, geom) * alpha[None, :, None, None]
 
     # reference: the int8 sign conv (exact integer sums) times alpha
-    w_sign, _ = bitops.sign_weights(latent)
-    ints = tensor_ops.conv2d_forward(x_sign.astype(np.int8), w_sign, geom,
-                                     pad_value=-1)
+    ints = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
     y_sign = ints * alpha[None, :, None, None]
 
     print(f"packed output {y_bits.shape}, "
@@ -53,13 +57,11 @@ def main():
           f"{np.array_equal(y_bits, y_sign)}")
     assert np.array_equal(y_bits, y_sign)
 
-    # the raw accumulations are integers in [-k, k], k = taps per output
-    k = 8 * 3 * 3
+    # the raw accumulations are integers in [-k, k]
     print(f"integer accumulations span [{ints.min():.0f}, {ints.max():.0f}] "
           f"of +/-{k} possible")
 
     # --- step 3: what the cost model says ---------------------------------
-    oh, ow = geom.out_extent(14, 14)
     bops, _ = costmodel.binary_conv_cost(16, 8, 3, 3, oh, ow)
     flops, _ = costmodel.fp32_conv_cost(16, 8, 3, 3, oh, ow)
     print(f"this layer: {bops:,} BOPs vs {flops:,} FLOPs dense")

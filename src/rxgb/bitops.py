@@ -1,10 +1,9 @@
-"""1-bit compute: bit-packed planes, the XNOR-popcount binary conv,
-weight binarization, and the shifted sign / shifted PReLU activations.
+"""1-bit compute: packed sign rows, the XNOR-popcount binary conv, weight
+binarization, and the shifted sign / shifted PReLU activations.
 
 Encoding: a bit value of 1 means +1 and 0 means -1; sign(0) is +1 everywhere.
-Bits are packed LSB-first into little-endian uint64 words (word_bits = 64),
-row-major over the logical tensor or, for the conv, over each row of K
-values (:func:`pack_rows`). Padding bits past the payload are zero.
+Each row of K signs is packed LSB-first into little-endian uint64 words
+(:func:`pack_rows`, word_bits = 64); the pad bits past K are zero.
 
 The XNOR identity for K-length {-1,+1} vectors packed with zero pad bits:
     dot(a, b) = K - 2 * popcount(a XOR b),
@@ -15,11 +14,9 @@ There is one binary conv kernel, :func:`xnor_conv2d`, on packed patch and
 filter rows in im2col order. It gives exact integer sums as float32, the
 bytes of ``tensor_ops.sign_conv2d``. The frozen plan runs it for convs of at
 most ``tensor_ops._POPCOUNT_MAX_ROWS`` patch rows, where it reads 1 bit per
-weight instead of a float32 (``network.InferencePlan``).
-:func:`binary_conv2d` wraps it for BitPlane operands and applies the
-per-output-channel scale once at the end, so its output is bit-identical to
-the real-valued convolution of the unpacked operands whenever those integer
-sums are exactly representable (always, at these sizes).
+weight instead of a float32 (``network.InferencePlan``), and scales the sums
+by alpha in the batch norm it folds. :func:`sign_weights` binarizes latent
+weights into the int8 signs and per-output-channel alpha both executors use.
 
 Activation gradients use the piecewise surrogate
 
@@ -34,11 +31,9 @@ zero-almost-everywhere derivative of sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor_ops import _channel_sums, _im2col, _pad_input, filter_rows
+from .tensor_ops import _channel_sums, _im2col, _pad_input
 
 WORD_BITS = 64
 # uint64 words XORed at once by xnor_conv2d (at least one patch row): keeps
@@ -48,84 +43,11 @@ WORD_BITS = 64
 _CHUNK_WORDS = 1 << 16
 
 
-@dataclass
-class BitPlane:
-    """Bit-packed view of a {-1,+1} tensor.
-
-    Attributes:
-        words: 1-d uint64 array, LSB-first packed bits.
-        n_bits: payload length (= prod(shape)); trailing bits are zero.
-        shape: logical tensor shape.
-    """
-
-    words: np.ndarray
-    n_bits: int
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.words.dtype != np.uint64:
-            raise ValueError(f"words must be uint64, got {self.words.dtype}")
-        expect = (self.n_bits + WORD_BITS - 1) // WORD_BITS
-        if self.words.shape != (expect,):
-            raise ValueError(
-                f"words length {self.words.shape} != expected ({expect},) "
-                f"for {self.n_bits} bits"
-            )
-        if int(np.prod(self.shape)) != self.n_bits:
-            raise ValueError(f"shape {self.shape} does not hold {self.n_bits} bits")
-
-
-def _pack_bit_rows(bits: np.ndarray) -> np.ndarray:
-    """[R, K] 0/1 uint8 -> [R, ceil(K/64)] uint64, LSB-first per row."""
-    r, k = bits.shape
-    n_words = (k + WORD_BITS - 1) // WORD_BITS
-    packed = np.packbits(bits, axis=1, bitorder="little")  # [R, ceil(K/8)] u8
-    out = np.zeros((r, n_words * 8), dtype=np.uint8)
-    out[:, :packed.shape[1]] = packed
-    return out.view("<u8").reshape(r, n_words)
-
-
-def pack(x: np.ndarray) -> BitPlane:
-    """Binarize a real tensor (sign with sign(0)=+1) and bit-pack it."""
-    x = np.asarray(x)
-    bits = (x >= 0).astype(np.uint8).reshape(1, -1)
-    words = _pack_bit_rows(bits)[0]
-    return BitPlane(words=words, n_bits=x.size, shape=tuple(x.shape))
-
-
-def unpack(plane: BitPlane) -> np.ndarray:
-    """Inverse of pack: {-1,+1} float64 tensor of plane.shape."""
-    bits = np.unpackbits(
-        plane.words.view(np.uint8), count=plane.n_bits, bitorder="little"
-    )
-    return (bits.astype(np.float64) * 2.0 - 1.0).reshape(plane.shape)
-
-
 def _alpha(w_latent: np.ndarray, weight_scaling: bool) -> np.ndarray:
     """Per-output-channel scale [Co]: mean(|w_latent[co]|), or ones."""
     if weight_scaling:
         return np.abs(w_latent).mean(axis=(1, 2, 3))
     return np.ones(w_latent.shape[0])
-
-
-def binarize_weights(
-    w_latent: np.ndarray, weight_scaling: bool = True
-) -> tuple[BitPlane, np.ndarray]:
-    """Binarize latent conv weights.
-
-    Args:
-        w_latent: [Co, Ci, kh, kw] real latent weights.
-        weight_scaling: when True, alpha[co] = mean(|w_latent[co]|); when
-            False, alpha is all ones.
-
-    Returns:
-        (bits, alpha): packed sign bits in canonical [Co, Ci, kh, kw] row-major
-        order and the per-output-channel scale.
-    """
-    if w_latent.ndim != 4:
-        raise ValueError(f"latent weights must be 4-d, got ndim={w_latent.ndim}")
-    w_latent = np.asarray(w_latent, dtype=np.float64)
-    return pack(w_latent), _alpha(w_latent, weight_scaling)
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -138,7 +60,9 @@ def _sign(x: np.ndarray) -> np.ndarray:
 def sign_weights(
     w_latent: np.ndarray, weight_scaling: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integer twin of binarize_weights: (int8 sign(w_latent), alpha [Co])."""
+    """Binarize latent conv weights [Co, Ci, kh, kw]: (int8 sign(w_latent),
+    alpha [Co]), alpha[co] = mean(|w_latent[co]|) when weight_scaling, else
+    ones."""
     w_latent = np.asarray(w_latent, dtype=np.float64)
     return _sign(w_latent), _alpha(w_latent, weight_scaling)
 
@@ -151,7 +75,12 @@ def ste_mask(w_latent: np.ndarray) -> np.ndarray:
 def pack_rows(signs: np.ndarray) -> np.ndarray:
     """Integer {-1,+1} rows [R, K] as [R, ceil(K/64)] uint64 rows: bit 1 for
     +1, LSB-first, the pad bits past K zero."""
-    return _pack_bit_rows((signs > 0).view(np.uint8))
+    r, k = signs.shape
+    n_words = -(-k // WORD_BITS)
+    packed = np.packbits((signs > 0).view(np.uint8), axis=1, bitorder="little")
+    out = np.zeros((r, n_words * 8), np.uint8)
+    out[:, :packed.shape[1]] = packed                      # [R, ceil(K/8)] bytes
+    return out.view("<u8").reshape(r, n_words)
 
 
 def xnor_conv2d(x: np.ndarray, w_rows: np.ndarray, geom) -> np.ndarray:
@@ -190,33 +119,6 @@ def xnor_conv2d(x: np.ndarray, w_rows: np.ndarray, geom) -> np.ndarray:
     y *= -2
     y += k
     return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
-
-
-def binary_conv2d(x_bits: BitPlane, w_bits: BitPlane, alpha: np.ndarray, geom) -> np.ndarray:
-    """Convolution over bit-packed operands via XNOR-popcount.
-
-    Args:
-        x_bits: packed input, logical shape [N, Ci, H, W].
-        w_bits: packed filters, logical shape [Co, Ci, kh, kw].
-        alpha: [Co] per-output-channel scale applied after the integer
-            accumulation.
-        geom: tensor_ops.ConvGeometry; padding contributes -1 (bit 0).
-
-    Returns:
-        [N, Co, H', W'] float64, equal to alpha[co] times the exact integer
-        XNOR accumulation of :func:`xnor_conv2d`.
-    """
-    ci = x_bits.shape[1]
-    co, ci2, kh, kw = w_bits.shape
-    if ci != ci2:
-        raise ValueError(f"input channels {ci} != weight input channels {ci2}")
-    if (kh, kw) != geom.kernel:
-        raise ValueError(f"weight kernel {(kh, kw)} != geometry kernel {geom.kernel}")
-    if alpha.shape != (co,):
-        raise ValueError(f"alpha shape {alpha.shape} != ({co},)")
-    w_rows = pack_rows(filter_rows(unpack(w_bits)))
-    y = xnor_conv2d(unpack(x_bits).astype(np.int8), w_rows, geom)
-    return y * np.asarray(alpha, dtype=np.float64)[None, :, None, None]
 
 
 def rsign_forward(x: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -28,11 +28,13 @@ Block wiring (all convs bias-free, BN after every conv):
   bottom/right edge first; the pad ring flows through the whole block.
 
 Binary convolutions run forward on the int8 sign planes (activations from
-RSign, sign(latent) for the weights) and give their exact integer sums.
-Training multiplies them as float32 products and scales them by the
-per-channel alpha once at the end. The frozen plan runs a conv of at most
-``tensor_ops._POPCOUNT_MAX_ROWS`` (16) patch rows, N * H' * W', as
-XNOR-popcount on packed sign rows (``bitops.xnor_conv2d``): at batch 1 that
+RSign, sign(latent) and alpha from ``bitops.sign_weights`` for the weights)
+and give their exact integer sums. Both executors lay the filters out as one
+int8 [Co, K] matrix in im2col order (``tensor_ops.filter_rows``). Training
+multiplies them as float32 products (``tensor_ops.sign_matrix``) and scales
+them by the per-channel alpha once at the end. The frozen plan runs a conv
+of at most ``tensor_ops._POPCOUNT_MAX_ROWS`` (16) patch rows, N * H' * W',
+as XNOR-popcount on packed sign rows (``bitops.xnor_conv2d``): at batch 1 that
 is every conv on a 4x4 or 2x2 grid, whose float32 +-1 matrices (28.3 MB at
 width 0.5) would otherwise be read whole for a few rows, against 0.88 MB of
 packed rows. Larger convs stay on the float32 product, which is faster once

@@ -61,12 +61,14 @@ backward takes the forward's int8 sign planes, which reach float64 exactly,
 one K_BLOCK block at a time.
 
 Products of +/-1 values need no such assumption. A convolution of integer
-operands (:func:`sign_conv2d`, on filters laid out once by :func:`filter_rows`
-and :func:`sign_matrix`) is a plain float32 product whose every partial sum is an integer below
-2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign planes), so it is exact
-in any summation order, in any split into smaller products and at any
-thread count by arithmetic; the conv refuses operands whose sums could reach
-2**24 (the XNOR identity of XNOR-Net, Rastegari et al., arXiv 1603.05279).
+operands (:func:`sign_conv2d`, and :func:`conv2d_forward` on integer
+filters, both on the float32 matrix :func:`sign_matrix` makes of
+:func:`filter_rows`) is a plain float32 product whose every partial sum is
+an integer below 2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign
+planes), so it is exact in any summation order, in any split into smaller
+products and at any thread count by arithmetic; the conv refuses operands
+whose sums could reach 2**24 (the XNOR identity of XNOR-Net, Rastegari et
+al., arXiv 1603.05279).
 The forward splits its product twice on that ground alone, with none of the
 BLAS assumptions above: it makes and multiplies the patch matrix one chunk
 of about _CHUNK_ROWS rows at a time, and where the pad ring dominates and
@@ -247,7 +249,9 @@ def _channel_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
-    """Weights as [kh*kw*Ci, Co], matching the im2col reduction layout."""
+    """Weights as [kh*kw*Ci, Co], matching the im2col reduction layout: the
+    real filters of the float64 forward and the filters of both backward
+    products. The sign conv's float32 matrix is :func:`sign_matrix`."""
     co = w.shape[0]
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, co)
 
@@ -305,9 +309,9 @@ def sign_conv2d(
 
 
 def _sign_conv2d(x, w_mat, geom, pad_value, w_max):
-    # conv2d_forward lays out its filters and calls this directly, not the
-    # public sign_matrix / sign_conv2d, so a traced binary conv keeps its
-    # layout and gemm in the conv2d_forward span.
+    # conv2d_forward calls this directly, not the public sign_conv2d, so a
+    # traced binary conv keeps its gemm in the conv2d_forward span; its
+    # filter layout (filter_rows, sign_matrix) traces as spans of their own.
     if x.ndim != 4 or not np.issubdtype(x.dtype, np.integer):
         raise ValueError(f"sign conv input must be 4-d integer NCHW, got "
                          f"{x.dtype} ndim={x.ndim}")
@@ -392,8 +396,8 @@ def conv2d_forward(
     """
     _check_conv_shapes(x, w, geom)
     if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
-        return _sign_conv2d(x, _weight_matrix(w).astype(np.float32), geom,
-                            pad_value, _abs_max(w))
+        return _sign_conv2d(x, sign_matrix(filter_rows(w)), geom, pad_value,
+                            _abs_max(w))
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
     xp = _pad_input(x, geom.padding, pad_value, np.float64)

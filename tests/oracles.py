@@ -361,15 +361,14 @@ def _payload_walk(model):
 def deployed_payload(model):
     """The deployment payload as first written: every binary conv's sign bits
     (1 where the latent is >= 0) packed LSB-first, then the reals as float32
-    in walk order, each binary conv's alpha at its sign bits' position."""
-    from rxgb import bitops
-
+    in walk order, each binary conv's alpha (mean |latent| per output channel,
+    or ones) at its sign bits' position."""
     bit_chunks, f32_chunks = [], []
     for kind, arr in _payload_walk(model):
         if kind == "bits":
             bit_chunks.append((arr.reshape(-1) >= 0).astype(np.uint8))
-            _, alpha = bitops.binarize_weights(
-                arr, weight_scaling=model.weight_scaling)
+            alpha = (np.abs(arr).mean(axis=(1, 2, 3)) if model.weight_scaling
+                     else np.ones(arr.shape[0]))
             f32_chunks.append(alpha.astype("<f4"))
         else:
             f32_chunks.append(np.ascontiguousarray(arr, dtype="<f4"))

@@ -132,7 +132,7 @@ def test_criterion_03_cost_totals_within_budget_band():
     report(3, "PASS", "CNN-only residuals " + ", ".join(details) + " (band ±15%)")
 
 
-# --- 4: packed binary kernel equals the real-arithmetic conv ---------------------
+# --- 4: both binary kernels equal the real-arithmetic conv -----------------------
 
 
 def test_criterion_04_binary_kernel_oracle_1000_geometries():
@@ -152,14 +152,24 @@ def test_criterion_04_binary_kernel_oracle_1000_geometries():
         x = (rng.integers(0, 2, size=(n, ci, h, w)) * 2 - 1).astype(np.float64)
         latent = rng.normal(size=(co, ci, kh, kw))
         scaling = bool(case % 2)
-        bits, alpha = bitops.binarize_weights(latent, weight_scaling=scaling)
+        w_sign, alpha = bitops.sign_weights(latent, weight_scaling=scaling)
+        rows = tensor_ops.filter_rows(w_sign)
+        scale = alpha[None, :, None, None]
 
-        got = bitops.binary_conv2d(bitops.pack(x), bits, alpha, geom)
+        # the two kernels the frozen plan's binconv selects between
+        x_sign = x.astype(np.int8)
+        kernels = {
+            "xnor_conv2d": bitops.xnor_conv2d(x_sign, bitops.pack_rows(rows), geom),
+            "sign_conv2d": tensor_ops.sign_conv2d(
+                x_sign, tensor_ops.sign_matrix(rows), geom, pad_value=-1),
+        }
         sgn = np.where(latent >= 0, 1.0, -1.0)
         ints = tensor_ops.conv2d_forward(x, sgn, geom, pad_value=-1.0)
-        want = alpha[None, :, None, None] * ints
-        assert np.array_equal(got, want), f"case {case}: geometry {geom}"
-    report(4, "PASS", "1000 random geometries ≤ 2x4x8x8, bit path == α·(±1 conv)")
+        want = scale * ints
+        for name, got in kernels.items():
+            assert np.array_equal(scale * got, want), f"case {case}: {name}, {geom}"
+    report(4, "PASS", "1000 random geometries ≤ 2x4x8x8, xnor_conv2d and sign_conv2d "
+           "== α·(±1 conv)")
 
 
 # --- 5: analytic gradients match finite differences ------------------------------

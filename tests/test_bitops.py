@@ -1,4 +1,4 @@
-"""Binary-compute checks: packing, binary conv, surrogate grads."""
+"""Binary-compute checks: sign packing, the XNOR-popcount conv, surrogate grads."""
 
 import itertools
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from rxgb.bitops import (
-    BitPlane,
     _approxsign_dydu,
-    binarize_weights,
-    binary_conv2d,
-    pack,
     pack_rows,
     rprelu_backward,
     rprelu_forward,
@@ -18,7 +14,6 @@ from rxgb.bitops import (
     rsign_forward,
     sign_weights,
     ste_mask,
-    unpack,
     xnor_conv2d,
 )
 from rxgb import netspec
@@ -46,65 +41,53 @@ def approxsign(u):
     return out
 
 
-def test_pack_unpack_roundtrip_and_padding():
+def _unpack_rows(words, k):
+    """[R, ceil(K/64)] uint64 rows back to [R, K] {-1,+1} int8 signs."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=k, bitorder="little")
+    return bits.astype(np.int8) * 2 - 1
+
+
+def test_pack_rows_roundtrip_and_padding():
     rng = np.random.default_rng(0)
-    for shape in [(1,), (63,), (64,), (65,), (3, 5), (2, 3, 4, 5), (130,)]:
-        x = rng.standard_normal(shape)
-        plane = pack(x)
-        n = int(np.prod(shape))
-        assert plane.n_bits == n
-        assert len(plane.words) == (n + 63) // 64
-        back = unpack(plane)
-        assert back.shape == tuple(shape)
-        assert np.array_equal(back, np.where(x >= 0, 1.0, -1.0))
+    for r, k in [(1, 1), (3, 63), (2, 64), (4, 65), (1, 127), (5, 130), (2, 4608)]:
+        signs = np.where(rng.standard_normal((r, k)) >= 0, 1, -1).astype(np.int8)
+        words = pack_rows(signs)
+        n_words = (k + 63) // 64
+        assert words.dtype == np.uint64 and words.shape == (r, n_words)
+        assert np.array_equal(_unpack_rows(words, k), signs)
         # the bits past the payload in the last word are zero
-        assert int(plane.words[-1]) >> (n - 64 * (len(plane.words) - 1)) == 0
+        assert all(int(last) >> (k - 64 * (n_words - 1)) == 0 for last in words[:, -1])
 
 
 def test_sign_zero_is_plus_one():
-    plane = pack(np.array([0.0, -0.0, 1.0, -1.0]))
-    assert np.array_equal(unpack(plane), [1.0, 1.0, 1.0, -1.0])
-
-
-def test_bitplane_validation():
-    with pytest.raises(ValueError, match="uint64"):
-        BitPlane(words=np.zeros(1, dtype=np.uint32), n_bits=4, shape=(4,))
-    with pytest.raises(ValueError, match="words length"):
-        BitPlane(words=np.zeros(2, dtype=np.uint64), n_bits=4, shape=(4,))
-    with pytest.raises(ValueError, match="does not hold"):
-        BitPlane(words=np.zeros(1, dtype=np.uint64), n_bits=4, shape=(5,))
+    sgn, _ = sign_weights(np.array([0.0, -0.0, 1.0, -1.0]).reshape(1, 4, 1, 1))
+    assert sgn.ravel().tolist() == [1, 1, 1, -1]
+    assert pack_rows(sgn.reshape(1, 4)).tolist() == [[0b0111]]
 
 
 def test_binary_conv_of_one_pixel_equals_integer_dot():
     # A 1x1 conv of one pixel is one XNOR-popcount dot over Ci bits: lengths
-    # either side of the 64-bit word boundaries check the payload mask.
+    # either side of the 64-bit word boundaries check the zero pad bits.
     rng = np.random.default_rng(1)
     geom = ConvGeometry((1, 1))
     for n in [1, 2, 63, 64, 65, 127, 128, 129, 300, 1000]:
         for _ in range(20):
-            a = rng.choice([-1.0, 1.0], n)
-            b = rng.choice([-1.0, 1.0], n)
-            y = binary_conv2d(pack(a.reshape(1, n, 1, 1)), pack(b.reshape(1, n, 1, 1)),
-                              np.ones(1), geom)
-            assert y[0, 0, 0, 0] == int(np.dot(a, b))
+            a = rng.choice([-1, 1], n).astype(np.int8)
+            b = rng.choice([-1, 1], n).astype(np.int8)
+            y = xnor_conv2d(a.reshape(1, n, 1, 1), pack_rows(b.reshape(1, n)), geom)
+            assert y[0, 0, 0, 0] == int(np.dot(a.astype(np.int64), b))
 
 
-def test_binarize_weights_alpha_oracle():
+def test_sign_weights_alpha_oracle():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((4, 3, 3, 3))
-    bits, alpha = binarize_weights(w)
+    sgn, alpha = sign_weights(w)
     for co in range(4):
         assert alpha[co] == pytest.approx(np.abs(w[co]).mean(), rel=1e-15)
-    assert np.array_equal(unpack(bits), np.where(w >= 0, 1.0, -1.0))
+    assert sgn.dtype == np.int8 and np.array_equal(sgn, np.where(w >= 0, 1, -1))
 
-    _, alpha_off = binarize_weights(w, weight_scaling=False)
-    assert np.array_equal(alpha_off, np.ones(4))
-
-    # the int8 twin the training path runs
-    for scaling, want in ((True, alpha), (False, alpha_off)):
-        sgn, a = sign_weights(w, scaling)
-        assert sgn.dtype == np.int8 and np.array_equal(sgn, unpack(bits))
-        assert np.array_equal(a, want)
+    sgn_off, alpha_off = sign_weights(w, weight_scaling=False)
+    assert np.array_equal(alpha_off, np.ones(4)) and np.array_equal(sgn_off, sgn)
 
 
 def test_ste_mask():
@@ -127,29 +110,17 @@ def test_binary_conv_integer_exact_vs_real_path():
 
         x = rng.choice([-1.0, 1.0], (n, ci, h, w))
         wl = rng.standard_normal((co, ci, k, k))
-        bits, alpha = binarize_weights(wl)
+        sgn, alpha = sign_weights(wl)
 
-        got = binary_conv2d(pack(x), bits, np.ones(co), geom)
+        got = xnor_conv2d(x.astype(np.int8), pack_rows(filter_rows(sgn)), geom)
         real = conv2d_forward(x, np.where(wl >= 0, 1.0, -1.0), geom, pad_value=-1.0)
         assert np.array_equal(got, real)          # integer-exact
         loops = naive_conv2d(x, np.where(wl >= 0, 1.0, -1.0), stride, padv, -1.0)
         assert np.array_equal(got, loops)
 
-        scaled = binary_conv2d(pack(x), bits, alpha, geom)
-        assert np.array_equal(scaled, got * alpha[None, :, None, None])
+        scaled = got * alpha[None, :, None, None]
         real_scaled = conv2d_forward(x, effective_weights(wl), geom, pad_value=-1.0)
         assert np.allclose(scaled, real_scaled, rtol=1e-12, atol=1e-12)
-
-
-def test_binary_conv_validation():
-    geom = ConvGeometry((3, 3), 1, 1)
-    xb = pack(np.ones((1, 2, 4, 4)))
-    wb = pack(np.ones((4, 3, 3, 3)))
-    with pytest.raises(ValueError, match="input channels"):
-        binary_conv2d(xb, wb, np.ones(4), geom)
-    wb2 = pack(np.ones((4, 2, 3, 3)))
-    with pytest.raises(ValueError, match="alpha shape"):
-        binary_conv2d(xb, wb2, np.ones(3), geom)
 
 
 def _net_binary_convs():

@@ -790,8 +790,9 @@ def test_binary_conv_forward_equals_bit_path_byte_for_byte():
         latent = rng.uniform(-1.0, 1.0, (co, ci, k, k))
         for scaling in (True, False):
             y = network._Tape({"c.w_latent": latent}, scaling).binconv("c", a, geom)
-            bits, alpha = bitops.binarize_weights(latent, weight_scaling=scaling)
-            want = bitops.binary_conv2d(bitops.pack(a), bits, alpha, geom)
+            w_sign, alpha = bitops.sign_weights(latent, weight_scaling=scaling)
+            w_rows = bitops.pack_rows(tensor_ops.filter_rows(w_sign))
+            want = bitops.xnor_conv2d(a, w_rows, geom) * alpha[None, :, None, None]
             assert y.dtype == want.dtype == np.float64
             assert np.ascontiguousarray(y).tobytes() == want.tobytes(), (
                 f"Ci={ci} k{k} s{stride} scaling={scaling}")
