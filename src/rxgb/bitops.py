@@ -43,13 +43,6 @@ WORD_BITS = 64
 _CHUNK_WORDS = 1 << 16
 
 
-def _alpha(w_latent: np.ndarray, weight_scaling: bool) -> np.ndarray:
-    """Per-output-channel scale [Co]: mean(|w_latent[co]|), or ones."""
-    if weight_scaling:
-        return np.abs(w_latent).mean(axis=(1, 2, 3))
-    return np.ones(w_latent.shape[0])
-
-
 def _sign(x: np.ndarray) -> np.ndarray:
     """sign(x) with sign(0) = +1, as an int8 {-1,+1} array."""
     s = (x >= 0).view(np.int8) * np.int8(2)    # a tenth of np.where's time
@@ -57,14 +50,12 @@ def _sign(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def sign_weights(
-    w_latent: np.ndarray, weight_scaling: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def sign_weights(w_latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Binarize latent conv weights [Co, Ci, kh, kw]: (int8 sign(w_latent),
-    alpha [Co]), alpha[co] = mean(|w_latent[co]|) when weight_scaling, else
-    ones."""
+    alpha [Co]), alpha[co] = mean(|w_latent[co]|), XNOR-Net's per-channel
+    scale."""
     w_latent = np.asarray(w_latent, dtype=np.float64)
-    return _sign(w_latent), _alpha(w_latent, weight_scaling)
+    return _sign(w_latent), np.abs(w_latent).mean(axis=(1, 2, 3))
 
 
 def ste_mask(w_latent: np.ndarray) -> np.ndarray:

@@ -26,10 +26,13 @@ parameters, which shows training changes smaller than the float32 rounding.
 
 Configuration is a flat key=value namespace (see DEFAULTS). Values come
 from ``--config FILE`` and are overridden by ``--<key> <value>`` flags, e.g.
-``--train.epochs 1 --data.subset 512``. Unknown keys are rejected, and every
-command that writes artifacts echoes the fully resolved configuration to
-``<out>/config.txt``. It does so only once its inputs are loaded and
-validated, so a command that fails on its inputs writes nothing.
+``--train.epochs 1 --data.subset 512``. ``gbdt.max_trees`` counts the trees
+of all classes together. What no run varies is fixed, not a key: every binary
+conv scales its signs by alpha = mean |W| per filter, and every tree's base
+margin is 0. Unknown keys are rejected, and every command that writes
+artifacts echoes the fully resolved configuration to ``<out>/config.txt``.
+It does so only once its inputs are loaded and validated, so a command that
+fails on its inputs writes nothing.
 
 Failures print a single machine-parsable line to stderr::
 
@@ -55,21 +58,19 @@ import time
 # key -> (default, parser); parsers raise ValueError on bad input
 DEFAULTS: dict[str, tuple] = {
     "seed": (0, int),
-    "binary.weight_scaling": (True, None),                # bool, see _parse_bool
     "net.width_mult": (1.0, float),
     "train.epochs": (120, int),
     "train.batch_size": (128, int),
     "train.lr": (0.01, float),
     "train.momentum": (0.9, float),
     "train.weight_decay": (1e-5, float),
-    "train.augment": (False, None),
+    "train.augment": (False, None),                       # bool, see _parse_bool
     "gbdt.max_trees": (20, int),
     "gbdt.max_depth": (10, int),
     "gbdt.learning_rate": (0.3, float),
     "gbdt.reg_lambda": (1.0, float),
     "gbdt.gamma": (0.0, float),
     "gbdt.min_child_weight": (1.0, float),
-    "gbdt.budget_mode": ("total_trees", str),
     "data.dir": ("", str),
     "data.subset": (0, int),
     "data.test_subset": (0, int),
@@ -243,9 +244,9 @@ def _gbdt_config(cfg, compliance: bool):
     except ValueError as e:
         raise ConfigError(f"bad gbdt config: {e}") from e
     if compliance:
-        if config.total_tree_budget > COMPLIANCE_MAX_TREES:
+        if config.max_trees > COMPLIANCE_MAX_TREES:
             raise ConfigError(
-                f"compliance mode: {config.total_tree_budget} total trees "
+                f"compliance mode: {config.max_trees} total trees "
                 f"exceeds {COMPLIANCE_MAX_TREES} (use --no-compliance to override)"
             )
         if config.max_depth > COMPLIANCE_MAX_DEPTH:
@@ -277,9 +278,7 @@ def _train_inputs(cfg, full):
     except ValueError as e:
         raise ConfigError(f"bad train config: {e}") from e
     train_ds, val_ds = data.split_train_val(full, cfg["data.val_count"])
-    model = network.build_network(
-        _build_spec(cfg), seed=cfg["seed"], weight_scaling=cfg["binary.weight_scaling"]
-    )
+    model = network.build_network(_build_spec(cfg), seed=cfg["seed"])
     return train_ds, val_ds, model, hp
 
 
@@ -331,7 +330,7 @@ def _stage_boost(config, feats, labels, out: str):
     from . import data, gbdt
 
     print(f"training tree head on {feats.shape[0]} x {feats.shape[1]} features "
-          f"({config.total_tree_budget} trees, depth <= {config.max_depth})")
+          f"({config.max_trees} trees, depth <= {config.max_depth})")
     ens = gbdt.train_ensemble(feats, labels, config)
     for rnd, loss in enumerate(gbdt.round_losses(ens, feats, labels)):
         label = "initial" if rnd == 0 else f"round {rnd:2d}"

@@ -238,7 +238,7 @@ def gbdt_cost(head: TreeEnsemble | GBDTConfig) -> TreeHeadCost:
             leaves += l
         return TreeHeadCost(compares, internal, leaves)
     if isinstance(head, GBDTConfig):
-        n = head.total_tree_budget
+        n = head.max_trees
         d = head.max_depth
         if d > 63:
             raise ValueError(f"max_depth {d} is past the deepest costed tree, 63 "

@@ -51,10 +51,8 @@ import numpy as np
 class GBDTConfig:
     """Boosting hyperparameters.
 
-    budget_mode reads max_trees either as the total tree count across all
-    classes ("total_trees", the default: 20 means two full 10-class rounds)
-    or as the number of boosting rounds ("rounds": 20 means 20 * n_classes
-    trees).
+    max_trees is the total tree count across all classes: 20 means two full
+    10-class rounds. Training starts every class margin at 0.
     """
 
     n_classes: int = 10
@@ -64,8 +62,6 @@ class GBDTConfig:
     reg_lambda: float = 1.0
     gamma: float = 0.0
     min_child_weight: float = 1.0
-    budget_mode: str = "total_trees"
-    base_score: float = 0.0
 
     def __post_init__(self):
         if self.n_classes < 2:
@@ -78,32 +74,20 @@ class GBDTConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_weight < 0:
             raise ValueError("reg_lambda, gamma and min_child_weight must be >= 0")
-        for name in ("learning_rate", "reg_lambda", "gamma", "min_child_weight",
-                     "base_score"):
+        for name in ("learning_rate", "reg_lambda", "gamma", "min_child_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.budget_mode not in ("total_trees", "rounds"):
-            raise ValueError(
-                f"budget_mode must be 'total_trees' or 'rounds', got "
-                f"{self.budget_mode!r}"
-            )
-
-    @property
-    def total_tree_budget(self) -> int:
-        if self.budget_mode == "total_trees":
-            return self.max_trees
-        return self.max_trees * self.n_classes
 
 
 @dataclass
 class TreeNode:
-    """One node; leaves carry weight, internal nodes carry the split."""
+    """One node; leaves carry weight, internal nodes carry the split. A row
+    whose split feature is NaN goes left."""
 
     is_leaf: bool
     weight: float = 0.0
     feature: int = -1
     threshold: float = 0.0
-    default_direction: str = "left"
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
 
@@ -123,20 +107,21 @@ class TreeNode:
 
 @dataclass
 class TreeEnsemble:
-    """Ordered (class_id, tree) pairs plus per-class base scores.
+    """Ordered (class_id, tree) pairs plus per-class base scores (zeros unless
+    given).
 
-    ``n_features`` records the training feature count (None when unknown) so
-    downstream consumers can reject inputs of the wrong width.
+    ``n_features`` records the training feature count so downstream consumers
+    can reject inputs of the wrong width.
     """
 
     config: GBDTConfig
+    n_features: int
     trees: list[tuple[int, TreeNode]] = field(default_factory=list)
     base_score: np.ndarray | None = None
-    n_features: int | None = None
 
     def __post_init__(self):
         if self.base_score is None:
-            self.base_score = np.full(self.config.n_classes, self.config.base_score)
+            self.base_score = np.zeros(self.config.n_classes)
 
 
 def softmax_grad_hess(
@@ -378,8 +363,7 @@ def _tree_predict(node: TreeNode, x32: np.ndarray) -> np.ndarray:
             continue
         col = x32[idx, nd.feature]
         go_left = col <= np.float64(nd.threshold)
-        if nd.default_direction == "left":
-            go_left |= np.isnan(col)
+        go_left |= np.isnan(col)
         stack.append((nd.left, idx[go_left]))
         stack.append((nd.right, idx[~go_left]))
     return out
@@ -388,7 +372,7 @@ def _tree_predict(node: TreeNode, x32: np.ndarray) -> np.ndarray:
 def train_ensemble(
     x: np.ndarray, labels: np.ndarray, cfg: GBDTConfig
 ) -> TreeEnsemble:
-    """Boost cfg.total_tree_budget trees, one per class in class order.
+    """Boost cfg.max_trees trees, one per class in class order.
 
     The feature columns are sorted once for all trees. Gradients and Hessians
     are computed once per round from the margins at round start; margins
@@ -411,11 +395,10 @@ def train_ensemble(
     block = _column_block(x)
     margins = np.tile(ens.base_score, (n, 1))
     built = 0
-    budget = cfg.total_tree_budget
-    while built < budget:
+    while built < cfg.max_trees:
         g, h = softmax_grad_hess(margins, labels)
         for k in range(cfg.n_classes):
-            if built >= budget:
+            if built >= cfg.max_trees:
                 break
             tree, weights = _grow(x, block, g[:, k], h[:, k], cfg)
             margins[:, k] += weights
@@ -428,18 +411,15 @@ def predict_margins(ens: TreeEnsemble, x: np.ndarray) -> np.ndarray:
     """Raw class margins [N, K]; input is cast to float32 (the canonical
     persisted feature precision) before routing.
 
-    Raises ValueError unless x's width fits: it must equal the recorded
-    n_features, or with none recorded exceed every split's feature index.
+    Raises ValueError unless x's width equals the recorded n_features.
     """
     x32 = np.asarray(x, dtype=np.float32)
     if x32.ndim != 2:
         raise ValueError(f"features must be 2-d [N, F], got ndim={x32.ndim}")
-    if ens.n_features is not None and x32.shape[1] != ens.n_features:
+    if x32.shape[1] != ens.n_features:
         raise ValueError(
             f"feature width {x32.shape[1]} != ensemble n_features {ens.n_features}"
         )
-    if ens.n_features is None and (top := _max_split_feature(ens)) >= x32.shape[1]:
-        raise ValueError(f"a split reads feature {top} of {x32.shape[1]}")
     n = x32.shape[0]
     margins = np.tile(ens.base_score, (n, 1))
     for k, tree in ens.trees:
@@ -482,8 +462,11 @@ def round_losses(ens: TreeEnsemble, x: np.ndarray, labels: np.ndarray):
 _HEADER = "RXGB-GBDT v1"
 _CONFIG_KEYS = (
     "n_classes", "max_trees", "max_depth", "learning_rate", "reg_lambda",
-    "gamma", "min_child_weight", "budget_mode", "base_score",
+    "gamma", "min_child_weight",
 )
+# A fixed line of the v1 format: max_trees counts the trees in total. Every
+# split likewise carries the fixed token d=left: a NaN feature routes left.
+_BUDGET_LINE = "budget_mode=total_trees"
 
 
 def _fmt(v: float) -> str:
@@ -495,7 +478,7 @@ def _node_sexpr(node: TreeNode) -> str:
         return f"(leaf w={_fmt(node.weight)})"
     return (
         f"(split f={node.feature} t={_fmt(node.threshold)} "
-        f"d={node.default_direction} {_node_sexpr(node.left)} "
+        f"d=left {_node_sexpr(node.left)} "
         f"{_node_sexpr(node.right)})"
     )
 
@@ -503,18 +486,16 @@ def _node_sexpr(node: TreeNode) -> str:
 def serialize(ens: TreeEnsemble) -> str:
     """Deterministic UTF-8 text encoding of an ensemble.
 
-    Format: header line, key=value config block, base_scores line with one
-    shortest-round-trip decimal per class, trees count, then one
+    Format: header line, key=value config block ending in the fixed
+    _BUDGET_LINE, base_scores line with one
+    shortest-round-trip decimal per class, n_features, trees count, then one
     `(tree class=K ...)` s-expression per line in boosting order.
     """
     cfg = ens.config
-    lines = [_HEADER]
-    for key in _CONFIG_KEYS:
-        if key == "base_score":
-            continue
-        lines.append(f"{key}={getattr(cfg, key)}")
+    lines = [_HEADER, *(f"{key}={getattr(cfg, key)}" for key in _CONFIG_KEYS),
+             _BUDGET_LINE]
     lines.append("base_scores=" + " ".join(_fmt(v) for v in ens.base_score))
-    lines.append(f"n_features={ens.n_features or 0}")
+    lines.append(f"n_features={ens.n_features}")
     lines.append(f"trees={len(ens.trees)}")
     for k, tree in ens.trees:
         lines.append(f"(tree class={k} {_node_sexpr(tree)})")
@@ -564,7 +545,9 @@ def _parse_float(s: str, what: str) -> float:
     return v
 
 
-def _parse_node(toks: _Tokens, n_features: int) -> TreeNode:
+def _parse_node(toks: _Tokens, n_features: int, depth_left: int) -> TreeNode:
+    """One node and its subtree. depth_left is max_depth less the node's
+    depth; a split needs it > 0."""
     toks.expect("(")
     kind = toks.next()
     if kind == "leaf":
@@ -572,25 +555,25 @@ def _parse_node(toks: _Tokens, n_features: int) -> TreeNode:
         toks.expect(")")
         return TreeNode(is_leaf=True, weight=w)
     if kind == "split":
+        if depth_left <= 0:
+            raise FormatError("a split sits deeper than max_depth")
         f = _take_kv(toks, "f")
         try:
             feature = int(f)
         except ValueError as e:
             raise FormatError(f"bad feature index {f!r}") from e
-        if feature < 0 or n_features and feature >= n_features:
+        if not 0 <= feature < n_features:
             raise FormatError(f"feature index {feature} out of range for "
                               f"n_features={n_features}")
         thr = _parse_float(_take_kv(toks, "t"), "threshold")
         d = _take_kv(toks, "d")
-        if d not in ("left", "right"):
+        if d != "left":
             raise FormatError(f"bad default direction {d!r}")
-        left = _parse_node(toks, n_features)
-        right = _parse_node(toks, n_features)
+        left = _parse_node(toks, n_features, depth_left - 1)
+        right = _parse_node(toks, n_features, depth_left - 1)
         toks.expect(")")
-        return TreeNode(
-            is_leaf=False, feature=feature, threshold=thr,
-            default_direction=d, left=left, right=right,
-        )
+        return TreeNode(is_leaf=False, feature=feature, threshold=thr,
+                        left=left, right=right)
     raise FormatError(f"unknown node kind {kind!r}")
 
 
@@ -602,8 +585,6 @@ def deserialize(text: str) -> TreeEnsemble:
     kv = {}
     i = 1
     for key in _CONFIG_KEYS:
-        if key == "base_score":
-            continue
         if i >= len(lines) or not lines[i].startswith(key + "="):
             raise FormatError(f"missing config line {key}=...")
         kv[key] = lines[i].split("=", 1)[1]
@@ -617,10 +598,12 @@ def deserialize(text: str) -> TreeEnsemble:
             reg_lambda=float(kv["reg_lambda"]),
             gamma=float(kv["gamma"]),
             min_child_weight=float(kv["min_child_weight"]),
-            budget_mode=kv["budget_mode"],
         )
     except ValueError as e:
         raise FormatError(f"bad config value: {e}") from e
+    if i >= len(lines) or lines[i] != _BUDGET_LINE:
+        raise FormatError(f"expected config line {_BUDGET_LINE!r}")
+    i += 1
 
     if i >= len(lines) or not lines[i].startswith("base_scores="):
         raise FormatError("missing base_scores line")
@@ -648,6 +631,8 @@ def deserialize(text: str) -> TreeEnsemble:
         n_trees = int(lines[i].split("=", 1)[1])
     except ValueError as e:
         raise FormatError("bad trees count") from e
+    if not 0 <= n_trees <= cfg.max_trees:
+        raise FormatError(f"trees={n_trees} outside [0, max_trees={cfg.max_trees}]")
     i += 1
 
     trees: list[tuple[int, TreeNode]] = []
@@ -665,7 +650,7 @@ def deserialize(text: str) -> TreeEnsemble:
         if not 0 <= k < cfg.n_classes:
             raise FormatError(f"tree class {k} out of range [0, {cfg.n_classes})")
         try:
-            node = _parse_node(toks, n_features)
+            node = _parse_node(toks, n_features, cfg.max_depth)
         except RecursionError as e:
             raise FormatError(f"tree record {j} nests too deep to parse") from e
         toks.expect(")")
@@ -676,36 +661,16 @@ def deserialize(text: str) -> TreeEnsemble:
         line.strip() for line in lines[i + n_trees:]
     ):
         raise FormatError("trailing content after final tree record")
-    return TreeEnsemble(
-        config=cfg,
-        trees=trees,
-        base_score=base,
-        n_features=n_features or None,
-    )
+    return TreeEnsemble(config=cfg, n_features=n_features, trees=trees,
+                        base_score=base)
 
 
 def check_fits(ens: TreeEnsemble, n_features: int, n_classes: int) -> None:
     """Raise FormatError unless ``ens`` scores rows of ``n_features`` features
     into ``n_classes`` classes: its class count and recorded feature count
-    must equal them, and with no feature count recorded every split must read
-    a column below ``n_features``."""
+    must equal them."""
     if ens.config.n_classes != n_classes:
         raise FormatError(f"model has {ens.config.n_classes} classes, the data {n_classes}")
-    if ens.n_features is not None:
-        if ens.n_features != n_features:
-            raise FormatError(f"model n_features {ens.n_features} != feature width "
-                              f"{n_features}")
-    elif (top := _max_split_feature(ens)) >= n_features:
-        raise FormatError(f"split on feature {top} of {n_features}")
-
-
-def _max_split_feature(ens: TreeEnsemble) -> int:
-    """The largest feature index any split of ``ens`` reads; -1 if none."""
-    top = -1
-    stack = [tree for _, tree in ens.trees]
-    while stack:
-        nd = stack.pop()
-        if not nd.is_leaf:
-            top = max(top, nd.feature)
-            stack += (nd.left, nd.right)
-    return top
+    if ens.n_features != n_features:
+        raise FormatError(f"model n_features {ens.n_features} != feature width "
+                          f"{n_features}")

@@ -140,7 +140,6 @@ class ModelState:
 
     spec: netspec.NetworkSpec
     params: dict[str, np.ndarray]
-    weight_scaling: bool = True
 
     def learnable_keys(self) -> list[str]:
         """Parameter names updated by SGD, in creation order."""
@@ -155,11 +154,8 @@ class ModelState:
         return h.hexdigest()
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            spec=self.spec,
-            params={k: v.copy() for k, v in self.params.items()},
-            weight_scaling=self.weight_scaling,
-        )
+        return ModelState(spec=self.spec,
+                          params={k: v.copy() for k, v in self.params.items()})
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple, fan_in: int):
@@ -189,9 +185,7 @@ def _is_learnable(name: str) -> bool:
     return not name.endswith(("run_mean", "run_var"))
 
 
-def build_network(
-    spec: netspec.NetworkSpec, seed: int = 0, weight_scaling: bool = True
-) -> ModelState:
+def build_network(spec: netspec.NetworkSpec, seed: int = 0) -> ModelState:
     """Construct a freshly initialized backbone for ``spec``.
 
     Conv latents, the stem filters, and the FC weights draw from a
@@ -203,7 +197,7 @@ def build_network(
     params = {name: (_kaiming_uniform(rng, shape, fan_in) if fan_in
                      else np.full(shape, fill))
               for name, shape, fan_in, fill in _param_layout(spec)}
-    return ModelState(spec=spec, params=params, weight_scaling=weight_scaling)
+    return ModelState(spec=spec, params=params)
 
 
 # --- block wiring, shared by training and inference --------------------------
@@ -393,7 +387,7 @@ def _plan(spec: netspec.NetworkSpec, signs: np.ndarray,
 def freeze(model: ModelState) -> InferencePlan:
     """The deployed model of a backbone, as a plan for inference.
 
-    Binarizes the latents once (sign(0) = +1, alpha per ``weight_scaling``)
+    Binarizes the latents once (sign(0) = +1, alpha = mean|latent| per filter)
     and rounds alpha and every real to float32, as :func:`deployed_payload`
     stores them, so the plan equals the one :func:`load_checkpoint` reads
     back from the saved model. It copies what it keeps, so later writes to
@@ -404,7 +398,7 @@ def freeze(model: ModelState) -> InferencePlan:
     for name, _, _, _ in _param_layout(model.spec):
         arr = model.params[name]
         if name.endswith(".w_latent"):
-            w_sign, alpha = bitops.sign_weights(arr, model.weight_scaling)
+            w_sign, alpha = bitops.sign_weights(arr)
             signs.append(w_sign.reshape(-1))
             reals.append(alpha)
         else:
@@ -430,9 +424,8 @@ class _Tape:
     becomes the cached xhat or u. bn's backward likewise consumes the
     gradient it is given, which the block backwards read for nothing else."""
 
-    def __init__(self, params: dict, scaling: bool):
+    def __init__(self, params: dict):
         self.params = params
-        self.scaling = scaling
         self.ops: dict[str, tuple] = {}
         self.grads: dict[str, np.ndarray] = {}
 
@@ -457,7 +450,7 @@ class _Tape:
 
     def binconv(self, prefix, x_sign, geom):
         latent = self.params[f"{prefix}.w_latent"]
-        w_sign, alpha = bitops.sign_weights(latent, weight_scaling=self.scaling)
+        w_sign, alpha = bitops.sign_weights(latent)
 
         def op_backward(g):
             gx, gw = tensor_ops.conv2d_backward(g, x_sign, w_sign, geom, pad_value=-1,
@@ -551,7 +544,7 @@ def forward(model, x: np.ndarray, training: bool = False):
         raise ValueError("plan has no fc_head; use features_forward")
     if not training:
         return _run(_plan_of(model), model.spec, x)[0], None
-    tape = _Tape(model.params, model.weight_scaling)
+    tape = _Tape(model.params)
     return _run(tape, model.spec, x)[0], tape
 
 
@@ -786,7 +779,7 @@ def infer_hybrid(model, ens: gbdt.TreeEnsemble, x: np.ndarray):
             backbone's feature_dim.
     """
     d = model.spec.feature_dim
-    if ens.n_features is not None and ens.n_features != d:
+    if ens.n_features != d:
         raise ValueError(
             f"ensemble expects {ens.n_features} features, backbone emits {d}"
         )

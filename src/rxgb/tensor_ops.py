@@ -112,8 +112,10 @@ _SPLIT_MIN_IMAGES = 128
 # 4x4 grids of one image, the 2x2 grids of up to four) popcount wins; from
 # 32 the product does.
 _POPCOUNT_MAX_ROWS = 16
-# Batch norm's variance offset, in training and in the frozen plan's fold.
+# Batch norm's variance offset, in training and in the frozen plan's fold,
+# and the weight of each batch's statistics in the running estimates.
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 @dataclass(frozen=True)
@@ -584,13 +586,12 @@ def batchnorm_forward(
     beta: np.ndarray,
     running_mean: np.ndarray,
     running_var: np.ndarray,
-    momentum: float = 0.1,
-    eps: float = BN_EPS,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Per-channel batch normalization over (N, H, W) with batch statistics,
     as training runs it; updates running_mean / running_var in place:
-        running <- (1 - momentum) * running + momentum * batch.
+        running <- (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch,
+    and normalizes by sqrt(var + BN_EPS).
     Inference does not come here: the frozen plan folds the running
     statistics into one scale and shift per channel (``network.InferencePlan``).
 
@@ -617,11 +618,11 @@ def batchnorm_forward(
     xhat = np.subtract(x, mean[None, :, None, None], out=out)
     y = np.multiply(xhat, xhat)                          # squares; y's buffer
     var = _channel_sums(y) / m                           # biased
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None, None]
     np.multiply(xhat, gamma[None, :, None, None], out=y)
     y += beta[None, :, None, None]

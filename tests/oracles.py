@@ -127,7 +127,7 @@ def argsort_grow_tree(x, g, h, cfg):
         f, t = sp
         go_left = x[idx, f] <= t
         return TreeNode(
-            is_leaf=False, feature=f, threshold=t, default_direction="left",
+            is_leaf=False, feature=f, threshold=t,
             left=build(idx[go_left], depth + 1), right=build(idx[~go_left], depth + 1),
         )
 
@@ -254,8 +254,7 @@ def _sign_weights(model, prefix):
     """(int8 sign(latent), float32-rounded alpha) of a binary conv."""
     from rxgb import bitops
 
-    w_sign, alpha = bitops.sign_weights(model.params[f"{prefix}.w_latent"],
-                                        weight_scaling=model.weight_scaling)
+    w_sign, alpha = bitops.sign_weights(model.params[f"{prefix}.w_latent"])
     return w_sign, _f32(alpha)
 
 
@@ -361,15 +360,13 @@ def _payload_walk(model):
 def deployed_payload(model):
     """The deployment payload as first written: every binary conv's sign bits
     (1 where the latent is >= 0) packed LSB-first, then the reals as float32
-    in walk order, each binary conv's alpha (mean |latent| per output channel,
-    or ones) at its sign bits' position."""
+    in walk order, each binary conv's alpha (mean |latent| per output channel)
+    at its sign bits' position."""
     bit_chunks, f32_chunks = [], []
     for kind, arr in _payload_walk(model):
         if kind == "bits":
             bit_chunks.append((arr.reshape(-1) >= 0).astype(np.uint8))
-            alpha = (np.abs(arr).mean(axis=(1, 2, 3)) if model.weight_scaling
-                     else np.ones(arr.shape[0]))
-            f32_chunks.append(alpha.astype("<f4"))
+            f32_chunks.append(np.abs(arr).mean(axis=(1, 2, 3)).astype("<f4"))
         else:
             f32_chunks.append(np.ascontiguousarray(arr, dtype="<f4"))
     packed = np.packbits(np.concatenate(bit_chunks), bitorder="little")
@@ -380,12 +377,12 @@ def deployed_payload(model):
 # --- the training ops as first written, for byte-equality checks ---------------
 
 
-def effective_weights(w_latent, weight_scaling=True):
+def effective_weights(w_latent):
     """alpha[co] * sign(w_latent) in float64: the real filters a binary conv
     stands for, as the training path once multiplied them."""
     from rxgb import bitops
 
-    sgn, alpha = bitops.sign_weights(w_latent, weight_scaling)
+    sgn, alpha = bitops.sign_weights(w_latent)
     return sgn * alpha[:, None, None, None]
 
 
@@ -550,11 +547,11 @@ def where_rprelu_backward(grad_y, cache):
     return grad_x, grad_beta, grad_gamma, grad_zeta
 
 
-def temporaries_batchnorm_forward(x, gamma, beta, running_mean, running_var,
-                                  momentum=0.1, eps=1e-5, out=None):
-    """Batch norm with the batch mean and biased variance from
-    blocked_channel_sums, in fresh temporaries: ``out`` is accepted and
-    ignored."""
+def temporaries_batchnorm_forward(x, gamma, beta, running_mean, running_var, out=None):
+    """Batch norm (momentum 0.1, eps 1e-5) with the batch mean and biased
+    variance from blocked_channel_sums, in fresh temporaries: ``out`` is
+    accepted and ignored."""
+    momentum, eps = 0.1, 1e-5
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[0] * x.shape[2] * x.shape[3]
     mean = blocked_channel_sums(x) / m

@@ -151,8 +151,7 @@ def test_criterion_04_binary_kernel_oracle_1000_geometries():
 
         x = (rng.integers(0, 2, size=(n, ci, h, w)) * 2 - 1).astype(np.float64)
         latent = rng.normal(size=(co, ci, kh, kw))
-        scaling = bool(case % 2)
-        w_sign, alpha = bitops.sign_weights(latent, weight_scaling=scaling)
+        w_sign, alpha = bitops.sign_weights(latent)
         rows = tensor_ops.filter_rows(w_sign)
         scale = alpha[None, :, None, None]
 

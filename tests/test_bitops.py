@@ -86,9 +86,6 @@ def test_sign_weights_alpha_oracle():
         assert alpha[co] == pytest.approx(np.abs(w[co]).mean(), rel=1e-15)
     assert sgn.dtype == np.int8 and np.array_equal(sgn, np.where(w >= 0, 1, -1))
 
-    sgn_off, alpha_off = sign_weights(w, weight_scaling=False)
-    assert np.array_equal(alpha_off, np.ones(4)) and np.array_equal(sgn_off, sgn)
-
 
 def test_ste_mask():
     w = np.array([[[[-1.5, -1.0, 0.0, 0.99, 1.0, 1.01]]]])

@@ -43,7 +43,7 @@ def test_config_defaults_and_precedence(tmp_path):
     cfg = cli.resolve_config(None, {})
     assert cfg["train.epochs"] == 120
     assert cfg["gbdt.max_trees"] == 20
-    assert cfg["binary.weight_scaling"] is True
+    assert len(cfg) == 18
 
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -58,7 +58,7 @@ def test_config_defaults_and_precedence(tmp_path):
     assert cfg["train.augment"] is True
 
 
-def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
     with pytest.raises(cli.ConfigError, match="unknown config key"):
         cli.resolve_config(None, {"train.epoch": "3"})
     path = tmp_path / "bad.cfg"
@@ -68,10 +68,17 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     with pytest.raises(cli.ConfigError, match="bad value"):
         cli.resolve_config(None, {"train.epochs": "many"})
     with pytest.raises(cli.ConfigError, match="bad value"):
-        cli.resolve_config(None, {"binary.weight_scaling": "maybe"})
+        cli.resolve_config(None, {"train.augment": "maybe"})
     path.write_text("train.epochs\n")
     with pytest.raises(cli.ConfigError, match="key=value"):
         cli.resolve_config(str(path), {})
+    # settings no run varies are constants, not keys
+    for flag, value in (("--binary.weight_scaling", "false"),
+                        ("--gbdt.budget_mode", "rounds")):
+        assert cli.main(["cost", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("RXGB-ERROR config: unknown config key"), err
+        assert err.count("\n") == 1
 
 
 def test_config_render_parses_back_identically():
@@ -204,7 +211,7 @@ def test_config_mutants_through_cost_print_one_config_line(tmp_path, capsys):
     ("net.width_mult", "inf"), ("net.width_mult", "1e400"), ("net.width_mult", "nan"),
     ("net.width_mult", "0"), ("net.width_mult", "2.8"),
     ("gbdt.learning_rate", "nan"), ("gbdt.reg_lambda", "-1"),
-    ("gbdt.budget_mode", "total_tr"),
+    ("gbdt.budget_mode", "total_tr"),                     # a removed key
 ])
 def test_config_values_that_build_no_model_are_one_config_line(capsys, flag, value):
     # 2.8 rounds block4's channels to 358 -> 717, which is not a doubling;
@@ -359,10 +366,8 @@ def test_compliance_refuses_oversized_head_before_compute(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "depth 11 exceeds 10" in err
 
-    # rounds mode counts trees-per-class x classes against the same bound
     assert cli.main(["train-gbdt", "--features", missing,
-                     "--gbdt.budget_mode", "rounds",
-                     "--gbdt.max_trees", "3"]) == 2
+                     "--gbdt.max_trees", "30"]) == 2
     err = capsys.readouterr().err
     assert "30 total trees" in err
 
@@ -504,13 +509,17 @@ def _deep_tree(depth):
     return "(split f=0 t=0.5 d=left " * depth + "(leaf w=1)" + " (leaf w=0))" * depth
 
 
-@pytest.mark.parametrize("tree", ["(split f=-1 t=0.5 d=left (leaf w=1) (leaf w=0))",
-                                  "(split f=99 t=0.5 d=left (leaf w=1) (leaf w=0))",
-                                  _deep_tree(3000)],
-                         ids=["negative-feature", "feature-past-n_features",
-                              "nested-3000-deep"])
-def test_eval_gbdt_malformed_tree_is_one_model_format_line(tmp_path, capsys, tree):
-    ens = gbdt.TreeEnsemble(config=gbdt.GBDTConfig(n_classes=2, max_trees=2),
+@pytest.mark.parametrize("tree, max_depth", [
+    ("(split f=-1 t=0.5 d=left (leaf w=1) (leaf w=0))", 10),
+    ("(split f=99 t=0.5 d=left (leaf w=1) (leaf w=0))", 10),
+    (_deep_tree(3000), 3000),                # within max_depth, past the stack
+    (_deep_tree(11), 10),
+], ids=["negative-feature", "feature-past-n_features", "nested-3000-deep",
+        "deeper-than-max_depth"])
+def test_eval_gbdt_malformed_tree_is_one_model_format_line(tmp_path, capsys, tree,
+                                                          max_depth):
+    ens = gbdt.TreeEnsemble(config=gbdt.GBDTConfig(n_classes=2, max_trees=2,
+                                                   max_depth=max_depth),
                             n_features=4)
     text = gbdt.serialize(ens).replace("trees=0\n", f"trees=1\n(tree class=0 {tree})\n")
     model = tmp_path / "gbdt-model.txt"
@@ -763,7 +772,7 @@ def test_model_mutants_print_one_model_format_line(tmp_path, cache_dir, eval_inp
 
 @pytest.mark.parametrize("edits", [
     [("n_features=128", "n_features=129")],              # wider than the features
-    [("n_features=128", "n_features=0"),                 # unrecorded, and splits
+    [("n_features=128", "n_features=0"),                 # no features, yet splits
      ("(split f=", "(split f=500")],                     # on columns >= 128
     [("n_classes=10", "n_classes=11"),                   # a class the data lacks,
      ("\nn_features=", " 9.0\nn_features=")],            # which wins every row

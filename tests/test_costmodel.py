@@ -194,11 +194,11 @@ def test_gbdt_cost_config_worst_case():
 
 
 def test_gbdt_cost_ensemble_exact():
-    empty = TreeEnsemble(config=GBDTConfig(max_trees=0))
+    empty = TreeEnsemble(config=GBDTConfig(max_trees=0), n_features=1)
     c = cm.gbdt_cost(empty)
     assert (c.compare_flops, c.param_bits) == (0, 0)
 
-    stump = TreeEnsemble(config=GBDTConfig(max_trees=1))
+    stump = TreeEnsemble(config=GBDTConfig(max_trees=1), n_features=1)
     stump.trees.append((0, TreeNode(is_leaf=True, weight=0.1)))
     c = cm.gbdt_cost(stump)
     assert c.compare_flops == 0
@@ -215,7 +215,7 @@ def test_gbdt_cost_ensemble_exact():
         ),
         right=TreeNode(is_leaf=True, weight=3.0),
     )
-    ens = TreeEnsemble(config=GBDTConfig(max_trees=1))
+    ens = TreeEnsemble(config=GBDTConfig(max_trees=1), n_features=2)
     ens.trees.append((0, tree))
     c = cm.gbdt_cost(ens)
     assert c.compare_flops == 2

@@ -82,7 +82,6 @@ def oracle_tree(x, g, h, cfg, depth=0):
     mask = x[:, sp.feature] <= sp.threshold
     return TreeNode(
         is_leaf=False, feature=sp.feature, threshold=sp.threshold,
-        default_direction="left",
         left=oracle_tree(x[mask], g[mask], h[mask], cfg, depth + 1),
         right=oracle_tree(x[~mask], g[~mask], h[~mask], cfg, depth + 1),
     )
@@ -458,10 +457,7 @@ def test_predict_matches_per_row_tracer():
     def route(node, row):
         while not node.is_leaf:
             v = row[node.feature]
-            left = v <= node.threshold or (
-                np.isnan(v) and node.default_direction == "left"
-            )
-            node = node.left if left else node.right
+            node = node.left if v <= node.threshold or np.isnan(v) else node.right
         return node.weight
 
     want = np.tile(ens.base_score, (60, 1))
@@ -473,34 +469,32 @@ def test_predict_matches_per_row_tracer():
 
 
 def test_predict_nan_follows_default_direction():
+    # NaN goes left, the one default direction: every split of a model file
+    # says d=left, and the parser refuses any other direction.
     node = TreeNode(
-        is_leaf=False, feature=0, threshold=0.5, default_direction="left",
+        is_leaf=False, feature=0, threshold=0.5,
         left=TreeNode(is_leaf=True, weight=-1.0),
         right=TreeNode(is_leaf=True, weight=1.0),
     )
-    ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), trees=[(0, node)])
+    ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), n_features=1,
+                       trees=[(0, node)])
     x = np.array([[np.nan], [0.0], [1.0]], dtype=np.float32)
     m = predict_margins(ens, x)
     assert m[:, 0].tolist() == [-1.0, -1.0, 1.0]
-    node.default_direction = "right"
-    m = predict_margins(ens, x)
-    assert m[:, 0].tolist() == [1.0, -1.0, 1.0]
+    text = serialize(ens)
+    assert " d=left " in text
+    with pytest.raises(FormatError, match="default direction"):
+        deserialize(text.replace(" d=left ", " d=right "))
 
 
-def test_train_budget_modes_and_class_order():
+def test_train_class_order():
+    # max_trees counts trees in total: 12 trees over 5 classes are two full
+    # rounds and the first two classes of a third
     x = np.random.default_rng(3).normal(size=(40, 4)).astype(np.float32)
     y = np.random.default_rng(4).integers(0, 5, size=40)
     total = train_ensemble(x, y, GBDTConfig(n_classes=5, max_trees=12, max_depth=2))
     assert len(total.trees) == 12
     assert [k for k, _ in total.trees] == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]
-    rounds = train_ensemble(
-        x, y, GBDTConfig(n_classes=5, max_trees=2, max_depth=2, budget_mode="rounds")
-    )
-    assert len(rounds.trees) == 10
-    assert [k for k, _ in rounds.trees] == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
-    # the first full round of both runs is grown from identical margins
-    for (ka, ta), (kb, tb) in zip(total.trees[:5], rounds.trees[:5]):
-        assert ka == kb and trees_equal(ta, tb)
 
 
 def test_training_loss_decreases_each_round():
@@ -512,8 +506,7 @@ def test_training_loss_decreases_each_round():
         w = rng.normal(size=(6, k))
         y = np.argmax(x.astype(np.float64) @ w + rng.normal(size=(n, k)) * 0.3, axis=1)
         cfg = GBDTConfig(
-            n_classes=k, max_trees=4, max_depth=3, budget_mode="rounds",
-            min_child_weight=0.0,
+            n_classes=k, max_trees=4 * k, max_depth=3, min_child_weight=0.0,
         )
         ens = train_ensemble(x, y, cfg)
         margins = np.tile(ens.base_score, (n, 1))
@@ -551,11 +544,12 @@ def test_train_is_deterministic():
 def test_predict_casts_input_to_float32():
     thr = float(np.float32(0.1))  # threshold as stored from float32 training
     node = TreeNode(
-        is_leaf=False, feature=0, threshold=thr, default_direction="left",
+        is_leaf=False, feature=0, threshold=thr,
         left=TreeNode(is_leaf=True, weight=-1.0),
         right=TreeNode(is_leaf=True, weight=1.0),
     )
-    ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), trees=[(0, node)])
+    ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), n_features=1,
+                       trees=[(0, node)])
     # a float64 value between the float32 threshold and its float64 reading
     x64 = np.array([[0.1]], dtype=np.float64)  # 0.1 < float32(0.1) in binary
     m64 = predict_margins(ens, x64)
@@ -564,7 +558,7 @@ def test_predict_casts_input_to_float32():
 
 
 def test_empty_ensemble_predicts_base_score():
-    ens = TreeEnsemble(config=GBDTConfig(n_classes=3, max_trees=0))
+    ens = TreeEnsemble(config=GBDTConfig(n_classes=3, max_trees=0), n_features=2)
     x = np.zeros((4, 2), dtype=np.float32)
     assert np.array_equal(predict_margins(ens, x), np.zeros((4, 3)))
     assert predict_class(ens, x).tolist() == [0, 0, 0, 0]
@@ -595,7 +589,7 @@ def test_serialize_roundtrip_is_byte_identical():
 
 
 def test_serialize_header_and_record_shape():
-    ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1))
+    ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), n_features=3)
     ens.trees.append((1, TreeNode(is_leaf=True, weight=0.5)))
     text = serialize(ens)
     lines = text.splitlines()
@@ -627,6 +621,20 @@ def test_deserialize_rejects_malformed_text():
         deserialize(good.replace("(split", "(cleave", 1))
     with pytest.raises(FormatError, match="out of range"):
         deserialize(good.replace("(tree class=0", "(tree class=9", 1))
+    # the header bounds the records: at most max_trees trees, and no split at
+    # a depth of max_depth or more
+    assert "\nmax_trees=2\n" in good and "\ntrees=2\n" in good
+    for count in ("-1", "3"):
+        more = good.replace("\ntrees=2\n", f"\ntrees={count}\n")
+        more += more.splitlines()[-1] + "\n"              # enough records for 3
+        with pytest.raises(FormatError, match=f"trees={count} outside"):
+            deserialize(more)
+    deep = "(split f=0 t=0.5 d=left " * 5 + "(leaf w=1)" + " (leaf w=0))" * 5
+    shallow = good.replace("max_depth=2", "max_depth=1", 1)
+    shallow = re.sub(r"(?m)^\(tree class=(\d) .*$", rf"(tree class=\1 {deep})", shallow)
+    with pytest.raises(FormatError, match="deeper than max_depth"):
+        deserialize(shallow)
+    assert len(deserialize(shallow.replace("max_depth=1", "max_depth=5", 1)).trees) == 2
 
 
 @pytest.mark.parametrize("case, pattern, repl", NON_FINITE_MODEL_EDITS,
@@ -642,40 +650,19 @@ def test_deserialize_rejects_non_finite_values(case, pattern, repl):
 
 
 def test_config_rejects_non_finite_reals():
-    for name in ("learning_rate", "reg_lambda", "gamma", "min_child_weight",
-                 "base_score"):
+    for name in ("learning_rate", "reg_lambda", "gamma", "min_child_weight"):
         for v in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 GBDTConfig(**{name: v})
 
 
-def test_predict_rejects_a_split_past_the_width_without_a_recorded_one():
-    # No n_features recorded (a model file may say 0): a split on column 5
-    # scores rows of 6 features and refuses rows of 5 with ValueError.
-    split = TreeNode(is_leaf=False, feature=5, threshold=0.0,
-                     left=TreeNode(is_leaf=True, weight=1.0),
-                     right=TreeNode(is_leaf=True, weight=-1.0))
-    ens = TreeEnsemble(config=GBDTConfig(n_classes=2), trees=[(1, split)])
-    assert ens.n_features is None
-    x = np.zeros((3, 6), dtype=np.float32)
-    assert predict_margins(ens, x)[:, 1].tolist() == [1.0, 1.0, 1.0]
-    with pytest.raises(ValueError, match="feature 5 of 5"):
-        predict_margins(ens, x[:, :5])
-    with pytest.raises(FormatError, match="feature 5 of 5"):
-        gbdt.check_fits(ens, 5, 2)
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="n_classes"):
         GBDTConfig(n_classes=1)
-    with pytest.raises(ValueError, match="budget_mode"):
-        GBDTConfig(budget_mode="epochs")
     with pytest.raises(ValueError, match="learning_rate"):
         GBDTConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="max_depth"):
         GBDTConfig(max_depth=-1)
-    assert GBDTConfig(max_trees=20).total_tree_budget == 20
-    assert GBDTConfig(max_trees=3, budget_mode="rounds").total_tree_budget == 30
 
 
 def test_train_rejects_bad_inputs():

@@ -547,7 +547,7 @@ def separable_dataset(n, seed, classes=4):
 def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch):
     # Same-seed stage-1 training with the float64 conv backward, the
     # np.where RPReLU and the temporaries batch norm patched in (tests/oracles)
-    # against the library ops, alpha on and off. Width 0.25 on 28x28 keeps
+    # against the library ops. Width 0.25 on 28x28 keeps
     # the 2x2 grids and convs of 256 channels; 129 training images make a
     # batch of 128 (the interior-tap backward on the 2x2 grids) and a final
     # batch of one image (one dense product). The float64 parameters are
@@ -561,19 +561,18 @@ def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch)
     hp = network.StageOneConfig(epochs=1, batch_size=128, seed=42)
     modules = {"tensor_ops": tensor_ops, "bitops": bitops}
 
-    def trained(scaling):
-        model = network.build_network(spec, seed=43, weight_scaling=scaling)
+    def trained():
+        model = network.build_network(spec, seed=43)
         result = network.train_stage1(model, train, val, hp)
         assert not result.aborted
         return model.param_digest()
 
-    for scaling in (True, False):
-        got = trained(scaling)
-        with monkeypatch.context() as m:
-            for module, attr, oracle in TRAINING_OP_ORACLES:
-                m.setattr(modules[module], attr, oracle)
-            want = trained(scaling)
-        assert got == want, scaling
+    got = trained()
+    with monkeypatch.context() as m:
+        for module, attr, oracle in TRAINING_OP_ORACLES:
+            m.setattr(modules[module], attr, oracle)
+        want = trained()
+    assert got == want
 
 
 # Every function through which an activation or a gradient of the block wiring
@@ -788,14 +787,12 @@ def test_binary_conv_forward_equals_bit_path_byte_for_byte():
         a, _ = bitops.rsign_forward(rng.standard_normal((n, ci, hw, hw)),
                                     rng.normal(size=ci) * 0.1)
         latent = rng.uniform(-1.0, 1.0, (co, ci, k, k))
-        for scaling in (True, False):
-            y = network._Tape({"c.w_latent": latent}, scaling).binconv("c", a, geom)
-            w_sign, alpha = bitops.sign_weights(latent, weight_scaling=scaling)
-            w_rows = bitops.pack_rows(tensor_ops.filter_rows(w_sign))
-            want = bitops.xnor_conv2d(a, w_rows, geom) * alpha[None, :, None, None]
-            assert y.dtype == want.dtype == np.float64
-            assert np.ascontiguousarray(y).tobytes() == want.tobytes(), (
-                f"Ci={ci} k{k} s{stride} scaling={scaling}")
+        y = network._Tape({"c.w_latent": latent}).binconv("c", a, geom)
+        w_sign, alpha = bitops.sign_weights(latent)
+        w_rows = bitops.pack_rows(tensor_ops.filter_rows(w_sign))
+        want = bitops.xnor_conv2d(a, w_rows, geom) * alpha[None, :, None, None]
+        assert y.dtype == want.dtype == np.float64
+        assert np.ascontiguousarray(y).tobytes() == want.tobytes(), f"Ci={ci} k{k} s{stride}"
 
 
 # (N, Ci, Co, H=W, k, stride, pad) of int8 sign convs, up to K = 9 * 512; the
@@ -864,11 +861,10 @@ def test_sign_convs_and_features_byte_identical_across_thread_counts():
 # --- frozen inference plan -------------------------------------------------------
 
 
-@pytest.mark.parametrize("scaling", [True, False])
-def test_plan_equals_folded_plan_oracle_byte_for_byte(scaling):
+def test_plan_equals_folded_plan_oracle_byte_for_byte():
     # the oracle rounds alpha and the reals to float32, as the plan holds them,
     # and folds them into each BN's scale and shift by its own formula
-    model = network.build_network(plan_spec(), seed=171, weight_scaling=scaling)
+    model = network.build_network(plan_spec(), seed=171)
     randomize_params(model, 172)                         # BN and RPReLU reals too
     plan = network.freeze(model)
     x = np.random.default_rng(173).normal(size=(67, 1, 6, 6))
@@ -1028,24 +1024,23 @@ def test_b64_features_forward_allocates_at_most_25_mib():
 
 def test_infer_hybrid_on_loaded_checkpoint_equals_the_saved_model(tmp_path):
     ds = separable_dataset(40, seed=175)
-    for scaling in (True, False):
-        model = network.build_network(tiny_spec(), seed=176, weight_scaling=scaling)
-        randomize_params(model, 177)
-        feats, labels = network.extract_features(model, ds, batch_size=16)
-        ens = gbdt.train_ensemble(feats, labels, gbdt.GBDTConfig(
-            n_classes=4, max_trees=8, max_depth=3))
-        path = tmp_path / "m.ckpt"
-        network.save_checkpoint(model, path)
-        loaded = network.load_checkpoint(path)
-        assert isinstance(loaded, network.InferencePlan)
-        for b in (1, 40):
-            x = ds.images[:b]
-            assert (network.features_forward(loaded, x).tobytes()
-                    == network.features_forward(model, x).tobytes()), (scaling, b)
-            got = network.infer_hybrid(loaded, ens, x)
-            want = network.infer_hybrid(model, ens, x)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+    model = network.build_network(tiny_spec(), seed=176)
+    randomize_params(model, 177)
+    feats, labels = network.extract_features(model, ds, batch_size=16)
+    ens = gbdt.train_ensemble(feats, labels, gbdt.GBDTConfig(
+        n_classes=4, max_trees=8, max_depth=3))
+    path = tmp_path / "m.ckpt"
+    network.save_checkpoint(model, path)
+    loaded = network.load_checkpoint(path)
+    assert isinstance(loaded, network.InferencePlan)
+    for b in (1, 40):
+        x = ds.images[:b]
+        assert (network.features_forward(loaded, x).tobytes()
+                == network.features_forward(model, x).tobytes()), b
+        got = network.infer_hybrid(loaded, ens, x)
+        want = network.infer_hybrid(model, ens, x)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def _count_calls(monkeypatch, module, attr):
@@ -1245,12 +1240,11 @@ def test_deployed_payload_layout_and_cost_model_agreement():
     assert len(network.deployed_payload(headless)) == report2.total_param_bits // 8
 
 
-@pytest.mark.parametrize("scaling", [True, False])
-def test_deployed_payload_equals_the_kind_by_kind_oracle(scaling):
+def test_deployed_payload_equals_the_kind_by_kind_oracle():
     specs = (tiny_spec(), tiny_spec(with_fc=False),
              netspec.reference_spec(width_mult=0.25))
     for i, spec in enumerate(specs):
-        model = network.build_network(spec, seed=153 + i, weight_scaling=scaling)
+        model = network.build_network(spec, seed=153 + i)
         randomize_params(model, 156 + i)
         payload = network.deployed_payload(model)
         assert payload == oracle_payload(model), spec.layers[-1].name

@@ -191,19 +191,18 @@ def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte(monkey
         latent = rng.uniform(-1.0, 1.0, (c, c, k, k))
         oh, ow = geom.out_extent(hw, hw)
         gy = rng.standard_normal((n, c, oh, ow))
-        for scaling in (True, False):
-            case = (n, c, hw, k, stride, scaling)
-            w_sign, alpha = bitops.sign_weights(latent, scaling)
-            gx, gw = conv2d_backward(gy, x, w_sign, geom, pad_value=-1, alpha=alpha)
-            w_eff = effective_weights(latent, scaling)
-            rx, rw = dense_conv2d_backward(gy, x, w_eff, geom, pad_value=-1.0)
-            if n >= _SPLIT_MIN_IMAGES and (hw, k, stride) == (2, 3, 1):
-                for a, b in ((gx, rx), (gw, rw)):
-                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), case
-                assert is_nhwc_memory(gx), case
-                rx, rw = interior_conv2d_backward(gy, x, w_eff, geom, pad_value=-1.0)
-            assert gx.tobytes(order="A") == rx.tobytes(order="A"), case
-            assert gx.strides == rx.strides and gw.tobytes() == rw.tobytes(), case
+        case = (n, c, hw, k, stride)
+        w_sign, alpha = bitops.sign_weights(latent)
+        gx, gw = conv2d_backward(gy, x, w_sign, geom, pad_value=-1, alpha=alpha)
+        w_eff = effective_weights(latent)
+        rx, rw = dense_conv2d_backward(gy, x, w_eff, geom, pad_value=-1.0)
+        if n >= _SPLIT_MIN_IMAGES and (hw, k, stride) == (2, 3, 1):
+            for a, b in ((gx, rx), (gw, rw)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), case
+            assert is_nhwc_memory(gx), case
+            rx, rw = interior_conv2d_backward(gy, x, w_eff, geom, pad_value=-1.0)
+        assert gx.tobytes(order="A") == rx.tobytes(order="A"), case
+        assert gx.strides == rx.strides and gw.tobytes() == rw.tobytes(), case
     assert sorted(set(interior)) == [(_SPLIT_MIN_IMAGES, c, 2, 3, 1) for c in (48, 256)]
 
 
@@ -383,7 +382,7 @@ def test_batchnorm_forward_manual():
     beta = rng.standard_normal(3)
     rm = np.zeros(3)
     rv = np.ones(3)
-    y, _ = batchnorm_forward(x, gamma, beta, rm, rv, momentum=0.1, eps=1e-5)
+    y, _ = batchnorm_forward(x, gamma, beta, rm, rv)      # momentum 0.1, eps 1e-5
     for c in range(3):
         xc = x[:, c]
         want = gamma[c] * (xc - xc.mean()) / np.sqrt(xc.var() + 1e-5) + beta[c]

@@ -7,8 +7,8 @@ working tree, both as ``tools/bench_pairs.py`` makes them. Both run
 ``rxgb pipeline`` with seed 9301 for one epoch (batch 128) on 640 train and
 160 test images from ``perfbench/gen.py``, seed 9301, written as IDX files.
 ``--data.val_count 127`` leaves 513 training images, so the last batch holds
-one image. Each side runs once per config of ``CONFIGS`` (width, alpha
-scaling, BLAS threads), one run at a time. Per config the script compares the
+one image. Each side runs once per config of ``CONFIGS`` (width, BLAS
+threads), one run at a time. Per config the script compares the
 sha256 of the four artifacts whose bytes are the contract (``ARTIFACTS``) and,
 as a fifth column, the sha256 of the best state's float64 parameters that the
 ``best epoch`` line prints: the checkpoint holds float32 reals and sign bits,
@@ -41,9 +41,8 @@ import gen  # noqa: E402
 
 SEED = 9301
 N_TRAIN, N_TEST = 640, 160
-# (width_mult, alpha scaling, BLAS threads)
-CONFIGS = ((0.25, True, 1), (0.25, False, 1), (0.5, True, 1), (0.5, False, 1),
-           (0.5, True, 2))
+# (width_mult, BLAS threads)
+CONFIGS = ((0.25, 1), (0.5, 1), (0.5, 2))
 ARTIFACTS = ("checkpoint.ckpt", "features-train.rxgbfeat", "features-test.rxgbfeat",
              "gbdt-model.txt")
 PARAMS = "params (float64)"
@@ -91,13 +90,13 @@ def write_data(dest: Path) -> None:
 def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
     """sha256 of each of ARTIFACTS, of the parameters (PARAMS) and of the
     float64 features (FEATURES) after one pipeline run in ``tree``."""
-    width, alpha, threads = config
+    width, threads = config
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     cmd = [sys.executable, "-m", "rxgb.cli", "pipeline", "--seed", str(SEED),
            "--data.dir", str(data_dir), "--out", str(out),
-           "--net.width_mult", str(width), "--binary.weight_scaling", str(alpha).lower(),
+           "--net.width_mult", str(width),
            "--train.epochs", "1", "--train.batch_size", "128",
            "--data.val_count", "127"]
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
@@ -135,7 +134,7 @@ def main(argv=None) -> int:
         snapshot_worktree(trees["change"])
         write_data(tmp / "data")
         columns = (*ARTIFACTS, PARAMS, FEATURES)
-        print(f"{'width':>5} {'alpha':>5} {'threads':>7}  "
+        print(f"{'width':>5} {'threads':>7}  "
               + "  ".join(f"{name:>23}" for name in columns))
         for i, config in enumerate(CONFIGS):
             digests = {side: run_pipeline(tree, tmp / "data", tmp / f"{side}{i}", config)
@@ -145,8 +144,8 @@ def main(argv=None) -> int:
                 p, c = digests["parent"][name], digests["change"][name]
                 cells.append(f"same {p[:18]}" if p == c else "DIFFERS")
                 differ |= p != c
-            width, alpha, threads = config
-            print(f"{width:>5} {'on' if alpha else 'off':>5} {threads:>7}  "
+            width, threads = config
+            print(f"{width:>5} {threads:>7}  "
                   + "  ".join(f"{cell:>23}" for cell in cells), flush=True)
     return 1 if differ else 0
 
