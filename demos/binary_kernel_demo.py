@@ -5,10 +5,11 @@ A {-1,+1} dot product of length K can be computed entirely in bit arithmetic:
     dot(a, b) = K - 2 * popcount(bits(a) XOR bits(b))
 
 This script packs a latent weight tensor's signs to one bit per value, runs
-the packed convolution the deployed network runs on small grids, and checks
-it byte for byte against the exact int8 sign convolution the network trains
-with, scaled by alpha. It then prints what the unified cost metric
-(OPs = BOPs/64 + FLOPs) says about the trade.
+the packed convolution the deployed network runs on small grids (which XORs
+only the taps that read the input and adds a constant per filter for the
+pad ring), and checks it byte for byte against the exact int8 sign
+convolution the network trains with, scaled by alpha. It then prints what
+the unified cost metric (OPs = BOPs/64 + FLOPs) says about the trade.
 """
 
 import argparse
@@ -29,24 +30,25 @@ def main():
     x_sign = np.where(x >= 0, 1, -1).astype(np.int8)
     latent = rng.normal(size=(16, 8, 3, 3))
     w_sign, alpha = bitops.sign_weights(latent)
-    w_rows = bitops.pack_rows(tensor_ops.filter_rows(w_sign))
     geom = tensor_ops.ConvGeometry(kernel=(3, 3), stride=1, padding=1)
+    filters = bitops.xnor_filters(tensor_ops.filter_rows(w_sign), geom, 14, 14)
 
-    # each output position reads one patch row of k = 3*3*8 signs, packed
-    # the same way as a filter row
+    # each filter tap and each input pixel packs its 8 channel signs into
+    # one uint64 word; an output position's patch row is a gather of the
+    # words of the taps that read the input
     k = 8 * 3 * 3
     oh, ow = geom.out_extent(14, 14)
-    n_rows = w_rows.shape[0] + oh * ow
-    packed_words = n_rows * w_rows.shape[1]
+    interior = sum(pixels.size for _, pixels, _, _ in filters.groups)
     print(f"activations {x_sign.shape}, weights {latent.shape}")
-    print(f"{w_rows.shape[0]} filter rows and {oh * ow} patch rows of {k} signs "
-          f"packed to {packed_words} uint64 words "
-          f"({n_rows * k / (64 * packed_words):.0%} full)")
+    print(f"16 x 9 filter taps and {14 * 14} input pixels of 8 signs, one word each "
+          f"({8 / 64:.0%} full)")
+    print(f"{interior} of the {oh * ow * 9} (position, tap) pairs read the input; "
+          f"the other {oh * ow * 9 - interior} read the -1 pad ring and add a constant")
     print(f"per-channel scale alpha = mean|latent|, first three: "
           f"{np.round(alpha[:3], 4)}")
 
     # --- step 2: convolve in bit space ------------------------------------
-    y_bits = bitops.xnor_conv2d(x_sign, w_rows, geom) * alpha[None, :, None, None]
+    y_bits = bitops.xnor_conv2d(x_sign, filters) * alpha[None, :, None, None]
 
     # reference: the int8 sign conv (exact integer sums) times alpha
     ints = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)

@@ -1,4 +1,4 @@
-"""1-bit compute: packed sign rows, the XNOR-popcount binary conv, weight
+"""1-bit compute: packed sign words, the XNOR-popcount binary conv, weight
 binarization, and the shifted sign / shifted PReLU activations.
 
 Encoding: a bit value of 1 means +1 and 0 means -1; sign(0) is +1 everywhere.
@@ -10,13 +10,19 @@ The XNOR identity for K-length {-1,+1} vectors packed with zero pad bits:
 since each mismatched position adds -1 instead of +1 and the pad bits of
 both operands XOR to zero (XNOR-Net, Rastegari et al., arXiv 1603.05279).
 
-There is one binary conv kernel, :func:`xnor_conv2d`, on packed patch and
-filter rows in im2col order. It gives exact integer sums as float32, the
-bytes of ``tensor_ops.sign_conv2d``. The frozen plan runs it for convs of at
-most ``tensor_ops._POPCOUNT_MAX_ROWS`` patch rows, where it reads 1 bit per
-weight instead of a float32 (``network.InferencePlan``), and scales the sums
-by alpha in the batch norm it folds. :func:`sign_weights` binarizes latent
-weights into the int8 signs and per-output-channel alpha both executors use.
+There is one binary conv kernel, :func:`xnor_conv2d`. Activations and
+filters are packed per pixel and per tap: ceil(Ci/64) words each, so a patch
+row is a gather of whole words. It XORs each output position's interior taps
+only, those that read the input, and adds a constant per position and filter
+for the pad ring's taps, where the input reads -1: the ring costs no XOR at
+any batch size (:func:`xnor_filters` builds the words and constants once).
+It gives exact integer sums as float32, the bytes of
+``tensor_ops.sign_conv2d``. The frozen plan runs it for convs of at most
+``tensor_ops._POPCOUNT_MAX_ROWS`` patch rows, where it reads 1 bit per weight
+instead of a float32 (``network.InferencePlan``), on the RSign compare
+packed straight into words, and scales the sums by alpha in the batch norm
+it folds. :func:`sign_weights` binarizes latent weights into the int8 signs
+and per-output-channel alpha both executors use.
 
 Activation gradients use the piecewise surrogate
 
@@ -31,21 +37,27 @@ zero-almost-everywhere derivative of sign.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .tensor_ops import _channel_sums, _im2col, _pad_input
+from .tensor_ops import _channel_sums, _tap_ranges
 
 WORD_BITS = 64
-# uint64 words XORed at once by xnor_conv2d (at least one patch row): keeps
-# its XOR words (512 KiB) and their counts in cache. Batch-1 features at
-# width 0.5 took 2.05 ms with 2**14 to 2**16 words and 2.14 ms with 2**17 to
-# 2**20 (one thread, 2-core x86_64 host).
+# uint64 words XORed at once by xnor_conv2d (at least one image of one tap
+# count): keeps its XOR words (512 KiB) and their counts in cache. Features
+# at width 0.5 took 2.05-2.06 / 3.27-3.30 / 5.55-5.58 ms at batch 2 / 4 / 8
+# with 2**15 or 2**16 words, 2.10-2.12 / 3.33-3.34 / 5.67-5.75 ms with 2**14
+# or 2**17 to 2**20 (min of 60, one thread, 2-core x86_64 host); batch 1
+# took 1.45 ms with any of them, since one image is at most 2**16 words.
 _CHUNK_WORDS = 1 << 16
 
 
-def _sign(x: np.ndarray) -> np.ndarray:
-    """sign(x) with sign(0) = +1, as an int8 {-1,+1} array."""
-    s = (x >= 0).view(np.int8) * np.int8(2)    # a tenth of np.where's time
+def _sign(x: np.ndarray, order: str = "K") -> np.ndarray:
+    """sign(x) with sign(0) = +1, as an int8 {-1,+1} array in x's memory
+    order, or in C order of x's shape with order="C"."""
+    s = np.greater_equal(x, 0, order=order).view(np.int8)  # a tenth of np.where's time
+    s *= 2
     s -= 1
     return s
 
@@ -53,9 +65,13 @@ def _sign(x: np.ndarray) -> np.ndarray:
 def sign_weights(w_latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Binarize latent conv weights [Co, Ci, kh, kw]: (int8 sign(w_latent),
     alpha [Co]), alpha[co] = mean(|w_latent[co]|), XNOR-Net's per-channel
-    scale."""
+    scale. The signs are an [Co, Ci, kh, kw] view of [Co, kh, kw, Ci] memory,
+    the filter rows of ``tensor_ops.filter_rows``, which then takes them
+    without a copy: the training forward casts those rows to float32 and its
+    backward scales the same rows by alpha, with no transpose in either."""
     w_latent = np.asarray(w_latent, dtype=np.float64)
-    return _sign(w_latent), np.abs(w_latent).mean(axis=(1, 2, 3))
+    rows = _sign(w_latent.transpose(0, 2, 3, 1), order="C")
+    return rows.transpose(0, 3, 1, 2), np.abs(w_latent).mean(axis=(1, 2, 3))
 
 
 def ste_mask(w_latent: np.ndarray) -> np.ndarray:
@@ -64,51 +80,122 @@ def ste_mask(w_latent: np.ndarray) -> np.ndarray:
 
 
 def pack_rows(signs: np.ndarray) -> np.ndarray:
-    """Integer {-1,+1} rows [R, K] as [R, ceil(K/64)] uint64 rows: bit 1 for
-    +1, LSB-first, the pad bits past K zero."""
+    """Rows [R, K] of integer {-1,+1} signs, or of booleans (True for +1), as
+    [R, ceil(K/64)] uint64 rows: bit 1 for +1, LSB-first, the pad bits past K
+    zero."""
     r, k = signs.shape
     n_words = -(-k // WORD_BITS)
-    packed = np.packbits((signs > 0).view(np.uint8), axis=1, bitorder="little")
-    out = np.zeros((r, n_words * 8), np.uint8)
-    out[:, :packed.shape[1]] = packed                      # [R, ceil(K/8)] bytes
-    return out.view("<u8").reshape(r, n_words)
+    bits = signs if signs.dtype == bool else signs > 0
+    packed = np.packbits(bits, axis=1, bitorder="little")   # [R, ceil(K/8)] bytes
+    if packed.shape[1] != n_words * 8:
+        padded = np.zeros((r, n_words * 8), np.uint8)
+        padded[:, :packed.shape[1]] = packed
+        packed = padded
+    return packed.view("<u8").reshape(r, n_words)
 
 
-def xnor_conv2d(x: np.ndarray, w_rows: np.ndarray, geom) -> np.ndarray:
-    """Binary convolution on packed sign rows, by XNOR-popcount.
+@dataclass(frozen=True, eq=False)
+class XnorFilters:
+    """A binary conv's filters laid out for :func:`xnor_conv2d` on one input
+    extent, as :func:`xnor_filters` builds them.
+
+    ``in_shape`` is (Ci, H, W) and ``out_shape`` (Co, OH, OW). ``groups``
+    holds, per count T of interior taps (the taps of an output position that
+    read the input, ``tensor_ops._tap_ranges``), a tuple (positions,
+    pixels, words, offset): the flat output positions [P] with T interior
+    taps; the flat input pixels [P, T] their taps read, in tap order; those
+    taps' filter words [P, T * ceil(Ci/64), Co], or [1, ...] when all P
+    positions have the same taps; and the float32 offset [P, Co], T * Ci
+    less the filter sums of the position's ring taps, where the input reads
+    -1. The words put Co last, so that the XOR of a position's patch row
+    against them runs along Co for each word of the row. All arrays are
+    read-only.
+    """
+
+    in_shape: tuple
+    out_shape: tuple
+    groups: tuple
+
+
+def xnor_filters(rows: np.ndarray, geom, h: int, w: int) -> XnorFilters:
+    """The :class:`XnorFilters` of sign filter rows [Co, K] in im2col order
+    (``tensor_ops.filter_rows``; integer or float {-1,+1}, K = kh*kw*Ci) for
+    an [Ci, h, w] input under ``geom`` (tensor_ops.ConvGeometry), whose pad
+    ring reads -1. Each tap's Ci signs are packed into its own words."""
+    co, k = rows.shape
+    kh, kw = geom.kernel
+    if k % (kh * kw):
+        raise ValueError(f"filter rows of {k} signs do not fit a {kh}x{kw} kernel")
+    ci = k // (kh * kw)
+    n_words = -(-ci // WORD_BITS)
+    taps = pack_rows(rows.reshape(-1, ci)).reshape(co, kh * kw, n_words)
+    tap_sums = 2 * np.bitwise_count(taps).sum(axis=2, dtype=np.int64) - ci  # [Co, taps]
+    ring_all = tap_sums.sum(axis=1)
+    rows_in, cols_in = _tap_ranges(geom, h, w)
+    s, p = geom.stride, geom.padding
+    by_count: dict[int, list] = {}
+    for a, ti in enumerate(rows_in):
+        for b, tj in enumerate(cols_in):
+            tap = [i * kw + j for i in ti for j in tj]
+            pix = [(a * s + i - p) * w + b * s + j - p for i in ti for j in tj]
+            by_count.setdefault(len(tap), []).append((a * len(cols_in) + b, tap, pix))
+    groups = []
+    for t, members in sorted(by_count.items()):
+        positions = np.array([m[0] for m in members], np.intp)
+        tap = np.array([m[1] for m in members], np.intp).reshape(len(members), t)
+        pixels = np.array([m[2] for m in members], np.intp).reshape(len(members), t)
+        shared = tap[:1] if (tap == tap[:1]).all() else tap
+        words = taps[:, shared].transpose(1, 2, 3, 0).reshape(len(shared), -1, co)
+        offset = t * ci - ring_all + tap_sums[:, tap].sum(axis=2).T          # [P, Co]
+        group = (positions, pixels, np.ascontiguousarray(words), offset.astype(np.float32))
+        for a in group:
+            a.flags.writeable = False
+        groups.append(group)
+    return XnorFilters(in_shape=(ci, h, w), out_shape=(co, len(rows_in), len(cols_in)),
+                       groups=tuple(groups))
+
+
+def xnor_conv2d(x: np.ndarray, filters: XnorFilters) -> np.ndarray:
+    """Binary convolution by XNOR-popcount on packed sign words.
 
     Args:
-        x: int8 {-1,+1} input [N, Ci, H, W]; the pad ring reads -1.
-        w_rows: [Co, ceil(K/64)] uint64 filter rows, :func:`pack_rows` of the
-            [Co, K] filters in im2col order (``tensor_ops.filter_rows``),
-            K = kh*kw*Ci.
-        geom: tensor_ops.ConvGeometry.
+        x: [N, Ci, H, W] signs, int8 {-1,+1} or boolean (True for +1, the
+            frozen plan's RSign compare); the pad ring reads -1.
+        filters: the conv's :class:`XnorFilters` for this input extent.
 
     Returns:
-        [N, Co, H', W'] float32 holding the exact integer sums
-        K - 2 * popcount(x_row XOR w_row), an NCHW view of NHWC memory: the
-        bytes of ``tensor_ops.sign_conv2d`` on the same operands. The patch
-        rows are packed the same way, so the pad bits XOR to zero and need no
-        mask. Each word's popcount is at most 64 and each sum at most K, so
-        the per-row sums, taken as one float32 product with a vector of ones,
-        are exact.
+        [N, Co, H', W'] float32 holding the exact integer sums, an NCHW view
+        of NHWC memory: the bytes of ``tensor_ops.sign_conv2d`` on the same
+        operands. x is packed per pixel along its channels into the words of
+        the filters' layout, and each output position's patch row is a
+        gather of its interior taps' words. Per tap count T, one XOR of the
+        rows of every position with T interior taps against their filter
+        words, at most _CHUNK_WORDS words at a time (whole images); the
+        popcounts, summed over the row's words, give
+        sum = popcount(x_row XOR w_row), and the output is offset - 2 * sum.
+        The pad bits XOR to zero and need no mask. Each word's popcount is
+        at most 64, so a row of fewer than 512 words keeps 2 * sum below
+        2**16 and sums as uint16, which takes about half the time of uint32,
+        and a longer row sums as uint32; each sum is at most K, so every
+        value is an exact integer in float32.
     """
     n, ci, h, w = x.shape
-    kh, kw = geom.kernel
-    k = kh * kw * ci
-    oh, ow = geom.out_extent(h, w)
-    co, n_words = w_rows.shape
-    if n_words != -(-k // WORD_BITS):
-        raise ValueError(f"filter rows of {n_words} words do not hold K = {k} bits")
-    x_rows = pack_rows(_im2col(_pad_input(x, geom.padding, -1, np.int8), geom))
-    ones = np.ones(n_words, np.float32)
-    y = np.empty((len(x_rows), co), np.float32)
-    step = max(1, _CHUNK_WORDS // (co * n_words))
-    for lo in range(0, len(x_rows), step):
-        diff = np.bitwise_count(x_rows[lo:lo + step, None] ^ w_rows)   # [r, Co, words]
-        np.matmul(diff.astype(np.float32), ones, out=y[lo:lo + step])
-    y *= -2
-    y += k
+    if (ci, h, w) != filters.in_shape:
+        raise ValueError(f"input [{ci}, {h}, {w}] does not match filters laid out "
+                         f"for {list(filters.in_shape)}")
+    co, oh, ow = filters.out_shape
+    words = pack_rows(x.transpose(0, 2, 3, 1).reshape(-1, ci))
+    words = words.reshape(n, h * w, words.shape[1])            # [N, pixels, words]
+    y = np.empty((n, oh * ow, co), np.float32)
+    for positions, pixels, w_words, offset in filters.groups:
+        p, length = len(positions), w_words.shape[1]
+        step = max(1, _CHUNK_WORDS // max(1, p * length * co))
+        for n0 in range(0, n, step):
+            rows = words[n0:n0 + step, pixels]                   # [n', P, T, words]
+            rows = rows.reshape(len(rows), p, length, 1)
+            counts = np.bitwise_count(rows ^ w_words)            # [n', P, T*words, Co]
+            total = counts.sum(axis=2, dtype=np.uint16 if length < 512 else np.uint32)
+            y[n0:n0 + step, positions] = offset - 2 * total
     return y.reshape(n, oh, ow, co).transpose(0, 3, 1, 2)
 
 

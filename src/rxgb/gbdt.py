@@ -33,6 +33,14 @@ so a block takes one gather and one prefix sum. That is exact: complex
 addition adds the real and the imaginary parts as two independent float64
 additions, so each part's prefix sums are those of g and of h alone.
 
+Prediction routes every row through every tree at once, a level at a time,
+over flat node arrays (Hummingbird's tree traversal, Nakandala et al., OSDI
+2020): train_ensemble and deserialize build them once per ensemble, and
+predict_margins, predict_class and round_losses share them. A row goes right
+where x > t, so a NaN goes left, and the leaf weights are added to the
+margins in tree order, which gives the margins of walking each tree node by
+node to the byte.
+
 Features are handled in float32, the canonical precision of persisted feature
 matrices; thresholds and leaf weights are float64. Everything is deterministic:
 stable sorts, fixed scan order, first-occurrence maximum.
@@ -105,19 +113,72 @@ class TreeNode:
         return 1 + li + ri, ll + rl
 
 
+@dataclass(frozen=True, eq=False)
+class _FlatTrees:
+    """The trees of an ensemble as flat node arrays, routed a level at a time.
+
+    Node i splits on feature[i] at threshold[i]; its children are nodes
+    child[i] (x <= threshold, and NaN) and child[i] + 1 (x > threshold). A
+    leaf has threshold +inf and child[i] = i, so a row that reaches it stays
+    there, and value[i] is its weight. roots[t] is tree t's root and depth
+    the deepest leaf's depth, the levels routing takes.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+
+def _flatten(trees: list[tuple[int, TreeNode]]) -> _FlatTrees:
+    """The :class:`_FlatTrees` of (class, tree) pairs; two children take
+    consecutive slots."""
+    feature, threshold, child, value = [], [], [], []
+
+    def slot():
+        feature.append(0)
+        threshold.append(math.inf)
+        child.append(len(child))
+        value.append(0.0)
+        return len(feature) - 1
+
+    roots, depth = [], 0
+    for _, root in trees:
+        roots.append(slot())
+        stack = [(root, roots[-1], 0)]
+        while stack:
+            node, i, level = stack.pop()
+            if node.is_leaf:
+                value[i] = node.weight
+                depth = max(depth, level)
+                continue
+            c = slot()
+            slot()
+            feature[i], threshold[i], child[i] = node.feature, node.threshold, c
+            stack += [(node.left, c, level + 1), (node.right, c + 1, level + 1)]
+    return _FlatTrees(feature=np.array(feature, np.intp), threshold=np.array(threshold),
+                      child=np.array(child, np.intp), value=np.array(value),
+                      roots=np.array(roots, np.intp), depth=depth)
+
+
 @dataclass
 class TreeEnsemble:
     """Ordered (class_id, tree) pairs plus per-class base scores (zeros unless
     given).
 
     ``n_features`` records the training feature count so downstream consumers
-    can reject inputs of the wrong width.
+    can reject inputs of the wrong width. ``flat`` holds the trees as flat
+    node arrays for prediction, set once by train_ensemble and deserialize;
+    an ensemble assembled or extended by hand is flattened per prediction.
     """
 
     config: GBDTConfig
     n_features: int
     trees: list[tuple[int, TreeNode]] = field(default_factory=list)
     base_score: np.ndarray | None = None
+    flat: _FlatTrees | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_score is None:
@@ -349,24 +410,22 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
     return root, weights
 
 
-def _tree_predict(node: TreeNode, x32: np.ndarray) -> np.ndarray:
-    """Route all rows of x32 [N, F] through one tree; returns [N] weights."""
-    n = x32.shape[0]
-    out = np.empty(n)
-    stack = [(node, np.arange(n))]
-    while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if nd.is_leaf:
-            out[idx] = nd.weight
-            continue
-        col = x32[idx, nd.feature]
-        go_left = col <= np.float64(nd.threshold)
-        go_left |= np.isnan(col)
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
-    return out
+def _leaf_weights(ens: TreeEnsemble, x32: np.ndarray) -> np.ndarray:
+    """[N, T] weight of the leaf each row of x32 [N, F] reaches in each tree.
+    All rows take a level of all trees at once: a row goes to the right
+    child where its float32 feature, read as float64, exceeds the threshold,
+    so NaN goes left, as x <= t routes it in growth."""
+    flat = ens.flat
+    if flat is None or len(flat.roots) != len(ens.trees):
+        flat = _flatten(ens.trees)
+    n, nf = x32.shape
+    cells = np.ascontiguousarray(x32).ravel()
+    row_start = np.arange(0, n * nf, nf)[:, None]
+    node = np.broadcast_to(flat.roots, (n, len(flat.roots)))
+    for _ in range(flat.depth):
+        go_right = cells[row_start + flat.feature[node]] > flat.threshold[node]
+        node = flat.child[node] + go_right
+    return flat.value[node]
 
 
 def train_ensemble(
@@ -404,6 +463,7 @@ def train_ensemble(
             margins[:, k] += weights
             ens.trees.append((k, tree))
             built += 1
+    ens.flat = _flatten(ens.trees)
     return ens
 
 
@@ -420,10 +480,10 @@ def predict_margins(ens: TreeEnsemble, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature width {x32.shape[1]} != ensemble n_features {ens.n_features}"
         )
-    n = x32.shape[0]
-    margins = np.tile(ens.base_score, (n, 1))
-    for k, tree in ens.trees:
-        margins[:, k] += _tree_predict(tree, x32)
+    weights = _leaf_weights(ens, x32)
+    margins = np.tile(ens.base_score, (len(x32), 1))
+    for t, (k, _) in enumerate(ens.trees):              # in tree order
+        margins[:, k] += weights[:, t]
     return margins
 
 
@@ -443,6 +503,7 @@ def round_losses(ens: TreeEnsemble, x: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels)
     n, k = x32.shape[0], ens.config.n_classes
     margins = np.tile(ens.base_score, (n, 1))
+    weights = _leaf_weights(ens, x32)
 
     def mean_loss():
         z = margins - margins.max(axis=1, keepdims=True)
@@ -451,8 +512,8 @@ def round_losses(ens: TreeEnsemble, x: np.ndarray, labels: np.ndarray):
 
     losses = [mean_loss()]
     for start in range(0, len(ens.trees), k):
-        for cls, tree in ens.trees[start:start + k]:
-            margins[:, cls] += _tree_predict(tree, x32)
+        for t in range(start, min(start + k, len(ens.trees))):
+            margins[:, ens.trees[t][0]] += weights[:, t]
         losses.append(mean_loss())
     return losses
 
@@ -661,8 +722,9 @@ def deserialize(text: str) -> TreeEnsemble:
         line.strip() for line in lines[i + n_trees:]
     ):
         raise FormatError("trailing content after final tree record")
-    return TreeEnsemble(config=cfg, n_features=n_features, trees=trees,
-                        base_score=base)
+    ens = TreeEnsemble(config=cfg, n_features=n_features, trees=trees, base_score=base)
+    ens.flat = _flatten(trees)
+    return ens
 
 
 def check_fits(ens: TreeEnsemble, n_features: int, n_classes: int) -> None:

@@ -27,28 +27,33 @@ Block wiring (all convs bias-free, BN after every conv):
   Stride-2 blocks with odd spatial extent zero-pad the input on the
   bottom/right edge first; the pad ring flows through the whole block.
 
-Binary convolutions run forward on the int8 sign planes (activations from
-RSign, sign(latent) and alpha from ``bitops.sign_weights`` for the weights)
-and give their exact integer sums. Both executors lay the filters out as one
-int8 [Co, K] matrix in im2col order (``tensor_ops.filter_rows``). Training
-multiplies them as float32 products (``tensor_ops.sign_matrix``) and scales
-them by the per-channel alpha once at the end. The frozen plan runs a conv
-of at most ``tensor_ops._POPCOUNT_MAX_ROWS`` (16) patch rows, N * H' * W',
-as XNOR-popcount on packed sign rows (``bitops.xnor_conv2d``): at batch 1 that
-is every conv on a 4x4 or 2x2 grid, whose float32 +-1 matrices (28.3 MB at
-width 0.5) would otherwise be read whole for a few rows, against 0.88 MB of
-packed rows. Larger convs stay on the float32 product, which is faster once
-the rows amortise the matrix. Both give the same bytes. The plan folds alpha
-into the batch norm that follows. The backward pass trains
+Binary convolutions run forward on +-1 sign planes (activations from RSign,
+sign(latent) and alpha from ``bitops.sign_weights`` for the weights) and give
+their exact integer sums. Both executors lay the filters out as one [Co, K]
+matrix of rows in im2col order (``tensor_ops.filter_rows``). Training
+multiplies its int8 sign planes by those rows as float32, transposed, and
+scales the sums by the per-channel alpha once at the end. The frozen plan
+runs a conv of at most ``tensor_ops._POPCOUNT_MAX_ROWS`` (32) patch rows,
+N * H' * W', as XNOR-popcount (``bitops.xnor_conv2d``) on the RSign compare
+packed into words: at batch 1 that is every conv on a 4x4 or 2x2 grid, whose
+float32 +-1 rows (28.3 MB at width 0.5) would otherwise be read whole for a
+few patch rows, against 1.63 MB of filter words laid out for each output
+position's interior taps; the pad ring's taps cost a constant per position
+and filter, not an XOR. Larger convs stay on the float32 product, which is
+faster once the rows amortise the matrix. Both give the same bytes. The
+plan folds alpha into the batch norm that follows. The backward pass trains
 with real arithmetic on the effective weights alpha * sign(latent): it keeps
 the forward's int8 sign planes and alpha, and ``tensor_ops.conv2d_backward``
 builds float64 from them block by block, over the taps that read the input
 on the 2x2 grids of a full batch (the forward's rule) and otherwise one
-chunk of whole images at a time whose size follows from the shapes alone.
-Gradients reach the latents
-through the straight-through clip mask with alpha held constant, and latents
-are clipped to [-1, 1] after every optimizer step. Sign activations route
-gradients through the piecewise-quadratic surrogate in ``bitops``.
+chunk of whole images at a time whose size follows from the shapes alone;
+its float64 filters are the forward's filter rows times alpha, which
+``bitops.sign_weights`` lays out so that neither direction transposes them.
+Gradients reach the latents through the straight-through clip mask with
+alpha held constant (a multiply skipped while every latent lies in [-1, 1],
+where the mask is all ones), and latents are clipped to [-1, 1] after every
+optimizer step. Sign activations route gradients through the
+piecewise-quadratic surrogate in ``bitops``.
 
 One block wiring serves two executors. Training runs the float64 graph on
 the live params; each op records its backward on a tape, a closure over its
@@ -56,18 +61,20 @@ cache that runs once and is then freed, and the backward reads layer shapes
 (the pad crop, the pool's padded grid) from ``netspec.shape_chain``. Inference
 (``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
 ``evaluate`` and ``forward(..., training=False)``) runs from a frozen
-:class:`InferencePlan`: the deployed model, +-1 weights laid out as packed
-sign rows and as float32 gemm matrices, and alpha and the reals rounded to
+:class:`InferencePlan`: the deployed model, +-1 weights laid out as float32
+gemm rows and as XNOR filter words, and alpha and the reals rounded to
 float32. The plan folds
 each batch norm's running statistics, gamma and beta, and the alpha of the
 conv before it, into one float64 scale and shift per channel (the usual
 deployment fold; Jacob et al., arXiv 1712.05877, section 3.2), so a binary
 conv's integer sums take one multiply and one add where training takes an
 alpha pass and four batch-norm passes, and RSign compares x >= shift without
-forming x - shift. The fold rounds differently from the training graph run
-with the running statistics: its features differ in the last bits of a
-float64 (about 1e-13 relative at most in the tests). It caches nothing. A
-ModelState is frozen once per inference call (:func:`freeze`).
+forming x - shift, into a boolean plane that the next conv packs into words
+or writes into its float32 buffer as +-1. The fold rounds differently from
+the training graph run with the running statistics: its features differ in
+the last bits of a float64 (about 1e-13 relative at most in the tests). It
+caches nothing. A ModelState is frozen once per inference call
+(:func:`freeze`).
 
 The backbone artifact is the deployed model and nothing more: a header
 (magic, format version, spec JSON) and then :func:`deployed_payload`, one sign
@@ -277,17 +284,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class InferencePlan:
     """A backbone frozen for inference, as it is deployed.
 
-    ``signs`` maps each binary conv's prefix to its +-1 weights as a float32
-    [kh*kw*Ci, Co] matrix in im2col order (``tensor_ops.sign_matrix``) and
-    its per-channel alpha; ``packed`` maps it to the same weights as
-    [Co, ceil(K/64)] uint64 sign rows (``bitops.pack_rows``, K = kh*kw*Ci,
-    pad bits zero). Both come from one int8 [Co, K] layout
-    (``tensor_ops.filter_rows``). binconv runs a conv of at most
-    ``tensor_ops._POPCOUNT_MAX_ROWS`` patch rows, N * H' * W', as
-    XNOR-popcount on the packed rows and any other as the float32 product;
-    the integer sums, and so the bytes, are the same. ``reals`` holds every
-    other parameter. Alpha and the reals are float32 values in float64
-    arrays; with the sign bits they are what :func:`deployed_payload` stores.
+    ``signs`` maps each binary conv's prefix to its +-1 weights as float32
+    rows [Co, kh*kw*Ci] in im2col order (``tensor_ops.filter_rows``), which
+    the product multiplies by transposed, and its per-channel alpha.
+    ``xnor`` maps each binary conv whose output grid has at most
+    ``tensor_ops._POPCOUNT_MAX_ROWS`` cells to the same weights packed per
+    tap, with the pad ring's constants, for the input extent the spec gives
+    it (``bitops.xnor_filters``). binconv runs a conv of at most that many
+    patch rows, N * H' * W', as XNOR-popcount (``bitops.xnor_conv2d``) and
+    any other as the float32 product; the integer sums, and so the bytes,
+    are the same. ``reals`` holds every other parameter. Alpha and the reals
+    are float32 values in float64 arrays; with the sign bits they are what
+    :func:`deployed_payload` stores.
     ``affine`` maps each batch norm's prefix to the float64 (scale, shift)
     the plan computes with:
 
@@ -296,15 +304,16 @@ class InferencePlan:
         shift = beta - run_mean * g
 
     All arrays are read-only. As an executor of the block wiring it keeps no
-    caches: binconv returns the sign conv's exact integer sums, bn applies
-    sums * scale + shift, rsign compares x >= shift straight into the int8
-    sign plane, and bn (on the stem's float64 output) and rprelu compute in
-    the array they are given.
+    caches: rsign returns the compare x >= shift, a boolean plane (True for
+    +1) that binconv packs into words or writes into the product's float32
+    pad buffer as +-1; binconv returns the sign conv's exact integer sums, bn
+    applies sums * scale + shift, and bn (on the stem's float64 output) and
+    rprelu compute in the array they are given.
     """
 
     spec: netspec.NetworkSpec
     signs: MappingProxyType
-    packed: MappingProxyType
+    xnor: MappingProxyType
     reals: MappingProxyType
     affine: MappingProxyType
 
@@ -315,17 +324,13 @@ class InferencePlan:
         # x >= shift is (x - shift) >= 0 for every x and finite shift: the
         # rounded difference of two doubles is zero only when they are equal
         # and keeps its sign otherwise (gradual underflow), and NaN fails both.
-        shift = self.reals[f"{prefix}.shift"]
-        s = np.greater_equal(x, shift[None, :, None, None]).view(np.int8)
-        s *= 2
-        s -= 1
-        return s
+        return np.greater_equal(x, self.reals[f"{prefix}.shift"][None, :, None, None])
 
     def binconv(self, prefix, x, geom):
         n, _, h, w = x.shape
         oh, ow = geom.out_extent(h, w)
-        if n * oh * ow <= tensor_ops._POPCOUNT_MAX_ROWS:
-            return bitops.xnor_conv2d(x, self.packed[prefix], geom)
+        if n * oh * ow <= tensor_ops._POPCOUNT_MAX_ROWS and prefix in self.xnor:
+            return bitops.xnor_conv2d(x, self.xnor[prefix])
         return tensor_ops.sign_conv2d(x, self.signs[prefix][0], geom, pad_value=-1)
 
     def bn(self, prefix, x):
@@ -344,25 +349,47 @@ class InferencePlan:
         return tensor_ops.linear_forward(x, self.reals[f"{prefix}.w"])
 
 
-def _plan(spec: netspec.NetworkSpec, signs: np.ndarray,
+def _binary_conv_inputs(spec: netspec.NetworkSpec):
+    """{prefix: (geometry, input (H, W))} of every binary conv of ``spec``, as
+    the block wiring runs them: the 3x3 conv on the block's padded input at
+    the block's stride, the 1x1 convs on its output grid."""
+    convs = {}
+    for step in netspec.shape_chain(spec):
+        for op in netspec.layer_ops(step):
+            if op.kind != netspec.BINARY_CONV:
+                continue
+            if op.kernel == 1:
+                convs[op.prefix] = (_GEOM_1X1, op.hw)
+            else:
+                geom = _GEOM_3X3_S2 if step.layer.stride == 2 else _GEOM_3X3
+                convs[op.prefix] = (geom, step.padded[1:])
+    return convs
+
+
+def _plan(spec: netspec.NetworkSpec, filters: list[np.ndarray],
           reals: np.ndarray) -> InferencePlan:
     """The plan of ``spec`` from its deployed parameters, in payload order
-    (see :func:`deployed_payload`): ``signs`` the int8 +-1 filters of every
-    binary conv, flattened, and ``reals`` the float32 reals. Folds each
-    batch norm and the alpha of its conv into ``affine``; raises ValueError
-    on a negative running variance, before the fold takes its square root."""
-    plan_signs, packed, plan_reals = {}, {}, {}
-    i = j = 0                                  # read positions in signs, reals
+    (see :func:`deployed_payload`): ``filters`` the int8 +-1 filters
+    [Co, Ci, kh, kw] of every binary conv (in any memory order; those of
+    ``bitops.sign_weights`` reach ``tensor_ops.filter_rows`` without a copy),
+    and ``reals`` the float32 reals. Folds each batch norm and the alpha of
+    its conv into ``affine``; raises ValueError on a negative running
+    variance, before the fold takes its square root."""
+    plan_signs, xnor, plan_reals = {}, {}, {}
+    convs = _binary_conv_inputs(spec)
+    filters = iter(filters)
+    j = 0                                      # read position in reals
     for name, shape, _, _ in _param_layout(spec):
         n = math.prod(shape)
         if name.endswith(".w_latent"):
             prefix = name[:-len(".w_latent")]
-            rows = tensor_ops.filter_rows(signs[i:i + n].reshape(shape))
+            rows = tensor_ops.filter_rows(next(filters))
             alpha = reals[j:j + shape[0]].astype(np.float64)
-            plan_signs[prefix] = (_read_only(tensor_ops.sign_matrix(rows)),
-                                  _read_only(alpha))
-            packed[prefix] = _read_only(bitops.pack_rows(rows))
-            i, j = i + n, j + shape[0]
+            plan_signs[prefix] = (_read_only(rows.astype(np.float32)), _read_only(alpha))
+            geom, (h, w) = convs[prefix]
+            if math.prod(geom.out_extent(h, w)) <= tensor_ops._POPCOUNT_MAX_ROWS:
+                xnor[prefix] = bitops.xnor_filters(rows, geom, h, w)
+            j += shape[0]
         else:
             plan_reals[name] = _read_only(reals[j:j + n].astype(np.float64).reshape(shape))
             j += n
@@ -379,7 +406,7 @@ def _plan(spec: netspec.NetworkSpec, signs: np.ndarray,
         shift = plan_reals[f"{bn}.beta"] - plan_reals[f"{bn}.run_mean"] * g
         affine[bn] = (_read_only(alpha * g), _read_only(shift))
     return InferencePlan(spec=spec, signs=MappingProxyType(plan_signs),
-                         packed=MappingProxyType(packed),
+                         xnor=MappingProxyType(xnor),
                          reals=MappingProxyType(plan_reals),
                          affine=MappingProxyType(affine))
 
@@ -394,17 +421,16 @@ def freeze(model: ModelState) -> InferencePlan:
     ``model`` do not reach it. Raises ValueError on a negative BN running
     variance.
     """
-    signs, reals = [np.zeros(0, np.int8)], [np.zeros(0)]
+    filters, reals = [], [np.zeros(0)]
     for name, _, _, _ in _param_layout(model.spec):
         arr = model.params[name]
         if name.endswith(".w_latent"):
             w_sign, alpha = bitops.sign_weights(arr)
-            signs.append(w_sign.reshape(-1))
+            filters.append(w_sign)
             reals.append(alpha)
         else:
             reals.append(arr.reshape(-1))
-    return _plan(model.spec, np.concatenate(signs),
-                 np.concatenate(reals).astype(np.float32))
+    return _plan(model.spec, filters, np.concatenate(reals).astype(np.float32))
 
 
 def _plan_of(model) -> InferencePlan:
@@ -455,7 +481,12 @@ class _Tape:
         def op_backward(g):
             gx, gw = tensor_ops.conv2d_backward(g, x_sign, w_sign, geom, pad_value=-1,
                                                 alpha=alpha)
-            return gx, gw * bitops.ste_mask(latent)
+            # Kaiming init draws the latents within [-1, 1] and train_stage1
+            # clips them back after every step, so the clip mask is all ones
+            # there, and gw * 1 is gw to the byte
+            if not -1.0 <= latent.min() <= latent.max() <= 1.0:     # NaN fails
+                gw *= bitops.ste_mask(latent)
+            return gx, gw
 
         self.ops[prefix] = (("w_latent",), op_backward)
         y = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
@@ -816,15 +847,14 @@ def deployed_payload(model) -> bytes:
     widths), the byte length equals the cost model's total_param_bits / 8.
     """
     plan = _plan_of(model)
-    bits, reals = [np.zeros(0, np.uint8)], [np.zeros(0)]
+    bits, reals = [np.zeros(0, bool)], [np.zeros(0)]
     for name, shape, _, _ in _param_layout(plan.spec):
         if name.endswith(".w_latent"):
             prefix = name[:-len(".w_latent")]
+            rows, alpha = plan.signs[prefix]
             co, ci, kh, kw = shape                       # undo filter_rows' order
-            rows = np.unpackbits(plan.packed[prefix].view(np.uint8), axis=1,
-                                 count=kh * kw * ci, bitorder="little")
-            bits.append(rows.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2).ravel())
-            reals.append(plan.signs[prefix][1])
+            bits.append((rows > 0).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2).ravel())
+            reals.append(alpha)
         else:
             reals.append(plan.reals[name].ravel())
     packed = np.packbits(np.concatenate(bits), bitorder="little")
@@ -872,8 +902,14 @@ def parse_checkpoint(blob: bytes) -> InferencePlan:
     reals = np.frombuffer(payload, "<f4", n_reals, offset=bit_bytes)
     if not np.isfinite(reals).all():
         raise CheckpointError("non-finite real in the payload")
+    signs = bits[:n_bits].view(np.int8) * np.int8(2) - np.int8(1)
+    filters, i = [], 0
+    for name, shape in layout:
+        if name.endswith(".w_latent"):
+            filters.append(signs[i:i + math.prod(shape)].reshape(shape))
+            i += math.prod(shape)
     try:
-        return _plan(spec, bits[:n_bits].view(np.int8) * np.int8(2) - np.int8(1), reals)
+        return _plan(spec, filters, reals)
     except ValueError as e:                          # a negative running variance
         raise CheckpointError(str(e)) from e
 

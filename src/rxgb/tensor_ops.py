@@ -62,8 +62,8 @@ one K_BLOCK block at a time.
 
 Products of +/-1 values need no such assumption. A convolution of integer
 operands (:func:`sign_conv2d`, and :func:`conv2d_forward` on integer
-filters, both on the float32 matrix :func:`sign_matrix` makes of
-:func:`filter_rows`) is a plain float32 product whose every partial sum is
+filters, both by the transpose of the float32 rows of :func:`filter_rows`)
+is a plain float32 product whose every partial sum is
 an integer below 2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign
 planes), so it is exact in any summation order, in any split into smaller
 products and at any thread count by arithmetic; the conv refuses operands
@@ -79,9 +79,16 @@ from timings on one thread (OpenBLAS 0.3.31, 2-core x86_64 host): the
 per-position products took 1.05-1.3x the dense product's time below 16
 images, about 0.95x at 16, 0.63-0.86x at 32-64 and 0.46-0.59x at 128-256
 (256 and 512 channels). The frozen plan runs a conv of at most
-_POPCOUNT_MAX_ROWS patch rows as XNOR-popcount on packed sign rows instead
-(``bitops.xnor_conv2d``, from the same :func:`filter_rows`), with the same
-bytes: there the product would read a whole float32 matrix for a few rows.
+_POPCOUNT_MAX_ROWS patch rows as XNOR-popcount on packed sign words instead
+(``bitops.xnor_conv2d``, from the same :func:`filter_rows`), which skips the
+pad ring by the same tap ranges (:func:`_tap_ranges`) at any batch size,
+with the same bytes: there the product would read a whole float32 matrix
+for a few rows. Keeping the rows [Co, K] and multiplying by their transpose
+costs the product nothing at large batches (a 1024 x 4608 x 512 product
+took 21.4 ms on a C-order [K, Co] matrix and 21.7 ms on the transpose) but
+about 0.3 ms more per call on a 9.4 MB matrix at a few hundred rows, about
+2% of a batch-256 request on the interior-tap products; laying the rows out
+takes a third of the time of the [K, Co] matrix at set-up.
 Everything else is elementwise or a fixed-order numpy reduction.
 """
 
@@ -103,15 +110,18 @@ _CHUNK_ROWS = 2048
 # position and tap row (see the module docstring for the timings).
 _SPLIT_MIN_IMAGES = 128
 # Most patch rows (N * OH * OW) for which the frozen plan runs a binary conv
-# as XNOR-popcount on packed sign rows (``bitops.xnor_conv2d``) rather than
+# as XNOR-popcount on packed sign words (``bitops.xnor_conv2d``) rather than
 # as sign_conv2d's float32 product, whose ±1 matrices it then never reads.
 # Timings of features_forward at width 0.5 on one thread (OpenBLAS 0.3.31,
-# 2-core x86_64 host), median ms at batch 1 / 2 / 4, by threshold: none
-# 3.79 / 4.54 / 5.71, 8 rows 2.16 / 2.98 / 5.66, 16 rows 2.17 / 2.97 / 4.71,
-# 32 rows 2.18 / 3.05 / 4.77, 64 rows 2.23 / 3.17 / 5.08. Up to 16 rows (the
-# 4x4 grids of one image, the 2x2 grids of up to four) popcount wins; from
-# 32 the product does.
-_POPCOUNT_MAX_ROWS = 16
+# 2-core x86_64 host), min of 60 ms at batch 1 / 2 / 4 / 8, by threshold:
+# none 4.48 / 5.31 / 6.35 / 8.95, 8 rows 1.55 / 2.17 / 6.35 / 8.92, 16 rows
+# 1.47 / 2.18 / 3.30 / 9.00, 32 rows 1.47 / 2.11 / 3.29 / 5.54, 64 rows
+# 1.45 / 2.12 / 3.20 / 5.59, 128 rows 1.46 / 2.14 / 3.17 / 5.52. Up to 32
+# rows (the 4x4 grids of up to two images, the 2x2 grids of up to eight)
+# popcount wins or ties; 64 and 128 rows, which add the 7x7 grids of one
+# image and the 4x4 grids of four, gain at most 3% more and would lay out
+# the 7x7 grids' filters at set-up too.
+_POPCOUNT_MAX_ROWS = 32
 # Batch norm's variance offset, in training and in the frozen plan's fold,
 # and the weight of each batch's statistics in the running estimates.
 BN_EPS = 1e-5
@@ -177,14 +187,20 @@ def _pad_input(x: np.ndarray, pad: int, pad_value: float, dtype) -> np.ndarray:
     x is contiguous and is copied in once, cast on the way where dtype
     differs (the int8 signs into float32). Other input is transposed in x's
     dtype first and then cast contiguously, which is faster than casting
-    through the strided transposed view.
+    through the strided transposed view. A boolean x (the frozen plan's
+    RSign compare) reads +1 where True and -1 where False; it becomes int8
+    signs first, which with the cast takes less time than any float32
+    arithmetic on the buffer.
     """
     n, ci, h, w = x.shape
     xp = np.empty((n, h + 2 * pad, w + 2 * pad, ci), dtype)
     xp[:, :pad] = xp[:, h + pad:] = pad_value
     xp[:, :, :pad] = xp[:, :, w + pad:] = pad_value
     nhwc = x.transpose(0, 2, 3, 1)
-    if x.dtype != dtype:
+    if x.dtype == bool:
+        nhwc = nhwc.view(np.int8) * np.int8(2)
+        nhwc -= 1
+    elif x.dtype != dtype:
         nhwc = np.ascontiguousarray(nhwc)
     xp[:, pad:h + pad, pad:w + pad] = nhwc
     return xp
@@ -252,8 +268,8 @@ def _channel_sums(x: np.ndarray) -> np.ndarray:
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
     """Weights as [kh*kw*Ci, Co], matching the im2col reduction layout: the
-    real filters of the float64 forward and the filters of both backward
-    products. The sign conv's float32 matrix is :func:`sign_matrix`."""
+    real filters of the float64 forward. The sign conv multiplies by the
+    transpose of :func:`filter_rows`."""
     co = w.shape[0]
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, co)
 
@@ -265,25 +281,16 @@ def _abs_max(a: np.ndarray) -> int:
 
 def filter_rows(w: np.ndarray) -> np.ndarray:
     """Filters [Co, Ci, kh, kw] as rows [Co, kh*kw*Ci] in the im2col reduction
-    order, in w's dtype: the one layout the frozen plan builds both its gemm
-    matrix (:func:`sign_matrix`) and its packed sign rows from."""
+    order, in w's dtype: the one layout of sign filters. The sign conv
+    multiplies by their float32 transpose, the frozen plan packs them per tap
+    (``bitops.xnor_filters``) and the conv backward scales them by alpha. A
+    view of such rows (``bitops.sign_weights``) comes back without a copy."""
     return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(w.shape[0], -1)
-
-
-def sign_matrix(rows: np.ndarray) -> np.ndarray:
-    """Integer filter rows [Co, K] (:func:`filter_rows`) as the float32
-    [K, Co] matrix :func:`sign_conv2d` multiplies by. Transposed 64 rows at
-    a time, which takes about half the time of one whole transpose."""
-    co, k = rows.shape
-    w_mat = np.empty((k, co), np.float32)
-    for c0 in range(0, co, 64):
-        w_mat[:, c0:c0 + 64] = rows[c0:c0 + 64].T
-    return w_mat
 
 
 def sign_conv2d(
     x: np.ndarray,
-    w_mat: np.ndarray,
+    w_rows: np.ndarray,
     geom: ConvGeometry,
     pad_value: float = -1,
     w_max: int = 1,
@@ -291,12 +298,15 @@ def sign_conv2d(
     """Cross-correlation of integer operands as one exact float32 product.
 
     Args:
-        x: integer input [N, Ci, H, W] (the int8 sign planes of a binary conv).
-        w_mat: integer-valued float32 filters [kh*kw*Ci, Co] from
-            :func:`sign_matrix`.
+        x: integer input [N, Ci, H, W] (the int8 sign planes of a binary
+            conv), or boolean, read as +1 where True and -1 where False (the
+            frozen plan's RSign compare).
+        w_rows: integer-valued float32 filter rows [Co, kh*kw*Ci],
+            ``filter_rows(w).astype(np.float32)``; the product multiplies by
+            their transpose.
         geom: stride/padding/kernel description.
         pad_value: integer value of the padding ring.
-        w_max: bound on |w_mat|; 1 for sign filters.
+        w_max: bound on |w_rows|; 1 for sign filters.
 
     Returns:
         Output [N, Co, H', W'] float32 holding the exact integer sums, an
@@ -307,27 +317,27 @@ def sign_conv2d(
             could reach 2**24 (K * max|x| * w_max), where float32 stops being
             exact.
     """
-    return _sign_conv2d(x, w_mat, geom, pad_value, w_max)
+    return _sign_conv2d(x, w_rows, geom, pad_value, w_max)
 
 
-def _sign_conv2d(x, w_mat, geom, pad_value, w_max):
+def _sign_conv2d(x, w_rows, geom, pad_value, w_max):
     # conv2d_forward calls this directly, not the public sign_conv2d, so a
     # traced binary conv keeps its gemm in the conv2d_forward span; its
-    # filter layout (filter_rows, sign_matrix) traces as spans of their own.
-    if x.ndim != 4 or not np.issubdtype(x.dtype, np.integer):
+    # filter layout (filter_rows) traces as a span of its own.
+    if x.ndim != 4 or not (x.dtype == bool or np.issubdtype(x.dtype, np.integer)):
         raise ValueError(f"sign conv input must be 4-d integer NCHW, got "
                          f"{x.dtype} ndim={x.ndim}")
     n, ci, h, wd = x.shape
     kh, kw = geom.kernel
     k = kh * kw * ci
-    if w_mat.ndim != 2 or w_mat.shape[0] != k:
-        raise ValueError(f"filter matrix {w_mat.shape} != [{k}, Co] for Ci={ci} "
+    if w_rows.ndim != 2 or w_rows.shape[1] != k:
+        raise ValueError(f"filter rows {w_rows.shape} != [Co, {k}] for Ci={ci} "
                          f"and kernel {geom.kernel}")
     oh, ow = geom.out_extent(h, wd)
     pad = int(pad_value)
     if pad != pad_value:
         raise ValueError(f"integer operands need an integer pad_value, got {pad_value}")
-    x_max = max(_abs_max(x), abs(pad) if geom.padding else 0)
+    x_max = max(1 if x.dtype == bool else _abs_max(x), abs(pad) if geom.padding else 0)
     if k * x_max * w_max >= EXACT_F32:
         raise ValueError(
             f"integer conv sums reach K*max|x|*max|w| = {k}*{x_max}*{w_max} "
@@ -336,20 +346,20 @@ def _sign_conv2d(x, w_mat, geom, pad_value, w_max):
     xp = _pad_input(x, geom.padding, pad, np.float32)
     taps = _interior_taps(geom, n, h, wd)
     if taps:
-        return _sign_conv_interior(xp, w_mat, geom, pad, *taps).transpose(0, 3, 1, 2)
-    co = w_mat.shape[1]
+        return _sign_conv_interior(xp, w_rows, geom, pad, *taps).transpose(0, 3, 1, 2)
+    co = w_rows.shape[0]
     y = np.empty((n, oh, ow, co), np.float32)
     # A 1x1 stride-1 patch matrix is xp itself; any other is made and
     # multiplied one chunk of about _CHUNK_ROWS rows at a time, so it is
     # written to memory that is still in cache.
     step = max(1, n if (kh, kw, geom.stride) == (1, 1, 1) else _CHUNK_ROWS // (oh * ow))
     for n0 in range(0, n, step):
-        np.matmul(_im2col(xp[n0:n0 + step], geom), w_mat,
+        np.matmul(_im2col(xp[n0:n0 + step], geom), w_rows.T,
                   out=y[n0:n0 + step].reshape(-1, co))
     return y.transpose(0, 3, 1, 2)
 
 
-def _sign_conv_interior(xp, w_mat, geom, pad_value, rows, cols):
+def _sign_conv_interior(xp, w_rows, geom, pad_value, rows, cols):
     """The sign conv over the taps that read the input (``_interior_taps``
     ranges): per output position and tap row, one product over that row's
     interior tap columns, read in place from xp [N, Hp, Wp, Ci], plus
@@ -358,18 +368,20 @@ def _sign_conv_interior(xp, w_mat, geom, pad_value, rows, cols):
     product to the byte. Returns [N, OH, OW, Co]."""
     kh, kw = geom.kernel
     s = geom.stride
-    n, ci, co = xp.shape[0], xp.shape[3], w_mat.shape[1]
-    tap_sums = w_mat.reshape(kh, kw, ci, co).sum(axis=2)    # [kh, kw, Co]
-    all_taps = tap_sums.sum(axis=(0, 1))
+    n, ci, co = xp.shape[0], xp.shape[3], w_rows.shape[0]
+    # one float32 product sums each tap's Ci integers exactly, in a third of
+    # the time of the equal sum(axis=3)
+    tap_sums = (w_rows.reshape(-1, ci) @ np.ones(ci, np.float32)).reshape(co, kh, kw)
+    all_taps = tap_sums.sum(axis=(1, 2))
     y = np.zeros((n, len(rows), len(cols), co), np.float32)
     for a, ti in enumerate(rows):
         for b, tj in enumerate(cols):
             out = y[:, a, b]
             for i in ti if tj else ():
                 patch = xp[:, a * s + i, b * s + tj.start:b * s + tj.stop].reshape(n, -1)
-                out += patch @ w_mat[(i * kw + tj.start) * ci:(i * kw + tj.stop) * ci]
+                out += patch @ w_rows[:, (i * kw + tj.start) * ci:(i * kw + tj.stop) * ci].T
             if pad_value:
-                interior = tap_sums[ti.start:ti.stop, tj.start:tj.stop].sum(axis=(0, 1))
+                interior = tap_sums[:, ti.start:ti.stop, tj.start:tj.stop].sum(axis=(1, 2))
                 out += pad_value * (all_taps - interior)
     return y
 
@@ -392,13 +404,13 @@ def conv2d_forward(
     Returns:
         Output [N, Co, H', W']. When x and w both have an integer dtype (the
         int8 sign planes of a binary conv) it is float32 holding the exact
-        integer sums from :func:`sign_conv2d`, and pad_value must be an
-        integer; ValueError if the sums could reach 2**24. Otherwise it is
-        float64 from :func:`_matmul`.
+        integer sums from :func:`sign_conv2d` on the float32 filter rows,
+        and pad_value must be an integer; ValueError if the sums could reach
+        2**24. Otherwise it is float64 from :func:`_matmul`.
     """
     _check_conv_shapes(x, w, geom)
     if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
-        return _sign_conv2d(x, sign_matrix(filter_rows(w)), geom, pad_value,
+        return _sign_conv2d(x, filter_rows(w).astype(np.float32), geom, pad_value,
                             _abs_max(w))
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
@@ -424,7 +436,9 @@ def conv2d_backward(
             ``alpha[co] * w``. A binary conv passes its forward's int8 sign
             planes as x and w with its alpha: the patch matrix stays int8 and
             reaches float64 one K_BLOCK row block at a time inside
-            :func:`_matmul`, and the filter matrix is built from the signs.
+            :func:`_matmul`, and the float64 filter matrix is the forward's
+            filter rows (:func:`filter_rows`, no copy for the signs of
+            ``bitops.sign_weights``) times alpha, in one pass.
 
     Returns:
         (grad_x [N, Ci, H, W], grad_w [Co, Ci, kh, kw]), grad_w w.r.t. the
@@ -468,9 +482,9 @@ def conv2d_backward(
     gy = grad_y.transpose(0, 2, 3, 1)                     # [N, OH, OW, Co]
     if gy.strides[3] != gy.itemsize:
         gy = np.ascontiguousarray(gy)
-    w_mat = _weight_matrix(w)                             # [kh*kw*Ci, Co]
-    w_mat = (w_mat.astype(np.float64) if alpha is None
-             else w_mat * np.asarray(alpha, dtype=np.float64))
+    scale = 1.0 if alpha is None else np.asarray(alpha, dtype=np.float64)
+    w_mat = np.multiply(filter_rows(w).T, scale, dtype=np.float64,
+                        order="C")                        # [kh*kw*Ci, Co]
     taps = _interior_taps(geom, n, h, wd)
     if taps:
         gx, gw = _conv_backward_interior(gy, x.transpose(0, 2, 3, 1), w_mat, geom,
@@ -486,19 +500,28 @@ def conv2d_backward(
     return gx.transpose(0, 3, 1, 2), np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
 
 
-def _interior_taps(geom: ConvGeometry, n: int, h: int, w: int):
-    """The rule both conv directions follow: per output row and per output
-    column, the range of kernel taps that read the input rather than the pad
-    ring, as (rows, cols); None unless the batch has at least
-    _SPLIT_MIN_IMAGES images and more than half of the (output, tap) pairs
-    read the ring (a 3x3 conv on a 2x2 grid)."""
-    if n < _SPLIT_MIN_IMAGES:
-        return None
+def _tap_ranges(geom: ConvGeometry, h: int, w: int):
+    """Per output row and per output column, the range of kernel taps that
+    read the input rather than the pad ring, as (rows, cols) lists of
+    ranges; a range is empty where every tap reads the ring."""
     (kh, kw), s, p = geom.kernel, geom.stride, geom.padding
     oh, ow = geom.out_extent(h, w)
     rows, cols = ([range(max(0, p - o * s), min(k, e + p - o * s)) for o in range(out)]
                   for out, k, e in ((oh, kh, h), (ow, kw, w)))
-    if 2 * sum(map(len, rows)) * sum(map(len, cols)) < oh * ow * kh * kw:
+    return rows, cols
+
+
+def _interior_taps(geom: ConvGeometry, n: int, h: int, w: int):
+    """The rule both conv directions follow: the :func:`_tap_ranges` of the
+    conv, or None unless the batch has at least _SPLIT_MIN_IMAGES images and
+    more than half of the (output, tap) pairs read the ring (a 3x3 conv on a
+    2x2 grid). The frozen plan's XNOR kernel skips the ring at any batch
+    (``bitops.xnor_filters``)."""
+    if n < _SPLIT_MIN_IMAGES:
+        return None
+    rows, cols = _tap_ranges(geom, h, w)
+    kh, kw = geom.kernel
+    if 2 * sum(map(len, rows)) * sum(map(len, cols)) < len(rows) * len(cols) * kh * kw:
         return rows, cols
     return None
 

@@ -134,6 +134,28 @@ def argsort_grow_tree(x, g, h, cfg):
     return build(np.arange(x.shape[0]), 0)
 
 
+def node_walk_predict(node, x32):
+    """Route all rows of x32 [N, F] through one tree node by node, a NaN
+    feature going left; returns [N] leaf weights. The per-tree walk that
+    the library's level-by-level routing over flat arrays replaced."""
+    n = x32.shape[0]
+    out = np.empty(n)
+    stack = [(node, np.arange(n))]
+    while stack:
+        nd, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if nd.is_leaf:
+            out[idx] = nd.weight
+            continue
+        col = x32[idx, nd.feature]
+        go_left = col <= np.float64(nd.threshold)
+        go_left |= np.isnan(col)
+        stack.append((nd.left, idx[go_left]))
+        stack.append((nd.right, idx[~go_left]))
+    return out
+
+
 def nchw_im2col(x, geom, pad_value=0.0):
     """(padded input, patch matrix [N*OH*OW, kh*kw*Ci]) as first written: the
     ring added in NCHW by np.pad, then one gather of every window, transposed
@@ -495,14 +517,15 @@ def reference_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     return form(grad_y, x, w, geom, pad_value, alpha)
 
 
-def dense_sign_conv2d(x, w_mat, geom, pad_value=-1):
+def dense_sign_conv2d(x, w_rows, geom, pad_value=-1):
     """sign_conv2d as one float32 product over the whole patch matrix, pad
-    ring included: the form the interior-tap products replaced. Its sums are
+    ring included: the form the interior-tap products and the XNOR kernel's
+    ring constants replaced, on filter rows [Co, kh*kw*Ci]. Its sums are
     exact integers, so the two must agree to the byte, strides included."""
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
     cols = nchw_im2col(x, geom, int(pad_value))[1].astype(np.float32)
-    return (cols @ w_mat).reshape(n, oh, ow, w_mat.shape[1]).transpose(0, 3, 1, 2)
+    return (cols @ w_rows.T).reshape(n, oh, ow, len(w_rows)).transpose(0, 3, 1, 2)
 
 
 def blocked_channel_sums(x, block=128):

@@ -155,20 +155,21 @@ def test_criterion_04_binary_kernel_oracle_1000_geometries():
         rows = tensor_ops.filter_rows(w_sign)
         scale = alpha[None, :, None, None]
 
-        # the two kernels the frozen plan's binconv selects between
-        x_sign = x.astype(np.int8)
-        kernels = {
-            "xnor_conv2d": bitops.xnor_conv2d(x_sign, bitops.pack_rows(rows), geom),
-            "sign_conv2d": tensor_ops.sign_conv2d(
-                x_sign, tensor_ops.sign_matrix(rows), geom, pad_value=-1),
-        }
+        # the two kernels the frozen plan's binconv selects between, on int8
+        # signs and on the boolean compare the plan's RSign emits
+        filters = bitops.xnor_filters(rows, geom, h, w)
+        kernels = {}
+        for x_sign in (x.astype(np.int8), x > 0):
+            kernels[f"xnor_conv2d {x_sign.dtype}"] = bitops.xnor_conv2d(x_sign, filters)
+            kernels[f"sign_conv2d {x_sign.dtype}"] = tensor_ops.sign_conv2d(
+                x_sign, rows.astype(np.float32), geom, pad_value=-1)
         sgn = np.where(latent >= 0, 1.0, -1.0)
         ints = tensor_ops.conv2d_forward(x, sgn, geom, pad_value=-1.0)
         want = scale * ints
         for name, got in kernels.items():
             assert np.array_equal(scale * got, want), f"case {case}: {name}, {geom}"
     report(4, "PASS", "1000 random geometries ≤ 2x4x8x8, xnor_conv2d and sign_conv2d "
-           "== α·(±1 conv)")
+           "on int8 and boolean signs == α·(±1 conv)")
 
 
 # --- 5: analytic gradients match finite differences ------------------------------

@@ -15,8 +15,9 @@ from rxgb.bitops import (
     sign_weights,
     ste_mask,
     xnor_conv2d,
+    xnor_filters,
 )
-from rxgb import netspec
+from rxgb import netspec, network
 from rxgb.tensor_ops import _POPCOUNT_MAX_ROWS, ConvGeometry, conv2d_forward, filter_rows
 
 from oracles import (
@@ -67,14 +68,18 @@ def test_sign_zero_is_plus_one():
 
 def test_binary_conv_of_one_pixel_equals_integer_dot():
     # A 1x1 conv of one pixel is one XNOR-popcount dot over Ci bits: lengths
-    # either side of the 64-bit word boundaries check the zero pad bits.
+    # either side of the 64-bit word boundaries check the zero pad bits, and
+    # rows of 511 and 600 words the two widths the popcounts are summed in,
+    # at dots near -K (2 * popcount past 2**16 at 600 words) too.
     rng = np.random.default_rng(1)
     geom = ConvGeometry((1, 1))
-    for n in [1, 2, 63, 64, 65, 127, 128, 129, 300, 1000]:
-        for _ in range(20):
+    for n in [1, 2, 63, 64, 65, 127, 128, 129, 300, 1000, 511 * 64, 600 * 64]:
+        for trial in range(20):
             a = rng.choice([-1, 1], n).astype(np.int8)
             b = rng.choice([-1, 1], n).astype(np.int8)
-            y = xnor_conv2d(a.reshape(1, n, 1, 1), pack_rows(b.reshape(1, n)), geom)
+            if trial % 2:
+                b = np.where(rng.random(n) < 0.02, a, -a).astype(np.int8)
+            y = xnor_conv2d(a.reshape(1, n, 1, 1), xnor_filters(b.reshape(1, n), geom, 1, 1))
             assert y[0, 0, 0, 0] == int(np.dot(a.astype(np.int64), b))
 
 
@@ -109,7 +114,7 @@ def test_binary_conv_integer_exact_vs_real_path():
         wl = rng.standard_normal((co, ci, k, k))
         sgn, alpha = sign_weights(wl)
 
-        got = xnor_conv2d(x.astype(np.int8), pack_rows(filter_rows(sgn)), geom)
+        got = xnor_conv2d(x.astype(np.int8), xnor_filters(filter_rows(sgn), geom, h, w))
         real = conv2d_forward(x, np.where(wl >= 0, 1.0, -1.0), geom, pad_value=-1.0)
         assert np.array_equal(got, real)          # integer-exact
         loops = naive_conv2d(x, np.where(wl >= 0, 1.0, -1.0), stride, padv, -1.0)
@@ -122,7 +127,7 @@ def test_binary_conv_integer_exact_vs_real_path():
 
 def _net_binary_convs():
     """(Ci, Co, k, stride) of every binary conv of the width-0.25 and 0.5
-    nets, and Ci = 4 and 100, whose K (36, 4, 900) is not a multiple of 64."""
+    nets, and Ci = 4 and 100, whose Ci is not a multiple of 64."""
     shapes = {(4, 4, 3, 1), (4, 4, 3, 2), (4, 4, 1, 1), (100, 8, 3, 1)}
     for width in (0.25, 0.5):
         for step in netspec.shape_chain(netspec.reference_spec(width)):
@@ -133,41 +138,72 @@ def _net_binary_convs():
     return sorted(shapes)
 
 
+def _xnor_cases(x, w, geom):
+    """xnor_conv2d on int8 signs x [N, Ci, H, W] in NHWC memory and on
+    their compare x > 0, against dense_sign_conv2d, byte for byte."""
+    n, ci, h, wd = x.shape
+    rows = filter_rows(w)
+    filters = xnor_filters(rows, geom, h, wd)
+    n_words = -(-ci // 64)
+    for positions, pixels, words, offset in filters.groups:
+        assert words.dtype == np.uint64 and not words.flags.writeable
+        assert words.shape[0] in (1, len(positions))
+        assert words.shape[1:] == (pixels.shape[1] * n_words, len(w))
+        assert offset.dtype == np.float32 and offset.shape == (len(positions), len(w))
+    want = dense_sign_conv2d(x, rows.astype(np.float32), geom)
+    for signs in (x, x > 0):
+        got = xnor_conv2d(signs, filters)
+        assert got.dtype == np.float32 and got.strides == want.strides
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def _sign_plane(rng, n, h, wd, ci):
+    x = np.where(rng.standard_normal((n, h, wd, ci)) >= 0, 1, -1).astype(np.int8)
+    return x.transpose(0, 3, 1, 2)                           # NHWC memory
+
+
 def test_xnor_conv_equals_the_dense_sign_product_byte_for_byte():
     # Every binary conv shape of the nets on 1 to _POPCOUNT_MAX_ROWS + 1 patch
     # rows (one image of 1 x W, odd W at stride 2, every cell next to the -1
-    # ring), then on one and two images of the extent the net gives it.
+    # ring), on int8 signs and on their boolean compare.
     rng = np.random.default_rng(19)
     shapes = _net_binary_convs()
     assert len(shapes) == 20
-    extent = {}
-    for width in (0.25, 0.5):
-        for step in netspec.shape_chain(netspec.reference_spec(width)):
-            if step.layer.kind in (netspec.NORMAL, netspec.REDUCTION):
-                extent.setdefault(step.padded[0], step.padded[1])
     for ci, co, k, stride in shapes:
         geom = ConvGeometry((k, k), stride, k // 2)
         w = np.where(rng.standard_normal((co, ci, k, k)) >= 0, 1, -1).astype(np.int8)
-        w_rows = pack_rows(filter_rows(w))
-        assert w_rows.shape == (co, -(-k * k * ci // 64))
-        w_mat = w.transpose(2, 3, 1, 0).reshape(-1, co).astype(np.float32)
-        inputs = [(1, 1, stride * (r - 1) + 1) for r in range(1, _POPCOUNT_MAX_ROWS + 2)]
-        if ci in extent:
-            inputs += [(n, extent[ci], extent[ci]) for n in (1, 2)]
-        for n, h, wd in inputs:
-            x = np.where(rng.standard_normal((n, h, wd, ci)) >= 0, 1, -1).astype(np.int8)
-            x = x.transpose(0, 3, 1, 2)                       # NHWC memory
-            case = (ci, co, k, stride, n, h, wd)
-            got = xnor_conv2d(x, w_rows, geom)
-            want = dense_sign_conv2d(x, w_mat, geom)
-            assert got.dtype == np.float32 and got.strides == want.strides, case
-            assert got.tobytes(order="A") == want.tobytes(order="A"), case
-    empty = xnor_conv2d(np.zeros((0, 4, 3, 3), np.int8), pack_rows(np.ones((5, 36))),
-                        ConvGeometry((3, 3), 1, 1))
+        for r in range(1, _POPCOUNT_MAX_ROWS + 2):
+            x = _sign_plane(rng, 1, 1, stride * (r - 1) + 1, ci)
+            _xnor_cases(x, w, geom)
+    empty = xnor_conv2d(np.zeros((0, 4, 3, 3), np.int8),
+                        xnor_filters(np.ones((5, 36)), ConvGeometry((3, 3), 1, 1), 3, 3))
     assert empty.shape == (0, 5, 3, 3)
-    with pytest.raises(ValueError, match="words"):
-        xnor_conv2d(np.ones((1, 65, 1, 1), np.int8), pack_rows(np.ones((5, 64))),
-                    ConvGeometry((1, 1)))
+    with pytest.raises(ValueError, match="does not match"):
+        xnor_conv2d(np.ones((1, 65, 1, 1), np.int8),
+                    xnor_filters(np.ones((5, 64)), ConvGeometry((1, 1)), 1, 1))
+    with pytest.raises(ValueError, match="kernel"):
+        xnor_filters(np.ones((5, 10)), ConvGeometry((3, 3)), 3, 3)
+
+
+def test_xnor_conv_of_every_conv_the_plan_runs_as_xnor_equals_the_dense_product():
+    # Every binary conv the frozen plan lays out for XNOR at widths 0.25 and
+    # 0.5 (output grids of at most _POPCOUNT_MAX_ROWS cells: 4x4 and 2x2),
+    # on the input extent the net gives it, at batches of 1 to 4 images.
+    rng = np.random.default_rng(20)
+    seen = set()
+    for width in (0.25, 0.5):
+        spec = netspec.reference_spec(width, include_fc=False)
+        shapes = {name: shape for name, shape, _, _ in network._param_layout(spec)}
+        for prefix, (geom, (h, wd)) in network._binary_conv_inputs(spec).items():
+            if np.prod(geom.out_extent(h, wd)) > _POPCOUNT_MAX_ROWS:
+                continue
+            co, ci, k, _ = shapes[f"{prefix}.w_latent"]
+            w = np.where(rng.standard_normal((co, ci, k, k)) >= 0, 1, -1).astype(np.int8)
+            for n in range(1, 5):
+                _xnor_cases(_sign_plane(rng, n, h, wd, ci), w, geom)
+            seen.add((width, geom.out_extent(h, wd), k))
+    assert seen == {(width, grid, k) for width in (0.25, 0.5)
+                    for grid in ((4, 4), (2, 2)) for k in (1, 3)}
 
 
 def test_pack_rows_sets_one_bit_per_plus_one_and_zero_pad_bits():

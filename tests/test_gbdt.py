@@ -11,7 +11,12 @@ import re
 
 import numpy as np
 import pytest
-from oracles import NON_FINITE_MODEL_EDITS, argsort_grow_tree, where_column_block
+from oracles import (
+    NON_FINITE_MODEL_EDITS,
+    argsort_grow_tree,
+    node_walk_predict,
+    where_column_block,
+)
 
 from rxgb import gbdt
 from rxgb.gbdt import (
@@ -298,7 +303,7 @@ def test_model_bytes_equal_per_node_argsort_reference(k, depth, gamma, mcw, lam)
         g, h = softmax_grad_hess(margins, y)
         for c in range(k):
             tree = argsort_grow_tree(x, g[:, c], h[:, c], cfg)
-            margins[:, c] += gbdt._tree_predict(tree, x)
+            margins[:, c] += node_walk_predict(tree, x)
             want.trees.append((c, tree))
     # the last split level takes no partition: some tree must reach it
     assert max(t.depth() for _, t in want.trees) == depth
@@ -364,7 +369,7 @@ def test_split_between_adjacent_float32_values_routes_rows_as_scored():
     stump = TreeNode(is_leaf=False, feature=0, threshold=sp.threshold,
                      left=TreeNode(is_leaf=True, weight=-1.0),
                      right=TreeNode(is_leaf=True, weight=1.0))
-    assert gbdt._tree_predict(stump, x).tolist() == [-1.0, 1.0]
+    assert node_walk_predict(stump, x).tolist() == [-1.0, 1.0]
     ens = train_ensemble(x, np.array([0, 1]), cfg)
     assert predict_class(ens, x).tolist() == [0, 1]
 
@@ -468,6 +473,66 @@ def test_predict_matches_per_row_tracer():
     assert np.array_equal(predict_class(ens, x), np.argmax(want, axis=1))
 
 
+def _mean_loss(margins, labels):
+    z = margins - margins.max(axis=1, keepdims=True)
+    logp = z[np.arange(len(labels)), labels] - np.log(np.exp(z).sum(axis=1))
+    return float(-logp.mean())
+
+
+def _random_tree(rng, values, nf, depth):
+    """A tree of up to ``depth`` levels whose thresholds are drawn from
+    ``values``, so that some rows sit exactly on a threshold."""
+    if depth == 0 or rng.random() < 0.25:
+        return TreeNode(is_leaf=True, weight=float(rng.normal()))
+    return TreeNode(is_leaf=False, feature=int(rng.integers(nf)),
+                    threshold=float(rng.choice(values)),
+                    left=_random_tree(rng, values, nf, depth - 1),
+                    right=_random_tree(rng, values, nf, depth - 1))
+
+
+def test_flat_routing_equals_the_node_walk_on_random_ensembles():
+    # predict_margins routes all rows through all trees a level at a time;
+    # the node walk of tests/oracles.py routes one tree at a time. Random
+    # trees (single leaves among them, classes in any order) over rows with
+    # NaN features and values on the thresholds, ensembles of zero trees and
+    # batches of zero rows; by hand, trained and read back from text.
+    rng = np.random.default_rng(71)
+    for case in range(60):
+        k, nf = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        n = int(rng.choice([0, 1, 2, 7, 40]))
+        x = rng.normal(size=(n, nf)).astype(np.float32)
+        x[rng.random((n, nf)) < 0.2] = np.nan
+        values = np.concatenate([x[np.isfinite(x)], rng.normal(size=4)]).astype(np.float32)
+        n_trees = int(rng.choice([0, 1, 3, 12]))
+        ens = TreeEnsemble(config=GBDTConfig(n_classes=k, max_trees=12, max_depth=6),
+                           n_features=nf, base_score=rng.normal(size=k))
+        for _ in range(n_trees):
+            ens.trees.append((int(rng.integers(k)), _random_tree(rng, values, nf, 6)))
+        want = np.tile(ens.base_score, (n, 1))
+        for c, tree in ens.trees:
+            want[:, c] += node_walk_predict(tree, x)
+        for model in (ens, deserialize(serialize(ens))):
+            got = predict_margins(model, x)
+            assert got.tobytes() == want.tobytes(), case
+            assert predict_class(model, x).tolist() == np.argmax(want, axis=1).tolist()
+        if n:                            # round_losses replays k trees a round
+            labels = rng.integers(0, k, size=n)
+            margins = np.tile(ens.base_score, (n, 1))
+            want_losses = [_mean_loss(margins, labels)]
+            for start in range(0, len(ens.trees), k):
+                for c, tree in ens.trees[start:start + k]:
+                    margins[:, c] += node_walk_predict(tree, x)
+                want_losses.append(_mean_loss(margins, labels))
+            assert gbdt.round_losses(ens, x, labels) == want_losses, case
+    x = rng.normal(size=(50, 4)).astype(np.float32)
+    ens = train_ensemble(x, rng.integers(0, 3, size=50),
+                         GBDTConfig(n_classes=3, max_trees=7, max_depth=4))
+    want = np.tile(ens.base_score, (50, 1))
+    for c, tree in ens.trees:
+        want[:, c] += node_walk_predict(tree, x)
+    assert predict_margins(ens, x).tobytes() == want.tobytes()
+
+
 def test_predict_nan_follows_default_direction():
     # NaN goes left, the one default direction: every split of a model file
     # says d=left, and the parser refuses any other direction.
@@ -512,7 +577,7 @@ def test_training_loss_decreases_each_round():
         margins = np.tile(ens.base_score, (n, 1))
         losses = [_loss(margins, y)]
         for kk, tree in ens.trees:
-            margins[:, kk] += gbdt._tree_predict(tree, x)
+            margins[:, kk] += node_walk_predict(tree, x)
             if kk == k - 1:
                 losses.append(_loss(margins, y))
         assert all(b < a + 1e-9 for a, b in zip(losses, losses[1:]))

@@ -789,8 +789,8 @@ def test_binary_conv_forward_equals_bit_path_byte_for_byte():
         latent = rng.uniform(-1.0, 1.0, (co, ci, k, k))
         y = network._Tape({"c.w_latent": latent}).binconv("c", a, geom)
         w_sign, alpha = bitops.sign_weights(latent)
-        w_rows = bitops.pack_rows(tensor_ops.filter_rows(w_sign))
-        want = bitops.xnor_conv2d(a, w_rows, geom) * alpha[None, :, None, None]
+        filters = bitops.xnor_filters(tensor_ops.filter_rows(w_sign), geom, hw, hw)
+        want = bitops.xnor_conv2d(a, filters) * alpha[None, :, None, None]
         assert y.dtype == want.dtype == np.float64
         assert np.ascontiguousarray(y).tobytes() == want.tobytes(), f"Ci={ci} k{k} s{stride}"
 
@@ -919,20 +919,22 @@ def test_plan_rsign_compare_equals_the_sign_of_the_difference():
     x = np.repeat(np.array(edges)[:, None], len(shift), axis=1)[:, :, None, None]
     got = plan.rsign("block1.rsign_conv3x3", x)
     want = bitops.rsign_forward(x, plan.reals["block1.rsign_conv3x3.shift"])[0]
-    assert got.dtype == want.dtype == np.int8
-    assert got.tobytes() == want.tobytes()
+    assert got.dtype == bool and want.dtype == np.int8
+    assert np.where(got, 1, -1).astype(np.int8).tobytes() == want.tobytes()
 
 
 def test_plan_is_read_only_and_leaves_the_model_writable():
     model = network.build_network(plan_spec(), seed=174)
     plan = network.freeze(model)
-    w_mat, alpha = plan.signs["block1.conv3x3"]
-    assert w_mat.dtype == np.float32 and w_mat.shape == (9 * 4, 4)
-    assert set(np.unique(w_mat)) <= {-1.0, 1.0}
-    w_rows = plan.packed["block1.conv3x3"]
-    assert w_rows.dtype == np.uint64 and w_rows.shape == (4, 1)
-    assert plan.packed.keys() == plan.signs.keys()
-    arrays = [w_mat, alpha, *plan.packed.values(), *plan.reals.values(),
+    w_rows, alpha = plan.signs["block1.conv3x3"]
+    assert w_rows.dtype == np.float32 and w_rows.shape == (4, 9 * 4)
+    assert set(np.unique(w_rows)) <= {-1.0, 1.0}
+    # every grid of this spec has at most _POPCOUNT_MAX_ROWS cells
+    filters = plan.xnor["block1.conv3x3"]
+    assert filters.in_shape == (4, 3, 3) and filters.out_shape == (4, 3, 3)
+    assert plan.xnor.keys() == plan.signs.keys()
+    arrays = [w_rows, alpha, *plan.reals.values(),
+              *(a for f in plan.xnor.values() for group in f.groups for a in group),
               *(a for pair in plan.affine.values() for a in pair)]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(TypeError):
@@ -942,7 +944,7 @@ def test_plan_is_read_only_and_leaves_the_model_writable():
 
 def test_batch_one_features_equal_their_rows_of_a_batch_256_forward(monkeypatch):
     # At batch 1 the binary convs of at most _POPCOUNT_MAX_ROWS patch rows
-    # (the 4x4 and 2x2 grids) run as XNOR-popcount on packed rows and the
+    # (the 4x4 and 2x2 grids) run as XNOR-popcount on packed words and the
     # rest as dense float32 products; at batch 256 all are products, the
     # 3x3 ones on 2x2 grids over interior taps. The features agree to the byte.
     model = network.build_network(netspec.reference_spec(0.5, include_fc=False), seed=190)
@@ -951,8 +953,8 @@ def test_batch_one_features_equal_their_rows_of_a_batch_256_forward(monkeypatch)
     grids = []
     xnor_conv2d = bitops.xnor_conv2d
 
-    def spy(x, w_rows, geom):
-        y = xnor_conv2d(x, w_rows, geom)
+    def spy(x, filters):
+        y = xnor_conv2d(x, filters)
         grids.append(y.shape[2:])
         return y
 

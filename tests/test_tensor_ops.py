@@ -268,8 +268,8 @@ def test_integer_conv_is_exact_and_guards_float32_range():
         conv2d_forward(ones, ones, ConvGeometry((1, 1), 1, 1), pad_value=-0.5)
 
 
-def _sign_matrix(w):
-    return tensor_ops.sign_matrix(tensor_ops.filter_rows(w))
+def _sign_rows(w):
+    return tensor_ops.filter_rows(w).astype(np.float32)
 
 
 def test_sign_conv2d_on_prepared_filters_equals_the_4d_conv_and_keeps_the_guard():
@@ -277,19 +277,19 @@ def test_sign_conv2d_on_prepared_filters_equals_the_4d_conv_and_keeps_the_guard(
     x = np.where(rng.standard_normal((2, 5, 7, 7)) >= 0, 1, -1).astype(np.int8)
     w = np.where(rng.standard_normal((3, 5, 3, 3)) >= 0, 1, -1).astype(np.int8)
     geom = ConvGeometry((3, 3), 2, 1)
-    w_mat = _sign_matrix(w)
-    assert w_mat.dtype == np.float32 and w_mat.shape == (45, 3)
-    got = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=-1)
+    w_rows = _sign_rows(w)
+    assert w_rows.dtype == np.float32 and w_rows.shape == (3, 45)
+    got = tensor_ops.sign_conv2d(x, w_rows, geom, pad_value=-1)
     want = conv2d_forward(x, w, geom, pad_value=-1)
     assert got.tobytes() == want.tobytes()
     # the guard reads the prepared filters' bound: K = 1041 at 127 * 127 fails
     big = np.full((1, 1041, 1, 1), 127, dtype=np.int8)
     with pytest.raises(ValueError, match=r"2\*\*24"):
-        tensor_ops.sign_conv2d(big, _sign_matrix(big), ConvGeometry((1, 1)), w_max=127)
-    with pytest.raises(ValueError, match="filter matrix"):
-        tensor_ops.sign_conv2d(x, w_mat[1:], geom)
+        tensor_ops.sign_conv2d(big, _sign_rows(big), ConvGeometry((1, 1)), w_max=127)
+    with pytest.raises(ValueError, match="filter rows"):
+        tensor_ops.sign_conv2d(x, w_rows[:, 1:], geom)
     with pytest.raises(ValueError, match="integer"):
-        tensor_ops.sign_conv2d(x.astype(np.float64), w_mat, geom)
+        tensor_ops.sign_conv2d(x.astype(np.float64), w_rows, geom)
 
 
 def _two_by_two_binary_convs():
@@ -321,13 +321,13 @@ def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     assert len(shapes) == 9
     for ci, co, hw, k, stride in shapes:
         geom = ConvGeometry((k, k), stride, k // 2)
-        w_mat = _sign_matrix(_sign_plane(rng, (co, ci, k, k)))
+        w_rows = _sign_rows(_sign_plane(rng, (co, ci, k, k)))
         for n in (_SPLIT_MIN_IMAGES - 1, _SPLIT_MIN_IMAGES, 256):
             x = _sign_plane(rng, (n, ci, hw, hw))
             for pad in (-1, 0):
                 case = (n, ci, hw, k, stride, pad)
-                got = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=pad)
-                want = dense_sign_conv2d(x, w_mat, geom, pad)
+                got = tensor_ops.sign_conv2d(x, w_rows, geom, pad_value=pad)
+                want = dense_sign_conv2d(x, w_rows, geom, pad)
                 assert got.strides == want.strides, case
                 assert got.tobytes(order="A") == want.tobytes(order="A"), case
     assert sorted({c[:5] for c in interior}) == sorted(
@@ -337,11 +337,11 @@ def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     for c, hw, stride in _DESK_3X3:
         for k in (3, 1):
             geom = ConvGeometry((k, k), stride, k // 2)
-            w_mat = _sign_matrix(_sign_plane(rng, (c, c, k, k)))
+            w_rows = _sign_rows(_sign_plane(rng, (c, c, k, k)))
             x = _sign_plane(rng, (45, c, hw, hw))
             case = (45, c, hw, k, stride)
-            got = tensor_ops.sign_conv2d(x, w_mat, geom, pad_value=-1)
-            want = dense_sign_conv2d(x, w_mat, geom, -1)
+            got = tensor_ops.sign_conv2d(x, w_rows, geom, pad_value=-1)
+            want = dense_sign_conv2d(x, w_rows, geom, -1)
             assert got.strides == want.strides, case
             assert got.tobytes(order="A") == want.tobytes(order="A"), case
     # Integer operands whose sums come within 1% of the 2**24 guard:
@@ -353,12 +353,12 @@ def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     for pad in (127, -127, 0):
         interior.clear()
         case = ("near the guard", pad)
-        got = tensor_ops.sign_conv2d(x, _sign_matrix(w), geom, pad, w_max=114)
-        want = dense_sign_conv2d(x, _sign_matrix(w), geom, pad)
+        got = tensor_ops.sign_conv2d(x, _sign_rows(w), geom, pad, w_max=114)
+        want = dense_sign_conv2d(x, _sign_rows(w), geom, pad)
         assert interior and got.tobytes(order="A") == want.tobytes(order="A"), case
         assert pad != 127 or want.max() > 0.5 * tensor_ops.EXACT_F32, case
     with pytest.raises(ValueError, match=r"2\*\*24"):
-        tensor_ops.sign_conv2d(x, _sign_matrix(w), geom, pad, w_max=115)
+        tensor_ops.sign_conv2d(x, _sign_rows(w), geom, pad, w_max=115)
 
 
 def test_sign_convs_of_an_empty_batch_are_empty():
@@ -371,7 +371,7 @@ def test_sign_convs_of_an_empty_batch_are_empty():
         oh = (5 + 2 * (k // 2) - k) // stride + 1
         y = conv2d_forward(x, w, geom, pad_value=-1)
         assert y.dtype == np.float32 and y.shape == (0, 3, oh, oh)
-        y = tensor_ops.sign_conv2d(x, _sign_matrix(w), geom)
+        y = tensor_ops.sign_conv2d(x, _sign_rows(w), geom)
         assert y.dtype == np.float32 and y.shape == (0, 3, oh, oh)
 
 

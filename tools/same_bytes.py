@@ -16,10 +16,12 @@ which cannot show a training change below float32 rounding. A revision from
 before that line wrote float64 checkpoints (format v2); for it the digest is
 taken from the checkpoint's parameters, read by that revision's own code.
 A sixth column is the sha256 of the float64 features of the 160 test images,
-computed by each side's own code from its checkpoint, as one batch and then
-one image at a time: the feature files hold float32, which cannot show an
-inference change below float32 rounding, and the two batch sizes take
-different conv paths. ``metrics.tsv`` holds wall seconds and is left out. It
+computed by each side's own code from its checkpoint, as one batch, then in
+batches of four and then one image at a time: the feature files hold
+float32, which cannot show an inference change below float32 rounding, and
+the batch sizes take different conv paths (batches of one and four run the
+XNOR kernel on the 4x4 or 2x2 grids, one with a single image per XOR and
+one with several). ``metrics.tsv`` holds wall seconds and is left out. It
 prints one row per config and exits 1 if any column differs.
 """
 
@@ -63,7 +65,7 @@ print(h.hexdigest())
 
 
 # the FEATURES digest: the test images' float64 features from the saved
-# backbone, as one batch and then one image at a time
+# backbone, as one batch, then in batches of four, then one image at a time
 _FEATURE_DIGEST = """
 import hashlib, sys
 import numpy as np
@@ -71,6 +73,7 @@ from rxgb import data, network
 model = network.load_checkpoint(sys.argv[1])
 x = data.load_dataset("test", cache_dir=sys.argv[2]).images
 parts = [network.features_forward(model, x)]
+parts += [network.features_forward(model, x[i:i + 4]) for i in range(0, len(x), 4)]
 parts += [network.features_forward(model, x[i:i + 1]) for i in range(len(x))]
 h = hashlib.sha256()
 for part in parts:
