@@ -211,10 +211,12 @@ def _load_split(cfg, split: str):
     from . import data
 
     ds = data.load_dataset(split, cache_dir=cfg["data.dir"] or None)
-    limit = cfg["data.subset"] if split == "train" else cfg["data.test_subset"]
-    if limit:
-        ds = data.subset(ds, limit)
-    return ds
+    key, limit = (("data.subset", cfg["data.subset"]) if split == "train" else
+                  ("data.test_subset", cfg["data.test_subset"]))
+    try:
+        return data.subset(ds, limit) if limit else ds
+    except ValueError as e:
+        raise ConfigError(f"{key} = {limit}: {e}") from e
 
 
 _SPEC_NAMES = ("reference", "reference-nofc")
@@ -277,7 +279,10 @@ def _train_inputs(cfg, full):
         )
     except ValueError as e:
         raise ConfigError(f"bad train config: {e}") from e
-    train_ds, val_ds = data.split_train_val(full, cfg["data.val_count"])
+    try:
+        train_ds, val_ds = data.split_train_val(full, cfg["data.val_count"])
+    except ValueError as e:
+        raise ConfigError(f"data.val_count = {cfg['data.val_count']}: {e}") from e
     model = network.build_network(_build_spec(cfg), seed=cfg["seed"])
     return train_ds, val_ds, model, hp
 

@@ -33,13 +33,16 @@ so a block takes one gather and one prefix sum. That is exact: complex
 addition adds the real and the imaginary parts as two independent float64
 additions, so each part's prefix sums are those of g and of h alone.
 
-Prediction routes every row through every tree at once, a level at a time,
-over flat node arrays (Hummingbird's tree traversal, Nakandala et al., OSDI
-2020): train_ensemble and deserialize build them once per ensemble, and
-predict_margins, predict_class and round_losses share them. A row goes right
-where x > t, so a NaN goes left, and the leaf weights are added to the
-margins in tree order, which gives the margins of walking each tree node by
-node to the byte.
+A tree has one form, Tree: read-only node arrays, as XGBoost stores each
+tree as one flat node array. Growth and the text parser write them slot by
+slot; serialize, cost and prediction read them. A TreeEnsemble is immutable:
+its trees are a tuple, fixed at construction, which concatenates their
+arrays once, so what serialize writes is what prediction routes. Prediction
+routes every row through every tree at once, a level at a time, over those
+arrays (Hummingbird's tree traversal, Nakandala et al., OSDI 2020). A row
+goes right where x > t, so a NaN goes left, and the leaf weights are added
+to the margins, which start at 0, in tree order, which gives the margins of
+walking each tree node by node to the byte.
 
 Features are handled in float32, the canonical precision of persisted feature
 matrices; thresholds and leaf weights are float64. Everything is deterministic:
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,102 +90,103 @@ class GBDTConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-@dataclass
-class TreeNode:
-    """One node; leaves carry weight, internal nodes carry the split. A row
-    whose split feature is NaN goes left."""
+# The node arrays of a Tree, as (field, dtype).
+_NODE_ARRAYS = (("feature", np.intp), ("threshold", np.float64),
+                ("child", np.intp), ("value", np.float64))
 
-    is_leaf: bool
-    weight: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def node_counts(self) -> tuple[int, int]:
-        """(internal nodes, leaves)."""
-        if self.is_leaf:
-            return 0, 1
-        li, ll = self.left.node_counts()
-        ri, rl = self.right.node_counts()
-        return 1 + li + ri, ll + rl
+def _levels(child: np.ndarray, nodes: np.ndarray) -> int:
+    """Levels from ``nodes`` down to the deepest leaf below them, one level
+    of all of them at a time; a leaf is its own child."""
+    depth = 0
+    while True:
+        nodes = nodes[child[nodes] != nodes]
+        if not nodes.size:
+            return depth
+        nodes = (child[nodes, None] + (0, 1)).ravel()
+        depth += 1
 
 
 @dataclass(frozen=True, eq=False)
-class _FlatTrees:
-    """The trees of an ensemble as flat node arrays, routed a level at a time.
+class Tree:
+    """One tree as read-only node arrays, the one form growth, parsing,
+    text, prediction and cost read.
 
-    Node i splits on feature[i] at threshold[i]; its children are nodes
-    child[i] (x <= threshold, and NaN) and child[i] + 1 (x > threshold). A
-    leaf has threshold +inf and child[i] = i, so a row that reaches it stays
-    there, and value[i] is its weight. roots[t] is tree t's root and depth
-    the deepest leaf's depth, the levels routing takes.
+    Node 0 is the root. Node i splits on feature[i] at threshold[i]; its
+    children are nodes child[i] (x <= threshold, and NaN) and child[i] + 1
+    (x > threshold), two consecutive slots after i. A leaf has threshold
+    +inf and child[i] = i, so a row that reaches it stays there, and
+    value[i] is its weight (0 at a split).
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     child: np.ndarray
     value: np.ndarray
-    roots: np.ndarray
-    depth: int
+
+    def __post_init__(self):
+        for name, dtype in _NODE_ARRAYS:
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        n = self.child.size
+        if any(getattr(self, name).shape != (n,) for name, _ in _NODE_ARRAYS) or not n:
+            raise ValueError("a tree's node arrays must be non-empty, 1-d and of one length")
+        # a split's children come after it, so every walk down the tree ends
+        slot = np.arange(n)
+        if np.where(self.child != slot, (self.child <= slot) | (self.child >= n - 1)
+                    | (self.feature < 0), self.threshold != math.inf).any():
+            raise ValueError("a split's children must be two later slots and its "
+                             "feature >= 0, and a leaf its own child at threshold +inf")
+
+    def depth(self) -> int:
+        return _levels(self.child, np.zeros(1, np.intp))
+
+    def node_counts(self) -> tuple[int, int]:
+        """(internal nodes, leaves)."""
+        leaves = int(np.count_nonzero(self.child == np.arange(len(self.child))))
+        return len(self.child) - leaves, leaves
 
 
-def _flatten(trees: list[tuple[int, TreeNode]]) -> _FlatTrees:
-    """The :class:`_FlatTrees` of (class, tree) pairs; two children take
-    consecutive slots."""
-    feature, threshold, child, value = [], [], [], []
-
-    def slot():
-        feature.append(0)
-        threshold.append(math.inf)
-        child.append(len(child))
-        value.append(0.0)
-        return len(feature) - 1
-
-    roots, depth = [], 0
-    for _, root in trees:
-        roots.append(slot())
-        stack = [(root, roots[-1], 0)]
-        while stack:
-            node, i, level = stack.pop()
-            if node.is_leaf:
-                value[i] = node.weight
-                depth = max(depth, level)
-                continue
-            c = slot()
-            slot()
-            feature[i], threshold[i], child[i] = node.feature, node.threshold, c
-            stack += [(node.left, c, level + 1), (node.right, c + 1, level + 1)]
-    return _FlatTrees(feature=np.array(feature, np.intp), threshold=np.array(threshold),
-                      child=np.array(child, np.intp), value=np.array(value),
-                      roots=np.array(roots, np.intp), depth=depth)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TreeEnsemble:
-    """Ordered (class_id, tree) pairs plus per-class base scores (zeros unless
-    given).
+    """Ordered (class_id, tree) pairs, fixed at construction; every class
+    margin starts at 0.
 
     ``n_features`` records the training feature count so downstream consumers
-    can reject inputs of the wrong width. ``flat`` holds the trees as flat
-    node arrays for prediction, set once by train_ensemble and deserialize;
-    an ensemble assembled or extended by hand is flattened per prediction.
+    can reject inputs of the wrong width. Construction concatenates the
+    trees' node arrays, child indices shifted by each tree's offset, into
+    ``_nodes`` (feature, threshold, child, value), which prediction routes
+    every tree through at once; ``_roots`` holds each tree's root and
+    ``_depth`` the deepest leaf's depth, the levels routing takes. A class
+    outside [0, n_classes) or a split feature outside [0, n_features) is
+    refused.
     """
 
     config: GBDTConfig
     n_features: int
-    trees: list[tuple[int, TreeNode]] = field(default_factory=list)
-    base_score: np.ndarray | None = None
-    flat: _FlatTrees | None = field(default=None, init=False, repr=False, compare=False)
+    trees: tuple[tuple[int, Tree], ...] = ()
+    _nodes: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _roots: np.ndarray = field(init=False, repr=False)
+    _depth: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.base_score is None:
-            self.base_score = np.zeros(self.config.n_classes)
+        trees = tuple((int(k), tree) for k, tree in self.trees)
+        sizes = [len(tree.child) for _, tree in trees]
+        roots = np.cumsum([0, *sizes], dtype=np.intp)[:-1]
+        nodes = tuple(np.concatenate([np.empty(0, dtype), *(getattr(t, name) for _, t in trees)])
+                      for name, dtype in _NODE_ARRAYS)
+        feature, _, child, _ = nodes
+        child += np.repeat(roots, sizes)
+        if (any(not 0 <= k < self.config.n_classes for k, _ in trees)
+                or np.any(feature[child != np.arange(child.size)] >= self.n_features)):
+            raise ValueError("a tree's class or split feature is out of range")
+        for a in (*nodes, roots):
+            a.flags.writeable = False
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_roots", roots)
+        object.__setattr__(self, "_depth", _levels(child, roots))
 
 
 def softmax_grad_hess(
@@ -350,15 +354,31 @@ def best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> 
     return _scan(_column_block(x), x, _pack(g, h), g.sum(), h.sum(), cfg)
 
 
+def _split_slot(nodes: tuple[list, list, list, list], i: int, f: int, t: float) -> int:
+    """Make slot i of the (feature, threshold, child, value) lists ``nodes``
+    a split on feature f at threshold t whose children, leaves until
+    written, take the next two slots; returns the left child's slot."""
+    feature, threshold, child, value = nodes
+    c = len(child)
+    feature[i], threshold[i], child[i] = f, t, c
+    feature += [0, 0]
+    threshold += [math.inf, math.inf]
+    child += [c, c + 1]
+    value += [0.0, 0.0]
+    return c
+
+
 def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
-          cfg: GBDTConfig) -> tuple[TreeNode, np.ndarray]:
+          cfg: GBDTConfig) -> tuple[Tree, np.ndarray]:
     """Grow one tree from x's column block; returns (tree, [m] leaf weights).
 
     A split routes the node's rows by x <= threshold into one side mask and
     partitions every column of the node's block stably by it, so each child's
     block is the parent's sorted order restricted to the child's rows. Node
     rows are kept in increasing row order and node totals are their sums in
-    that order. The scans read g and h packed once per tree (see _pack).
+    that order. The scans read g and h packed once per tree (see _pack). The
+    tree is written slot by slot: a split takes the next two slots for its
+    children.
 
     Below the root, which is only read, a node's block is a span of one half
     of a two-half buffer and its children's blocks are cut into the same span
@@ -376,8 +396,8 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
     weights = np.empty(n)
     side = np.zeros(n, dtype=bool)
     buf = np.empty((2, nf * n), dtype=block.dtype)
-    root = TreeNode(is_leaf=True)
-    stack = [(root, np.arange(n), block, 0, 0)]
+    nodes = ([0], [math.inf], [0], [0.0])      # feature, threshold, child, value
+    stack = [(0, np.arange(n), block, 0, 0)]
     while stack:
         node, idx, keys, start, depth = stack.pop()
         gs = float(g[idx].sum())
@@ -386,8 +406,7 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
         if depth < cfg.max_depth and idx.size >= 2:
             sp = _scan(keys, x, gh, gs, hs, cfg)
         if sp is None:
-            node.weight = float(-cfg.learning_rate * gs / (hs + cfg.reg_lambda))
-            weights[idx] = node.weight
+            weights[idx] = nodes[3][node] = -cfg.learning_rate * gs / (hs + cfg.reg_lambda)
             continue
         go_left = x[idx, sp.feature] <= np.float64(sp.threshold)
         m, ml = idx.size, int(go_left.sum())
@@ -403,11 +422,10 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
                 sel = side[part & _ROW]
                 np.compress(sel, part, out=left[rows].ravel())
                 np.compress(~sel, part, out=right[rows].ravel())
-        node.is_leaf, node.feature, node.threshold = False, sp.feature, sp.threshold
-        node.left, node.right = TreeNode(is_leaf=True), TreeNode(is_leaf=True)
-        stack.append((node.right, idx[~go_left], right, cut, depth + 1))
-        stack.append((node.left, idx[go_left], left, start, depth + 1))
-    return root, weights
+        c = _split_slot(nodes, node, sp.feature, sp.threshold)
+        stack.append((c + 1, idx[~go_left], right, cut, depth + 1))
+        stack.append((c, idx[go_left], left, start, depth + 1))
+    return Tree(*nodes), weights
 
 
 def _leaf_weights(ens: TreeEnsemble, x32: np.ndarray) -> np.ndarray:
@@ -415,17 +433,15 @@ def _leaf_weights(ens: TreeEnsemble, x32: np.ndarray) -> np.ndarray:
     All rows take a level of all trees at once: a row goes to the right
     child where its float32 feature, read as float64, exceeds the threshold,
     so NaN goes left, as x <= t routes it in growth."""
-    flat = ens.flat
-    if flat is None or len(flat.roots) != len(ens.trees):
-        flat = _flatten(ens.trees)
+    feature, threshold, child, value = ens._nodes
     n, nf = x32.shape
     cells = np.ascontiguousarray(x32).ravel()
     row_start = np.arange(0, n * nf, nf)[:, None]
-    node = np.broadcast_to(flat.roots, (n, len(flat.roots)))
-    for _ in range(flat.depth):
-        go_right = cells[row_start + flat.feature[node]] > flat.threshold[node]
-        node = flat.child[node] + go_right
-    return flat.value[node]
+    node = np.broadcast_to(ens._roots, (n, len(ens._roots)))
+    for _ in range(ens._depth):
+        go_right = cells[row_start + feature[node]] > threshold[node]
+        node = child[node] + go_right
+    return value[node]
 
 
 def train_ensemble(
@@ -450,21 +466,16 @@ def train_ensemble(
     if not np.isfinite(x).all():
         raise ValueError("training features must be finite")
 
-    ens = TreeEnsemble(config=cfg, n_features=x.shape[1])
     block = _column_block(x)
-    margins = np.tile(ens.base_score, (n, 1))
-    built = 0
-    while built < cfg.max_trees:
+    margins = np.zeros((n, cfg.n_classes))
+    trees = []
+    while len(trees) < cfg.max_trees:
         g, h = softmax_grad_hess(margins, labels)
-        for k in range(cfg.n_classes):
-            if built >= cfg.max_trees:
-                break
+        for k in range(min(cfg.n_classes, cfg.max_trees - len(trees))):
             tree, weights = _grow(x, block, g[:, k], h[:, k], cfg)
             margins[:, k] += weights
-            ens.trees.append((k, tree))
-            built += 1
-    ens.flat = _flatten(ens.trees)
-    return ens
+            trees.append((k, tree))
+    return TreeEnsemble(config=cfg, n_features=x.shape[1], trees=tuple(trees))
 
 
 def predict_margins(ens: TreeEnsemble, x: np.ndarray) -> np.ndarray:
@@ -481,7 +492,7 @@ def predict_margins(ens: TreeEnsemble, x: np.ndarray) -> np.ndarray:
             f"feature width {x32.shape[1]} != ensemble n_features {ens.n_features}"
         )
     weights = _leaf_weights(ens, x32)
-    margins = np.tile(ens.base_score, (len(x32), 1))
+    margins = np.zeros((len(x32), ens.config.n_classes))
     for t, (k, _) in enumerate(ens.trees):              # in tree order
         margins[:, k] += weights[:, t]
     return margins
@@ -496,13 +507,13 @@ def round_losses(ens: TreeEnsemble, x: np.ndarray, labels: np.ndarray):
     """Mean multiclass log-loss before boosting and after each round.
 
     Replays the ensemble in boosting order (trees grouped per round, one
-    tree per class); entry 0 is the base-score loss, entry r the loss after
-    round r. The final margins equal predict_margins exactly.
+    tree per class); entry 0 is the loss at zero margins, entry r the loss
+    after round r. The final margins equal predict_margins exactly.
     """
     x32 = np.asarray(x, dtype=np.float32)
     labels = np.asarray(labels)
     n, k = x32.shape[0], ens.config.n_classes
-    margins = np.tile(ens.base_score, (n, 1))
+    margins = np.zeros((n, k))
     weights = _leaf_weights(ens, x32)
 
     def mean_loss():
@@ -525,8 +536,10 @@ _CONFIG_KEYS = (
     "n_classes", "max_trees", "max_depth", "learning_rate", "reg_lambda",
     "gamma", "min_child_weight",
 )
+_DEFAULT_CONFIG = GBDTConfig()
 # A fixed line of the v1 format: max_trees counts the trees in total. Every
-# split likewise carries the fixed token d=left: a NaN feature routes left.
+# split likewise carries the fixed token d=left: a NaN feature routes left,
+# and every class's base score is the fixed token 0.0: margins start at 0.
 _BUDGET_LINE = "budget_mode=total_trees"
 
 
@@ -534,32 +547,37 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _node_sexpr(node: TreeNode) -> str:
-    if node.is_leaf:
-        return f"(leaf w={_fmt(node.weight)})"
-    return (
-        f"(split f={node.feature} t={_fmt(node.threshold)} "
-        f"d=left {_node_sexpr(node.left)} "
-        f"{_node_sexpr(node.right)})"
-    )
+def _tree_sexpr(tree: Tree) -> str:
+    """The tree's nodes in pre-order: a split, its left subtree, its right."""
+    feature, threshold, child, value = (a.tolist() for a in (
+        tree.feature, tree.threshold, tree.child, tree.value))
+
+    def node(i: int) -> str:
+        c = child[i]
+        if c == i:
+            return f"(leaf w={_fmt(value[i])})"
+        return (f"(split f={feature[i]} t={_fmt(threshold[i])} "
+                f"d=left {node(c)} {node(c + 1)})")
+
+    return node(0)
 
 
 def serialize(ens: TreeEnsemble) -> str:
     """Deterministic UTF-8 text encoding of an ensemble.
 
     Format: header line, key=value config block ending in the fixed
-    _BUDGET_LINE, base_scores line with one
-    shortest-round-trip decimal per class, n_features, trees count, then one
-    `(tree class=K ...)` s-expression per line in boosting order.
+    _BUDGET_LINE, the fixed base_scores line (0.0 per class), n_features,
+    trees count, then one `(tree class=K ...)` s-expression per line in
+    boosting order; reals are shortest-round-trip decimals.
     """
     cfg = ens.config
     lines = [_HEADER, *(f"{key}={getattr(cfg, key)}" for key in _CONFIG_KEYS),
              _BUDGET_LINE]
-    lines.append("base_scores=" + " ".join(_fmt(v) for v in ens.base_score))
+    lines.append("base_scores=" + " ".join(["0.0"] * cfg.n_classes))
     lines.append(f"n_features={ens.n_features}")
     lines.append(f"trees={len(ens.trees)}")
     for k, tree in ens.trees:
-        lines.append(f"(tree class={k} {_node_sexpr(tree)})")
+        lines.append(f"(tree class={k} {_tree_sexpr(tree)})")
     return "\n".join(lines) + "\n"
 
 
@@ -584,15 +602,19 @@ class _Tokens:
         if got != want:
             raise FormatError(f"expected {want!r} at token {self.pos - 1}, got {got!r}")
 
-    def done(self) -> bool:
-        return self.pos >= len(self.toks)
-
 
 def _take_kv(toks: _Tokens, key: str) -> str:
     tok = toks.next()
     if not tok.startswith(key + "="):
         raise FormatError(f"expected {key}=... at token {toks.pos - 1}, got {tok!r}")
     return tok[len(key) + 1:]
+
+
+def _parse_int(s: str, what: str) -> int:
+    try:
+        return int(s)
+    except ValueError as e:
+        raise FormatError(f"bad {what} {s!r}") from e
 
 
 def _parse_float(s: str, what: str) -> float:
@@ -606,23 +628,21 @@ def _parse_float(s: str, what: str) -> float:
     return v
 
 
-def _parse_node(toks: _Tokens, n_features: int, depth_left: int) -> TreeNode:
-    """One node and its subtree. depth_left is max_depth less the node's
-    depth; a split needs it > 0."""
+def _parse_node(toks: _Tokens, n_features: int, depth_left: int,
+                nodes: tuple[list, list, list, list], i: int) -> None:
+    """One node and its subtree into slot i of the (feature, threshold,
+    child, value) lists ``nodes``; a split appends its children's two slots.
+    depth_left is max_depth less the node's depth; a split needs it > 0."""
     toks.expect("(")
     kind = toks.next()
     if kind == "leaf":
-        w = _parse_float(_take_kv(toks, "w"), "leaf weight")
+        nodes[3][i] = _parse_float(_take_kv(toks, "w"), "leaf weight")
         toks.expect(")")
-        return TreeNode(is_leaf=True, weight=w)
+        return
     if kind == "split":
         if depth_left <= 0:
             raise FormatError("a split sits deeper than max_depth")
-        f = _take_kv(toks, "f")
-        try:
-            feature = int(f)
-        except ValueError as e:
-            raise FormatError(f"bad feature index {f!r}") from e
+        feature = _parse_int(_take_kv(toks, "f"), "feature index")
         if not 0 <= feature < n_features:
             raise FormatError(f"feature index {feature} out of range for "
                               f"n_features={n_features}")
@@ -630,12 +650,19 @@ def _parse_node(toks: _Tokens, n_features: int, depth_left: int) -> TreeNode:
         d = _take_kv(toks, "d")
         if d != "left":
             raise FormatError(f"bad default direction {d!r}")
-        left = _parse_node(toks, n_features, depth_left - 1)
-        right = _parse_node(toks, n_features, depth_left - 1)
+        c = _split_slot(nodes, i, feature, thr)
+        _parse_node(toks, n_features, depth_left - 1, nodes, c)
+        _parse_node(toks, n_features, depth_left - 1, nodes, c + 1)
         toks.expect(")")
-        return TreeNode(is_leaf=False, feature=feature, threshold=thr,
-                        left=left, right=right)
+        return
     raise FormatError(f"unknown node kind {kind!r}")
+
+
+def _header_value(lines: list[str], i: int, key: str) -> str:
+    """The value of line i, which must read key=value."""
+    if i >= len(lines) or not lines[i].startswith(key + "="):
+        raise FormatError(f"missing config line {key}=...")
+    return lines[i][len(key) + 1:]
 
 
 def deserialize(text: str) -> TreeEnsemble:
@@ -643,88 +670,52 @@ def deserialize(text: str) -> TreeEnsemble:
     lines = text.splitlines()
     if not lines or lines[0] != _HEADER:
         raise FormatError(f"bad header: expected {_HEADER!r}")
-    kv = {}
-    i = 1
-    for key in _CONFIG_KEYS:
-        if i >= len(lines) or not lines[i].startswith(key + "="):
-            raise FormatError(f"missing config line {key}=...")
-        kv[key] = lines[i].split("=", 1)[1]
-        i += 1
-    try:
-        cfg = GBDTConfig(
-            n_classes=int(kv["n_classes"]),
-            max_trees=int(kv["max_trees"]),
-            max_depth=int(kv["max_depth"]),
-            learning_rate=float(kv["learning_rate"]),
-            reg_lambda=float(kv["reg_lambda"]),
-            gamma=float(kv["gamma"]),
-            min_child_weight=float(kv["min_child_weight"]),
-        )
+    kv = {key: _header_value(lines, i, key) for i, key in enumerate(_CONFIG_KEYS, 1)}
+    try:                                # each value read as its default's type
+        cfg = GBDTConfig(**{key: type(getattr(_DEFAULT_CONFIG, key))(value)
+                            for key, value in kv.items()})
     except ValueError as e:
         raise FormatError(f"bad config value: {e}") from e
+    i = len(_CONFIG_KEYS) + 1
     if i >= len(lines) or lines[i] != _BUDGET_LINE:
         raise FormatError(f"expected config line {_BUDGET_LINE!r}")
-    i += 1
-
-    if i >= len(lines) or not lines[i].startswith("base_scores="):
-        raise FormatError("missing base_scores line")
-    parts = lines[i].split("=", 1)[1].split()
-    if len(parts) != cfg.n_classes:
-        raise FormatError(
-            f"base_scores has {len(parts)} values, expected {cfg.n_classes}"
-        )
-    base = np.array([_parse_float(p, "base score") for p in parts])
-    i += 1
-
-    if i >= len(lines) or not lines[i].startswith("n_features="):
-        raise FormatError("missing n_features line")
-    try:
-        n_features = int(lines[i].split("=", 1)[1])
-    except ValueError as e:
-        raise FormatError("bad n_features value") from e
+    base = _header_value(lines, i + 1, "base_scores").split()
+    if len(base) != cfg.n_classes:
+        raise FormatError(f"base_scores has {len(base)} values, expected {cfg.n_classes}")
+    if any([_parse_float(v, "base score") for v in base]):
+        raise FormatError(f"nonzero base score in {lines[i + 1]!r}: margins start at 0")
+    n_features = _parse_int(_header_value(lines, i + 2, "n_features"), "n_features value")
     if n_features < 0:
         raise FormatError(f"negative n_features {n_features}")
-    i += 1
-
-    if i >= len(lines) or not lines[i].startswith("trees="):
-        raise FormatError("missing trees= line")
-    try:
-        n_trees = int(lines[i].split("=", 1)[1])
-    except ValueError as e:
-        raise FormatError("bad trees count") from e
+    n_trees = _parse_int(_header_value(lines, i + 3, "trees"), "trees count")
     if not 0 <= n_trees <= cfg.max_trees:
         raise FormatError(f"trees={n_trees} outside [0, max_trees={cfg.max_trees}]")
-    i += 1
+    i += 4
 
-    trees: list[tuple[int, TreeNode]] = []
+    trees = []
     for j in range(n_trees):
         if i + j >= len(lines):
             raise FormatError(f"expected {n_trees} tree records, found {j}")
         toks = _Tokens(lines[i + j])
         toks.expect("(")
         toks.expect("tree")
-        cls = _take_kv(toks, "class")
-        try:
-            k = int(cls)
-        except ValueError as e:
-            raise FormatError(f"bad tree class {cls!r}") from e
+        k = _parse_int(_take_kv(toks, "class"), "tree class")
         if not 0 <= k < cfg.n_classes:
             raise FormatError(f"tree class {k} out of range [0, {cfg.n_classes})")
+        nodes = ([0], [math.inf], [0], [0.0])
         try:
-            node = _parse_node(toks, n_features, cfg.max_depth)
+            _parse_node(toks, n_features, cfg.max_depth, nodes, 0)
         except RecursionError as e:
             raise FormatError(f"tree record {j} nests too deep to parse") from e
         toks.expect(")")
-        if not toks.done():
+        if toks.pos < len(toks.toks):
             raise FormatError(f"trailing tokens after tree record {j}")
-        trees.append((k, node))
+        trees.append((k, Tree(*nodes)))
     if i + n_trees != len(lines) and any(
         line.strip() for line in lines[i + n_trees:]
     ):
         raise FormatError("trailing content after final tree record")
-    ens = TreeEnsemble(config=cfg, n_features=n_features, trees=trees, base_score=base)
-    ens.flat = _flatten(trees)
-    return ens
+    return TreeEnsemble(config=cfg, n_features=n_features, trees=tuple(trees))
 
 
 def check_fits(ens: TreeEnsemble, n_features: int, n_classes: int) -> None:

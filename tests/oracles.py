@@ -4,6 +4,8 @@ Everything here is written for clarity, not speed: explicit loops, no shared
 code with the library. Tests compare library output against these.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -110,10 +112,70 @@ def where_column_block(x):
     return keys
 
 
-def argsort_grow_tree(x, g, h, cfg):
-    """Recursive growth on argsort_best_split, as an rxgb.gbdt.TreeNode."""
-    from rxgb.gbdt import TreeNode
+@dataclass
+class Node:
+    """A tree as linked nodes, the reference form: leaves carry weight,
+    internal nodes the split. A row whose split feature is NaN goes left.
+    to_tree converts it to the library's rxgb.gbdt.Tree, from_tree back."""
 
+    is_leaf: bool
+    weight: float = 0.0
+    feature: int = -1
+    threshold: float = 0.0
+    left: "Node | None" = None
+    right: "Node | None" = None
+
+    def depth(self):
+        if self.is_leaf:
+            return 0
+        return 1 + max(self.left.depth(), self.right.depth())
+
+    def node_counts(self):
+        """(internal nodes, leaves)."""
+        if self.is_leaf:
+            return 0, 1
+        li, ll = self.left.node_counts()
+        ri, rl = self.right.node_counts()
+        return 1 + li + ri, ll + rl
+
+
+def stump(feature, threshold, left, right):
+    """One split on feature at threshold over leaves of weights left, right."""
+    return Node(is_leaf=False, feature=feature, threshold=threshold,
+                left=Node(is_leaf=True, weight=left), right=Node(is_leaf=True, weight=right))
+
+
+def to_tree(node):
+    """The rxgb.gbdt.Tree of a Node: slots in breadth-first order, a split's
+    children in the next two free slots, a leaf its own child at threshold
+    +inf."""
+    from rxgb.gbdt import Tree
+
+    order = [node]
+    feature, threshold, child, value = [], [], [], []
+    for i, nd in enumerate(order):               # order grows as it is read
+        leaf = nd.is_leaf
+        feature.append(0 if leaf else nd.feature)
+        threshold.append(np.inf if leaf else nd.threshold)
+        child.append(i if leaf else len(order))
+        value.append(nd.weight if leaf else 0.0)
+        if not leaf:
+            order += [nd.left, nd.right]
+    return Tree(feature, threshold, child, value)
+
+
+def from_tree(tree, i=0):
+    """The Node of an rxgb.gbdt.Tree, read from slot i down."""
+    c = int(tree.child[i])
+    if c == i:
+        return Node(is_leaf=True, weight=float(tree.value[i]))
+    return Node(is_leaf=False, feature=int(tree.feature[i]),
+                threshold=float(tree.threshold[i]),
+                left=from_tree(tree, c), right=from_tree(tree, c + 1))
+
+
+def argsort_grow_tree(x, g, h, cfg):
+    """Recursive growth on argsort_best_split, as a Node."""
     x = np.asarray(x, dtype=np.float32)
 
     def build(idx, depth):
@@ -123,10 +185,10 @@ def argsort_grow_tree(x, g, h, cfg):
             sp = argsort_best_split(x[idx], g[idx], h[idx], cfg)
         if sp is None:
             w = -cfg.learning_rate * gs / (hs + cfg.reg_lambda)
-            return TreeNode(is_leaf=True, weight=float(w))
+            return Node(is_leaf=True, weight=float(w))
         f, t = sp
         go_left = x[idx, f] <= t
-        return TreeNode(
+        return Node(
             is_leaf=False, feature=f, threshold=t,
             left=build(idx[go_left], depth + 1), right=build(idx[~go_left], depth + 1),
         )
@@ -135,9 +197,9 @@ def argsort_grow_tree(x, g, h, cfg):
 
 
 def node_walk_predict(node, x32):
-    """Route all rows of x32 [N, F] through one tree node by node, a NaN
-    feature going left; returns [N] leaf weights. The per-tree walk that
-    the library's level-by-level routing over flat arrays replaced."""
+    """Route all rows of x32 [N, F] through one Node tree node by node, a
+    NaN feature going left; returns [N] leaf weights. The per-tree walk that
+    the library's level-by-level routing over node arrays replaced."""
     n = x32.shape[0]
     out = np.empty(n)
     stack = [(node, np.arange(n))]

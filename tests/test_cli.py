@@ -337,6 +337,25 @@ def test_train_settings_that_build_no_trainer_are_one_config_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command in ("train", "pipeline")
+    for flag, value in (("data.val_count", "0"), ("data.val_count", "64"),
+                        ("data.subset", "-5"), ("data.subset", "100"),
+                        ("data.test_subset", "1000"))
+    if (command, flag) != ("train", "data.test_subset")   # train reads no test split
+])
+def test_sizes_the_dataset_cannot_give_are_one_config_line(
+        tmp_path, cache_dir, capsys, command, flag, value):
+    # 64 train and 16 test images: these used to print invalid-value, exit 1
+    out = tmp_path / "run"
+    rc = cli.main([command, "--out", str(out), "--data.dir", str(cache_dir),
+                   *SMOKE_ARGS, f"--{flag}", value])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"RXGB-ERROR config: {flag} = {value}:"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_gbdt_reports_round_losses(tmp_path, cache_dir, capsys):
     out = tmp_path / "gb"
     manual = tmp_path / "m"

@@ -8,10 +8,11 @@ budget reconciliation against the exact FC-head arithmetic.
 
 import numpy as np
 import pytest
+from oracles import Node, stump, to_tree
 
 from rxgb import costmodel as cm
 from rxgb import netspec
-from rxgb.gbdt import GBDTConfig, TreeEnsemble, TreeNode
+from rxgb.gbdt import GBDTConfig, TreeEnsemble
 from rxgb.netspec import (
     FC_HEAD,
     FIRST_CONV,
@@ -198,25 +199,18 @@ def test_gbdt_cost_ensemble_exact():
     c = cm.gbdt_cost(empty)
     assert (c.compare_flops, c.param_bits) == (0, 0)
 
-    stump = TreeEnsemble(config=GBDTConfig(max_trees=1), n_features=1)
-    stump.trees.append((0, TreeNode(is_leaf=True, weight=0.1)))
-    c = cm.gbdt_cost(stump)
+    leaf = TreeEnsemble(config=GBDTConfig(max_trees=1), n_features=1,
+                        trees=[(0, to_tree(Node(is_leaf=True, weight=0.1)))])
+    c = cm.gbdt_cost(leaf)
     assert c.compare_flops == 0
     assert c.leaves == 1 and c.internal_nodes == 0
     assert c.param_bits == 34
 
     # depth-2 tree: 2 internal nodes, 3 leaves, deepest path 2 compares
-    tree = TreeNode(
-        is_leaf=False, feature=0, threshold=0.0,
-        left=TreeNode(
-            is_leaf=False, feature=1, threshold=1.0,
-            left=TreeNode(is_leaf=True, weight=1.0),
-            right=TreeNode(is_leaf=True, weight=2.0),
-        ),
-        right=TreeNode(is_leaf=True, weight=3.0),
-    )
-    ens = TreeEnsemble(config=GBDTConfig(max_trees=1), n_features=2)
-    ens.trees.append((0, tree))
+    tree = Node(is_leaf=False, feature=0, threshold=0.0,
+                left=stump(1, 1.0, 1.0, 2.0), right=Node(is_leaf=True, weight=3.0))
+    ens = TreeEnsemble(config=GBDTConfig(max_trees=1), n_features=2,
+                       trees=[(0, to_tree(tree))])
     c = cm.gbdt_cost(ens)
     assert c.compare_flops == 2
     assert (c.internal_nodes, c.leaves) == (2, 3)

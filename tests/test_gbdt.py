@@ -13,8 +13,12 @@ import numpy as np
 import pytest
 from oracles import (
     NON_FINITE_MODEL_EDITS,
+    Node,
     argsort_grow_tree,
+    from_tree,
     node_walk_predict,
+    stump,
+    to_tree,
     where_column_block,
 )
 
@@ -24,7 +28,6 @@ from rxgb.gbdt import (
     GBDTConfig,
     Split,
     TreeEnsemble,
-    TreeNode,
     best_split,
     deserialize,
     predict_class,
@@ -75,7 +78,7 @@ def brute_best_split(x, g, h, cfg):
 
 def oracle_tree(x, g, h, cfg, depth=0):
     gs, hs = g.sum(), h.sum()
-    leaf = TreeNode(
+    leaf = Node(
         is_leaf=True,
         weight=float(-cfg.learning_rate * gs / (hs + cfg.reg_lambda)),
     )
@@ -85,23 +88,10 @@ def oracle_tree(x, g, h, cfg, depth=0):
     if sp is None:
         return leaf
     mask = x[:, sp.feature] <= sp.threshold
-    return TreeNode(
+    return Node(
         is_leaf=False, feature=sp.feature, threshold=sp.threshold,
         left=oracle_tree(x[mask], g[mask], h[mask], cfg, depth + 1),
         right=oracle_tree(x[~mask], g[~mask], h[~mask], cfg, depth + 1),
-    )
-
-
-def trees_equal(a, b, tol=1e-12):
-    if a.is_leaf != b.is_leaf:
-        return False
-    if a.is_leaf:
-        return abs(a.weight - b.weight) <= tol
-    return (
-        a.feature == b.feature
-        and a.threshold == b.threshold
-        and trees_equal(a.left, b.left, tol)
-        and trees_equal(a.right, b.right, tol)
     )
 
 
@@ -297,16 +287,18 @@ def test_model_bytes_equal_per_node_argsort_reference(k, depth, gamma, mcw, lam)
         n_classes=k, max_trees=2 * k, max_depth=depth, gamma=gamma,
         min_child_weight=mcw, reg_lambda=lam, learning_rate=0.5,
     )
-    want = TreeEnsemble(config=cfg, n_features=x.shape[1])
-    margins = np.tile(want.base_score, (len(y), 1))
+    margins = np.zeros((len(y), k))
+    trees = []
     for _ in range(2):                  # max_trees = 2k: two rounds of k trees
         g, h = softmax_grad_hess(margins, y)
         for c in range(k):
             tree = argsort_grow_tree(x, g[:, c], h[:, c], cfg)
             margins[:, c] += node_walk_predict(tree, x)
-            want.trees.append((c, tree))
+            trees.append((c, tree))
     # the last split level takes no partition: some tree must reach it
-    assert max(t.depth() for _, t in want.trees) == depth
+    assert max(t.depth() for _, t in trees) == depth
+    want = TreeEnsemble(config=cfg, n_features=x.shape[1],
+                        trees=[(c, to_tree(t)) for c, t in trees])
     assert serialize(train_ensemble(x, y, cfg)) == serialize(want)
 
 
@@ -364,12 +356,10 @@ def test_split_between_adjacent_float32_values_routes_rows_as_scored():
     assert np.float32(sp.threshold) == fb
     tree = grow_tree(x, g, h, cfg)
     assert tree.node_counts() == (1, 2)
-    assert tree.threshold == sp.threshold
-    assert tree.left.weight > 0 > tree.right.weight
-    stump = TreeNode(is_leaf=False, feature=0, threshold=sp.threshold,
-                     left=TreeNode(is_leaf=True, weight=-1.0),
-                     right=TreeNode(is_leaf=True, weight=1.0))
-    assert node_walk_predict(stump, x).tolist() == [-1.0, 1.0]
+    node = from_tree(tree)
+    assert node.threshold == sp.threshold
+    assert node.left.weight > 0 > node.right.weight
+    assert node_walk_predict(stump(0, sp.threshold, -1.0, 1.0), x).tolist() == [-1.0, 1.0]
     ens = train_ensemble(x, np.array([0, 1]), cfg)
     assert predict_class(ens, x).tolist() == [0, 1]
 
@@ -425,7 +415,7 @@ def test_grow_tree_matches_recursive_oracle():
             min_child_weight=0.0,
             reg_lambda=1.0,
         )
-        got = grow_tree(x, g, h, cfg)
+        got = from_tree(grow_tree(x, g, h, cfg))
         want = oracle_tree(x, g, h, cfg)
         divergences += _compare_trees(got, want, x, g, h, cfg)
         assert got.depth() <= cfg.max_depth
@@ -439,9 +429,9 @@ def test_grow_tree_depth_zero_is_single_leaf_with_closed_form_weight():
     h = np.linspace(0.2, 1.0, 8)
     cfg = GBDTConfig(n_classes=2, max_depth=0, learning_rate=0.3, reg_lambda=1.0)
     t = grow_tree(x, g, h, cfg)
-    assert t.is_leaf
+    assert t.depth() == 0
     assert t.node_counts() == (0, 1)
-    assert t.weight == pytest.approx(-0.3 * g.sum() / (h.sum() + 1.0), abs=1e-15)
+    assert t.value[0] == pytest.approx(-0.3 * g.sum() / (h.sum() + 1.0), abs=1e-15)
 
 
 def test_grow_tree_rejects_nonfinite_inputs():
@@ -465,10 +455,10 @@ def test_predict_matches_per_row_tracer():
             node = node.left if v <= node.threshold or np.isnan(v) else node.right
         return node.weight
 
-    want = np.tile(ens.base_score, (60, 1))
+    want = np.zeros((60, 3))
     for k, tree in ens.trees:
         for i in range(60):
-            want[i, k] += route(tree, x[i])
+            want[i, k] += route(from_tree(tree), x[i])
     assert np.array_equal(got, want)
     assert np.array_equal(predict_class(ens, x), np.argmax(want, axis=1))
 
@@ -483,11 +473,11 @@ def _random_tree(rng, values, nf, depth):
     """A tree of up to ``depth`` levels whose thresholds are drawn from
     ``values``, so that some rows sit exactly on a threshold."""
     if depth == 0 or rng.random() < 0.25:
-        return TreeNode(is_leaf=True, weight=float(rng.normal()))
-    return TreeNode(is_leaf=False, feature=int(rng.integers(nf)),
-                    threshold=float(rng.choice(values)),
-                    left=_random_tree(rng, values, nf, depth - 1),
-                    right=_random_tree(rng, values, nf, depth - 1))
+        return Node(is_leaf=True, weight=float(rng.normal()))
+    return Node(is_leaf=False, feature=int(rng.integers(nf)),
+                threshold=float(rng.choice(values)),
+                left=_random_tree(rng, values, nf, depth - 1),
+                right=_random_tree(rng, values, nf, depth - 1))
 
 
 def test_flat_routing_equals_the_node_walk_on_random_ensembles():
@@ -495,7 +485,8 @@ def test_flat_routing_equals_the_node_walk_on_random_ensembles():
     # the node walk of tests/oracles.py routes one tree at a time. Random
     # trees (single leaves among them, classes in any order) over rows with
     # NaN features and values on the thresholds, ensembles of zero trees and
-    # batches of zero rows; by hand, trained and read back from text.
+    # batches of zero rows; by hand, trained and read back from text. Each
+    # converted tree keeps the reference tree's depth and node counts.
     rng = np.random.default_rng(71)
     for case in range(60):
         k, nf = int(rng.integers(2, 5)), int(rng.integers(1, 6))
@@ -504,45 +495,45 @@ def test_flat_routing_equals_the_node_walk_on_random_ensembles():
         x[rng.random((n, nf)) < 0.2] = np.nan
         values = np.concatenate([x[np.isfinite(x)], rng.normal(size=4)]).astype(np.float32)
         n_trees = int(rng.choice([0, 1, 3, 12]))
+        nodes = [(int(rng.integers(k)), _random_tree(rng, values, nf, 6))
+                 for _ in range(n_trees)]
         ens = TreeEnsemble(config=GBDTConfig(n_classes=k, max_trees=12, max_depth=6),
-                           n_features=nf, base_score=rng.normal(size=k))
-        for _ in range(n_trees):
-            ens.trees.append((int(rng.integers(k)), _random_tree(rng, values, nf, 6)))
-        want = np.tile(ens.base_score, (n, 1))
-        for c, tree in ens.trees:
-            want[:, c] += node_walk_predict(tree, x)
+                           n_features=nf, trees=[(c, to_tree(t)) for c, t in nodes])
+        for (_, node), (_, tree) in zip(nodes, ens.trees):
+            assert tree.depth() == node.depth(), case
+            assert tree.node_counts() == node.node_counts(), case
+        want = np.zeros((n, k))
+        for c, node in nodes:
+            want[:, c] += node_walk_predict(node, x)
         for model in (ens, deserialize(serialize(ens))):
             got = predict_margins(model, x)
             assert got.tobytes() == want.tobytes(), case
             assert predict_class(model, x).tolist() == np.argmax(want, axis=1).tolist()
         if n:                            # round_losses replays k trees a round
             labels = rng.integers(0, k, size=n)
-            margins = np.tile(ens.base_score, (n, 1))
+            margins = np.zeros((n, k))
             want_losses = [_mean_loss(margins, labels)]
-            for start in range(0, len(ens.trees), k):
-                for c, tree in ens.trees[start:start + k]:
-                    margins[:, c] += node_walk_predict(tree, x)
+            for start in range(0, len(nodes), k):
+                for c, node in nodes[start:start + k]:
+                    margins[:, c] += node_walk_predict(node, x)
                 want_losses.append(_mean_loss(margins, labels))
             assert gbdt.round_losses(ens, x, labels) == want_losses, case
     x = rng.normal(size=(50, 4)).astype(np.float32)
     ens = train_ensemble(x, rng.integers(0, 3, size=50),
                          GBDTConfig(n_classes=3, max_trees=7, max_depth=4))
-    want = np.tile(ens.base_score, (50, 1))
+    want = np.zeros((50, 3))
     for c, tree in ens.trees:
-        want[:, c] += node_walk_predict(tree, x)
+        node = from_tree(tree)
+        assert (tree.depth(), tree.node_counts()) == (node.depth(), node.node_counts())
+        want[:, c] += node_walk_predict(node, x)
     assert predict_margins(ens, x).tobytes() == want.tobytes()
 
 
 def test_predict_nan_follows_default_direction():
     # NaN goes left, the one default direction: every split of a model file
     # says d=left, and the parser refuses any other direction.
-    node = TreeNode(
-        is_leaf=False, feature=0, threshold=0.5,
-        left=TreeNode(is_leaf=True, weight=-1.0),
-        right=TreeNode(is_leaf=True, weight=1.0),
-    )
     ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), n_features=1,
-                       trees=[(0, node)])
+                       trees=[(0, to_tree(stump(0, 0.5, -1.0, 1.0)))])
     x = np.array([[np.nan], [0.0], [1.0]], dtype=np.float32)
     m = predict_margins(ens, x)
     assert m[:, 0].tolist() == [-1.0, -1.0, 1.0]
@@ -574,10 +565,10 @@ def test_training_loss_decreases_each_round():
             n_classes=k, max_trees=4 * k, max_depth=3, min_child_weight=0.0,
         )
         ens = train_ensemble(x, y, cfg)
-        margins = np.tile(ens.base_score, (n, 1))
+        margins = np.zeros((n, k))
         losses = [_loss(margins, y)]
         for kk, tree in ens.trees:
-            margins[:, kk] += node_walk_predict(tree, x)
+            margins[:, kk] += node_walk_predict(from_tree(tree), x)
             if kk == k - 1:
                 losses.append(_loss(margins, y))
         assert all(b < a + 1e-9 for a, b in zip(losses, losses[1:]))
@@ -592,7 +583,7 @@ def test_round_losses_replay_matches_training():
     losses = gbdt.round_losses(ens, x, y)
     assert len(losses) == 1 + 3                           # 9 trees = 3 rounds
     assert all(b < a + 1e-9 for a, b in zip(losses, losses[1:]))
-    assert abs(losses[0] - _loss(np.tile(ens.base_score, (40, 1)), y) / 40) < 1e-12
+    assert abs(losses[0] - _loss(np.zeros((40, 3)), y) / 40) < 1e-12
     margins = predict_margins(ens, x)
     assert abs(losses[-1] - _loss(margins, y) / 40) < 1e-12
 
@@ -608,13 +599,8 @@ def test_train_is_deterministic():
 
 def test_predict_casts_input_to_float32():
     thr = float(np.float32(0.1))  # threshold as stored from float32 training
-    node = TreeNode(
-        is_leaf=False, feature=0, threshold=thr,
-        left=TreeNode(is_leaf=True, weight=-1.0),
-        right=TreeNode(is_leaf=True, weight=1.0),
-    )
     ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), n_features=1,
-                       trees=[(0, node)])
+                       trees=[(0, to_tree(stump(0, thr, -1.0, 1.0)))])
     # a float64 value between the float32 threshold and its float64 reading
     x64 = np.array([[0.1]], dtype=np.float64)  # 0.1 < float32(0.1) in binary
     m64 = predict_margins(ens, x64)
@@ -653,9 +639,52 @@ def test_serialize_roundtrip_is_byte_identical():
     assert back.config == cfg
 
 
+def test_a_trained_ensemble_cannot_be_edited():
+    # serialize writes the trees prediction routes: the ensemble's trees and
+    # each tree's node arrays are fixed once it is built
+    x = np.random.default_rng(9).normal(size=(30, 5)).astype(np.float32)
+    y = np.random.default_rng(10).integers(0, 3, size=30)
+    ens = train_ensemble(x, y, GBDTConfig(n_classes=3, max_trees=6, max_depth=3))
+    text, margins = serialize(ens), predict_margins(ens, x)
+    with pytest.raises(TypeError):
+        ens.trees[0] = ens.trees[1]
+    with pytest.raises(AttributeError):
+        ens.trees.append(ens.trees[1])
+    with pytest.raises(AttributeError):                 # FrozenInstanceError
+        ens.trees = ens.trees[1:]
+    tree = ens.trees[0][1]
+    for name in ("feature", "threshold", "child", "value"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tree, name)[-1] = 5
+    with pytest.raises(AttributeError):
+        tree.value = tree.value + 5.0
+    assert serialize(ens) == text
+    assert predict_margins(ens, x).tobytes() == margins.tobytes()
+
+
+def test_tree_refuses_arrays_that_are_not_a_tree():
+    good = dict(feature=[0, 0, 0], threshold=[0.5, np.inf, np.inf], child=[1, 1, 2],
+                value=[0.0, -1.0, 1.0])
+    assert gbdt.Tree(**good).node_counts() == (1, 2)
+    for edit in (dict(value=[0.0, -1.0]), dict(child=[[1, 1, 2]]),
+                 dict(feature=[], threshold=[], child=[], value=[]),
+                 dict(child=[0, 0, 2]),             # a split's child before it: a loop
+                 dict(child=[2, 1, 2]),             # its right child past the end
+                 dict(feature=[-1, 0, 0]),
+                 dict(threshold=[0.5, 0.0, np.inf])):         # a leaf that splits
+        with pytest.raises(ValueError, match="tree|slot"):
+            gbdt.Tree(**{**good, **edit})
+    # an ensemble's trees score its classes from its features
+    cfg = GBDTConfig(n_classes=2, max_trees=1)
+    for k, feature in ((2, 0), (-1, 0), (0, 3)):
+        tree = gbdt.Tree(**{**good, "feature": [feature, 0, 0]})
+        with pytest.raises(ValueError, match="out of range"):
+            TreeEnsemble(config=cfg, n_features=3, trees=[(k, tree)])
+
+
 def test_serialize_header_and_record_shape():
-    ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), n_features=3)
-    ens.trees.append((1, TreeNode(is_leaf=True, weight=0.5)))
+    ens = TreeEnsemble(config=GBDTConfig(n_classes=2, max_trees=1), n_features=3,
+                       trees=[(1, to_tree(Node(is_leaf=True, weight=0.5)))])
     text = serialize(ens)
     lines = text.splitlines()
     assert lines[0] == "RXGB-GBDT v1"
@@ -686,6 +715,12 @@ def test_deserialize_rejects_malformed_text():
         deserialize(good.replace("(split", "(cleave", 1))
     with pytest.raises(FormatError, match="out of range"):
         deserialize(good.replace("(tree class=0", "(tree class=9", 1))
+    # margins start at 0: any spelling of zero reads, anything else is refused
+    assert "\nbase_scores=0.0 0.0\n" in good
+    with pytest.raises(FormatError, match="nonzero base score"):
+        deserialize(good.replace("base_scores=0.0 0.0", "base_scores=0.0 0.5", 1))
+    assert serialize(deserialize(good.replace("base_scores=0.0 0.0",
+                                              "base_scores=-0.0 0", 1))) == good
     # the header bounds the records: at most max_trees trees, and no split at
     # a depth of max_depth or more
     assert "\nmax_trees=2\n" in good and "\ntrees=2\n" in good

@@ -21,8 +21,12 @@ batches of four and then one image at a time: the feature files hold
 float32, which cannot show an inference change below float32 rounding, and
 the batch sizes take different conv paths (batches of one and four run the
 XNOR kernel on the 4x4 or 2x2 grids, one with a single image per XOR and
-one with several). ``metrics.tsv`` holds wall seconds and is left out. It
-prints one row per config and exits 1 if any column differs.
+one with several). A seventh column is the sha256 of the float64 margins
+``gbdt.predict_margins`` gives for the test feature file from the model read
+back from ``gbdt-model.txt``, by each side's own code, for the whole file and
+then one row at a time: the model text can stay equal while routing changes.
+``metrics.tsv`` holds wall seconds and is left out. It prints one row per
+config and exits 1 if any column differs.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ ARTIFACTS = ("checkpoint.ckpt", "features-train.rxgbfeat", "features-test.rxgbfe
              "gbdt-model.txt")
 PARAMS = "params (float64)"
 FEATURES = "features (float64)"
+MARGINS = "margins (float64)"
 _DIGEST = re.compile(r"^best epoch .*params sha256 ([0-9a-f]{64})", re.M)
 # the same digest from a format-v2 checkpoint, whose records hold the float64
 # parameters
@@ -82,6 +87,24 @@ print(h.hexdigest())
 """
 
 
+# the MARGINS digest: the tree head's float64 margins of the test feature
+# file, for the whole file and then one row at a time
+_MARGIN_DIGEST = """
+import hashlib, sys
+import numpy as np
+from rxgb import data, gbdt
+with open(sys.argv[1], encoding="utf-8") as f:
+    ens = gbdt.deserialize(f.read())
+x, _ = data.load_features(sys.argv[2])
+parts = [gbdt.predict_margins(ens, x)]
+parts += [gbdt.predict_margins(ens, x[i:i + 1]) for i in range(len(x))]
+h = hashlib.sha256()
+for part in parts:
+    h.update(np.ascontiguousarray(part, dtype="<f8").tobytes())
+print(h.hexdigest())
+"""
+
+
 def write_data(dest: Path) -> None:
     dest.mkdir()
     for prefix, offset, n in (("train", 0, N_TRAIN), ("t10k", N_TRAIN, N_TEST)):
@@ -91,8 +114,9 @@ def write_data(dest: Path) -> None:
 
 
 def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
-    """sha256 of each of ARTIFACTS, of the parameters (PARAMS) and of the
-    float64 features (FEATURES) after one pipeline run in ``tree``."""
+    """sha256 of each of ARTIFACTS, of the parameters (PARAMS), of the
+    float64 features (FEATURES) and of the tree head's float64 margins
+    (MARGINS) after one pipeline run in ``tree``."""
     width, threads = config
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -119,6 +143,10 @@ def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
                             str(data_dir)], cwd=tree, env=env, capture_output=True,
                            text=True, check=True)
     digests[FEATURES] = feats.stdout.strip()
+    margins = subprocess.run([sys.executable, "-c", _MARGIN_DIGEST, str(out / ARTIFACTS[3]),
+                              str(out / ARTIFACTS[2])], cwd=tree, env=env,
+                             capture_output=True, text=True, check=True)
+    digests[MARGINS] = margins.stdout.strip()
     return digests
 
 
@@ -136,7 +164,7 @@ def main(argv=None) -> int:
         export_rev(args.rev, trees["parent"])
         snapshot_worktree(trees["change"])
         write_data(tmp / "data")
-        columns = (*ARTIFACTS, PARAMS, FEATURES)
+        columns = (*ARTIFACTS, PARAMS, FEATURES, MARGINS)
         print(f"{'width':>5} {'threads':>7}  "
               + "  ".join(f"{name:>23}" for name in columns))
         for i, config in enumerate(CONFIGS):
