@@ -22,7 +22,7 @@ It gives exact integer sums as float32, the bytes of
 instead of a float32 (``network.InferencePlan``), on the RSign compare
 packed straight into words, and scales the sums by alpha in the batch norm
 it folds. :func:`sign_weights` binarizes latent weights into the int8 signs
-and per-output-channel alpha both executors use.
+and per-output-channel alpha of training, by the rule the payload encodes.
 
 Activation gradients use the piecewise surrogate
 
@@ -53,25 +53,35 @@ WORD_BITS = 64
 _CHUNK_WORDS = 1 << 16
 
 
-def _sign(x: np.ndarray, order: str = "K") -> np.ndarray:
-    """sign(x) with sign(0) = +1, as an int8 {-1,+1} array in x's memory
+def sign_bits(x: np.ndarray, order: str = "K") -> np.ndarray:
+    """sign(x) with sign(0) = +1 as booleans, True for +1, in x's memory
     order, or in C order of x's shape with order="C"."""
-    s = np.greater_equal(x, 0, order=order).view(np.int8)  # a tenth of np.where's time
+    return np.greater_equal(x, 0, order=order)      # a tenth of np.where's time
+
+
+def _sign(x: np.ndarray, order: str = "K") -> np.ndarray:
+    """:func:`sign_bits` as int8 {-1,+1}."""
+    s = sign_bits(x, order).view(np.int8)
     s *= 2
     s -= 1
     return s
 
 
+def weight_alpha(w_latent: np.ndarray) -> np.ndarray:
+    """alpha[co] = mean(|w_latent[co]|) of latents [Co, Ci, kh, kw], XNOR-Net's scale."""
+    return np.abs(w_latent).mean(axis=(1, 2, 3))
+
+
 def sign_weights(w_latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Binarize latent conv weights [Co, Ci, kh, kw]: (int8 sign(w_latent),
-    alpha [Co]), alpha[co] = mean(|w_latent[co]|), XNOR-Net's per-channel
-    scale. The signs are an [Co, Ci, kh, kw] view of [Co, kh, kw, Ci] memory,
-    the filter rows of ``tensor_ops.filter_rows``, which then takes them
-    without a copy: the training forward casts those rows to float32 and its
-    backward scales the same rows by alpha, with no transpose in either."""
+    :func:`weight_alpha`). The signs are an [Co, Ci, kh, kw] view of
+    [Co, kh, kw, Ci] memory, the filter rows of ``tensor_ops.filter_rows``,
+    which then takes them without a copy: the training forward casts those
+    rows to float32 and its backward scales the same rows by alpha, with no
+    transpose in either. The deployed payload takes the same two functions."""
     w_latent = np.asarray(w_latent, dtype=np.float64)
     rows = _sign(w_latent.transpose(0, 2, 3, 1), order="C")
-    return rows.transpose(0, 3, 1, 2), np.abs(w_latent).mean(axis=(1, 2, 3))
+    return rows.transpose(0, 3, 1, 2), weight_alpha(w_latent)
 
 
 def ste_mask(w_latent: np.ndarray) -> np.ndarray:
@@ -119,9 +129,9 @@ class XnorFilters:
 
 def xnor_filters(rows: np.ndarray, geom, h: int, w: int) -> XnorFilters:
     """The :class:`XnorFilters` of sign filter rows [Co, K] in im2col order
-    (``tensor_ops.filter_rows``; integer or float {-1,+1}, K = kh*kw*Ci) for
-    an [Ci, h, w] input under ``geom`` (tensor_ops.ConvGeometry), whose pad
-    ring reads -1. Each tap's Ci signs are packed into its own words."""
+    (``tensor_ops.filter_rows``; {-1,+1} numbers or booleans, True for +1, K =
+    kh*kw*Ci) for an [Ci, h, w] input under ``geom`` (tensor_ops.ConvGeometry),
+    whose pad ring reads -1. Each tap's Ci signs are packed into its own words."""
     co, k = rows.shape
     kh, kw = geom.kernel
     if k % (kh * kw):

@@ -62,29 +62,29 @@ cache that runs once and is then freed, and the backward reads layer shapes
 (``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
 ``evaluate`` and ``forward(..., training=False)``) runs from a frozen
 :class:`InferencePlan`: the deployed model, +-1 weights laid out as float32
-gemm rows and as XNOR filter words, and alpha and the reals rounded to
-float32. The plan folds
-each batch norm's running statistics, gamma and beta, and the alpha of the
-conv before it, into one float64 scale and shift per channel (the usual
-deployment fold; Jacob et al., arXiv 1712.05877, section 3.2), so a binary
-conv's integer sums take one multiply and one add where training takes an
-alpha pass and four batch-norm passes, and RSign compares x >= shift without
-forming x - shift, into a boolean plane that the next conv packs into words
-or writes into its float32 buffer as +-1. The fold rounds differently from
-the training graph run with the running statistics: its features differ in
-the last bits of a float64 (about 1e-13 relative at most in the tests). It
-caches nothing. A ModelState is frozen once per inference call
-(:func:`freeze`).
+gemm rows and as XNOR filter words, and the reals as float32 values. The
+plan folds each batch norm's running statistics, gamma and beta, and the
+alpha of the conv before it, into one float64 scale and shift per channel
+(the usual deployment fold; Jacob et al., arXiv 1712.05877, section 3.2), so
+a binary conv's integer sums take one multiply and one add where training
+takes an alpha pass and four batch-norm passes, and RSign compares
+x >= shift without forming x - shift, into a boolean plane that the next
+conv packs into words or writes into its float32 buffer as +-1. The fold
+rounds differently from the training graph run with the running statistics:
+its features differ in the last bits of a float64 (about 1e-13 relative at
+most in the tests). It caches nothing. A ModelState is frozen once per
+inference call (:func:`freeze`).
 
 The backbone artifact is the deployed model and nothing more: a header
 (magic, format version, spec JSON) and then :func:`deployed_payload`, one sign
 bit per binary weight and a float32 per real, which is exactly the cost
 model's ``total_param_bits`` (about 1.06 MB at width 0.5 and 3.90 MB at 1.0,
-where the float64 parameters take 56.9 and 226.9 MB). :func:`freeze` and
-:func:`load_checkpoint` build the plan through one function from the same
-sign bits and float32 reals, so a frozen model and its saved file are the
-same plan. The trade-off: the artifact keeps no latent magnitudes, so no
-training resumes from it; training stays float64 in memory.
+where the float64 parameters take 56.9 and 226.9 MB). One decoder builds
+every plan from these bytes and keeps them: :func:`freeze` encodes a
+ModelState and :func:`load_checkpoint` reads a file, so a frozen model and
+its saved file are the same plan. The trade-off: the artifact keeps no
+latent magnitudes, so no training resumes from it; training stays float64
+in memory.
 
 In both executors the shortcut adds write into the batch norm's output, and
 batch norm (training's, and the plan's on the stem's float64 conv output)
@@ -130,6 +130,9 @@ _PARAMS = {
     netspec.FC_HEAD: {"w": None},
 }
 _DECAYED_PARAMS = ("stem.conv.w", "fc.w")
+# [256, 8] float32: the signs +-1 of each byte's bits, LSB first
+_BYTE_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                            bitorder="little").astype(np.float32) * 2 - 1
 
 
 # --- model state ---------------------------------------------------------
@@ -280,24 +283,28 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class CheckpointError(ValueError):
+    """Malformed checkpoint bytes, or a payload no plan can be built from."""
+
+
 @dataclass(frozen=True, eq=False)
 class InferencePlan:
-    """A backbone frozen for inference, as it is deployed.
+    """A backbone frozen for inference, as it is deployed: the plan of a
+    payload (:func:`_plan`), whose bytes it keeps as ``payload``.
 
-    ``signs`` maps each binary conv's prefix to its +-1 weights as float32
+    ``rows`` maps each binary conv's prefix to its +-1 weights as float32
     rows [Co, kh*kw*Ci] in im2col order (``tensor_ops.filter_rows``), which
-    the product multiplies by transposed, and its per-channel alpha.
-    ``xnor`` maps each binary conv whose output grid has at most
-    ``tensor_ops._POPCOUNT_MAX_ROWS`` cells to the same weights packed per
-    tap, with the pad ring's constants, for the input extent the spec gives
-    it (``bitops.xnor_filters``). binconv runs a conv of at most that many
-    patch rows, N * H' * W', as XNOR-popcount (``bitops.xnor_conv2d``) and
-    any other as the float32 product; the integer sums, and so the bytes,
-    are the same. ``reals`` holds every other parameter. Alpha and the reals
-    are float32 values in float64 arrays; with the sign bits they are what
-    :func:`deployed_payload` stores.
-    ``affine`` maps each batch norm's prefix to the float64 (scale, shift)
-    the plan computes with:
+    the product multiplies by transposed. ``xnor`` maps each binary conv
+    whose output grid has at most ``tensor_ops._POPCOUNT_MAX_ROWS`` cells to
+    the same weights packed per tap, with the pad ring's constants, for the
+    input extent the spec gives it (``bitops.xnor_filters``). binconv runs a
+    conv of at most that many patch rows, N * H' * W', as XNOR-popcount
+    (``bitops.xnor_conv2d``) and any other as the float32 product; the
+    integer sums, and so the bytes, are the same. ``reals`` holds the stem
+    and FC weights, the RSign shifts and the RPReLU parameters, float32
+    values in float64 arrays. ``affine`` maps each batch norm's prefix to
+    the float64 (scale, shift) the plan computes with, folded from alpha and
+    BN parameters it does not keep:
 
         g = gamma / sqrt(run_var + eps)
         scale = alpha * g            (alpha of the conv the BN follows; 1 at the stem)
@@ -312,10 +319,11 @@ class InferencePlan:
     """
 
     spec: netspec.NetworkSpec
-    signs: MappingProxyType
+    rows: MappingProxyType
     xnor: MappingProxyType
     reals: MappingProxyType
     affine: MappingProxyType
+    payload: bytes
 
     def conv(self, prefix, x, geom):
         return tensor_ops.conv2d_forward(x, self.reals[f"{prefix}.w"], geom)
@@ -331,7 +339,7 @@ class InferencePlan:
         oh, ow = geom.out_extent(h, w)
         if n * oh * ow <= tensor_ops._POPCOUNT_MAX_ROWS and prefix in self.xnor:
             return bitops.xnor_conv2d(x, self.xnor[prefix])
-        return tensor_ops.sign_conv2d(x, self.signs[prefix][0], geom, pad_value=-1)
+        return tensor_ops.sign_conv2d(x, self.rows[prefix], geom, pad_value=-1)
 
     def bn(self, prefix, x):
         scale, shift = self.affine[prefix]
@@ -366,71 +374,89 @@ def _binary_conv_inputs(spec: netspec.NetworkSpec):
     return convs
 
 
-def _plan(spec: netspec.NetworkSpec, filters: list[np.ndarray],
-          reals: np.ndarray) -> InferencePlan:
-    """The plan of ``spec`` from its deployed parameters, in payload order
-    (see :func:`deployed_payload`): ``filters`` the int8 +-1 filters
-    [Co, Ci, kh, kw] of every binary conv (in any memory order; those of
-    ``bitops.sign_weights`` reach ``tensor_ops.filter_rows`` without a copy),
-    and ``reals`` the float32 reals. Folds each batch norm and the alpha of
-    its conv into ``affine``; raises ValueError on a negative running
-    variance, before the fold takes its square root."""
-    plan_signs, xnor, plan_reals = {}, {}, {}
+def _plan(spec: netspec.NetworkSpec, payload: bytes) -> InferencePlan:
+    """The plan of ``spec`` from its deployed payload (:func:`deployed_payload`),
+    the one decoder of a payload. Raises CheckpointError unless it is exactly
+    as long as the spec's parameters need, with zero padding bits, finite
+    reals and non-negative BN running variances. Each binary conv's bits go
+    straight to its float32 rows and XNOR words in row order; each batch
+    norm and the alpha of its conv fold into ``affine``."""
+    # (name, shape, shape of its reals): a latent's reals are its alpha [Co]
+    layout = [(name, shape, shape[:1] if name.endswith(".w_latent") else shape)
+              for name, shape, _, _ in _param_layout(spec)]
+    n_bits = sum(math.prod(s) for name, s, _ in layout if name.endswith(".w_latent"))
+    n_reals = sum(math.prod(r) for _, _, r in layout)
+    bit_bytes = -(-n_bits // 8)
+    if len(payload) != bit_bytes + 4 * n_reals:
+        raise CheckpointError(f"payload of {len(payload)} bytes; the plan has "
+                              f"{bit_bytes + 4 * n_reals}")
+    packed = np.frombuffer(payload, np.uint8, bit_bytes)
+    if n_bits % 8 and packed[-1] >> n_bits % 8:
+        raise CheckpointError("nonzero padding bits after the sign bits")
+    reals = np.frombuffer(payload, "<f4", n_reals, offset=bit_bytes)
+    if not np.isfinite(reals).all():
+        raise CheckpointError("non-finite real in the payload")
+    rows, xnor, params = {}, {}, {}
     convs = _binary_conv_inputs(spec)
-    filters = iter(filters)
-    j = 0                                      # read position in reals
-    for name, shape, _, _ in _param_layout(spec):
-        n = math.prod(shape)
+    i = j = 0                                  # read positions in the bits and the reals
+    for name, shape, real_shape in layout:
+        params[name] = _read_only(
+            reals[j:j + math.prod(real_shape)].astype(np.float64).reshape(real_shape))
+        j += math.prod(real_shape)
         if name.endswith(".w_latent"):
-            prefix = name[:-len(".w_latent")]
-            rows = tensor_ops.filter_rows(next(filters))
-            alpha = reals[j:j + shape[0]].astype(np.float64)
-            plan_signs[prefix] = (_read_only(rows.astype(np.float32)), _read_only(alpha))
+            prefix, n = name[:-len(".w_latent")], math.prod(shape)
+            # bits 0/1 from [Co, Ci, kh, kw] into row order; rows by byte lookup
+            bits = np.unpackbits(packed[i // 8:-(-(i + n) // 8)], bitorder="little")
+            bits = bits[i % 8:i % 8 + n].reshape(shape).transpose(0, 2, 3, 1)
+            bits = bits.reshape(shape[0], -1)
+            r = np.take(_BYTE_SIGNS, np.packbits(bits, bitorder="little"), axis=0)
+            rows[prefix] = _read_only(r.ravel()[:n].reshape(bits.shape))
             geom, (h, w) = convs[prefix]
             if math.prod(geom.out_extent(h, w)) <= tensor_ops._POPCOUNT_MAX_ROWS:
-                xnor[prefix] = bitops.xnor_filters(rows, geom, h, w)
-            j += shape[0]
-        else:
-            plan_reals[name] = _read_only(reals[j:j + n].astype(np.float64).reshape(shape))
-            j += n
+                xnor[prefix] = bitops.xnor_filters(bits.view(bool), geom, h, w)
+            i += n
     affine = {}
-    for name, var in plan_reals.items():
-        if not name.endswith(".run_var"):
-            continue
-        if (var < 0).any():
-            raise ValueError(f"{name} holds a negative variance")
+    for name in [name for name in params if name.endswith(".run_var")]:
         bn = name[:-len(".run_var")]
-        conv = bn.replace(".bn_", ".", 1)      # block3.bn_conv1x1_a -> block3.conv1x1_a
-        alpha = plan_signs[conv][1] if conv in plan_signs else 1.0   # the stem's BN
-        g = plan_reals[f"{bn}.gamma"] / np.sqrt(var + tensor_ops.BN_EPS)
-        shift = plan_reals[f"{bn}.beta"] - plan_reals[f"{bn}.run_mean"] * g
-        affine[bn] = (_read_only(alpha * g), _read_only(shift))
-    return InferencePlan(spec=spec, signs=MappingProxyType(plan_signs),
-                         xnor=MappingProxyType(xnor),
-                         reals=MappingProxyType(plan_reals),
-                         affine=MappingProxyType(affine))
+        gamma, beta, mu, var = (params.pop(f"{bn}.{k}") for k in _PARAMS[netspec.BATCH_NORM])
+        if (var < 0).any():                    # before the square root
+            raise CheckpointError(f"{name} holds a negative variance")
+        g = gamma / np.sqrt(var + tensor_ops.BN_EPS)
+        # the alpha of block3.conv1x1_a for block3.bn_conv1x1_a; 1.0 at the stem
+        alpha = params.pop(f"{bn.replace('.bn_', '.', 1)}.w_latent", 1.0)
+        affine[bn] = (_read_only(alpha * g), _read_only(beta - mu * g))
+    return InferencePlan(spec=spec, rows=MappingProxyType(rows),
+                         xnor=MappingProxyType(xnor), reals=MappingProxyType(params),
+                         affine=MappingProxyType(affine), payload=bytes(payload))
+
+
+def _encode(model: ModelState) -> bytes:
+    """The payload of ``model`` (:func:`deployed_payload`): sign bits and
+    alpha as ``bitops.sign_weights`` takes them, and every real, as float32;
+    a value past float32's range becomes inf, which :func:`_plan` refuses."""
+    bits, reals = [np.zeros(0, bool)], [np.zeros(0)]
+    for name, _, _, _ in _param_layout(model.spec):
+        arr = model.params[name]
+        if name.endswith(".w_latent"):
+            bits.append(bitops.sign_bits(arr).ravel())
+            arr = bitops.weight_alpha(arr)
+        reals.append(arr.ravel())
+    with np.errstate(over="ignore"):
+        reals = np.concatenate(reals).astype("<f4")
+    return np.packbits(np.concatenate(bits), bitorder="little").tobytes() + reals.tobytes()
 
 
 def freeze(model: ModelState) -> InferencePlan:
     """The deployed model of a backbone, as a plan for inference.
 
-    Binarizes the latents once (sign(0) = +1, alpha = mean|latent| per filter)
-    and rounds alpha and every real to float32, as :func:`deployed_payload`
-    stores them, so the plan equals the one :func:`load_checkpoint` reads
-    back from the saved model. It copies what it keeps, so later writes to
-    ``model`` do not reach it. Raises ValueError on a negative BN running
-    variance.
+    Encodes the payload :func:`deployed_payload` stores (sign(0) = +1, alpha
+    = mean|latent| per filter, every real rounded to float32) and builds the
+    plan from those bytes, as :func:`load_checkpoint` does from the saved
+    model, so the two plans are equal. Later writes to ``model`` do not reach
+    it. Raises CheckpointError (a ValueError) on a real that is not finite in
+    float32 or a negative BN running variance: no such model is served or saved.
     """
-    filters, reals = [], [np.zeros(0)]
-    for name, _, _, _ in _param_layout(model.spec):
-        arr = model.params[name]
-        if name.endswith(".w_latent"):
-            w_sign, alpha = bitops.sign_weights(arr)
-            filters.append(w_sign)
-            reals.append(alpha)
-        else:
-            reals.append(arr.reshape(-1))
-    return _plan(model.spec, filters, np.concatenate(reals).astype(np.float32))
+    return _plan(model.spec, _encode(model))
 
 
 def _plan_of(model) -> InferencePlan:
@@ -679,6 +705,11 @@ class TrainResult:
     aborted: bool = False
     abort_reason: str = ""
 
+    def abort(self, best: ModelState, reason: str) -> "TrainResult":
+        self.aborted, self.model = True, best
+        self.abort_reason = f"{reason}; returning best checkpoint from epoch {self.best_epoch}"
+        return self
+
 
 def evaluate(model, ds, batch_size: int = 256) -> float:
     """Top-1 accuracy over a dataset, computed in inference mode from one plan."""
@@ -699,7 +730,8 @@ def train_stage1(model: ModelState, train_ds, val_ds,
     validation top-1 after every epoch and returns the state snapshot of
     the best epoch (ties keep the earlier one). A non-finite training loss
     aborts immediately — before the poisoned step is applied — and returns
-    the best snapshot seen so far with ``aborted`` set and a diagnostic.
+    the best snapshot seen so far with ``aborted`` set and a diagnostic; so
+    does an epoch whose model :func:`freeze` refuses, before validation.
     """
     keys = model.learnable_keys()
     decay_mask = [k in _DECAYED_PARAMS for k in keys]
@@ -720,14 +752,8 @@ def train_stage1(model: ModelState, train_ds, val_ds,
                 xb = data.augment_batch(xb, aug_rng)
             loss, grads = loss_and_grads(model, xb, yb)
             if not np.isfinite(loss):
-                result.aborted = True
-                result.abort_reason = (
-                    f"non-finite training loss {loss} at epoch {epoch}, "
-                    f"batch {seen // hp.batch_size}; returning best checkpoint "
-                    f"from epoch {result.best_epoch}"
-                )
-                result.model = best
-                return result
+                return result.abort(best, f"non-finite training loss {loss} at epoch "
+                                    f"{epoch}, batch {seen // hp.batch_size}")
             tensor_ops.sgd_step(
                 [model.params[k] for k in keys],
                 [grads[k] for k in keys],
@@ -741,7 +767,10 @@ def train_stage1(model: ModelState, train_ds, val_ds,
                 np.clip(model.params[k], -1.0, 1.0, out=model.params[k])
             loss_sum += loss * len(yb)
             seen += len(yb)
-        val_top1 = evaluate(model, val_ds, batch_size=hp.batch_size)
+        try:
+            val_top1 = evaluate(model, val_ds, batch_size=hp.batch_size)
+        except CheckpointError as e:
+            return result.abort(best, f"the model of epoch {epoch} does not freeze: {e}")
         result.metrics.append(EpochMetrics(
             epoch=epoch,
             train_loss=loss_sum / max(seen, 1),
@@ -829,45 +858,29 @@ CHECKPOINT_VERSION = 3
 _HEADER = struct.Struct("<II")                 # version, spec JSON length
 
 
-class CheckpointError(ValueError):
-    """Malformed checkpoint bytes."""
-
-
 def deployed_payload(model) -> bytes:
-    """Pack the deployable parameters: 1 bit per binary weight, 32 per real.
+    """The deployable parameters: 1 bit per binary weight, 32 per real.
 
     Layout: first every binary conv's sign bits (1 for +1) in layer order,
     each filter bank flattened [Co, Ci, kh, kw] row-major, the whole bit
     stream packed LSB-first and padded to a byte boundary; then the
     real-valued tensors as float32 little-endian in ``_param_layout`` order,
     each binary conv's per-channel alpha standing where its latent stands in
-    that order. ``model`` is a ModelState (frozen first) or an InferencePlan.
+    that order. ``model`` is an InferencePlan (its ``payload``) or a
+    ModelState, frozen first, so a payload no plan holds raises CheckpointError.
 
     For plans whose binary-weight count is a multiple of 8 (all standard
     widths), the byte length equals the cost model's total_param_bits / 8.
     """
-    plan = _plan_of(model)
-    bits, reals = [np.zeros(0, bool)], [np.zeros(0)]
-    for name, shape, _, _ in _param_layout(plan.spec):
-        if name.endswith(".w_latent"):
-            prefix = name[:-len(".w_latent")]
-            rows, alpha = plan.signs[prefix]
-            co, ci, kh, kw = shape                       # undo filter_rows' order
-            bits.append((rows > 0).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2).ravel())
-            reals.append(alpha)
-        else:
-            reals.append(plan.reals[name].ravel())
-    packed = np.packbits(np.concatenate(bits), bitorder="little")
-    return packed.tobytes() + np.concatenate(reals).astype("<f4").tobytes()
+    return _plan_of(model).payload
 
 
 def parse_checkpoint(blob: bytes) -> InferencePlan:
     """Inverse of the bytes :func:`save_checkpoint` writes; raises CheckpointError.
 
-    The payload must be exactly as long as the spec's parameters need, with
-    zero padding bits, finite reals and non-negative BN running variances.
-    Any other format version, the float64 records of v2 included, is
-    rejected.
+    Checks the header (magic, version, spec JSON) and builds the plan of the
+    payload after it with the decoder :func:`freeze` uses (:func:`_plan`).
+    Any other format version, the float64 records of v2 included, is rejected.
     """
     blob = bytes(blob)
     head = len(CHECKPOINT_MAGIC) + _HEADER.size
@@ -884,40 +897,16 @@ def parse_checkpoint(blob: bytes) -> InferencePlan:
                               f"{len(blob) - head} remain")
     try:
         spec = netspec.spec_from_dict(json.loads(blob[head:head + spec_len]))
-        layout = [(name, shape) for name, shape, _, _ in _param_layout(spec)]
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
         raise CheckpointError(f"bad plan: {e}") from e
-    n_bits = sum(math.prod(shape) for name, shape in layout
-                 if name.endswith(".w_latent"))
-    n_reals = sum(shape[0] if name.endswith(".w_latent") else math.prod(shape)
-                  for name, shape in layout)
-    payload = memoryview(blob)[head + spec_len:]
-    bit_bytes = -(-n_bits // 8)
-    if len(payload) != bit_bytes + 4 * n_reals:
-        raise CheckpointError(f"payload of {len(payload)} bytes; the plan has "
-                              f"{bit_bytes + 4 * n_reals}")
-    bits = np.unpackbits(np.frombuffer(payload, np.uint8, bit_bytes), bitorder="little")
-    if bits[n_bits:].any():
-        raise CheckpointError("nonzero padding bits after the sign bits")
-    reals = np.frombuffer(payload, "<f4", n_reals, offset=bit_bytes)
-    if not np.isfinite(reals).all():
-        raise CheckpointError("non-finite real in the payload")
-    signs = bits[:n_bits].view(np.int8) * np.int8(2) - np.int8(1)
-    filters, i = [], 0
-    for name, shape in layout:
-        if name.endswith(".w_latent"):
-            filters.append(signs[i:i + math.prod(shape)].reshape(shape))
-            i += math.prod(shape)
-    try:
-        return _plan(spec, filters, reals)
-    except ValueError as e:                          # a negative running variance
-        raise CheckpointError(str(e)) from e
+    return _plan(spec, blob[head + spec_len:])
 
 
 def save_checkpoint(model, path) -> None:
     """Write the backbone artifact of ``model`` (a ModelState or an
     InferencePlan): magic, u32 version, u32 spec JSON length and the spec
-    JSON (little-endian), then :func:`deployed_payload`. Written atomically."""
+    JSON (little-endian), then :func:`deployed_payload`, whose CheckpointError
+    leaves no file. Written atomically."""
     spec_json = json.dumps(
         netspec.spec_to_dict(model.spec), sort_keys=True, separators=(",", ":")
     ).encode()

@@ -80,7 +80,7 @@ per-position products took 1.05-1.3x the dense product's time below 16
 images, about 0.95x at 16, 0.63-0.86x at 32-64 and 0.46-0.59x at 128-256
 (256 and 512 channels). The frozen plan runs a conv of at most
 _POPCOUNT_MAX_ROWS patch rows as XNOR-popcount on packed sign words instead
-(``bitops.xnor_conv2d``, from the same :func:`filter_rows`), which skips the
+(``bitops.xnor_conv2d``, on rows in :func:`filter_rows`' layout), which skips the
 pad ring by the same tap ranges (:func:`_tap_ranges`) at any batch size,
 with the same bytes: there the product would read a whole float32 matrix
 for a few rows. Keeping the rows [Co, K] and multiplying by their transpose

@@ -923,22 +923,38 @@ def test_plan_rsign_compare_equals_the_sign_of_the_difference():
     assert np.where(got, 1, -1).astype(np.int8).tobytes() == want.tobytes()
 
 
+def _plan_arrays(plan):
+    """{label: array} of every array an InferencePlan holds."""
+    arrays = {f"rows {k}": a for k, a in plan.rows.items()}
+    arrays |= {f"reals {k}": a for k, a in plan.reals.items()}
+    arrays |= {f"affine {k} {i}": a for k, pair in plan.affine.items()
+               for i, a in enumerate(pair)}
+    arrays |= {f"xnor {k} {f.in_shape} {f.out_shape} {g} {i}": a
+               for k, f in plan.xnor.items()
+               for g, group in enumerate(f.groups) for i, a in enumerate(group)}
+    return arrays
+
+
 def test_plan_is_read_only_and_leaves_the_model_writable():
     model = network.build_network(plan_spec(), seed=174)
     plan = network.freeze(model)
-    w_rows, alpha = plan.signs["block1.conv3x3"]
+    w_rows = plan.rows["block1.conv3x3"]                 # no alpha beside them
     assert w_rows.dtype == np.float32 and w_rows.shape == (4, 9 * 4)
     assert set(np.unique(w_rows)) <= {-1.0, 1.0}
     # every grid of this spec has at most _POPCOUNT_MAX_ROWS cells
     filters = plan.xnor["block1.conv3x3"]
     assert filters.in_shape == (4, 3, 3) and filters.out_shape == (4, 3, 3)
-    assert plan.xnor.keys() == plan.signs.keys()
-    arrays = [w_rows, alpha, *plan.reals.values(),
-              *(a for f in plan.xnor.values() for group in f.groups for a in group),
-              *(a for pair in plan.affine.values() for a in pair)]
-    assert not any(a.flags.writeable for a in arrays)
+    assert plan.xnor.keys() == plan.rows.keys()
+    # the reals are what the executor reads: no alpha, no batch-norm parameter
+    assert set(plan.reals) == {name for name, _, _, _ in network._param_layout(plan.spec)
+                               if not name.endswith(".w_latent") and ".bn" not in name}
+    assert type(plan.payload) is bytes
+    assert plan.payload == network.deployed_payload(model)
+    assert not any(a.flags.writeable for a in _plan_arrays(plan).values())
     with pytest.raises(TypeError):
         plan.reals["stem.conv.w"] = np.zeros((4, 1, 3, 3))
+    with pytest.raises(TypeError):
+        plan.rows["block1.conv3x3"] = w_rows
     assert all(a.flags.writeable for a in model.params.values())
 
 
@@ -1022,6 +1038,23 @@ def test_b64_features_forward_allocates_at_most_25_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 25 * 2**20, peak / 2**20
+
+
+def test_parse_checkpoint_allocates_at_most_36_mib(tmp_path):
+    # Peak traced allocation of reading the width-0.5 no-FC reference
+    # checkpoint into its plan, whose float32 rows and XNOR words alone hold
+    # 28.6 MiB: 45.7 MiB when the bits were unpacked into one int8 sign
+    # array and each filter copied into int8 rows, 33.2 MiB since each
+    # conv's bits go straight to its rows and words.
+    spec = netspec.reference_spec(width_mult=0.5, include_fc=False)
+    blob = _artifact(tmp_path, network.build_network(spec, seed=184))
+    tracemalloc.start()
+    try:
+        network.parse_checkpoint(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20, peak / 2**20
 
 
 def test_infer_hybrid_on_loaded_checkpoint_equals_the_saved_model(tmp_path):
@@ -1132,7 +1165,18 @@ def test_checkpoint_roundtrip_is_byte_identical(tmp_path):
     assert _artifact(tmp_path, loaded) == blob
     assert loaded.spec == trained.spec
     # v3 is the header (magic, version, spec JSON) and the deployed payload
-    assert blob[_header_len(trained.spec):] == network.deployed_payload(trained)
+    payload = blob[_header_len(trained.spec):]
+    assert network.deployed_payload(trained) == payload
+    # a frozen model and its saved file are one plan, array for array
+    frozen = network.freeze(trained)
+    for a, b in ((frozen.payload, loaded.payload),
+                 (network.deployed_payload(frozen), network.deployed_payload(loaded))):
+        assert a == b == payload
+    got, want = _plan_arrays(frozen), _plan_arrays(loaded)
+    assert got.keys() == want.keys() and frozen.xnor
+    for k in got:
+        assert got[k].dtype == want[k].dtype and got[k].shape == want[k].shape, k
+        assert got[k].tobytes() == want[k].tobytes(), k
     x = np.random.default_rng(134).normal(size=(3, 1, 8, 8))
     np.testing.assert_array_equal(
         network.forward(loaded, x)[0], network.forward(trained, x)[0]
@@ -1147,6 +1191,27 @@ def test_artifact_is_the_header_and_the_cost_models_bits(tmp_path, width, includ
     bits = costmodel.cost_report(spec).total_param_bits
     assert bits % 8 == 0
     assert len(blob) == _header_len(spec) + bits // 8
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e39], ids=["nan", "past-float32"])
+def test_a_model_whose_payload_is_not_finite_is_neither_served_nor_saved(tmp_path, value):
+    # 1e39 is a finite float64 and inf in float32. The plan is built from the
+    # payload's bytes, which the parser would refuse, so freeze refuses them
+    # too, and no file is written.
+    spec = netspec.reference_spec(width_mult=0.125)
+    model = network.build_network(spec, seed=145)
+    x = np.random.default_rng(146).normal(size=(2, *spec.input_shape))
+    path = tmp_path / "checkpoint.ckpt"
+    network.save_checkpoint(model, path)
+    assert (network.features_forward(network.load_checkpoint(path), x).tobytes()
+            == network.features_forward(model, x).tobytes())
+    path.unlink()
+    model.params["block2.bn_conv3x3.gamma"][0] = value
+    with pytest.raises(network.CheckpointError, match="non-finite"):
+        network.freeze(model)
+    with pytest.raises(network.CheckpointError, match="non-finite"):
+        network.save_checkpoint(model, path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
