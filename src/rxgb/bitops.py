@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import _channel_sums, _tap_ranges
+from .tensor_ops import _channel_sums, _real_dtype, _tap_ranges
 
 WORD_BITS = 64
 # uint64 words XORed at once by xnor_conv2d (at least one image of one tap
@@ -51,6 +51,11 @@ WORD_BITS = 64
 # or 2**17 to 2**20 (min of 60, one thread, 2-core x86_64 host); batch 1
 # took 1.45 ms with any of them, since one image is at most 2**16 words.
 _CHUNK_WORDS = 1 << 16
+# Latent elements whose |w| weight_alpha holds at once (256 KiB). The 24
+# width-0.5 latents took 8.3 ms with 2**15 or 2**16, 8.6-8.7 ms with 2**14 or
+# 2**17, 10-12 ms with 2**12, 2**13 or 2**18, and 11.3 ms as one np.abs
+# temporary per latent (min of 9, one thread, 2-core x86_64 host).
+_ALPHA_CHUNK = 1 << 15
 
 
 def sign_bits(x: np.ndarray, order: str = "K") -> np.ndarray:
@@ -68,8 +73,22 @@ def _sign(x: np.ndarray, order: str = "K") -> np.ndarray:
 
 
 def weight_alpha(w_latent: np.ndarray) -> np.ndarray:
-    """alpha[co] = mean(|w_latent[co]|) of latents [Co, Ci, kh, kw], XNOR-Net's scale."""
-    return np.abs(w_latent).mean(axis=(1, 2, 3))
+    """alpha[co] = mean(|w_latent[co]|) of latents [Co, Ci, kh, kw], XNOR-Net's scale.
+
+    |w| is taken a chunk of about _ALPHA_CHUNK elements of whole filters at
+    a time, in one reused buffer rather than a temporary of the latent's
+    size. Each filter's sum is numpy's pairwise sum over its contiguous row,
+    as in ``np.abs(w).mean(axis=(1, 2, 3))``, whose bytes this gives."""
+    w = np.asarray(w_latent, dtype=np.float64)
+    co, k = w.shape[0], int(np.prod(w.shape[1:]))
+    rows = w.reshape(co, k)
+    step = max(1, _ALPHA_CHUNK // max(k, 1))
+    buf = np.empty((min(step, co), k))
+    sums = np.empty(co)
+    for r0 in range(0, co, step):
+        chunk = rows[r0:r0 + step]
+        np.abs(chunk, out=buf[:len(chunk)]).sum(axis=1, out=sums[r0:r0 + step])
+    return sums / k
 
 
 def sign_weights(w_latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,13 +232,14 @@ def rsign_forward(x: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, dict]:
     """Per-channel shifted sign: y = sign(x - shift[c]), sign(0) = +1.
 
     Returns (y, cache); y is the {-1,+1} int8 plane of x's shape, the exact
-    integer operand of a binary conv.
+    integer operand of a binary conv. u = x - shift computes in x's
+    ``tensor_ops._real_dtype``, shift cast to it.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_real_dtype(x))
     c = x.shape[1]
     if shift.shape != (c,):
         raise ValueError(f"shift shape {shift.shape} != ({c},)")
-    u = x - shift[None, :, None, None]
+    u = x - shift.astype(x.dtype, copy=False)[None, :, None, None]
     return _sign(u), {"u": u}
 
 
@@ -260,15 +280,18 @@ def rprelu_forward(
     the branch form gives. numpy does not promise this; it was measured in
     numpy 2.4's x86 SIMD loops (its scalar loop returns the first operand,
     and NEON orders -0 < +0), and tests/test_bitops.py checks it with
-    zeta = -0. ``out``, if given, is a float64 array of x's shape that
-    receives u (the cache's ``u``); pass x itself to consume it. y is a
-    fresh array either way, in x's memory order. Returns (y, cache).
+    zeta = -0. It computes in x's ``tensor_ops._real_dtype``, the
+    parameters cast to it. ``out``, if given, is an array of x's shape and
+    compute dtype that receives u (the cache's ``u``); pass x itself to
+    consume it. y is a fresh array either way, in x's memory order. Returns
+    (y, cache).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_real_dtype(x))
     c = x.shape[1]
     for name, arr in (("beta", beta), ("gamma", gamma), ("zeta", zeta)):
         if arr.shape != (c,):
             raise ValueError(f"{name} shape {arr.shape} != ({c},)")
+    beta, gamma, zeta = (arr.astype(x.dtype, copy=False) for arr in (beta, gamma, zeta))
     u = np.subtract(x, gamma[None, :, None, None], out=out)
     return _shifted_prelu(u, beta, zeta), {"u": u, "beta": beta}
 
@@ -308,7 +331,7 @@ def rprelu_backward(
     """
     u, beta = cache["u"], cache["beta"]
     pos = u >= 0
-    g = np.asarray(grad_y, dtype=np.float64)
+    g = np.asarray(grad_y, dtype=_real_dtype(grad_y))
     slope = np.multiply(~pos, beta[None, :, None, None], out=_product_out(g, u))
     slope += pos
     grad_x = np.multiply(g, slope, out=slope)

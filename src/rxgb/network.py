@@ -44,19 +44,28 @@ faster once the rows amortise the matrix. Both give the same bytes. The
 plan folds alpha into the batch norm that follows. The backward pass trains
 with real arithmetic on the effective weights alpha * sign(latent): it keeps
 the forward's int8 sign planes and alpha, and ``tensor_ops.conv2d_backward``
-builds float64 from them block by block, over the taps that read the input
-on the 2x2 grids of a full batch (the forward's rule) and otherwise one
-chunk of whole images at a time whose size follows from the shapes alone;
-its float64 filters are the forward's filter rows times alpha, which
-``bitops.sign_weights`` lays out so that neither direction transposes them.
+casts them to the training dtype block by block, over the taps that read the
+input on the 2x2 grids of a full batch (the forward's rule, where grad_y is
+scaled by alpha and multiplied by the +-1 filter rows) and otherwise one
+chunk of whole images at a time whose size follows from the shapes alone
+(by the filter rows times alpha); ``bitops.sign_weights`` lays the rows out
+so that neither direction transposes them.
 Gradients reach the latents through the straight-through clip mask with
 alpha held constant (a multiply skipped while every latent lies in [-1, 1],
 where the mask is all ones), and latents are clipped to [-1, 1] after every
 optimizer step. Sign activations route gradients through the
 piecewise-quadratic surrogate in ``bitops``.
 
-One block wiring serves two executors. Training runs the float64 graph on
-the live params; each op records its backward on a tape, a closure over its
+One block wiring serves two executors. Training runs the graph on the live
+params in the dtype of its batch: float32 from :func:`train_stage1`, as the
+paper's ReActNet backbone trains, or float64 for a float64 batch, which
+keeps the arithmetic the finite-difference and byte tests check. The
+activations, gradients and batch statistics are of that dtype; the params,
+the BN running statistics and the SGD velocities stay float64 masters,
+each op casts the params it reads, and the float32 gradients are added into
+the float64 velocities (Micikevicius et al., arXiv 1710.03740; BinaryConnect,
+Courbariaux et al., arXiv 1511.00363, keeps real latents for the same
+reason). Each op records its backward on a tape, a closure over its
 cache that runs once and is then freed, and the backward reads layer shapes
 (the pad crop, the pool's padded grid) from ``netspec.shape_chain``. Inference
 (``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
@@ -83,7 +92,7 @@ where the float64 parameters take 56.9 and 226.9 MB). One decoder builds
 every plan from these bytes and keeps them: :func:`freeze` encodes a
 ModelState and :func:`load_checkpoint` reads a file, so a frozen model and
 its saved file are the same plan. The trade-off: the artifact keeps no
-latent magnitudes, so no training resumes from it; training stays float64
+latent magnitudes, so no training resumes from it; the float64 masters stay
 in memory.
 
 In both executors the shortcut adds write into the batch norm's output, and
@@ -212,9 +221,10 @@ def build_network(spec: netspec.NetworkSpec, seed: int = 0) -> ModelState:
 
 # --- block wiring, shared by training and inference --------------------------
 #
-# The per-layer forwards run on an executor ``ops``: a training _Tape (float64
-# ops on the live params, each recording its backward) or an InferencePlan
-# (frozen weights, no caches). Each op is named by its parameter prefix.
+# The per-layer forwards run on an executor ``ops``: a training _Tape (ops in
+# the batch's dtype on the live params, each recording its backward) or an
+# InferencePlan (frozen weights, float64 reals, no caches). Each op is named
+# by its parameter prefix.
 
 
 def _stem_forward(ops, name, x):
@@ -246,15 +256,16 @@ def _reduction_forward(ops, name, x, stride):
     bb = ops.bn(f"{name}.bn_conv1x1_b",
                 ops.binconv(f"{name}.conv1x1_b", a2, _GEOM_1X1))
     n, c, oh, ow = d1.shape
-    cat = np.empty((n, oh, ow, 2 * c)).transpose(0, 3, 1, 2)
+    cat = np.empty((n, oh, ow, 2 * c), d1.dtype).transpose(0, 3, 1, 2)
     np.add(ba, d1, out=cat[:, :c])
     np.add(bb, d1, out=cat[:, c:])
     return ops.rprelu(f"{name}.rprelu_out", cat)
 
 
-def _run(ops, spec: netspec.NetworkSpec, x: np.ndarray):
-    """Forward pass on executor ``ops``: returns (head_output, features)."""
-    h = np.asarray(x, dtype=np.float64)
+def _run(ops, spec: netspec.NetworkSpec, x: np.ndarray, dtype=np.float64):
+    """Forward pass on executor ``ops`` with x cast to ``dtype``: returns
+    (head_output, features)."""
+    h = np.asarray(x, dtype=dtype)
     if h.ndim != 4 or h.shape[1:] != spec.input_shape:
         raise ValueError(
             f"input shape {h.shape} incompatible with [N, "
@@ -468,16 +479,20 @@ def _plan_of(model) -> InferencePlan:
 
 
 class _Tape:
-    """Training executor: float64 ops on the live params with batch-statistic
-    BN. Each op records, under its parameter prefix, its backward: a closure
-    over its cache, returning the input gradient and the gradients of the
-    parameters it names. :meth:`back` runs each recorded backward once. bn
-    and rprelu consume the conv output or block sum they are given: it
+    """Training executor: ops on the live params with batch-statistic BN, in
+    ``dtype`` (float32 or float64, the input batch's ``tensor_ops._real_dtype``).
+    Activations, gradients and batch statistics are of that dtype; the
+    params stay float64 masters and each op casts the ones it reads. Each op
+    records, under its parameter prefix, its backward: a closure over its
+    cache, returning the input gradient and the gradients of the parameters
+    it names, in ``dtype``. :meth:`back` runs each recorded backward once.
+    bn and rprelu consume the conv output or block sum they are given: it
     becomes the cached xhat or u. bn's backward likewise consumes the
     gradient it is given, which the block backwards read for nothing else."""
 
-    def __init__(self, params: dict):
+    def __init__(self, params: dict, dtype=np.float64):
         self.params = params
+        self.dtype = dtype
         self.ops: dict[str, tuple] = {}
         self.grads: dict[str, np.ndarray] = {}
 
@@ -516,7 +531,7 @@ class _Tape:
 
         self.ops[prefix] = (("w_latent",), op_backward)
         y = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
-        return y * alpha[None, :, None, None]
+        return np.multiply(y, alpha[None, :, None, None], dtype=self.dtype)
 
     def bn(self, prefix, x):
         y, cache = tensor_ops.batchnorm_forward(
@@ -589,8 +604,9 @@ def _reduction_backward(tape, name, step, grad_y):
 def forward(model, x: np.ndarray, training: bool = False):
     """Class logits [N, K]; requires a plan with an FC head.
 
-    Returns (logits, tape). Training mode runs the float64 training graph:
-    BN uses batch statistics (and updates the running estimates in place)
+    Returns (logits, tape). Training mode runs the training graph in x's
+    dtype if it is float32 and in float64 otherwise (``_Tape``): BN uses
+    batch statistics (and updates the float64 running estimates in place)
     and every op records its backward on the tape, which :func:`backward`
     consumes. Inference mode runs the frozen plan (see :func:`freeze`;
     ``model`` may be an InferencePlan), whose batch norms apply the stored
@@ -601,8 +617,8 @@ def forward(model, x: np.ndarray, training: bool = False):
         raise ValueError("plan has no fc_head; use features_forward")
     if not training:
         return _run(_plan_of(model), model.spec, x)[0], None
-    tape = _Tape(model.params)
-    return _run(tape, model.spec, x)[0], tape
+    tape = _Tape(model.params, tensor_ops._real_dtype(x))
+    return _run(tape, model.spec, x, tape.dtype)[0], tape
 
 
 def features_forward(model, x: np.ndarray) -> np.ndarray:
@@ -627,9 +643,10 @@ def backward(model: ModelState, tape: _Tape, grad_out: np.ndarray):
         grad_out: [N, K] gradient at the head output.
 
     Returns:
-        dict keyed exactly like ``model.learnable_keys()``.
+        dict keyed exactly like ``model.learnable_keys()``, the gradients in
+        the tape's dtype.
     """
-    g = np.asarray(grad_out, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=tape.dtype)
     for step in reversed(netspec.shape_chain(model.spec)):
         layer = step.layer
         if layer.kind == netspec.FC_HEAD:
@@ -646,7 +663,8 @@ def backward(model: ModelState, tape: _Tape, grad_out: np.ndarray):
 
 
 def loss_and_grads(model: ModelState, x: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy of a batch plus gradients for every learnable param."""
+    """Mean cross-entropy of a batch plus gradients for every learnable param,
+    computed in float32 for a float32 batch and in float64 otherwise."""
     logits, tape = forward(model, x, training=True)
     loss, grad_logits = tensor_ops.softmax_cross_entropy(logits, labels)
     return loss, backward(model, tape, grad_logits)
@@ -662,7 +680,8 @@ class StageOneConfig:
     The learning rate follows a cosine schedule 0.5*lr*(1 + cos(pi*e/E))
     evaluated once per epoch; weight decay applies only to the real-valued
     weights (stem conv and FC head). Latent weights are clipped to [-1, 1]
-    after every step.
+    after every step. Each step computes in float32 and updates float64
+    master weights (:func:`train_stage1`).
     """
 
     epochs: int = 120
@@ -725,8 +744,12 @@ def train_stage1(model: ModelState, train_ds, val_ds,
                  hp: StageOneConfig) -> TrainResult:
     """SGD with momentum over epochs of shuffled minibatches.
 
-    The momentum buffers are local to the call: they start at zero and are
-    dropped on return, so a checkpoint is not a resume point. Tracks
+    Each batch is cast to float32, so its forward and backward run in
+    float32 (:func:`loss_and_grads`); the params, the BN running statistics
+    and the momentum buffers stay float64 masters, and each float32 gradient
+    is added into its float64 buffer. The momentum buffers are local to the
+    call: they start at zero and are dropped on return, so a checkpoint is
+    not a resume point. Tracks
     validation top-1 after every epoch and returns the state snapshot of
     the best epoch (ties keep the earlier one). A non-finite training loss
     aborts immediately — before the poisoned step is applied — and returns
@@ -748,6 +771,7 @@ def train_stage1(model: ModelState, train_ds, val_ds,
         for xb, yb in data.batches(
             train_ds, hp.batch_size, seed=hp.seed, shuffle=True, epoch=epoch
         ):
+            xb = xb.astype(np.float32)
             if hp.augment:
                 xb = data.augment_batch(xb, aug_rng)
             loss, grads = loss_and_grads(model, xb, yb)

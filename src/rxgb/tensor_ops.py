@@ -1,12 +1,18 @@
 """Dense tensor ops: convolution, batch norm, pooling, loss, SGD.
 
-All arrays are numpy ndarrays. Every op computes in float64 and promotes
-float32 input to it. The one exception is a convolution whose input and
-filters both have an integer dtype (the int8 {-1,+1} planes of a binary
-conv): it returns the exact integer sums, in float32. Batch norm here is the
-training op, on batch statistics; the frozen inference plan folds the
-running statistics into one scale and shift per channel itself
-(``network.InferencePlan``).
+All arrays are numpy ndarrays. Every op computes in the dtype of its
+activation or gradient (:func:`_real_dtype`): float32 stays float32, and any
+other dtype is promoted to float64. Weights, alpha and the batch-norm
+parameters are cast to that dtype where they are used; batch norm's running
+statistics and SGD's parameters and velocities keep their own dtype, the
+float64 masters of training (Micikevicius et al., arXiv 1710.03740, keep
+master weights in higher precision the same way). Stage-1 training feeds
+float32 batches; the frozen plan computes its reals in float64. The one
+exception is a convolution whose input and filters both have an integer
+dtype (the int8 {-1,+1} planes of a binary conv): it returns the exact
+integer sums, in float32. Batch norm here is the training op, on batch
+statistics; the frozen inference plan folds the running statistics into one
+scale and shift per channel itself (``network.InferencePlan``).
 
 Activations are indexed [N, C, H, W] and lie in NHWC memory: an NCHW view
 whose ``transpose(0, 2, 3, 1)`` is C-contiguous, or a channel slice or
@@ -33,9 +39,11 @@ blocks, computes each block as one BLAS product and sums the partial products
 left to right. The summation order is therefore fixed by the shapes alone, so
 results are bit-identical across runs and BLAS thread counts. This rests on
 one assumption: a BLAS product whose contraction is at most K_BLOCK long does
-not depend on the thread count. That was measured on OpenBLAS 0.3.31 (1, 2
-and 4 threads), but BLAS does not promise it; a single product over a longer
-contraction does differ there (K = 784 at 1 vs 2 threads).
+not depend on the thread count, in float64 (dgemm) and float32 (sgemm)
+alike. That was measured on OpenBLAS 0.3.31 (1, 2 and 4 threads; for
+float32 on every product of a training step, which the tests repeat), but
+BLAS does not promise it; a single product over a longer contraction does
+differ there (K = 784 at 1 vs 2 threads).
 
 The conv backward follows the forward's rule (:func:`_interior_taps`): on a
 batch of at least _SPLIT_MIN_IMAGES images where most (output, tap) pairs
@@ -48,7 +56,7 @@ result is thread-invariant under the K_BLOCK assumption alone; its bytes
 differ from the dense form's, which adds the taps in another order. Every
 other conv takes the dense form: grad_w is one product over the whole patch
 matrix, and grad_x one chunk of whole images at a time (:data:`_CHUNK_ROWS`
-over the output grid), which bounds the float64 product alive at once. The
+over the output grid), which bounds the product alive at once. The
 chunk boundaries follow from the shapes alone and each chunk is one
 :func:`_matmul`, so grad_x's thread invariance rests on the K_BLOCK
 assumption alone. On OpenBLAS 0.3.31 (AVX-512 kernels) the chunks also
@@ -57,8 +65,8 @@ computes an element independently of the rows computed with it; the tests
 check that, and nothing relies on it. Another BLAS, or a column count of 4
 mod 8 above 192, may round the row chunks differently from a single
 product, and the result stays deterministic all the same. A binary conv's
-backward takes the forward's int8 sign planes, which reach float64 exactly,
-one K_BLOCK block at a time.
+backward takes the forward's int8 sign planes, which reach the compute dtype
+exactly, one K_BLOCK block at a time.
 
 Products of +/-1 values need no such assumption. A convolution of integer
 operands (:func:`sign_conv2d`, and :func:`conv2d_forward` on integer
@@ -102,8 +110,8 @@ import numpy as np
 K_BLOCK = 128
 # Integers below this magnitude are exact in float32 (24-bit significand).
 EXACT_F32 = 1 << 24
-# Rows of one grad_x product chunk in conv2d_backward: bounds the float64
-# product alive at once. The sign conv makes its patch matrix in chunks of
+# Rows of one grad_x product chunk in conv2d_backward: bounds the product
+# alive at once. The sign conv makes its patch matrix in chunks of
 # about as many rows.
 _CHUNK_ROWS = 2048
 # Fewest images for which the sign conv makes one product per output
@@ -162,6 +170,12 @@ class ConvGeometry:
                 f"{self.padding} does not fit input extent {(h, w)}"
             )
         return oh, ow
+
+
+def _real_dtype(a) -> type:
+    """The dtype an op computes in on the activation or gradient ``a``:
+    float32 for float32, float64 for every other dtype."""
+    return np.float32 if np.asarray(a).dtype == np.float32 else np.float64
 
 
 def _check_conv_shapes(x: np.ndarray, w: np.ndarray, geom: ConvGeometry) -> None:
@@ -231,16 +245,17 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     summation order depends only on K and not on how BLAS blocks or threads
     a long reduction. When K <= K_BLOCK this is exactly ``a @ b``.
 
-    b may have an integer dtype (the int8 im2col of a binary conv): each row
-    block is converted to float64 just before its product, exactly, so the
-    result equals the product of the float64 b and b is never built whole.
+    The product computes in a's dtype, float32 or float64. b may have an
+    integer dtype (the int8 im2col of a binary conv): each row block is
+    converted to a's dtype just before its product, exactly, so the result
+    equals the product of the converted b and b is never built whole.
     """
     k = a.shape[1]
     if b.shape[0] != k:
         raise ValueError(f"contraction mismatch: {a.shape} @ {b.shape}")
 
     def rows(k0):
-        return b[k0:k0 + K_BLOCK].astype(np.float64, copy=False)
+        return b[k0:k0 + K_BLOCK].astype(a.dtype, copy=False)
 
     if k <= K_BLOCK:
         return a @ rows(0)
@@ -268,7 +283,7 @@ def _channel_sums(x: np.ndarray) -> np.ndarray:
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
     """Weights as [kh*kw*Ci, Co], matching the im2col reduction layout: the
-    real filters of the float64 forward. The sign conv multiplies by the
+    filters of the real-valued forward. The sign conv multiplies by the
     transpose of :func:`filter_rows`."""
     co = w.shape[0]
     return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, co)
@@ -283,7 +298,7 @@ def filter_rows(w: np.ndarray) -> np.ndarray:
     """Filters [Co, Ci, kh, kw] as rows [Co, kh*kw*Ci] in the im2col reduction
     order, in w's dtype: the one layout of sign filters. The sign conv
     multiplies by their float32 transpose, the frozen plan packs them per tap
-    (``bitops.xnor_filters``) and the conv backward scales them by alpha. A
+    (``bitops.xnor_filters``) and the conv backward multiplies by them. A
     view of such rows (``bitops.sign_weights``) comes back without a copy."""
     return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(w.shape[0], -1)
 
@@ -406,7 +421,8 @@ def conv2d_forward(
         int8 sign planes of a binary conv) it is float32 holding the exact
         integer sums from :func:`sign_conv2d` on the float32 filter rows,
         and pad_value must be an integer; ValueError if the sums could reach
-        2**24. Otherwise it is float64 from :func:`_matmul`.
+        2**24. Otherwise it is in x's :func:`_real_dtype` from :func:`_matmul`,
+        w cast to that dtype.
     """
     _check_conv_shapes(x, w, geom)
     if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
@@ -414,8 +430,9 @@ def conv2d_forward(
                             _abs_max(w))
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
-    xp = _pad_input(x, geom.padding, pad_value, np.float64)
-    y = _matmul(_im2col(xp, geom), _weight_matrix(np.asarray(w, dtype=np.float64)))
+    dtype = _real_dtype(x)
+    xp = _pad_input(x, geom.padding, pad_value, dtype)
+    y = _matmul(_im2col(xp, geom), _weight_matrix(np.asarray(w, dtype=dtype)))
     return y.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
@@ -435,22 +452,25 @@ def conv2d_backward(
         alpha: optional per-output-channel scale [Co]; the filters are then
             ``alpha[co] * w``. A binary conv passes its forward's int8 sign
             planes as x and w with its alpha: the patch matrix stays int8 and
-            reaches float64 one K_BLOCK row block at a time inside
-            :func:`_matmul`, and the float64 filter matrix is the forward's
-            filter rows (:func:`filter_rows`, no copy for the signs of
-            ``bitops.sign_weights``) times alpha, in one pass.
+            reaches the compute dtype one K_BLOCK row block at a time inside
+            :func:`_matmul`, and the filters are the forward's filter rows
+            (:func:`filter_rows`, no copy for the signs of
+            ``bitops.sign_weights``).
 
     Returns:
-        (grad_x [N, Ci, H, W], grad_w [Co, Ci, kh, kw]), grad_w w.r.t. the
-        (scaled) filters. grad_x is an NCHW view of NHWC memory, the layout
-        the products emit, with no per-tap transpose.
+        (grad_x [N, Ci, H, W], grad_w [Co, Ci, kh, kw]) in grad_y's
+        :func:`_real_dtype`, grad_w w.r.t. the (scaled) filters; a float x,
+        w and alpha are cast to that dtype. grad_x is an NCHW view of NHWC
+        memory, the layout the products emit, with no per-tap transpose.
 
     The padding ring receives no gradient: pad cells are constants, not
     inputs. Where the forward's rule holds (:func:`_interior_taps`) both
     products run over the taps that read the input
-    (:func:`_conv_backward_interior`), into an unpadded buffer. Elsewhere
-    grad_w is one product over the patch matrix and grad_x is made one chunk
-    of whole images at a time (:func:`_col2im`). Both forms are the same at
+    (:func:`_conv_backward_interior`), into an unpadded buffer; grad_x's
+    products scale grad_y's columns by alpha and multiply by the filter rows.
+    Elsewhere grad_w is one product over the patch matrix and grad_x is made
+    one chunk of whole images at a time (:func:`_col2im`) by the filter
+    matrix alpha * w, made once. Both forms are the same at
     any BLAS thread count under the K_BLOCK assumption alone, and they add
     in different orders, so their bytes differ (see the module docstring).
     """
@@ -461,9 +481,10 @@ def conv2d_backward(
             raise ValueError(f"an {x.dtype} input needs a pad_value of that "
                              f"dtype, got {pad_value}")
         pad_value = int(pad_value)
-    else:
-        x = np.asarray(x, dtype=np.float64)
-    grad_y = np.asarray(grad_y, dtype=np.float64)
+    dtype = _real_dtype(grad_y)
+    if not np.issubdtype(x.dtype, np.integer):
+        x = np.asarray(x, dtype=dtype)
+    grad_y = np.asarray(grad_y, dtype=dtype)
     n, ci, h, wd = x.shape
     co = w.shape[0]
     kh, kw = geom.kernel
@@ -482,18 +503,19 @@ def conv2d_backward(
     gy = grad_y.transpose(0, 2, 3, 1)                     # [N, OH, OW, Co]
     if gy.strides[3] != gy.itemsize:
         gy = np.ascontiguousarray(gy)
-    scale = 1.0 if alpha is None else np.asarray(alpha, dtype=np.float64)
-    w_mat = np.multiply(filter_rows(w).T, scale, dtype=np.float64,
-                        order="C")                        # [kh*kw*Ci, Co]
+    scale = 1.0 if alpha is None else np.asarray(alpha, dtype=dtype)
     taps = _interior_taps(geom, n, h, wd)
     if taps:
-        gx, gw = _conv_backward_interior(gy, x.transpose(0, 2, 3, 1), w_mat, geom,
+        gx, gw = _conv_backward_interior(gy, x.transpose(0, 2, 3, 1),
+                                         filter_rows(w).astype(dtype), scale, geom,
                                          pad_value, *taps)
     else:
         gy = gy.reshape(-1, co)
         xp = _pad_input(x, p, pad_value, x.dtype)
         gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci)
-        gx = np.zeros(xp.shape)
+        gx = np.zeros(xp.shape, dtype)
+        w_mat = np.multiply(filter_rows(w).T, scale, dtype=dtype,
+                            order="C")                    # [kh*kw*Ci, Co]
         _col2im(gx, gy, w_mat, geom, oh, ow)
         if p:
             gx = gx[:, p:-p, p:-p, :]
@@ -526,35 +548,38 @@ def _interior_taps(geom: ConvGeometry, n: int, h: int, w: int):
     return None
 
 
-def _conv_backward_interior(gy, x, w_mat, geom, pad_value, rows, cols):
+def _conv_backward_interior(gy, x, w_rows, scale, geom, pad_value, rows, cols):
     """Both conv backward products over the taps that read the input
     (``_interior_taps`` ranges), from gy [N, OH, OW, Co], the NHWC input x
-    [N, H, W, Ci] (int8 or float64, read in place) and w_mat [kh*kw*Ci, Co].
+    [N, H, W, Ci] (int8 or of gy's dtype, read in place), the filter rows
+    w_rows [Co, kh*kw*Ci] (:func:`filter_rows`) and the per-filter scale
+    (alpha [Co], or 1.0), all in gy's dtype.
 
     Per output position (a, b), in row-major order, and per interior tap row
-    i: grad_x adds gy[:, a, b] @ w_rows.T into the input cells the row reads,
-    and grad_w adds gy[:, a, b].T @ x_patch into the row's taps. Each product
-    is one :func:`_matmul`. Then every tap gets pad_value times the sum over
-    the positions where it reads the ring, in row-major order, of the
-    position's gy summed over images (in image order). Returns
-    (grad_x [N, H, W, Ci], grad_w [Co, kh, kw, Ci]).
+    i: grad_x adds (gy[:, a, b] * scale) @ the row's filter columns into the
+    input cells the row reads, and grad_w adds gy[:, a, b].T @ x_patch into
+    the row's taps. Each product is one :func:`_matmul`. Then every tap gets
+    pad_value times the sum over the positions where it reads the ring, in
+    row-major order, of the position's gy summed over images (in image
+    order). Returns (grad_x [N, H, W, Ci], grad_w [Co, kh, kw, Ci]).
     """
     kh, kw = geom.kernel
     s, p = geom.stride, geom.padding
     n, h, wd, ci = x.shape
-    co = w_mat.shape[1]
-    gx = np.zeros((n, h, wd, ci))
-    gw = np.zeros((co, kh, kw, ci))
-    ring = np.zeros((co, kh, kw))
+    co = w_rows.shape[0]
+    gx = np.zeros((n, h, wd, ci), gy.dtype)
+    gw = np.zeros((co, kh, kw, ci), gy.dtype)
+    ring = np.zeros((co, kh, kw), gy.dtype)
     g_sums = gy.sum(axis=0)                               # [OH, OW, Co]
     for a, ti in enumerate(rows):
         for b, tj in enumerate(cols):
             g = gy[:, a, b]                               # [N, Co]
+            g_scaled = g * scale
             c0, c1 = b * s + tj.start - p, b * s + tj.stop - p
             for i in ti if tj else ():
                 r = a * s + i - p
-                w_rows = w_mat[(i * kw + tj.start) * ci:(i * kw + tj.stop) * ci]
-                gx[:, r, c0:c1] += _matmul(g, w_rows.T).reshape(n, -1, ci)
+                w_cols = w_rows[:, (i * kw + tj.start) * ci:(i * kw + tj.stop) * ci]
+                gx[:, r, c0:c1] += _matmul(g_scaled, w_cols).reshape(n, -1, ci)
                 gw[:, i, tj.start:tj.stop] += _matmul(
                     g.T, x[:, r, c0:c1].reshape(n, -1)).reshape(co, -1, ci)
             reads_ring = np.ones((kh, kw), bool)
@@ -585,8 +610,10 @@ def _col2im(gxp, gy, w_mat, geom, oh, ow):
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Fully connected layer without bias: x [N, D] times w [D, K] -> [N, K]."""
-    return _matmul(np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64))
+    """Fully connected layer without bias: x [N, D] times w [D, K] -> [N, K],
+    in x's :func:`_real_dtype`."""
+    dtype = _real_dtype(x)
+    return _matmul(np.asarray(x, dtype=dtype), np.asarray(w, dtype=dtype))
 
 
 def linear_backward(
@@ -595,11 +622,10 @@ def linear_backward(
     """Gradients of linear_forward w.r.t. input and weights.
 
     Returns:
-        (grad_x [N, D], grad_w [D, K]).
+        (grad_x [N, D], grad_w [D, K]) in grad_y's :func:`_real_dtype`.
     """
-    grad_y = np.asarray(grad_y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    dtype = _real_dtype(grad_y)
+    grad_y, x, w = (np.asarray(a, dtype=dtype) for a in (grad_y, x, w))
     return _matmul(grad_y, w.T), _matmul(x.T, grad_y)
 
 
@@ -618,7 +644,9 @@ def batchnorm_forward(
     Inference does not come here: the frozen plan folds the running
     statistics into one scale and shift per channel (``network.InferencePlan``).
 
-    ``out``, if given, is a float64 array of x's shape that receives the
+    It computes in x's :func:`_real_dtype`, gamma and beta cast to it; the
+    running statistics stay in their own dtype (float64 in a model). ``out``,
+    if given, is an array of x's shape and compute dtype that receives the
     normalized x (the cache's ``xhat``); pass x itself to consume it. With
     out=x the values and the layout equal the fresh array's, since a fresh
     ufunc result takes x's memory order.
@@ -635,7 +663,8 @@ def batchnorm_forward(
         )
     if x.shape[0] == 0:
         raise ValueError("batchnorm requires a non-empty batch")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_real_dtype(x))
+    gamma, beta = (np.asarray(a, dtype=x.dtype) for a in (gamma, beta))
     m = x.shape[0] * x.shape[2] * x.shape[3]
     mean = _channel_sums(x) / m
     xhat = np.subtract(x, mean[None, :, None, None], out=out)
@@ -661,16 +690,17 @@ def batchnorm_backward(
     Works in two buffers: one made by a ufunc of grad_y and xhat, which
     holds the summed products; and grad_y * gamma, which becomes dx in
     grad_y's memory layout. Channel sums go through :func:`_channel_sums`,
-    whose order does not depend on either layout. ``out``, if
-    given, is a float64 array of grad_y's shape that receives that product
-    and so dx; pass grad_y itself to consume it (it is read in full before
-    it is written), with the same bytes as a fresh dx.
+    whose order does not depend on either layout. It computes in grad_y's
+    :func:`_real_dtype`, the forward's. ``out``, if given, is an array of
+    grad_y's shape and compute dtype that receives that product and so dx;
+    pass grad_y itself to consume it (it is read in full before it is
+    written), with the same bytes as a fresh dx.
     """
     xhat = cache["xhat"]
     gamma = cache["gamma"]
     inv_std = cache["inv_std"]
     m = cache["m"]
-    grad_y = np.asarray(grad_y, dtype=np.float64)
+    grad_y = np.asarray(grad_y, dtype=_real_dtype(grad_y))
     buf = np.multiply(grad_y, xhat)
     dgamma = _channel_sums(buf)
     dbeta = _channel_sums(grad_y)
@@ -686,18 +716,19 @@ def batchnorm_backward(
 
 
 def avgpool_global(x: np.ndarray) -> np.ndarray:
-    """Spatial mean: [N, C, H, W] -> [N, C]; each channel's sum adds the
-    (h, w) cells in x's memory order (row by row in NHWC memory)."""
+    """Spatial mean: [N, C, H, W] -> [N, C] in x's :func:`_real_dtype`; each
+    channel's sum adds the (h, w) cells in x's memory order (row by row in
+    NHWC memory)."""
     if x.ndim != 4:
         raise ValueError(f"global pool input must be 4-d NCHW, got ndim={x.ndim}")
-    return np.asarray(x, dtype=np.float64).mean(axis=(2, 3))
+    return np.asarray(x, dtype=_real_dtype(x)).mean(axis=(2, 3))
 
 
 def avgpool_global_backward(grad_y: np.ndarray, in_shape: tuple) -> np.ndarray:
     """Gradient of avgpool_global: grad_y [N, C] / (H * W) spread over every
     cell, as an [N, C, H, W] view of NHWC memory."""
     n, c, h, w = in_shape
-    g = np.asarray(grad_y, dtype=np.float64) / (h * w)
+    g = np.asarray(grad_y, dtype=_real_dtype(grad_y)) / (h * w)
     gx = np.broadcast_to(g[:, None, None, :], (n, h, w, c)).copy()
     return gx.transpose(0, 3, 1, 2)
 
@@ -708,14 +739,14 @@ def avgpool_2x2(x: np.ndarray) -> np.ndarray:
     Each window [[x00, x01], [x10, x11]] is summed as (x00 + x01) + (x10 + x11)
     on the four strided quarter views of x and then divided by 4, so the bytes
     do not depend on x's layout; the result takes x's memory order (NHWC in,
-    NHWC out).
+    NHWC out) and its :func:`_real_dtype`.
     """
     if x.ndim != 4:
         raise ValueError(f"2x2 pool input must be 4-d NCHW, got ndim={x.ndim}")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"2x2 pool needs even spatial extent, got {(h, w)}")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_real_dtype(x))
     y = np.add(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
     y += np.add(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
     y /= 4
@@ -726,8 +757,8 @@ def avgpool_2x2_backward(grad_y: np.ndarray, in_shape: tuple) -> np.ndarray:
     """Gradient of avgpool_2x2: each grad_y / 4 copied to its window's four
     cells, as an [N, C, H, W] view of NHWC memory."""
     n, c, h, w = in_shape
-    g = np.asarray(grad_y, dtype=np.float64) / 4.0
-    gx = np.empty((n, h // 2, 2, w // 2, 2, c))
+    g = np.asarray(grad_y, dtype=_real_dtype(grad_y)) / 4.0
+    gx = np.empty((n, h // 2, 2, w // 2, 2, c), g.dtype)
     gx[...] = g.transpose(0, 2, 3, 1)[:, :, None, :, None, :]
     return gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
@@ -742,9 +773,10 @@ def softmax_cross_entropy(
         labels: [N] integer class ids in [0, K).
 
     Returns:
-        (loss, grad) with grad[i] = (softmax(logits[i]) - onehot(labels[i])) / N.
+        (loss, grad) with grad[i] = (softmax(logits[i]) - onehot(labels[i])) / N,
+        computed in the logits' :func:`_real_dtype`.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits, dtype=_real_dtype(logits))
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ValueError(f"logits must be 2-d [N,K], got ndim={logits.ndim}")
@@ -785,7 +817,9 @@ def sgd_step(
         v <- momentum * v + grad + wd * param
         param <- param - lr * v
     where wd is weight_decay when the parameter's decay_mask entry is True
-    (mask None means decay applies to all).
+    (mask None means decay applies to all). params and velocities keep their
+    dtype (the float64 masters of training); a float32 grad is added into
+    its float64 velocity.
     """
     if not (len(params) == len(grads) == len(velocities)):
         raise ValueError(

@@ -459,6 +459,13 @@ def deployed_payload(model):
 
 
 # --- the training ops as first written, for byte-equality checks ---------------
+#
+# Each computes in the dtype the library op computes in: float32 for a float32
+# activation or gradient, float64 for any other.
+
+
+def _compute_dtype(a):
+    return np.float32 if np.asarray(a).dtype == np.float32 else np.float64
 
 
 def effective_weights(w_latent):
@@ -480,11 +487,12 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     """
     from rxgb.tensor_ops import _matmul, _weight_matrix
 
+    dt = _compute_dtype(grad_y)
+    x = np.asarray(x, dtype=dt)
+    w = np.asarray(w, dtype=dt)
     if alpha is not None:
-        w = w * alpha[:, None, None, None]
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    grad_y = np.asarray(grad_y, dtype=np.float64)
+        w = w * np.asarray(alpha, dtype=dt)[:, None, None, None]
+    grad_y = np.asarray(grad_y, dtype=dt)
     n, ci, h, wd = x.shape
     co = w.shape[0]
     kh, kw = geom.kernel
@@ -494,7 +502,7 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     xp, cols = nchw_im2col(x, geom, pad_value)
     gw = _matmul(gy.T, cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
     gcols = _matmul(gy, _weight_matrix(w).T).reshape(n, oh, ow, kh, kw, ci)
-    gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci))
+    gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci), dt)
     for i in range(kh):
         for j in range(kw):
             gxp[:, i:i + s * oh:s, j:j + s * ow:s, :] += gcols[:, :, :, i, j, :]
@@ -521,33 +529,34 @@ def interior_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
 
     For each output position (a, b) in row-major order and each tap row i
     with taps j0..j1 that read the input: one fixed-block matmul of
-    grad_y[:, :, a, b] by those taps' filters, added tap by tap into the
-    input cells they read, and one of grad_y[:, :, a, b].T by those cells,
-    added tap by tap into the taps' weight gradient. Each tap that reads
-    the ring at (a, b) collects grad_y[:, :, a, b] summed over images in
-    image order; the weight gradient then gets pad_value times that. The
-    products have the library's shapes and layouts, so the two must agree
-    to the byte. grad_x is returned as an NCHW view of NHWC memory.
+    grad_y[:, :, a, b] times alpha by those taps' unscaled filters, added
+    tap by tap into the input cells they read, and one of
+    grad_y[:, :, a, b].T by those cells, added tap by tap into the taps'
+    weight gradient. Each tap that reads the ring at (a, b) collects
+    grad_y[:, :, a, b] summed over images in image order; the weight
+    gradient then gets pad_value times that. The products have the
+    library's shapes, so the two must agree to the byte. grad_x is returned
+    as an NCHW view of NHWC memory.
     """
     from rxgb.tensor_ops import _matmul
 
-    if alpha is not None:
-        w = w * alpha[:, None, None, None]
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    dt = _compute_dtype(grad_y)
+    x = np.asarray(x, dtype=dt)
+    w = np.asarray(w, dtype=dt)
     n, ci, h, wd = x.shape
     co = w.shape[0]
     kh, kw = geom.kernel
     s, p = geom.stride, geom.padding
     oh, ow = geom.out_extent(h, wd)
-    gy = np.ascontiguousarray(np.asarray(grad_y, dtype=np.float64).transpose(0, 2, 3, 1))
-    gx = np.zeros((n, h, wd, ci))
-    gw = np.zeros((co, ci, kh, kw))
-    ring = np.zeros((co, kh, kw))
+    gy = np.ascontiguousarray(np.asarray(grad_y, dtype=dt).transpose(0, 2, 3, 1))
+    gx = np.zeros((n, h, wd, ci), dt)
+    gw = np.zeros((co, ci, kh, kw), dt)
+    ring = np.zeros((co, kh, kw), dt)
     for a in range(oh):
         for b in range(ow):
             g = gy[:, a, b]                               # [N, Co]
-            g_sum = np.zeros(co)
+            g_scaled = g if alpha is None else g * np.asarray(alpha, dtype=dt)
+            g_sum = np.zeros(co, dt)
             for image in range(n):
                 g_sum += g[image]
             for i in range(kh):
@@ -558,9 +567,9 @@ def interior_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
                         ring[:, i, j] += g_sum
                 if not taps:
                     continue
-                w_rows = np.concatenate([w[:, :, i, j].T for j in taps])
+                w_cols = np.concatenate([w[:, :, i, j] for j in taps], axis=1)
                 x_rows = np.concatenate([x[:, :, r, b * s + j - p] for j in taps], axis=1)
-                gcols = _matmul(g, w_rows.T)
+                gcols = _matmul(g_scaled, w_cols)
                 wcols = _matmul(g.T, x_rows)
                 for t, j in enumerate(taps):
                     gx[:, r, b * s + j - p, :] += gcols[:, t * ci:(t + 1) * ci]
@@ -597,15 +606,16 @@ def blocked_channel_sums(x, block=128):
     one from +0, the remainder block last. The remainder is padded with +0
     rows, which leave its sum unchanged: a sum begun at +0 is never -0."""
     c = x.shape[1]
-    rows = np.asarray(x, dtype=np.float64).transpose(0, 2, 3, 1).reshape(-1, c)
+    dt = _compute_dtype(x)
+    rows = np.asarray(x, dtype=dt).transpose(0, 2, 3, 1).reshape(-1, c)
     blocks = -(-len(rows) // block)
-    padded = np.zeros((blocks * block, c))
+    padded = np.zeros((blocks * block, c), dt)
     padded[:len(rows)] = rows
     padded = padded.reshape(blocks, block, c)
-    block_sums = np.zeros((blocks, c))
+    block_sums = np.zeros((blocks, c), dt)
     for r in range(block):
         block_sums += padded[:, r]
-    total = np.zeros(c)
+    total = np.zeros(c, dt)
     for block_sum in block_sums:
         total += block_sum
     return total
@@ -614,7 +624,8 @@ def blocked_channel_sums(x, block=128):
 def where_rprelu_forward(x, beta, gamma, zeta, out=None):
     """RPReLU selecting its branch with np.where on the sign mask of u, in
     fresh temporaries: ``out`` is accepted and ignored."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_compute_dtype(x))
+    beta, gamma, zeta = (np.asarray(a, dtype=x.dtype) for a in (beta, gamma, zeta))
     u = x - gamma[None, :, None, None]
     pos = u >= 0
     y = np.where(pos, u, beta[None, :, None, None] * u) + zeta[None, :, None, None]
@@ -623,7 +634,7 @@ def where_rprelu_forward(x, beta, gamma, zeta, out=None):
 
 def where_rprelu_backward(grad_y, cache):
     u, pos, beta = cache["u"], cache["pos"], cache["beta"]
-    g = np.asarray(grad_y, dtype=np.float64)
+    g = np.asarray(grad_y, dtype=_compute_dtype(grad_y))
     slope = np.where(pos, 1.0, beta[None, :, None, None])
     grad_x = g * slope
     grad_gamma = -blocked_channel_sums(grad_x)
@@ -637,7 +648,8 @@ def temporaries_batchnorm_forward(x, gamma, beta, running_mean, running_var, out
     variance from blocked_channel_sums, in fresh temporaries: ``out`` is
     accepted and ignored."""
     momentum, eps = 0.1, 1e-5
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=_compute_dtype(x))
+    gamma, beta = (np.asarray(a, dtype=x.dtype) for a in (gamma, beta))
     m = x.shape[0] * x.shape[2] * x.shape[3]
     mean = blocked_channel_sums(x) / m
     var = blocked_channel_sums((x - mean[None, :, None, None]) ** 2) / m
@@ -655,7 +667,7 @@ def temporaries_batchnorm_backward(grad_y, cache, out=None):
     """Batch-norm backward as one expression per gradient; ``out`` is
     accepted, for the library's signature, and left unwritten."""
     xhat, gamma, inv_std, m = cache["xhat"], cache["gamma"], cache["inv_std"], cache["m"]
-    grad_y = np.asarray(grad_y, dtype=np.float64)
+    grad_y = np.asarray(grad_y, dtype=_compute_dtype(grad_y))
     dgamma = blocked_channel_sums(grad_y * xhat)
     dbeta = blocked_channel_sums(grad_y)
     dxhat = grad_y * gamma[None, :, None, None]

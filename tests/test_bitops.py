@@ -14,6 +14,7 @@ from rxgb.bitops import (
     rsign_forward,
     sign_weights,
     ste_mask,
+    weight_alpha,
     xnor_conv2d,
     xnor_filters,
 )
@@ -90,6 +91,21 @@ def test_sign_weights_alpha_oracle():
     for co in range(4):
         assert alpha[co] == pytest.approx(np.abs(w[co]).mean(), rel=1e-15)
     assert sgn.dtype == np.int8 and np.array_equal(sgn, np.where(w >= 0, 1, -1))
+
+
+def test_weight_alpha_equals_the_whole_latent_mean_byte_for_byte():
+    # the chunked |w| keeps numpy's pairwise order per filter: every latent
+    # shape of the width-0.25 and 0.5 nets, and shapes around the chunk
+    rng = np.random.default_rng(5)
+    shapes = {(1, 1, 1, 1), (3, 5, 3, 3), (7, 1, 1, 1), (0, 3, 3, 3), (5, 3, 7, 11),
+              (1, 4097, 3, 3), (2, 8192, 1, 1), (33, 1000, 3, 3), (4, 1 << 15, 1, 1)}
+    for width in (0.25, 0.5):
+        model = network.build_network(netspec.reference_spec(width), seed=6)
+        shapes |= {v.shape for k, v in model.params.items() if k.endswith(".w_latent")}
+    for shape in sorted(shapes):
+        w = rng.uniform(-1, 1, shape)
+        want = np.abs(w).mean(axis=(1, 2, 3))
+        assert weight_alpha(w).tobytes() == want.tobytes(), shape
 
 
 def test_ste_mask():

@@ -1,5 +1,6 @@
 """Backbone tests: wiring oracles, gradients, training loop, serialization."""
 
+import hashlib
 import json
 import os
 import struct
@@ -545,9 +546,10 @@ def separable_dataset(n, seed, classes=4):
 
 
 def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch):
-    # Same-seed stage-1 training with the float64 conv backward, the
-    # np.where RPReLU and the temporaries batch norm patched in (tests/oracles)
-    # against the library ops. Width 0.25 on 28x28 keeps
+    # Same-seed stage-1 training (float32 batches) with the dense and
+    # interior-tap conv backward, the np.where RPReLU and the temporaries
+    # batch norm patched in (tests/oracles, each computing in its input's
+    # dtype) against the library ops. Width 0.25 on 28x28 keeps
     # the 2x2 grids and convs of 256 channels; 129 training images make a
     # batch of 128 (the interior-tap backward on the 2x2 grids) and a final
     # batch of one image (one dense product). The float64 parameters are
@@ -573,6 +575,79 @@ def test_training_ops_keep_the_checkpoint_bytes_of_their_first_form(monkeypatch)
             m.setattr(modules[module], attr, oracle)
         want = trained()
     assert got == want
+
+
+# sha256 of the float64 loss, the gradients in learnable_keys order and then
+# the BN running statistics in params order, after the one loss_and_grads of
+# the test below, recorded with the float64-only ops that the dtype-generic
+# ones replaced: the float64 graph keeps their arithmetic, so criterion 5 and
+# the byte oracles test what they always tested. A batch of 16 takes the
+# dense conv backward; the interior-tap one (128 images on the 2x2 grids)
+# scales grad_y by alpha rather than the filters, which rounds otherwise than
+# at the recording. The products are fixed-block BLAS
+# products, so another BLAS build may round them otherwise (this digest is
+# from OpenBLAS 0.3.31).
+_FLOAT64_STEP_SHA256 = "c303e9adea8eba4db92fa15db2b292187cdee4da4ebb7345d913f5e8e65c8598"
+
+
+def _float64_step_digest():
+    spec = netspec.reference_spec(width_mult=0.25)
+    model = network.build_network(spec, seed=26)
+    x = np.random.default_rng(27).standard_normal((16, *spec.input_shape))
+    loss, grads = network.loss_and_grads(model, x, np.arange(16) % 10)
+    h = hashlib.sha256(np.float64(loss).tobytes())
+    for k in model.learnable_keys():
+        assert grads[k].dtype == np.float64, k
+        h.update(grads[k].tobytes(order="A"))
+    for k, v in model.params.items():
+        if k.endswith(("run_mean", "run_var")):
+            h.update(v.tobytes())
+    return h.hexdigest()
+
+
+def test_float64_loss_and_grads_keep_their_bytes():
+    assert _float64_step_digest() == _FLOAT64_STEP_SHA256
+
+
+def test_float32_gradients_are_within_criterion_5_of_float64(monkeypatch):
+    # One width-0.25 loss_and_grads on the same float32-valued batch in both
+    # dtypes. First the RSign sign planes must be equal: one flipped sign
+    # changes a binary conv's sum by 2 * alpha and the gradients with it, so
+    # no bound below would mean anything. Then the loss and every parameter's
+    # gradient must agree to the relative error criterion 5 accepts between
+    # an analytic gradient and central differences (1e-4, in the 2-norm per
+    # parameter): float32 arithmetic may not move a gradient further than
+    # the contract lets a gradient be wrong. Float32's unit roundoff is 6e-8,
+    # a fixed-block product of K terms rounds within about
+    # (K_BLOCK + K / K_BLOCK) of it (8e-6 at K = 4608), and the measured
+    # worst was 4.5e-6 (width 0.25 and 0.5, batches 16 to 128).
+    tol = 1e-4
+    spec = netspec.reference_spec(width_mult=0.25)
+    model = network.build_network(spec, seed=50)
+    x = np.random.default_rng(51).standard_normal((16, *spec.input_shape))
+    x = x.astype(np.float32)
+    labels = np.arange(16) % 10
+    rsign_forward = bitops.rsign_forward
+    runs = {}
+    for dtype in (np.float64, np.float32):
+        planes = []
+
+        def recorded(*args, **kwargs):
+            y, cache = rsign_forward(*args, **kwargs)
+            planes.append(y)
+            return y, cache
+
+        monkeypatch.setattr(bitops, "rsign_forward", recorded)
+        loss, grads = network.loss_and_grads(model.copy(), x.astype(dtype), labels)
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+        runs[dtype] = loss, grads, planes
+    (loss64, grads64, planes64), (loss32, grads32, planes32) = runs.values()
+    assert len(planes64) == len(planes32) == 20
+    for a, b in zip(planes64, planes32):
+        assert np.array_equal(a, b)
+    assert abs(loss32 - loss64) <= tol * abs(loss64)
+    for k, g in grads64.items():
+        assert np.linalg.norm(grads32[k] - g) <= tol * np.linalg.norm(g), k
 
 
 # Every function through which an activation or a gradient of the block wiring
@@ -833,29 +908,67 @@ print(json.dumps(rows))
 """
 
 
-def _sign_sweep_digests(threads: int) -> list:
+def _run_at_threads(threads: int, script: str, *args: str) -> str:
+    """stdout of ``script`` in a fresh interpreter whose BLAS runs
+    ``threads`` threads (BLAS reads its thread count when numpy loads)."""
     env = os.environ.copy()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     src = str(Path(network.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SIGN_SWEEP_SCRIPT, json.dumps(_SIGN_SWEEP)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return [tuple(r) for r in json.loads(proc.stdout)]
+    return proc.stdout
+
+
+def _sign_sweep_digests(threads: int) -> list:
+    out = _run_at_threads(threads, _SIGN_SWEEP_SCRIPT, json.dumps(_SIGN_SWEEP))
+    return [tuple(r) for r in json.loads(out)]
 
 
 def test_sign_convs_and_features_byte_identical_across_thread_counts():
-    # Fresh interpreters, because BLAS reads its thread count when numpy loads.
     base = _sign_sweep_digests(1)
     assert len(base) == len(_SIGN_SWEEP) + 2
     for threads in (2, 4):
         pairs = zip(base, _sign_sweep_digests(threads), strict=True)
         for (op, case, want), (_, _, got) in pairs:
             assert got == want, f"{op} at {case} differs between 1 and {threads} threads"
+
+
+# The gradients of one float32 loss_and_grads on a batch of 128 (the
+# interior-tap products on the 2x2 grids), then the float64 parameters after
+# train_stage1 on 129 images: a float32 step of 128 and one of a single image
+# (the dense products).
+_FLOAT32_STEP_SCRIPT = r"""
+import hashlib
+import numpy as np
+from rxgb import data, netspec, network
+
+rng = np.random.default_rng(47)
+ds = data.Dataset(images=rng.standard_normal((145, 1, 28, 28)),
+                  labels=np.arange(145) % 10, split="train")
+train, val = data.split_train_val(ds, 16)
+model = network.build_network(netspec.reference_spec(width_mult=0.25), seed=48)
+_, grads = network.loss_and_grads(model.copy(), train.images[:128].astype(np.float32),
+                                  train.labels[:128])
+h = hashlib.sha256()
+for k in model.learnable_keys():
+    assert grads[k].dtype == np.float32, k
+    h.update(grads[k].tobytes(order="A"))
+result = network.train_stage1(model, train, val,
+                              network.StageOneConfig(epochs=1, batch_size=128, seed=49))
+assert not result.aborted, result.abort_reason
+print(h.hexdigest(), model.param_digest())
+"""
+
+
+def test_float32_training_steps_are_byte_identical_across_thread_counts():
+    # float32 products rest on the same K_BLOCK assumption as float64 ones
+    want = _run_at_threads(1, _FLOAT32_STEP_SCRIPT)
+    for threads in (2, 4):
+        assert _run_at_threads(threads, _FLOAT32_STEP_SCRIPT) == want, threads
 
 
 # --- frozen inference plan -------------------------------------------------------

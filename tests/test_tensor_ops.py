@@ -175,7 +175,8 @@ def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte(monkey
     # weights alpha * sign(latent) through one dense grad_x product; where
     # the backward takes the forward's interior-tap rule (3x3 on a 2x2 grid,
     # at least _SPLIT_MIN_IMAGES images), through the interior-tap oracle
-    # instead, and within 1e-12 of the dense form.
+    # instead, which scales grad_y by alpha as that form does, and within
+    # 1e-12 of the dense form.
     interior = []
     conv_backward_interior = tensor_ops._conv_backward_interior
 
@@ -200,7 +201,8 @@ def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte(monkey
             for a, b in ((gx, rx), (gw, rw)):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), case
             assert is_nhwc_memory(gx), case
-            rx, rw = interior_conv2d_backward(gy, x, w_eff, geom, pad_value=-1.0)
+            rx, rw = interior_conv2d_backward(gy, x, w_sign, geom, pad_value=-1.0,
+                                              alpha=alpha)
         assert gx.tobytes(order="A") == rx.tobytes(order="A"), case
         assert gx.strides == rx.strides and gw.tobytes() == rw.tobytes(), case
     assert sorted(set(interior)) == [(_SPLIT_MIN_IMAGES, c, 2, 3, 1) for c in (48, 256)]
@@ -214,7 +216,7 @@ def test_interior_tap_conv_backward_matches_directional_finite_differences(monke
     conv_backward_interior = tensor_ops._conv_backward_interior
 
     def spy(*args):
-        interior.append(args[4])
+        interior.append(args[5])
         return conv_backward_interior(*args)
 
     monkeypatch.setattr(tensor_ops, "_conv_backward_interior", spy)

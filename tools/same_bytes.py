@@ -25,6 +25,11 @@ one with several). A seventh column is the sha256 of the float64 margins
 ``gbdt.predict_margins`` gives for the test feature file from the model read
 back from ``gbdt-model.txt``, by each side's own code, for the whole file and
 then one row at a time: the model text can stay equal while routing changes.
+The last two columns cross the sides: the change's code computes the
+FEATURES digest from the parent's ``checkpoint.ckpt`` and the MARGINS digest
+from the parent's ``gbdt-model.txt`` and test feature file, and each is
+compared with the parent's own digest of the same files. A change that
+trains to other bytes can so still show that inference kept its bytes.
 ``metrics.tsv`` holds wall seconds and is left out. It prints one row per
 config and exits 1 if any column differs.
 """
@@ -54,6 +59,8 @@ ARTIFACTS = ("checkpoint.ckpt", "features-train.rxgbfeat", "features-test.rxgbfe
 PARAMS = "params (float64)"
 FEATURES = "features (float64)"
 MARGINS = "margins (float64)"
+# the change's digests of the parent's artifacts
+CROSS = {FEATURES: "features x parent ckpt", MARGINS: "margins x parent model"}
 _DIGEST = re.compile(r"^best epoch .*params sha256 ([0-9a-f]{64})", re.M)
 # the same digest from a format-v2 checkpoint, whose records hold the float64
 # parameters
@@ -113,14 +120,30 @@ def write_data(dest: Path) -> None:
         (dest / f"{prefix}-labels-idx1-ubyte").write_bytes(gen.idx_labels(labels))
 
 
+def _env(tree: Path, threads: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return env
+
+
+def inference_digests(tree: Path, threads: int, out: Path, data_dir: Path) -> dict:
+    """The FEATURES and MARGINS digests of the artifacts in ``out``, by the
+    code of ``tree``."""
+    scripts = {FEATURES: (_FEATURE_DIGEST, out / ARTIFACTS[0], data_dir),
+               MARGINS: (_MARGIN_DIGEST, out / ARTIFACTS[3], out / ARTIFACTS[2])}
+    return {name: subprocess.run([sys.executable, "-c", *map(str, args)], cwd=tree,
+                                 env=_env(tree, threads), capture_output=True,
+                                 text=True, check=True).stdout.strip()
+            for name, args in scripts.items()}
+
+
 def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
     """sha256 of each of ARTIFACTS, of the parameters (PARAMS), of the
     float64 features (FEATURES) and of the tree head's float64 margins
     (MARGINS) after one pipeline run in ``tree``."""
     width, threads = config
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
+    env = _env(tree, threads)
     cmd = [sys.executable, "-m", "rxgb.cli", "pipeline", "--seed", str(SEED),
            "--data.dir", str(data_dir), "--out", str(out),
            "--net.width_mult", str(width),
@@ -139,14 +162,7 @@ def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
         v2 = subprocess.run([sys.executable, "-c", _V2_DIGEST, str(out / ARTIFACTS[0])],
                             cwd=tree, env=env, capture_output=True, text=True, check=True)
         digests[PARAMS] = v2.stdout.strip()
-    feats = subprocess.run([sys.executable, "-c", _FEATURE_DIGEST, str(out / ARTIFACTS[0]),
-                            str(data_dir)], cwd=tree, env=env, capture_output=True,
-                           text=True, check=True)
-    digests[FEATURES] = feats.stdout.strip()
-    margins = subprocess.run([sys.executable, "-c", _MARGIN_DIGEST, str(out / ARTIFACTS[3]),
-                              str(out / ARTIFACTS[2])], cwd=tree, env=env,
-                             capture_output=True, text=True, check=True)
-    digests[MARGINS] = margins.stdout.strip()
+    digests.update(inference_digests(tree, threads, out, data_dir))
     return digests
 
 
@@ -164,12 +180,17 @@ def main(argv=None) -> int:
         export_rev(args.rev, trees["parent"])
         snapshot_worktree(trees["change"])
         write_data(tmp / "data")
-        columns = (*ARTIFACTS, PARAMS, FEATURES, MARGINS)
+        columns = (*ARTIFACTS, PARAMS, FEATURES, MARGINS, *CROSS.values())
         print(f"{'width':>5} {'threads':>7}  "
               + "  ".join(f"{name:>23}" for name in columns))
         for i, config in enumerate(CONFIGS):
             digests = {side: run_pipeline(tree, tmp / "data", tmp / f"{side}{i}", config)
                        for side, tree in trees.items()}
+            cross = inference_digests(trees["change"], config[1], tmp / f"parent{i}",
+                                      tmp / "data")
+            for name, column in CROSS.items():
+                digests["parent"][column] = digests["parent"][name]
+                digests["change"][column] = cross[name]
             cells = []
             for name in columns:
                 p, c = digests["parent"][name], digests["change"][name]
