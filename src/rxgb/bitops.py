@@ -274,14 +274,16 @@ def rprelu_forward(
     """Shifted PReLU: y = f(x - gamma[c]) + zeta[c], f(u) = u if u >= 0 else beta[c]*u.
 
     The kink at u = 0 takes the positive branch. f is computed branch-free
-    as max(0, u) + beta*min(0, u): one term is a zero, so f(u) is the
-    selected branch to the byte. For u = -0 that rests on maximum and minimum
-    returning their second operand on a tie of zeros, so that f(-0) = -0 as
-    the branch form gives. numpy does not promise this; it was measured in
-    numpy 2.4's x86 SIMD loops (its scalar loop returns the first operand,
-    and NEON orders -0 < +0), and tests/test_bitops.py checks it with
-    zeta = -0. It computes in x's ``tensor_ops._real_dtype``, the
-    parameters cast to it. ``out``, if given, is an array of x's shape and
+    as max(0, u) + beta*min(0, u): one term is a zero, so y is the selected
+    branch's to the byte, with one exception. For u = -0 that rests on
+    maximum and minimum returning their second operand on a tie of zeros, so
+    that f(-0) = -0 as the branch form gives. numpy does not promise this; it
+    was measured in numpy 2.4's x86 SIMD loops (its scalar loop returns the
+    first operand, and NEON orders -0 < +0), and tests/test_bitops.py checks
+    it with zeta = -0. The exception: where beta < 0 (or beta = -0), beta*-0
+    is +0, so f(-0) = +0, and with zeta = -0 y is +0 where the branch gives
+    -0; any other zeta gives the branch's y. It computes in x's
+    ``tensor_ops._real_dtype``, the parameters cast to it. ``out``, if given, is an array of x's shape and
     compute dtype that receives u (the cache's ``u``); pass x itself to
     consume it. y is a fresh array either way, in x's memory order. Returns
     (y, cache).
@@ -300,7 +302,9 @@ def _shifted_prelu(u: np.ndarray, beta: np.ndarray, zeta: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """f(u) + zeta[c], rprelu_forward's arithmetic on u = x - gamma[c], into
     ``out`` (u itself computes in place; the frozen plan keeps no u) or a
-    fresh array in u's memory order."""
+    fresh array in u's memory order. It is the selected branch to the byte
+    except at u = -0 with beta < 0 (or -0) and zeta = -0, where it gives +0
+    and the branch -0 (see rprelu_forward)."""
     t = np.minimum(0.0, u)
     t *= beta[None, :, None, None]
     y = np.maximum(0.0, u, out=out)

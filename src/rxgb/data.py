@@ -390,7 +390,13 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 # --- feature persistence ---------------------------------------------------------
 
 def save_features(path: Path | str, features: np.ndarray, labels: np.ndarray) -> None:
-    """Write a feature matrix + labels to the RXGBFEAT binary container."""
+    """Write a feature matrix + labels to the RXGBFEAT binary container.
+
+    Raises ValueError, before any file is made, for anything load_features
+    would refuse: non-finite features, or a label that is not a whole
+    number in [0, 10) (NaN included), which the u8 label field would store
+    as another class or not at all.
+    """
     features = np.ascontiguousarray(features, dtype=np.float32)
     labels = np.asarray(labels)
     if features.ndim != 2:
@@ -401,8 +407,12 @@ def save_features(path: Path | str, features: np.ndarray, labels: np.ndarray) ->
         )
     if features.size and not np.isfinite(features).all():
         raise ValueError("features must be finite")
-    if labels.size and (labels.min() < 0 or labels.max() > 255):
-        raise ValueError("labels must fit in u8")
+    bad = ~((labels >= 0) & (labels < 10))          # NaN is out of range too
+    if not bad.any() and labels.dtype.kind == "f":
+        bad = labels % 1 != 0
+    if bad.any():
+        raise ValueError(f"labels must be whole numbers in [0, 10), one u8 each; "
+                         f"got {labels[bad][0]}")
     rows, cols = features.shape
     header = _FEATURES_HEADER.pack(FEATURES_MAGIC, FEATURES_VERSION, rows, cols)
     body = features.astype("<f4", copy=False).tobytes() + labels.astype(

@@ -27,11 +27,15 @@ rows stay in increasing row order, so a child's block is exactly the stable
 argsort of the child's rows: the prefix sums, gains, ties and thresholds, and
 so the model bytes, are those of sorting every node afresh. Node totals are
 plain (pairwise) sums of the node's rows in row order, not the last prefix
-sums. One scan scores a node's block in feature blocks of about 64k
-candidates; g and h travel through it as one complex128 g + 1j*h per row,
-so a block takes one gather and one prefix sum. That is exact: complex
-addition adds the real and the imaginary parts as two independent float64
-additions, so each part's prefix sums are those of g and of h alone.
+sums. One scan scores a node's block in feature blocks of about 16k
+candidates (_BLOCK), and the partition cuts it in the same blocks, so that
+a block's whole working set stays in one core's L2 cache, as XGBoost sizes
+its blocks to the cache (§4.2, cache-aware access). The work buffers are
+allocated once per tree and filled in place. g and h travel through the
+scan as one complex128 g + 1j*h per row, so a block takes one gather and
+one prefix sum. That is exact: complex addition adds the real and the
+imaginary parts as two independent float64 additions, so each part's
+prefix sums are those of g and of h alone.
 
 A tree has one form, Tree: read-only node arrays, as XGBoost stores each
 tree as one flat node array. Growth and the text parser write them slot by
@@ -233,9 +237,16 @@ def _midpoint(a: float, b: float) -> float:
     return t
 
 
-# Candidates (features x node rows) scored per block of the scan: each float64
-# temporary of a block is 512 KiB, so a block's working set stays in L2.
-_BLOCK = 1 << 16
+# Candidates (features x node rows) per block of the scan and the partition.
+# A scan block holds about 66 bytes per candidate at once: its keys (8), row
+# ids (8), the gathered g + 1j*h (16), gl, hl, gr and hr (32) and two masks
+# (2), so 2**14 candidates take about 1 MiB, inside a 2 MiB per-core L2; at
+# 2**16 with fresh temporaries a block took about 5 MiB. Measured on one
+# depth-10 tree of a 10k x 512 perfbench feature matrix (median of three
+# min-of-5 runs, one thread of a 2-core x86_64 host), in ms: 2**12 1324,
+# 2**13 1147, 2**14 1028, 2**15 1064, 2**16 1074, and 1437 at 2**16 with
+# fresh temporaries per block.
+_BLOCK = 1 << 14
 _ROW = 0xFFFFFFFF        # low 32 bits of a column-block entry: the row id
 
 
@@ -281,20 +292,45 @@ def _pack(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return gh
 
 
-def _scan(keys: np.ndarray, x: np.ndarray, gh: np.ndarray,
-          gt: float, ht: float, cfg: GBDTConfig) -> Split | None:
+# The work buffers of a block (see _work), in order: row ids, the gathered
+# g + 1j*h, gl, hl, gr, hr and two masks.
+_WORK_DTYPES = tuple(map(np.dtype, (np.int64, np.complex128, *[np.float64] * 4, bool, bool)))
+
+
+def _work(m: int) -> tuple[np.ndarray, ...]:
+    """Flat work buffers of one block of _scan or of _grow's partition for
+    nodes of at most m rows, one of each of _WORK_DTYPES, cut from one
+    allocation. A block of step = max(1, _BLOCK // m') features of an
+    m'-row node holds step * m' <= max(_BLOCK, m) entries.
+
+    One allocation rather than eight: in paired runs of the infer
+    benchmark, whose set-up loads a checkpoint in a process that fitted 20
+    trees, eight allocations per tree left the heap in a state that made
+    that set-up about 29% slower; with one it held its time."""
+    size = max(_BLOCK, m)
+    ends = np.cumsum([0, *(size * t.itemsize for t in _WORK_DTYPES)])
+    raw = np.empty(ends[-1], np.uint8)
+    return tuple(raw[a:b].view(t) for a, b, t in zip(ends[:-1], ends[1:], _WORK_DTYPES))
+
+
+def _scan(keys: np.ndarray, x: np.ndarray, gh: np.ndarray, gt: float, ht: float,
+          cfg: GBDTConfig, work: tuple[np.ndarray, ...]) -> Split | None:
     """Best split of one node from its column block keys [F, m] (see
-    _column_block; row ids index x and gh, the rows' g + 1j*h from _pack).
+    _column_block; row ids index x and gh, the rows' g + 1j*h from _pack),
+    with the buffers ``work`` from _work(m) or larger.
 
     gt, ht are the node's gradient and Hessian totals. Features are scored in
     blocks of about _BLOCK candidates. A block gathers each entry's g and h
     as one complex128 and prefix-sums them in one cumsum: complex addition
     is two independent float64 additions and the cumsum adds left to right,
     so the real and imaginary parts are the float64 cumsums of g and h bit
-    for bit, at half the gathers and prefix-sum passes. A block's first
-    maximum replaces the running best only when strictly greater, so the
-    result is the first maximum in feature-major order. Candidates whose
-    gain is not > 0 (NaN included) are invalid.
+    for bit, at half the gathers and prefix-sum passes. The parts are copied
+    into contiguous buffers, since ops on the strided views cost more than
+    twice as much, and the gain formula runs on them in place, op by op in
+    the order the formula reads. A block's first maximum replaces the
+    running best only when strictly greater, so the result is the first
+    maximum in feature-major order. Candidates whose gain is not > 0 (NaN
+    included) are invalid.
     """
     nf, m = keys.shape
     if m < 2:
@@ -306,20 +342,34 @@ def _scan(keys: np.ndarray, x: np.ndarray, gh: np.ndarray,
     best_gain, best = 0.0, None
     for f0 in range(0, nf, step):
         bkeys = keys[f0:f0 + step]
-        c = gh[bkeys & _ROW]
+        nb = len(bkeys)
+        rows, c, gl, hl, gr, hr, valid, mask = (
+            a[:nb * w].reshape(nb, w) for a, w in zip(work, (m, m, *[m - 1] * 6)))
+        np.bitwise_and(bkeys, _ROW, out=rows)
+        np.take(gh, rows, out=c, mode="clip")   # ids are in range; "raise" buffers out
         np.cumsum(c, axis=1, out=c)
-        gl, hl = c.real[:, :-1], c.imag[:, :-1]
-        gr = gt - gl
-        hr = ht - hl
+        np.copyto(gl, c.real[:, :-1])
+        np.copyto(hl, c.imag[:, :-1])
+        np.subtract(gt, gl, out=gr)
+        np.subtract(ht, hl, out=hr)
+        np.greater_equal(hl, mcw, out=valid)
+        valid &= np.greater_equal(hr, mcw, out=mask)
+        vkeys = np.right_shift(bkeys, 32, out=rows)
+        valid &= np.not_equal(vkeys[:, 1:], vkeys[:, :-1], out=mask)
+        # gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+        gains = gl
         with np.errstate(invalid="ignore"):      # 0/0 when lambda = 0
-            gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+            gl *= gl
+            gl /= np.add(hl, lam, out=hl)
+            gr *= gr
+            gr /= np.add(hr, lam, out=hr)
+            gains += gr
+            gains -= parent
+            gains *= 0.5
         if cfg.gamma:                            # x - 0.0 is x for every double
             gains -= cfg.gamma
-        vkeys = bkeys >> 32
-        valid = (gains > 0.0) & (vkeys[:, 1:] != vkeys[:, :-1])
-        valid &= hl >= mcw
-        valid &= hr >= mcw
-        np.copyto(gains, 0.0, where=~valid)
+        valid &= np.greater(gains, 0.0, out=mask)
+        np.copyto(gains, 0.0, where=np.logical_not(valid, out=valid))
         i = int(np.argmax(gains))
         if gains.flat[i] > best_gain:
             best_gain = float(gains.flat[i])
@@ -351,7 +401,8 @@ def best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GBDTConfig) -> 
     x = np.asarray(x, dtype=np.float32)
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    return _scan(_column_block(x), x, _pack(g, h), g.sum(), h.sum(), cfg)
+    return _scan(_column_block(x), x, _pack(g, h), g.sum(), h.sum(), cfg,
+                 _work(len(x)))
 
 
 def _split_slot(nodes: tuple[list, list, list, list], i: int, f: int, t: float) -> int:
@@ -376,16 +427,17 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
     partitions every column of the node's block stably by it, so each child's
     block is the parent's sorted order restricted to the child's rows. Node
     rows are kept in increasing row order and node totals are their sums in
-    that order. The scans read g and h packed once per tree (see _pack). The
-    tree is written slot by slot: a split takes the next two slots for its
-    children.
+    that order. The scans read g and h packed once per tree (see _pack), and
+    the scans and the partitions fill one set of work buffers (see _work),
+    allocated once per tree. The tree is written slot by slot: a split takes
+    the next two slots for its children.
 
     Below the root, which is only read, a node's block is a span of one half
     of a two-half buffer and its children's blocks are cut into the same span
     of the other half. Nodes waiting on the stack hold disjoint spans, and a
     span is overwritten only after its node is split, so growth allocates
     nothing of block size beyond the buffer; the partition runs in the scan's
-    feature blocks, which bounds its temporaries too. A split at the last
+    feature blocks, in the scan's row-id and mask buffers. A split at the last
     level (depth + 1 == max_depth) makes two leaves, whose blocks are never
     read, so it partitions nothing.
     """
@@ -396,6 +448,8 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
     weights = np.empty(n)
     side = np.zeros(n, dtype=bool)
     buf = np.empty((2, nf * n), dtype=block.dtype)
+    work = _work(n)
+    ids, sel = work[0], work[-1]
     nodes = ([0], [math.inf], [0], [0.0])      # feature, threshold, child, value
     stack = [(0, np.arange(n), block, 0, 0)]
     while stack:
@@ -404,7 +458,7 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
         hs = float(h[idx].sum())
         sp = None
         if depth < cfg.max_depth and idx.size >= 2:
-            sp = _scan(keys, x, gh, gs, hs, cfg)
+            sp = _scan(keys, x, gh, gs, hs, cfg, work)
         if sp is None:
             weights[idx] = nodes[3][node] = -cfg.learning_rate * gs / (hs + cfg.reg_lambda)
             continue
@@ -419,9 +473,11 @@ def _grow(x: np.ndarray, block: np.ndarray, g: np.ndarray, h: np.ndarray,
             for f0 in range(0, nf, step):
                 rows = slice(f0, f0 + step)
                 part = keys[rows].ravel()
-                sel = side[part & _ROW]
-                np.compress(sel, part, out=left[rows].ravel())
-                np.compress(~sel, part, out=right[rows].ravel())
+                s = sel[:part.size]
+                np.take(side, np.bitwise_and(part, _ROW, out=ids[:part.size]), out=s,
+                        mode="clip")
+                np.compress(s, part, out=left[rows].ravel())
+                np.compress(np.logical_not(s, out=s), part, out=right[rows].ravel())
         c = _split_slot(nodes, node, sp.feature, sp.threshold)
         stack.append((c + 1, idx[~go_left], right, cut, depth + 1))
         stack.append((c, idx[go_left], left, start, depth + 1))

@@ -325,6 +325,29 @@ def _nhwc(a):
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
+def test_rprelu_with_negative_beta_pins_plus_zero_at_minus_zero_u_and_zeta():
+    # The one case where the branch-free form is not the selected branch to
+    # the byte: beta < 0 (or beta = -0) at u = -0 with zeta = -0. There
+    # max(0, u) + beta*min(0, u) is -0 + (+0) = +0, and +0 + zeta = +0, where
+    # the branch gives -0 + zeta = -0. Everywhere else, the kink u = +0, the
+    # zeta = +0 channel and the positive-beta channel included, the bytes are
+    # the branch's. The test pins what the code returns, in both dtypes.
+    beta = np.array([-0.25, -0.25, -0.0, 0.25])
+    gamma = np.zeros(4)
+    zeta = np.array([-0.0, 0.0, -0.0, -0.0])
+    raw = np.tile(np.array([-0.0, 0.0, 1.5, -2.0, -0.0]), (2, 4, 5, 1))
+    for dtype in (np.float64, np.float32):
+        x = raw.astype(dtype)
+        y, _ = rprelu_forward(x, beta, gamma, zeta)
+        want, _ = where_rprelu_forward(x, beta, gamma, zeta)
+        differs = (x == 0) & np.signbit(x) & np.array([1, 0, 1, 0], bool)[:, None, None]
+        assert y.dtype == want.dtype == dtype
+        assert np.array_equal(np.signbit(want[differs]), np.ones(differs.sum(), bool))
+        assert np.array_equal(y[differs], np.zeros(differs.sum(), dtype))
+        assert not np.signbit(y[differs]).any()
+        assert y[~differs].tobytes() == want[~differs].tobytes()
+
+
 def test_rprelu_equals_the_where_form_byte_for_byte():
     # Signed zeros and the kink (x == gamma), both layouts of x and grad_y,
     # planes below and above the size at which numpy reuses temporaries in

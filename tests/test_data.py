@@ -312,6 +312,23 @@ def test_feature_roundtrip(tmp_path):
     assert (tmp_path / "g.rxgbfeat").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("label", [12, 10, -1, 1.7, 0.5, np.nan, np.inf])
+def test_save_features_refuses_labels_load_features_would_refuse(tmp_path, label):
+    """A label outside [0, 10) or not a whole number raises before any file
+    is made: 12 used to be written and then refused on load, and 1.7 stored
+    as class 1."""
+    labels = np.array([3, label, 4])
+    with pytest.raises(ValueError, match=r"whole numbers in \[0, 10\)"):
+        save_features(tmp_path / "f.rxgbfeat", np.ones((3, 2), np.float32), labels)
+    assert os.listdir(tmp_path) == []
+
+
+def test_save_features_keeps_whole_float_labels(tmp_path):
+    path = tmp_path / "f.rxgbfeat"
+    save_features(path, np.ones((3, 2), np.float32), np.array([0.0, 9.0, 2.0]))
+    assert np.array_equal(load_features(path)[1], [0, 9, 2])
+
+
 def test_feature_roundtrip_zero_rows(tmp_path):
     path = tmp_path / "empty.rxgbfeat"
     save_features(path, np.zeros((0, 8), dtype=np.float32), np.zeros(0, dtype=int))

@@ -7,6 +7,7 @@ Hessians against finite differences of the summed log-loss; prediction
 against per-row tracer routing.
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -300,6 +301,41 @@ def test_model_bytes_equal_per_node_argsort_reference(k, depth, gamma, mcw, lam)
     want = TreeEnsemble(config=cfg, n_features=x.shape[1],
                         trees=[(c, to_tree(t)) for c, t in trees])
     assert serialize(train_ensemble(x, y, cfg)) == serialize(want)
+
+
+def test_model_text_does_not_depend_on_the_block_size(monkeypatch):
+    """The scan and the partition cut a node's features into blocks of about
+    _BLOCK entries: one feature per block (1), a block size that divides no
+    node (97), and 2**10 and 2**16 grow the same trees as the shipped size,
+    ties across block boundaries included."""
+    rng = np.random.default_rng(2718)
+    x, y = _tie_heavy(rng, 2400, 8, 6, 3)
+    cfg = GBDTConfig(n_classes=3, max_trees=6, max_depth=6, min_child_weight=0.5)
+    want = serialize(train_ensemble(x, y, cfg))
+    for block in (1, 97, 2**10, 2**16):
+        monkeypatch.setattr(gbdt, "_BLOCK", block)
+        assert serialize(train_ensemble(x, y, cfg)) == want, block
+
+
+# sha256 of serialize() of the 2-tree, depth-10 model of the test below,
+# recorded with the code before the scan and the partition reused per-tree
+# buffers (blocks of 2**16 entries, fresh temporaries per block): the model
+# text is unchanged by that rework. Training runs numpy's float64 exp, add,
+# multiply and divide only, no BLAS product, but another numpy build may
+# round exp otherwise.
+_DEPTH_10_MODEL_SHA256 = "4f91860ad2cc69cd220d15f8b8b08a1557537c179978d9506499dcbb25ed7619"
+
+
+def test_depth_10_model_text_is_pinned():
+    rng = np.random.default_rng(3000)
+    labels = rng.integers(0, 10, 3000)
+    means = 0.15 * rng.standard_normal((10, 512))
+    x = (means[labels] + rng.standard_normal((3000, 512))).astype(np.float32)
+    cfg = GBDTConfig(n_classes=10, max_trees=2, max_depth=10)
+    ens = train_ensemble(x, labels, cfg)
+    assert max(tree.depth() for _, tree in ens.trees) == 10
+    text = serialize(ens).encode()
+    assert hashlib.sha256(text).hexdigest() == _DEPTH_10_MODEL_SHA256
 
 
 def test_column_block_keys_equal_the_masked_ufunc_reference():

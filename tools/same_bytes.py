@@ -30,6 +30,11 @@ FEATURES digest from the parent's ``checkpoint.ckpt`` and the MARGINS digest
 from the parent's ``gbdt-model.txt`` and test feature file, and each is
 compared with the parent's own digest of the same files. A change that
 trains to other bytes can so still show that inference kept its bytes.
+The TREES column is the sha256 of the model text that each side's
+``gbdt.train_ensemble`` grows on ``perfbench/gen.py``'s
+``features(9301, 10000, 512)`` (2 trees, depth 10), the boost workload's
+shape: the pipeline's head trains on at most 513 rows, so its model text
+cannot show a change that only nodes of thousands of rows take.
 ``metrics.tsv`` holds wall seconds and is left out. It prints one row per
 config and exits 1 if any column differs.
 """
@@ -59,6 +64,7 @@ ARTIFACTS = ("checkpoint.ckpt", "features-train.rxgbfeat", "features-test.rxgbfe
 PARAMS = "params (float64)"
 FEATURES = "features (float64)"
 MARGINS = "margins (float64)"
+TREES = "trees (10k x 512)"
 # the change's digests of the parent's artifacts
 CROSS = {FEATURES: "features x parent ckpt", MARGINS: "margins x parent model"}
 _DIGEST = re.compile(r"^best epoch .*params sha256 ([0-9a-f]{64})", re.M)
@@ -112,6 +118,19 @@ print(h.hexdigest())
 """
 
 
+# the TREES digest: the model text of 2 depth-10 trees on the boost
+# workload's feature matrix
+_TREE_DIGEST = """
+import hashlib, sys
+sys.path.insert(0, "perfbench")
+import gen
+from rxgb import gbdt
+x, y = gen.features(9301, 10000, 512)
+cfg = gbdt.GBDTConfig(n_classes=10, max_trees=2, max_depth=10)
+print(hashlib.sha256(gbdt.serialize(gbdt.train_ensemble(x, y, cfg)).encode()).hexdigest())
+"""
+
+
 def write_data(dest: Path) -> None:
     dest.mkdir()
     for prefix, offset, n in (("train", 0, N_TRAIN), ("t10k", N_TRAIN, N_TEST)):
@@ -141,7 +160,8 @@ def inference_digests(tree: Path, threads: int, out: Path, data_dir: Path) -> di
 def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
     """sha256 of each of ARTIFACTS, of the parameters (PARAMS), of the
     float64 features (FEATURES) and of the tree head's float64 margins
-    (MARGINS) after one pipeline run in ``tree``."""
+    (MARGINS) after one pipeline run in ``tree``, and the TREES digest by
+    the code of ``tree``."""
     width, threads = config
     env = _env(tree, threads)
     cmd = [sys.executable, "-m", "rxgb.cli", "pipeline", "--seed", str(SEED),
@@ -163,6 +183,9 @@ def run_pipeline(tree: Path, data_dir: Path, out: Path, config: tuple) -> dict:
                             cwd=tree, env=env, capture_output=True, text=True, check=True)
         digests[PARAMS] = v2.stdout.strip()
     digests.update(inference_digests(tree, threads, out, data_dir))
+    digests[TREES] = subprocess.run([sys.executable, "-c", _TREE_DIGEST], cwd=tree,
+                                    env=env, capture_output=True, text=True,
+                                    check=True).stdout.strip()
     return digests
 
 
@@ -180,7 +203,7 @@ def main(argv=None) -> int:
         export_rev(args.rev, trees["parent"])
         snapshot_worktree(trees["change"])
         write_data(tmp / "data")
-        columns = (*ARTIFACTS, PARAMS, FEATURES, MARGINS, *CROSS.values())
+        columns = (*ARTIFACTS, PARAMS, FEATURES, MARGINS, *CROSS.values(), TREES)
         print(f"{'width':>5} {'threads':>7}  "
               + "  ".join(f"{name:>23}" for name in columns))
         for i, config in enumerate(CONFIGS):
