@@ -7,8 +7,9 @@ A {-1,+1} dot product of length K can be computed entirely in bit arithmetic:
 This script packs a latent weight tensor's signs to one bit per value, runs
 the packed convolution the deployed network runs on small grids (which XORs
 only the taps that read the input and adds a constant per filter for the
-pad ring), and checks it byte for byte against the exact int8 sign
-convolution the network trains with, scaled by alpha. It then prints what
+pad ring), and checks it byte for byte against the exact sign convolution
+the network trains with (boolean activation planes, int8 filters), scaled by
+alpha. It then prints what
 the unified cost metric (OPs = BOPs/64 + FLOPs) says about the trade.
 """
 
@@ -27,11 +28,11 @@ def main():
 
     # --- step 1: binarize and pack ----------------------------------------
     x = rng.normal(size=(1, 8, 14, 14))
-    x_sign = np.where(x >= 0, 1, -1).astype(np.int8)
+    x_sign = x >= 0                       # a boolean plane, True for +1
     latent = rng.normal(size=(16, 8, 3, 3))
     w_sign, alpha = bitops.sign_weights(latent)
     geom = tensor_ops.ConvGeometry(kernel=(3, 3), stride=1, padding=1)
-    filters = bitops.xnor_filters(tensor_ops.filter_rows(w_sign), geom, 14, 14)
+    filters = bitops.xnor_filters(tensor_ops.filter_rows(w_sign) > 0, geom, 14, 14)
 
     # each filter tap and each input pixel packs its 8 channel signs into
     # one uint64 word; an output position's patch row is a gather of the
@@ -50,12 +51,12 @@ def main():
     # --- step 2: convolve in bit space ------------------------------------
     y_bits = bitops.xnor_conv2d(x_sign, filters) * alpha[None, :, None, None]
 
-    # reference: the int8 sign conv (exact integer sums) times alpha
+    # reference: the sign conv (exact integer sums) times alpha
     ints = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
     y_sign = ints * alpha[None, :, None, None]
 
     print(f"packed output {y_bits.shape}, "
-          f"equal to the int8 sign conv times alpha byte for byte: "
+          f"equal to the sign conv times alpha byte for byte: "
           f"{np.array_equal(y_bits, y_sign)}")
     assert np.array_equal(y_bits, y_sign)
 

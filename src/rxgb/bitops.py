@@ -1,9 +1,13 @@
 """1-bit compute: packed sign words, the XNOR-popcount binary conv, weight
 binarization, and the shifted sign / shifted PReLU activations.
 
-Encoding: a bit value of 1 means +1 and 0 means -1; sign(0) is +1 everywhere.
-Each row of K signs is packed LSB-first into little-endian uint64 words
-(:func:`pack_rows`, word_bits = 64); the pad bits past K are zero.
+Encoding: sign(0) is +1 everywhere. A sign activation is a boolean plane,
+True for +1, in both executors: :func:`rsign_forward` returns the compare
+:func:`sign_bits` that the frozen plan's RSign makes. Training's sign
+filters are int8 {-1,+1} (:func:`sign_weights`). A bit value of 1 means +1
+and 0 means -1: each row of K booleans is packed LSB-first into
+little-endian uint64 words (:func:`pack_rows`, word_bits = 64); the pad
+bits past K are zero.
 
 The XNOR identity for K-length {-1,+1} vectors packed with zero pad bits:
     dot(a, b) = K - 2 * popcount(a XOR b),
@@ -17,12 +21,13 @@ only, those that read the input, and adds a constant per position and filter
 for the pad ring's taps, where the input reads -1: the ring costs no XOR at
 any batch size (:func:`xnor_filters` builds the words and constants once).
 It gives exact integer sums as float32, the bytes of
-``tensor_ops.sign_conv2d``. The frozen plan runs it for convs of at most
-``tensor_ops._POPCOUNT_MAX_ROWS`` patch rows, where it reads 1 bit per weight
-instead of a float32 (``network.InferencePlan``), on the RSign compare
-packed straight into words, and scales the sums by alpha in the batch norm
-it folds. :func:`sign_weights` binarizes latent weights into the int8 signs
-and per-output-channel alpha of training, by the rule the payload encodes.
+``tensor_ops.conv2d_forward`` on the same planes. The frozen plan runs it
+for convs of at most ``tensor_ops._POPCOUNT_MAX_ROWS`` patch rows, where it
+reads 1 bit per weight instead of a float32 (``network.InferencePlan``), on
+the RSign compare packed straight into words, and scales the sums by alpha
+in the batch norm it folds. :func:`sign_weights` binarizes latent weights
+into the int8 signs and per-output-channel alpha of training, by the rule
+the payload encodes.
 
 Activation gradients use the piecewise surrogate
 
@@ -64,14 +69,6 @@ def sign_bits(x: np.ndarray, order: str = "K") -> np.ndarray:
     return np.greater_equal(x, 0, order=order)      # a tenth of np.where's time
 
 
-def _sign(x: np.ndarray, order: str = "K") -> np.ndarray:
-    """:func:`sign_bits` as int8 {-1,+1}."""
-    s = sign_bits(x, order).view(np.int8)
-    s *= 2
-    s -= 1
-    return s
-
-
 def weight_alpha(w_latent: np.ndarray) -> np.ndarray:
     """alpha[co] = mean(|w_latent[co]|) of latents [Co, Ci, kh, kw], XNOR-Net's scale.
 
@@ -99,7 +96,9 @@ def sign_weights(w_latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows to float32 and its backward scales the same rows by alpha, with no
     transpose in either. The deployed payload takes the same two functions."""
     w_latent = np.asarray(w_latent, dtype=np.float64)
-    rows = _sign(w_latent.transpose(0, 2, 3, 1), order="C")
+    rows = sign_bits(w_latent.transpose(0, 2, 3, 1), order="C").view(np.int8)
+    rows *= 2
+    rows -= 1
     return rows.transpose(0, 3, 1, 2), weight_alpha(w_latent)
 
 
@@ -109,13 +108,11 @@ def ste_mask(w_latent: np.ndarray) -> np.ndarray:
 
 
 def pack_rows(signs: np.ndarray) -> np.ndarray:
-    """Rows [R, K] of integer {-1,+1} signs, or of booleans (True for +1), as
-    [R, ceil(K/64)] uint64 rows: bit 1 for +1, LSB-first, the pad bits past K
-    zero."""
+    """Boolean rows [R, K] (True for +1) as [R, ceil(K/64)] uint64 rows: bit
+    1 for +1, LSB-first, the pad bits past K zero."""
     r, k = signs.shape
     n_words = -(-k // WORD_BITS)
-    bits = signs if signs.dtype == bool else signs > 0
-    packed = np.packbits(bits, axis=1, bitorder="little")   # [R, ceil(K/8)] bytes
+    packed = np.packbits(signs, axis=1, bitorder="little")  # [R, ceil(K/8)] bytes
     if packed.shape[1] != n_words * 8:
         padded = np.zeros((r, n_words * 8), np.uint8)
         padded[:, :packed.shape[1]] = packed
@@ -147,10 +144,10 @@ class XnorFilters:
 
 
 def xnor_filters(rows: np.ndarray, geom, h: int, w: int) -> XnorFilters:
-    """The :class:`XnorFilters` of sign filter rows [Co, K] in im2col order
-    (``tensor_ops.filter_rows``; {-1,+1} numbers or booleans, True for +1, K =
-    kh*kw*Ci) for an [Ci, h, w] input under ``geom`` (tensor_ops.ConvGeometry),
-    whose pad ring reads -1. Each tap's Ci signs are packed into its own words."""
+    """The :class:`XnorFilters` of boolean sign filter rows [Co, K] (True for
+    +1) in im2col order (``tensor_ops.filter_rows``, K = kh*kw*Ci) for an
+    [Ci, h, w] input under ``geom`` (tensor_ops.ConvGeometry), whose pad
+    ring reads -1. Each tap's Ci signs are packed into its own words."""
     co, k = rows.shape
     kh, kw = geom.kernel
     if k % (kh * kw):
@@ -188,16 +185,16 @@ def xnor_conv2d(x: np.ndarray, filters: XnorFilters) -> np.ndarray:
     """Binary convolution by XNOR-popcount on packed sign words.
 
     Args:
-        x: [N, Ci, H, W] signs, int8 {-1,+1} or boolean (True for +1, the
-            frozen plan's RSign compare); the pad ring reads -1.
+        x: [N, Ci, H, W] boolean sign planes (True for +1, the frozen
+            plan's RSign compare); the pad ring reads -1.
         filters: the conv's :class:`XnorFilters` for this input extent.
 
     Returns:
         [N, Co, H', W'] float32 holding the exact integer sums, an NCHW view
-        of NHWC memory: the bytes of ``tensor_ops.sign_conv2d`` on the same
-        operands. x is packed per pixel along its channels into the words of
-        the filters' layout, and each output position's patch row is a
-        gather of its interior taps' words. Per tap count T, one XOR of the
+        of NHWC memory: the bytes of ``tensor_ops.conv2d_forward`` on the
+        same operands. x is packed per pixel along its channels into the
+        words of the filters' layout, and each output position's patch row
+        is a gather of its interior taps' words. Per tap count T, one XOR of the
         rows of every position with T interior taps against their filter
         words, at most _CHUNK_WORDS words at a time (whole images); the
         popcounts, summed over the row's words, give
@@ -231,16 +228,16 @@ def xnor_conv2d(x: np.ndarray, filters: XnorFilters) -> np.ndarray:
 def rsign_forward(x: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, dict]:
     """Per-channel shifted sign: y = sign(x - shift[c]), sign(0) = +1.
 
-    Returns (y, cache); y is the {-1,+1} int8 plane of x's shape, the exact
-    integer operand of a binary conv. u = x - shift computes in x's
-    ``tensor_ops._real_dtype``, shift cast to it.
+    Returns (y, cache); y is the boolean sign plane of x's shape (True for
+    +1, :func:`sign_bits`), the operand of a binary conv. u = x - shift
+    computes in x's ``tensor_ops._real_dtype``, shift cast to it.
     """
     x = np.asarray(x, dtype=_real_dtype(x))
     c = x.shape[1]
     if shift.shape != (c,):
         raise ValueError(f"shift shape {shift.shape} != ({c},)")
     u = x - shift.astype(x.dtype, copy=False)[None, :, None, None]
-    return _sign(u), {"u": u}
+    return sign_bits(u), {"u": u}
 
 
 def _approxsign_dydu(u: np.ndarray) -> np.ndarray:

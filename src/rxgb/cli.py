@@ -207,6 +207,13 @@ def _out_dir(args, cfg) -> str:
     return out
 
 
+def _batch_size(cfg) -> int:
+    """train.batch_size, the batch extraction and scoring run in, once checked."""
+    if cfg["train.batch_size"] < 1:
+        raise ConfigError(f"train.batch_size = {cfg['train.batch_size']}: must be >= 1")
+    return cfg["train.batch_size"]
+
+
 def _load_split(cfg, split: str):
     from . import data
 
@@ -320,9 +327,7 @@ def _stage_extract(cfg, model, ds, out: str):
     returns them."""
     from . import data, network
 
-    feats, labels = network.extract_features(
-        model, ds, batch_size=cfg["train.batch_size"]
-    )
+    feats, labels = network.extract_features(model, ds, batch_size=_batch_size(cfg))
     path = os.path.join(out, f"features-{ds.split}.rxgbfeat")
     data.save_features(path, feats, labels)
     print(f"{ds.split}: {feats.shape[0]} x {feats.shape[1]} features -> {path}")
@@ -355,7 +360,7 @@ def _eval_head(cfg, head: str, model, ens, feats, labels):
     from . import gbdt, network
 
     if head == "fc":
-        logits = network.fc_logits(model, feats, cfg["train.batch_size"])
+        logits = network.fc_logits(model, feats, _batch_size(cfg))
         pred = np.argmax(logits, axis=1)
     else:
         pred = gbdt.predict_class(ens, feats)
@@ -406,6 +411,7 @@ def cmd_extract(args, cfg) -> int:
 
     model = network.load_checkpoint(args.checkpoint)
     splits = [_load_split(cfg, split) for split in ("train", "test")]
+    _batch_size(cfg)                                  # refuse before the out dir
     out = _out_dir(args, cfg)
     for ds in splits:
         _stage_extract(cfg, model, ds, out)
@@ -438,7 +444,7 @@ def cmd_eval(args, cfg) -> int:
     if ens is not None:
         gbdt.check_fits(ens, model.spec.feature_dim, _CLASSES)
     feats, labels = network.extract_features(
-        model, _load_split(cfg, "test"), batch_size=cfg["train.batch_size"]
+        model, _load_split(cfg, "test"), batch_size=_batch_size(cfg)
     )
     _eval_head(cfg, args.head, model, ens, feats, labels)
     return 0
@@ -450,7 +456,11 @@ def cmd_cost(args, cfg) -> int:
     spec_a = _build_spec(cfg, args.spec)
     report_a = costmodel.cost_report(spec_a)
     with_budget = cfg["net.width_mult"] == 1.0
-    tree_head = costmodel.gbdt_cost(_gbdt_config(cfg, compliance=False))
+    config = _gbdt_config(cfg, compliance=False)
+    try:
+        tree_head = costmodel.gbdt_cost(config)
+    except ValueError as e:
+        raise ConfigError(f"gbdt.max_depth = {cfg['gbdt.max_depth']}: {e}") from e
     if args.machine:
         print(costmodel.render_machine(report_a), end="")
     else:

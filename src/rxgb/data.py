@@ -8,8 +8,7 @@ threshold used downstream); labels must lie in [0, 10).
 fetch() downloads the four canonical gzip files over HTTPS into a cache
 directory (default ~/.cache/rxgb/fashion-mnist, overridable via the
 RXGB_DATA_DIR environment variable), decompresses, and verifies SHA-256
-digests of the decompressed payloads. Known digests live in EXPECTED_SHA256;
-entries left as None fall back to a trust-on-first-use lockfile
+digests of the decompressed payloads against a trust-on-first-use lockfile
 (digests.lock) that pins whatever the first successful fetch saw and rejects
 any later drift. Writes are serialized per target file with an exclusive
 .lock marker and finished atomically, so concurrent fetches are safe.
@@ -50,9 +49,6 @@ DEFAULT_URLS = {
     for name in FILE_NAMES
 }
 
-# SHA-256 of the decompressed payloads. None = not pinned at build time;
-# the digests.lock trust-on-first-use file takes over (see module docstring).
-EXPECTED_SHA256: dict[str, str | None] = {name: None for name in FILE_NAMES}
 
 FEATURES_MAGIC = b"RXGBFEAT"
 FEATURES_VERSION = 1
@@ -212,13 +208,6 @@ def _write_lock(cache_dir: Path, digests: dict) -> None:
 def _verify(name: str, data: bytes, cache_dir: Path) -> None:
     """Check data against the pinned digest; pin it on first sight."""
     digest = _sha256(data)
-    expected = EXPECTED_SHA256.get(name)
-    if expected is not None:
-        if digest != expected:
-            raise ValueError(
-                f"{name}: SHA-256 mismatch: got {digest}, expected {expected}"
-            )
-        return
     lock = _read_lock(cache_dir)
     pinned = lock.get(name)
     if pinned is None:
@@ -236,18 +225,13 @@ def _download(url: str, timeout: float) -> bytes:
         return resp.read()
 
 
-def fetch(
-    urls: dict[str, str] | None = None,
-    cache_dir: Path | str | None = None,
-    timeout: float = 60.0,
-) -> dict[str, Path]:
+def fetch(cache_dir: Path | str | None = None) -> dict[str, Path]:
     """Ensure the four IDX files exist locally; returns name -> path.
 
     Cached files with matching digests short-circuit without touching the
     network. Downloads are gunzipped, digest-checked, and moved into place
     atomically under an exclusive .lock marker.
     """
-    urls = dict(DEFAULT_URLS if urls is None else urls)
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache.mkdir(parents=True, exist_ok=True)
     out: dict[str, Path] = {}
@@ -268,7 +252,7 @@ def fetch(
         os.close(fd)
         try:
             try:
-                compressed = _download(urls[name], timeout)
+                compressed = _download(DEFAULT_URLS[name], timeout=60.0)
             except (urllib.error.URLError, OSError) as e:
                 missing.append(str(target))
                 continue

@@ -27,29 +27,33 @@ Block wiring (all convs bias-free, BN after every conv):
   Stride-2 blocks with odd spatial extent zero-pad the input on the
   bottom/right edge first; the pad ring flows through the whole block.
 
-Binary convolutions run forward on +-1 sign planes (activations from RSign,
-sign(latent) and alpha from ``bitops.sign_weights`` for the weights) and give
-their exact integer sums. Both executors lay the filters out as one [Co, K]
-matrix of rows in im2col order (``tensor_ops.filter_rows``). Training
-multiplies its int8 sign planes by those rows as float32, transposed, and
-scales the sums by the per-channel alpha once at the end. The frozen plan
-runs a conv of at most ``tensor_ops._POPCOUNT_MAX_ROWS`` (32) patch rows,
-N * H' * W', as XNOR-popcount (``bitops.xnor_conv2d``) on the RSign compare
-packed into words: at batch 1 that is every conv on a 4x4 or 2x2 grid, whose
-float32 +-1 rows (28.3 MB at width 0.5) would otherwise be read whole for a
-few patch rows, against 1.63 MB of filter words laid out for each output
+Binary convolutions run forward on +-1 sign planes (boolean activations
+from RSign, True for +1; sign(latent) and alpha from ``bitops.sign_weights``
+for the weights) and give their exact integer sums. Both executors lay the
+filters out as one [Co, K] matrix of rows in im2col order
+(``tensor_ops.filter_rows``) and run their product convs through
+``tensor_ops.conv2d_forward``, which multiplies the sign planes by those
+rows as float32, transposed: training holds int8 sign filters, the frozen
+plan a float32 view of its rows. Training scales the sums by the
+per-channel alpha once at the end. The frozen plan runs a conv of at most
+``tensor_ops._POPCOUNT_MAX_ROWS`` (32) patch rows, N * H' * W', as
+XNOR-popcount (``bitops.xnor_conv2d``) on the RSign compare packed into
+words: at batch 1 that is every conv on a 4x4 or 2x2 grid, whose float32
++-1 rows (28.3 MB at width 0.5) would otherwise be read whole for a few
+patch rows, against 1.63 MB of filter words laid out for each output
 position's interior taps; the pad ring's taps cost a constant per position
 and filter, not an XOR. Larger convs stay on the float32 product, which is
 faster once the rows amortise the matrix. Both give the same bytes. The
 plan folds alpha into the batch norm that follows. The backward pass trains
 with real arithmetic on the effective weights alpha * sign(latent): it keeps
-the forward's int8 sign planes and alpha, and ``tensor_ops.conv2d_backward``
-casts them to the training dtype block by block, over the taps that read the
-input on the 2x2 grids of a full batch (the forward's rule, where grad_y is
-scaled by alpha and multiplied by the +-1 filter rows) and otherwise one
-chunk of whole images at a time whose size follows from the shapes alone
-(by the filter rows times alpha); ``bitops.sign_weights`` lays the rows out
-so that neither direction transposes them.
+the forward's boolean sign planes, int8 sign filters and alpha, and
+``tensor_ops.conv2d_backward`` casts them to the training dtype block by
+block, over the taps that read the input on the 2x2 grids of a full batch
+(the forward's rule, where grad_y is scaled by alpha and multiplied by the
++-1 filter rows) and otherwise one chunk of whole images at a time whose
+size follows from the shapes alone (by the filter rows times alpha);
+``bitops.sign_weights`` lays the rows out so that neither direction
+transposes them.
 Gradients reach the latents through the straight-through clip mask with
 alpha held constant (a multiply skipped while every latent lies in [-1, 1],
 where the mask is all ones), and latents are clipped to [-1, 1] after every
@@ -71,18 +75,18 @@ cache that runs once and is then freed, and the backward reads layer shapes
 (``features_forward``, ``extract_features``, ``infer_hybrid``, ``fc_logits``,
 ``evaluate`` and ``forward(..., training=False)``) runs from a frozen
 :class:`InferencePlan`: the deployed model, +-1 weights laid out as float32
-gemm rows and as XNOR filter words, and the reals as float32 values. The
+filter rows and as XNOR filter words, and the reals as float32 values. The
 plan folds each batch norm's running statistics, gamma and beta, and the
 alpha of the conv before it, into one float64 scale and shift per channel
 (the usual deployment fold; Jacob et al., arXiv 1712.05877, section 3.2), so
 a binary conv's integer sums take one multiply and one add where training
 takes an alpha pass and four batch-norm passes, and RSign compares
-x >= shift without forming x - shift, into a boolean plane that the next
-conv packs into words or writes into its float32 buffer as +-1. The fold
-rounds differently from the training graph run with the running statistics:
-its features differ in the last bits of a float64 (about 1e-13 relative at
-most in the tests). It caches nothing. A ModelState is frozen once per
-inference call (:func:`freeze`).
+x >= shift without forming x - shift, into the boolean plane training's
+RSign returns too, which the next conv packs into words or writes into its
+float32 buffer as +-1. The fold rounds differently from the training graph
+run with the running statistics: its features differ in the last bits of a
+float64 (about 1e-13 relative at most in the tests). It caches nothing. A
+ModelState is frozen once per inference call (:func:`freeze`).
 
 The backbone artifact is the deployed model and nothing more: a header
 (magic, format version, spec JSON) and then :func:`deployed_payload`, one sign
@@ -303,17 +307,18 @@ class InferencePlan:
     """A backbone frozen for inference, as it is deployed: the plan of a
     payload (:func:`_plan`), whose bytes it keeps as ``payload``.
 
-    ``rows`` maps each binary conv's prefix to its +-1 weights as float32
-    rows [Co, kh*kw*Ci] in im2col order (``tensor_ops.filter_rows``), which
-    the product multiplies by transposed. ``xnor`` maps each binary conv
-    whose output grid has at most ``tensor_ops._POPCOUNT_MAX_ROWS`` cells to
-    the same weights packed per tap, with the pad ring's constants, for the
-    input extent the spec gives it (``bitops.xnor_filters``). binconv runs a
-    conv of at most that many patch rows, N * H' * W', as XNOR-popcount
-    (``bitops.xnor_conv2d``) and any other as the float32 product; the
-    integer sums, and so the bytes, are the same. ``reals`` holds the stem
-    and FC weights, the RSign shifts and the RPReLU parameters, float32
-    values in float64 arrays. ``affine`` maps each batch norm's prefix to
+    ``filters`` maps each binary conv's prefix to its +-1 weights as float32
+    filters [Co, Ci, kh, kw], a view of rows [Co, kh*kw*Ci] in im2col order
+    that ``tensor_ops.filter_rows`` takes without a copy and the product
+    multiplies by transposed. ``xnor`` maps each binary conv whose output
+    grid has at most ``tensor_ops._POPCOUNT_MAX_ROWS`` cells to the same
+    weights packed per tap, with the pad ring's constants, for the input
+    extent the spec gives it (``bitops.xnor_filters``). binconv runs a conv
+    of at most that many patch rows, N * H' * W', as XNOR-popcount
+    (``bitops.xnor_conv2d``) and any other as ``tensor_ops.conv2d_forward``'s
+    float32 product; the integer sums, and so the bytes, are the same.
+    ``reals`` holds the stem and FC weights, the RSign shifts and the RPReLU
+    parameters, float32 values in float64 arrays. ``affine`` maps each batch norm's prefix to
     the float64 (scale, shift) the plan computes with, folded from alpha and
     BN parameters it does not keep:
 
@@ -330,7 +335,7 @@ class InferencePlan:
     """
 
     spec: netspec.NetworkSpec
-    rows: MappingProxyType
+    filters: MappingProxyType
     xnor: MappingProxyType
     reals: MappingProxyType
     affine: MappingProxyType
@@ -350,7 +355,7 @@ class InferencePlan:
         oh, ow = geom.out_extent(h, w)
         if n * oh * ow <= tensor_ops._POPCOUNT_MAX_ROWS and prefix in self.xnor:
             return bitops.xnor_conv2d(x, self.xnor[prefix])
-        return tensor_ops.sign_conv2d(x, self.rows[prefix], geom, pad_value=-1)
+        return tensor_ops.conv2d_forward(x, self.filters[prefix], geom, pad_value=-1)
 
     def bn(self, prefix, x):
         scale, shift = self.affine[prefix]
@@ -390,8 +395,8 @@ def _plan(spec: netspec.NetworkSpec, payload: bytes) -> InferencePlan:
     the one decoder of a payload. Raises CheckpointError unless it is exactly
     as long as the spec's parameters need, with zero padding bits, finite
     reals and non-negative BN running variances. Each binary conv's bits go
-    straight to its float32 rows and XNOR words in row order; each batch
-    norm and the alpha of its conv fold into ``affine``."""
+    straight to its float32 filter rows and XNOR words in row order; each
+    batch norm and the alpha of its conv fold into ``affine``."""
     # (name, shape, shape of its reals): a latent's reals are its alpha [Co]
     layout = [(name, shape, shape[:1] if name.endswith(".w_latent") else shape)
               for name, shape, _, _ in _param_layout(spec)]
@@ -407,7 +412,7 @@ def _plan(spec: netspec.NetworkSpec, payload: bytes) -> InferencePlan:
     reals = np.frombuffer(payload, "<f4", n_reals, offset=bit_bytes)
     if not np.isfinite(reals).all():
         raise CheckpointError("non-finite real in the payload")
-    rows, xnor, params = {}, {}, {}
+    filters, xnor, params = {}, {}, {}
     convs = _binary_conv_inputs(spec)
     i = j = 0                                  # read positions in the bits and the reals
     for name, shape, real_shape in layout:
@@ -421,7 +426,9 @@ def _plan(spec: netspec.NetworkSpec, payload: bytes) -> InferencePlan:
             bits = bits[i % 8:i % 8 + n].reshape(shape).transpose(0, 2, 3, 1)
             bits = bits.reshape(shape[0], -1)
             r = np.take(_BYTE_SIGNS, np.packbits(bits, bitorder="little"), axis=0)
-            rows[prefix] = _read_only(r.ravel()[:n].reshape(bits.shape))
+            co, ci, kh, kw = shape
+            filters[prefix] = _read_only(
+                r.ravel()[:n].reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
             geom, (h, w) = convs[prefix]
             if math.prod(geom.out_extent(h, w)) <= tensor_ops._POPCOUNT_MAX_ROWS:
                 xnor[prefix] = bitops.xnor_filters(bits.view(bool), geom, h, w)
@@ -436,7 +443,7 @@ def _plan(spec: netspec.NetworkSpec, payload: bytes) -> InferencePlan:
         # the alpha of block3.conv1x1_a for block3.bn_conv1x1_a; 1.0 at the stem
         alpha = params.pop(f"{bn.replace('.bn_', '.', 1)}.w_latent", 1.0)
         affine[bn] = (_read_only(alpha * g), _read_only(beta - mu * g))
-    return InferencePlan(spec=spec, rows=MappingProxyType(rows),
+    return InferencePlan(spec=spec, filters=MappingProxyType(filters),
                          xnor=MappingProxyType(xnor), reals=MappingProxyType(params),
                          affine=MappingProxyType(affine), payload=bytes(payload))
 
@@ -700,6 +707,8 @@ class StageOneConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
 

@@ -8,11 +8,11 @@ statistics and SGD's parameters and velocities keep their own dtype, the
 float64 masters of training (Micikevicius et al., arXiv 1710.03740, keep
 master weights in higher precision the same way). Stage-1 training feeds
 float32 batches; the frozen plan computes its reals in float64. The one
-exception is a convolution whose input and filters both have an integer
-dtype (the int8 {-1,+1} planes of a binary conv): it returns the exact
-integer sums, in float32. Batch norm here is the training op, on batch
-statistics; the frozen inference plan folds the running statistics into one
-scale and shift per channel itself (``network.InferencePlan``).
+exception is a convolution of a boolean input (the sign planes of a binary
+conv, True for +1): it returns the exact integer sums, in float32. Batch
+norm here is the training op, on batch statistics; the frozen inference
+plan folds the running statistics into one scale and shift per channel
+itself (``network.InferencePlan``).
 
 Activations are indexed [N, C, H, W] and lie in NHWC memory: an NCHW view
 whose ``transpose(0, 2, 3, 1)`` is C-contiguous, or a channel slice or
@@ -65,16 +65,16 @@ computes an element independently of the rows computed with it; the tests
 check that, and nothing relies on it. Another BLAS, or a column count of 4
 mod 8 above 192, may round the row chunks differently from a single
 product, and the result stays deterministic all the same. A binary conv's
-backward takes the forward's int8 sign planes, which reach the compute dtype
+backward takes the forward's boolean sign planes, which become int8 +/-1
+in its padded copy, and its int8 filters; both reach the compute dtype
 exactly, one K_BLOCK block at a time.
 
-Products of +/-1 values need no such assumption. A convolution of integer
-operands (:func:`sign_conv2d`, and :func:`conv2d_forward` on integer
-filters, both by the transpose of the float32 rows of :func:`filter_rows`)
-is a plain float32 product whose every partial sum is
-an integer below 2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign
-planes), so it is exact in any summation order, in any split into smaller
-products and at any thread count by arithmetic; the conv refuses operands
+Products of +/-1 values need no such assumption. :func:`conv2d_forward` on
+a boolean input multiplies by the transpose of the float32 rows of
+:func:`filter_rows`: a plain float32 product whose every partial sum is an
+integer below 2**24 in magnitude (|sum| <= 9 * Ci <= 4608 for sign
+filters), so it is exact in any summation order, in any split into smaller
+products and at any thread count by arithmetic; the conv refuses filters
 whose sums could reach 2**24 (the XNOR identity of XNOR-Net, Rastegari et
 al., arXiv 1603.05279).
 The forward splits its product twice on that ground alone, with none of the
@@ -102,6 +102,7 @@ Everything else is elementwise or a fixed-order numpy reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,7 @@ _CHUNK_ROWS = 2048
 _SPLIT_MIN_IMAGES = 128
 # Most patch rows (N * OH * OW) for which the frozen plan runs a binary conv
 # as XNOR-popcount on packed sign words (``bitops.xnor_conv2d``) rather than
-# as sign_conv2d's float32 product, whose ±1 matrices it then never reads.
+# as conv2d_forward's float32 product, whose ±1 filters it then never reads.
 # Timings of features_forward at width 0.5 on one thread (OpenBLAS 0.3.31,
 # 2-core x86_64 host), min of 60 ms at batch 1 / 2 / 4 / 8, by threshold:
 # none 4.48 / 5.31 / 6.35 / 8.95, 8 rows 1.55 / 2.17 / 6.35 / 8.92, 16 rows
@@ -199,12 +200,11 @@ def _pad_input(x: np.ndarray, pad: int, pad_value: float, dtype) -> np.ndarray:
 
     On NHWC memory (every activation of the block wiring) the NHWC view of
     x is contiguous and is copied in once, cast on the way where dtype
-    differs (the int8 signs into float32). Other input is transposed in x's
-    dtype first and then cast contiguously, which is faster than casting
-    through the strided transposed view. A boolean x (the frozen plan's
-    RSign compare) reads +1 where True and -1 where False; it becomes int8
-    signs first, which with the cast takes less time than any float32
-    arithmetic on the buffer.
+    differs. Other input is transposed in x's dtype first and then cast
+    contiguously, which is faster than casting through the strided
+    transposed view. A boolean x (a binary conv's sign planes) reads +1
+    where True and -1 where False; it becomes int8 signs first, which with
+    the cast takes less time than any float32 arithmetic on the buffer.
     """
     n, ci, h, w = x.shape
     xp = np.empty((n, h + 2 * pad, w + 2 * pad, ci), dtype)
@@ -290,74 +290,36 @@ def _weight_matrix(w: np.ndarray) -> np.ndarray:
 
 
 def _abs_max(a: np.ndarray) -> int:
-    """max |a| as a Python int, so the int8 value -128 does not wrap."""
-    return max(int(a.max()), -int(a.min())) if a.size else 0
+    """The least integer at or above max |a|, as a Python int, so the int8
+    value -128 does not wrap."""
+    return max(math.ceil(a.max()), -math.floor(a.min())) if a.size else 0
 
 
 def filter_rows(w: np.ndarray) -> np.ndarray:
     """Filters [Co, Ci, kh, kw] as rows [Co, kh*kw*Ci] in the im2col reduction
     order, in w's dtype: the one layout of sign filters. The sign conv
     multiplies by their float32 transpose, the frozen plan packs them per tap
-    (``bitops.xnor_filters``) and the conv backward multiplies by them. A
-    view of such rows (``bitops.sign_weights``) comes back without a copy."""
+    (``bitops.xnor_filters``) and the conv backward multiplies by them.
+    Filters that are a view of such rows (``bitops.sign_weights``, the
+    plan's ``filters``) come back without a copy."""
     return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(w.shape[0], -1)
 
 
-def sign_conv2d(
-    x: np.ndarray,
-    w_rows: np.ndarray,
-    geom: ConvGeometry,
-    pad_value: float = -1,
-    w_max: int = 1,
-) -> np.ndarray:
-    """Cross-correlation of integer operands as one exact float32 product.
-
-    Args:
-        x: integer input [N, Ci, H, W] (the int8 sign planes of a binary
-            conv), or boolean, read as +1 where True and -1 where False (the
-            frozen plan's RSign compare).
-        w_rows: integer-valued float32 filter rows [Co, kh*kw*Ci],
-            ``filter_rows(w).astype(np.float32)``; the product multiplies by
-            their transpose.
-        geom: stride/padding/kernel description.
-        pad_value: integer value of the padding ring.
-        w_max: bound on |w_rows|; 1 for sign filters.
-
-    Returns:
-        Output [N, Co, H', W'] float32 holding the exact integer sums, an
-        NCHW view of NHWC memory.
-
-    Raises:
-        ValueError: on a non-integer input or pad_value, or when a partial sum
-            could reach 2**24 (K * max|x| * w_max), where float32 stops being
-            exact.
-    """
-    return _sign_conv2d(x, w_rows, geom, pad_value, w_max)
-
-
-def _sign_conv2d(x, w_rows, geom, pad_value, w_max):
-    # conv2d_forward calls this directly, not the public sign_conv2d, so a
-    # traced binary conv keeps its gemm in the conv2d_forward span; its
-    # filter layout (filter_rows) traces as a span of its own.
-    if x.ndim != 4 or not (x.dtype == bool or np.issubdtype(x.dtype, np.integer)):
-        raise ValueError(f"sign conv input must be 4-d integer NCHW, got "
-                         f"{x.dtype} ndim={x.ndim}")
+def _sign_conv2d(x, w, geom, pad_value):
+    """conv2d_forward on boolean x: one exact float32 product by the
+    transpose of w's float32 :func:`filter_rows`."""
     n, ci, h, wd = x.shape
     kh, kw = geom.kernel
-    k = kh * kw * ci
-    if w_rows.ndim != 2 or w_rows.shape[1] != k:
-        raise ValueError(f"filter rows {w_rows.shape} != [Co, {k}] for Ci={ci} "
-                         f"and kernel {geom.kernel}")
     oh, ow = geom.out_extent(h, wd)
     pad = int(pad_value)
     if pad != pad_value:
-        raise ValueError(f"integer operands need an integer pad_value, got {pad_value}")
-    x_max = max(1 if x.dtype == bool else _abs_max(x), abs(pad) if geom.padding else 0)
-    if k * x_max * w_max >= EXACT_F32:
-        raise ValueError(
-            f"integer conv sums reach K*max|x|*max|w| = {k}*{x_max}*{w_max} "
-            f"= {k * x_max * w_max}, not exact in float32 (limit 2**24)"
-        )
+        raise ValueError(f"sign planes need an integer pad_value, got {pad_value}")
+    rows = filter_rows(w)                     # contiguous: reduces faster than w
+    bound = rows.shape[1] * _abs_max(rows) * max(1, abs(pad))
+    if bound >= EXACT_F32:
+        raise ValueError(f"sign conv sums reach K*max|w|*max(1, |pad_value|) = "
+                         f"{bound}, not exact in float32 (limit 2**24)")
+    w_rows = rows.astype(np.float32, copy=False)
     xp = _pad_input(x, geom.padding, pad, np.float32)
     taps = _interior_taps(geom, n, h, wd)
     if taps:
@@ -410,24 +372,26 @@ def conv2d_forward(
     """2-d cross-correlation (no bias).
 
     Args:
-        x: input [N, Ci, H, W].
+        x: input [N, Ci, H, W]; boolean for the sign planes of a binary conv,
+            read as +1 where True and -1 where False.
         w: filters [Co, Ci, kh, kw].
         geom: stride/padding/kernel description; geom.kernel must match w.
         pad_value: value of the padding ring (0 for real inputs, -1 for
-            binarized planes).
+            sign planes).
 
     Returns:
-        Output [N, Co, H', W']. When x and w both have an integer dtype (the
-        int8 sign planes of a binary conv) it is float32 holding the exact
-        integer sums from :func:`sign_conv2d` on the float32 filter rows,
-        and pad_value must be an integer; ValueError if the sums could reach
-        2**24. Otherwise it is in x's :func:`_real_dtype` from :func:`_matmul`,
-        w cast to that dtype.
+        Output [N, Co, H', W'], an NCHW view of NHWC memory. On a boolean x
+        it is float32 holding the exact integer sums: w holds integers
+        (training's int8 signs from ``bitops.sign_weights``, or the frozen
+        plan's float32 view of its filter rows; :func:`filter_rows` takes
+        either without a copy), pad_value must be an integer, and ValueError
+        if a sum could reach 2**24 (K * max|w| * max(1, |pad_value|)).
+        Otherwise it is in x's :func:`_real_dtype` from :func:`_matmul`, w
+        cast to that dtype.
     """
     _check_conv_shapes(x, w, geom)
-    if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
-        return _sign_conv2d(x, filter_rows(w).astype(np.float32), geom, pad_value,
-                            _abs_max(w))
+    if x.dtype == bool:
+        return _sign_conv2d(x, w, geom, pad_value)
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
     dtype = _real_dtype(x)
@@ -450,9 +414,10 @@ def conv2d_backward(
         grad_y: upstream gradient [N, Co, H', W'].
         x, w, geom, pad_value: exactly as passed to the forward call.
         alpha: optional per-output-channel scale [Co]; the filters are then
-            ``alpha[co] * w``. A binary conv passes its forward's int8 sign
-            planes as x and w with its alpha: the patch matrix stays int8 and
-            reaches the compute dtype one K_BLOCK row block at a time inside
+            ``alpha[co] * w``. A binary conv passes its forward's boolean
+            sign planes and int8 sign filters with its alpha: the planes
+            become int8 +/-1 in the padded copy, whose patches reach the
+            compute dtype one K_BLOCK row block at a time inside
             :func:`_matmul`, and the filters are the forward's filter rows
             (:func:`filter_rows`, no copy for the signs of
             ``bitops.sign_weights``).
@@ -464,26 +429,19 @@ def conv2d_backward(
         memory, the layout the products emit, with no per-tap transpose.
 
     The padding ring receives no gradient: pad cells are constants, not
-    inputs. Where the forward's rule holds (:func:`_interior_taps`) both
-    products run over the taps that read the input
-    (:func:`_conv_backward_interior`), into an unpadded buffer; grad_x's
-    products scale grad_y's columns by alpha and multiply by the filter rows.
-    Elsewhere grad_w is one product over the patch matrix and grad_x is made
-    one chunk of whole images at a time (:func:`_col2im`) by the filter
-    matrix alpha * w, made once. Both forms are the same at
-    any BLAS thread count under the K_BLOCK assumption alone, and they add
-    in different orders, so their bytes differ (see the module docstring).
+    inputs. Both forms read the padded copy of x (:func:`_pad_input`). Where
+    the forward's rule holds (:func:`_interior_taps`) both products run over
+    the taps that read the input (:func:`_conv_backward_interior`), into an
+    unpadded buffer; grad_x's products scale grad_y's columns by alpha and
+    multiply by the filter rows. Elsewhere grad_w is one product over the
+    patch matrix and grad_x is made one chunk of whole images at a time
+    (:func:`_col2im`) by the filter matrix alpha * w, made once. Both forms
+    are the same at any BLAS thread count under the K_BLOCK assumption
+    alone, and they add in different orders, so their bytes differ (see the
+    module docstring).
     """
     _check_conv_shapes(x, w, geom)
-    if np.issubdtype(x.dtype, np.integer):
-        info = np.iinfo(x.dtype)
-        if pad_value != int(pad_value) or not info.min <= pad_value <= info.max:
-            raise ValueError(f"an {x.dtype} input needs a pad_value of that "
-                             f"dtype, got {pad_value}")
-        pad_value = int(pad_value)
     dtype = _real_dtype(grad_y)
-    if not np.issubdtype(x.dtype, np.integer):
-        x = np.asarray(x, dtype=dtype)
     grad_y = np.asarray(grad_y, dtype=dtype)
     n, ci, h, wd = x.shape
     co = w.shape[0]
@@ -504,14 +462,13 @@ def conv2d_backward(
     if gy.strides[3] != gy.itemsize:
         gy = np.ascontiguousarray(gy)
     scale = 1.0 if alpha is None else np.asarray(alpha, dtype=dtype)
+    xp = _pad_input(x, p, pad_value, np.int8 if x.dtype == bool else dtype)
     taps = _interior_taps(geom, n, h, wd)
     if taps:
-        gx, gw = _conv_backward_interior(gy, x.transpose(0, 2, 3, 1),
-                                         filter_rows(w).astype(dtype), scale, geom,
-                                         pad_value, *taps)
+        gx, gw = _conv_backward_interior(gy, xp, filter_rows(w).astype(dtype), scale,
+                                         geom, pad_value, *taps)
     else:
         gy = gy.reshape(-1, co)
-        xp = _pad_input(x, p, pad_value, x.dtype)
         gw = _matmul(gy.T, _im2col(xp, geom)).reshape(co, kh, kw, ci)
         gx = np.zeros(xp.shape, dtype)
         w_mat = np.multiply(filter_rows(w).T, scale, dtype=dtype,
@@ -548,12 +505,12 @@ def _interior_taps(geom: ConvGeometry, n: int, h: int, w: int):
     return None
 
 
-def _conv_backward_interior(gy, x, w_rows, scale, geom, pad_value, rows, cols):
+def _conv_backward_interior(gy, xp, w_rows, scale, geom, pad_value, rows, cols):
     """Both conv backward products over the taps that read the input
-    (``_interior_taps`` ranges), from gy [N, OH, OW, Co], the NHWC input x
-    [N, H, W, Ci] (int8 or of gy's dtype, read in place), the filter rows
-    w_rows [Co, kh*kw*Ci] (:func:`filter_rows`) and the per-filter scale
-    (alpha [Co], or 1.0), all in gy's dtype.
+    (``_interior_taps`` ranges), from gy [N, OH, OW, Co], the padded NHWC
+    input xp [N, Hp, Wp, Ci] (:func:`_pad_input`; int8 or of gy's dtype),
+    the filter rows w_rows [Co, kh*kw*Ci] (:func:`filter_rows`) and the
+    per-filter scale (alpha [Co], or 1.0), all in gy's dtype.
 
     Per output position (a, b), in row-major order, and per interior tap row
     i: grad_x adds (gy[:, a, b] * scale) @ the row's filter columns into the
@@ -565,9 +522,9 @@ def _conv_backward_interior(gy, x, w_rows, scale, geom, pad_value, rows, cols):
     """
     kh, kw = geom.kernel
     s, p = geom.stride, geom.padding
-    n, h, wd, ci = x.shape
+    n, hp, wp, ci = xp.shape
     co = w_rows.shape[0]
-    gx = np.zeros((n, h, wd, ci), gy.dtype)
+    gx = np.zeros((n, hp - 2 * p, wp - 2 * p, ci), gy.dtype)
     gw = np.zeros((co, kh, kw, ci), gy.dtype)
     ring = np.zeros((co, kh, kw), gy.dtype)
     g_sums = gy.sum(axis=0)                               # [OH, OW, Co]
@@ -575,13 +532,13 @@ def _conv_backward_interior(gy, x, w_rows, scale, geom, pad_value, rows, cols):
         for b, tj in enumerate(cols):
             g = gy[:, a, b]                               # [N, Co]
             g_scaled = g * scale
-            c0, c1 = b * s + tj.start - p, b * s + tj.stop - p
+            c0, c1 = b * s + tj.start, b * s + tj.stop    # columns of xp
             for i in ti if tj else ():
-                r = a * s + i - p
+                r = a * s + i                             # row of xp
                 w_cols = w_rows[:, (i * kw + tj.start) * ci:(i * kw + tj.stop) * ci]
-                gx[:, r, c0:c1] += _matmul(g_scaled, w_cols).reshape(n, -1, ci)
+                gx[:, r - p, c0 - p:c1 - p] += _matmul(g_scaled, w_cols).reshape(n, -1, ci)
                 gw[:, i, tj.start:tj.stop] += _matmul(
-                    g.T, x[:, r, c0:c1].reshape(n, -1)).reshape(co, -1, ci)
+                    g.T, xp[:, r, c0:c1].reshape(n, -1)).reshape(co, -1, ci)
             reads_ring = np.ones((kh, kw), bool)
             reads_ring[ti.start:ti.stop, tj.start:tj.stop] = False
             ring[:, reads_ring] += g_sums[a, b, :, None]

@@ -218,13 +218,19 @@ def node_walk_predict(node, x32):
     return out
 
 
+def signs_pm1(x):
+    """A boolean sign plane (True for +1) as the int8 {-1,+1} it stands
+    for; any other array as it is."""
+    return np.where(x, 1, -1).astype(np.int8) if x.dtype == bool else x
+
+
 def nchw_im2col(x, geom, pad_value=0.0):
     """(padded input, patch matrix [N*OH*OW, kh*kw*Ci]) as first written: the
     ring added in NCHW by np.pad, then one gather of every window, transposed
     to the (kh, kw, ci) reduction order."""
     kh, kw = geom.kernel
     s, p = geom.stride, geom.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
+    xp = np.pad(signs_pm1(x), ((0, 0), (0, 0), (p, p), (p, p)), constant_values=pad_value)
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::s, ::s]                            # [N, Ci, OH, OW, kh, kw]
     n, ci, oh, ow = win.shape[:4]
@@ -488,7 +494,7 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     from rxgb.tensor_ops import _matmul, _weight_matrix
 
     dt = _compute_dtype(grad_y)
-    x = np.asarray(x, dtype=dt)
+    x = np.asarray(signs_pm1(x), dtype=dt)
     w = np.asarray(w, dtype=dt)
     if alpha is not None:
         w = w * np.asarray(alpha, dtype=dt)[:, None, None, None]
@@ -541,7 +547,7 @@ def interior_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     from rxgb.tensor_ops import _matmul
 
     dt = _compute_dtype(grad_y)
-    x = np.asarray(x, dtype=dt)
+    x = np.asarray(signs_pm1(x), dtype=dt)
     w = np.asarray(w, dtype=dt)
     n, ci, h, wd = x.shape
     co = w.shape[0]
@@ -589,10 +595,11 @@ def reference_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
 
 
 def dense_sign_conv2d(x, w_rows, geom, pad_value=-1):
-    """sign_conv2d as one float32 product over the whole patch matrix, pad
-    ring included: the form the interior-tap products and the XNOR kernel's
-    ring constants replaced, on filter rows [Co, kh*kw*Ci]. Its sums are
-    exact integers, so the two must agree to the byte, strides included."""
+    """conv2d_forward on sign planes as one float32 product over the whole
+    patch matrix, pad ring included: the form the interior-tap products and
+    the XNOR kernel's ring constants replaced, on filter rows [Co,
+    kh*kw*Ci]. Its sums are exact integers, so the two must agree to the
+    byte, strides included."""
     n, _, h, wd = x.shape
     oh, ow = geom.out_extent(h, wd)
     cols = nchw_im2col(x, geom, int(pad_value))[1].astype(np.float32)

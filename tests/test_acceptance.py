@@ -132,7 +132,7 @@ def test_criterion_03_cost_totals_within_budget_band():
     report(3, "PASS", "CNN-only residuals " + ", ".join(details) + " (band ±15%)")
 
 
-# --- 4: both binary kernels equal the real-arithmetic conv -----------------------
+# --- 4: every binary kernel form equals the real-arithmetic conv ----------------
 
 
 def test_criterion_04_binary_kernel_oracle_1000_geometries():
@@ -155,21 +155,25 @@ def test_criterion_04_binary_kernel_oracle_1000_geometries():
         rows = tensor_ops.filter_rows(w_sign)
         scale = alpha[None, :, None, None]
 
-        # the two kernels the frozen plan's binconv selects between, on int8
-        # signs and on the boolean compare the plan's RSign emits
-        filters = bitops.xnor_filters(rows, geom, h, w)
-        kernels = {}
-        for x_sign in (x.astype(np.int8), x > 0):
-            kernels[f"xnor_conv2d {x_sign.dtype}"] = bitops.xnor_conv2d(x_sign, filters)
-            kernels[f"sign_conv2d {x_sign.dtype}"] = tensor_ops.sign_conv2d(
-                x_sign, rows.astype(np.float32), geom, pad_value=-1)
+        # every operand form that ships, on the boolean planes RSign emits:
+        # the plan's XNOR words and float32 filter view, training's int8 filters
+        x_sign = x > 0
+        plan_view = rows.astype(np.float32).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+        words = bitops.xnor_filters(rows > 0, geom, h, w)
+        kernels = {
+            "xnor_conv2d": bitops.xnor_conv2d(x_sign, words),
+            "conv2d_forward float32 view": tensor_ops.conv2d_forward(
+                x_sign, plan_view, geom, pad_value=-1),
+            "conv2d_forward int8": tensor_ops.conv2d_forward(
+                x_sign, w_sign, geom, pad_value=-1),
+        }
         sgn = np.where(latent >= 0, 1.0, -1.0)
         ints = tensor_ops.conv2d_forward(x, sgn, geom, pad_value=-1.0)
         want = scale * ints
         for name, got in kernels.items():
             assert np.array_equal(scale * got, want), f"case {case}: {name}, {geom}"
-    report(4, "PASS", "1000 random geometries ≤ 2x4x8x8, xnor_conv2d and sign_conv2d "
-           "on int8 and boolean signs == α·(±1 conv)")
+    report(4, "PASS", "1000 random geometries ≤ 2x4x8x8, xnor_conv2d and conv2d_forward "
+           "on float32 and int8 filters, boolean signs == α·(±1 conv)")
 
 
 # --- 5: analytic gradients match finite differences ------------------------------

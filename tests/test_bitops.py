@@ -12,6 +12,7 @@ from rxgb.bitops import (
     rprelu_forward,
     rsign_backward,
     rsign_forward,
+    sign_bits,
     sign_weights,
     ste_mask,
     weight_alpha,
@@ -44,15 +45,15 @@ def approxsign(u):
 
 
 def _unpack_rows(words, k):
-    """[R, ceil(K/64)] uint64 rows back to [R, K] {-1,+1} int8 signs."""
+    """[R, ceil(K/64)] uint64 rows back to [R, K] booleans, True for +1."""
     bits = np.unpackbits(words.view(np.uint8), axis=1, count=k, bitorder="little")
-    return bits.astype(np.int8) * 2 - 1
+    return bits.astype(bool)
 
 
 def test_pack_rows_roundtrip_and_padding():
     rng = np.random.default_rng(0)
     for r, k in [(1, 1), (3, 63), (2, 64), (4, 65), (1, 127), (5, 130), (2, 4608)]:
-        signs = np.where(rng.standard_normal((r, k)) >= 0, 1, -1).astype(np.int8)
+        signs = rng.standard_normal((r, k)) >= 0
         words = pack_rows(signs)
         n_words = (k + 63) // 64
         assert words.dtype == np.uint64 and words.shape == (r, n_words)
@@ -62,9 +63,10 @@ def test_pack_rows_roundtrip_and_padding():
 
 
 def test_sign_zero_is_plus_one():
-    sgn, _ = sign_weights(np.array([0.0, -0.0, 1.0, -1.0]).reshape(1, 4, 1, 1))
+    w = np.array([0.0, -0.0, 1.0, -1.0])
+    sgn, _ = sign_weights(w.reshape(1, 4, 1, 1))
     assert sgn.ravel().tolist() == [1, 1, 1, -1]
-    assert pack_rows(sgn.reshape(1, 4)).tolist() == [[0b0111]]
+    assert pack_rows(sign_bits(w.reshape(1, 4))).tolist() == [[0b0111]]
 
 
 def test_binary_conv_of_one_pixel_equals_integer_dot():
@@ -76,12 +78,12 @@ def test_binary_conv_of_one_pixel_equals_integer_dot():
     geom = ConvGeometry((1, 1))
     for n in [1, 2, 63, 64, 65, 127, 128, 129, 300, 1000, 511 * 64, 600 * 64]:
         for trial in range(20):
-            a = rng.choice([-1, 1], n).astype(np.int8)
-            b = rng.choice([-1, 1], n).astype(np.int8)
+            a = rng.random(n) < 0.5
+            b = rng.random(n) < 0.5
             if trial % 2:
-                b = np.where(rng.random(n) < 0.02, a, -a).astype(np.int8)
+                b = np.where(rng.random(n) < 0.02, a, ~a)
             y = xnor_conv2d(a.reshape(1, n, 1, 1), xnor_filters(b.reshape(1, n), geom, 1, 1))
-            assert y[0, 0, 0, 0] == int(np.dot(a.astype(np.int64), b))
+            assert y[0, 0, 0, 0] == int(np.dot(np.where(a, 1, -1), np.where(b, 1, -1)))
 
 
 def test_sign_weights_alpha_oracle():
@@ -130,7 +132,7 @@ def test_binary_conv_integer_exact_vs_real_path():
         wl = rng.standard_normal((co, ci, k, k))
         sgn, alpha = sign_weights(wl)
 
-        got = xnor_conv2d(x.astype(np.int8), xnor_filters(filter_rows(sgn), geom, h, w))
+        got = xnor_conv2d(x > 0, xnor_filters(filter_rows(sgn) > 0, geom, h, w))
         real = conv2d_forward(x, np.where(wl >= 0, 1.0, -1.0), geom, pad_value=-1.0)
         assert np.array_equal(got, real)          # integer-exact
         loops = naive_conv2d(x, np.where(wl >= 0, 1.0, -1.0), stride, padv, -1.0)
@@ -155,11 +157,11 @@ def _net_binary_convs():
 
 
 def _xnor_cases(x, w, geom):
-    """xnor_conv2d on int8 signs x [N, Ci, H, W] in NHWC memory and on
-    their compare x > 0, against dense_sign_conv2d, byte for byte."""
+    """xnor_conv2d on boolean signs x [N, Ci, H, W] in NHWC memory against
+    dense_sign_conv2d, byte for byte."""
     n, ci, h, wd = x.shape
     rows = filter_rows(w)
-    filters = xnor_filters(rows, geom, h, wd)
+    filters = xnor_filters(rows > 0, geom, h, wd)
     n_words = -(-ci // 64)
     for positions, pixels, words, offset in filters.groups:
         assert words.dtype == np.uint64 and not words.flags.writeable
@@ -167,21 +169,19 @@ def _xnor_cases(x, w, geom):
         assert words.shape[1:] == (pixels.shape[1] * n_words, len(w))
         assert offset.dtype == np.float32 and offset.shape == (len(positions), len(w))
     want = dense_sign_conv2d(x, rows.astype(np.float32), geom)
-    for signs in (x, x > 0):
-        got = xnor_conv2d(signs, filters)
-        assert got.dtype == np.float32 and got.strides == want.strides
-        assert got.tobytes(order="A") == want.tobytes(order="A")
+    got = xnor_conv2d(x, filters)
+    assert got.dtype == np.float32 and got.strides == want.strides
+    assert got.tobytes(order="A") == want.tobytes(order="A")
 
 
 def _sign_plane(rng, n, h, wd, ci):
-    x = np.where(rng.standard_normal((n, h, wd, ci)) >= 0, 1, -1).astype(np.int8)
-    return x.transpose(0, 3, 1, 2)                           # NHWC memory
+    return (rng.standard_normal((n, h, wd, ci)) >= 0).transpose(0, 3, 1, 2)  # NHWC memory
 
 
 def test_xnor_conv_equals_the_dense_sign_product_byte_for_byte():
     # Every binary conv shape of the nets on 1 to _POPCOUNT_MAX_ROWS + 1 patch
     # rows (one image of 1 x W, odd W at stride 2, every cell next to the -1
-    # ring), on int8 signs and on their boolean compare.
+    # ring).
     rng = np.random.default_rng(19)
     shapes = _net_binary_convs()
     assert len(shapes) == 20
@@ -191,14 +191,14 @@ def test_xnor_conv_equals_the_dense_sign_product_byte_for_byte():
         for r in range(1, _POPCOUNT_MAX_ROWS + 2):
             x = _sign_plane(rng, 1, 1, stride * (r - 1) + 1, ci)
             _xnor_cases(x, w, geom)
-    empty = xnor_conv2d(np.zeros((0, 4, 3, 3), np.int8),
-                        xnor_filters(np.ones((5, 36)), ConvGeometry((3, 3), 1, 1), 3, 3))
+    empty = xnor_conv2d(np.zeros((0, 4, 3, 3), bool),
+                        xnor_filters(np.ones((5, 36), bool), ConvGeometry((3, 3), 1, 1), 3, 3))
     assert empty.shape == (0, 5, 3, 3)
     with pytest.raises(ValueError, match="does not match"):
-        xnor_conv2d(np.ones((1, 65, 1, 1), np.int8),
-                    xnor_filters(np.ones((5, 64)), ConvGeometry((1, 1)), 1, 1))
+        xnor_conv2d(np.ones((1, 65, 1, 1), bool),
+                    xnor_filters(np.ones((5, 64), bool), ConvGeometry((1, 1)), 1, 1))
     with pytest.raises(ValueError, match="kernel"):
-        xnor_filters(np.ones((5, 10)), ConvGeometry((3, 3)), 3, 3)
+        xnor_filters(np.ones((5, 10), bool), ConvGeometry((3, 3)), 3, 3)
 
 
 def test_xnor_conv_of_every_conv_the_plan_runs_as_xnor_equals_the_dense_product():
@@ -223,7 +223,7 @@ def test_xnor_conv_of_every_conv_the_plan_runs_as_xnor_equals_the_dense_product(
 
 
 def test_pack_rows_sets_one_bit_per_plus_one_and_zero_pad_bits():
-    signs = np.array([[1, -1, 1] + [-1] * 62 + [1], [-1] * 66], np.int8)
+    signs = np.array([[1, -1, 1] + [-1] * 62 + [1], [-1] * 66]) > 0
     words = pack_rows(signs)
     assert words.dtype == np.uint64 and words.shape == (2, 2)
     assert words[0].tolist() == [0b101, 0b10] and words[1].tolist() == [0, 0]
@@ -235,13 +235,13 @@ def test_rsign_forward_hand_cases():
     x[0, 1] = [[0.3, 0.3]]
     shift = np.array([0.5, 0.4])
     y, _ = rsign_forward(x, shift)
-    assert np.array_equal(y[0, 0, 0], [1.0, -1.0])   # x == shift -> +1
-    assert np.array_equal(y[0, 1, 0], [-1.0, -1.0])
+    assert y[0, 0, 0].tolist() == [True, False]        # x == shift -> +1
+    assert y[0, 1, 0].tolist() == [False, False]
 
 
-def test_rsign_forward_emits_int8_signs():
+def test_rsign_forward_emits_boolean_signs():
     y, _ = rsign_forward(np.array([[[[0.0, -0.0, 2.0, -1e-300, np.nan]]]]), np.zeros(1))
-    assert y.dtype == np.int8 and y.ravel().tolist() == [1, 1, 1, -1, -1]
+    assert y.dtype == bool and y.ravel().tolist() == [True, True, True, False, False]
 
 
 def test_surrogate_derivative_equals_piecewise_reference_byte_for_byte():

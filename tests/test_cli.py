@@ -142,12 +142,13 @@ def test_cost_rejects_unknown_spec(capsys):
 
 def test_cost_rejects_a_depth_past_the_costed_bound(capsys):
     # 64 is the first depth past gbdt_cost's bound; a vast depth is never run
-    # here, as 2**depth of it would exhaust CPU and memory.
+    # here, as 2**depth of it would exhaust CPU and memory. It used to print
+    # invalid-value, exit 1.
     assert cli.main(["cost", "--gbdt.max_depth", "63"]) == 0
     capsys.readouterr()
-    assert cli.main(["cost", "--gbdt.max_depth", "64"]) == 1
+    assert cli.main(["cost", "--gbdt.max_depth", "64"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("RXGB-ERROR invalid-value: max_depth 64")
+    assert err.startswith("RXGB-ERROR config: gbdt.max_depth = 64: max_depth 64")
     assert err.count("\n") == 1
 
 
@@ -182,12 +183,11 @@ def _config_mutants(blob, rng, count):
 
 def test_config_mutants_through_cost_print_one_config_line(tmp_path, capsys):
     # A rendered config, truncated or overwritten: each mutant runs, or fails
-    # as one config line. The one other outcome is a tree depth past the
-    # costed bound, which the cost model refuses as invalid-value (see
+    # as one config line (a tree depth past the costed bound too, see
     # test_cost_rejects_a_depth_past_the_costed_bound).
     blob = cli.render_config(cli.resolve_config(None, {})).encode()
     config = tmp_path / "config.txt"
-    outcomes = {"ok": 0, "config": 0, "depth": 0}
+    outcomes = {"ok": 0, "config": 0}
     for k, mutant in enumerate(_config_mutants(blob, np.random.default_rng(11), 300)):
         config.write_bytes(mutant)
         capsys.readouterr()
@@ -198,10 +198,6 @@ def test_config_mutants_through_cost_print_one_config_line(tmp_path, capsys):
             outcomes["ok"] += 1
             continue
         assert err.count("\n") == 1, (k, mutant, err)
-        if err.startswith("RXGB-ERROR invalid-value: max_depth"):
-            assert rc == 1 and "past the deepest costed tree" in err, (k, mutant, err)
-            outcomes["depth"] += 1
-            continue
         assert rc == 2 and err.startswith("RXGB-ERROR config:"), (k, mutant, err)
         outcomes["config"] += 1
     assert outcomes["config"] >= 150 and outcomes["ok"] >= 30, outcomes
@@ -352,6 +348,27 @@ def test_sizes_the_dataset_cannot_give_are_one_config_line(
                    *SMOKE_ARGS, f"--{flag}", value])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith(f"RXGB-ERROR config: {flag} = {value}:"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "seed", "-1"), ("pipeline", "seed", "-1"),
+    ("extract", "train.batch_size", "0"), ("eval", "train.batch_size", "0"),
+])
+def test_values_a_stage_cannot_run_are_one_config_line(
+        tmp_path, cache_dir, capsys, command, flag, value):
+    # these used to print invalid-value, exit 1, and extract left its
+    # config.txt behind
+    ckpt = tmp_path / "artifact.ckpt"
+    _artifact(tmp_path, netspec.reference_spec(width_mult=0.125))
+    out = tmp_path / "run"
+    args = {"extract": ["--checkpoint", str(ckpt), "--out", str(out)],
+            "eval": ["--head", "fc", "--checkpoint", str(ckpt)]}
+    rc = cli.main([command, *args.get(command, ["--out", str(out)]),
+                   "--data.dir", str(cache_dir), *SMOKE_ARGS, f"--{flag}", value])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("RXGB-ERROR config:") and flag in err, err
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -654,7 +654,7 @@ def test_float32_gradients_are_within_criterion_5_of_float64(monkeypatch):
 # passes, by module: the layout test records the 4-d batch arrays each one
 # receives and returns (caches included).
 _LAYOUT_OPS = {
-    tensor_ops: ("conv2d_forward", "sign_conv2d", "conv2d_backward",
+    tensor_ops: ("conv2d_forward", "conv2d_backward",
                  "batchnorm_forward", "batchnorm_backward", "avgpool_2x2",
                  "avgpool_2x2_backward", "avgpool_global", "avgpool_global_backward"),
     bitops: ("rsign_forward", "rsign_backward", "rprelu_forward", "rprelu_backward"),
@@ -701,11 +701,19 @@ def test_block_wiring_keeps_activations_and_gradients_in_nhwc_memory(monkeypatch
     seen = _record_batch_arrays(monkeypatch, n)
     network.loss_and_grads(model, x, np.arange(n))
     train_ops = set(seen)
+    n_train = len(seen["conv2d_forward"])
     network.features_forward(model, x)
     want = {name for names in _LAYOUT_OPS.values() for name in names} | {"back"}
-    assert set(seen) == want
-    assert train_ops == want - {"sign_conv2d"}
-    assert len(seen["sign_conv2d"]) > 0
+    assert set(seen) == train_ops == want
+    # Both executors' product convs take RSign's boolean planes through
+    # conv2d_forward: every binary conv in training, and in the plan each
+    # one it does not run as XNOR-popcount (more than 32 patch rows).
+    convs = network._binary_conv_inputs(spec).values()
+    products = sum(n * np.prod(geom.out_extent(*hw)) > tensor_ops._POPCOUNT_MAX_ROWS
+                   for geom, hw in convs)
+    planes = [a.dtype == bool for a in seen["conv2d_forward"]]
+    assert (sum(planes[:n_train]), sum(planes[n_train:])) == (len(convs), products)
+    assert 0 < products < len(convs) and not hasattr(tensor_ops, "sign_conv2d")
     for name, arrays in seen.items():
         for a in arrays:
             assert is_nhwc_memory(a), (name, a.shape, a.strides)
@@ -864,13 +872,13 @@ def test_binary_conv_forward_equals_bit_path_byte_for_byte():
         latent = rng.uniform(-1.0, 1.0, (co, ci, k, k))
         y = network._Tape({"c.w_latent": latent}).binconv("c", a, geom)
         w_sign, alpha = bitops.sign_weights(latent)
-        filters = bitops.xnor_filters(tensor_ops.filter_rows(w_sign), geom, hw, hw)
+        filters = bitops.xnor_filters(tensor_ops.filter_rows(w_sign) > 0, geom, hw, hw)
         want = bitops.xnor_conv2d(a, filters) * alpha[None, :, None, None]
         assert y.dtype == want.dtype == np.float64
         assert np.ascontiguousarray(y).tobytes() == want.tobytes(), f"Ci={ci} k{k} s{stride}"
 
 
-# (N, Ci, Co, H=W, k, stride, pad) of int8 sign convs, up to K = 9 * 512; the
+# (N, Ci, Co, H=W, k, stride, pad) of sign convs, up to K = 9 * 512; the
 # 2x2 grid at N = 128 takes the interior-tap products.
 _SIGN_SWEEP = [
     (16, 32, 32, 14, 3, 1, 1),
@@ -895,7 +903,7 @@ def signs(shape):
 rng = np.random.default_rng(0)
 rows = []
 for n, ci, co, hw, k, s, p in json.loads(sys.argv[1]):
-    y = T.conv2d_forward(signs((n, ci, hw, hw)), signs((co, ci, k, k)),
+    y = T.conv2d_forward(signs((n, ci, hw, hw)) > 0, signs((co, ci, k, k)),
                          T.ConvGeometry((k, k), s, p), pad_value=-1)
     rows.append(("sign conv", f"N={n} Ci={ci} Co={co} {hw}x{hw} k{k} s{s} p{p}",
                  digest(y)))
@@ -1032,13 +1040,12 @@ def test_plan_rsign_compare_equals_the_sign_of_the_difference():
     x = np.repeat(np.array(edges)[:, None], len(shift), axis=1)[:, :, None, None]
     got = plan.rsign("block1.rsign_conv3x3", x)
     want = bitops.rsign_forward(x, plan.reals["block1.rsign_conv3x3.shift"])[0]
-    assert got.dtype == bool and want.dtype == np.int8
-    assert np.where(got, 1, -1).astype(np.int8).tobytes() == want.tobytes()
+    assert got.dtype == want.dtype == bool and got.tobytes() == want.tobytes()
 
 
 def _plan_arrays(plan):
     """{label: array} of every array an InferencePlan holds."""
-    arrays = {f"rows {k}": a for k, a in plan.rows.items()}
+    arrays = {f"filters {k}": a for k, a in plan.filters.items()}
     arrays |= {f"reals {k}": a for k, a in plan.reals.items()}
     arrays |= {f"affine {k} {i}": a for k, pair in plan.affine.items()
                for i, a in enumerate(pair)}
@@ -1051,13 +1058,15 @@ def _plan_arrays(plan):
 def test_plan_is_read_only_and_leaves_the_model_writable():
     model = network.build_network(plan_spec(), seed=174)
     plan = network.freeze(model)
-    w_rows = plan.rows["block1.conv3x3"]                 # no alpha beside them
-    assert w_rows.dtype == np.float32 and w_rows.shape == (4, 9 * 4)
-    assert set(np.unique(w_rows)) <= {-1.0, 1.0}
+    filters = plan.filters["block1.conv3x3"]             # no alpha beside them
+    assert filters.dtype == np.float32 and filters.shape == (4, 4, 3, 3)
+    assert set(np.unique(filters)) <= {-1.0, 1.0}
+    # a view of the rows the product multiplies by: filter_rows copies nothing
+    assert np.shares_memory(tensor_ops.filter_rows(filters), filters)
     # every grid of this spec has at most _POPCOUNT_MAX_ROWS cells
-    filters = plan.xnor["block1.conv3x3"]
-    assert filters.in_shape == (4, 3, 3) and filters.out_shape == (4, 3, 3)
-    assert plan.xnor.keys() == plan.rows.keys()
+    words = plan.xnor["block1.conv3x3"]
+    assert words.in_shape == (4, 3, 3) and words.out_shape == (4, 3, 3)
+    assert plan.xnor.keys() == plan.filters.keys()
     # the reals are what the executor reads: no alpha, no batch-norm parameter
     assert set(plan.reals) == {name for name, _, _, _ in network._param_layout(plan.spec)
                                if not name.endswith(".w_latent") and ".bn" not in name}
@@ -1067,7 +1076,7 @@ def test_plan_is_read_only_and_leaves_the_model_writable():
     with pytest.raises(TypeError):
         plan.reals["stem.conv.w"] = np.zeros((4, 1, 3, 3))
     with pytest.raises(TypeError):
-        plan.rows["block1.conv3x3"] = w_rows
+        plan.filters["block1.conv3x3"] = filters
     assert all(a.flags.writeable for a in model.params.values())
 
 

@@ -167,12 +167,26 @@ _BINARY_CASES = ([(3, c, hw, 3, s) for c, hw, s in _DESK_3X3]
 
 
 def _sign_plane(rng, shape):
+    """Boolean sign planes, True for +1, as RSign emits them."""
+    return rng.standard_normal(shape) >= 0
+
+
+def _sign_filters(rng, shape):
+    """int8 {-1,+1} filters, as training holds them."""
     return np.where(rng.standard_normal(shape) >= 0, 1, -1).astype(np.int8)
 
 
+def _plan_filters(w):
+    """Filters [Co, Ci, kh, kw] as the frozen plan holds them: a float32 view
+    of their filter rows."""
+    co, ci, kh, kw = w.shape
+    rows = tensor_ops.filter_rows(w).astype(np.float32)
+    return rows.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+
+
 def test_binary_conv_backward_equals_dense_float64_backward_byte_for_byte(monkeypatch):
-    # The forward's int8 operands and alpha against the float64 effective
-    # weights alpha * sign(latent) through one dense grad_x product; where
+    # The forward's sign planes, int8 filters and alpha against the float64
+    # effective weights alpha * sign(latent) through one dense grad_x product; where
     # the backward takes the forward's interior-tap rule (3x3 on a 2x2 grid,
     # at least _SPLIT_MIN_IMAGES images), through the interior-tap oracle
     # instead, which scales grad_y by alpha as that form does, and within
@@ -239,59 +253,52 @@ def test_interior_tap_conv_backward_matches_directional_finite_differences(monke
         assert rel_err(np.sum(gw * u), fw) <= FD_TOL, pad_value
 
 
-def test_binary_conv_backward_rejects_a_pad_value_outside_the_input_dtype():
-    geom = ConvGeometry((3, 3), 1, 1)
-    x = np.ones((1, 2, 4, 4), dtype=np.int8)
-    w = np.ones((2, 2, 3, 3), dtype=np.int8)
-    gy = np.ones((1, 2, 4, 4))
-    for bad in (0.5, 300):
-        with pytest.raises(ValueError, match="pad_value"):
-            conv2d_backward(gy, x, w, geom, pad_value=bad)
-
-
 def test_integer_conv_is_exact_and_guards_float32_range():
+    # The sign branch bounds a sum by K * max|w| * max(1, |pad_value|):
+    # 132,104 * 127 is 16,777,208, below 2**24, and one more channel is not;
+    # |-128| is read in a wider type, and 131,072 * 128 is exactly 2**24.
     geom = ConvGeometry((1, 1))
-    # K * 127 * 127 is 16,774,160 at K = 1040, below 2**24; K = 1041 is not.
-    x = np.full((1, 1040, 1, 1), 127, dtype=np.int8)
-    y = conv2d_forward(x, np.full((1, 1040, 1, 1), 127, dtype=np.int8), geom)
-    assert y.dtype == np.float32 and y[0, 0, 0, 0] == 1040 * 127 * 127
-    big = np.full((1, 1041, 1, 1), 127, dtype=np.int8)
-    with pytest.raises(ValueError, match=r"2\*\*24"):
-        conv2d_forward(big, big, geom)
-    # |-128| is read in a wider type: 1024 * 128 * 128 is exactly 2**24.
-    neg = np.full((1, 1024, 1, 1), -128, dtype=np.int8)
-    with pytest.raises(ValueError, match=r"2\*\*24"):
-        conv2d_forward(neg, neg, geom)
-    # The pad value counts toward max|x|: 1x1 taps of 3 pad cells reach 3.
-    ones = np.ones((1, 1, 1, 1), dtype=np.int8)
-    padded = conv2d_forward(ones, ones, ConvGeometry((1, 1), 1, 1), pad_value=3)
+    k = tensor_ops.EXACT_F32 // 127
+    y = conv2d_forward(np.ones((1, k, 1, 1), bool), np.full((1, k, 1, 1), 127, np.int8), geom)
+    assert y.dtype == np.float32 and y[0, 0, 0, 0] == k * 127
+    for ci, value in ((k + 1, 127), (1 << 17, -128)):
+        with pytest.raises(ValueError, match=r"2\*\*24"):
+            conv2d_forward(np.ones((1, ci, 1, 1), bool),
+                           np.full((1, ci, 1, 1), value, np.int8), geom)
+    # The pad value counts toward the bound: 1x1 taps of 3 pad cells reach 3.
+    ones, w = np.ones((1, 1, 1, 1), bool), np.ones((1, 1, 1, 1), np.int8)
+    padded = conv2d_forward(ones, w, ConvGeometry((1, 1), 1, 1), pad_value=3)
     assert padded[0, 0].tolist() == [[3, 3, 3], [3, 1, 3], [3, 3, 3]]
-    with pytest.raises(ValueError, match="integer pad_value"):
-        conv2d_forward(ones, ones, ConvGeometry((1, 1), 1, 1), pad_value=-0.5)
-
-
-def _sign_rows(w):
-    return tensor_ops.filter_rows(w).astype(np.float32)
-
-
-def test_sign_conv2d_on_prepared_filters_equals_the_4d_conv_and_keeps_the_guard():
-    rng = np.random.default_rng(6)
-    x = np.where(rng.standard_normal((2, 5, 7, 7)) >= 0, 1, -1).astype(np.int8)
-    w = np.where(rng.standard_normal((3, 5, 3, 3)) >= 0, 1, -1).astype(np.int8)
-    geom = ConvGeometry((3, 3), 2, 1)
-    w_rows = _sign_rows(w)
-    assert w_rows.dtype == np.float32 and w_rows.shape == (3, 45)
-    got = tensor_ops.sign_conv2d(x, w_rows, geom, pad_value=-1)
-    want = conv2d_forward(x, w, geom, pad_value=-1)
-    assert got.tobytes() == want.tobytes()
-    # the guard reads the prepared filters' bound: K = 1041 at 127 * 127 fails
-    big = np.full((1, 1041, 1, 1), 127, dtype=np.int8)
     with pytest.raises(ValueError, match=r"2\*\*24"):
-        tensor_ops.sign_conv2d(big, _sign_rows(big), ConvGeometry((1, 1)), w_max=127)
-    with pytest.raises(ValueError, match="filter rows"):
-        tensor_ops.sign_conv2d(x, w_rows[:, 1:], geom)
-    with pytest.raises(ValueError, match="integer"):
-        tensor_ops.sign_conv2d(x.astype(np.float64), w_rows, geom)
+        conv2d_forward(ones, w, ConvGeometry((1, 1), 1, 1), pad_value=tensor_ops.EXACT_F32)
+    with pytest.raises(ValueError, match="integer pad_value"):
+        conv2d_forward(ones, w, ConvGeometry((1, 1), 1, 1), pad_value=-0.5)
+
+
+def test_sign_conv_refuses_float32_filters_whose_sums_could_reach_2_24():
+    # The plan's float32 view of its filter rows gives training's int8 bytes,
+    # and the guard reads float32 filters too, rounding |w| up: at K = 45,
+    # 45 * 372,827 is 16,777,215 and exact, while 372,828 and 372,827.5 reach
+    # 2**24. A bound of 1 taken on trust would accept them.
+    rng = np.random.default_rng(6)
+    x = _sign_plane(rng, (2, 5, 7, 7))
+    w = _sign_filters(rng, (3, 5, 3, 3))
+    geom = ConvGeometry((3, 3), 2, 1)
+    view = _plan_filters(w)
+    assert view.dtype == np.float32 and view.shape == w.shape
+    assert np.shares_memory(tensor_ops.filter_rows(view), view)    # no copy
+    want = conv2d_forward(x, w, geom, pad_value=-1)
+    assert conv2d_forward(x, view, geom, pad_value=-1).tobytes() == want.tobytes()
+    x_real = np.where(x, 1.0, -1.0)
+    for value in (372_827, 372_828, 372_827.5):
+        big = w.astype(np.float32) * np.float32(value)
+        if value == 372_827:
+            got = conv2d_forward(x, big, geom, pad_value=-1)
+            real = conv2d_forward(x_real, big.astype(np.float64), geom, pad_value=-1.0)
+            assert np.array_equal(got, real)
+            continue
+        with pytest.raises(ValueError, match=r"2\*\*24"):
+            conv2d_forward(x, big, geom, pad_value=-1)
 
 
 def _two_by_two_binary_convs():
@@ -309,7 +316,8 @@ def _two_by_two_binary_convs():
 
 def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     # The interior-tap products against one product over the whole patch
-    # matrix, pad ring included, at batches either side of the threshold.
+    # matrix, pad ring included, at batches either side of the threshold, on
+    # training's int8 filters and on the plan's float32 view.
     interior = []
     sign_conv_interior = tensor_ops._sign_conv_interior
 
@@ -323,15 +331,17 @@ def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     assert len(shapes) == 9
     for ci, co, hw, k, stride in shapes:
         geom = ConvGeometry((k, k), stride, k // 2)
-        w_rows = _sign_rows(_sign_plane(rng, (co, ci, k, k)))
+        w = _sign_filters(rng, (co, ci, k, k))
+        w_rows = tensor_ops.filter_rows(w).astype(np.float32)
         for n in (_SPLIT_MIN_IMAGES - 1, _SPLIT_MIN_IMAGES, 256):
             x = _sign_plane(rng, (n, ci, hw, hw))
             for pad in (-1, 0):
                 case = (n, ci, hw, k, stride, pad)
-                got = tensor_ops.sign_conv2d(x, w_rows, geom, pad_value=pad)
                 want = dense_sign_conv2d(x, w_rows, geom, pad)
-                assert got.strides == want.strides, case
-                assert got.tobytes(order="A") == want.tobytes(order="A"), case
+                for filters in (w, _plan_filters(w)):
+                    got = conv2d_forward(x, filters, geom, pad_value=pad)
+                    assert got.strides == want.strides, case
+                    assert got.tobytes(order="A") == want.tobytes(order="A"), case
     assert sorted({c[:5] for c in interior}) == sorted(
         (n, c, 2, 3, 1) for c in (128, 256, 512) for n in (_SPLIT_MIN_IMAGES, 256))
     # The dense product made one patch-matrix chunk at a time: 45 images are
@@ -339,42 +349,42 @@ def test_sign_conv_equals_the_dense_product_byte_for_byte(monkeypatch):
     for c, hw, stride in _DESK_3X3:
         for k in (3, 1):
             geom = ConvGeometry((k, k), stride, k // 2)
-            w_rows = _sign_rows(_sign_plane(rng, (c, c, k, k)))
+            w = _sign_filters(rng, (c, c, k, k))
             x = _sign_plane(rng, (45, c, hw, hw))
             case = (45, c, hw, k, stride)
-            got = tensor_ops.sign_conv2d(x, w_rows, geom, pad_value=-1)
-            want = dense_sign_conv2d(x, w_rows, geom, -1)
-            assert got.strides == want.strides, case
-            assert got.tobytes(order="A") == want.tobytes(order="A"), case
-    # Integer operands whose sums come within 1% of the 2**24 guard:
-    # K * 127 * 114 = 16,678,656 at K = 9 * 128, the ring's cells included.
+            want = dense_sign_conv2d(x, tensor_ops.filter_rows(w).astype(np.float32), geom, -1)
+            for filters in (w, _plan_filters(w)):
+                got = conv2d_forward(x, filters, geom, pad_value=-1)
+                assert got.strides == want.strides, case
+                assert got.tobytes(order="A") == want.tobytes(order="A"), case
+    # Integer filters whose sums come within 1% of the 2**24 guard:
+    # K * 14,563 = 16,776,576 at K = 9 * 128, the ring's cells included.
     geom = ConvGeometry((3, 3), 1, 1)
-    x = rng.choice(np.array([127, 125, -127], np.int8), (_SPLIT_MIN_IMAGES, 128, 2, 2),
+    x = rng.random((_SPLIT_MIN_IMAGES, 128, 2, 2)) < 0.9
+    w = rng.choice(np.array([14563, 14562, -14563], np.float32), (128, 128, 3, 3),
                    p=[0.8, 0.1, 0.1])
-    w = rng.choice(np.array([114, 113, -114], np.int8), (128, 128, 3, 3), p=[0.8, 0.1, 0.1])
-    for pad in (127, -127, 0):
+    for pad in (1, -1, 0):
         interior.clear()
         case = ("near the guard", pad)
-        got = tensor_ops.sign_conv2d(x, _sign_rows(w), geom, pad, w_max=114)
-        want = dense_sign_conv2d(x, _sign_rows(w), geom, pad)
+        got = conv2d_forward(x, w, geom, pad_value=pad)
+        want = dense_sign_conv2d(x, tensor_ops.filter_rows(w), geom, pad)
         assert interior and got.tobytes(order="A") == want.tobytes(order="A"), case
-        assert pad != 127 or want.max() > 0.5 * tensor_ops.EXACT_F32, case
+        assert pad != 1 or want.max() > 0.5 * tensor_ops.EXACT_F32, case
     with pytest.raises(ValueError, match=r"2\*\*24"):
-        tensor_ops.sign_conv2d(x, _sign_rows(w), geom, pad, w_max=115)
+        conv2d_forward(x, w + np.float32(1), geom, pad_value=1)
 
 
 def test_sign_convs_of_an_empty_batch_are_empty():
-    # conv2d_forward's integer branch (the training forward) and sign_conv2d
-    # (the plan's dense path), 1x1 stride 1 included, at N = 0
+    # conv2d_forward's sign branch on training's int8 filters and on the
+    # plan's float32 view, 1x1 stride 1 included, at N = 0
     for k, stride in ((1, 1), (3, 1), (3, 2)):
         geom = ConvGeometry((k, k), stride, k // 2)
-        x = np.zeros((0, 4, 5, 5), np.int8)
+        x = np.zeros((0, 4, 5, 5), bool)
         w = np.ones((3, 4, k, k), np.int8)
         oh = (5 + 2 * (k // 2) - k) // stride + 1
-        y = conv2d_forward(x, w, geom, pad_value=-1)
-        assert y.dtype == np.float32 and y.shape == (0, 3, oh, oh)
-        y = tensor_ops.sign_conv2d(x, _sign_rows(w), geom)
-        assert y.dtype == np.float32 and y.shape == (0, 3, oh, oh)
+        for filters in (w, _plan_filters(w)):
+            y = conv2d_forward(x, filters, geom, pad_value=-1)
+            assert y.dtype == np.float32 and y.shape == (0, 3, oh, oh)
 
 
 def test_batchnorm_forward_manual():
@@ -646,7 +656,7 @@ _CONV_SWEEP = [
     (2, 128, 128, 4, 3, 1, 1),
     (128, 64, 64, 2, 3, 1, 1),
 ]
-# (N, Ci = Co, H=W, k, stride) of binary convs on int8 operands: grad_x
+# (N, Ci = Co, H=W, k, stride) of binary convs on sign planes: grad_x
 # products of two image chunks at 32 and 16 channels, 2x2 grids at N = 128
 # (the interior-tap form) with Co > 128 and at N = 127 (the dense form), a
 # one-image 2x2 batch, stride 2, and a 1x1.
@@ -685,12 +695,12 @@ for n, ci, co, hw, k, s, p in json.loads(sys.argv[1]):
              ("conv2d_backward grad_w", case, digest(gw))]
 for n, c, hw, k, s in json.loads(sys.argv[3]):
     geom = T.ConvGeometry((k, k), s, k // 2)
-    x = np.where(rng.standard_normal((n, c, hw, hw)) >= 0, 1, -1).astype(np.int8)
+    x = rng.standard_normal((n, c, hw, hw)) >= 0
     w = np.where(rng.standard_normal((c, c, k, k)) >= 0, 1, -1).astype(np.int8)
     oh, ow = geom.out_extent(hw, hw)
     gx, gw = T.conv2d_backward(rng.standard_normal((n, c, oh, ow)), x, w, geom,
                                pad_value=-1, alpha=rng.uniform(0.1, 1.0, c))
-    case = f"N={n} C={c} {hw}x{hw} k{k} s{s} int8"
+    case = f"N={n} C={c} {hw}x{hw} k{k} s{s} sign planes"
     rows += [("conv2d_backward grad_x", case, digest(gx)),
              ("conv2d_backward grad_w", case, digest(gw))]
 for n, d, k in json.loads(sys.argv[2]):
