@@ -6,17 +6,17 @@ Subcommands cover the full two-stage workflow::
     rxgb train --out DIR                 stage 1: SGD-train backbone + FC head
     rxgb extract --checkpoint F --out DIR   pooled features for train and test
     rxgb train-gbdt --features F --out DIR  stage 2: boosted-tree head
-    rxgb eval --head fc|gbdt ...         top-1 accuracy + confusion matrix
+    rxgb eval --checkpoint F [--model M]  score every head, paired if both
     rxgb cost --spec reference [--diff reference-nofc]   cost report / delta
     rxgb pipeline --out DIR              all stages with one seed
 
-The train, extract and boost stages are one function each; every subcommand
-loads its inputs and calls one, and ``pipeline`` calls them in turn, so its
-artifacts are the manual sequence's by construction. The train stage freezes
-the trained backbone once (``network.freeze``) and saves that plan, the one
-``extract`` and ``eval`` load from ``checkpoint.ckpt``; ``pipeline`` extracts
-both splits from it and scores both heads on the test features extracted
-once (the FC head via ``network.fc_logits``).
+The train, extract, boost and eval stages are one function each; every
+subcommand loads its inputs and calls one, and ``pipeline`` calls all four in
+turn, so its artifacts and scores are the manual sequence's by construction.
+The train stage freezes the trained backbone once (``network.freeze``) and
+saves that plan, the one ``extract`` and ``eval`` load from ``checkpoint.ckpt``;
+eval scores every head the run holds on the test features extracted once, and
+prints the paired table of the FC and tree heads when it has both.
 
 ``checkpoint.ckpt`` is the deployed backbone: a header and then one sign bit
 per binary weight and a float32 per real (about 1.06 MB at width 0.5). It
@@ -352,31 +352,42 @@ def _stage_boost(config, feats, labels, out: str):
     return ens
 
 
-def _eval_head(cfg, head: str, model, ens, feats, labels):
-    """Print one head's top-1 and confusion matrix on extracted features;
-    returns (top-1, the boolean array of images it classifies right)."""
+def _stage_eval(cfg, model, ens, feats, labels):
+    """Print the top-1 and confusion matrix of every head on extracted features
+    (FC if the plan has one, trees if ``ens``), and with both their paired
+    table and exact McNemar p; returns {head: top-1}."""
     import numpy as np
 
     from . import gbdt, network
 
-    if head == "fc":
+    preds = {}
+    if model.spec.has_fc_head():
         logits = network.fc_logits(model, feats, _batch_size(cfg))
-        pred = np.argmax(logits, axis=1)
-    else:
-        pred = gbdt.predict_class(ens, feats)
-    right = pred == labels
-    hits = int(right.sum())
-    top1 = hits / len(labels)
-    print(f"{head} head top-1 accuracy: {top1:.4f} ({hits}/{len(labels)})")
-    cm = np.zeros((_CLASSES, _CLASSES), dtype=np.int64)
-    np.add.at(cm, (labels, pred), 1)
-    print("confusion matrix (rows = true, cols = predicted):")
-    width = max(len(str(cm.max())), 3)
-    print("     " + " ".join(f"{c:>{width}}" for c in range(cm.shape[1])))
-    for row in range(cm.shape[0]):
-        cells = " ".join(f"{v:>{width}}" for v in cm[row])
-        print(f"  {row:>2} {cells}")
-    return top1, right
+        preds["fc"] = np.argmax(logits, axis=1)
+    if ens is not None:
+        preds["gbdt"] = gbdt.predict_class(ens, feats)
+    right, top1 = {}, {}
+    for head, pred in preds.items():
+        right[head] = pred == labels
+        hits = int(right[head].sum())
+        top1[head] = hits / len(labels)
+        print(f"{head} head top-1 accuracy: {top1[head]:.4f} ({hits}/{len(labels)})")
+        cm = np.zeros((_CLASSES, _CLASSES), dtype=np.int64)
+        np.add.at(cm, (labels, pred), 1)
+        print("confusion matrix (rows = true, cols = predicted):")
+        width = max(len(str(cm.max())), 3)
+        print("     " + " ".join(f"{c:>{width}}" for c in range(cm.shape[1])))
+        for row in range(cm.shape[0]):
+            cells = " ".join(f"{v:>{width}}" for v in cm[row])
+            print(f"  {row:>2} {cells}")
+    if len(right) == 2:
+        fc, hybrid = right["fc"], right["gbdt"]
+        fc_only, hybrid_only = int((fc & ~hybrid).sum()), int((hybrid & ~fc).sum())
+        print(f"paired heads on {len(labels)} test images: "
+              f"both right {int((fc & hybrid).sum())}, fc only {fc_only}, "
+              f"hybrid only {hybrid_only}, neither {int((~fc & ~hybrid).sum())}")
+        print(f"exact McNemar p (two-sided): {_mcnemar_p(fc_only, hybrid_only):.3g}")
+    return top1
 
 
 def _mcnemar_p(fc_only: int, hybrid_only: int) -> float:
@@ -431,9 +442,7 @@ def cmd_eval(args, cfg) -> int:
     from . import gbdt, network
 
     ens = None
-    if args.head == "gbdt":
-        if not args.model:
-            raise ConfigError("eval --head gbdt requires --model FILE")
+    if args.model:
         try:
             with open(args.model, encoding="utf-8") as f:
                 text = f.read()
@@ -443,10 +452,12 @@ def cmd_eval(args, cfg) -> int:
     model = network.load_checkpoint(args.checkpoint)
     if ens is not None:
         gbdt.check_fits(ens, model.spec.feature_dim, _CLASSES)
+    elif not model.spec.has_fc_head():
+        raise ConfigError(f"{args.checkpoint} has no FC head and no --model to score")
     feats, labels = network.extract_features(
         model, _load_split(cfg, "test"), batch_size=_batch_size(cfg)
     )
-    _eval_head(cfg, args.head, model, ens, feats, labels)
+    _stage_eval(cfg, model, ens, feats, labels)
     return 0
 
 
@@ -505,16 +516,9 @@ def cmd_pipeline(args, cfg) -> int:
     # boost on the features as written (float32), as train-gbdt reads them
     feats, labels = data.load_features(os.path.join(out, "features-train.rxgbfeat"))
     ens = _stage_boost(config, feats, labels, out)
-    fc_top1, fc_right = _eval_head(cfg, "fc", plan, None, test_feats, test_labels)
-    gbdt_top1, gbdt_right = _eval_head(cfg, "gbdt", plan, ens, test_feats, test_labels)
-    fc_only = int((fc_right & ~gbdt_right).sum())
-    hybrid_only = int((gbdt_right & ~fc_right).sum())
-    print(f"paired heads on {len(test_labels)} test images: "
-          f"both right {int((fc_right & gbdt_right).sum())}, fc only {fc_only}, "
-          f"hybrid only {hybrid_only}, neither {int((~fc_right & ~gbdt_right).sum())}")
-    print(f"exact McNemar p (two-sided): {_mcnemar_p(fc_only, hybrid_only):.3g}")
+    top1 = _stage_eval(cfg, plan, ens, test_feats, test_labels)
     print(f"pipeline complete in {time.perf_counter() - started:.1f}s: "
-          f"fc {fc_top1:.4f}, hybrid {gbdt_top1:.4f} -> {out}")
+          f"fc {top1['fc']:.4f}, hybrid {top1['gbdt']:.4f} -> {out}")
     return 0
 
 
@@ -571,11 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, metavar="FILE")
     p.add_argument("--no-compliance", dest="compliance", action="store_false",
                    help="lift the 20-tree/depth-10 deployment bound")
-    p = sub.add_parser("eval", help="top-1 accuracy + confusion matrix")
+    p = sub.add_parser("eval", help="score every head; pair the FC and tree heads")
     common(p)
-    p.add_argument("--head", choices=("fc", "gbdt"), required=True)
     p.add_argument("--checkpoint", required=True, metavar="FILE")
-    p.add_argument("--model", metavar="FILE", help="gbdt model (for --head gbdt)")
+    p.add_argument("--model", metavar="FILE",
+                   help="gbdt model, scored beside any FC head")
     p = sub.add_parser("cost", help="cost report for a named plan")
     common(p)
     p.add_argument("--spec", default="reference", metavar="NAME",

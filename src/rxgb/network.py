@@ -740,13 +740,12 @@ class TrainResult:
 
 
 def evaluate(model, ds, batch_size: int = 256) -> float:
-    """Top-1 accuracy over a dataset, computed in inference mode from one plan."""
+    """FC-head top-1 accuracy over a dataset from one plan: the argmax of
+    :func:`fc_logits` on :func:`extract_features`, as ``rxgb eval`` scores it."""
     plan = _plan_of(model)
-    correct = 0
-    for xb, yb in data.batches(ds, batch_size, shuffle=False):
-        logits, _ = forward(plan, xb, training=False)
-        correct += int((np.argmax(logits, axis=1) == yb).sum())
-    return correct / len(ds)
+    feats, labels = extract_features(plan, ds, batch_size)
+    pred = np.argmax(fc_logits(plan, feats, batch_size), axis=1)
+    return int((pred == labels).sum()) / len(ds)
 
 
 def train_stage1(model: ModelState, train_ds, val_ds,

@@ -204,8 +204,13 @@ def _pad_input(x: np.ndarray, pad: int, pad_value: float, dtype) -> np.ndarray:
     contiguously, which is faster than casting through the strided
     transposed view. A boolean x (a binary conv's sign planes) reads +1
     where True and -1 where False; it becomes int8 signs first, which with
-    the cast takes less time than any float32 arithmetic on the buffer.
+    the cast takes less time than any float32 arithmetic on the buffer. Its
+    pad_value must be an integer in [-128, 127], which the backward's int8
+    copy holds; ValueError otherwise, in both conv directions.
     """
+    if x.dtype == bool and pad_value not in range(-128, 128):
+        raise ValueError(f"sign planes need an integer pad_value in [-128, 127], "
+                         f"got {pad_value}")
     n, ci, h, w = x.shape
     xp = np.empty((n, h + 2 * pad, w + 2 * pad, ci), dtype)
     xp[:, :pad] = xp[:, h + pad:] = pad_value
@@ -224,7 +229,7 @@ def _im2col(xp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     """Patch matrix [N*OH*OW, kh*kw*Ci] from a padded NHWC input.
 
     The reduction axis is ordered (kh, kw, ci): kernel-major, then input
-    channel, matching _weight_matrix, so each tap copies a contiguous run of
+    channel, matching filter_rows, so each tap copies a contiguous run of
     Ci values. Thread invariance does not come from this layout but from
     _matmul's fixed K_BLOCK-wide blocks.
     """
@@ -281,14 +286,6 @@ def _channel_sums(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _weight_matrix(w: np.ndarray) -> np.ndarray:
-    """Weights as [kh*kw*Ci, Co], matching the im2col reduction layout: the
-    filters of the real-valued forward. The sign conv multiplies by the
-    transpose of :func:`filter_rows`."""
-    co = w.shape[0]
-    return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, co)
-
-
 def _abs_max(a: np.ndarray) -> int:
     """The least integer at or above max |a|, as a Python int, so the int8
     value -128 does not wrap."""
@@ -297,8 +294,8 @@ def _abs_max(a: np.ndarray) -> int:
 
 def filter_rows(w: np.ndarray) -> np.ndarray:
     """Filters [Co, Ci, kh, kw] as rows [Co, kh*kw*Ci] in the im2col reduction
-    order, in w's dtype: the one layout of sign filters. The sign conv
-    multiplies by their float32 transpose, the frozen plan packs them per tap
+    order, in w's dtype: the one layout of conv filters. Both forwards
+    multiply by their transpose, the frozen plan packs them per tap
     (``bitops.xnor_filters``) and the conv backward multiplies by them.
     Filters that are a view of such rows (``bitops.sign_weights``, the
     plan's ``filters``) come back without a copy."""
@@ -312,15 +309,13 @@ def _sign_conv2d(x, w, geom, pad_value):
     kh, kw = geom.kernel
     oh, ow = geom.out_extent(h, wd)
     pad = int(pad_value)
-    if pad != pad_value:
-        raise ValueError(f"sign planes need an integer pad_value, got {pad_value}")
     rows = filter_rows(w)                     # contiguous: reduces faster than w
     bound = rows.shape[1] * _abs_max(rows) * max(1, abs(pad))
     if bound >= EXACT_F32:
         raise ValueError(f"sign conv sums reach K*max|w|*max(1, |pad_value|) = "
                          f"{bound}, not exact in float32 (limit 2**24)")
     w_rows = rows.astype(np.float32, copy=False)
-    xp = _pad_input(x, geom.padding, pad, np.float32)
+    xp = _pad_input(x, geom.padding, pad_value, np.float32)
     taps = _interior_taps(geom, n, h, wd)
     if taps:
         return _sign_conv_interior(xp, w_rows, geom, pad, *taps).transpose(0, 3, 1, 2)
@@ -384,8 +379,8 @@ def conv2d_forward(
         it is float32 holding the exact integer sums: w holds integers
         (training's int8 signs from ``bitops.sign_weights``, or the frozen
         plan's float32 view of its filter rows; :func:`filter_rows` takes
-        either without a copy), pad_value must be an integer, and ValueError
-        if a sum could reach 2**24 (K * max|w| * max(1, |pad_value|)).
+        either without a copy), pad_value must be an integer in [-128, 127],
+        and ValueError if a sum could reach 2**24 (K * max|w| * max(1, |pad_value|)).
         Otherwise it is in x's :func:`_real_dtype` from :func:`_matmul`, w
         cast to that dtype.
     """
@@ -396,7 +391,7 @@ def conv2d_forward(
     oh, ow = geom.out_extent(h, wd)
     dtype = _real_dtype(x)
     xp = _pad_input(x, geom.padding, pad_value, dtype)
-    y = _matmul(_im2col(xp, geom), _weight_matrix(np.asarray(w, dtype=dtype)))
+    y = _matmul(_im2col(xp, geom), filter_rows(np.asarray(w, dtype=dtype)).T)
     return y.reshape(n, oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 

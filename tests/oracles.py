@@ -247,7 +247,7 @@ def nchw_conv2d_backward(grad_y, x, w, geom, pad_value=0.0):
     agree to the byte: every input cell receives the same adds in the same
     tap order.
     """
-    from rxgb.tensor_ops import _matmul, _weight_matrix
+    from rxgb.tensor_ops import _matmul
 
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -259,7 +259,8 @@ def nchw_conv2d_backward(grad_y, x, w, geom, pad_value=0.0):
     gy = np.ascontiguousarray(np.transpose(grad_y, (0, 2, 3, 1))).reshape(-1, co)
     xp, cols = nchw_im2col(x, geom, pad_value)
     gw = _matmul(gy.T, cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
-    gcols = _matmul(gy, _weight_matrix(w).T).reshape(n, oh, ow, kh, kw, ci)
+    w_mat = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, co)  # [K, Co]
+    gcols = _matmul(gy, w_mat.T).reshape(n, oh, ow, kh, kw, ci)
     gxp = np.zeros_like(xp)
     for i in range(kh):
         for j in range(kw):
@@ -491,7 +492,7 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     [N*OH*OW, kh*kw*Ci] product scattered tap by tap. It runs the library's
     fixed-block matmul, so the two must agree to the byte.
     """
-    from rxgb.tensor_ops import _matmul, _weight_matrix
+    from rxgb.tensor_ops import _matmul
 
     dt = _compute_dtype(grad_y)
     x = np.asarray(signs_pm1(x), dtype=dt)
@@ -507,7 +508,8 @@ def dense_conv2d_backward(grad_y, x, w, geom, pad_value=0.0, alpha=None):
     gy = np.ascontiguousarray(grad_y.transpose(0, 2, 3, 1)).reshape(-1, co)
     xp, cols = nchw_im2col(x, geom, pad_value)
     gw = _matmul(gy.T, cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
-    gcols = _matmul(gy, _weight_matrix(w).T).reshape(n, oh, ow, kh, kw, ci)
+    w_mat = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, co)  # [K, Co]
+    gcols = _matmul(gy, w_mat.T).reshape(n, oh, ow, kh, kw, ci)
     gxp = np.zeros((n, xp.shape[2], xp.shape[3], ci), dt)
     for i in range(kh):
         for j in range(kw):

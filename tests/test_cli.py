@@ -270,6 +270,24 @@ def test_pipeline_prints_the_paired_table_of_its_two_heads(tmp_path, cache_dir, 
     assert m.group(6) == f"{cli._mcnemar_p(fc_only, hybrid_only):.3g}"
 
 
+def _scores(text):
+    """The eval stage's lines: each head's top-1 and confusion matrix, then
+    the paired table and the McNemar p."""
+    return re.search(r"fc head top-1.*\nexact McNemar p[^\n]*\n", text, re.S).group(0)
+
+
+def test_eval_of_a_pipeline_run_prints_the_pipelines_scores(tmp_path, cache_dir,
+                                                            capsys):
+    out = tmp_path / "run"
+    assert run_pipeline(cache_dir, out) == 0
+    piped = _scores(capsys.readouterr().out)
+    assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                     "--model", str(out / "gbdt-model.txt"),
+                     "--data.dir", str(cache_dir), *SMOKE_ARGS]) == 0
+    assert "gbdt head top-1" in piped
+    assert _scores(capsys.readouterr().out) == piped
+
+
 def test_mcnemar_p_matches_hand_computed_tails():
     assert cli._mcnemar_p(0, 0) == 1.0
     assert cli._mcnemar_p(3, 3) == 1.0                   # tail 42/64 doubled, capped
@@ -303,10 +321,9 @@ def test_pipeline_equals_manual_command_sequence(tmp_path, cache_dir, capsys):
                      "--features", str(manual / "features-train.rxgbfeat"),
                      "--out", str(manual), *base]) == 0
     capsys.readouterr()
-    assert cli.main(["eval", "--head", "fc",
-                     "--checkpoint", str(manual / "checkpoint.ckpt"), *base]) == 0
-    assert cli.main(["eval", "--head", "gbdt",
-                     "--checkpoint", str(manual / "checkpoint.ckpt"),
+    assert cli.main(["eval", "--checkpoint", str(manual / "checkpoint.ckpt"),
+                     *base]) == 0
+    assert cli.main(["eval", "--checkpoint", str(manual / "checkpoint.ckpt"),
                      "--model", str(manual / "gbdt-model.txt"), *base]) == 0
     evals = capsys.readouterr().out
     assert "fc head top-1 accuracy" in evals
@@ -364,7 +381,7 @@ def test_values_a_stage_cannot_run_are_one_config_line(
     _artifact(tmp_path, netspec.reference_spec(width_mult=0.125))
     out = tmp_path / "run"
     args = {"extract": ["--checkpoint", str(ckpt), "--out", str(out)],
-            "eval": ["--head", "fc", "--checkpoint", str(ckpt)]}
+            "eval": ["--checkpoint", str(ckpt)]}
     rc = cli.main([command, *args.get(command, ["--out", str(out)]),
                    "--data.dir", str(cache_dir), *SMOKE_ARGS, f"--{flag}", value])
     err = capsys.readouterr().err
@@ -530,17 +547,6 @@ def test_seeded_checkpoint_mutants_through_extract_fail_closed(tmp_path, capsys)
     assert outcomes["ok"] > 0, outcomes
 
 
-def test_eval_gbdt_requires_model_flag(tmp_path, cache_dir, capsys):
-    manual = tmp_path / "m"
-    base = ["--data.dir", str(cache_dir), *SMOKE_ARGS]
-    assert cli.main(["train", "--out", str(manual), *base]) == 0
-    capsys.readouterr()
-    rc = cli.main(["eval", "--head", "gbdt",
-                   "--checkpoint", str(manual / "checkpoint.ckpt"), *base])
-    assert rc == 2
-    assert "requires --model" in capsys.readouterr().err
-
-
 def _deep_tree(depth):
     return "(split f=0 t=0.5 d=left " * depth + "(leaf w=1)" + " (leaf w=0))" * depth
 
@@ -562,7 +568,7 @@ def test_eval_gbdt_malformed_tree_is_one_model_format_line(tmp_path, capsys, tre
     model.write_text(text, encoding="utf-8")
     capsys.readouterr()
     # the model is parsed first, so the checkpoint need not exist
-    rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
+    rc = cli.main(["eval", "--model", str(model),
                    "--checkpoint", str(tmp_path / "absent.ckpt")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -582,7 +588,7 @@ def test_eval_gbdt_non_finite_model_value_is_one_model_format_line(
     model = tmp_path / "gbdt-model.txt"
     model.write_text(text, encoding="utf-8")
     capsys.readouterr()
-    rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
+    rc = cli.main(["eval", "--model", str(model),
                    "--checkpoint", str(tmp_path / "absent.ckpt")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -594,7 +600,7 @@ def test_eval_gbdt_non_utf8_model_is_one_model_format_line(tmp_path, capsys):
     model = tmp_path / "gbdt-model.txt"
     model.write_bytes(b"RXGB-GBDT v1\n\xff\xfe\n")
     capsys.readouterr()
-    rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
+    rc = cli.main(["eval", "--model", str(model),
                    "--checkpoint", str(tmp_path / "absent.ckpt")])
     err = capsys.readouterr().err
     assert rc == 1
@@ -602,18 +608,18 @@ def test_eval_gbdt_non_utf8_model_is_one_model_format_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_eval_fc_without_fc_head_is_one_invalid_value_line(tmp_path, cache_dir,
-                                                           capsys):
+def test_eval_of_no_fc_head_and_no_model_is_one_config_line(tmp_path, capsys):
+    # nothing to score: refused before any test image is read, so the
+    # missing data dir is never looked at (it would be a missing-artifact line)
     spec = netspec.reference_spec(width_mult=0.125, include_fc=False)
     ckpt = tmp_path / "nofc.ckpt"
     network.save_checkpoint(network.build_network(spec, seed=0), ckpt)
     capsys.readouterr()
-    rc = cli.main(["eval", "--head", "fc", "--checkpoint", str(ckpt),
-                   "--data.dir", str(cache_dir), *SMOKE_ARGS])
-    assert rc == 1
+    rc = cli.main(["eval", "--checkpoint", str(ckpt),
+                   "--data.dir", str(tmp_path / "no-data"), *SMOKE_ARGS])
     err = capsys.readouterr().err
-    assert err.startswith("RXGB-ERROR invalid-value:")
-    assert err.count("\n") == 1                          # single line
+    assert rc == 2 and err.startswith("RXGB-ERROR config:"), err
+    assert "no FC head" in err and err.count("\n") == 1
 
 
 def test_fetch_data_verifies_existing_cache(tmp_path, capsys):
@@ -781,7 +787,7 @@ def eval_inputs(tmp_path_factory):
 
 def _eval_gbdt(model, ckpt, cache_dir, capsys):
     capsys.readouterr()
-    rc = cli.main(["eval", "--head", "gbdt", "--model", str(model),
+    rc = cli.main(["eval", "--model", str(model),
                    "--checkpoint", str(ckpt), "--data.dir", str(cache_dir)])
     return rc, capsys.readouterr().err
 

@@ -275,6 +275,31 @@ def test_integer_conv_is_exact_and_guards_float32_range():
         conv2d_forward(ones, w, ConvGeometry((1, 1), 1, 1), pad_value=-0.5)
 
 
+@pytest.mark.parametrize("n, hw", [(2, 4), (_SPLIT_MIN_IMAGES, 2)],
+                         ids=["dense", "interior-taps"])
+def test_sign_plane_conv_backward_refuses_the_pads_its_forward_refuses(
+        monkeypatch, n, hw):
+    # The backward's padded copy of a sign plane is int8: a pad of 0.5 used to
+    # act as 0 in the dense form and halve the ring sums in the interior-tap
+    # form, and 300 raised numpy's OverflowError.
+    interior = []
+    conv_backward_interior = tensor_ops._conv_backward_interior
+    monkeypatch.setattr(tensor_ops, "_conv_backward_interior",
+                        lambda *a: interior.append(a[5]) or conv_backward_interior(*a))
+    rng = np.random.default_rng(29)
+    geom = ConvGeometry((3, 3), 1, 1)
+    x = _sign_plane(rng, (n, 2, hw, hw))
+    w = _sign_filters(rng, (3, 2, 3, 3))
+    gy = rng.standard_normal((n, 3, hw, hw))
+    for pad_value in (0.5, 300, -129):
+        for conv in (lambda: conv2d_forward(x, w, geom, pad_value=pad_value),
+                     lambda: conv2d_backward(gy, x, w, geom, pad_value=pad_value)):
+            with pytest.raises(ValueError, match="integer pad_value"):
+                conv()
+    conv2d_backward(gy, x, w, geom, pad_value=-128)
+    assert interior == ([-128] if n >= _SPLIT_MIN_IMAGES else [])
+
+
 def test_sign_conv_refuses_float32_filters_whose_sums_could_reach_2_24():
     # The plan's float32 view of its filter rows gives training's int8 bytes,
     # and the guard reads float32 filters too, rounding |w| up: at K = 45,
