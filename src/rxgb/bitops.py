@@ -69,37 +69,49 @@ def sign_bits(x: np.ndarray, order: str = "K") -> np.ndarray:
     return np.greater_equal(x, 0, order=order)      # a tenth of np.where's time
 
 
-def weight_alpha(w_latent: np.ndarray) -> np.ndarray:
+def weight_alpha(w_latent: np.ndarray, *, abs_max: bool = False):
     """alpha[co] = mean(|w_latent[co]|) of latents [Co, Ci, kh, kw], XNOR-Net's scale.
 
     |w| is taken a chunk of about _ALPHA_CHUNK elements of whole filters at
     a time, in one reused buffer rather than a temporary of the latent's
     size. Each filter's sum is numpy's pairwise sum over its contiguous row,
-    as in ``np.abs(w).mean(axis=(1, 2, 3))``, whose bytes this gives."""
+    as in ``np.abs(w).mean(axis=(1, 2, 3))``, whose bytes this gives. With
+    abs_max, returns (alpha, max|w_latent|), the max taken over the same
+    chunks while they are in cache: NaN if any latent is NaN, 0.0 for an
+    empty latent. Training's straight-through mask reads it; the payload
+    encoder does not ask for it."""
     w = np.asarray(w_latent, dtype=np.float64)
     co, k = w.shape[0], int(np.prod(w.shape[1:]))
     rows = w.reshape(co, k)
     step = max(1, _ALPHA_CHUNK // max(k, 1))
     buf = np.empty((min(step, co), k))
     sums = np.empty(co)
+    peak = 0.0
     for r0 in range(0, co, step):
         chunk = rows[r0:r0 + step]
-        np.abs(chunk, out=buf[:len(chunk)]).sum(axis=1, out=sums[r0:r0 + step])
-    return sums / k
+        a = np.abs(chunk, out=buf[:len(chunk)])
+        a.sum(axis=1, out=sums[r0:r0 + step])
+        if abs_max:
+            peak = np.maximum(peak, a.max(initial=0.0))    # NaN propagates
+    return (sums / k, float(peak)) if abs_max else sums / k
 
 
-def sign_weights(w_latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sign_weights(w_latent: np.ndarray, *, abs_max: bool = False):
     """Binarize latent conv weights [Co, Ci, kh, kw]: (int8 sign(w_latent),
-    :func:`weight_alpha`). The signs are an [Co, Ci, kh, kw] view of
-    [Co, kh, kw, Ci] memory, the filter rows of ``tensor_ops.filter_rows``,
-    which then takes them without a copy: the training forward casts those
-    rows to float32 and its backward scales the same rows by alpha, with no
-    transpose in either. The deployed payload takes the same two functions."""
+    :func:`weight_alpha`), and with abs_max a third value, max|w_latent|
+    from the alpha pass (see weight_alpha). The signs are an [Co, Ci, kh, kw]
+    view of [Co, kh, kw, Ci] memory, the filter rows of
+    ``tensor_ops.filter_rows``, which then takes them without a copy: the
+    training forward casts those rows to float32 and its backward scales the
+    same rows by alpha, with no transpose in either. The deployed payload
+    takes the same two functions."""
     w_latent = np.asarray(w_latent, dtype=np.float64)
     rows = sign_bits(w_latent.transpose(0, 2, 3, 1), order="C").view(np.int8)
     rows *= 2
     rows -= 1
-    return rows.transpose(0, 3, 1, 2), weight_alpha(w_latent)
+    alpha = weight_alpha(w_latent, abs_max=abs_max)
+    signs = rows.transpose(0, 3, 1, 2)
+    return (signs, *alpha) if abs_max else (signs, alpha)
 
 
 def ste_mask(w_latent: np.ndarray) -> np.ndarray:
@@ -328,7 +340,9 @@ def rprelu_backward(
     grad_y and u would be. The beta term is a product with a temporary,
     which numpy computes in the temporary's buffer from 256 KiB up (every
     plane of a batch-128 step). The three parameter gradients are
-    ``tensor_ops._channel_sums``, whose order does not depend on layout.
+    ``tensor_ops._channel_sums``, whose order does not depend on layout;
+    grad_gamma is the negated sum of grad_x, which the block backwards hand,
+    negated back, to the batch norm that grad_x reaches as its dbeta.
     """
     u, beta = cache["u"], cache["beta"]
     pos = u >= 0

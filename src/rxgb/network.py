@@ -56,9 +56,10 @@ size follows from the shapes alone (by the filter rows times alpha);
 transposes them.
 Gradients reach the latents through the straight-through clip mask with
 alpha held constant (a multiply skipped while every latent lies in [-1, 1],
-where the mask is all ones), and latents are clipped to [-1, 1] after every
-optimizer step. Sign activations route gradients through the
-piecewise-quadratic surrogate in ``bitops``.
+where the mask is all ones, as the max|latent| of the alpha pass tells),
+and latents are clipped to [-1, 1] after every optimizer step. Sign
+activations route gradients through the piecewise-quadratic surrogate in
+``bitops``.
 
 One block wiring serves two executors. Training runs the graph on the live
 params in the dtype of its batch: float32 from :func:`train_stage1`, as the
@@ -100,16 +101,22 @@ latent magnitudes, so no training resumes from it; the float64 masters stay
 in memory.
 
 In both executors the shortcut adds write into the batch norm's output, and
-batch norm (training's, and the plan's on the stem's float64 conv output)
-and RPReLU compute in the array they are given, which nothing else reads.
-That keeps the bytes: a fresh ufunc result takes its input's memory order,
-so the in-place result holds the same values in the same layout, and every
-later reduction adds in the same order.
+the forwards of batch norm (training's, and the plan's on the stem's float64
+conv output) and RPReLU compute in the array they are given, which nothing
+else reads; so does training's alpha scaling of a binary conv's float32
+sums. That keeps the bytes: a fresh ufunc result takes its input's memory
+order, so the in-place result holds the same values in the same layout,
+and every later reduction adds in the same order. The backward runs the
+other way: batch norm's backward only reads its gradient and returns a
+fresh one, and the shortcut branch then adds into the gradient the batch
+norm read, with no copy. Its dbeta is the channel sum the RPReLU after it
+took of the same gradient (``_Tape.grad_sums``), to the byte, since
+``tensor_ops._channel_sums`` adds in an order fixed by the shape.
 
 Every activation and gradient of the block wiring, in both executors, lies in
 NHWC memory (see ``tensor_ops``): the reduction block pads and concatenates
-channels on NHWC views and the shortcut gradients are copied in their own
-order, so no elementwise op mixes layouts.
+channels on NHWC views and the shortcut gradients are the RPReLU's own, so
+no elementwise op mixes layouts.
 """
 
 from __future__ import annotations
@@ -494,8 +501,12 @@ class _Tape:
     cache, returning the input gradient and the gradients of the parameters
     it names, in ``dtype``. :meth:`back` runs each recorded backward once.
     bn and rprelu consume the conv output or block sum they are given: it
-    becomes the cached xhat or u. bn's backward likewise consumes the
-    gradient it is given, which the block backwards read for nothing else."""
+    becomes the cached xhat or u, and binconv scales a float32 tape's conv
+    sums by alpha in place. bn's backward only reads the gradient it is
+    given and returns a fresh one, so the block backwards add the other
+    branch into that gradient afterwards rather than copying it; it takes
+    the channel sums of that gradient (:meth:`grad_sums`) where the RPReLU
+    after it has taken them already."""
 
     def __init__(self, params: dict, dtype=np.float64):
         self.params = params
@@ -503,14 +514,21 @@ class _Tape:
         self.ops: dict[str, tuple] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def back(self, prefix, grad_y):
-        """Run and drop the backward recorded under ``prefix``, filing its
-        parameter gradients in ``grads``; returns the input gradient."""
+    def back(self, prefix, grad_y, *args):
+        """Run and drop the backward recorded under ``prefix`` on grad_y and
+        ``args``, filing its parameter gradients in ``grads``; returns the
+        input gradient."""
         keys, op_backward = self.ops.pop(prefix)
-        grad_x, *grads = op_backward(grad_y)
+        grad_x, *grads = op_backward(grad_y, *args)
         for key, g in zip(keys, grads):
             self.grads[f"{prefix}.{key}"] = g
         return grad_x
+
+    def grad_sums(self, prefix):
+        """The channel sums of the input gradient the rprelu under ``prefix``
+        returned: its grad_gamma negated, exactly. They are the dbeta of the
+        batch norm that gradient reaches (or of a channel slice of it)."""
+        return -self.grads[f"{prefix}.gamma"]
 
     def conv(self, prefix, x, geom):
         w = self.params[f"{prefix}.w"]
@@ -524,7 +542,7 @@ class _Tape:
 
     def binconv(self, prefix, x_sign, geom):
         latent = self.params[f"{prefix}.w_latent"]
-        w_sign, alpha = bitops.sign_weights(latent)
+        w_sign, alpha, abs_max = bitops.sign_weights(latent, abs_max=True)
 
         def op_backward(g):
             gx, gw = tensor_ops.conv2d_backward(g, x_sign, w_sign, geom, pad_value=-1,
@@ -532,20 +550,21 @@ class _Tape:
             # Kaiming init draws the latents within [-1, 1] and train_stage1
             # clips them back after every step, so the clip mask is all ones
             # there, and gw * 1 is gw to the byte
-            if not -1.0 <= latent.min() <= latent.max() <= 1.0:     # NaN fails
+            if not abs_max <= 1.0:                                   # NaN fails
                 gw *= bitops.ste_mask(latent)
             return gx, gw
 
         self.ops[prefix] = (("w_latent",), op_backward)
         y = tensor_ops.conv2d_forward(x_sign, w_sign, geom, pad_value=-1)
-        return np.multiply(y, alpha[None, :, None, None], dtype=self.dtype)
+        return np.multiply(y, alpha[None, :, None, None], dtype=self.dtype,
+                           out=y if self.dtype == np.float32 else None)
 
     def bn(self, prefix, x):
         y, cache = tensor_ops.batchnorm_forward(
             x, *(self.params[f"{prefix}.{k}"] for k in _PARAMS[netspec.BATCH_NORM]),
             out=x)
         self.ops[prefix] = (("gamma", "beta"),
-                            lambda g: tensor_ops.batchnorm_backward(g, cache, out=g))
+                            lambda g, sums=None: tensor_ops.batchnorm_backward(g, cache, sums))
         return y
 
     def rprelu(self, prefix, x):
@@ -563,6 +582,8 @@ class _Tape:
 
 # The block backwards keep the signature (tape, name, step, grad_y) and are
 # called as module globals: perfbench marks them by name and argument position.
+# The shortcut branch of each block sum adds into the RPReLU's gradient
+# itself: the batch norm's backward has read it in full by then.
 
 
 def _stem_backward(tape, name, step, grad_y):
@@ -570,29 +591,28 @@ def _stem_backward(tape, name, step, grad_y):
 
 
 def _normal_backward(tape, name, step, grad_y):
-    g_c2 = tape.back(f"{name}.rprelu_conv1x1", grad_y)
-    g_d1 = g_c2.copy(order="K")                          # shortcut branch
-    g_z2 = tape.back(f"{name}.bn_conv1x1", g_c2)
+    g_d1 = tape.back(f"{name}.rprelu_conv1x1", grad_y)
+    g_z2 = tape.back(f"{name}.bn_conv1x1", g_d1, tape.grad_sums(f"{name}.rprelu_conv1x1"))
     g_a2 = tape.back(f"{name}.conv1x1", g_z2)
-    g_d1 += tape.back(f"{name}.rsign_conv1x1", g_a2)
+    g_d1 += tape.back(f"{name}.rsign_conv1x1", g_a2)     # shortcut branch
 
-    g_c1 = tape.back(f"{name}.rprelu_conv3x3", g_d1)
-    g_x = g_c1.copy(order="K")                           # shortcut branch
-    g_z1 = tape.back(f"{name}.bn_conv3x3", g_c1)
+    g_x = tape.back(f"{name}.rprelu_conv3x3", g_d1)
+    g_z1 = tape.back(f"{name}.bn_conv3x3", g_x, tape.grad_sums(f"{name}.rprelu_conv3x3"))
     g_a1 = tape.back(f"{name}.conv3x3", g_z1)
-    g_x += tape.back(f"{name}.rsign_conv3x3", g_a1)
+    g_x += tape.back(f"{name}.rsign_conv3x3", g_a1)      # shortcut branch
     return g_x
 
 
 def _reduction_backward(tape, name, step, grad_y):
     g_cat = tape.back(f"{name}.rprelu_out", grad_y)
+    sums = tape.grad_sums(f"{name}.rprelu_out")
     c = g_cat.shape[1] // 2
     g_ca, g_cb = g_cat[:, :c], g_cat[:, c:]
     g_d1 = g_ca + g_cb                                   # branch shortcuts
 
-    g_za = tape.back(f"{name}.bn_conv1x1_a", g_ca)
+    g_za = tape.back(f"{name}.bn_conv1x1_a", g_ca, sums[:c])
     g_a2 = tape.back(f"{name}.conv1x1_a", g_za)
-    g_zb = tape.back(f"{name}.bn_conv1x1_b", g_cb)
+    g_zb = tape.back(f"{name}.bn_conv1x1_b", g_cb, sums[c:])
     g_a2 += tape.back(f"{name}.conv1x1_b", g_zb)
     g_d1 += tape.back(f"{name}.rsign_conv1x1", g_a2)
 
@@ -600,8 +620,8 @@ def _reduction_backward(tape, name, step, grad_y):
     if step.layer.stride == 2:
         g_xp = tensor_ops.avgpool_2x2_backward(g_c1, (len(g_c1), *step.padded))
     else:
-        g_xp = g_c1.copy(order="K")
-    g_z1 = tape.back(f"{name}.bn_conv3x3", g_c1)
+        g_xp = g_c1                                      # shortcut branch
+    g_z1 = tape.back(f"{name}.bn_conv3x3", g_c1, tape.grad_sums(f"{name}.rprelu_conv3x3"))
     g_a1 = tape.back(f"{name}.conv3x3", g_z1)
     g_xp += tape.back(f"{name}.rsign_conv3x3", g_a1)
     _, h, w = step.in_shape                              # crop the pad ring

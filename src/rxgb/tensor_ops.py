@@ -36,7 +36,8 @@ Determinism: products of real values (conv forward on float operands, both
 conv backward products, the fully connected layer) go through
 :func:`_matmul`, which splits the contraction axis into fixed K_BLOCK-wide
 blocks, computes each block as one BLAS product and sums the partial products
-left to right. The summation order is therefore fixed by the shapes alone, so
+left to right. The summation order is therefore fixed by the shapes alone,
+and with each operand's memory order (see :func:`_matmul`) the bytes are, so
 results are bit-identical across runs and BLAS thread counts. This rests on
 one assumption: a BLAS product whose contraction is at most K_BLOCK long does
 not depend on the thread count, in float64 (dgemm) and float32 (sgemm)
@@ -135,6 +136,13 @@ _POPCOUNT_MAX_ROWS = 32
 # and the weight of each batch's statistics in the running estimates.
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# Elements of a parameter that sgd_step updates at once through its scratch
+# buffer (256 KiB of float64). One step over the 7.1M width-0.5 masters
+# (float32 grads, decay on the stem and FC) took, min of 9 in three rounds on
+# one thread (2-core x86_64 host), in ms: 2**12 24.2-25.6, 2**13 20.9-22.5,
+# 2**14 19.5-22.4, 2**15 18.9-20.9, 2**16 21.0-21.5, 2**17 22.3-23.1,
+# 2**18 24.5-25.1, and 26.0-29.0 as whole-array expressions.
+_SGD_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -206,11 +214,11 @@ def _pad_input(x: np.ndarray, pad: int, pad_value: float, dtype) -> np.ndarray:
     where True and -1 where False; it becomes int8 signs first, which with
     the cast takes less time than any float32 arithmetic on the buffer. Its
     pad_value must be an integer in [-128, 127], which the backward's int8
-    copy holds; ValueError otherwise, in both conv directions.
+    copy holds; ValueError otherwise, in both conv directions
+    (:func:`_sign_pad`).
     """
-    if x.dtype == bool and pad_value not in range(-128, 128):
-        raise ValueError(f"sign planes need an integer pad_value in [-128, 127], "
-                         f"got {pad_value}")
+    if x.dtype == bool:
+        _sign_pad(pad_value)
     n, ci, h, w = x.shape
     xp = np.empty((n, h + 2 * pad, w + 2 * pad, ci), dtype)
     xp[:, :pad] = xp[:, h + pad:] = pad_value
@@ -223,6 +231,15 @@ def _pad_input(x: np.ndarray, pad: int, pad_value: float, dtype) -> np.ndarray:
         nhwc = np.ascontiguousarray(nhwc)
     xp[:, pad:h + pad, pad:w + pad] = nhwc
     return xp
+
+
+def _sign_pad(pad_value) -> int:
+    """pad_value of a sign plane's pad ring as an int; ValueError unless it
+    is an integer in [-128, 127], which the backward's int8 copy holds."""
+    if pad_value not in range(-128, 128):
+        raise ValueError(f"sign planes need an integer pad_value in [-128, 127], "
+                         f"got {pad_value}")
+    return int(pad_value)
 
 
 def _im2col(xp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
@@ -246,9 +263,21 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2-d a [M, K] and b [K, N], reduced in fixed K blocks.
 
     The contraction is cut into K_BLOCK-wide blocks, each block is one BLAS
-    product, and the partial products are added left to right, so the
-    summation order depends only on K and not on how BLAS blocks or threads
-    a long reduction. When K <= K_BLOCK this is exactly ``a @ b``.
+    product, and the partial products are added left to right, so the order
+    of the blocks depends only on K and not on how BLAS blocks or threads a
+    long reduction. When K <= K_BLOCK this is exactly ``a @ b``.
+
+    The bytes follow from the shapes and from each operand's memory order,
+    not from the shapes alone: BLAS packs a transposed operand with another
+    kernel, and an F-order b (the transpose of a C-order matrix) gave other
+    last bits than a C-order copy of the same values. The byte contract
+    assumes the layouts the callers pass, each fixed per call site: a is
+    row-major (the im2col matrix, NHWC gradient rows, a product's result) or,
+    in grad_w's products, the transpose of row-major rows; b is row-major
+    (the im2col matrix, a filter-row slice, a linear weight) or the
+    transpose of a C-order matrix (:func:`filter_rows` in the forwards, the
+    [kh*kw*Ci, Co] filter matrix in :func:`_col2im`, a linear weight in its
+    backward). A change to an operand's memory order may change the bytes.
 
     The product computes in a's dtype, float32 or float64. b may have an
     integer dtype (the int8 im2col of a binary conv): each row block is
@@ -308,7 +337,7 @@ def _sign_conv2d(x, w, geom, pad_value):
     n, ci, h, wd = x.shape
     kh, kw = geom.kernel
     oh, ow = geom.out_extent(h, wd)
-    pad = int(pad_value)
+    pad = _sign_pad(pad_value)                # before the bound reads it
     rows = filter_rows(w)                     # contiguous: reduces faster than w
     bound = rows.shape[1] * _abs_max(rows) * max(1, abs(pad))
     if bound >= EXACT_F32:
@@ -635,18 +664,20 @@ def batchnorm_forward(
 
 
 def batchnorm_backward(
-    grad_y: np.ndarray, cache: dict, out: np.ndarray | None = None
+    grad_y: np.ndarray, cache: dict, grad_sums: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of batchnorm_forward w.r.t. x, gamma, beta.
 
-    Works in two buffers: one made by a ufunc of grad_y and xhat, which
-    holds the summed products; and grad_y * gamma, which becomes dx in
-    grad_y's memory layout. Channel sums go through :func:`_channel_sums`,
-    whose order does not depend on either layout. It computes in grad_y's
-    :func:`_real_dtype`, the forward's. ``out``, if given, is an array of
-    grad_y's shape and compute dtype that receives that product and so dx;
-    pass grad_y itself to consume it (it is read in full before it is
-    written), with the same bytes as a fresh dx.
+    Works in two buffers made by ufuncs of grad_y: one holds the summed
+    products, and grad_y * gamma becomes dx, a fresh array in grad_y's
+    memory layout. grad_y is only read, so a caller may add into it once
+    this returns. Channel sums go through :func:`_channel_sums`, whose order
+    does not depend on either layout. It computes in grad_y's
+    :func:`_real_dtype`, the forward's. ``grad_sums``, if given, is
+    ``_channel_sums(grad_y)``, which is dbeta: the block backwards hand in
+    the sum the RPReLU after the batch norm took of the same gradient (its
+    grad_gamma negated, ``bitops.rprelu_backward``), or that sum's slice for
+    a channel slice, so it is not taken twice.
     """
     xhat = cache["xhat"]
     gamma = cache["gamma"]
@@ -655,8 +686,8 @@ def batchnorm_backward(
     grad_y = np.asarray(grad_y, dtype=_real_dtype(grad_y))
     buf = np.multiply(grad_y, xhat)
     dgamma = _channel_sums(buf)
-    dbeta = _channel_sums(grad_y)
-    dxhat = np.multiply(grad_y, gamma[None, :, None, None], out=out)
+    dbeta = _channel_sums(grad_y) if grad_sums is None else grad_sums
+    dxhat = np.multiply(grad_y, gamma[None, :, None, None])
     s1 = _channel_sums(dxhat)[None, :, None, None]
     s2 = _channel_sums(np.multiply(dxhat, xhat, out=buf))[None, :, None, None]
     dx = dxhat                                           # m * dxhat - s1 - xhat * s2
@@ -769,9 +800,17 @@ def sgd_step(
         v <- momentum * v + grad + wd * param
         param <- param - lr * v
     where wd is weight_decay when the parameter's decay_mask entry is True
-    (mask None means decay applies to all). params and velocities keep their
-    dtype (the float64 masters of training); a float32 grad is added into
-    its float64 velocity.
+    (mask None means decay applies to all). params and velocities are the
+    float64 masters of training, C-contiguous, and are written through flat
+    views, _SGD_CHUNK elements at a time, with one scratch buffer t per call:
+        v *= momentum; v += g; t = wd * p; v += t; t = lr * v; p -= t
+    Each element sees the operations of the whole-array formula in its
+    order, so the bytes are its bytes, and no temporary of a parameter's size
+    is made. A param or velocity that is not C-contiguous float64 raises
+    ValueError, before any parameter is updated, rather than being updated
+    through a copy. A grad may be float32 (added into its float64 velocity)
+    and of any layout; one that is not C-contiguous is read in C order a
+    chunk at a time.
     """
     if not (len(params) == len(grads) == len(velocities)):
         raise ValueError(
@@ -788,9 +827,19 @@ def sgd_step(
                 f"param {i}: shape mismatch param {p.shape} grad {g.shape} "
                 f"velocity {v.shape}"
             )
+        if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in (p, v)):
+            raise ValueError(f"param {i}: params and velocities must be "
+                             f"C-contiguous float64 arrays")
+    scratch = np.empty(_SGD_CHUNK)
+    for i, (p, g, v) in enumerate(zip(params, grads, velocities)):
         wd = weight_decay if (decay_mask is None or decay_mask[i]) else 0.0
-        v *= momentum
-        v += g
-        if wd:
-            v += wd * p
-        p -= lr * v
+        p_flat, v_flat = p.reshape(-1), v.reshape(-1)
+        g_flat = g.reshape(-1) if g.flags.c_contiguous else g.flat
+        for s in range(0, p.size, _SGD_CHUNK):
+            pc, vc = p_flat[s:s + _SGD_CHUNK], v_flat[s:s + _SGD_CHUNK]
+            t = scratch[:len(pc)]
+            vc *= momentum
+            vc += g_flat[s:s + _SGD_CHUNK]
+            if wd:
+                vc += np.multiply(pc, wd, out=t)
+            pc -= np.multiply(vc, lr, out=t)

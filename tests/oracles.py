@@ -672,9 +672,10 @@ def temporaries_batchnorm_forward(x, gamma, beta, running_mean, running_var, out
     return y, {"xhat": xhat, "gamma": gamma, "inv_std": inv_std, "m": m}
 
 
-def temporaries_batchnorm_backward(grad_y, cache, out=None):
-    """Batch-norm backward as one expression per gradient; ``out`` is
-    accepted, for the library's signature, and left unwritten."""
+def temporaries_batchnorm_backward(grad_y, cache, grad_sums=None):
+    """Batch-norm backward as one expression per gradient; ``grad_sums`` is
+    accepted, for the library's signature, and not read: dbeta is taken
+    here from grad_y."""
     xhat, gamma, inv_std, m = cache["xhat"], cache["gamma"], cache["inv_std"], cache["m"]
     grad_y = np.asarray(grad_y, dtype=_compute_dtype(grad_y))
     dgamma = blocked_channel_sums(grad_y * xhat)

@@ -108,6 +108,13 @@ def test_weight_alpha_equals_the_whole_latent_mean_byte_for_byte():
         w = rng.uniform(-1, 1, shape)
         want = np.abs(w).mean(axis=(1, 2, 3))
         assert weight_alpha(w).tobytes() == want.tobytes(), shape
+        # abs_max adds the max |w| of the same chunks, and changes no alpha
+        alpha, peak = weight_alpha(w, abs_max=True)
+        assert alpha.tobytes() == want.tobytes(), shape
+        assert peak == (np.abs(w).max() if w.size else 0.0), shape
+        if w.size:
+            w.flat[w.size // 2] = np.nan                 # in any chunk, NaN wins
+            assert np.isnan(weight_alpha(w, abs_max=True)[1]), shape
 
 
 def test_ste_mask():

@@ -878,6 +878,57 @@ def test_binary_conv_forward_equals_bit_path_byte_for_byte():
         assert np.ascontiguousarray(y).tobytes() == want.tobytes(), f"Ci={ci} k{k} s{stride}"
 
 
+def test_clip_mask_takes_exactly_the_convs_whose_latents_leave_the_clip(monkeypatch):
+    # _Tape.binconv skips the straight-through mask while max|latent|, from
+    # the alpha pass, is at most 1. A float32 step on latents within [-1, 1]
+    # except block1.conv3x3's +-1.5 masks that conv's gw, as gw * ste_mask
+    # does, and no other: against the same step with an all-ones mask, its gw
+    # changes exactly by the mask and every other gradient keeps its bytes.
+    model = network.build_network(tiny_spec(), seed=60)
+    key = "block1.conv3x3.w_latent"
+    model.params[key][0, 0, 0, :2] = 1.5, -1.5
+    x = np.random.default_rng(61).standard_normal((4, 1, 8, 8)).astype(np.float32)
+    masked = []
+    ste_mask = bitops.ste_mask
+    runs = []
+    for mask in (ste_mask, lambda w: np.ones(w.shape)):
+        monkeypatch.setattr(bitops, "ste_mask", lambda w: masked.append(w) or mask(w))
+        _, grads = network.loss_and_grads(model.copy(), x, np.arange(4))
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        runs.append(grads)
+    assert [w.tobytes() for w in masked] == [model.params[key].tobytes()] * 2
+    got, unmasked = runs
+    assert np.count_nonzero(ste_mask(model.params[key]) == 0) == 2
+    assert np.count_nonzero(unmasked[key][0, 0, 0, :2]) == 2
+    for k, g in got.items():
+        want = unmasked[k] * ste_mask(model.params[k]) if k == key else unmasked[k]
+        assert g.tobytes() == want.astype(np.float32).tobytes(), k
+
+
+def test_clip_mask_takes_a_nan_latent():
+    # A NaN latent fails every comparison, so the max|w| of the alpha pass is
+    # NaN and the mask runs: it zeroes the NaN's own gw entry and keeps the rest.
+    rng = np.random.default_rng(62)
+    geom = tensor_ops.ConvGeometry((3, 3), 1, 1)
+    a, _ = bitops.rsign_forward(rng.standard_normal((2, 4, 5, 5)).astype(np.float32),
+                                np.zeros(4))
+    g = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+    latent = rng.uniform(-1.0, 1.0, (3, 4, 3, 3))
+    grads = []
+    for nan in (False, True):
+        w = latent.copy()
+        if nan:
+            w[1, 2, 0, 1] = np.nan
+        tape = network._Tape({"c.w_latent": w}, np.float32)
+        tape.binconv("c", a, geom)
+        tape.back("c", g)
+        grads.append(tape.grads["c.w_latent"])
+    clean, with_nan = grads
+    assert with_nan[1, 2, 0, 1] == 0 and clean[1, 2, 0, 1] != 0
+    clean[1, 2, 0, 1] = 0
+    assert with_nan.tobytes() == clean.tobytes()
+
+
 # (N, Ci, Co, H=W, k, stride, pad) of sign convs, up to K = 9 * 512; the
 # 2x2 grid at N = 128 takes the interior-tap products.
 _SIGN_SWEEP = [

@@ -265,12 +265,15 @@ def test_integer_conv_is_exact_and_guards_float32_range():
         with pytest.raises(ValueError, match=r"2\*\*24"):
             conv2d_forward(np.ones((1, ci, 1, 1), bool),
                            np.full((1, ci, 1, 1), value, np.int8), geom)
-    # The pad value counts toward the bound: 1x1 taps of 3 pad cells reach 3.
+    # The pad value counts toward the bound: 1x1 taps of 3 pad cells reach 3,
+    # and 2**17 one-tap channels of unit filters reach 2**24 at pad -128.
     ones, w = np.ones((1, 1, 1, 1), bool), np.ones((1, 1, 1, 1), np.int8)
     padded = conv2d_forward(ones, w, ConvGeometry((1, 1), 1, 1), pad_value=3)
     assert padded[0, 0].tolist() == [[3, 3, 3], [3, 1, 3], [3, 3, 3]]
+    ci = 1 << 17
     with pytest.raises(ValueError, match=r"2\*\*24"):
-        conv2d_forward(ones, w, ConvGeometry((1, 1), 1, 1), pad_value=tensor_ops.EXACT_F32)
+        conv2d_forward(np.ones((1, ci, 1, 1), bool), np.ones((1, ci, 1, 1), np.int8),
+                       ConvGeometry((1, 1), 1, 1), pad_value=-128)
     with pytest.raises(ValueError, match="integer pad_value"):
         conv2d_forward(ones, w, ConvGeometry((1, 1), 1, 1), pad_value=-0.5)
 
@@ -281,7 +284,9 @@ def test_sign_plane_conv_backward_refuses_the_pads_its_forward_refuses(
         monkeypatch, n, hw):
     # The backward's padded copy of a sign plane is int8: a pad of 0.5 used to
     # act as 0 in the dense form and halve the ring sums in the interior-tap
-    # form, and 300 raised numpy's OverflowError.
+    # form, and 300 raised numpy's OverflowError. The forward checks the pad
+    # before its 2**24 bound reads it: inf, nan and 1e300 used to raise
+    # OverflowError, numpy's NaN-to-integer error and the bound's error.
     interior = []
     conv_backward_interior = tensor_ops._conv_backward_interior
     monkeypatch.setattr(tensor_ops, "_conv_backward_interior",
@@ -291,7 +296,7 @@ def test_sign_plane_conv_backward_refuses_the_pads_its_forward_refuses(
     x = _sign_plane(rng, (n, 2, hw, hw))
     w = _sign_filters(rng, (3, 2, 3, 3))
     gy = rng.standard_normal((n, 3, hw, hw))
-    for pad_value in (0.5, 300, -129):
+    for pad_value in (0.5, 300, -129, np.inf, np.nan, 1e300):
         for conv in (lambda: conv2d_forward(x, w, geom, pad_value=pad_value),
                      lambda: conv2d_backward(gy, x, w, geom, pad_value=pad_value)):
             with pytest.raises(ValueError, match="integer pad_value"):
@@ -462,8 +467,10 @@ def _nhwc(a):
 
 def test_batchnorm_equals_the_temporaries_form_byte_for_byte():
     # Both layouts of x and grad_y, planes below and above the size at which
-    # numpy reuses temporaries in place (256 KiB), and both forms of the call:
-    # a fresh xhat, and out=x on a copy of x in its layout, consumed as xhat.
+    # numpy reuses temporaries in place (256 KiB), and both forms of each call:
+    # a fresh xhat, and out=x on a copy of x in its layout, consumed as xhat;
+    # a backward that takes its own dbeta, and one handed grad_y's channel
+    # sums. The backward only reads grad_y and returns dx in grad_y's layout.
     rng = np.random.default_rng(23)
     for shape in ((3, 8, 5, 5), (64, 32, 14, 14)):
         c = shape[1]
@@ -486,12 +493,14 @@ def test_batchnorm_equals_the_temporaries_form_byte_for_byte():
                 assert a.tobytes() == b.tobytes(), case
             for g_layout in (np.ascontiguousarray, _nhwc):
                 gy = g_layout(rng.standard_normal(shape))
+                before = gy.copy(order="K")
                 got = batchnorm_backward(gy, cache)
                 want = temporaries_batchnorm_backward(gy, rcache)
-                gin = gy.copy(order="K")
-                consumed = batchnorm_backward(gin, cache, out=gin)
-                assert consumed[0] is gin, case
-                for a, b, d in zip(got, want, consumed):
+                handed = batchnorm_backward(gy, cache, blocked_channel_sums(gy))
+                assert gy.tobytes(order="A") == before.tobytes(order="A"), case
+                for dx in (got[0], handed[0]):
+                    assert dx.strides == gy.strides and not np.shares_memory(dx, gy), case
+                for a, b, d in zip(got, want, handed):
                     assert (np.ascontiguousarray(a).tobytes()
                             == np.ascontiguousarray(b).tobytes()
                             == np.ascontiguousarray(d).tobytes()), case
@@ -642,6 +651,53 @@ def test_sgd_weight_decay_and_mask():
         sgd_step(p, g, v, lr=1.0, decay_mask=[True])
     with pytest.raises(ValueError, match="shape mismatch"):
         sgd_step([np.zeros(2)], [np.zeros(3)], [np.zeros(2)], lr=0.1)
+
+
+def test_sgd_step_updates_in_chunks_with_the_whole_array_bytes():
+    # sgd_step updates _SGD_CHUNK elements at a time through one scratch
+    # buffer; each element sees the operations of the whole-array formula in
+    # its order, so the bytes are the formula's. Lengths around the chunk
+    # boundaries, float32 grads into float64 masters, a grad that is a
+    # transposed view, decay on, off and masked, and momentum 0 and 0.9.
+    chunk = tensor_ops._SGD_CHUNK
+    rng = np.random.default_rng(71)
+    sizes = (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7)
+    lr, wd = np.float64(0.03), 1e-3
+    masks = (None, [False] * (len(sizes) + 1), [True, False] * 3)
+    for momentum, mask in itertools.product((0.0, 0.9), masks):
+        params = [rng.standard_normal(n) for n in sizes] + [rng.standard_normal((37, 1000))]
+        grads = [rng.standard_normal(n).astype(np.float32) for n in sizes]
+        grads.append(rng.standard_normal((1000, 37)).astype(np.float32).T)
+        velocities = [rng.standard_normal(p.shape) for p in params]
+        want = [(p.copy(), v.copy()) for p, v in zip(params, velocities)]
+        for i, ((p, v), g) in enumerate(zip(want, grads)):
+            v *= momentum
+            v += g
+            if mask is None or mask[i]:
+                v += wd * p
+            p -= lr * v
+        sgd_step(params, grads, velocities, lr=lr, momentum=momentum,
+                 weight_decay=wd, decay_mask=mask)
+        for (p, v), (wp, wv) in zip(zip(params, velocities), want):
+            assert p.tobytes() == wp.tobytes() and v.tobytes() == wv.tobytes(), \
+                (momentum, mask, p.shape)
+
+
+def test_sgd_step_refuses_params_it_cannot_update_in_place():
+    # A param or velocity that is not C-contiguous float64 raises before any
+    # parameter moves, rather than being updated through a copy.
+    rng = np.random.default_rng(72)
+    good = rng.standard_normal(5)
+    base = rng.standard_normal((6, 8))
+    for bad_p, bad_v in ((base.T, np.zeros((8, 6))), (base[:, ::2], np.zeros((6, 4))),
+                         (base[:, :4], np.zeros((6, 4))), (np.zeros((8, 6)), base.T),
+                         (base.astype(np.float32), np.zeros((6, 8)))):
+        before = good.copy(), base.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            sgd_step([good, bad_p], [np.ones(5), np.ones(bad_p.shape)],
+                     [np.zeros(5), bad_v], lr=0.1, momentum=0.9)
+        assert good.tobytes() == before[0].tobytes()
+        assert base.tobytes() == before[1].tobytes()
 
 
 # --- fixed-block products and thread invariance --------------------------------
